@@ -3,21 +3,12 @@
 
 GO ?= go
 
-# Recipes use pipes (bench-json); without pipefail a failing `go test`
-# would be masked by the downstream consumer's exit status and CI would
-# upload a corrupt baseline.
-SHELL := /bin/bash
-.SHELLFLAGS := -o pipefail -c
-
-# Pinned so benchmark JSON documents are comparable across CI runs.
-BENCHTIME ?= 1x
-BENCH_OUT ?= BENCH_PR.json
 # Pinned staticcheck release; `go run` executes exactly this version.
 STATICCHECK_VERSION ?= 2025.1
 # Pinned govulncheck release for the advisory CI job.
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race race-phase4 bench bench-json bench-compare e2e-netstore e2e-chaos fmt vet staticcheck lint vulncheck docs ci
+.PHONY: all build test race race-phase4 bench bench-smoke bench-compare e2e-netstore e2e-chaos fmt vet staticcheck lint vulncheck docs ci
 
 all: build
 
@@ -55,22 +46,24 @@ e2e-netstore:
 e2e-chaos:
 	./scripts/e2e_chaos.sh
 
-# Every benchmark at the pinned $(BENCHTIME) — by default one pass, a
-# smoke run proving the harness works; override BENCHTIME for numbers.
+# The repository's benchmark (bench/README.md): four workloads, three
+# end-to-end runs plus one traced pass each, ~8 min. Results land in
+# bench/out/results.json.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) ./...
+	$(GO) run ./bench
 
-# Full benchmark suite at the pinned -benchtime, captured as JSON
-# (name, ns/op, allocs, custom op-count metrics). CI uploads the file
-# as an artifact on every run, building the bench trajectory.
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -benchmem ./... | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
+# A short suite for CI: timings at this length mean little, but the
+# digest-repeat, exact-count-repeat and correctness checks the suite
+# applies to itself are host-neutral, and a failed one exits non-zero.
+bench-smoke:
+	$(GO) run ./bench -runs 2 -seconds 5
 
-# Markdown comparison of $(BENCH_OUT) against BASELINE (a bench-json
-# document from main); exits non-zero on >2x regressions of the
-# emulated-disk phase-4 benchmarks.
+# Applies the benchmark's bounds to the last `make bench` against BASE,
+# e.g. `make bench-compare BASE=BENCH_BASELINE.json`; exits non-zero on
+# a regressed or unresolved end-to-end metric, or on an exact count
+# that differs at equal seeds.
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare $(BASELINE) $(BENCH_OUT)
+	$(GO) run ./bench -compare $(BASE) bench/out/results.json
 
 # Fails when any file needs reformatting, printing the offenders.
 fmt:
@@ -107,4 +100,4 @@ docs:
 	./scripts/doccheck.sh
 	./scripts/check_flags.sh
 
-ci: build fmt vet staticcheck lint race race-phase4 e2e-netstore e2e-chaos docs bench
+ci: build fmt vet staticcheck lint race race-phase4 e2e-netstore e2e-chaos docs bench-smoke

@@ -42,8 +42,6 @@
 //	-conc        worker goroutines per target
 //	-seed        RNG seed (same seed ⇒ identical op sequence)
 //	-timeout     per-request timeout for HTTP targets
-//	-bench       also emit go-bench-shaped lines (BenchmarkKNNLoad/...)
-//	             that cmd/benchjson parses
 //	-maxerrors   errors tolerated per target before a non-zero exit
 //	             (default 0; raise under deliberate fault injection,
 //	             where bounded timeouts and sheds are the expected
@@ -139,7 +137,6 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 	conc := fs.Int("conc", 8, "worker goroutines per target")
 	seed := fs.Int64("seed", 1, "RNG seed; same seed replays the identical op sequence")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request timeout for HTTP targets")
-	bench := fs.Bool("bench", false, "also emit go-bench-shaped lines for cmd/benchjson")
 	maxErrors := fs.Uint64("maxerrors", 0, "errors tolerated per target before a non-zero exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -184,12 +181,6 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 	if len(results) > 1 {
 		fmt.Fprintln(out)
 		load.WriteComparison(out, results)
-	}
-	if *bench {
-		fmt.Fprintln(out)
-		for _, res := range results {
-			res.WriteBench(out, "BenchmarkKNNLoad")
-		}
 	}
 	if len(failed) > 0 {
 		return fmt.Errorf("error budget exceeded on target(s): %s", strings.Join(failed, "; "))

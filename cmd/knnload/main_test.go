@@ -44,8 +44,8 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestRunAgainstServe drives the full CLI path — flag parsing, HTTP
-// and direct targets over the same plan, table + comparison + bench
-// output — against an in-process serving stack.
+// and direct targets over the same plan, table + comparison output —
+// against an in-process serving stack.
 func TestRunAgainstServe(t *testing.T) {
 	const partitions = 4
 	cluster, err := netstore.StartCluster(2, partitions, nil)
@@ -93,43 +93,19 @@ func TestRunAgainstServe(t *testing.T) {
 		"-users", "32", "-items", "100", "-ops", "200",
 		"-rate", "4000", "-zipf", "1.2", "-writefrac", "0.1",
 		"-window", "50ms", "-conc", "4", "-seed", "5",
-		"-bench",
 	})
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	got := out.String()
 	for _, want := range []string{
-		"target http:", "target direct:",
+		// Both targets replayed the same plan in full.
+		"target http: 200 ops", "target direct: 200 ops",
 		"comparison (per op type, across targets):",
-		"BenchmarkKNNLoad/http/neighbors",
-		"BenchmarkKNNLoad/direct/update",
 		"p99ms",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-	// Both targets replayed the same plan: bench lines must agree on
-	// the per-kind op counts (field 2 of each line).
-	counts := map[string][2]string{}
-	for _, line := range strings.Split(got, "\n") {
-		if !strings.HasPrefix(line, "BenchmarkKNNLoad/") {
-			continue
-		}
-		f := strings.Fields(line)
-		name := strings.SplitN(f[0], "/", 3)
-		pair := counts[name[2]]
-		if name[1] == "http" {
-			pair[0] = f[1]
-		} else {
-			pair[1] = f[1]
-		}
-		counts[name[2]] = pair
-	}
-	for kind, pair := range counts {
-		if pair[0] != pair[1] {
-			t.Errorf("%s: http ran %s ops, direct %s", kind, pair[0], pair[1])
 		}
 	}
 

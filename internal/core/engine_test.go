@@ -89,6 +89,8 @@ func TestEngineMatchesReferenceIteration(t *testing.T) {
 		{"in-memory greedy", Options{K: 5, NumPartitions: 4}},
 		{"in-memory hash", Options{K: 5, NumPartitions: 4, Partitioner: partition.Hash{}}},
 		{"on-disk", Options{K: 5, NumPartitions: 4, OnDisk: true}},
+		{"on-disk range", Options{K: 5, NumPartitions: 8, OnDisk: true, Partitioner: partition.Range{}}},
+		{"on-disk hash", Options{K: 5, NumPartitions: 8, OnDisk: true, Partitioner: partition.Hash{}}},
 		{"on-disk sequential heuristic", Options{K: 5, NumPartitions: 5, OnDisk: true, Heuristic: pigraph.Sequential{}}},
 		{"parallel scoring", Options{K: 5, NumPartitions: 4, Workers: 4}},
 		{"jaccard", Options{K: 5, NumPartitions: 3, Similarity: profile.Jaccard{}}},

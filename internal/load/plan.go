@@ -16,8 +16,8 @@
 //     and latency is measured from the scheduled start, so a saturated
 //     server shows queueing delay instead of silently throttling the
 //     driver (the coordinated-omission trap).
-//   - Result renders a human table and benchjson-compatible lines, so
-//     the same run feeds eyeballs and the CI regression gate.
+//   - Result renders a human table per target and a cross-target
+//     comparison.
 package load
 
 import (

@@ -43,23 +43,6 @@ func (r *Result) WriteTable(w io.Writer) {
 	}
 }
 
-// WriteBench renders the run as `go test -bench`-shaped lines that
-// cmd/benchjson parses, one per op type, under benchName
-// (e.g. "BenchmarkKNNLoad"): iteration count, mean ns/op, then
-// p50/p95/p99 and throughput as custom metrics. Piping this into
-// `benchjson` yields a document the CI gate can diff like any other.
-func (r *Result) WriteBench(w io.Writer, benchName string) {
-	for k := Kind(0); k < NumKinds; k++ {
-		kr := r.Kinds[k]
-		if kr.Ops == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%s/%s/%s %d %d ns/op %.3f p50-ms %.3f p95-ms %.3f p99-ms %.0f ops/s %d misses %d errors\n",
-			benchName, r.Target, k, kr.Ops, kr.Mean.Nanoseconds(),
-			ms(kr.P50), ms(kr.P95), ms(kr.P99), kr.Throughput, kr.Misses, kr.Errors)
-	}
-}
-
 // WriteComparison renders a p50/p99 cross-target table — the view
 // that answers "did the replica tier beat the primaries at the tail".
 func WriteComparison(w io.Writer, results []*Result) {

@@ -317,7 +317,10 @@ func (p *flakyProxy) serve(client net.Conn) {
 			return
 		}
 		frame, err := readFrame(client)
-		if err != nil {
+		// Re-check after the blocking read: a request that arrives
+		// after trip() must not be forwarded, or its response races
+		// the deferred Close.
+		if err != nil || p.broken.Load() {
 			return
 		}
 		if len(frame) > 0 && frame[0] == opLease && p.tripAfterLeases > 0 {

@@ -19,14 +19,13 @@ declare -A HELP=(
   [knnload]="knnload -help"
   [table1]="table1 -help"
   [experiments]="experiments -help"
-  [benchjson]="benchjson -help"
   [datagen-graph]="datagen graph -help"
   [datagen-profiles]="datagen profiles -help"
   [knnlint]="knnlint -help"
 )
 
 echo "== building binaries"
-for bin in knnrun statestore knnserve knnload table1 experiments benchjson datagen knnlint; do
+for bin in knnrun statestore knnserve knnload table1 experiments datagen knnlint; do
   go build -o "$WORK/$bin" "./cmd/$bin"
 done
 

@@ -3,15 +3,18 @@
 // fails when an exported symbol — package-level func, method, type,
 // var, or const — has no doc comment, or when a package has no package
 // comment at all. CI runs it over the engine's core packages so the
-// godoc surface cannot silently rot.
+// godoc surface cannot silently rot. An argument ending in ".md" is a
+// Markdown file instead: it fails when it cites a Benchmark* function,
+// a cmd/<x> directory or an internal/<x> directory that the tree under
+// the working directory does not hold.
 //
 // Usage:
 //
-//	doccheck <pkgdir> [pkgdir...]
+//	doccheck <pkgdir|file.md> [...]
 //
-// Exits 0 when every exported symbol is documented, 1 otherwise
-// (printing one "file:line: symbol" diagnostic per finding), 2 on
-// usage or parse errors.
+// Exits 0 when every exported symbol is documented and every citation
+// resolves, 1 otherwise (printing one "file:line: what" diagnostic per
+// finding), 2 on usage, read or parse errors.
 package main
 
 import (
@@ -19,18 +22,25 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 )
 
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: doccheck <pkgdir> [pkgdir...]")
+		fmt.Fprintln(os.Stderr, "usage: doccheck <pkgdir|file.md> [...]")
 		os.Exit(2)
 	}
 	bad := 0
-	for _, dir := range os.Args[1:] {
-		findings, err := checkDir(dir)
+	for _, arg := range os.Args[1:] {
+		check := checkDir
+		if strings.HasSuffix(arg, ".md") {
+			check = func(md string) ([]string, error) { return checkRefs(".", md) }
+		}
+		findings, err := check(arg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "doccheck:", err)
 			os.Exit(2)
@@ -41,9 +51,64 @@ func main() {
 		bad += len(findings)
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d undocumented exported symbol(s)\n", bad)
+		fmt.Fprintf(os.Stderr, "doccheck: %d finding(s)\n", bad)
 		os.Exit(1)
 	}
+}
+
+var (
+	// A cited directory: cmd/<x> or internal/<x> at the start of a
+	// path, after "./", or after the module name. The prefix keeps
+	// foreign import paths (golang.org/x/vuln/cmd/govulncheck) out.
+	dirRef = regexp.MustCompile(`(?:^|[^\w/.-]|\./|knnpc/)((?:cmd|internal)/[a-z0-9_]+)`)
+	// A cited benchmark function; a /sub-benchmark suffix is not part
+	// of the identifier.
+	benchRef  = regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
+	benchDecl = regexp.MustCompile(`(?m)^func (Benchmark[A-Z]\w*)\(`)
+)
+
+// checkRefs returns one diagnostic per line of the Markdown file at
+// path that cites a directory or benchmark function missing under root.
+func checkRefs(root, path string) ([]string, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	declared, err := declaredBenchmarks(root)
+	if err != nil {
+		return nil, err
+	}
+	var findings []string
+	for i, line := range strings.Split(string(src), "\n") {
+		for _, m := range dirRef.FindAllStringSubmatch(line, -1) {
+			if fi, err := os.Stat(filepath.Join(root, m[1])); err != nil || !fi.IsDir() {
+				findings = append(findings, fmt.Sprintf("%s:%d: cites %s, which is not a directory in the tree", path, i+1, m[1]))
+			}
+		}
+		for _, name := range benchRef.FindAllString(line, -1) {
+			if !declared[name] {
+				findings = append(findings, fmt.Sprintf("%s:%d: cites %s, which no _test.go file declares", path, i+1, name))
+			}
+		}
+	}
+	return findings, nil
+}
+
+// declaredBenchmarks collects every top-level Benchmark* function
+// declared in a _test.go file under root.
+func declaredBenchmarks(root string) (map[string]bool, error) {
+	declared := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range benchDecl.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
+	})
+	return declared, err
 }
 
 // checkDir lints one package directory (tests excluded — their helpers

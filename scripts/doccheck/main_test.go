@@ -96,3 +96,51 @@ func TestCheckDirIgnoresTests(t *testing.T) {
 		t.Fatalf("findings = %v", findings)
 	}
 }
+
+// refs runs checkRefs on a doc.md with the given body inside a tree
+// holding cmd/tool, internal/engine and one declared BenchmarkKept.
+func refs(t *testing.T, body string) []string {
+	t.Helper()
+	root := t.TempDir()
+	for _, dir := range []string{"cmd/tool", "internal/engine"} {
+		if err := os.MkdirAll(filepath.Join(root, dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(t, filepath.Join(root, "internal/engine"), "e_test.go",
+		"package engine\n\nfunc BenchmarkKept(b *testing.B) {}\n")
+	write(t, root, "doc.md", body)
+	findings, err := checkRefs(root, filepath.Join(root, "doc.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return findings
+}
+
+// TestCheckRefsFindsStaleCitations: a deleted benchmark, binary or
+// package cited in Markdown is reported with its line.
+func TestCheckRefsFindsStaleCitations(t *testing.T) {
+	findings := refs(t, "See `BenchmarkGone/hdd` and BenchmarkKept.\n"+
+		"Run `go run ./cmd/gone`, not ./cmd/tool.\n"+
+		"`knnpc/internal/removed` was imported by internal/engine/e_test.go.\n")
+	joined := strings.Join(findings, "\n")
+	for _, want := range []string{"doc.md:1: cites BenchmarkGone,", "doc.md:2: cites cmd/gone,", "doc.md:3: cites internal/removed,"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("missing %q in:\n%s", want, joined)
+		}
+	}
+	if len(findings) != 3 {
+		t.Errorf("%d findings, want 3:\n%s", len(findings), joined)
+	}
+}
+
+// TestCheckRefsCleanTwin: the same prose citing only what exists —
+// and a foreign import path that merely contains /cmd/ — is clean.
+func TestCheckRefsCleanTwin(t *testing.T) {
+	findings := refs(t, "See `BenchmarkKept/hdd`.\n"+
+		"Run `go run ./cmd/tool` or golang.org/x/vuln/cmd/govulncheck.\n"+
+		"`knnpc/internal/engine` holds internal/engine/e_test.go; internal/{a,b} is a pattern.\n")
+	if len(findings) != 0 {
+		t.Fatalf("findings = %v", findings)
+	}
+}
