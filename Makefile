@@ -8,7 +8,7 @@ STATICCHECK_VERSION ?= 2025.1
 # Pinned govulncheck release for the advisory CI job.
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race race-phase4 bench bench-smoke bench-compare e2e-netstore e2e-chaos fmt vet staticcheck lint vulncheck docs ci
+.PHONY: all build test race race-phase4 fuzz-smoke bench bench-smoke bench-compare e2e-netstore e2e-chaos fmt vet staticcheck lint vulncheck docs ci
 
 all: build
 
@@ -31,6 +31,16 @@ race-phase4:
 	$(GO) test -race -count=1 \
 		-run 'Worker|Sharded|Parallel|Split|Cancel|Close|Device|Pipelined|MidTape|Commit|NetStore|NetOwner|Lease|Torn|Shard' \
 		./internal/pigraph ./internal/core ./internal/tuples ./internal/disk ./internal/netstore ./internal/lint
+
+# Each native fuzz target for FUZZTIME: the partition-state and
+# worker-partial decoders must never panic, never size storage from a
+# count the input cannot back, and round-trip what they accept. `go
+# test -fuzz` takes one target and one package per run. A crasher is
+# written under the package's testdata/fuzz/ — commit it with the fix.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePartState$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzMergePartial$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # End-to-end proof of the network state store: launches cmd/statestore
 # with 2 shards, runs knnrun once in-process and once with -netstore on
@@ -59,7 +69,7 @@ bench-smoke:
 	$(GO) run ./bench -runs 2 -seconds 5
 
 # Applies the benchmark's bounds to the last `make bench` against BASE,
-# e.g. `make bench-compare BASE=BENCH_BASELINE.json`; exits non-zero on
+# e.g. `make bench-compare BASE=BENCH_18.json`; exits non-zero on
 # a regressed or unresolved end-to-end metric, or on an exact count
 # that differs at equal seeds.
 bench-compare:
@@ -100,4 +110,4 @@ docs:
 	./scripts/doccheck.sh
 	./scripts/check_flags.sh
 
-ci: build fmt vet staticcheck lint race race-phase4 e2e-netstore e2e-chaos docs bench-smoke
+ci: build fmt vet staticcheck lint race race-phase4 fuzz-smoke e2e-netstore e2e-chaos docs bench-smoke

@@ -759,8 +759,8 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 			return nil, err
 		}
 		err = states.Collect(func(st *partState) error {
-			for _, u := range st.members {
-				if err := next.Set(u, st.accs[u].IDs()); err != nil {
+			for i, u := range st.members {
+				if err := next.Set(u, st.accs[i].IDs()); err != nil {
 					return err
 				}
 			}
@@ -950,19 +950,19 @@ func (e *Engine) ReplicaAddrs() []string {
 
 func (e *Engine) newStateStore() stateStore {
 	if e.netClient != nil {
-		return newNetStateStore(e.netClient, &e.iostats)
+		return newNetStateStore(e.netClient, &e.iostats, e.opts.K)
 	}
 	if e.opts.OnDisk {
-		return newDiskStateStore(e.scratch, &e.iostats, e.device)
+		return newDiskStateStore(e.scratch, &e.iostats, e.device, e.opts.K)
 	}
-	return newMemStateStore()
+	return newMemStateStore(e.opts.K)
 }
 
 // newOwner picks the phase-4 ownership layer: store-side leases over
 // the network KV, or the in-process refcounted guards.
 func (e *Engine) newOwner(states stateStore) ownerLayer {
 	if e.netClient != nil {
-		return newNetOwner(e.netClient, e.budget, &e.iostats)
+		return newNetOwner(e.netClient, e.budget, &e.iostats, e.opts.K)
 	}
 	return newPartOwner(e.opts.NumPartitions, states, e.budget, &e.iostats)
 }
@@ -1034,7 +1034,7 @@ func (s *phase4Shared) workerCallbacks(index int) pigraph.Callbacks {
 		shared:   s,
 		index:    index,
 		scorer:   knn.Scorer{Sim: s.engine.opts.Similarity, Workers: s.engine.opts.Workers},
-		resident: make(map[uint32]*partState, s.engine.opts.Slots),
+		resident: make([]*partState, s.assign.NumPartitions()),
 	}
 	cb := pigraph.Callbacks{
 		Load:    w.load,
@@ -1053,16 +1053,17 @@ func (s *phase4Shared) workerCallbacks(index int) pigraph.Callbacks {
 	return cb
 }
 
-// phase4Worker is one tape worker's executor state. The resident map
-// is confined to the worker's cursor (the scorer's goroutines only
-// read it while the cursor blocks in Score); everything cross-worker —
-// partition instances, accumulator folds, the scored tally — goes
-// through phase4Shared.
+// phase4Worker is one tape worker's executor state. The resident
+// table (indexed by partition id, nil where not resident) is confined
+// to the worker's cursor (the scorer's goroutines only read it while
+// the cursor blocks in Score); everything cross-worker — partition
+// instances, accumulator folds, the scored tally — goes through
+// phase4Shared.
 type phase4Worker struct {
 	shared   *phase4Shared
 	index    int // tape worker index, the lease owner's tenancy key
 	scorer   knn.Scorer
-	resident map[uint32]*partState
+	resident []*partState
 }
 
 // fetch materializes partition id without making it resident — the
@@ -1119,12 +1120,21 @@ func (w *phase4Worker) load(id uint32) error {
 // its budget charge) is held until the matching flush lands: an
 // in-flight write-back still occupies real memory.
 func (w *phase4Worker) evict(id uint32) (any, error) {
-	st, ok := w.resident[id]
-	if !ok {
+	st := w.residentState(id)
+	if st == nil {
 		return nil, w.shared.fail(fmt.Errorf("core: evict of non-resident partition %d", id))
 	}
-	delete(w.resident, id)
+	w.resident[id] = nil
 	return st, nil
+}
+
+// residentState returns partition id's state, or nil when this worker
+// does not hold it.
+func (w *phase4Worker) residentState(id uint32) *partState {
+	if int(id) >= len(w.resident) {
+		return nil
+	}
+	return w.resident[id]
 }
 
 // flush drops the evicted partition's ownership reference — the
@@ -1155,13 +1165,10 @@ func (w *phase4Worker) pairAhead(a, b uint32) {
 	}
 }
 
-// pair processes both directed shards of the unordered pair {a, b} as
-// one scoring batch: combining (a,b) and (b,a) gives the scoring
-// fan-out the largest possible parallel unit, so CPU parallelism and
-// prefetch I/O overlap compose. Tuple order (forward shard then
-// reverse) matches the former per-shard processing, keeping
-// accumulator tie-breaking identical. No pair spans tape workers, so
-// each shard is consumed exactly once.
+// pair processes both directed shards of the unordered pair {a, b},
+// forward then reverse — the order accumulator tie-breaking has always
+// seen. No pair spans tape workers, so each shard is consumed exactly
+// once.
 func (w *phase4Worker) pair(a, b uint32) error {
 	if err := w.shared.ctxErr(); err != nil {
 		return err
@@ -1174,17 +1181,10 @@ func (w *phase4Worker) pair(a, b uint32) error {
 	if err != nil {
 		return w.shared.fail(err)
 	}
-	switch {
-	case len(rev) == 0:
-		return w.scoreTuples(fwd)
-	case len(fwd) == 0:
-		return w.scoreTuples(rev)
-	default:
-		batch := make([]tuples.Tuple, 0, len(fwd)+len(rev))
-		batch = append(batch, fwd...)
-		batch = append(batch, rev...)
-		return w.scoreTuples(batch)
+	if err := w.scoreTuples(fwd); err != nil {
+		return err
 	}
+	return w.scoreTuples(rev)
 }
 
 func (w *phase4Worker) self(id uint32) error {
@@ -1206,24 +1206,26 @@ func (w *phase4Worker) scoreTuples(ts []tuples.Tuple) error {
 	if err != nil {
 		return w.shared.fail(err)
 	}
-	// Fold in runs of same-partition sources (a batch is the forward
-	// shard then the reverse, so sources form at most a few runs),
-	// taking each owning partition's fold lock once per run: TopK
-	// pushes use a total order over (score, id), so the fold result is
-	// identical no matter how the workers' runs interleave.
+	// Fold in runs of same-partition sources (a shard has one), taking
+	// each owning partition's fold lock once per run: TopK pushes use a
+	// total order over (score, id), so the fold result is identical no
+	// matter how the workers' runs interleave. Score has already
+	// resolved every source through lookup, so each ordinal is known to
+	// name its user in the resident state.
+	assign := w.shared.assign
 	for lo := 0; lo < len(ts); {
-		pid := w.shared.assign.Of(ts[lo].S)
+		pid := assign.Of(ts[lo].S)
 		hi := lo + 1
-		for hi < len(ts) && w.shared.assign.Of(ts[hi].S) == pid {
+		for hi < len(ts) && assign.Of(ts[hi].S) == pid {
 			hi++
 		}
-		owner, ok := w.resident[pid]
-		if !ok {
+		owner := w.residentState(pid)
+		if owner == nil {
 			return w.shared.fail(fmt.Errorf("core: partition %d of source %d not resident", pid, ts[lo].S))
 		}
 		if err := w.shared.owner.fold(pid, func() {
 			for i := lo; i < hi; i++ {
-				owner.accs[ts[i].S].Push(ts[i].D, scores[i])
+				owner.accs[assign.Ordinal(ts[i].S)].Push(ts[i].D, scores[i])
 			}
 		}); err != nil {
 			return w.shared.fail(err)
@@ -1234,10 +1236,15 @@ func (w *phase4Worker) scoreTuples(ts []tuples.Tuple) error {
 	return nil
 }
 
+// lookup resolves a tuple endpoint through arrays only: the
+// assignment's partition and ordinal tables, then the resident state's
+// arena.
 func (w *phase4Worker) lookup(u uint32) (profile.Vector, error) {
-	st, ok := w.resident[w.shared.assign.Of(u)]
-	if !ok {
-		return profile.Vector{}, fmt.Errorf("core: partition %d of user %d not resident", w.shared.assign.Of(u), u)
+	assign := w.shared.assign
+	pid := assign.Of(u)
+	st := w.residentState(pid)
+	if st == nil {
+		return profile.Vector{}, fmt.Errorf("core: partition %d of user %d not resident", pid, u)
 	}
-	return st.lookup(u)
+	return st.lookup(u, assign.Ordinal(u))
 }

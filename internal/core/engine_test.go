@@ -333,38 +333,24 @@ func TestEngineClosedRefusesWork(t *testing.T) {
 }
 
 func TestDecodePartStateErrors(t *testing.T) {
-	st := &partState{
-		id:       1,
-		members:  []uint32{4},
-		profiles: map[uint32]profile.Vector{4: profile.FromItems([]uint32{1, 2})},
-		accs:     map[uint32]*knn.TopK{4: mustTopK(t, 3)},
-	}
+	st := newTestPartState(t, 1, 3, map[uint32]profile.Vector{4: profile.FromItems([]uint32{1, 2})})
 	blob := st.encode()
-	if _, err := decodePartState(blob[:4]); err == nil {
+	if _, err := decodePartState(blob[:4], 3); err == nil {
 		t.Error("short header should fail")
 	}
-	if _, err := decodePartState(blob[:len(blob)-3]); err == nil {
+	if _, err := decodePartState(blob[:len(blob)-3], 3); err == nil {
 		t.Error("truncated state should fail")
 	}
-	if _, err := decodePartState(append(blob, 0xFF)); err == nil {
+	if _, err := decodePartState(append(blob, 0xFF), 3); err == nil {
 		t.Error("trailing garbage should fail")
 	}
-	got, err := decodePartState(blob)
+	got, err := decodePartState(blob, 3)
 	if err != nil {
 		t.Fatalf("valid state failed to decode: %v", err)
 	}
-	if got.id != 1 || len(got.members) != 1 || !got.profiles[4].Equal(st.profiles[4]) {
+	if got.id != 1 || len(got.members) != 1 || !got.profiles.At(0).Equal(st.profiles.At(0)) {
 		t.Error("round trip lost data")
 	}
-}
-
-func mustTopK(t *testing.T, k int) *knn.TopK {
-	t.Helper()
-	tk, err := knn.NewTopK(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tk
 }
 
 func TestDiskStateStoreCorruptFile(t *testing.T) {
@@ -373,13 +359,8 @@ func TestDiskStateStoreCorruptFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats disk.IOStats
-	s := newDiskStateStore(scratch, &stats, nil)
-	st := &partState{
-		id:       0,
-		members:  []uint32{1},
-		profiles: map[uint32]profile.Vector{1: profile.FromItems([]uint32{5})},
-		accs:     map[uint32]*knn.TopK{1: mustTopK(t, 2)},
-	}
+	s := newDiskStateStore(scratch, &stats, nil, 2)
+	st := newTestPartState(t, 0, 2, map[uint32]profile.Vector{1: profile.FromItems([]uint32{5})})
 	if err := s.Put(st); err != nil {
 		t.Fatal(err)
 	}

@@ -47,6 +47,7 @@ type netOwner struct {
 	client *netstore.Client
 	budget *disk.Budget
 	stats  *disk.IOStats
+	k      int // accumulator capacity of every state fetched
 
 	mu   sync.Mutex
 	held map[netHold]*netLease
@@ -66,11 +67,12 @@ type netLease struct {
 	size  int64
 }
 
-func newNetOwner(client *netstore.Client, budget *disk.Budget, stats *disk.IOStats) *netOwner {
+func newNetOwner(client *netstore.Client, budget *disk.Budget, stats *disk.IOStats, k int) *netOwner {
 	return &netOwner{
 		client: client,
 		budget: budget,
 		stats:  stats,
+		k:      k,
 		held:   make(map[netHold]*netLease),
 	}
 }
@@ -87,7 +89,7 @@ func (o *netOwner) acquire(worker int, id uint32) (*partState, error) {
 		_ = o.client.Release(id, token)
 		return nil, fmt.Errorf("core: load partition %d: %w", id, err)
 	}
-	st, err := decodePartState(blob)
+	st, err := decodePartState(blob, o.k)
 	if err != nil {
 		_ = o.client.Release(id, token)
 		return nil, err

@@ -11,9 +11,7 @@ import (
 	"testing"
 
 	"knnpc/internal/disk"
-	"knnpc/internal/knn"
 	"knnpc/internal/netstore"
-	"knnpc/internal/profile"
 )
 
 // TestNetStoreMatchesInProcessEngine is the tentpole invariant: the
@@ -167,7 +165,7 @@ func TestNetOwnerStaleLeaseWriteBack(t *testing.T) {
 	}
 	defer client.Close()
 
-	st0 := newTestPartState(t, 0, []uint32{1, 2, 3}, 4)
+	st0 := newTestPartState(t, 0, 4, unitProfiles(1, 2, 3))
 	blob := st0.encode()
 	if err := client.PutBase(0, blob); err != nil {
 		t.Fatal(err)
@@ -175,12 +173,12 @@ func TestNetOwnerStaleLeaseWriteBack(t *testing.T) {
 
 	budget := disk.NewBudget(1 << 20)
 	var stats disk.IOStats
-	owner := newNetOwner(client, budget, &stats)
+	owner := newNetOwner(client, budget, &stats, 4)
 	held, err := owner.acquire(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	held.accs[held.members[0]].Push(99, 0.5)
+	held.accs[0].Push(99, 0.5)
 
 	// A new base PUT (the next epoch's phase 1) revokes the lease.
 	if err := client.PutBase(0, blob); err != nil {
@@ -206,31 +204,6 @@ func TestNetOwnerStaleLeaseWriteBack(t *testing.T) {
 	if count != 0 {
 		t.Fatalf("%d partials stored despite the fencing rejection", count)
 	}
-}
-
-// newTestPartState builds a real partState for owner- and codec-level
-// tests: one tiny profile per member, empty accumulators of capacity k.
-func newTestPartState(t *testing.T, id uint32, members []uint32, k int) *partState {
-	t.Helper()
-	st := &partState{
-		id:       id,
-		members:  append([]uint32(nil), members...),
-		profiles: make(map[uint32]profile.Vector, len(members)),
-		accs:     make(map[uint32]*knn.TopK, len(members)),
-	}
-	for _, u := range members {
-		v, err := profile.NewVector([]profile.Entry{{Item: u + 1, Weight: 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tk, err := knn.NewTopK(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.profiles[u] = v
-		st.accs[u] = tk
-	}
-	return st
 }
 
 // corePRoxy is a minimal frame-forwarding proxy used to take a shard
@@ -403,33 +376,33 @@ func TestNetStoreOptionValidation(t *testing.T) {
 // exactly the non-empty accumulators and merges back losslessly;
 // corrupt partials are rejected with descriptive errors.
 func TestPartialCodecRoundTrip(t *testing.T) {
-	st := newTestPartState(t, 3, []uint32{10, 11, 12}, 4)
-	st.accs[10].Push(7, 0.9)
-	st.accs[10].Push(8, 0.8)
-	st.accs[12].Push(5, 0.1)
+	st := newTestPartState(t, 3, 4, unitProfiles(10, 11, 12))
+	st.accs[0].Push(7, 0.9)
+	st.accs[0].Push(8, 0.8)
+	st.accs[2].Push(5, 0.1)
 	blob := st.encodePartial()
 
-	fresh := newTestPartState(t, 3, []uint32{10, 11, 12}, 4)
+	fresh := newTestPartState(t, 3, 4, unitProfiles(10, 11, 12))
 	if err := fresh.mergePartial(blob); err != nil {
 		t.Fatal(err)
 	}
-	if got := fresh.accs[10].IDs(); len(got) != 2 || got[0] != 7 || got[1] != 8 {
+	if got := fresh.accs[0].IDs(); len(got) != 2 || got[0] != 7 || got[1] != 8 {
 		t.Fatalf("member 10 merged to %v", got)
 	}
-	if fresh.accs[11].Len() != 0 {
+	if fresh.accs[1].Len() != 0 {
 		t.Fatal("member 11 grew candidates from an empty partial")
 	}
-	if got := fresh.accs[12].IDs(); len(got) != 1 || got[0] != 5 {
+	if got := fresh.accs[2].IDs(); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("member 12 merged to %v", got)
 	}
 
 	for name, corrupt := range map[string][]byte{
 		"short header":   {1, 0},
-		"unknown member": append([]byte{1, 0, 0, 0, 99, 0, 0, 0}, st.accs[10].AppendBinary(nil)...),
+		"unknown member": append([]byte{1, 0, 0, 0, 99, 0, 0, 0}, st.accs[0].AppendBinary(nil)...),
 		"truncated":      blob[:len(blob)-2],
 		"trailing":       append(append([]byte{}, blob...), 0xFF),
 	} {
-		again := newTestPartState(t, 3, []uint32{10, 11, 12}, 4)
+		again := newTestPartState(t, 3, 4, unitProfiles(10, 11, 12))
 		if err := again.mergePartial(corrupt); err == nil {
 			t.Errorf("%s partial accepted", name)
 		}

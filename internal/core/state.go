@@ -3,7 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"knnpc/internal/disk"
@@ -17,27 +17,32 @@ import (
 // their profiles, and their partial top-K accumulators. It is exactly
 // what the paper keeps in each of the two memory slots — everything else
 // stays on disk (or, in the in-memory store, serialized out of reach).
+//
+// The layout is flat. members is ascending, so a member's ordinal — its
+// index here, which is also partition.Assignment.Ordinal of its id —
+// addresses its profile in the arena and its accumulator in accs; no
+// per-member object or map stands between a tuple and its data.
 type partState struct {
 	id       uint32
 	members  []uint32
-	profiles map[uint32]profile.Vector
-	accs     map[uint32]*knn.TopK
+	profiles profile.Arena // profiles.At(i) belongs to members[i]
+	accs     []knn.TopK    // accs[i] belongs to members[i]; one backing array
 }
 
-// lookup resolves a member's profile.
-func (st *partState) lookup(u uint32) (profile.Vector, error) {
-	v, ok := st.profiles[u]
-	if !ok {
+// lookup returns member u's profile given its ordinal, re-checking that
+// the ordinal really names u in this state.
+func (st *partState) lookup(u uint32, ord int) (profile.Vector, error) {
+	if ord >= len(st.members) || st.members[ord] != u {
 		return profile.Vector{}, fmt.Errorf("core: user %d not in partition %d", u, st.id)
 	}
-	return v, nil
+	return st.profiles.At(ord), nil
 }
 
 // byteSize reports the encoded size, used for budget accounting.
 func (st *partState) byteSize() int {
 	n := 8 // id + member count
-	for _, u := range st.members {
-		n += 4 + st.profiles[u].ByteSize() + st.accs[u].ByteSize()
+	for i := range st.members {
+		n += 4 + st.profiles.At(i).ByteSize() + st.accs[i].ByteSize()
 	}
 	return n
 }
@@ -45,51 +50,80 @@ func (st *partState) byteSize() int {
 // encode serializes the state: id, member count, then per member the
 // id, profile vector and accumulator.
 func (st *partState) encode() []byte {
-	buf := make([]byte, 0, st.byteSize())
+	return st.appendTo(make([]byte, 0, st.byteSize()))
+}
+
+// appendTo appends the encoding to buf, so a store can encode every
+// state it writes into one reused buffer.
+func (st *partState) appendTo(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, st.id)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.members)))
-	for _, u := range st.members {
+	for i, u := range st.members {
 		buf = binary.LittleEndian.AppendUint32(buf, u)
-		buf = st.profiles[u].AppendBinary(buf)
-		buf = st.accs[u].AppendBinary(buf)
+		buf = st.profiles.At(i).AppendBinary(buf)
+		buf = st.accs[i].AppendBinary(buf)
 	}
 	return buf
 }
 
-func decodePartState(buf []byte) (*partState, error) {
+// minMemberBytes is the least a member occupies in an encoded state:
+// its id, an empty vector's count, and an empty accumulator's header.
+const minMemberBytes = 4 + 4 + 8
+
+// decodePartState decodes a state whose accumulators have capacity k —
+// the engine's K; a blob written under another K is not this engine's.
+// The bytes may come off a disk or a wire, so nothing is sized from a
+// count before the bytes are known to be there to back it: storage is
+// allocated once, after a pass over the framing, and is bounded by
+// k+1 times len(buf).
+func decodePartState(buf []byte, k int) (*partState, error) {
 	if len(buf) < 8 {
 		return nil, fmt.Errorf("core: short partition state header (%d bytes)", len(buf))
 	}
-	st := &partState{
-		id:       binary.LittleEndian.Uint32(buf),
-		profiles: make(map[uint32]profile.Vector),
-		accs:     make(map[uint32]*knn.TopK),
-	}
+	id := binary.LittleEndian.Uint32(buf)
 	n := int(binary.LittleEndian.Uint32(buf[4:]))
-	buf = buf[8:]
-	st.members = make([]uint32, 0, n)
-	for i := 0; i < n; i++ {
-		if len(buf) < 4 {
-			return nil, fmt.Errorf("core: partition %d state truncated at member %d", st.id, i)
-		}
-		u := binary.LittleEndian.Uint32(buf)
-		buf = buf[4:]
-		vec, rest, err := profile.DecodeVector(buf)
-		if err != nil {
-			return nil, fmt.Errorf("core: partition %d member %d profile: %w", st.id, u, err)
-		}
-		buf = rest
-		tk, rest, err := knn.DecodeTopK(buf)
-		if err != nil {
-			return nil, fmt.Errorf("core: partition %d member %d accumulator: %w", st.id, u, err)
-		}
-		buf = rest
-		st.members = append(st.members, u)
-		st.profiles[u] = vec
-		st.accs[u] = tk
+	body := buf[8:]
+	if n > len(body)/minMemberBytes {
+		return nil, fmt.Errorf("core: partition %d state claims %d members in %d bytes", id, n, len(body))
 	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("core: partition %d state has %d trailing bytes", st.id, len(buf))
+	entries, rest := 0, body
+	for i := 0; i < n; i++ {
+		if len(rest) < 4 {
+			return nil, fmt.Errorf("core: partition %d state truncated at member %d", id, i)
+		}
+		cnt, after, err := profile.SkipVector(rest[4:])
+		if err != nil {
+			return nil, fmt.Errorf("core: partition %d member #%d profile: %w", id, i, err)
+		}
+		if _, _, after, err = knn.SkipTopK(after); err != nil {
+			return nil, fmt.Errorf("core: partition %d member #%d accumulator: %w", id, i, err)
+		}
+		entries += cnt
+		rest = after
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("core: partition %d state has %d trailing bytes", id, len(rest))
+	}
+
+	st := &partState{id: id, members: make([]uint32, n)}
+	st.profiles.Grow(n, entries)
+	var err error
+	if st.accs, err = knn.NewTopKs(n, k); err != nil {
+		return nil, err
+	}
+	rest = body
+	for i := range st.members {
+		u := binary.LittleEndian.Uint32(rest)
+		if i > 0 && u <= st.members[i-1] {
+			return nil, fmt.Errorf("core: partition %d member ids not strictly increasing at member #%d (%d)", id, i, u)
+		}
+		st.members[i] = u
+		if rest, err = st.profiles.Decode(rest[4:]); err != nil {
+			return nil, fmt.Errorf("core: partition %d member %d profile: %w", id, u, err)
+		}
+		if rest, err = st.accs[i].Decode(rest); err != nil {
+			return nil, fmt.Errorf("core: partition %d member %d accumulator: %w", id, u, err)
+		}
 	}
 	return st, nil
 }
@@ -101,51 +135,74 @@ func decodePartState(buf []byte) (*partState, error) {
 // partial carries only what this worker added.
 func (st *partState) encodePartial() []byte {
 	n := 0
-	for _, u := range st.members {
-		if st.accs[u].Len() > 0 {
+	for i := range st.accs {
+		if st.accs[i].Len() > 0 {
 			n++
 		}
 	}
 	buf := make([]byte, 0, 4+n*16)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	for _, u := range st.members {
-		if st.accs[u].Len() == 0 {
+	for i, u := range st.members {
+		if st.accs[i].Len() == 0 {
 			continue
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, u)
-		buf = st.accs[u].AppendBinary(buf)
+		buf = st.accs[i].AppendBinary(buf)
 	}
 	return buf
 }
+
+// minPartialBytes is the least one member occupies in an encoded
+// partial: its id and an accumulator header.
+const minPartialBytes = 4 + 8
 
 // mergePartial folds one encoded partial into the receiver's
 // accumulators via knn.TopK.Merge. Merging is commutative — each
 // user's final TopK is the K best of the union of all pushed
 // candidates, whatever order the partials arrive in — which is what
 // makes the collected graph bit-identical to in-process execution at
-// every (Slots, Workers, shards) combination.
+// every (Slots, Workers, shards) combination. A partial is wire bytes:
+// its member ids must ascend (so none is merged twice), name members
+// of this state, and carry accumulators of this state's K.
 func (st *partState) mergePartial(buf []byte) error {
 	if len(buf) < 4 {
 		return fmt.Errorf("core: short partial header for partition %d (%d bytes)", st.id, len(buf))
 	}
 	n := int(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
+	if n > len(buf)/minPartialBytes {
+		return fmt.Errorf("core: partition %d partial claims %d members in %d bytes", st.id, n, len(buf))
+	}
+	var (
+		incoming *knn.TopK // decode scratch, reused across members
+		prev     uint32
+	)
 	for i := 0; i < n; i++ {
 		if len(buf) < 4 {
 			return fmt.Errorf("core: partition %d partial truncated at member %d", st.id, i)
 		}
 		u := binary.LittleEndian.Uint32(buf)
-		buf = buf[4:]
-		tk, rest, err := knn.DecodeTopK(buf)
+		if i > 0 && u <= prev {
+			return fmt.Errorf("core: partition %d partial member ids not strictly increasing at member #%d (%d)", st.id, i, u)
+		}
+		prev = u
+		ord, ok := slices.BinarySearch(st.members, u) // no assignment at hand here
+		if !ok {
+			return fmt.Errorf("core: partition %d partial names unknown member %d", st.id, u)
+		}
+		if incoming == nil {
+			tk, err := knn.NewTopK(st.accs[ord].K())
+			if err != nil {
+				return err
+			}
+			incoming = tk
+		}
+		rest, err := incoming.Decode(buf[4:])
 		if err != nil {
 			return fmt.Errorf("core: partition %d partial member %d: %w", st.id, u, err)
 		}
 		buf = rest
-		acc, ok := st.accs[u]
-		if !ok {
-			return fmt.Errorf("core: partition %d partial names unknown member %d", st.id, u)
-		}
-		acc.Merge(tk)
+		st.accs[ord].Merge(incoming)
 	}
 	if len(buf) != 0 {
 		return fmt.Errorf("core: partition %d partial has %d trailing bytes", st.id, len(buf))
@@ -156,23 +213,22 @@ func (st *partState) mergePartial(buf []byte) error {
 // newPartState builds the fresh phase-1 state of one partition: member
 // profiles snapshotted from the canonical store, empty accumulators.
 func newPartState(p *partition.Data, profiles canonicalProfiles, k int) (*partState, error) {
-	st := &partState{
-		id:       p.ID,
-		members:  append([]uint32(nil), p.Members...),
-		profiles: make(map[uint32]profile.Vector, len(p.Members)),
-		accs:     make(map[uint32]*knn.TopK, len(p.Members)),
+	st := &partState{id: p.ID, members: append([]uint32(nil), p.Members...)}
+	var err error
+	if st.accs, err = knn.NewTopKs(len(st.members), k); err != nil {
+		return nil, err
 	}
-	for _, u := range p.Members {
-		vec, err := profiles.Profile(u)
-		if err != nil {
+	vecs := make([]profile.Vector, len(st.members))
+	entries := 0
+	for i, u := range st.members {
+		if vecs[i], err = profiles.Profile(u); err != nil {
 			return nil, err
 		}
-		st.profiles[u] = vec
-		tk, err := knn.NewTopK(k)
-		if err != nil {
-			return nil, err
-		}
-		st.accs[u] = tk
+		entries += vecs[i].Len()
+	}
+	st.profiles.Grow(len(vecs), entries)
+	for _, v := range vecs {
+		st.profiles.Append(v)
 	}
 	return st, nil
 }
@@ -208,16 +264,24 @@ type stateStore interface {
 // executor's concurrent Load-while-Put (the disk store gets the same
 // safety from operating on distinct per-partition files).
 type memStateStore struct {
+	k     int // accumulator capacity of every stored state
 	mu    sync.Mutex
 	blobs map[uint32][]byte
 }
 
-func newMemStateStore() *memStateStore {
-	return &memStateStore{blobs: make(map[uint32][]byte)}
+func newMemStateStore(k int) *memStateStore {
+	return &memStateStore{k: k, blobs: make(map[uint32][]byte)}
 }
 
+// Put encodes over the partition's previous blob: no other operation
+// on the same partition runs concurrently (see stateStore), and a state
+// barely changes size between residencies, so rewriting in place makes
+// an unload allocation-free.
 func (s *memStateStore) Put(st *partState) error {
-	blob := st.encode()
+	s.mu.Lock()
+	old := s.blobs[st.id]
+	s.mu.Unlock()
+	blob := st.appendTo(old[:0])
 	s.mu.Lock()
 	s.blobs[st.id] = blob
 	s.mu.Unlock()
@@ -231,7 +295,7 @@ func (s *memStateStore) Load(p uint32) (*partState, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: partition %d has no stored state", p)
 	}
-	return decodePartState(blob)
+	return decodePartState(blob, s.k)
 }
 
 func (s *memStateStore) Unload(st *partState) error { return s.Put(st) }
@@ -241,7 +305,7 @@ func (s *memStateStore) Collect(emit func(st *partState) error) error {
 	for id := range s.blobs {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		st, err := s.Load(id)
 		if err != nil {
@@ -273,39 +337,59 @@ type diskStateStore struct {
 	scratch *disk.Scratch
 	stats   *disk.IOStats
 	device  *disk.Device // nil = no emulated latency
+	k       int          // accumulator capacity of every stored state
+	// blobs recycles the buffers states are encoded into and read into:
+	// a blob is dead once written or decoded (decoding copies into the
+	// state's own arrays), so each concurrent Load or Unload borrows
+	// one instead of allocating a partition's worth of bytes.
+	blobs sync.Pool // *[]byte
 	// mu guards known: Put/Unload run on the cursor, but the async
 	// write-back goroutines call Unload concurrently with it.
 	mu    sync.Mutex
 	known map[uint32]bool
 }
 
-func newDiskStateStore(scratch *disk.Scratch, stats *disk.IOStats, device *disk.Device) *diskStateStore {
-	return &diskStateStore{scratch: scratch, stats: stats, device: device, known: make(map[uint32]bool)}
+func newDiskStateStore(scratch *disk.Scratch, stats *disk.IOStats, device *disk.Device, k int) *diskStateStore {
+	return &diskStateStore{scratch: scratch, stats: stats, device: device, k: k, known: make(map[uint32]bool)}
 }
 
 func (s *diskStateStore) path(p uint32) string {
 	return s.scratch.Path(fmt.Sprintf("state-%d.bin", p))
 }
 
+// borrow returns a blob buffer from the pool; the caller stores the
+// (possibly regrown) slice back through it before returning it.
+func (s *diskStateStore) borrow() *[]byte {
+	if b, ok := s.blobs.Get().(*[]byte); ok {
+		return b
+	}
+	return new([]byte)
+}
+
 func (s *diskStateStore) Put(st *partState) error {
 	s.mu.Lock()
 	s.known[st.id] = true
 	s.mu.Unlock()
-	blob := st.encode()
-	if err := disk.WriteFile(s.stats, s.path(st.id), blob); err != nil {
+	buf := s.borrow()
+	defer s.blobs.Put(buf)
+	*buf = st.appendTo((*buf)[:0])
+	if err := disk.WriteFile(s.stats, s.path(st.id), *buf); err != nil {
 		return err
 	}
-	s.device.Write(int64(len(blob)))
+	s.device.Write(int64(len(*buf)))
 	return nil
 }
 
 func (s *diskStateStore) Load(p uint32) (*partState, error) {
-	blob, err := disk.ReadFile(s.stats, s.path(p))
+	buf := s.borrow()
+	defer s.blobs.Put(buf)
+	blob, err := disk.ReadFile(s.stats, s.path(p), *buf)
 	if err != nil {
 		return nil, err
 	}
+	*buf = blob
 	s.device.Read(int64(len(blob)))
-	return decodePartState(blob)
+	return decodePartState(blob, s.k)
 }
 
 func (s *diskStateStore) Unload(st *partState) error { return s.Put(st) }
@@ -317,7 +401,7 @@ func (s *diskStateStore) Collect(emit func(st *partState) error) error {
 		ids = append(ids, id)
 	}
 	s.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		st, err := s.Load(id)
 		if err != nil {
@@ -353,10 +437,11 @@ func (s *diskStateStore) Cleanup() error {
 type netStateStore struct {
 	client *netstore.Client
 	stats  *disk.IOStats
+	k      int // accumulator capacity of every stored state
 }
 
-func newNetStateStore(client *netstore.Client, stats *disk.IOStats) *netStateStore {
-	return &netStateStore{client: client, stats: stats}
+func newNetStateStore(client *netstore.Client, stats *disk.IOStats, k int) *netStateStore {
+	return &netStateStore{client: client, stats: stats, k: k}
 }
 
 func (s *netStateStore) Put(st *partState) error {
@@ -374,7 +459,7 @@ func (s *netStateStore) Load(p uint32) (*partState, error) {
 		return nil, err
 	}
 	s.stats.AddRead(int64(len(blob)))
-	return decodePartState(blob)
+	return decodePartState(blob, s.k)
 }
 
 func (s *netStateStore) Unload(*partState) error {
@@ -383,7 +468,7 @@ func (s *netStateStore) Unload(*partState) error {
 
 func (s *netStateStore) Collect(emit func(st *partState) error) error {
 	return s.client.Collect(func(it netstore.CollectItem) error {
-		st, err := decodePartState(it.Base)
+		st, err := decodePartState(it.Base, s.k)
 		if err != nil {
 			return err
 		}

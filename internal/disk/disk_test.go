@@ -2,9 +2,11 @@ package disk
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -127,7 +129,7 @@ func TestReadWriteFileCounted(t *testing.T) {
 	if err := WriteFile(&s, path, data); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	got, err := ReadFile(&s, path)
+	got, err := ReadFile(&s, path, nil)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
@@ -142,7 +144,7 @@ func TestReadWriteFileCounted(t *testing.T) {
 
 func TestReadFileMissing(t *testing.T) {
 	var s IOStats
-	if _, err := ReadFile(&s, filepath.Join(t.TempDir(), "nope")); err == nil {
+	if _, err := ReadFile(&s, filepath.Join(t.TempDir(), "nope"), nil); err == nil {
 		t.Error("reading a missing file should fail")
 	}
 }
@@ -180,9 +182,9 @@ func TestRecordFileRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	r, err := OpenRecordFile(&s, path)
+	r, err := new(ReadBuffers).Open(&s, path)
 	if err != nil {
-		t.Fatalf("OpenRecordFile: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	defer r.Close()
 	for i, want := range records {
@@ -196,6 +198,105 @@ func TestRecordFileRoundTrip(t *testing.T) {
 	}
 	if _, err := r.Next(); !errors.Is(err, io.EOF) {
 		t.Errorf("after last record want io.EOF, got %v", err)
+	}
+}
+
+// TestRecordFilesThroughRecycledBuffers: files read one after another
+// through one ReadBuffers (so each may get the previous one's buffers,
+// still holding its bytes) give back exactly what was written, longer
+// and shorter records alike, whatever the writer's buffer size; double
+// Close of a reader is harmless.
+func TestRecordFilesThroughRecycledBuffers(t *testing.T) {
+	var (
+		s    IOStats
+		bufs ReadBuffers
+	)
+	dir := t.TempDir()
+	// The 5000-byte payload gets a write buffer of exactly one record,
+	// so the record after it goes out in a second write.
+	for i, payload := range []string{"a longer first record", "second", "", strings.Repeat("x", 5000), "short again"} {
+		path := filepath.Join(dir, fmt.Sprint("records", i))
+		w, err := CreateRecordFile(&s, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range []string{payload, "tail"} {
+			if err := w.Append([]byte(rec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := bufs.Open(&s, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{payload, "tail"} {
+			if got, err := r.Next(); err != nil || string(got) != want {
+				t.Fatalf("file %d read back %d bytes, %v; want the %d written", i, len(got), err, len(want))
+			}
+		}
+		if _, err := r.Next(); !errors.Is(err, io.EOF) {
+			t.Fatalf("file %d: want io.EOF after the records, got %v", i, err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatalf("second Close: %v", err)
+		}
+	}
+}
+
+// TestRecordFileWithNoRecords: a writer closed before any Append never
+// sized a buffer and leaves an empty, readable file.
+func TestRecordFileWithNoRecords(t *testing.T) {
+	var s IOStats
+	path := filepath.Join(t.TempDir(), "records")
+	w, err := CreateRecordFile(&s, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	r, err := new(ReadBuffers).Open(&s, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("want io.EOF from an empty record file, got %v", err)
+	}
+}
+
+// TestReadFileReusesTheBuffer: a buffer that fits is filled in
+// place; one that does not is replaced; either way the bytes are the
+// file's.
+func TestReadFileReusesTheBuffer(t *testing.T) {
+	var s IOStats
+	path := filepath.Join(t.TempDir(), "blob")
+	want := []byte("0123456789")
+	if err := WriteFile(&s, path, want); err != nil {
+		t.Fatal(err)
+	}
+	roomy := make([]byte, 3, 64)
+	got, err := ReadFile(&s, path, roomy)
+	if err != nil || string(got) != string(want) {
+		t.Fatalf("ReadFile = %q, %v", got, err)
+	}
+	if &got[0] != &roomy[0] {
+		t.Error("a buffer with room was not reused")
+	}
+	for _, size := range []int{0, 4, len(want)} { // too small, and exactly full
+		got, err := ReadFile(&s, path, make([]byte, 0, size))
+		if err != nil || string(got) != string(want) {
+			t.Errorf("cap %d: ReadFile = %q, %v", size, got, err)
+		}
+	}
+	if snap := s.Snapshot(); snap.BytesRead != int64(4*len(want)) {
+		t.Errorf("BytesRead = %d, want %d", snap.BytesRead, 4*len(want))
 	}
 }
 
@@ -217,7 +318,7 @@ func TestRecordReaderTruncated(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenRecordFile(&s, path)
+	r, err := new(ReadBuffers).Open(&s, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Scored is a candidate neighbor with its similarity score.
@@ -26,6 +26,18 @@ func Better(a, b Scored) bool {
 		return a.Score > b.Score
 	}
 	return a.ID < b.ID
+}
+
+// bestFirst is Better as a three-way comparison, for sorting.
+func bestFirst(a, b Scored) int {
+	switch {
+	case Better(a, b):
+		return -1
+	case Better(b, a):
+		return 1
+	default:
+		return 0
+	}
 }
 
 // TopK accumulates a user's best K candidates. It is a bounded min-heap
@@ -47,6 +59,21 @@ func NewTopK(k int) (*TopK, error) {
 		return nil, fmt.Errorf("knn: top-k capacity must be positive, got %d", k)
 	}
 	return &TopK{k: k, entries: make([]Scored, 0, k)}, nil
+}
+
+// NewTopKs returns n empty accumulators of capacity k (k ≥ 1) carved
+// from one backing array — the accumulators of a partition, which are
+// built, decoded and dropped together.
+func NewTopKs(n, k int) ([]TopK, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("knn: top-k capacity must be positive, got %d", k)
+	}
+	backing := make([]Scored, n*k)
+	accs := make([]TopK, n)
+	for i := range accs {
+		accs[i] = TopK{k: k, entries: backing[i*k : i*k : (i+1)*k]}
+	}
+	return accs, nil
 }
 
 // K reports the capacity.
@@ -114,7 +141,7 @@ func (t *TopK) Merge(o *TopK) {
 // by ascending id).
 func (t *TopK) Result() []Scored {
 	out := append([]Scored(nil), t.entries...)
-	sort.Slice(out, func(i, j int) bool { return Better(out[i], out[j]) })
+	slices.SortFunc(out, bestFirst)
 	return out
 }
 
@@ -143,35 +170,50 @@ func (t *TopK) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// DecodeTopK decodes an accumulator from the front of buf, returning it
-// and the remaining bytes.
-func DecodeTopK(buf []byte) (*TopK, []byte, error) {
+// SkipTopK steps over the accumulator encoded at the front of buf
+// without decoding it, returning its capacity k, the number of
+// candidates it holds and the remaining bytes.
+func SkipTopK(buf []byte) (k, n int, rest []byte, err error) {
 	if len(buf) < 8 {
-		return nil, nil, fmt.Errorf("knn: short top-k header (%d bytes)", len(buf))
+		return 0, 0, nil, fmt.Errorf("knn: short top-k header (%d bytes)", len(buf))
 	}
-	k := int(binary.LittleEndian.Uint32(buf))
-	n := int(binary.LittleEndian.Uint32(buf[4:]))
+	k = int(binary.LittleEndian.Uint32(buf))
+	n = int(binary.LittleEndian.Uint32(buf[4:]))
 	buf = buf[8:]
 	if k <= 0 || n > k {
-		return nil, nil, fmt.Errorf("knn: invalid top-k header k=%d n=%d", k, n)
+		return 0, 0, nil, fmt.Errorf("knn: invalid top-k header k=%d n=%d", k, n)
 	}
-	if len(buf) < 12*n {
-		return nil, nil, fmt.Errorf("knn: top-k payload truncated: want %d entries, have %d bytes", n, len(buf))
+	if len(buf)/12 < n {
+		return 0, 0, nil, fmt.Errorf("knn: top-k payload truncated: want %d entries, have %d bytes", n, len(buf))
 	}
-	t := &TopK{k: k, entries: make([]Scored, n)}
+	return k, n, buf[12*n:], nil
+}
+
+// Decode replaces t's candidates with those of the accumulator encoded
+// at the front of buf, reusing t's storage, and returns the remaining
+// bytes. The encoded capacity must be t's own: an accumulator of
+// another K is not a state this one can continue.
+func (t *TopK) Decode(buf []byte) ([]byte, error) {
+	k, n, rest, err := SkipTopK(buf)
+	if err != nil {
+		return nil, err
+	}
+	if k != t.k {
+		return nil, fmt.Errorf("knn: encoded top-k has capacity %d, want %d", k, t.k)
+	}
+	t.entries = t.entries[:0]
 	for i := 0; i < n; i++ {
-		t.entries[i] = Scored{
-			ID:    binary.LittleEndian.Uint32(buf[12*i:]),
-			Score: math.Float64frombits(binary.LittleEndian.Uint64(buf[12*i+4:])),
-		}
+		t.entries = append(t.entries, Scored{
+			ID:    binary.LittleEndian.Uint32(buf[8+12*i:]),
+			Score: math.Float64frombits(binary.LittleEndian.Uint64(buf[12+12*i:])),
+		})
 	}
-	buf = buf[12*n:]
 	// Restore the heap property (encoding preserves it, but do not
 	// trust external bytes).
 	for i := len(t.entries)/2 - 1; i >= 0; i-- {
 		t.down(i)
 	}
-	return t, buf, nil
+	return rest, nil
 }
 
 // SelectTopK is the sort-based reference selection used by tests and
@@ -179,7 +221,7 @@ func DecodeTopK(buf []byte) (*TopK, []byte, error) {
 // ordering as TopK.
 func SelectTopK(candidates []Scored, k int) []Scored {
 	out := append([]Scored(nil), candidates...)
-	sort.Slice(out, func(i, j int) bool { return Better(out[i], out[j]) })
+	slices.SortFunc(out, bestFirst)
 	if len(out) > k {
 		out = out[:k]
 	}

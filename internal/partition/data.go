@@ -1,9 +1,10 @@
 package partition
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"knnpc/internal/graph"
 )
@@ -47,19 +48,11 @@ func Build(g *graph.Digraph, a *Assignment) []*Data {
 }
 
 func sortByBridge(p *Data) {
-	sort.Slice(p.InEdges, func(i, j int) bool {
-		a, b := p.InEdges[i], p.InEdges[j]
-		if a.Dst != b.Dst { // bridge of an in-edge (s,v) is v = Dst
-			return a.Dst < b.Dst
-		}
-		return a.Src < b.Src
+	slices.SortFunc(p.InEdges, func(a, b graph.Edge) int { // bridge of an in-edge (s,v) is v = Dst
+		return cmp.Or(cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Src, b.Src))
 	})
-	sort.Slice(p.OutEdges, func(i, j int) bool {
-		a, b := p.OutEdges[i], p.OutEdges[j]
-		if a.Src != b.Src { // bridge of an out-edge (v,d) is v = Src
-			return a.Src < b.Src
-		}
-		return a.Dst < b.Dst
+	slices.SortFunc(p.OutEdges, func(a, b graph.Edge) int { // bridge of an out-edge (v,d) is v = Src
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 	})
 }
 

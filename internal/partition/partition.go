@@ -22,6 +22,10 @@ import (
 type Assignment struct {
 	of      []uint32
 	members [][]uint32
+	// ordinal[u] is u's index in members[of[u]]: member lists are
+	// ascending, so it is also u's rank within its partition, and
+	// per-member arrays laid out in member order are indexed by it.
+	ordinal []uint32
 }
 
 // NewAssignment builds an Assignment from a node→partition table. Every
@@ -31,14 +35,16 @@ func NewAssignment(of []uint32, m int) (*Assignment, error) {
 		return nil, fmt.Errorf("partition: need at least 1 partition, got %d", m)
 	}
 	members := make([][]uint32, m)
+	ordinal := make([]uint32, len(of))
 	for u, p := range of {
 		if int(p) >= m {
 			return nil, fmt.Errorf("partition: node %d assigned to partition %d, only %d exist", u, p, m)
 		}
+		ordinal[u] = uint32(len(members[p]))
 		members[p] = append(members[p], uint32(u))
 	}
 	cp := append([]uint32(nil), of...)
-	return &Assignment{of: cp, members: members}, nil
+	return &Assignment{of: cp, members: members, ordinal: ordinal}, nil
 }
 
 // NumPartitions reports m.
@@ -49,6 +55,9 @@ func (a *Assignment) NumNodes() int { return len(a.of) }
 
 // Of returns the partition of node u.
 func (a *Assignment) Of(u uint32) uint32 { return a.of[u] }
+
+// Ordinal returns the index of node u in Members(Of(u)).
+func (a *Assignment) Ordinal(u uint32) int { return int(a.ordinal[u]) }
 
 // Members returns the sorted member list of partition p as a view;
 // callers must not mutate it.

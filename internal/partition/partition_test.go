@@ -101,8 +101,10 @@ func TestPartitionersProduceExactCoverProperty(t *testing.T) {
 				seen := make([]bool, n)
 				count := 0
 				for q := 0; q < m; q++ {
-					for _, u := range a.Members(uint32(q)) {
-						if seen[u] {
+					members := a.Members(uint32(q))
+					for i, u := range members {
+						// Members ascend, so a node's ordinal is its rank.
+						if seen[u] || a.Ordinal(u) != i || (i > 0 && members[i-1] >= u) {
 							return false
 						}
 						seen[u] = true

@@ -17,12 +17,19 @@ type Similarity interface {
 type Cosine struct{}
 
 // Score implements Similarity.
-func (Cosine) Score(a, b Vector) float64 {
-	na, nb := a.Norm(), b.Norm()
+func (Cosine) Score(a, b Vector) float64 { return cosine(a.Dot(b), a, b) }
+
+func (Cosine) scoreFrom(x *Source, d Vector) float64 {
+	dot, _ := x.overlap(d)
+	return cosine(dot, x.src, d)
+}
+
+func cosine(dot float64, a, b Vector) float64 {
+	na, nb := a.norm, b.norm
 	if na == 0 || nb == 0 {
 		return 0
 	}
-	return a.Dot(b) / (na * nb)
+	return dot / (na * nb)
 }
 
 // Name implements Similarity.
@@ -33,8 +40,14 @@ func (Cosine) Name() string { return "cosine" }
 type Jaccard struct{}
 
 // Score implements Similarity.
-func (Jaccard) Score(a, b Vector) float64 {
-	inter := a.IntersectionSize(b)
+func (Jaccard) Score(a, b Vector) float64 { return jaccard(a.IntersectionSize(b), a, b) }
+
+func (Jaccard) scoreFrom(x *Source, d Vector) float64 {
+	_, inter := x.overlap(d)
+	return jaccard(inter, x.src, d)
+}
+
+func jaccard(inter int, a, b Vector) float64 {
 	union := a.Len() + b.Len() - inter
 	if union == 0 {
 		return 0
@@ -50,12 +63,19 @@ func (Jaccard) Name() string { return "jaccard" }
 type Dice struct{}
 
 // Score implements Similarity.
-func (Dice) Score(a, b Vector) float64 {
+func (Dice) Score(a, b Vector) float64 { return dice(a.IntersectionSize(b), a, b) }
+
+func (Dice) scoreFrom(x *Source, d Vector) float64 {
+	_, inter := x.overlap(d)
+	return dice(inter, x.src, d)
+}
+
+func dice(inter int, a, b Vector) float64 {
 	total := a.Len() + b.Len()
 	if total == 0 {
 		return 0
 	}
-	return 2 * float64(a.IntersectionSize(b)) / float64(total)
+	return 2 * float64(inter) / float64(total)
 }
 
 // Name implements Similarity.
@@ -66,15 +86,19 @@ func (Dice) Name() string { return "dice" }
 type Overlap struct{}
 
 // Score implements Similarity.
-func (Overlap) Score(a, b Vector) float64 {
-	smaller := a.Len()
-	if b.Len() < smaller {
-		smaller = b.Len()
-	}
+func (Overlap) Score(a, b Vector) float64 { return overlapCoeff(a.IntersectionSize(b), a, b) }
+
+func (Overlap) scoreFrom(x *Source, d Vector) float64 {
+	_, inter := x.overlap(d)
+	return overlapCoeff(inter, x.src, d)
+}
+
+func overlapCoeff(inter int, a, b Vector) float64 {
+	smaller := min(a.Len(), b.Len())
 	if smaller == 0 {
 		return 0
 	}
-	return float64(a.IntersectionSize(b)) / float64(smaller)
+	return float64(inter) / float64(smaller)
 }
 
 // Name implements Similarity.
@@ -102,4 +126,9 @@ var (
 	_ Similarity = Jaccard{}
 	_ Similarity = Dice{}
 	_ Similarity = Overlap{}
+
+	_ sourceScorer = Cosine{}
+	_ sourceScorer = Jaccard{}
+	_ sourceScorer = Dice{}
+	_ sourceScorer = Overlap{}
 )

@@ -25,9 +25,24 @@ type Entry struct {
 //
 // The zero Vector is a valid empty profile. Vectors share underlying
 // storage when copied; all mutating operations return new Vectors.
+//
+// The Euclidean norm is computed once, wherever a Vector is built or
+// decoded, and travels with it: similarity measures read it per scored
+// pair, so recomputing it there would cost a pass over both profiles.
 type Vector struct {
 	items   []uint32
 	weights []float32
+	norm    float64
+}
+
+// normOf is the one place the norm is computed, so every Vector holding
+// the same weights carries the same bits.
+func normOf(weights []float32) float64 {
+	var sum float64
+	for _, w := range weights {
+		sum += float64(w) * float64(w)
+	}
+	return math.Sqrt(sum)
 }
 
 // NewVector builds a Vector from entries. Entries are sorted by item;
@@ -49,6 +64,7 @@ func NewVector(entries []Entry) (Vector, error) {
 		v.items[i] = e.Item
 		v.weights[i] = e.Weight
 	}
+	v.norm = normOf(v.weights)
 	return v, nil
 }
 
@@ -69,6 +85,7 @@ func FromItems(items []uint32) Vector {
 		v.items = append(v.items, it)
 		v.weights = append(v.weights, 1)
 	}
+	v.norm = normOf(v.weights)
 	return v
 }
 
@@ -94,13 +111,7 @@ func (v Vector) Weight(item uint32) (float32, bool) {
 }
 
 // Norm returns the Euclidean norm of the vector.
-func (v Vector) Norm() float64 {
-	var sum float64
-	for _, w := range v.weights {
-		sum += float64(w) * float64(w)
-	}
-	return math.Sqrt(sum)
-}
+func (v Vector) Norm() float64 { return v.norm }
 
 // Dot returns the inner product of two vectors via a linear merge.
 func (v Vector) Dot(o Vector) float64 {
@@ -158,6 +169,7 @@ func (v Vector) WithItem(item uint32, weight float32) Vector {
 	}
 	out.items = append(out.items, v.items[i:]...)
 	out.weights = append(out.weights, v.weights[i:]...)
+	out.norm = normOf(out.weights)
 	return out
 }
 
@@ -175,6 +187,7 @@ func (v Vector) WithoutItem(item uint32) Vector {
 	out.weights = append(out.weights, v.weights[:i]...)
 	out.items = append(out.items, v.items[i+1:]...)
 	out.weights = append(out.weights, v.weights[i+1:]...)
+	out.norm = normOf(out.weights)
 	return out
 }
 
@@ -207,31 +220,49 @@ func (v Vector) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// DecodeVector decodes a vector produced by AppendBinary from the front
-// of buf, returning the vector and the remaining bytes.
-func DecodeVector(buf []byte) (Vector, []byte, error) {
+// SkipVector steps over the vector encoded at the front of buf without
+// decoding it, returning its entry count and the remaining bytes.
+// Decoders of containers use it to size their storage in one pass.
+func SkipVector(buf []byte) (int, []byte, error) {
 	if len(buf) < 4 {
-		return Vector{}, nil, fmt.Errorf("profile: short vector header (%d bytes)", len(buf))
+		return 0, nil, fmt.Errorf("profile: short vector header (%d bytes)", len(buf))
 	}
 	n := int(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
-	if len(buf) < 8*n {
-		return Vector{}, nil, fmt.Errorf("profile: vector payload truncated: want %d entries, have %d bytes", n, len(buf))
+	if len(buf)/8 < n {
+		return 0, nil, fmt.Errorf("profile: vector payload truncated: want %d entries, have %d bytes", n, len(buf))
+	}
+	return n, buf[8*n:], nil
+}
+
+// decodeEntries fills items and weights (equal lengths) from the
+// encoded entries at the front of buf, which the caller has checked is
+// long enough, and returns the norm of the weights.
+func decodeEntries(buf []byte, items []uint32, weights []float32) (float64, error) {
+	for i := range items {
+		it := binary.LittleEndian.Uint32(buf[8*i:])
+		if i > 0 && it <= items[i-1] {
+			return 0, fmt.Errorf("profile: decoded items not strictly increasing at index %d", i)
+		}
+		items[i] = it
+		weights[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[8*i+4:]))
+	}
+	return normOf(weights), nil
+}
+
+// DecodeVector decodes a vector produced by AppendBinary from the front
+// of buf, returning the vector and the remaining bytes.
+func DecodeVector(buf []byte) (Vector, []byte, error) {
+	n, rest, err := SkipVector(buf)
+	if err != nil {
+		return Vector{}, nil, err
 	}
 	v := Vector{
 		items:   make([]uint32, n),
 		weights: make([]float32, n),
 	}
-	for i := 0; i < n; i++ {
-		v.items[i] = binary.LittleEndian.Uint32(buf[8*i:])
-		v.weights[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[8*i+4:]))
+	if v.norm, err = decodeEntries(buf[4:], v.items, v.weights); err != nil {
+		return Vector{}, nil, err
 	}
-	prev := uint32(0)
-	for i, it := range v.items {
-		if i > 0 && it <= prev {
-			return Vector{}, nil, fmt.Errorf("profile: decoded items not strictly increasing at index %d", i)
-		}
-		prev = it
-	}
-	return v, buf[8*n:], nil
+	return v, rest, nil
 }

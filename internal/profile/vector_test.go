@@ -193,3 +193,48 @@ func TestDecodeVectorConsumesPrefixOnly(t *testing.T) {
 		t.Fatalf("second decode: %v rest=%d err=%v", gotB.Entries(), len(rest), err)
 	}
 }
+
+// TestArenaHoldsVectorsBackToBack: vectors appended or decoded into an
+// arena come back equal with their norms, a failed decode leaves it
+// unchanged, and after Grow filling it allocates nothing.
+func TestArenaHoldsVectorsBackToBack(t *testing.T) {
+	vecs := []Vector{
+		mustVector(t, Entry{Item: 1, Weight: 2}, Entry{Item: 9, Weight: -1}),
+		{},
+		FromItems([]uint32{4, 5, 6}),
+	}
+	encoded := append(vecs[2].AppendBinary(nil), 0xCD) // one trailing byte
+	var a Arena
+	allocs := testing.AllocsPerRun(5, func() {
+		a = Arena{items: a.items[:0], weights: a.weights[:0], ends: a.ends[:0], norms: a.norms[:0]}
+		a.Grow(len(vecs), 5)
+		a.Append(vecs[0])
+		a.Append(vecs[1])
+		if rest, err := a.Decode(encoded); err != nil || len(rest) != 1 {
+			t.Fatalf("Decode: rest %v, err %v", rest, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("refilling a grown arena allocates %v times", allocs)
+	}
+
+	unordered := FromItems([]uint32{7, 8}).AppendBinary(nil)
+	copy(unordered[4:8], unordered[12:16]) // both items now 8
+	if n, _, err := SkipVector(unordered); err != nil || n != 2 {
+		t.Errorf("SkipVector = %d entries, err %v: the framing is sound, only the order is not", n, err)
+	}
+	if _, err := a.Decode(unordered); err == nil {
+		t.Error("unordered items decoded")
+	}
+	if _, err := a.Decode(encoded[:7]); err == nil {
+		t.Error("truncated vector decoded")
+	}
+	if len(a.ends) != len(vecs) {
+		t.Fatalf("%d vectors after failed decodes, want %d", len(a.ends), len(vecs))
+	}
+	for i, want := range vecs {
+		if got := a.At(i); !got.Equal(want) || got.Norm() != want.Norm() {
+			t.Errorf("At(%d) = %v norm %v, want %v norm %v", i, got.Entries(), got.Norm(), want.Entries(), want.Norm())
+		}
+	}
+}

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -52,6 +52,13 @@ type DiskTable struct {
 	prefetchedBytes atomic.Int64
 
 	dead func(uint32) bool // tombstone predicate; set before producers start
+
+	// readBufs recycles what the spill files' readers stream through:
+	// shards are read back one at a time, each file once.
+	readBufs disk.ReadBuffers
+	// keyPool recycles the packed-tuple scratch a shard is sorted and
+	// de-duplicated in.
+	keyPool sync.Pool // *[]uint64
 
 	// encPool recycles spill-record encode buffers across flushes, so
 	// the batched emit path does not allocate one fresh record per
@@ -308,15 +315,22 @@ func (sh *diskShard) takeLocked() (pending []uint64, w *disk.RecordWriter, count
 // run on a background goroutine. It returns the shard's tuples and the
 // spill bytes read from disk.
 func (t *DiskTable) readShard(id ShardID, pending []uint64, w *disk.RecordWriter, count int64) ([]Tuple, int64, error) {
-	keys := make([]uint64, 0, count)
-	keys = append(keys, pending...)
+	kp, _ := t.keyPool.Get().(*[]uint64)
+	if kp == nil {
+		kp = new([]uint64)
+	}
+	keys := append(slices.Grow((*kp)[:0], int(count)), pending...)
+	defer func() { // keys may have been regrown; keep the larger array
+		*kp = keys[:0]
+		t.keyPool.Put(kp)
+	}()
 
 	var spillBytes int64
 	if w != nil {
 		if err := w.Close(); err != nil {
 			return nil, 0, fmt.Errorf("tuples: finish spill (%d,%d): %w", id.I, id.J, err)
 		}
-		r, err := disk.OpenRecordFile(t.stats, t.shardPath(id))
+		r, err := t.readBufs.Open(t.stats, t.shardPath(id))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -347,7 +361,7 @@ func (t *DiskTable) readShard(id ShardID, pending []uint64, w *disk.RecordWriter
 		t.device.Read(spillBytes)
 	}
 
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+	slices.Sort(keys)
 	out := make([]Tuple, 0, len(keys))
 	var prev uint64
 	for idx, k := range keys {

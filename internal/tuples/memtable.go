@@ -2,7 +2,7 @@ package tuples
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -186,7 +186,7 @@ func (t *MemTable) Shard(i, j uint32) ([]Tuple, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+	slices.Sort(keys)
 	out := make([]Tuple, len(keys))
 	for idx, k := range keys {
 		out[idx] = unpack(k)

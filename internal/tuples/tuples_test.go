@@ -1,10 +1,11 @@
 package tuples
 
 import (
+	"cmp"
 	"math/rand"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -59,14 +60,12 @@ func naiveTwoHop(g *graph.Digraph) []Tuple {
 	return out
 }
 
-func sortTuples(ts []Tuple) {
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].S != ts[j].S {
-			return ts[i].S < ts[j].S
-		}
-		return ts[i].D < ts[j].D
-	})
+// bySourceThenDest is the (S, D) order shards are served in.
+func bySourceThenDest(a, b Tuple) int {
+	return cmp.Or(cmp.Compare(a.S, b.S), cmp.Compare(a.D, b.D))
 }
+
+func sortTuples(ts []Tuple) { slices.SortFunc(ts, bySourceThenDest) }
 
 func TestGenerateBridgeHandComputed(t *testing.T) {
 	// 0→1→2, 0→1→3, 4→1→2 ... bridge 1 in one partition.
@@ -286,12 +285,7 @@ func TestShardsAreSortedAndOwnedByRightPartitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sort.SliceIsSorted(shard, func(x, y int) bool {
-			if shard[x].S != shard[y].S {
-				return shard[x].S < shard[y].S
-			}
-			return shard[x].D < shard[y].D
-		}) {
+		if !slices.IsSortedFunc(shard, bySourceThenDest) {
 			t.Errorf("shard (%d,%d) not sorted", id.I, id.J)
 		}
 		for _, tu := range shard {
