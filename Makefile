@@ -8,7 +8,7 @@ STATICCHECK_VERSION ?= 2025.1
 # Pinned govulncheck release for the advisory CI job.
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race race-phase4 fuzz-smoke bench bench-smoke bench-compare e2e-netstore e2e-chaos fmt vet staticcheck lint vulncheck docs ci
+.PHONY: all build test race race-phase4 fuzz-smoke bench bench-smoke bench-compare e2e-netstore e2e-chaos fmt vet staticcheck lint vulncheck docs loc ci
 
 all: build
 
@@ -26,11 +26,18 @@ race:
 # executor error-path drains, DiskTable Close-vs-ShardAhead, the
 # emulated device's debt accounting, and mid-run cancellation. `race`
 # already runs these once; this target re-runs them with -count=1 so
-# CI exercises the racy interleavings fresh on every push.
+# CI exercises the racy interleavings fresh on every push. Tests are
+# selected by name, so a rename could silently shrink the pass: the
+# target first lists what the pattern matches and fails when any
+# package matches nothing.
+RACE_PHASE4_RUN = Worker|Sharded|Parallel|Split|Cancel|Close|Device|Pipelined|MidTape|Commit|PartStore|NetStore|NetOwner|Lease|Torn|Shard
+RACE_PHASE4_PKGS = ./internal/pigraph ./internal/core ./internal/tuples ./internal/disk ./internal/netstore ./internal/lint
 race-phase4:
-	$(GO) test -race -count=1 \
-		-run 'Worker|Sharded|Parallel|Split|Cancel|Close|Device|Pipelined|MidTape|Commit|NetStore|NetOwner|Lease|Torn|Shard' \
-		./internal/pigraph ./internal/core ./internal/tuples ./internal/disk ./internal/netstore ./internal/lint
+	@for pkg in $(RACE_PHASE4_PKGS); do \
+		if ! $(GO) test -list '$(RACE_PHASE4_RUN)' $$pkg | grep -q '^Test'; then \
+			echo "race-phase4: no test in $$pkg matches '$(RACE_PHASE4_RUN)'"; exit 1; fi; \
+	done
+	$(GO) test -race -count=1 -run '$(RACE_PHASE4_RUN)' $(RACE_PHASE4_PKGS)
 
 # Each native fuzz target for FUZZTIME: the partition-state and
 # worker-partial decoders must never panic, never size storage from a
@@ -109,5 +116,10 @@ vulncheck:
 docs:
 	./scripts/doccheck.sh
 	./scripts/check_flags.sh
+
+# The size the ROADMAP's reduction targets are measured in: lines of
+# non-test Go outside bench/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 ci: build fmt vet staticcheck lint race race-phase4 fuzz-smoke e2e-netstore e2e-chaos docs bench-smoke

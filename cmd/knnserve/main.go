@@ -34,7 +34,6 @@
 //	                         queued for the next phase 5
 //	GET  /v1/stats           api.StatsResponse: per-endpoint counts and
 //	                         p50/p90/p95/p99 from log-scale histograms
-//	GET  /stats              deprecated alias of /v1/stats
 //	GET  /healthz            per-tier reachability: "ok"/"degraded"
 //	                         (200 while anything can be served) or
 //	                         "unreachable" (503)

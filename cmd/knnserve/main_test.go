@@ -93,18 +93,16 @@ func TestRunServesHTTP(t *testing.T) {
 		t.Fatalf("neighbors over HTTP = %v", nb.Neighbors)
 	}
 
-	// The versioned stats document is live on both paths.
-	for _, path := range []string{api.PathStats, api.PathStatsDeprecated} {
-		resp, err := http.Get(fmt.Sprintf("http://%s%s", addr, path))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st api.StatsResponse
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil || st.Version != api.Version {
-			t.Fatalf("GET %s: version %d (%v)", path, st.Version, err)
-		}
+	// The versioned stats document is live.
+	statsResp, err := http.Get(fmt.Sprintf("http://%s%s", addr, api.PathStats))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st api.StatsResponse
+	err = json.NewDecoder(statsResp.Body).Decode(&st)
+	statsResp.Body.Close()
+	if err != nil || st.Version != api.Version {
+		t.Fatalf("GET %s: version %d (%v)", api.PathStats, st.Version, err)
 	}
 
 	close(stop)

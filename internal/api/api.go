@@ -32,10 +32,6 @@ const (
 	PathStaleness = "/v1/staleness"
 	// PathStats is GET /v1/stats → StatsResponse.
 	PathStats = "/v1/stats"
-	// PathStatsDeprecated is the pre-v1 stats path, kept as an alias
-	// of PathStats. New scrapers should use PathStats; this alias can
-	// disappear in a future major version.
-	PathStatsDeprecated = "/stats"
 	// PathHealth is GET /healthz → plain text, one status word on the
 	// first line ("ok" when both store tiers answer, "degraded" when
 	// exactly one does) followed by one "read <tier>: ..."/"write
@@ -233,9 +229,8 @@ type EndpointStats struct {
 	P99Ms float64 `json:"p99_ms"`
 }
 
-// StatsResponse is the body of GET /v1/stats (and its deprecated
-// alias GET /stats): structured per-endpoint counters and latency
-// percentiles.
+// StatsResponse is the body of GET /v1/stats: structured per-endpoint
+// counters and latency percentiles.
 type StatsResponse struct {
 	// Version identifies the stats schema generation (currently 1).
 	Version int `json:"version"`

@@ -112,7 +112,7 @@ func runBuildTasks(ctx context.Context, workers int, tasks []func(context.Contex
 // read-only here, so the stored blobs are identical at every worker
 // count; only the Put order varies, which no reader can observe
 // (Collect streams in id order).
-func (e *Engine) buildStates(ctx context.Context, parts []*partition.Data, states stateStore) error {
+func (e *Engine) buildStates(ctx context.Context, parts []*partition.Data, states partStore) error {
 	workers := e.buildWorkerCount()
 	tasks := make([]func(context.Context) error, 0, len(parts))
 	// Stride-interleave the task order so the first wave of concurrent
@@ -130,7 +130,7 @@ func (e *Engine) buildStates(ctx context.Context, parts []*partition.Data, state
 				if err != nil {
 					return err
 				}
-				return states.Put(st)
+				return states.put(st)
 			})
 		}
 	}

@@ -54,7 +54,7 @@ type Options struct {
 	// goroutine with its own Slots-slot LRU budget over the shared
 	// state store (default 1, the single-cursor execution). Workers
 	// that hold the same partition concurrently share one in-memory
-	// instance through a per-partition ownership layer, and accumulator
+	// instance through the in-process partition store, and accumulator
 	// folds serialize per partition, so the scored output is identical
 	// to serial execution at every worker count. The Loads/Unloads
 	// accounting generalizes deterministically: per-worker counts
@@ -127,7 +127,7 @@ type Options struct {
 	// partition range and — under EmulateDisk — its own emulated
 	// spindle, so phase-4 state I/O queues per shard instead of on the
 	// one shared device that caps multi-worker execution. The phase-4
-	// ownership layer switches from in-process guards to store-side
+	// partition store switches from in-process guards to store-side
 	// leases with fencing tokens, and each tape worker scores into a
 	// private accumulator partial that merges commutatively at collect
 	// time — workers never share memory, so results are bit-identical
@@ -583,8 +583,8 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 	parts := partition.Build(dg, assign)
 	stats.PartitionObjective = partition.Objective(dg, assign)
 	stats.BuildWorkers = e.buildWorkerCount()
-	states := e.newStateStore()
-	defer states.Cleanup()
+	states := e.newPartStore()
+	defer states.cleanup()
 	if err := e.buildStates(ctx, parts, states); err != nil {
 		return nil, fmt.Errorf("core: phase 1 (state init): %w", err)
 	}
@@ -634,10 +634,8 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 		// when there are tombstones, so deletion-free runs keep the
 		// exact pre-filter add path.
 		if len(e.dead) > 0 {
-			if tf, ok := table.(tuples.TombstoneFilter); ok {
-				dead := e.dead
-				tf.SetTombstones(func(u uint32) bool { _, ok := dead[u]; return ok })
-			}
+			dead := e.dead
+			table.SetTombstones(func(u uint32) bool { _, ok := dead[u]; return ok })
 		}
 		if err := e.populateTable(ctx, dg, parts, table); err != nil {
 			return nil, fmt.Errorf("core: phase 2 (populate H): %w", err)
@@ -664,7 +662,7 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 			// the two pipeline directions stay symmetric.
 			execOpts.WritebackDepth = max(1, e.opts.PrefetchDepth)
 		}
-		predicted, err := schedule.SimulateOpts(execOpts)
+		predicted, err := schedule.Simulate(execOpts)
 		if err != nil {
 			return nil, fmt.Errorf("core: phase 3 (simulate): %w", err)
 		}
@@ -677,7 +675,7 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 		// Phase 4: execute the schedule under the S-slot memory model —
 		// sharded across ExecWorkers tape segments — scoring shards and
 		// folding results into the owning partitions' accumulators
-		// through the per-partition ownership layer. Each worker's
+		// through the partition store. Each worker's
 		// executor overlaps up to three I/O streams with its scoring
 		// cursor: PrefetchDepth upcoming partition fetches,
 		// AsyncWriteback's bounded background write-backs, and
@@ -688,7 +686,7 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 		shared = &phase4Shared{
 			engine: e,
 			assign: assign,
-			owner:  e.newOwner(states),
+			owner:  states,
 			table:  table,
 			ctx:    runCtx,
 			cancel: cancelRun,
@@ -702,28 +700,22 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 		// Workers that aborted mid-tape still hold references to their
 		// resident partitions; return that staged memory to the budget
 		// (the next attempt rebuilds all state from the store).
-		shared.owner.abort()
+		states.abort()
 		// Prefer the first real callback error over the executor's view:
 		// sibling workers cancelled by it report a secondary
 		// "canceled" error that would otherwise mask the cause.
 		if first := shared.firstErr(); first != nil {
 			err = first
 		}
-		if e.netClient == nil || attempt >= e.opts.StoreRetries || !storeTransient(err) || ctx.Err() != nil {
-			return nil, fmt.Errorf("core: phase 4 (KNN computation): %w", err)
-		}
-		// The partially consumed table cannot be re-run; drop it and
-		// rebuild it from scratch after the barrier.
-		table.Close()
-		table = nil
-		if rerr := e.netClient.Reset(); rerr != nil {
-			return nil, fmt.Errorf("core: phase 4 reset after %v: %w", err, rerr)
-		}
-		wait := e.opts.StoreRetryBackoff << attempt
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("core: phase 4 (KNN computation): %w", err)
-		case <-time.After(wait):
+		// The partially consumed table cannot be re-run; a retry drops it
+		// and rebuilds it from scratch after the RESET barrier.
+		err = e.awaitStoreRetry(ctx, attempt, "KNN computation", err, func() error {
+			table.Close()
+			table = nil
+			return e.netClient.Reset()
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	stats.Loads, stats.Unloads = result.Loads, result.Unloads
@@ -758,7 +750,7 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 		if err != nil {
 			return nil, err
 		}
-		err = states.Collect(func(st *partState) error {
+		err = states.collect(func(st *partState) error {
 			for i, u := range st.members {
 				if err := next.Set(u, st.accs[i].IDs()); err != nil {
 					return err
@@ -769,13 +761,8 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 		if err == nil {
 			break
 		}
-		if e.netClient == nil || attempt >= e.opts.StoreRetries || !storeTransient(err) || ctx.Err() != nil {
-			return nil, fmt.Errorf("core: phase 4 (collect): %w", err)
-		}
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("core: phase 4 (collect): %w", err)
-		case <-time.After(e.opts.StoreRetryBackoff << attempt):
+		if err := e.awaitStoreRetry(ctx, attempt, "collect", err, nil); err != nil {
+			return nil, err
 		}
 	}
 	stats.EdgeChanges = e.g.DiffEdges(next)
@@ -948,23 +935,42 @@ func (e *Engine) ReplicaAddrs() []string {
 	return e.replicas.Addrs()
 }
 
-func (e *Engine) newStateStore() stateStore {
-	if e.netClient != nil {
-		return newNetStateStore(e.netClient, &e.iostats, e.opts.K)
+// awaitStoreRetry decides what a failed phase-4 store step does next.
+// When err is a transient store failure and attempts remain, it runs
+// reset (nil = nothing to reset), sleeps the attempt's backoff and
+// returns nil: the caller goes round again. Otherwise it returns the
+// error the iteration fails with.
+func (e *Engine) awaitStoreRetry(ctx context.Context, attempt int, step string, err error, reset func() error) error {
+	failed := fmt.Errorf("core: phase 4 (%s): %w", step, err)
+	if e.netClient == nil || attempt >= e.opts.StoreRetries || !storeTransient(err) || ctx.Err() != nil {
+		return failed
 	}
-	if e.opts.OnDisk {
-		return newDiskStateStore(e.scratch, &e.iostats, e.device, e.opts.K)
+	if reset != nil {
+		if rerr := reset(); rerr != nil {
+			return fmt.Errorf("core: phase 4 reset after %v: %w", err, rerr)
+		}
 	}
-	return newMemStateStore(e.opts.K)
+	select {
+	case <-ctx.Done():
+		return failed
+	case <-time.After(e.opts.StoreRetryBackoff << attempt):
+		return nil
+	}
 }
 
-// newOwner picks the phase-4 ownership layer: store-side leases over
-// the network KV, or the in-process refcounted guards.
-func (e *Engine) newOwner(states stateStore) ownerLayer {
+// newPartStore decides where an iteration's partition state lives — the
+// one choice between the two partStore implementations: behind the
+// network store when the engine has one, otherwise in this process, on
+// scratch files with OnDisk and in memory without.
+func (e *Engine) newPartStore() partStore {
 	if e.netClient != nil {
 		return newNetOwner(e.netClient, e.budget, &e.iostats, e.opts.K)
 	}
-	return newPartOwner(e.opts.NumPartitions, states, e.budget, &e.iostats)
+	var scratch *disk.Scratch
+	if e.opts.OnDisk {
+		scratch = e.scratch
+	}
+	return newPartOwner(e.opts.NumPartitions, scratch, e.device, e.budget, &e.iostats, e.opts.K)
 }
 
 func (e *Engine) newTable(assign *partition.Assignment) (tuples.Table, error) {
@@ -977,7 +983,7 @@ func (e *Engine) newTable(assign *partition.Assignment) (tuples.Table, error) {
 }
 
 // phase4Shared carries the state one schedule execution shares across
-// its tape workers: the partition ownership layer (which serializes
+// its tape workers: the partition store (which serializes
 // same-partition store I/O and accumulator folds), the tuple table,
 // and the run's failure signal. The first callback error cancels the
 // run's context so sibling workers abort promptly instead of grinding
@@ -986,7 +992,7 @@ func (e *Engine) newTable(assign *partition.Assignment) (tuples.Table, error) {
 type phase4Shared struct {
 	engine *Engine
 	assign *partition.Assignment
-	owner  ownerLayer
+	owner  partStore
 	table  tuples.Table
 	shards tuples.ShardPrefetcher // nil when the table has no async path
 	scored atomic.Int64
@@ -1036,9 +1042,9 @@ func (s *phase4Shared) workerCallbacks(index int) pigraph.Callbacks {
 		scorer:   knn.Scorer{Sim: s.engine.opts.Similarity, Workers: s.engine.opts.Workers},
 		resident: make([]*partState, s.assign.NumPartitions()),
 	}
+	// No Load/Unload: the executor composes a synchronous load from
+	// Fetch+Commit and a synchronous unload from Evict+Flush.
 	cb := pigraph.Callbacks{
-		Load:    w.load,
-		Unload:  w.unload,
 		Pair:    w.pair,
 		Self:    w.self,
 		Fetch:   w.fetch,
@@ -1070,7 +1076,7 @@ type phase4Worker struct {
 // asynchronous half of a pipelined load. It may run concurrently with
 // this worker's unloads of other partitions (never of id itself; the
 // executor orders fetches after the matching write-back) and with
-// anything other workers do — the ownership layer serializes
+// anything other workers do — the partition store serializes
 // same-partition store access across workers and shares the in-memory
 // instance when another worker already holds id. The state's memory is
 // charged to the budget at first acquire, so in-flight prefetches
@@ -1106,14 +1112,6 @@ func (w *phase4Worker) discard(id uint32, _ any) {
 	_ = w.shared.owner.release(w.index, id, false)
 }
 
-func (w *phase4Worker) load(id uint32) error {
-	st, err := w.fetch(id)
-	if err != nil {
-		return err
-	}
-	return w.commit(id, st)
-}
-
 // evict removes a resident partition from this worker without writing
 // it back — the synchronous half of an asynchronous unload, run on the
 // cursor at the unload's tape position. The ownership reference (and
@@ -1146,13 +1144,6 @@ func (w *phase4Worker) flush(id uint32, _ any) error {
 		return w.shared.fail(err)
 	}
 	return nil
-}
-
-func (w *phase4Worker) unload(id uint32) error {
-	if _, err := w.evict(id); err != nil {
-		return fmt.Errorf("core: unload: %w", err)
-	}
-	return w.flush(id, nil)
 }
 
 // pairAhead starts background reads of the tuple shards an upcoming

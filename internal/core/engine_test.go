@@ -352,26 +352,3 @@ func TestDecodePartStateErrors(t *testing.T) {
 		t.Error("round trip lost data")
 	}
 }
-
-func TestDiskStateStoreCorruptFile(t *testing.T) {
-	scratch, err := disk.NewScratch(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats disk.IOStats
-	s := newDiskStateStore(scratch, &stats, nil, 2)
-	st := newTestPartState(t, 0, 2, map[uint32]profile.Vector{1: profile.FromItems([]uint32{5})})
-	if err := s.Put(st); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the file.
-	if err := disk.WriteFile(&stats, s.path(0), []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Load(0); err == nil {
-		t.Error("corrupt state file should fail to load")
-	}
-	if _, err := s.Load(99); err == nil {
-		t.Error("missing partition should fail to load")
-	}
-}

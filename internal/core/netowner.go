@@ -18,10 +18,12 @@ func storeTransient(err error) bool {
 	return netstore.IsTransient(err) || errors.Is(err, netstore.ErrStaleLease)
 }
 
-// netOwner is the lease-client ownership layer of network-store
-// phase 4 — the in-process partOwner's guards replaced by store-side
-// leases. Where partOwner refcounts one shared in-memory instance per
-// partition, netOwner gives every tape worker its own private copy:
+// netOwner is the partition store behind the sharded network KV — the
+// in-process partOwner's guards replaced by store-side leases. Phase 1
+// PUTs base blobs, collect streams every shard's base state merged with
+// the workers' accumulated partials, cleanup clears the cluster. Where
+// partOwner refcounts one shared in-memory instance per partition,
+// netOwner gives every tape worker its own private copy:
 //
 //   - acquire = LEASE (a fencing token) + GET (the immutable base
 //     state), decoded into a worker-private partState whose
@@ -75,6 +77,15 @@ func newNetOwner(client *netstore.Client, budget *disk.Budget, stats *disk.IOSta
 		k:      k,
 		held:   make(map[netHold]*netLease),
 	}
+}
+
+func (o *netOwner) put(st *partState) error {
+	blob := st.encode()
+	if err := o.client.PutBase(st.id, blob); err != nil {
+		return err
+	}
+	o.stats.AddWrite(int64(len(blob)))
+	return nil
 }
 
 func (o *netOwner) acquire(worker int, id uint32) (*partState, error) {
@@ -161,3 +172,23 @@ func (o *netOwner) abort() {
 		_ = o.client.Release(hold.id, l.token)
 	}
 }
+
+func (o *netOwner) collect(emit func(st *partState) error) error {
+	return o.client.Collect(func(it netstore.CollectItem) error {
+		st, err := decodePartState(it.Base, o.k)
+		if err != nil {
+			return err
+		}
+		volume := int64(len(it.Base))
+		for _, partial := range it.Partials {
+			if err := st.mergePartial(partial); err != nil {
+				return err
+			}
+			volume += int64(len(partial))
+		}
+		o.stats.AddRead(volume)
+		return emit(st)
+	})
+}
+
+func (o *netOwner) cleanup() error { return o.client.Clear() }

@@ -4,11 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
 
-	"knnpc/internal/disk"
 	"knnpc/internal/knn"
-	"knnpc/internal/netstore"
 	"knnpc/internal/partition"
 	"knnpc/internal/profile"
 )
@@ -232,256 +229,3 @@ func newPartState(p *partition.Data, profiles canonicalProfiles, k int) (*partSt
 	}
 	return st, nil
 }
-
-// stateStore moves partition states between memory and storage. Both
-// implementations serialize on unload and deserialize on load, so the
-// in-memory store exercises the same code paths as the disk store; the
-// disk store additionally pays real file I/O, counted in IOStats.
-//
-// Concurrency contract: pipelined phase 4 calls Load from prefetch
-// goroutines and Unload from write-back goroutines, concurrently with
-// each other and with Put on the cursor — but never two operations on
-// the same partition id at the same time (the executor orders each
-// load after the write-back that precedes it on the op tape, and a
-// partition is reloaded before it can be unloaded again). Collect and
-// Cleanup run only after every in-flight operation has drained.
-type stateStore interface {
-	// Put persists a freshly built state (phase 1).
-	Put(st *partState) error
-	// Load materializes partition p into memory (phase 4).
-	Load(p uint32) (*partState, error)
-	// Unload persists a resident state back (phase 4).
-	Unload(st *partState) error
-	// Collect streams every partition's final state in id order.
-	Collect(emit func(st *partState) error) error
-	// Cleanup removes all stored state.
-	Cleanup() error
-}
-
-// memStateStore keeps encoded blobs in a map. Used for differential
-// testing and for callers who want the five-phase structure without
-// real disk traffic. The mutex makes the map safe for the pipelined
-// executor's concurrent Load-while-Put (the disk store gets the same
-// safety from operating on distinct per-partition files).
-type memStateStore struct {
-	k     int // accumulator capacity of every stored state
-	mu    sync.Mutex
-	blobs map[uint32][]byte
-}
-
-func newMemStateStore(k int) *memStateStore {
-	return &memStateStore{k: k, blobs: make(map[uint32][]byte)}
-}
-
-// Put encodes over the partition's previous blob: no other operation
-// on the same partition runs concurrently (see stateStore), and a state
-// barely changes size between residencies, so rewriting in place makes
-// an unload allocation-free.
-func (s *memStateStore) Put(st *partState) error {
-	s.mu.Lock()
-	old := s.blobs[st.id]
-	s.mu.Unlock()
-	blob := st.appendTo(old[:0])
-	s.mu.Lock()
-	s.blobs[st.id] = blob
-	s.mu.Unlock()
-	return nil
-}
-
-func (s *memStateStore) Load(p uint32) (*partState, error) {
-	s.mu.Lock()
-	blob, ok := s.blobs[p]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("core: partition %d has no stored state", p)
-	}
-	return decodePartState(blob, s.k)
-}
-
-func (s *memStateStore) Unload(st *partState) error { return s.Put(st) }
-
-func (s *memStateStore) Collect(emit func(st *partState) error) error {
-	ids := make([]uint32, 0, len(s.blobs))
-	for id := range s.blobs {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		st, err := s.Load(id)
-		if err != nil {
-			return err
-		}
-		if err := emit(st); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *memStateStore) Cleanup() error {
-	s.mu.Lock()
-	s.blobs = make(map[uint32][]byte)
-	s.mu.Unlock()
-	return nil
-}
-
-// diskStateStore keeps one state file per partition under the scratch
-// directory, with all traffic counted in IOStats. A non-nil device
-// additionally sleeps the modeled time of each access on the engine's
-// shared emulated spindle, so phase 4 experiences the latency of the
-// paper's hardware class even when the host's page cache absorbs the
-// real I/O. Load and Unload are safe for concurrent use with Put/Load
-// of other partitions: distinct partitions live in distinct files, the
-// stats counters are atomic, and the device serializes internally.
-type diskStateStore struct {
-	scratch *disk.Scratch
-	stats   *disk.IOStats
-	device  *disk.Device // nil = no emulated latency
-	k       int          // accumulator capacity of every stored state
-	// blobs recycles the buffers states are encoded into and read into:
-	// a blob is dead once written or decoded (decoding copies into the
-	// state's own arrays), so each concurrent Load or Unload borrows
-	// one instead of allocating a partition's worth of bytes.
-	blobs sync.Pool // *[]byte
-	// mu guards known: Put/Unload run on the cursor, but the async
-	// write-back goroutines call Unload concurrently with it.
-	mu    sync.Mutex
-	known map[uint32]bool
-}
-
-func newDiskStateStore(scratch *disk.Scratch, stats *disk.IOStats, device *disk.Device, k int) *diskStateStore {
-	return &diskStateStore{scratch: scratch, stats: stats, device: device, k: k, known: make(map[uint32]bool)}
-}
-
-func (s *diskStateStore) path(p uint32) string {
-	return s.scratch.Path(fmt.Sprintf("state-%d.bin", p))
-}
-
-// borrow returns a blob buffer from the pool; the caller stores the
-// (possibly regrown) slice back through it before returning it.
-func (s *diskStateStore) borrow() *[]byte {
-	if b, ok := s.blobs.Get().(*[]byte); ok {
-		return b
-	}
-	return new([]byte)
-}
-
-func (s *diskStateStore) Put(st *partState) error {
-	s.mu.Lock()
-	s.known[st.id] = true
-	s.mu.Unlock()
-	buf := s.borrow()
-	defer s.blobs.Put(buf)
-	*buf = st.appendTo((*buf)[:0])
-	if err := disk.WriteFile(s.stats, s.path(st.id), *buf); err != nil {
-		return err
-	}
-	s.device.Write(int64(len(*buf)))
-	return nil
-}
-
-func (s *diskStateStore) Load(p uint32) (*partState, error) {
-	buf := s.borrow()
-	defer s.blobs.Put(buf)
-	blob, err := disk.ReadFile(s.stats, s.path(p), *buf)
-	if err != nil {
-		return nil, err
-	}
-	*buf = blob
-	s.device.Read(int64(len(blob)))
-	return decodePartState(blob, s.k)
-}
-
-func (s *diskStateStore) Unload(st *partState) error { return s.Put(st) }
-
-func (s *diskStateStore) Collect(emit func(st *partState) error) error {
-	s.mu.Lock()
-	ids := make([]uint32, 0, len(s.known))
-	for id := range s.known {
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
-	slices.Sort(ids)
-	for _, id := range ids {
-		st, err := s.Load(id)
-		if err != nil {
-			return err
-		}
-		if err := emit(st); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *diskStateStore) Cleanup() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var firstErr error
-	for id := range s.known {
-		if err := disk.Remove(s.path(id)); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	s.known = make(map[uint32]bool)
-	return firstErr
-}
-
-// netStateStore adapts the sharded network KV to the stateStore
-// interface for the phases around the tape: phase 1 PUTs base blobs,
-// Collect streams every shard's base state merged with the workers'
-// accumulated partials, Cleanup clears the cluster. The phase-4 write
-// path does NOT go through this adapter — write-backs must carry a
-// lease's fencing token, which is netOwner's job — so Unload refuses
-// loudly instead of offering an unfenced write.
-type netStateStore struct {
-	client *netstore.Client
-	stats  *disk.IOStats
-	k      int // accumulator capacity of every stored state
-}
-
-func newNetStateStore(client *netstore.Client, stats *disk.IOStats, k int) *netStateStore {
-	return &netStateStore{client: client, stats: stats, k: k}
-}
-
-func (s *netStateStore) Put(st *partState) error {
-	blob := st.encode()
-	if err := s.client.PutBase(st.id, blob); err != nil {
-		return err
-	}
-	s.stats.AddWrite(int64(len(blob)))
-	return nil
-}
-
-func (s *netStateStore) Load(p uint32) (*partState, error) {
-	blob, err := s.client.Get(p)
-	if err != nil {
-		return nil, err
-	}
-	s.stats.AddRead(int64(len(blob)))
-	return decodePartState(blob, s.k)
-}
-
-func (s *netStateStore) Unload(*partState) error {
-	return fmt.Errorf("core: netstore write-backs must carry a lease token (use the lease owner, not the state store)")
-}
-
-func (s *netStateStore) Collect(emit func(st *partState) error) error {
-	return s.client.Collect(func(it netstore.CollectItem) error {
-		st, err := decodePartState(it.Base, s.k)
-		if err != nil {
-			return err
-		}
-		volume := int64(len(it.Base))
-		for _, partial := range it.Partials {
-			if err := st.mergePartial(partial); err != nil {
-				return err
-			}
-			volume += int64(len(partial))
-		}
-		s.stats.AddRead(volume)
-		return emit(st)
-	})
-}
-
-func (s *netStateStore) Cleanup() error { return s.client.Clear() }

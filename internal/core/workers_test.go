@@ -17,7 +17,7 @@ import (
 // sum to the deterministic (Slots, W) totals (the engine additionally
 // asserts measured == simulated internally every iteration), and the
 // scored tuple count must be identical. Run under -race in CI — the
-// ownership layer's shared instances and concurrent folds are the
+// partition store's shared instances and concurrent folds are the
 // point of this test.
 func TestShardedWorkersMatchSerialEngine(t *testing.T) {
 	const users, iters = 300, 3
@@ -95,7 +95,7 @@ func TestShardedWorkersDeterministicOps(t *testing.T) {
 	}
 }
 
-// TestShardedWorkersBudgetReleased: the ownership layer charges each
+// TestShardedWorkersBudgetReleased: the partition store charges each
 // shared partition instance to the memory budget once and returns
 // every byte by the end of the iteration, at any worker count.
 func TestShardedWorkersBudgetReleased(t *testing.T) {

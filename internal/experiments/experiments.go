@@ -65,7 +65,12 @@ func Table1(specs []dataset.GraphSpec, heuristics []pigraph.Heuristic) ([]Table1
 			if err := schedule.Validate(pi); err != nil {
 				return nil, fmt.Errorf("experiments: %s schedule on %s: %w", h.Name(), spec.Name, err)
 			}
-			row.Ops[h.Name()] = schedule.Simulate().Ops()
+			// The zero options are the paper's setting: two slots, one cursor.
+			sim, err := schedule.Simulate(pigraph.ExecOptions{})
+			if err != nil {
+				return nil, fmt.Errorf("experiments: simulate %s on %s: %w", h.Name(), spec.Name, err)
+			}
+			row.Ops[h.Name()] = sim.Ops()
 		}
 		rows = append(rows, row)
 	}

@@ -3,7 +3,7 @@
 //
 // The previous serving-tier capture was a 4096-sample overwrite ring:
 // fine for a smoke test, but under a production workload the ring
-// holds only the last few milliseconds of traffic, so /stats p99
+// holds only the last few milliseconds of traffic, so the stats p99
 // jittered with whatever burst happened last. The histogram replaces
 // it with log-linear buckets — values below 64ns get exact buckets,
 // and above that each power of two is split into 32 linear

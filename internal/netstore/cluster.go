@@ -28,20 +28,11 @@ func StartCluster(shards, numPartitions int, model *disk.Model) (*Cluster, error
 	for i := range addrs {
 		addrs[i] = "127.0.0.1:0"
 	}
-	return StartClusterAt(addrs, numPartitions, model)
-}
-
-// StartClusterAt launches one server per listen address — addrs[i]
-// becomes shard i of len(addrs) — sharing the loopback cluster's shard
-// construction (device naming, range assignment, failure cleanup) with
-// externally addressed deployments like cmd/statestore.
-func StartClusterAt(addrs []string, numPartitions int, model *disk.Model) (*Cluster, error) {
 	return StartClusterOpts(addrs, numPartitions, model, ClusterOptions{})
 }
 
 // ClusterOptions carries the robustness knobs an externally managed
-// deployment layers onto a cluster; the zero value reproduces
-// StartClusterAt exactly.
+// deployment layers onto a cluster; the zero value adds none.
 type ClusterOptions struct {
 	// FirstShard is the cluster-wide index of the first listed address,
 	// and TotalShards the cluster-wide shard count — set both when this
@@ -62,9 +53,12 @@ type ClusterOptions struct {
 	DiskHook func(shard int) disk.FaultHook
 }
 
-// StartClusterOpts is StartClusterAt plus ClusterOptions — durability
-// directories, fault-wrapped listeners, device fault hooks, and
-// multi-process shard indexing.
+// StartClusterOpts launches one server per listen address — addrs[i]
+// becomes shard FirstShard+i — so externally addressed deployments like
+// cmd/statestore share the loopback cluster's shard construction
+// (device naming, range assignment, failure cleanup), plus whatever
+// ClusterOptions adds: durability directories, fault-wrapped listeners,
+// device fault hooks, and multi-process shard indexing.
 func StartClusterOpts(addrs []string, numPartitions int, model *disk.Model, opts ClusterOptions) (*Cluster, error) {
 	total := opts.TotalShards
 	if total == 0 {

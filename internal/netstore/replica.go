@@ -1,7 +1,6 @@
 package netstore
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -28,10 +27,10 @@ import (
 // and pulls epoch N+1. A read observes exactly one of the two — never
 // a mix, because views install atomically on both ends.
 type Replica struct {
+	*frameListener
 	cfg     ReplicaConfig
 	router  pigraph.ShardRouter
 	lo, hi  int
-	ln      net.Listener
 	primary *shardConn
 
 	mu      sync.Mutex
@@ -41,11 +40,6 @@ type Replica struct {
 	pulls    atomic.Uint64 // view re-pulls from the primary
 	degraded atomic.Uint64 // lookups served stale because the primary was unreachable
 	closed   atomic.Bool
-
-	connMu      sync.Mutex
-	conns       map[net.Conn]struct{}
-	connsClosed bool
-	wg          sync.WaitGroup
 }
 
 // ReplicaConfig describes one read replica.
@@ -103,18 +97,15 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netstore: replica dial primary %s: %w", cfg.Primary, err)
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
+	ln, err := listenFrames(cfg.Addr, cfg.WrapListener)
 	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("netstore: listen %s: %w", cfg.Addr, err)
-	}
-	if cfg.WrapListener != nil {
-		ln = cfg.WrapListener(ln)
+		return nil, err
 	}
 	r := &Replica{
-		cfg:    cfg,
-		router: router,
-		ln:     ln,
+		frameListener: ln,
+		cfg:           cfg,
+		router:        router,
 		primary: &shardConn{
 			addr: cfg.Primary,
 			opts: popts,
@@ -123,16 +114,11 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		},
 		views:   make(map[uint32]serveView),
 		userIdx: make(map[uint32]uint32),
-		conns:   make(map[net.Conn]struct{}),
 	}
 	r.lo, r.hi = router.Range(cfg.Shard)
-	r.wg.Add(1)
-	go r.acceptLoop()
+	r.serve(r.handle)
 	return r, nil
 }
-
-// Addr reports the listener's address (host:port).
-func (r *Replica) Addr() string { return r.ln.Addr().String() }
 
 // Range reports the contiguous partition range [lo, hi) this replica
 // serves reads for.
@@ -157,130 +143,55 @@ func (r *Replica) Close() error {
 	if r.closed.Swap(true) {
 		return nil
 	}
-	err := r.ln.Close()
 	r.primary.mu.Lock()
 	r.primary.poisonLocked()
 	r.primary.mu.Unlock()
-	r.connMu.Lock()
-	r.connsClosed = true
-	for c := range r.conns {
-		c.Close()
-	}
-	r.connMu.Unlock()
-	r.wg.Wait()
-	return err
+	return r.frameListener.close()
 }
 
-func (r *Replica) acceptLoop() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			return
-		}
-		r.connMu.Lock()
-		if r.connsClosed {
-			r.connMu.Unlock()
-			conn.Close()
-			continue
-		}
-		r.conns[conn] = struct{}{}
-		r.connMu.Unlock()
-		r.wg.Add(1)
-		go r.serveConn(conn)
-	}
-}
-
-func (r *Replica) serveConn(conn net.Conn) {
-	defer r.wg.Done()
-	defer func() {
-		conn.Close()
-		r.connMu.Lock()
-		delete(r.conns, conn)
-		r.connMu.Unlock()
-	}()
-	for {
-		req, err := readFrame(conn)
-		if err != nil {
-			return
-		}
-		if err := r.serveRequest(conn, req); err != nil {
-			return
-		}
-	}
-}
-
-func (r *Replica) serveRequest(conn net.Conn, req []byte) error {
-	op, body, err := cutByte(req)
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error {
-		status := byte(statusErr)
-		if errors.Is(err, ErrNotServed) {
-			status = statusMiss
-		}
-		return writeFrame(conn, append([]byte{status}, err.Error()...))
-	}
-	ok := func(payload []byte) error {
-		return writeFrame(conn, append([]byte{statusOK}, payload...))
-	}
+// handle answers one request frame (see handleFunc) with the read
+// verbs only.
+func (r *Replica) handle(op byte, body []byte, _ func([]byte) error) ([]byte, error) {
 	switch op {
 	case opEpoch:
 		// Forwarded: the epoch question is about the primary's state, and
 		// answering it from the cache would defeat its purpose.
 		p, _, err := cutU32(body)
 		if err != nil {
-			return err
+			return nil, hangUp(err)
 		}
 		base, view, err := r.primaryEpoch(p)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		return ok(appendU64(appendU64(nil, base), view))
+		return appendU64(appendU64(nil, base), view), nil
 
 	case opGetView:
 		p, _, err := cutU32(body)
 		if err != nil {
-			return err
+			return nil, hangUp(err)
 		}
 		if err := r.refreshPartition(p); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		r.mu.Lock()
 		v, okV := r.views[p]
 		r.mu.Unlock()
 		if !okV {
-			return fail(fmt.Errorf("netstore: partition %d has no published serve view", p))
+			return nil, fmt.Errorf("netstore: partition %d has no published serve view", p)
 		}
-		return ok(append(appendU64(nil, v.epoch), v.blob...))
+		return append(appendU64(nil, v.epoch), v.blob...), nil
 
-	case opNeighbors:
+	case opNeighbors, opProfile:
 		u, _, err := cutU32(body)
 		if err != nil {
-			return err
+			return nil, hangUp(err)
 		}
 		epoch, entry, err := r.lookup(u)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		resp := appendU64(nil, epoch)
-		resp = appendU32(resp, uint32(len(entry.Neighbors)))
-		for _, id := range entry.Neighbors {
-			resp = appendU32(resp, id)
-		}
-		return ok(resp)
-
-	case opProfile:
-		u, _, err := cutU32(body)
-		if err != nil {
-			return err
-		}
-		epoch, entry, err := r.lookup(u)
-		if err != nil {
-			return fail(err)
-		}
-		return ok(append(appendU64(nil, epoch), entry.Profile...))
+		return encodeLookup(op, epoch, entry), nil
 
 	default:
 		// Every non-read verb — GET, PUT, LEASE, RELEASE, COLLECT, CLEAR,
@@ -288,7 +199,7 @@ func (r *Replica) serveRequest(conn net.Conn, req []byte) error {
 		// refused: a replica can never mutate the primary's state or
 		// absorb writes (or mutations) that would be lost on re-pull, and
 		// staleness is primary-side metadata the front end reads there.
-		return fail(fmt.Errorf("netstore: replica of shard %d is read-only (op 0x%02x refused)", r.cfg.Shard, op))
+		return nil, fmt.Errorf("netstore: replica of shard %d is read-only (op 0x%02x refused)", r.cfg.Shard, op)
 	}
 }
 
@@ -436,25 +347,20 @@ func StartReplicas(primaries []string, numPartitions int, model *disk.Model) (*R
 	for i := range addrs {
 		addrs[i] = "127.0.0.1:0"
 	}
-	return StartReplicasAt(addrs, primaries, numPartitions, model)
-}
-
-// StartReplicasAt launches one replica per listen address, addrs[i]
-// shadowing primaries[i] — the externally addressed form cmd/statestore
-// -replicaof uses; StartReplicas is its loopback specialization.
-func StartReplicasAt(addrs, primaries []string, numPartitions int, model *disk.Model) (*ReplicaSet, error) {
 	return StartReplicasOpts(addrs, primaries, numPartitions, model, ReplicaSetOptions{})
 }
 
 // ReplicaSetOptions carries the robustness knobs of an externally
-// managed replica tier; the zero value reproduces StartReplicasAt.
+// managed replica tier; the zero value adds none.
 type ReplicaSetOptions struct {
 	// WrapListener, when non-nil, wraps each replica's listener — the
 	// fault-injection seam.
 	WrapListener func(shard int, ln net.Listener) net.Listener
 }
 
-// StartReplicasOpts is StartReplicasAt plus ReplicaSetOptions.
+// StartReplicasOpts launches one replica per listen address, addrs[i]
+// shadowing primaries[i] — the externally addressed form cmd/statestore
+// -replicaof uses; StartReplicas is its loopback specialization.
 func StartReplicasOpts(addrs, primaries []string, numPartitions int, model *disk.Model, opts ReplicaSetOptions) (*ReplicaSet, error) {
 	if len(addrs) != len(primaries) {
 		return nil, fmt.Errorf("netstore: %d replica addresses for %d primaries", len(addrs), len(primaries))

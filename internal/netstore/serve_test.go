@@ -297,8 +297,13 @@ func TestReplicaStalenessMatrix(t *testing.T) {
 			cluster, client := startCluster(t, cfg.shards, cfg.parts, nil)
 			const user = 77
 			const home = 0 // the user's partition, on shard 0
-			var committed atomic.Uint64
+			// publishing leads committed: the view of epoch N+1 becomes
+			// readable inside PutView, before the publisher can record it
+			// as committed, so a reader's upper bound is the epoch the
+			// publisher has announced it is working on.
+			var committed, publishing atomic.Uint64
 			publish := func(epoch uint64) {
+				publishing.Store(epoch)
 				if err := client.PutBase(home, []byte("base")); err != nil {
 					t.Error(err)
 					return
@@ -330,7 +335,7 @@ func TestReplicaStalenessMatrix(t *testing.T) {
 					for {
 						lo := committed.Load()
 						epoch, ids, err := rc.Neighbors(user)
-						hi := committed.Load()
+						hi := publishing.Load()
 						if err != nil {
 							t.Error(err)
 							return
@@ -353,8 +358,9 @@ func TestReplicaStalenessMatrix(t *testing.T) {
 						}
 						// Bounded staleness: the lo..hi window brackets the
 						// read, so any epoch in it is "N or N+1" fresh. An
-						// epoch below lo would be over-stale; above hi,
-						// impossible.
+						// epoch below lo (committed before the read began)
+						// would be over-stale; above hi (not yet being
+						// published when the read ended), impossible.
 						if epoch < lo || epoch > hi {
 							t.Errorf("read returned epoch %d outside committed window [%d,%d]", epoch, lo, hi)
 							return

@@ -69,10 +69,10 @@ type ServerConfig struct {
 // engine's job (phase 1 rewrites every base blob), so the emulated
 // Device is the only "disk" a shard has.
 type Server struct {
+	*frameListener
 	cfg    ServerConfig
 	router pigraph.ShardRouter
 	lo, hi int
-	ln     net.Listener
 
 	mu sync.Mutex
 	// partials are keyed by the lease token that admitted them: a
@@ -93,11 +93,6 @@ type Server struct {
 	nextToken  uint64
 	durable    *durableStore // nil without DataDir; guarded by mu for appends
 	closed     bool
-
-	connMu      sync.Mutex
-	conns       map[net.Conn]struct{}
-	connsClosed bool // set by Close under connMu; late-accepted conns are refused
-	wg          sync.WaitGroup
 }
 
 // NewServer binds the shard's listener and starts serving in the
@@ -121,7 +116,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		views:      make(map[uint32]serveView),
 		userIdx:    make(map[uint32]uint32),
 		tombstones: make(map[uint32]struct{}),
-		conns:      make(map[net.Conn]struct{}),
 	}
 	s.lo, s.hi = router.Range(cfg.Shard)
 	if cfg.DataDir != "" {
@@ -133,24 +127,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			return nil, fmt.Errorf("netstore: shard %d recover from %s: %w", cfg.Shard, cfg.DataDir, err)
 		}
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
+	if s.frameListener, err = listenFrames(cfg.Addr, cfg.WrapListener); err != nil {
 		if s.durable != nil {
 			s.durable.close()
 		}
-		return nil, fmt.Errorf("netstore: listen %s: %w", cfg.Addr, err)
+		return nil, err
 	}
-	if cfg.WrapListener != nil {
-		ln = cfg.WrapListener(ln)
-	}
-	s.ln = ln
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.serve(s.handle)
 	return s, nil
 }
-
-// Addr reports the listener's address (host:port).
-func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Range reports the contiguous partition range [lo, hi) this shard owns.
 func (s *Server) Range() (lo, hi int) { return s.lo, s.hi }
@@ -168,264 +153,163 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	err := s.ln.Close()
-	s.connMu.Lock()
-	s.connsClosed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.connMu.Unlock()
-	s.wg.Wait()
+	err := s.frameListener.close()
 	if s.durable != nil {
 		s.durable.close()
 	}
 	return err
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		// Register under connMu while re-checking the teardown flag: a
-		// connection accepted concurrently with Close must not escape the
-		// teardown loop, or Close would block in wg.Wait until the peer
-		// voluntarily hangs up.
-		s.connMu.Lock()
-		if s.connsClosed {
-			s.connMu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-// serveConn handles one client connection request-by-request. A torn
-// frame, an unknown opcode, or a write failure ends the connection; a
-// request-level failure (unknown partition, stale token) is answered
-// with a statusErr frame and the connection stays up.
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-	}()
-	for {
-		req, err := readFrame(conn)
-		if err != nil {
-			return // disconnect or torn frame: drop the peer, keep serving others
-		}
-		if err := s.serveRequest(conn, req); err != nil {
-			return
-		}
-	}
-}
-
-// serveRequest dispatches one request frame. The returned error means
-// the connection itself is broken (protocol desync or a failed write);
-// per-request failures are reported to the client in-band.
-func (s *Server) serveRequest(conn net.Conn, req []byte) error {
-	op, body, err := cutByte(req)
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error {
-		// Fencing rejections and lookup misses travel as their own status
-		// bytes so clients can rebuild ErrStaleLease / ErrNotServed
-		// without parsing prose — the signal is protocol, not message
-		// text.
-		status := byte(statusErr)
-		switch {
-		case errors.Is(err, ErrStaleLease):
-			status = statusStale
-		case errors.Is(err, ErrNotServed):
-			status = statusMiss
-		case errors.Is(err, ErrRetryable):
-			// Transient server-side faults (the injected-device class)
-			// fire BEFORE any state mutates, so the client may always
-			// retry — the status byte is that promise on the wire.
-			status = statusRetry
-		}
-		return writeFrame(conn, append([]byte{status}, err.Error()...))
-	}
-	ok := func(payload []byte) error {
-		return writeFrame(conn, append([]byte{statusOK}, payload...))
-	}
+// handle answers one request frame (see handleFunc): a body too short
+// for its verb, or an unknown opcode, hangs up; everything else is
+// answered in-band.
+func (s *Server) handle(op byte, body []byte, send func([]byte) error) ([]byte, error) {
 	switch op {
 	case opGet:
 		p, _, err := cutU32(body)
 		if err != nil {
-			return err
+			return nil, hangUp(err)
 		}
-		blob, err := s.get(p)
-		if err != nil {
-			return fail(err)
-		}
-		return ok(blob)
+		return s.get(p)
 
 	case opPut:
 		p, rest, err := cutU32(body)
 		if err != nil {
-			return err
+			return nil, hangUp(err)
 		}
 		kind, rest, err := cutByte(rest)
 		if err != nil {
-			return err
+			return nil, hangUp(err)
 		}
 		token, blob, err := cutU64(rest)
 		if err != nil {
-			return err
+			return nil, hangUp(err)
 		}
-		if err := s.put(p, kind, token, blob); err != nil {
-			return fail(err)
-		}
-		return ok(nil)
+		return nil, s.put(p, kind, token, blob)
 
 	case opLease:
 		p, _, err := cutU32(body)
 		if err != nil {
-			return err
+			return nil, hangUp(err)
 		}
 		token, err := s.lease(p)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		return ok(appendU64(nil, token))
+		return appendU64(nil, token), nil
 
 	case opRelease:
 		p, rest, err := cutU32(body)
 		if err != nil {
-			return err
+			return nil, hangUp(err)
 		}
 		token, _, err := cutU64(rest)
 		if err != nil {
-			return err
+			return nil, hangUp(err)
 		}
-		if err := s.release(p, token); err != nil {
-			return fail(err)
-		}
-		return ok(nil)
+		return nil, s.release(p, token)
 
 	case opCollect:
 		items, err := s.collect()
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
 		for _, it := range items {
-			if err := writeFrame(conn, encodeCollectItem(it)); err != nil {
-				return err
+			if err := send(encodeCollectItem(it)); err != nil {
+				return nil, hangUp(err)
 			}
 		}
-		return writeFrame(conn, []byte{statusEnd})
+		if err := send([]byte{statusEnd}); err != nil {
+			return nil, hangUp(err)
+		}
+		return nil, errReplied
 
 	case opClear:
-		if err := s.clear(); err != nil {
-			return fail(err)
-		}
-		return ok(nil)
+		return nil, s.clear()
 
 	case opReset:
-		if err := s.reset(); err != nil {
-			return fail(err)
-		}
-		return ok(nil)
+		return nil, s.reset()
 
 	case opEpoch:
 		p, _, err := cutU32(body)
 		if err != nil {
-			return err
+			return nil, hangUp(err)
 		}
 		base, view, err := s.epoch(p)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		return ok(appendU64(appendU64(nil, base), view))
+		return appendU64(appendU64(nil, base), view), nil
 
 	case opGetView:
 		p, _, err := cutU32(body)
 		if err != nil {
-			return err
+			return nil, hangUp(err)
 		}
 		epoch, blob, err := s.getView(p)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		return ok(append(appendU64(nil, epoch), blob...))
+		return append(appendU64(nil, epoch), blob...), nil
 
-	case opNeighbors:
+	case opNeighbors, opProfile:
 		u, _, err := cutU32(body)
 		if err != nil {
-			return err
+			return nil, hangUp(err)
 		}
 		epoch, entry, err := s.lookup(u)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		resp := appendU64(nil, epoch)
-		resp = appendU32(resp, uint32(len(entry.Neighbors)))
-		for _, id := range entry.Neighbors {
-			resp = appendU32(resp, id)
-		}
-		return ok(resp)
-
-	case opProfile:
-		u, _, err := cutU32(body)
-		if err != nil {
-			return err
-		}
-		epoch, entry, err := s.lookup(u)
-		if err != nil {
-			return fail(err)
-		}
-		return ok(append(appendU64(nil, epoch), entry.Profile...))
+		return encodeLookup(op, epoch, entry), nil
 
 	case opPushUpd:
-		if err := s.pushUpdates(body); err != nil {
-			return fail(err)
-		}
-		return ok(nil)
+		return nil, s.pushUpdates(body)
 
 	case opDrainUpd:
-		return ok(s.drainUpdates())
+		return s.drainUpdates(), nil
 
 	case opAddUser:
 		u, blob, err := cutU32(body)
 		if err != nil {
-			return err
+			return nil, hangUp(err)
 		}
-		if err := s.addUser(u, blob); err != nil {
-			return fail(err)
-		}
-		return ok(nil)
+		return nil, s.addUser(u, blob)
 
 	case opDelUser:
 		u, _, err := cutU32(body)
 		if err != nil {
-			return err
+			return nil, hangUp(err)
 		}
 		s.delUser(u)
-		return ok(nil)
+		return nil, nil
 
 	case opDrainMut:
-		return ok(s.drainMutations())
+		return s.drainMutations(), nil
 
 	case opStaleness:
 		s.mu.Lock()
 		blob := s.staleness
 		s.mu.Unlock()
-		return ok(blob)
+		return blob, nil
 
 	default:
-		return fmt.Errorf("netstore: unknown opcode 0x%02x", op)
+		return nil, hangUp(fmt.Errorf("netstore: unknown opcode 0x%02x", op))
 	}
+}
+
+// encodeLookup lays out a NEIGHBORS or PROFILE response: the view epoch,
+// then the neighbor list (count-prefixed) or the profile blob.
+func encodeLookup(op byte, epoch uint64, entry ViewEntry) []byte {
+	resp := appendU64(nil, epoch)
+	if op == opProfile {
+		return append(resp, entry.Profile...)
+	}
+	resp = appendU32(resp, uint32(len(entry.Neighbors)))
+	for _, id := range entry.Neighbors {
+		resp = appendU32(resp, id)
+	}
+	return resp
 }
 
 // ownsUser reports whether this shard is user u's mutation owner —

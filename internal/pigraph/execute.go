@@ -30,8 +30,9 @@ type Callbacks struct {
 	// runs on the executor's cursor, serialized with every other
 	// cursor-side callback.
 	//
-	// When either is nil, or PrefetchDepth is 0, every load falls back
-	// to the synchronous Load callback.
+	// When either is nil, or PrefetchDepth is 0, every load runs
+	// synchronously at its tape position: through Load, or — when Load
+	// is nil — as Fetch followed by Commit on the cursor.
 	Fetch  func(p uint32) (any, error)
 	Commit func(p uint32, data any) error
 	// Discard releases a successfully fetched value that will never be
@@ -56,11 +57,12 @@ type Callbacks struct {
 	// partitions. A load of p never observes a pending flush of p (the
 	// write-back hazard): the executor blocks that load — or its
 	// background fetch — until the flush lands, and surfaces the
-	// flush's error there. Every flush completes before ExecuteOpts
+	// flush's error there. Every flush completes before ExecuteParallel
 	// returns.
 	//
-	// When either is nil, or WritebackDepth is 0, every unload falls
-	// back to the synchronous Unload callback.
+	// When either is nil, or WritebackDepth is 0, every unload runs
+	// synchronously at its tape position: through Unload, or — when
+	// Unload is nil — as Evict followed by Flush on the cursor.
 	Evict func(p uint32) (any, error)
 	Flush func(p uint32, data any) error
 
@@ -203,8 +205,7 @@ type op struct {
 // slotMachine models the paper's memory constraint generalized to S
 // slots: at most S partitions resident. Eviction is least-recently-used
 // with the current primary pinned. It emits the op tape instead of
-// invoking callbacks, so the same plan drives serial and pipelined
-// execution identically.
+// invoking callbacks, so execution and simulation read the same plan.
 type slotMachine struct {
 	resident []int64 // partition ids; -1 = empty
 	lastUsed []int64
@@ -296,66 +297,6 @@ func (s *Schedule) plan(slots int) ([]op, error) {
 	return sm.tape, nil
 }
 
-// Execute walks the schedule under the paper's two-slot memory model
-// with serial I/O, invoking the callbacks, and returns the operation
-// counts. Memory starts empty and is drained at the end.
-func (s *Schedule) Execute(cb Callbacks) (Result, error) {
-	return s.ExecuteOpts(cb, ExecOptions{})
-}
-
-// ExecuteOpts walks the schedule under an S-slot memory model,
-// optionally pipelining any of phase 4's three I/O streams against the
-// scoring cursor (see ExecOptions): partition loads ahead of it,
-// partition write-backs behind it, and tuple-shard reads alongside it.
-// For any fixed Slots the cursor's op sequence — and therefore the
-// Loads/Unloads accounting — is identical at every pipelining setting;
-// the streams only overlap I/O with computation.
-//
-// With Workers > 1 the call delegates to ExecuteParallel, handing the
-// SAME Callbacks to every worker: the callbacks must then be safe for
-// concurrent use (the zero Callbacks of a simulation trivially are;
-// real executors should use ExecuteParallel's per-worker factory
-// instead).
-func (s *Schedule) ExecuteOpts(cb Callbacks, opts ExecOptions) (Result, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return Result{}, err
-	}
-	if opts.Workers > 1 {
-		total, _, err := s.ExecuteParallel(func(int) Callbacks { return cb }, opts)
-		return total, err
-	}
-	return s.executeSegment(cb, opts)
-}
-
-// executeSegment runs one already-validated single-cursor execution of
-// the schedule — the shared tail of ExecuteOpts and of each
-// ExecuteParallel worker.
-func (s *Schedule) executeSegment(cb Callbacks, opts ExecOptions) (Result, error) {
-	tape, err := s.plan(opts.Slots)
-	if err != nil {
-		return Result{}, err
-	}
-	usePrefetch := opts.PrefetchDepth > 0 && cb.Fetch != nil && cb.Commit != nil
-	useWriteback := opts.WritebackDepth > 0 && cb.Evict != nil && cb.Flush != nil
-	useShardAhead := opts.ShardAhead > 0 && cb.PairAhead != nil
-	if usePrefetch || useWriteback || useShardAhead {
-		return runPipelined(tape, cb, opts, usePrefetch, useWriteback, useShardAhead)
-	}
-	return runSerial(tape, cb)
-}
-
-// runSerial replays the tape on one goroutine.
-func runSerial(tape []op, cb Callbacks) (Result, error) {
-	var r Result
-	for _, o := range tape {
-		if err := applyOp(&r, o, cb, nil); err != nil {
-			return r, err
-		}
-	}
-	return r, nil
-}
-
 // future is one in-flight background fetch.
 type future struct {
 	p    uint32
@@ -371,8 +312,12 @@ type writeback struct {
 	err  error
 }
 
-// runPipelined replays the tape with up to three I/O streams overlapped
-// against the cursor's compute work:
+// replay walks one op tape on the calling goroutine — the only loop
+// that executes a schedule. A stream is enabled when its option is set
+// AND its callbacks are present; with none enabled every op runs
+// synchronously at its tape position (the paper's serial execution) and
+// the loop allocates nothing. Enabled streams overlap I/O with the
+// cursor's compute work:
 //
 //   - up to PrefetchDepth partition fetches in flight ahead of the
 //     cursor. A fetch for the load at tape index i is only issued once
@@ -390,47 +335,75 @@ type writeback struct {
 //
 // Every flush completes — and every fetch is consumed or discarded —
 // before the function returns, on success and on error alike.
-//
-// The three use* flags say which streams are actually enabled (option
-// set AND callbacks present); ExecuteOpts computes them once so entry
-// condition and stream selection cannot drift apart.
-func runPipelined(tape []op, cb Callbacks, opts ExecOptions, usePrefetch, useWriteback, useShardAhead bool) (Result, error) {
-	// hazard[i], for a load op at index i, is the index of the latest
-	// unload of the same partition before i (-1 if none).
-	hazard := make(map[int]int)
-	lastUnload := make(map[uint32]int)
-	for i, o := range tape {
-		switch o.kind {
-		case opUnload:
-			lastUnload[o.a] = i
-		case opLoad:
-			h, ok := lastUnload[o.a]
-			if !ok {
-				h = -1
+func replay(tape []op, cb Callbacks, opts ExecOptions) (Result, error) {
+	usePrefetch := opts.PrefetchDepth > 0 && cb.Fetch != nil && cb.Commit != nil
+	useWriteback := opts.WritebackDepth > 0 && cb.Evict != nil && cb.Flush != nil
+	useShardAhead := opts.ShardAhead > 0 && cb.PairAhead != nil
+
+	// All per-op bookkeeping is indexed by tape position, and exists only
+	// for the streams that are enabled. hazard[i], for a load op at index
+	// i, is the index of the latest unload of the same partition before i
+	// (-1 if none); futures[i] is the in-flight fetch of the load at i;
+	// writes[i] the flush of the unload at i (kept after it lands, so a
+	// later load can still read its error); shardAnnounced[i] marks an
+	// announced, not yet processed pair/self step.
+	var (
+		hazard         []int
+		futures        []*future
+		writes         []*writeback
+		shardAnnounced []bool
+	)
+	if usePrefetch || useWriteback {
+		hazard = make([]int, len(tape))
+		lastUnload := make(map[uint32]int)
+		for i, o := range tape {
+			switch o.kind {
+			case opUnload:
+				lastUnload[o.a] = i
+			case opLoad:
+				h, ok := lastUnload[o.a]
+				if !ok {
+					h = -1
+				}
+				hazard[i] = h
 			}
-			hazard[i] = h
 		}
 	}
+	if usePrefetch {
+		futures = make([]*future, len(tape))
+	}
+	if useWriteback {
+		writes = make([]*writeback, len(tape))
+	}
+	if useShardAhead {
+		shardAnnounced = make([]bool, len(tape))
+	}
+	// pendingWrite returns the flush a load at tape index i must wait
+	// for, nil when there is none.
+	pendingWrite := func(i int) *writeback {
+		if writes == nil || hazard[i] < 0 {
+			return nil
+		}
+		return writes[hazard[i]]
+	}
 
-	futures := make(map[int]*future) // keyed by load op tape index
-	outstanding := 0
-	scan := 0 // next tape index to consider for prefetch
-
-	writes := make(map[int]*writeback) // keyed by unload op tape index
+	outstanding := 0 // fetches in flight
+	scan := 0        // next tape index to consider for prefetch
 	writeQueue := make([]int, 0, opts.WritebackDepth)
-
-	shardAnnounced := make(map[int]bool) // pair/self tape indexes announced
 	shardsAhead := 0
 	shardScan := 0 // next tape index to consider for announcement
 
 	// drainAll waits out every issued-but-unconsumed fetch (handing
 	// successfully fetched values back through Discard) and every
 	// in-flight flush, so no goroutine outlives the call. It returns
-	// the first flush error not yet surfaced — on the success path the
+	// the first flush error in tape order — on the success path the
 	// caller must fail the run with it, since the store now holds stale
 	// bytes for that partition.
 	drainAll := func() error {
 		for _, f := range futures {
+			if f == nil {
+				continue
+			}
 			<-f.done
 			if f.err == nil && cb.Discard != nil {
 				cb.Discard(f.p, f.data)
@@ -438,6 +411,9 @@ func runPipelined(tape []op, cb Callbacks, opts ExecOptions, usePrefetch, useWri
 		}
 		var firstErr error
 		for _, wb := range writes {
+			if wb == nil {
+				continue
+			}
 			<-wb.done
 			if wb.err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("pigraph: write-back %d: %w", wb.p, wb.err)
@@ -459,13 +435,11 @@ func runPipelined(tape []op, cb Callbacks, opts ExecOptions, usePrefetch, useWri
 				shardScan = cursor
 				continue
 			}
-			switch tape[shardScan].kind {
-			case opPair:
-				cb.PairAhead(tape[shardScan].a, tape[shardScan].b)
-				shardAnnounced[shardScan] = true
-				shardsAhead++
-			case opSelf:
-				cb.PairAhead(tape[shardScan].a, tape[shardScan].a)
+			if next := tape[shardScan]; next.kind == opPair || next.kind == opSelf {
+				if next.kind == opSelf {
+					next.b = next.a
+				}
+				cb.PairAhead(next.a, next.b)
 				shardAnnounced[shardScan] = true
 				shardsAhead++
 			}
@@ -486,7 +460,7 @@ func runPipelined(tape []op, cb Callbacks, opts ExecOptions, usePrefetch, useWri
 				scan++ // already executed synchronously
 				continue
 			}
-			if h := hazard[scan]; h >= cursor {
+			if hazard[scan] >= cursor {
 				break // the eviction itself is still ahead of the cursor
 			}
 			if scan == cursor {
@@ -496,10 +470,7 @@ func runPipelined(tape []op, cb Callbacks, opts ExecOptions, usePrefetch, useWri
 				continue
 			}
 			f := &future{p: tape[scan].a, done: make(chan struct{})}
-			var wb *writeback
-			if h := hazard[scan]; h >= 0 {
-				wb = writes[h]
-			}
+			wb := pendingWrite(scan)
 			futures[scan] = f
 			outstanding++
 			go func() {
@@ -545,20 +516,21 @@ func runPipelined(tape []op, cb Callbacks, opts ExecOptions, usePrefetch, useWri
 			}()
 
 		case o.kind == opLoad:
-			f := futures[cursor]
+			var f *future
+			if usePrefetch {
+				f = futures[cursor]
+			}
 			if f != nil {
 				<-f.done
-				delete(futures, cursor)
+				futures[cursor] = nil
 				outstanding--
-			} else if h := hazard[cursor]; h >= 0 {
+			} else if wb := pendingWrite(cursor); wb != nil {
 				// Synchronous load with a possibly-pending write-back of
 				// the same partition: wait for the flush before reading.
-				if wb := writes[h]; wb != nil {
-					<-wb.done
-					if wb.err != nil {
-						_ = drainAll()
-						return r, fmt.Errorf("pigraph: load %d awaiting write-back: %w", o.a, wb.err)
-					}
+				<-wb.done
+				if wb.err != nil {
+					_ = drainAll()
+					return r, fmt.Errorf("pigraph: load %d awaiting write-back: %w", o.a, wb.err)
 				}
 			}
 			if err := applyOp(&r, o, cb, f); err != nil {
@@ -567,8 +539,8 @@ func runPipelined(tape []op, cb Callbacks, opts ExecOptions, usePrefetch, useWri
 			}
 
 		default:
-			if shardAnnounced[cursor] {
-				delete(shardAnnounced, cursor)
+			if useShardAhead && shardAnnounced[cursor] {
+				shardAnnounced[cursor] = false
 				shardsAhead--
 			}
 			if err := applyOp(&r, o, cb, nil); err != nil {
@@ -585,42 +557,42 @@ func runPipelined(tape []op, cb Callbacks, opts ExecOptions, usePrefetch, useWri
 
 // applyOp executes one tape entry, counting it in r. For opLoad, a
 // non-nil future supplies the prefetched data (committed here, on the
-// cursor); otherwise the load runs synchronously.
+// cursor); otherwise the load runs synchronously — through Load, or by
+// composing Fetch+Commit when Load is nil, as a synchronous unload
+// composes Evict+Flush when Unload is nil.
 func applyOp(r *Result, o op, cb Callbacks, f *future) error {
 	switch o.kind {
 	case opLoad:
 		r.Loads++
-		if f != nil {
+		var data any
+		switch {
+		case f != nil:
 			if f.err != nil {
 				return fmt.Errorf("pigraph: prefetch %d: %w", o.a, f.err)
 			}
 			r.PrefetchedLoads++
-			if err := cb.Commit(o.a, f.data); err != nil {
-				// The value was fetched but never became resident: hand
-				// it back so staged resources (memory budget charges)
-				// are released before the error aborts the run.
-				if cb.Discard != nil {
-					cb.Discard(o.a, f.data)
-				}
-				return fmt.Errorf("pigraph: commit %d: %w", o.a, err)
-			}
-			return nil
-		}
-		if cb.Load != nil {
+			data = f.data
+		case cb.Load != nil:
 			if err := cb.Load(o.a); err != nil {
 				return fmt.Errorf("pigraph: load %d: %w", o.a, err)
 			}
-		} else if cb.Fetch != nil && cb.Commit != nil {
-			data, err := cb.Fetch(o.a)
-			if err != nil {
+			return nil
+		case cb.Fetch != nil && cb.Commit != nil:
+			var err error
+			if data, err = cb.Fetch(o.a); err != nil {
 				return fmt.Errorf("pigraph: fetch %d: %w", o.a, err)
 			}
-			if err := cb.Commit(o.a, data); err != nil {
-				if cb.Discard != nil {
-					cb.Discard(o.a, data)
-				}
-				return fmt.Errorf("pigraph: commit %d: %w", o.a, err)
+		default:
+			return nil
+		}
+		if err := cb.Commit(o.a, data); err != nil {
+			// The value was fetched but never became resident: hand it
+			// back so staged resources (memory budget charges) are
+			// released before the error aborts the run.
+			if cb.Discard != nil {
+				cb.Discard(o.a, data)
 			}
+			return fmt.Errorf("pigraph: commit %d: %w", o.a, err)
 		}
 	case opUnload:
 		r.Unloads++
@@ -655,25 +627,46 @@ func applyOp(r *Result, o op, cb Callbacks, f *future) error {
 	return nil
 }
 
-// Simulate counts load/unload operations under the two-slot model
-// without side effects — the Table 1 measurement.
-func (s *Schedule) Simulate() Result {
-	// The zero Callbacks with default options cannot fail.
-	r, err := s.SimulateOpts(ExecOptions{})
+// tapes validates and defaults opts and resolves the schedule into the
+// op tapes an execution under them replays: one per Split segment, each
+// planned from an empty slot state.
+func (s *Schedule) tapes(opts ExecOptions) (ExecOptions, [][]op, error) {
+	opts, err := opts.withDefaults()
 	if err != nil {
-		panic("pigraph: two-slot simulation cannot fail: " + err.Error())
+		return opts, nil, err
 	}
-	return r
+	segments := s.Split(opts.Workers)
+	out := make([][]op, len(segments))
+	for w, seg := range segments {
+		if out[w], err = seg.plan(opts.Slots); err != nil {
+			return opts, nil, err
+		}
+	}
+	return opts, out, nil
 }
 
-// SimulateOpts counts the operations of an (S-slot, W-worker)
-// execution without side effects. The pipelining depths are irrelevant
-// here: the tapes, and hence the counts, depend only on Slots and
-// Workers (each worker plans its own segment from an empty slot state,
-// so totals are the exact sum of the per-worker tapes). The only
-// possible error is invalid options.
-func (s *Schedule) SimulateOpts(opts ExecOptions) (Result, error) {
-	return s.ExecuteOpts(Callbacks{}, ExecOptions{Slots: opts.Slots, Workers: opts.Workers})
+// Simulate counts the operations ExecuteParallel would perform under
+// opts without performing any — the Table 1 measurement, and the
+// prediction the engine asserts every iteration. It replays the planned
+// per-worker tapes in turn with no callbacks, which starts no goroutine
+// and enables no stream. The pipelining depths do not affect the counts
+// (the tapes depend on Slots and Workers alone), and PrefetchedLoads /
+// AsyncUnloads — which describe how an execution overlapped its I/O —
+// are always 0. The only possible error is invalid options.
+func (s *Schedule) Simulate(opts ExecOptions) (Result, error) {
+	opts, tapes, err := s.tapes(opts)
+	if err != nil {
+		return Result{}, err
+	}
+	var total Result
+	for _, tape := range tapes {
+		r, err := replay(tape, Callbacks{}, opts)
+		if err != nil {
+			return Result{}, err
+		}
+		total.Add(r)
+	}
+	return total, nil
 }
 
 // Validate checks that the schedule covers the PI graph exactly: every

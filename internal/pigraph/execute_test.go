@@ -28,10 +28,30 @@ func traceCallbacks(trace *[]event) Callbacks {
 	}
 }
 
+// execute runs s through ExecuteParallel — the only entry point —
+// handing the same callbacks to every worker and returning the summed
+// result. With opts.Workers > 1 the callbacks must be safe for
+// concurrent use.
+func execute(s *Schedule, cb Callbacks, opts ExecOptions) (Result, error) {
+	total, _, err := s.ExecuteParallel(func(int) Callbacks { return cb }, opts)
+	return total, err
+}
+
+// simulate counts s's ops under the paper's setting (two slots, one
+// cursor), which cannot fail.
+func simulate(t testing.TB, s *Schedule) Result {
+	t.Helper()
+	r, err := s.Simulate(ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // referenceExecute is the original hard-coded two-slot serial executor
 // (the pre-pipelining implementation), kept verbatim as the oracle for
-// tape-equivalence testing: ExecuteOpts with Slots=2, PrefetchDepth=0
-// must reproduce its callback sequence op for op.
+// tape-equivalence testing: an execution with Slots=2 must reproduce
+// its callback sequence op for op, per tape worker.
 func referenceExecute(s *Schedule, cb Callbacks) (Result, error) {
 	type refMachine struct {
 		resident [2]int64
@@ -137,7 +157,7 @@ func TestTapeMatchesReferenceSerialExecutor(t *testing.T) {
 					t.Fatal(err)
 				}
 				var got []event
-				gotRes, err := s.ExecuteOpts(traceCallbacks(&got), ExecOptions{Slots: 2})
+				gotRes, err := execute(s, traceCallbacks(&got), ExecOptions{Slots: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -202,7 +222,7 @@ func TestMultiSlotResidencyInvariants(t *testing.T) {
 					return nil
 				},
 			}
-			res, err := s.ExecuteOpts(cb, ExecOptions{Slots: slots})
+			res, err := execute(s, cb, ExecOptions{Slots: slots})
 			if err != nil {
 				t.Fatalf("slots=%d %s: %v", slots, h.Name(), err)
 			}
@@ -226,7 +246,7 @@ func TestMoreSlotsNeverIncreaseOps(t *testing.T) {
 	g := randomPI(t, 99, 40, 200)
 	simOps := func(s *Schedule, slots int) int64 {
 		t.Helper()
-		r, err := s.SimulateOpts(ExecOptions{Slots: slots})
+		r, err := s.Simulate(ExecOptions{Slots: slots})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,14 +265,13 @@ func TestMoreSlotsNeverIncreaseOps(t *testing.T) {
 	}
 }
 
-// TestSimulateOptsReturnsValidationError: invalid options surface as
-// an error, not a panic (unlike the paper-default Simulate, which
-// cannot fail).
-func TestSimulateOptsReturnsValidationError(t *testing.T) {
+// TestSimulateReturnsValidationError: invalid options surface as an
+// error, not a panic.
+func TestSimulateReturnsValidationError(t *testing.T) {
 	g := randomPI(t, 2, 6, 10)
 	s := Sequential{}.Plan(g)
-	if _, err := s.SimulateOpts(ExecOptions{Slots: 1}); err == nil {
-		t.Error("Slots=1 accepted by SimulateOpts")
+	if _, err := s.Simulate(ExecOptions{Slots: 1}); err == nil {
+		t.Error("Slots=1 accepted by Simulate")
 	}
 }
 
@@ -361,7 +380,7 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 		var serialEvents []event
 		serialCB := serialStore.callbacks(&serialEvents)
 		serialCB.Fetch, serialCB.Commit = nil, nil
-		serialRes, err := s.ExecuteOpts(serialCB, ExecOptions{Slots: 2})
+		serialRes, err := execute(s, serialCB, ExecOptions{Slots: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +390,7 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 			var events []event
 			cb := store.callbacks(&events)
 			cb.Load = nil // force the fetch/commit path for every load
-			res, err := s.ExecuteOpts(cb, ExecOptions{Slots: 2, PrefetchDepth: depth})
+			res, err := execute(s, cb, ExecOptions{Slots: 2, PrefetchDepth: depth})
 			if err != nil {
 				t.Fatalf("%s depth=%d: %v", h.Name(), depth, err)
 			}
@@ -407,7 +426,7 @@ func TestPrefetchDepthBoundsConcurrency(t *testing.T) {
 		var events []event
 		cb := store.callbacks(&events)
 		cb.Load = nil
-		if _, err := s.ExecuteOpts(cb, ExecOptions{Slots: 2, PrefetchDepth: int(depth)}); err != nil {
+		if _, err := execute(s, cb, ExecOptions{Slots: 2, PrefetchDepth: int(depth)}); err != nil {
 			t.Fatal(err)
 		}
 		if store.maxFetch > depth {
@@ -441,7 +460,7 @@ func TestPipelinedPropagatesErrors(t *testing.T) {
 			}
 		},
 	}
-	_, err := s.ExecuteOpts(cb, ExecOptions{Slots: 2, PrefetchDepth: 2})
+	_, err := execute(s, cb, ExecOptions{Slots: 2, PrefetchDepth: 2})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -459,7 +478,7 @@ func TestPipelinedPropagatesErrors(t *testing.T) {
 // TestExecOptionsValidation is the table test of the option validator:
 // out-of-range budgets are rejected with a descriptive error (never
 // silently clamped), and the same answer comes back from Validate,
-// ExecuteOpts and SimulateOpts.
+// ExecuteParallel and Simulate.
 func TestExecOptionsValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -488,12 +507,11 @@ func TestExecOptionsValidation(t *testing.T) {
 			if err != nil && len(err.Error()) < 40 {
 				t.Errorf("error %q is not descriptive", err)
 			}
-			if _, execErr := s.ExecuteOpts(Callbacks{}, tc.opts); (execErr != nil) != tc.wantErr {
-				t.Errorf("ExecuteOpts error = %v, want error: %v", execErr, tc.wantErr)
+			if _, execErr := execute(s, Callbacks{}, tc.opts); (execErr != nil) != tc.wantErr {
+				t.Errorf("ExecuteParallel error = %v, want error: %v", execErr, tc.wantErr)
 			}
-			wantSimErr := (tc.opts.Slots != 0 && tc.opts.Slots < 2) || tc.opts.Workers < 0
-			if _, simErr := s.SimulateOpts(tc.opts); (simErr != nil) != wantSimErr {
-				t.Errorf("SimulateOpts error = %v (simulation validates Slots and Workers only)", simErr)
+			if _, simErr := s.Simulate(tc.opts); (simErr != nil) != tc.wantErr {
+				t.Errorf("Simulate error = %v, want error: %v", simErr, tc.wantErr)
 			}
 		})
 	}
@@ -516,7 +534,7 @@ func TestAsyncWritebackMatchesSerial(t *testing.T) {
 			var serialEvents []event
 			serialCB := serialStore.callbacks(&serialEvents)
 			serialCB.Fetch, serialCB.Commit, serialCB.Evict, serialCB.Flush = nil, nil, nil, nil
-			serialRes, err := s.ExecuteOpts(serialCB, ExecOptions{Slots: slots})
+			serialRes, err := execute(s, serialCB, ExecOptions{Slots: slots})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -529,7 +547,7 @@ func TestAsyncWritebackMatchesSerial(t *testing.T) {
 					var events []event
 					cb := store.callbacks(&events)
 					cb.Load, cb.Unload = nil, nil // force the async halves
-					res, err := s.ExecuteOpts(cb, ExecOptions{Slots: slots, PrefetchDepth: depth, WritebackDepth: wbDepth})
+					res, err := execute(s, cb, ExecOptions{Slots: slots, PrefetchDepth: depth, WritebackDepth: wbDepth})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -580,7 +598,7 @@ func TestPrefetchWaitsForInFlightWriteback(t *testing.T) {
 	var events []event
 	cb := store.callbacks(&events)
 	cb.Load, cb.Unload = nil, nil
-	res, err := s.ExecuteOpts(cb, ExecOptions{Slots: 2, PrefetchDepth: 2, WritebackDepth: 2})
+	res, err := execute(s, cb, ExecOptions{Slots: 2, PrefetchDepth: 2, WritebackDepth: 2})
 	if err != nil {
 		t.Fatal(err) // a stale read surfaces here as a Commit error
 	}
@@ -615,7 +633,7 @@ func TestWritebackPropagatesErrors(t *testing.T) {
 		Commit:  func(p uint32, data any) error { committed.Add(1); return nil },
 		Discard: func(p uint32, data any) { discarded.Add(1) },
 	}
-	_, err := s.ExecuteOpts(cb, ExecOptions{Slots: 2, PrefetchDepth: 2, WritebackDepth: 1})
+	_, err := execute(s, cb, ExecOptions{Slots: 2, PrefetchDepth: 2, WritebackDepth: 1})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -658,7 +676,7 @@ func TestCommitFailureDiscardsStagedFetch(t *testing.T) {
 			cb.Evict = func(p uint32) (any, error) { return int(p), nil }
 			cb.Flush = func(p uint32, data any) error { return nil }
 		}
-		_, err := s.ExecuteOpts(cb, opts)
+		_, err := execute(s, cb, opts)
 		if !errors.Is(err, boom) {
 			t.Fatalf("depth=%d: err = %v, want %v", depth, err, boom)
 		}
@@ -727,7 +745,7 @@ func TestMidTapeErrorDrainsPipeline(t *testing.T) {
 			},
 			PairAhead: func(a, b uint32) {},
 		}
-		_, err := s.ExecuteOpts(cb, ExecOptions{Slots: 2, PrefetchDepth: 3, WritebackDepth: 2, ShardAhead: 2})
+		_, err := execute(s, cb, ExecOptions{Slots: 2, PrefetchDepth: 3, WritebackDepth: 2, ShardAhead: 2})
 		if !errors.Is(err, boom) {
 			t.Fatalf("%s: err = %v, want %v", kind, err, boom)
 		}
@@ -786,7 +804,7 @@ func TestShardAheadAnnouncements(t *testing.T) {
 			Pair: func(a, b uint32) error { return consume(a, b) },
 			Self: func(p uint32) error { return consume(p, p) },
 		}
-		res, err := s.ExecuteOpts(cb, ExecOptions{Slots: 2, ShardAhead: w})
+		res, err := execute(s, cb, ExecOptions{Slots: 2, ShardAhead: w})
 		if err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}

@@ -34,9 +34,9 @@ func TestEdgeOrderIsTheWorstTraversal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive := (EdgeOrder{}).Plan(g).Simulate().Ops()
+	naive := simulate(t, (EdgeOrder{}).Plan(g)).Ops()
 	for _, h := range Heuristics() {
-		ops := h.Plan(g).Simulate().Ops()
+		ops := simulate(t, h.Plan(g)).Ops()
 		if naive <= ops {
 			t.Errorf("Edge-Order (%d ops) should cost more than %s (%d ops)", naive, h.Name(), ops)
 		}
@@ -61,8 +61,8 @@ func TestCostAwareCompetitiveOnWeightedPI(t *testing.T) {
 	if err := ca.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	caOps := ca.Simulate().Ops()
-	hlOps := DegreeHighLow().Plan(g).Simulate().Ops()
+	caOps := simulate(t, ca).Ops()
+	hlOps := simulate(t, DegreeHighLow().Plan(g)).Ops()
 	if caOps > 2*hlOps {
 		t.Errorf("Cost-Aware ops %d wildly worse than High-Low %d", caOps, hlOps)
 	}
@@ -79,7 +79,7 @@ func TestCostAwareHandlesSelfOnlyWeight(t *testing.T) {
 	if err := s.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	if r := s.Simulate(); r.Selfs != 1 || r.Loads != 1 {
+	if r := simulate(t, s); r.Selfs != 1 || r.Loads != 1 {
 		t.Errorf("self-only result = %+v", r)
 	}
 }
@@ -95,7 +95,7 @@ func TestLowerBound(t *testing.T) {
 	big := randomPI(t, 5, 60, 300)
 	lb := big.LowerBound()
 	for _, h := range AllHeuristics() {
-		if ops := h.Plan(big).Simulate().Ops(); ops < lb {
+		if ops := simulate(t, h.Plan(big)).Ops(); ops < lb {
 			t.Errorf("%s: ops %d below lower bound %d", h.Name(), ops, lb)
 		}
 	}

@@ -100,7 +100,7 @@ func TestSequentialHandComputedPath(t *testing.T) {
 	if err := s.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	r := s.Simulate()
+	r := simulate(t, s)
 	if r.Loads != 2 || r.Unloads != 2 || r.Pairs != 1 {
 		t.Errorf("path result = %+v, want 2/2/1", r)
 	}
@@ -120,7 +120,7 @@ func TestSequentialHandComputedTriangle(t *testing.T) {
 	if err := s.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	r := s.Simulate()
+	r := simulate(t, s)
 	if r.Loads != 4 || r.Unloads != 4 || r.Pairs != 3 {
 		t.Errorf("triangle result = %+v, want loads=4 unloads=4 pairs=3", r)
 	}
@@ -134,7 +134,7 @@ func TestSelfOnlyPartition(t *testing.T) {
 		if err := s.Validate(g); err != nil {
 			t.Fatalf("%s: %v", h.Name(), err)
 		}
-		r := s.Simulate()
+		r := simulate(t, s)
 		if r.Loads != 1 || r.Unloads != 1 || r.Selfs != 1 || r.Pairs != 0 {
 			t.Errorf("%s: self-only result = %+v", h.Name(), r)
 		}
@@ -148,7 +148,7 @@ func TestEmptyGraphEmptySchedule(t *testing.T) {
 		if len(s.Visits) != 0 {
 			t.Errorf("%s: empty graph should produce empty schedule", h.Name())
 		}
-		if r := s.Simulate(); r.Ops() != 0 {
+		if r := simulate(t, s); r.Ops() != 0 {
 			t.Errorf("%s: empty schedule should cost 0 ops", h.Name())
 		}
 	}
@@ -193,7 +193,7 @@ func TestSimulateOpsBounds(t *testing.T) {
 	for _, h := range AllHeuristics() {
 		g := randomPI(t, 42, 30, 90)
 		s := h.Plan(g)
-		r := s.Simulate()
+		r := simulate(t, s)
 		if r.Pairs != int64(g.NumEdges()) {
 			t.Errorf("%s: processed %d pairs, want %d", h.Name(), r.Pairs, g.NumEdges())
 		}
@@ -220,9 +220,9 @@ func TestDegreeHeuristicsBeatSequentialOnSkewedGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := (Sequential{}).Plan(g).Simulate().Ops()
-	hl := DegreeHighLow().Plan(g).Simulate().Ops()
-	lh := DegreeLowHigh().Plan(g).Simulate().Ops()
+	seq := simulate(t, (Sequential{}).Plan(g)).Ops()
+	hl := simulate(t, DegreeHighLow().Plan(g)).Ops()
+	lh := simulate(t, DegreeLowHigh().Plan(g)).Ops()
 	if hl >= seq {
 		t.Errorf("High-Low (%d ops) should beat Sequential (%d ops)", hl, seq)
 	}
@@ -241,8 +241,8 @@ func TestDegreeHeuristicsBeatSequentialOnSkewedGraphs(t *testing.T) {
 
 func TestGreedyReuseAtLeastMatchesHighLow(t *testing.T) {
 	g := randomPI(t, 11, 400, 2400)
-	hl := DegreeHighLow().Plan(g).Simulate().Ops()
-	gr := (GreedyReuse{}).Plan(g).Simulate().Ops()
+	hl := simulate(t, DegreeHighLow().Plan(g)).Ops()
+	gr := simulate(t, (GreedyReuse{}).Plan(g)).Ops()
 	if gr > hl {
 		t.Errorf("Greedy-Reuse (%d) should not be worse than High-Low (%d)", gr, hl)
 	}
@@ -285,7 +285,7 @@ func TestExecuteCallbackInvariants(t *testing.T) {
 			return nil
 		},
 	}
-	r, err := s.Execute(cb)
+	r, err := execute(s, cb, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestExecutePropagatesCallbackErrors(t *testing.T) {
 	s := (Sequential{}).Plan(g)
 	wantErr := func(cb Callbacks) {
 		t.Helper()
-		if _, err := s.Execute(cb); err == nil {
+		if _, err := execute(s, cb, ExecOptions{}); err == nil {
 			t.Error("callback error should abort Execute")
 		}
 	}
@@ -317,7 +317,7 @@ func TestExecutePropagatesCallbackErrors(t *testing.T) {
 	g2 := New(1)
 	g2.AddShard(0, 0, 1)
 	s2 := (Sequential{}).Plan(g2)
-	if _, err := s2.Execute(Callbacks{Self: boom}); err == nil {
+	if _, err := execute(s2, Callbacks{Self: boom}, ExecOptions{}); err == nil {
 		t.Error("self callback error should abort Execute")
 	}
 }

@@ -87,53 +87,52 @@ func (s *Schedule) Split(workers int) []*Schedule {
 	return out
 }
 
-// ExecuteParallel runs the schedule sharded across opts.Workers
-// goroutines: the visit sequence is Split into contiguous segments and
-// each worker executes its segment through the full single-cursor
-// machinery — including every pipelining stream ExecOptions enables —
-// with its own Slots-slot LRU budget. cbFor is called once per worker,
-// before any worker starts, to build that worker's callback set;
-// distinct workers' callbacks run concurrently, so any state they
+// ExecuteParallel is the one way to run a schedule. The visit sequence
+// is Split into opts.Workers contiguous segments, each segment is
+// planned into an op tape under its own Slots-slot LRU budget, and each
+// tape is replayed on its own goroutine — overlapping whichever of phase
+// 4's three I/O streams ExecOptions enables (partition loads ahead of
+// the cursor, write-backs behind it, tuple-shard reads alongside it)
+// and fully serially when none is. For any fixed (Slots, Workers) the
+// op sequences — and therefore the Loads/Unloads accounting — are
+// identical at every pipelining setting. cbFor is called once per
+// worker, before any worker starts, to build that worker's callback
+// set; distinct workers' callbacks run concurrently, so any state they
 // share (a common partition store, accumulators) must be synchronized
 // by the caller.
 //
 // The returned total is the exact field-wise sum of the per-worker
 // results, which are also returned (indexed by worker). Totals are
 // deterministic for a fixed (Slots, Workers): the split is
-// deterministic and each segment's tape depends only on Slots. With
-// Workers <= 1 the single segment makes ExecuteParallel equivalent to
-// ExecuteOpts.
+// deterministic and each segment's tape depends only on Slots. Workers
+// <= 1 is the paper's single-cursor execution.
 //
 // Every worker runs to completion (or to its own first error) before
 // the call returns — background prefetches and write-backs are drained
-// per worker exactly as in single-cursor execution. The first error in
-// worker order is returned, annotated with the worker index; callers
-// that want cross-worker abort propagate a cancellation through their
-// callbacks.
+// per worker. The first error in worker order is returned, annotated
+// with the worker index; callers that want cross-worker abort propagate
+// a cancellation through their callbacks.
 func (s *Schedule) ExecuteParallel(cbFor func(worker int) Callbacks, opts ExecOptions) (Result, []Result, error) {
-	opts, err := opts.withDefaults()
+	opts, tapes, err := s.tapes(opts)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	segments := s.Split(opts.Workers)
 	// Build every worker's callbacks before the first worker starts —
 	// the documented guarantee that lets cbFor populate shared state
 	// without racing a running sibling.
-	cbs := make([]Callbacks, len(segments))
-	for w := range segments {
+	cbs := make([]Callbacks, len(tapes))
+	for w := range tapes {
 		cbs[w] = cbFor(w)
 	}
-	per := make([]Result, len(segments))
-	errs := make([]error, len(segments))
+	per := make([]Result, len(tapes))
+	errs := make([]error, len(tapes))
 	var wg sync.WaitGroup
-	for w, seg := range segments {
+	for w := range tapes {
 		wg.Add(1)
-		go func(w int, seg *Schedule, cb Callbacks) {
+		go func() {
 			defer wg.Done()
-			segOpts := opts
-			segOpts.Workers = 1
-			per[w], errs[w] = seg.executeSegment(cb, segOpts)
-		}(w, seg, cbs[w])
+			per[w], errs[w] = replay(tapes[w], cbs[w], opts)
+		}()
 	}
 	wg.Wait()
 
@@ -143,7 +142,7 @@ func (s *Schedule) ExecuteParallel(cbFor func(worker int) Callbacks, opts ExecOp
 	}
 	for w, err := range errs {
 		if err != nil {
-			return total, per, fmt.Errorf("pigraph: worker %d/%d: %w", w, len(segments), err)
+			return total, per, fmt.Errorf("pigraph: worker %d/%d: %w", w, len(tapes), err)
 		}
 	}
 	return total, per, nil

@@ -3,6 +3,7 @@ package pigraph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -89,11 +90,11 @@ func TestSimulateWorkersSumsSegments(t *testing.T) {
 	g := randomPI(t, 41, 25, 110)
 	for _, h := range AllHeuristics() {
 		s := h.Plan(g)
-		single, err := s.SimulateOpts(ExecOptions{Slots: 2})
+		single, err := s.Simulate(ExecOptions{Slots: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		one, err := s.SimulateOpts(ExecOptions{Slots: 2, Workers: 1})
+		one, err := s.Simulate(ExecOptions{Slots: 2, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,13 +103,13 @@ func TestSimulateWorkersSumsSegments(t *testing.T) {
 		}
 		for _, slots := range []int{2, 4} {
 			for _, workers := range []int{2, 3, 4} {
-				got, err := s.SimulateOpts(ExecOptions{Slots: slots, Workers: workers})
+				got, err := s.Simulate(ExecOptions{Slots: slots, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
 				var want Result
 				for _, seg := range s.Split(workers) {
-					r, err := seg.SimulateOpts(ExecOptions{Slots: slots})
+					r, err := seg.Simulate(ExecOptions{Slots: slots})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -127,82 +128,111 @@ func TestSimulateWorkersSumsSegments(t *testing.T) {
 	}
 }
 
-// TestExecuteParallelMatchesPerSegmentSerial runs the sharded executor
-// with per-worker trace callbacks: every worker's callback sequence
-// must equal the serial execution of its own segment, each worker must
-// respect its own Slots residency bound, and the summed Result must
-// equal both the per-worker sum and the (Slots, Workers) simulation.
+// splitTraceCallbacks records the same events as traceCallbacks but
+// through the split halves only: Commit records the load and Evict the
+// unload — both run on the cursor at the op's tape position, whether
+// the other half ran in the background (depth > 0) or was composed
+// synchronously (depth 0) — so one callback set serves every depth.
+func splitTraceCallbacks(trace *[]event) Callbacks {
+	cb := traceCallbacks(trace)
+	load, unload := cb.Load, cb.Unload
+	cb.Load, cb.Unload = nil, nil
+	cb.Fetch = func(p uint32) (any, error) { return nil, nil }
+	cb.Commit = func(p uint32, _ any) error { return load(p) }
+	cb.Evict = func(p uint32) (any, error) { return nil, unload(p) }
+	cb.Flush = func(uint32, any) error { return nil }
+	return cb
+}
+
+// counts strips the fields that describe how an execution overlapped
+// its I/O, leaving what the tape alone determines.
+func counts(r Result) Result {
+	r.PrefetchedLoads, r.AsyncUnloads = 0, 0
+	return r
+}
+
+// TestExecuteParallelMatchesPerSegmentSerial runs the one executor at
+// W ∈ {1,2,4} × pipelining depth ∈ {0,2} with per-worker trace
+// callbacks: every worker's callback sequence must equal the
+// single-cursor execution of its own segment — the referenceExecute
+// oracle at Slots=2, a W=1 depth-0 run of the segment at Slots=3 — each
+// worker must respect its own Slots residency bound, and the summed
+// Result must equal both the per-worker sum and Simulate(opts).
 func TestExecuteParallelMatchesPerSegmentSerial(t *testing.T) {
 	g := randomPI(t, 29, 30, 150)
 	for _, h := range AllHeuristics() {
 		s := h.Plan(g)
-		for _, workers := range []int{2, 4} {
-			for _, slots := range []int{2, 3} {
-				opts := ExecOptions{Slots: slots, Workers: workers}
-				segs := s.Split(workers)
+		for _, workers := range []int{1, 2, 4} {
+			for _, depth := range []int{0, 2} {
+				for _, slots := range []int{2, 3} {
+					name := fmt.Sprintf("%s workers=%d depth=%d slots=%d", h.Name(), workers, depth, slots)
+					opts := ExecOptions{Slots: slots, Workers: workers, PrefetchDepth: depth, WritebackDepth: depth, ShardAhead: depth}
+					segs := s.Split(workers)
 
-				traces := make([][]event, len(segs))
-				residents := make([]map[uint32]bool, len(segs))
-				var mu sync.Mutex // guards t.Errorf from worker goroutines
-				cbFor := func(w int) Callbacks {
-					residents[w] = make(map[uint32]bool)
-					cb := traceCallbacks(&traces[w])
-					load, unload := cb.Load, cb.Unload
-					cb.Load = func(p uint32) error {
-						residents[w][p] = true
-						if len(residents[w]) > slots {
-							mu.Lock()
-							t.Errorf("%s workers=%d slots=%d: worker %d holds %d partitions",
-								h.Name(), workers, slots, w, len(residents[w]))
-							mu.Unlock()
+					traces := make([][]event, len(segs))
+					residents := make([]map[uint32]bool, len(segs))
+					var mu sync.Mutex // guards t.Errorf from worker goroutines
+					cbFor := func(w int) Callbacks {
+						residents[w] = make(map[uint32]bool)
+						cb := splitTraceCallbacks(&traces[w])
+						commit, evict := cb.Commit, cb.Evict
+						cb.Commit = func(p uint32, data any) error {
+							residents[w][p] = true
+							if len(residents[w]) > slots {
+								mu.Lock()
+								t.Errorf("%s: worker %d holds %d partitions", name, w, len(residents[w]))
+								mu.Unlock()
+							}
+							return commit(p, data)
 						}
-						return load(p)
+						cb.Evict = func(p uint32) (any, error) {
+							delete(residents[w], p)
+							return evict(p)
+						}
+						cb.PairAhead = func(uint32, uint32) {}
+						return cb
 					}
-					cb.Unload = func(p uint32) error {
-						delete(residents[w], p)
-						return unload(p)
+					total, per, err := s.ExecuteParallel(cbFor, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-					return cb
-				}
-				total, per, err := s.ExecuteParallel(cbFor, opts)
-				if err != nil {
-					t.Fatalf("%s workers=%d slots=%d: %v", h.Name(), workers, slots, err)
-				}
-				if len(per) != len(segs) {
-					t.Fatalf("%s workers=%d: %d per-worker results, %d segments", h.Name(), workers, len(per), len(segs))
-				}
+					if len(per) != len(segs) {
+						t.Fatalf("%s: %d per-worker results, %d segments", name, len(per), len(segs))
+					}
 
-				var sum Result
-				for w, seg := range segs {
-					var want []event
-					wantRes, err := seg.ExecuteOpts(traceCallbacks(&want), ExecOptions{Slots: slots})
+					var sum Result
+					for w, seg := range segs {
+						var want []event
+						var wantRes Result
+						if slots == 2 {
+							wantRes, err = referenceExecute(seg, traceCallbacks(&want))
+						} else {
+							wantRes, err = execute(seg, traceCallbacks(&want), ExecOptions{Slots: slots})
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if counts(per[w]) != wantRes {
+							t.Fatalf("%s: worker %d result %+v, serial segment %+v", name, w, per[w], wantRes)
+						}
+						if !slices.Equal(traces[w], want) {
+							t.Fatalf("%s: worker %d trace differs from its serial segment:\n%v\n%v", name, w, traces[w], want)
+						}
+						sum.Add(per[w])
+					}
+					if total != sum {
+						t.Fatalf("%s: total %+v, per-worker sum %+v", name, total, sum)
+					}
+					if depth > 0 && total.Loads > int64(2*len(segs)) && (total.PrefetchedLoads == 0 || total.AsyncUnloads != total.Unloads) {
+						t.Errorf("%s: streams enabled but idle: %+v", name, total)
+					}
+					sim, err := s.Simulate(opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if per[w] != wantRes {
-						t.Fatalf("%s workers=%d slots=%d: worker %d result %+v, serial segment %+v",
-							h.Name(), workers, slots, w, per[w], wantRes)
+					if counts(total) != sim {
+						t.Fatalf("%s: executed %+v, simulated %+v", name, total, sim)
 					}
-					if len(traces[w]) != len(want) {
-						t.Fatalf("%s worker %d: %d events, serial segment %d", h.Name(), w, len(traces[w]), len(want))
-					}
-					for i := range want {
-						if traces[w][i] != want[i] {
-							t.Fatalf("%s worker %d: event %d = %+v, serial segment %+v",
-								h.Name(), w, i, traces[w][i], want[i])
-						}
-					}
-					sum.Add(wantRes)
-				}
-				if total != sum {
-					t.Fatalf("%s workers=%d slots=%d: total %+v, per-worker sum %+v", h.Name(), workers, slots, total, sum)
-				}
-				sim, err := s.SimulateOpts(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if total != sim {
-					t.Fatalf("%s workers=%d slots=%d: executed %+v, simulated %+v", h.Name(), workers, slots, total, sim)
 				}
 			}
 		}
@@ -231,7 +261,7 @@ func TestExecuteParallelPipelinedWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := s.SimulateOpts(ExecOptions{Slots: 2, Workers: workers})
+	sim, err := s.Simulate(ExecOptions{Slots: 2, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,7 +174,6 @@ func (s *Server) Mux() *http.ServeMux {
 	m.HandleFunc("GET "+api.PathHealth, s.handleHealth)
 	m.HandleFunc("GET "+api.PathStats, s.handleStats)
 	// Deprecated pre-v1 alias; serves the identical v1 document.
-	m.HandleFunc("GET "+api.PathStatsDeprecated, s.handleStats)
 	return m
 }
 

@@ -117,7 +117,7 @@ func TestLookupEndpoints(t *testing.T) {
 
 // TestStatsVersioned: /v1/stats returns the structured per-endpoint
 // document, counters book requests/misses/errors in the right rows,
-// and the deprecated /stats alias serves the identical schema.
+// and the pre-v1 /stats path is gone.
 func TestStatsVersioned(t *testing.T) {
 	_, srv := fixture(t)
 	h := srv.Mux()
@@ -146,16 +146,7 @@ func TestStatsVersioned(t *testing.T) {
 		t.Fatalf("profile row = %+v", pf)
 	}
 
-	// The deprecated alias answers the same versioned document
-	// (modulo the percentile fields, which move with traffic).
-	var alias api.StatsResponse
-	get(t, h, "/stats", http.StatusOK, &alias)
-	if alias.Version != st.Version || alias.ReadTier != st.ReadTier {
-		t.Fatalf("alias = %+v, want the v1 document", alias)
-	}
-	if alias.Endpoints[api.EndpointNeighbors].Requests != nb.Requests {
-		t.Fatalf("alias neighbors row = %+v", alias.Endpoints[api.EndpointNeighbors])
-	}
+	get(t, h, "/stats", http.StatusNotFound, nil)
 }
 
 // TestPushEndpoint: POSTed updates land in the primaries' phase-5

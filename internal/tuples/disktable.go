@@ -168,7 +168,7 @@ func (t *DiskTable) addKeys(id ShardID, keys []uint64) (int64, error) {
 	return 0, nil
 }
 
-// SetTombstones implements TombstoneFilter.
+// SetTombstones implements Table.
 func (t *DiskTable) SetTombstones(dead func(uint32) bool) { t.dead = dead }
 
 // Add implements Table.

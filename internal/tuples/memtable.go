@@ -73,7 +73,7 @@ func (t *MemTable) shard(id ShardID) (*memShard, error) {
 	return sh, nil
 }
 
-// SetTombstones implements TombstoneFilter.
+// SetTombstones implements Table.
 func (t *MemTable) SetTombstones(dead func(uint32) bool) { t.dead = dead }
 
 // Add implements Table.

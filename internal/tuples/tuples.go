@@ -102,6 +102,16 @@ type Table interface {
 	// partitions (i, j), sorted by (S, D). It may be called at most
 	// once per shard (disk-backed tables consume the shard).
 	Shard(i, j uint32) ([]Tuple, error)
+	// SetTombstones installs the deletion predicate: every subsequently
+	// added tuple with a tombstoned endpoint is dropped at the door, so
+	// a deleted user neither emits nor receives candidates in the next
+	// full iteration. The predicate must be installed before any
+	// producer starts adding (it is read without synchronization from
+	// the add paths) and must be safe for concurrent calls. A nil
+	// predicate — the default — filters nothing and costs one nil check
+	// per add, keeping the deletion-free path bit-identical to a table
+	// without the filter.
+	SetTombstones(dead func(uint32) bool)
 	// Close releases any resources.
 	Close() error
 }
@@ -128,19 +138,6 @@ type ShardPrefetcher interface {
 type ShardID struct {
 	I uint32
 	J uint32
-}
-
-// TombstoneFilter is the optional deletion surface of a Table:
-// SetTombstones installs a predicate and every subsequently added
-// tuple with a tombstoned endpoint is dropped at the door, so a
-// deleted user neither emits nor receives candidates in the next full
-// iteration. The predicate must be installed before any producer
-// starts adding (it is read without synchronization from the add
-// paths) and must be safe for concurrent calls. A nil predicate — the
-// default — filters nothing and costs one nil check per add, keeping
-// the deletion-free path bit-identical to a table without the filter.
-type TombstoneFilter interface {
-	SetTombstones(dead func(uint32) bool)
 }
 
 // filterTuples drops batch entries with a tombstoned endpoint. With a

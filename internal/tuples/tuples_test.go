@@ -724,7 +724,7 @@ func TestTombstoneFilterDropsDeadEndpoints(t *testing.T) {
 		"mem":  NewMemTable(a),
 		"disk": NewDiskTable(a, scratch, &stats, 0),
 	} {
-		table.(TombstoneFilter).SetTombstones(dead)
+		table.SetTombstones(dead)
 		if err := table.Add(0, 2); err != nil { // dead dst: dropped
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -154,10 +154,10 @@ curl -fsS -X POST http://127.0.0.1:7781/v1/profile \
   -d '{"updates":[{"user":0,"op":"set","item":9999,"weight":1.5}]}' >"$WORK/push.json"
 grep -q '"queued":1' "$WORK/push.json" || { echo "FAIL: push not queued:"; cat "$WORK/push.json"; exit 1; }
 
-echo "== serving-tier stats: $(curl -fsS http://127.0.0.1:7781/v1/stats)"
-# The deprecated alias must serve the same versioned document.
-curl -fsS http://127.0.0.1:7781/stats | grep -q '"version":1' || {
-  echo "FAIL: /stats alias is not the v1 document"; exit 1; }
+curl -fsS http://127.0.0.1:7781/v1/stats >"$WORK/stats.json"
+echo "== serving-tier stats: $(cat "$WORK/stats.json")"
+grep -q '"version":1' "$WORK/stats.json" || {
+  echo "FAIL: /v1/stats is not the v1 document"; exit 1; }
 
 echo "== diffing serving-run graph against its in-process reference"
 if ! cmp "$WORK/serve_ref.graph" "$WORK/serving.graph"; then
