@@ -24,13 +24,14 @@ race:
 # Focused, uncached -race pass over the phase-4 concurrency surface:
 # the sharded-tape executor and ownership layer at workers=4, the
 # executor error-path drains, DiskTable Close-vs-ShardAhead, the
-# emulated device's debt accounting, and mid-run cancellation. `race`
+# emulated device's debt accounting, mid-run cancellation, and the
+# engine's retry ladder healing every store exchange. `race`
 # already runs these once; this target re-runs them with -count=1 so
 # CI exercises the racy interleavings fresh on every push. Tests are
 # selected by name, so a rename could silently shrink the pass: the
 # target first lists what the pattern matches and fails when any
 # package matches nothing.
-RACE_PHASE4_RUN = Worker|Sharded|Parallel|Split|Cancel|Close|Device|Pipelined|MidTape|Commit|PartStore|NetStore|NetOwner|Lease|Torn|Shard
+RACE_PHASE4_RUN = Worker|Sharded|Parallel|Split|Cancel|Close|Device|Pipelined|MidTape|Commit|PartStore|NetStore|NetOwner|Lease|Torn|Shard|Heal
 RACE_PHASE4_PKGS = ./internal/pigraph ./internal/core ./internal/tuples ./internal/disk ./internal/netstore ./internal/lint
 race-phase4:
 	@for pkg in $(RACE_PHASE4_PKGS); do \

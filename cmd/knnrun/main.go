@@ -42,14 +42,15 @@
 //	             runs the full five-phase iteration only while some
 //	             partition's drift score is ≥ this value (0 = always
 //	             iterate, the classic schedule)
-//	-iterretries retry a transiently failed iteration up to this many
-//	             times (network store runs). A failed iteration aborts
-//	             before its commit, so the retry re-runs it from the
-//	             same committed state deterministically — this is the
-//	             operator-level ladder above the client's per-op
-//	             retries and the engine's phase-4 heal loop, and it
-//	             rides out a shard crash+restart mid-run (0 = fail
-//	             fast, the default)
+//	-iterretries the engine's store-retry budget (core.Options.StoreRetries;
+//	             network store runs): how many times one iteration
+//	             restarts its compute from phase 1, or re-issues a
+//	             drain or publish exchange, after a transient store
+//	             failure. The engine's ladder is the only one above the
+//	             client's per-op retries; raise the budget to ride out
+//	             a shard crash+restart mid-run. The "attempts" column
+//	             counts the compute attempts each iteration took
+//	             (0 = the engine default of 3)
 //	-dumpgraph   write the final KNN graph to this file, one sorted
 //	             neighbor line per user — deterministic, so two runs
 //	             (e.g. in-process vs -netstore) can be diffed byte for byte
@@ -68,7 +69,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"knnpc/internal/core"
 	"knnpc/internal/dataset"
@@ -76,7 +76,6 @@ import (
 	"knnpc/internal/exact"
 	"knnpc/internal/graph"
 	"knnpc/internal/knn"
-	"knnpc/internal/netstore"
 	"knnpc/internal/partition"
 	"knnpc/internal/pigraph"
 	"knnpc/internal/profile"
@@ -130,7 +129,7 @@ func parseFlags(args []string) config {
 	fs.StringVar(&cfg.netstore, "netstore", "", `sharded network state store: "shards=N" (loopback cluster) or a comma-separated statestore address list (empty = in-process store)`)
 	fs.BoolVar(&cfg.serveViews, "serveviews", false, "publish serve views to the network store after each iteration (requires -netstore)")
 	fs.Float64Var(&cfg.staleness, "staleness", 0, "drain add/delete deltas each pass and run a full iteration only at drift ≥ this score (0 = always iterate)")
-	fs.IntVar(&cfg.iterRetries, "iterretries", 0, "retry a transiently failed iteration up to this many times (network store runs; 0 = fail fast)")
+	fs.IntVar(&cfg.iterRetries, "iterretries", 0, "the engine's store-retry budget: restarts of an iteration's compute, or re-issues of a drain or publish, after a transient store failure (network store runs; 0 = the engine default of 3)")
 	fs.StringVar(&cfg.dumpGraph, "dumpgraph", "", "write the final KNN graph to this file (deterministic text, diffable across runs)")
 	fs.BoolVar(&cfg.profilesOnDisk, "profilesondisk", false, "keep the canonical profile collection on disk too")
 	fs.BoolVar(&cfg.recall, "recall", false, "also compute exact KNN and report recall (O(n²))")
@@ -186,6 +185,7 @@ func run(out io.Writer, cfg config) error {
 		NetStoreAddrs:      netAddrs,
 		PublishViews:       cfg.serveViews,
 		StalenessThreshold: cfg.staleness,
+		StoreRetries:       cfg.iterRetries,
 		OnDisk:             cfg.onDisk,
 		EmulateDisk:        emulate,
 		ProfilesOnDisk:     cfg.profilesOnDisk,
@@ -206,7 +206,7 @@ func run(out io.Writer, cfg config) error {
 	}
 	fmt.Fprintf(out, "engine: k=%d m=%d heuristic=%s partitioner=%s sim=%s workers=%d execworkers=%d buildworkers=%d slots=%d prefetch=%d writeback=%v shardahead=%d ondisk=%v netstore=%s\n\n",
 		cfg.k, cfg.m, h.Name(), p.Name(), sim.Name(), cfg.workers, cfg.execWorkers, cfg.buildWorkers, cfg.slots, cfg.prefetch, cfg.writeback, cfg.shardAhead, cfg.onDisk, netDesc)
-	fmt.Fprintln(out, "iter  phase1(part)  phase2(tuples)  phase3(pi)  phase4(score)  phase5(upd)  ops  prefetched  async-wb  changed")
+	fmt.Fprintln(out, "iter  phase1(part)  phase2(tuples)  phase3(pi)  phase4(score)  phase5(upd)  ops  prefetched  async-wb  changed  attempts")
 
 	for i := 0; i < cfg.iters; i++ {
 		if cfg.staleness > 0 {
@@ -231,30 +231,18 @@ func run(out io.Writer, cfg config) error {
 				break
 			}
 		}
-		// A transiently failed iteration aborts before its commit
-		// window, so re-running it from the same committed state is
-		// deterministic — the healed trajectory matches a fault-free
-		// run bit for bit. -iterretries is the operator-level ladder
-		// above the client's per-op retries and the engine's phase-4
-		// heal loop: it covers the exchanges those deliberately do not
-		// retry (phase-5 drains) and outages longer than their budgets.
-		var st *core.IterationStats
-		var err error
-		for attempt := 0; ; attempt++ {
-			st, err = eng.Iterate(context.Background())
-			if err == nil {
-				break
-			}
-			if attempt >= cfg.iterRetries || !netstore.IsTransient(err) {
+		st, err := eng.Iterate(context.Background())
+		if err != nil {
+			// Same as the delta path's: the iteration is committed and
+			// must not be re-run; only its pushed views lag.
+			if !errors.Is(err, core.ErrPublishFailed) {
 				return err
 			}
-			fmt.Fprintf(out, "iteration %d failed transiently (attempt %d/%d, retrying): %v\n",
-				i, attempt+1, cfg.iterRetries, err)
-			time.Sleep(time.Duration(attempt+1) * 200 * time.Millisecond)
+			fmt.Fprintf(out, "iteration %d: committed but publish failed: %v\n", st.Iteration, err)
 		}
-		fmt.Fprintf(out, "%4d  %12v  %14v  %10v  %13v  %11v  %5d  %10d  %8d  %d\n",
+		fmt.Fprintf(out, "%4d  %12v  %14v  %10v  %13v  %11v  %5d  %10d  %8d  %7d  %8d\n",
 			st.Iteration, st.Phases.Partition, st.Phases.Tuples, st.Phases.PIGraph,
-			st.Phases.Score, st.Phases.Update, st.Ops(), st.PrefetchedLoads, st.AsyncUnloads, st.EdgeChanges)
+			st.Phases.Score, st.Phases.Update, st.Ops(), st.PrefetchedLoads, st.AsyncUnloads, st.EdgeChanges, st.Attempts)
 		if st.EdgeChanges == 0 {
 			fmt.Fprintln(out, "converged")
 			break

@@ -8,26 +8,28 @@ import (
 	"time"
 
 	"knnpc/internal/fault"
-	"knnpc/internal/graph"
 	"knnpc/internal/netstore"
 )
 
-// TestEngineHealsUnderSeededFaults is the tentpole invariant of the
-// robustness PR: an engine run over a chaos-wrapped store — seeded
-// connection drops, stalls, and torn frames on every shard listener —
-// must complete through the client retry ladder and the engine's
-// phase-4 heal-and-retry loop, and the committed graph must be
-// byte-identical to the fault-free trajectory. The matrix varies the
-// plan seed (different fault sequences) and the drop pressure.
+// TestEngineHealsUnderSeededFaults: an engine run over a chaos-wrapped
+// store — seeded connection drops, stalls, and torn frames on every
+// shard listener — must complete through the client's per-op retries
+// and the engine's one ladder above them, one Iterate call per
+// iteration, and the committed graph must be byte-identical to the
+// fault-free trajectory. The matrix varies the plan seed (different
+// fault sequences) and the drop pressure.
 func TestEngineHealsUnderSeededFaults(t *testing.T) {
 	const users, iters = 250, 2
 	base := Options{
 		K: 5, NumPartitions: 6, ExecWorkers: 2,
 		PrefetchDepth: 2, AsyncWriteback: true, Seed: 11,
 		// Tight engine-level backoff: the matrix exercises the retry
-		// structure, not the production pacing.
-		StoreRetries:      4,
-		StoreRetryBackoff: 5 * time.Millisecond,
+		// structure, not the production pacing. The budget is sized for
+		// the heaviest row: a COLLECT stream is not retried below the
+		// engine, and at 3% drops per I/O nearly half of them die —
+		// seven attempts for one iteration have been seen.
+		StoreRetries:      30,
+		StoreRetryBackoff: time.Millisecond,
 	}
 	_, refGraph := runEngine(t, base, users, iters)
 
@@ -64,43 +66,15 @@ func TestEngineHealsUnderSeededFaults(t *testing.T) {
 
 			opts := base
 			opts.NetStoreAddrs = cluster.Addrs()
-			chaosGraph := iterateHealing(t, opts, users, iters)
+			stats, chaosGraph := runEngine(t, opts, users, iters)
+			for _, st := range stats {
+				t.Logf("iteration %d took %d compute attempts", st.Iteration, st.Attempts)
+			}
 			if refGraph.DiffEdges(chaosGraph) != 0 {
 				t.Fatal("graph under injected faults differs from the fault-free trajectory")
 			}
 		})
 	}
-}
-
-// iterateHealing drives iters iterations like runEngine, but retries a
-// transiently failed iteration the way an operator (or knnrun's retry
-// wrapper) would. The engine deliberately does not retry phase-5
-// drains — a lost drain response is ambiguous — but a failed iteration
-// aborts *before* the commit window, so re-running it from the same
-// committed state is deterministic: the healed trajectory must still
-// match the fault-free one bit for bit.
-func iterateHealing(t *testing.T, opts Options, users, iters int) *graph.KNN {
-	t.Helper()
-	store := testStore(t, users, 42)
-	eng, err := New(store, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	for i := 0; i < iters; i++ {
-		const attempts = 5
-		for a := 0; ; a++ {
-			_, err := eng.Iterate(context.Background())
-			if err == nil {
-				break
-			}
-			if a+1 >= attempts || !netstore.IsTransient(err) {
-				t.Fatal(err)
-			}
-			t.Logf("iteration %d attempt %d failed transiently (retrying): %v", i, a, err)
-		}
-	}
-	return eng.Graph()
 }
 
 // TestEngineRetriesExhaust: when the store stays down past the retry

@@ -29,13 +29,13 @@ import (
 // staged during a pass and lands only inside the commit window, so a
 // failed pass leaves no trace.
 
-// ErrPublishFailed marks an ApplyDeltas pass whose commit landed — the
-// graph, profiles, tombstones and epoch all advanced — but whose
-// post-commit republish of serve views or the staleness document
-// failed. Callers should retry the publish (the next successful commit
-// republishes anyway), not re-apply the mutations: test with
-// errors.Is(err, ErrPublishFailed).
-var ErrPublishFailed = errors.New("core: delta pass committed but post-commit publish failed")
+// ErrPublishFailed marks an Iterate or ApplyDeltas call whose commit
+// landed — the graph, profiles, tombstones and epoch all advanced, and
+// the stats are returned alongside the error — but whose post-commit
+// publish of serve views or the staleness document failed. The work is
+// done: do not run it again. The next successful commit republishes.
+// Test with errors.Is(err, ErrPublishFailed).
+var ErrPublishFailed = errors.New("core: committed but post-commit publish failed")
 
 // publishError wraps a post-commit publish failure so callers can
 // distinguish it from a failed commit via errors.Is(err,

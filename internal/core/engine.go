@@ -164,17 +164,21 @@ type Options struct {
 	// NetStoreShards and PublishViews; with an external cluster
 	// (NetStoreAddrs), run `cmd/statestore -replicaof` instead.
 	NetStoreReplicas bool
-	// StoreRetries bounds how many times one Iterate re-runs phase 4
-	// after a transient store failure (shard restart, dropped
-	// connection, injected fault) before giving up. Each retry issues
-	// RESET to every shard — dropping all partials and leases, keeping
-	// bases — and re-executes the tape from phase 1's installed bases,
-	// so a healed attempt produces exactly the graph a fault-free run
-	// would. Meaningful only with a network store; 0 defaults to 3.
+	// StoreRetries is the budget of the engine's one retry ladder (the
+	// only one above the store client's per-op retries): how many times
+	// one Iterate retries a step that failed transiently at the store —
+	// shard restart, dropped connection, injected fault, stale lease. A
+	// failed compute (phases 1–4 and the graph assembly) restarts from
+	// phase 1, whose base PUTs drop every partial and revoke every lease
+	// the failed attempt left behind, so a healed iteration produces
+	// exactly the graph a fault-free one would; a failed phase-5 drain or
+	// post-commit publish re-issues that one exchange. Each step has the
+	// budget to itself. Meaningful only with a network store; 0 defaults
+	// to 3.
 	StoreRetries int
-	// StoreRetryBackoff is the pause before each phase-4 re-run
-	// (doubled per retry, jitter-free — determinism of the result does
-	// not depend on timing). 0 defaults to 250ms.
+	// StoreRetryBackoff is the pause before the first retry, doubled for
+	// each further one up to 32× (jitter-free — determinism of the
+	// result does not depend on timing). 0 defaults to 250ms.
 	StoreRetryBackoff time.Duration
 	// OnDisk selects real file-backed partition state and tuple
 	// spills under ScratchDir; false keeps serialized state in memory
@@ -551,10 +555,12 @@ func (e *Engine) Run(ctx context.Context, maxIters int) ([]*IterationStats, erro
 			break
 		}
 		st, err := e.Iterate(ctx)
+		if st != nil { // committed, even when its publish failed
+			all = append(all, st)
+		}
 		if err != nil {
 			return all, err
 		}
-		all = append(all, st)
 		if st.EdgeChanges == 0 {
 			break
 		}
@@ -563,255 +569,337 @@ func (e *Engine) Run(ctx context.Context, maxIters int) ([]*IterationStats, erro
 }
 
 // Iterate runs one full five-phase KNN iteration, transforming G(t)
-// into G(t+1) and P(t) into P(t+1).
+// into G(t+1) and P(t) into P(t+1): compute G(t+1) from committed state
+// without touching any of it, drain the queued updates, swap both in
+// under the commit window, publish. Everything before the window can be
+// cured by doing it again, and retryStore is the one place that does: a
+// transiently failed compute restarts from phase 1, a failed drain or
+// publish re-issues that exchange. A publish that stays down past the
+// budget returns the committed iteration's stats with an error matching
+// ErrPublishFailed — never re-run such an iteration.
 func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 	if e.closed {
 		return nil, fmt.Errorf("core: engine is closed")
 	}
 	stats := &IterationStats{Iteration: e.iter, NumPartitions: e.opts.NumPartitions}
 	ioStart := e.iostats.Snapshot()
-
-	// Phase 1: partition G(t), then build every partition's state —
-	// member profile snapshots plus empty accumulators — on the
-	// BuildWorkers pool (per-partition work is independent).
-	start := time.Now()
-	dg := e.g.Digraph()
-	assign, err := e.opts.Partitioner.Partition(dg, e.opts.NumPartitions)
-	if err != nil {
-		return nil, fmt.Errorf("core: phase 1 (partition): %w", err)
-	}
-	parts := partition.Build(dg, assign)
-	stats.PartitionObjective = partition.Objective(dg, assign)
-	stats.BuildWorkers = e.buildWorkerCount()
 	states := e.newPartStore()
 	defer states.cleanup()
-	if err := e.buildStates(ctx, parts, states); err != nil {
-		return nil, fmt.Errorf("core: phase 1 (state init): %w", err)
+
+	var it *iteration
+	err := e.retryStore(ctx, func() (err error) {
+		stats.Attempts++
+		it, err = e.compute(ctx, states, stats)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	stats.Phases.Partition = time.Since(start)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: canceled after phase 1: %w", err)
+	if err := runPhase(ctx, it, 5, "profile updates", &stats.Phases.Update, e.phaseUpdate); err != nil {
+		return nil, err
 	}
 
-	// Phases 2–4 run as one heal-and-retry unit. A transient store
-	// failure (shard crash/restart, dropped connection, injected
-	// fault) or a stale lease — the signature of a restart that wiped
-	// the lease table — does not invalidate phase 1's installed bases,
-	// but it does invalidate the tuple table: phase-4 scoring consumes
-	// each tuple shard exactly once (DiskTable.Shard drains and
-	// deletes the spill file), so a partially executed tape cannot be
-	// replayed over the same table — re-running it would score only
-	// the shards the failed attempt had not yet consumed. The retry
-	// therefore rebuilds from phase 2: the tuple multiset is a pure
-	// function of (G(t), assign, seed, iteration), so the rebuilt
-	// shards, PI graph, and op tape are identical; RESET drops every
-	// shard's partials (including any a zombie worker landed after the
-	// abort) and the accumulators rebuild from the same empty
-	// baseline, so a healed attempt's graph is byte-identical to a
-	// fault-free run's.
-	var table tuples.Table
+	// Committed: from here on a failure must not look like a failed
+	// iteration, or a caller would run — and commit — it twice.
+	e.adoptPartitioning(it)
+	e.iter++
+	err = e.publish(ctx, it.parts)
+	stats.IO = e.iostats.Snapshot().Sub(ioStart)
+	return stats, err
+}
+
+// iteration is one compute attempt's working set, handed from phase to
+// phase. Nothing in it is engine state until phaseUpdate commits next.
+type iteration struct {
+	stats  *IterationStats
+	states partStore
+
+	dg     *graph.Digraph        // G(t) as phase 1 partitioned it
+	assign *partition.Assignment // phase 1
+	parts  []*partition.Data     // phase 1
+	table  tuples.Table          // phase 2; consumed by phase 4
+
+	schedule *pigraph.Schedule   // phase 3
+	execOpts pigraph.ExecOptions // phase 3; what Simulate predicted for
+
+	next *graph.KNN // phase 4: G(t+1), not yet committed
+}
+
+// runPhase is the one place a phase starts, is timed and fails: it
+// refuses to start under a canceled context, adds the phase's wall time
+// to *spent (summed over compute attempts) and names the phase in its
+// error.
+func runPhase(ctx context.Context, it *iteration, n int, name string, spent *time.Duration, phase func(context.Context, *iteration) error) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("core: canceled before phase %d (%s): %w", n, name, err)
+	}
+	start := time.Now()
+	err := phase(ctx, it)
+	*spent += time.Since(start)
+	if err != nil {
+		return fmt.Errorf("core: phase %d (%s): %w", n, name, err)
+	}
+	return nil
+}
+
+// retryStore is the engine's one retry ladder, the only one above the
+// store client's per-op retries. It runs op until it succeeds; a
+// transient store failure (storeTransient) is retried up to
+// Options.StoreRetries times, pausing StoreRetryBackoff doubled per
+// retry (up to 32×, so a budget sized to outlast a shard restart does
+// not end up sleeping for minutes); any other error, a canceled
+// context, or an engine with no network store ends it. What a retry
+// repeats is op's business: the whole compute, or one drain or publish
+// exchange.
+func (e *Engine) retryStore(ctx context.Context, op func() error) error {
+	for attempt := 0; ; attempt++ {
+		err := op()
+		if err == nil || e.netClient == nil || attempt >= e.opts.StoreRetries || !storeTransient(err) {
+			return err
+		}
+		select {
+		case <-ctx.Done():
+			return err
+		case <-time.After(e.opts.StoreRetryBackoff << min(attempt, 5)):
+		}
+	}
+}
+
+// compute runs phases 1–4 — everything an iteration does before it
+// touches committed state — as one restartable unit: a pure function of
+// (G(t), P(t), tombstones, seed, iteration number), so an attempt that
+// failed anywhere is cured by running it again, byte-identically. It
+// restarts from phase 1, not from the failed phase: the tuple table is
+// consume-once (phase 4 deletes each shard's spill as it scores it), so
+// phases 2–3 must be rebuilt anyway, and phase 1's base PUT is the
+// store's fencing point — it drops the partition's partials and revokes
+// its leases — so nothing the failed attempt, or a worker still in
+// flight from it, left on a shard reaches the new attempt's collect.
+func (e *Engine) compute(ctx context.Context, states partStore, stats *IterationStats) (*iteration, error) {
+	it := &iteration{stats: stats, states: states}
 	defer func() {
-		if table != nil {
-			table.Close()
+		if it.table != nil {
+			it.table.Close()
 		}
 	}()
-	var shared *phase4Shared
-	var result pigraph.Result
-	var perWorker []pigraph.Result
-	var prefetcher tuples.ShardPrefetcher
-	for attempt := 0; ; attempt++ {
-		// Phase 2: populate the hash table H — bridge tuples, the
-		// direct edges of G(t), and the exploration stream — from
-		// concurrent producers on the same pool, emitting in batches.
-		start = time.Now()
-		var err error
-		table, err = e.newTable(assign)
-		if err != nil {
-			return nil, fmt.Errorf("core: phase 2 (hash table): %w", err)
+	phases := [...]struct {
+		name  string
+		spent *time.Duration
+		run   func(context.Context, *iteration) error
+	}{
+		{"partition", &stats.Phases.Partition, e.phasePartition},
+		{"hash table", &stats.Phases.Tuples, e.phaseTuples},
+		{"PI graph", &stats.Phases.PIGraph, e.phasePIGraph},
+		{"KNN computation", &stats.Phases.Score, e.phaseScore},
+	}
+	for i, ph := range phases {
+		if err := runPhase(ctx, it, i+1, ph.name, ph.spent, ph.run); err != nil {
+			return nil, err
 		}
-		// Tombstoned users neither emit nor receive candidates: the
-		// filter drops their tuples at the table door. Installed only
-		// when there are tombstones, so deletion-free runs keep the
-		// exact pre-filter add path.
-		if len(e.dead) > 0 {
-			dead := e.dead
-			table.SetTombstones(func(u uint32) bool { _, ok := dead[u]; return ok })
-		}
-		if err := e.populateTable(ctx, dg, parts, table); err != nil {
-			return nil, fmt.Errorf("core: phase 2 (populate H): %w", err)
-		}
-		stats.TuplesAdded = table.Added()
-		stats.Phases.Tuples += time.Since(start)
+	}
+	return it, nil
+}
 
-		// Phase 3: PI graph and traversal plan.
-		start = time.Now()
-		pi, err := pigraph.FromTupleCounts(e.opts.NumPartitions, table.ShardCounts())
-		if err != nil {
-			return nil, fmt.Errorf("core: phase 3 (PI graph): %w", err)
-		}
-		stats.PIEdges = pi.NumEdges()
-		schedule := e.opts.Heuristic.Plan(pi)
-		execOpts := pigraph.ExecOptions{
-			Slots:         e.opts.Slots,
-			PrefetchDepth: e.opts.PrefetchDepth,
-			ShardAhead:    e.opts.ShardPrefetch,
-			Workers:       e.opts.ExecWorkers,
-		}
-		if e.opts.AsyncWriteback {
-			// The in-flight write bound mirrors the load lookahead, so
-			// the two pipeline directions stay symmetric.
-			execOpts.WritebackDepth = max(1, e.opts.PrefetchDepth)
-		}
-		predicted, err := schedule.Simulate(execOpts)
-		if err != nil {
-			return nil, fmt.Errorf("core: phase 3 (simulate): %w", err)
-		}
-		stats.PredictedLoads, stats.PredictedUnloads = predicted.Loads, predicted.Unloads
-		stats.Phases.PIGraph += time.Since(start)
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: canceled after phase 3: %w", err)
-		}
+// phasePartition is phase 1: partition G(t), then build every
+// partition's state — member profile snapshots plus empty accumulators
+// — on the BuildWorkers pool and install it in the partition store.
+func (e *Engine) phasePartition(ctx context.Context, it *iteration) error {
+	it.dg = e.g.Digraph()
+	assign, err := e.opts.Partitioner.Partition(it.dg, e.opts.NumPartitions)
+	if err != nil {
+		return err
+	}
+	it.assign = assign
+	it.parts = partition.Build(it.dg, assign)
+	it.stats.PartitionObjective = partition.Objective(it.dg, assign)
+	it.stats.BuildWorkers = e.buildWorkerCount()
+	if err := e.buildStates(ctx, it.parts, it.states); err != nil {
+		return fmt.Errorf("state init: %w", err)
+	}
+	return nil
+}
 
-		// Phase 4: execute the schedule under the S-slot memory model —
-		// sharded across ExecWorkers tape segments — scoring shards and
-		// folding results into the owning partitions' accumulators
-		// through the partition store. Each worker's
-		// executor overlaps up to three I/O streams with its scoring
-		// cursor: PrefetchDepth upcoming partition fetches,
-		// AsyncWriteback's bounded background write-backs, and
-		// ShardPrefetch tuple-shard reads.
-		start = time.Now()
-		prefetcher, _ = table.(tuples.ShardPrefetcher)
-		runCtx, cancelRun := context.WithCancel(ctx)
-		shared = &phase4Shared{
-			engine: e,
-			assign: assign,
-			owner:  states,
-			table:  table,
-			ctx:    runCtx,
-			cancel: cancelRun,
-		}
-		shared.shards = prefetcher
-		result, perWorker, err = schedule.ExecuteParallel(shared.workerCallbacks, execOpts)
-		cancelRun()
-		if err == nil {
-			break
-		}
+// phaseTuples is phase 2: populate the hash table H — bridge tuples,
+// the direct edges of G(t), and the exploration stream — from
+// concurrent producers on the build pool, emitting in batches.
+func (e *Engine) phaseTuples(ctx context.Context, it *iteration) error {
+	table, err := e.newTable(it.assign)
+	if err != nil {
+		return err
+	}
+	it.table = table
+	// Tombstoned users neither emit nor receive candidates: the filter
+	// drops their tuples at the table door. Installed only when there
+	// are tombstones, so deletion-free runs keep the exact pre-filter
+	// add path.
+	if len(e.dead) > 0 {
+		dead := e.dead
+		table.SetTombstones(func(u uint32) bool { _, ok := dead[u]; return ok })
+	}
+	if err := e.populateTable(ctx, it.dg, it.parts, table); err != nil {
+		return fmt.Errorf("populate H: %w", err)
+	}
+	it.stats.TuplesAdded = table.Added()
+	return nil
+}
+
+// phasePIGraph is phase 3: the partition interaction graph, the
+// heuristic's traversal plan, and the simulator's prediction of the
+// load/unload ops phase 4 will measure.
+func (e *Engine) phasePIGraph(_ context.Context, it *iteration) error {
+	pi, err := pigraph.FromTupleCounts(e.opts.NumPartitions, it.table.ShardCounts())
+	if err != nil {
+		return err
+	}
+	it.stats.PIEdges = pi.NumEdges()
+	it.schedule = e.opts.Heuristic.Plan(pi)
+	it.execOpts = pigraph.ExecOptions{
+		Slots:         e.opts.Slots,
+		PrefetchDepth: e.opts.PrefetchDepth,
+		ShardAhead:    e.opts.ShardPrefetch,
+		Workers:       e.opts.ExecWorkers,
+	}
+	if e.opts.AsyncWriteback {
+		// The in-flight write bound mirrors the load lookahead, so
+		// the two pipeline directions stay symmetric.
+		it.execOpts.WritebackDepth = max(1, e.opts.PrefetchDepth)
+	}
+	predicted, err := it.schedule.Simulate(it.execOpts)
+	if err != nil {
+		return fmt.Errorf("simulate: %w", err)
+	}
+	it.stats.PredictedLoads, it.stats.PredictedUnloads = predicted.Loads, predicted.Unloads
+	return nil
+}
+
+// phaseScore is phase 4: execute the schedule under the S-slot memory
+// model — sharded across ExecWorkers tape segments — scoring shards and
+// folding results into the owning partitions' accumulators through the
+// partition store, then assemble G(t+1) from the persisted
+// accumulators. Each worker's executor overlaps up to three I/O streams
+// with its scoring cursor: PrefetchDepth upcoming partition fetches,
+// AsyncWriteback's bounded background write-backs, and ShardPrefetch
+// tuple-shard reads.
+func (e *Engine) phaseScore(ctx context.Context, it *iteration) error {
+	prefetcher, _ := it.table.(tuples.ShardPrefetcher)
+	runCtx, cancelRun := context.WithCancel(ctx)
+	shared := &phase4Shared{
+		engine: e,
+		assign: it.assign,
+		owner:  it.states,
+		table:  it.table,
+		shards: prefetcher,
+		ctx:    runCtx,
+		cancel: cancelRun,
+	}
+	result, perWorker, err := it.schedule.ExecuteParallel(shared.workerCallbacks, it.execOpts)
+	cancelRun()
+	if err != nil {
 		// Workers that aborted mid-tape still hold references to their
-		// resident partitions; return that staged memory to the budget
-		// (the next attempt rebuilds all state from the store).
-		states.abort()
+		// resident partitions; return that staged memory to the budget.
+		it.states.abort()
 		// Prefer the first real callback error over the executor's view:
-		// sibling workers cancelled by it report a secondary
-		// "canceled" error that would otherwise mask the cause.
+		// sibling workers cancelled by it report a secondary "canceled"
+		// error that would otherwise mask the cause.
 		if first := shared.firstErr(); first != nil {
 			err = first
 		}
-		// The partially consumed table cannot be re-run; a retry drops it
-		// and rebuilds it from scratch after the RESET barrier.
-		err = e.awaitStoreRetry(ctx, attempt, "KNN computation", err, func() error {
-			table.Close()
-			table = nil
-			return e.netClient.Reset()
-		})
-		if err != nil {
-			return nil, err
-		}
+		return err
 	}
-	stats.Loads, stats.Unloads = result.Loads, result.Unloads
-	stats.PrefetchedLoads = result.PrefetchedLoads
-	stats.AsyncUnloads = result.AsyncUnloads
-	stats.ExecWorkers = len(perWorker)
-	stats.WorkerOps = make([]int64, len(perWorker))
+	st := it.stats
+	st.Loads, st.Unloads = result.Loads, result.Unloads
+	st.PrefetchedLoads = result.PrefetchedLoads
+	st.AsyncUnloads = result.AsyncUnloads
+	st.ExecWorkers = len(perWorker)
+	st.WorkerOps = make([]int64, len(perWorker))
 	for w, r := range perWorker {
-		stats.WorkerOps[w] = r.Ops()
+		st.WorkerOps[w] = r.Ops()
 	}
 	if prefetcher != nil {
-		stats.PrefetchedShardBytes = prefetcher.PrefetchedShardBytes()
+		st.PrefetchedShardBytes = prefetcher.PrefetchedShardBytes()
 	}
-	stats.TuplesScored = shared.scored.Load()
+	st.TuplesScored = shared.scored.Load()
 	// The totals are the field-wise sum of perWorker by construction,
 	// so this one check covers the whole worker breakdown: predicted
 	// comes from independently simulating each segment's tape.
-	if stats.Loads != stats.PredictedLoads || stats.Unloads != stats.PredictedUnloads {
-		return nil, fmt.Errorf("core: phase 4 measured %d/%d load/unload ops, simulator predicted %d/%d",
-			stats.Loads, stats.Unloads, stats.PredictedLoads, stats.PredictedUnloads)
+	if st.Loads != st.PredictedLoads || st.Unloads != st.PredictedUnloads {
+		return fmt.Errorf("measured %d/%d load/unload ops, simulator predicted %d/%d",
+			st.Loads, st.Unloads, st.PredictedLoads, st.PredictedUnloads)
 	}
 
-	// Assemble G(t+1) from the persisted accumulators. A COLLECT stream
-	// that dies mid-flight is not resumed (the client contract — see
-	// Client.Collect), so a transient store failure restarts the
-	// assembly from scratch with a fresh graph; partials are immutable
-	// once phase 4 succeeds, so every attempt reads the same state.
-	var next *graph.KNN
-	for attempt := 0; ; attempt++ {
-		var err error
-		next, err = graph.NewKNN(e.profiles.NumUsers(), e.opts.K)
-		if err != nil {
-			return nil, err
-		}
-		err = states.collect(func(st *partState) error {
-			for i, u := range st.members {
-				if err := next.Set(u, st.accs[i].IDs()); err != nil {
-					return err
-				}
+	// A COLLECT stream that dies mid-flight is not resumed (the client
+	// contract — see Client.Collect); like any other failure in here it
+	// fails the attempt.
+	next, err := graph.NewKNN(e.profiles.NumUsers(), e.opts.K)
+	if err != nil {
+		return err
+	}
+	err = it.states.collect(func(st *partState) error {
+		for i, u := range st.members {
+			if err := next.Set(u, st.accs[i].IDs()); err != nil {
+				return err
 			}
-			return nil
-		})
-		if err == nil {
-			break
 		}
-		if err := e.awaitStoreRetry(ctx, attempt, "collect", err, nil); err != nil {
-			return nil, err
-		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("collect: %w", err)
 	}
-	stats.EdgeChanges = e.g.DiffEdges(next)
-	stats.Phases.Score = time.Since(start)
+	it.next = next
+	st.EdgeChanges = e.g.DiffEdges(next)
+	return nil
+}
 
-	// Remote update ingestion: drain the batches knnserve (or any
-	// store client) pushed since the last iteration, ahead of this
-	// process's own queue. Both streams preserve per-user order; cross-
-	// stream order between a remote and a local update is unspecified,
-	// like any two concurrent EnqueueUpdate calls. The remote drain
-	// runs first: it is the one exchange that can fail, and failing
-	// before the local Drain means an aborted iteration loses nothing —
-	// locally enqueued updates are still queued when the caller retries.
-	start = time.Now()
+// phaseUpdate is phase 5 and the commit: drain the queued profile
+// updates, then swap in G(t+1) and apply P(t) → P(t+1) under the write
+// side of the query boundary. Queries block only for that window and
+// then observe the new epoch atomically: graph, profiles, and the epoch
+// counter move together.
+//
+// The remote drain — the batches knnserve (or any store client) pushed
+// since the last iteration — runs first: it is the one exchange that
+// can fail, and failing before the local Drain means an aborted
+// iteration loses nothing queued locally. Both streams preserve
+// per-user order; cross-stream order is unspecified, like any two
+// concurrent EnqueueUpdate calls. DRAINUPD is at-most-once (a shard
+// clears its queue as it answers, and the client never replays it
+// blind), so a re-issued drain keeps what the answering shards handed
+// over and asks again — they now answer empty.
+func (e *Engine) phaseUpdate(ctx context.Context, it *iteration) error {
 	var updates []profile.Update
 	if e.netClient != nil {
-		remote, err := e.netClient.DrainUpdates()
+		err := e.retryStore(ctx, func() error {
+			drained, err := e.netClient.DrainUpdates()
+			updates = append(updates, drained...)
+			return err
+		})
 		if err != nil {
-			return nil, fmt.Errorf("core: phase 5 (drain remote updates): %w", err)
+			return fmt.Errorf("drain remote updates: %w", err)
 		}
-		updates = remote
 	}
 	updates = append(updates, e.queue.Drain()...)
 
-	// Commit window: swap in G(t+1) and apply phase 5, P(t) → P(t+1),
-	// under the write side of the query boundary. Queries block only
-	// for this window — the swap plus the profile rewrite — and then
-	// observe the new epoch atomically: graph, profiles, and the epoch
-	// counter move together.
 	e.serveMu.Lock()
-	e.g = next
+	defer e.serveMu.Unlock()
 	applied, err := e.profiles.Apply(updates)
 	if err != nil {
-		e.serveMu.Unlock()
-		return nil, fmt.Errorf("core: phase 5 (profile updates): %w", err)
+		return err
 	}
+	e.g = it.next
 	e.epoch++
-	e.serveMu.Unlock()
-	stats.UpdatesApplied = applied
-	stats.Phases.Update = time.Since(start)
+	it.stats.UpdatesApplied = applied
+	return nil
+}
 
-	// This iteration refreshed every partition from scratch: reset the
-	// staleness clock and adopt its partitioning as the locality map
-	// the next delta inserts restrict themselves to. Delta-added users
-	// were partitioned for real by this phase 1, so their provisional
-	// slots retire.
-	e.lastAssign, e.lastParts = assign, parts
-	live := make([]int, len(parts))
-	for p, part := range parts {
+// adoptPartitioning runs right after a commit: the iteration refreshed
+// every partition from scratch, so the staleness clock resets and its
+// partitioning becomes the locality map the next delta inserts restrict
+// themselves to. Delta-added users were partitioned for real by this
+// phase 1, so their provisional slots retire.
+func (e *Engine) adoptPartitioning(it *iteration) {
+	e.lastAssign, e.lastParts = it.assign, it.parts
+	live := make([]int, len(it.parts))
+	for p, part := range it.parts {
 		for _, u := range part.Members {
 			if _, tomb := e.dead[u]; !tomb {
 				live[p]++
@@ -821,57 +909,56 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 	e.tracker.ResetFull(live, e.epoch)
 	e.deltaAssign = make(map[uint32]int)
 	e.deltaMembers = make(map[int][]uint32)
-
-	// Serve-view publish: push every partition's committed view — final
-	// top-K lists and post-update profiles — to the store, where point
-	// lookups and replicas answer from it. Runs outside the commit
-	// window (it only reads committed state) but before Cleanup's
-	// deferred CLEAR, which preserves views by contract.
-	if e.opts.PublishViews && e.netClient != nil {
-		if err := e.publishViews(parts); err != nil {
-			return nil, fmt.Errorf("core: publish serve views: %w", err)
-		}
-	}
-	// Staleness document: freshly reset counters, new last-full epoch.
-	// Metadata-only PUT — never perturbs the I/O accounting.
-	if e.netClient != nil {
-		if err := e.publishStaleness(); err != nil {
-			return nil, fmt.Errorf("core: publish staleness: %w", err)
-		}
-	}
-
-	stats.IO = e.iostats.Snapshot().Sub(ioStart)
-	e.iter++
-	return stats, nil
 }
 
-// publishViews encodes one serve view per partition from the just-
-// committed graph and profiles and PUTs it to the partition's shard.
-// The shard stamps each view with the partition's current epoch (the
-// one this iteration's phase-1 base PUT opened), which is what lets
-// replicas equate "epoch moved" with "a newer view exists".
-func (e *Engine) publishViews(parts []*partition.Data) error {
-	for p, part := range parts {
-		entries := make([]netstore.ViewEntry, 0, len(part.Members))
-		for _, u := range part.Members {
-			if _, tomb := e.dead[u]; tomb {
-				continue // tombstoned users are not served
+// publish pushes the committed iteration to the store: with
+// PublishViews every partition's serve view — final top-K lists and
+// post-update profiles, what point lookups and replicas answer from —
+// then the staleness document (freshly reset counters, new last-full
+// epoch; metadata only, never perturbs the I/O accounting). It runs
+// outside the commit window (it only reads committed state) but before
+// cleanup's deferred CLEAR, which preserves views by contract. Each PUT
+// is idempotent, so a failed one is re-issued; a store that stays down
+// past the budget is reported as ErrPublishFailed.
+func (e *Engine) publish(ctx context.Context, parts []*partition.Data) error {
+	if e.netClient == nil {
+		return nil
+	}
+	if e.opts.PublishViews {
+		for p, part := range parts {
+			if err := e.retryStore(ctx, func() error { return e.publishView(p, part) }); err != nil {
+				return &publishError{err: fmt.Errorf("publish serve view %d: %w", p, err)}
 			}
-			vec, err := e.profiles.Profile(u)
-			if err != nil {
-				return fmt.Errorf("partition %d user %d: %w", p, u, err)
-			}
-			entries = append(entries, netstore.ViewEntry{
-				User:      u,
-				Neighbors: e.g.Neighbors(u),
-				Profile:   vec.AppendBinary(nil),
-			})
-		}
-		if err := e.netClient.PutView(uint32(p), netstore.EncodeView(entries)); err != nil {
-			return err
 		}
 	}
+	if err := e.retryStore(ctx, e.publishStaleness); err != nil {
+		return &publishError{err: fmt.Errorf("publish staleness: %w", err)}
+	}
 	return nil
+}
+
+// publishView encodes partition p's serve view from the committed graph
+// and profiles and PUTs it to the partition's shard. The shard stamps
+// the view with the partition's current epoch (the one this iteration's
+// phase-1 base PUT opened), which is what lets replicas equate "epoch
+// moved" with "a newer view exists".
+func (e *Engine) publishView(p int, part *partition.Data) error {
+	entries := make([]netstore.ViewEntry, 0, len(part.Members))
+	for _, u := range part.Members {
+		if _, tomb := e.dead[u]; tomb {
+			continue // tombstoned users are not served
+		}
+		vec, err := e.profiles.Profile(u)
+		if err != nil {
+			return fmt.Errorf("user %d: %w", u, err)
+		}
+		entries = append(entries, netstore.ViewEntry{
+			User:      u,
+			Neighbors: e.g.Neighbors(u),
+			Profile:   vec.AppendBinary(nil),
+		})
+	}
+	return e.netClient.PutView(uint32(p), netstore.EncodeView(entries))
 }
 
 // QueryNeighbors answers a point lookup for user u's committed top-K
@@ -933,29 +1020,6 @@ func (e *Engine) ReplicaAddrs() []string {
 		return nil
 	}
 	return e.replicas.Addrs()
-}
-
-// awaitStoreRetry decides what a failed phase-4 store step does next.
-// When err is a transient store failure and attempts remain, it runs
-// reset (nil = nothing to reset), sleeps the attempt's backoff and
-// returns nil: the caller goes round again. Otherwise it returns the
-// error the iteration fails with.
-func (e *Engine) awaitStoreRetry(ctx context.Context, attempt int, step string, err error, reset func() error) error {
-	failed := fmt.Errorf("core: phase 4 (%s): %w", step, err)
-	if e.netClient == nil || attempt >= e.opts.StoreRetries || !storeTransient(err) || ctx.Err() != nil {
-		return failed
-	}
-	if reset != nil {
-		if rerr := reset(); rerr != nil {
-			return fmt.Errorf("core: phase 4 reset after %v: %w", err, rerr)
-		}
-	}
-	select {
-	case <-ctx.Done():
-		return failed
-	case <-time.After(e.opts.StoreRetryBackoff << attempt):
-		return nil
-	}
 }
 
 // newPartStore decides where an iteration's partition state lives — the

@@ -9,11 +9,11 @@ import (
 	"knnpc/internal/netstore"
 )
 
-// storeTransient reports whether err is a store failure phase 4 can
-// heal by resetting and re-running: a transport-classified transient
-// (dropped connection, timeout, injected fault, RETRY response), or a
-// stale lease — the signature of a shard restart that wiped the lease
-// table out from under a live worker.
+// storeTransient reports whether err is a store failure the engine's
+// retry ladder (Engine.retryStore) can cure by doing the step again: a
+// transport-classified transient (dropped connection, timeout, injected
+// fault, RETRY response), or a stale lease — the signature of a shard
+// restart that wiped the lease table out from under a live worker.
 func storeTransient(err error) bool {
 	return netstore.IsTransient(err) || errors.Is(err, netstore.ErrStaleLease)
 }
@@ -159,9 +159,10 @@ func (o *netOwner) fold(_ uint32, fn func()) error {
 
 // abort drops every hold after a failed run: staged memory goes back to
 // the budget, leases are released best-effort (the shard may be the
-// thing that failed), and nothing is written back — the next Iterate
-// opens a new epoch with fresh base PUTs, which revokes any lease the
-// release could not reach.
+// thing that failed), and nothing is written back — the next attempt,
+// or the next Iterate, starts with fresh base PUTs, which revoke any
+// lease the release could not reach and drop any partial the failed
+// run did land.
 func (o *netOwner) abort() {
 	o.mu.Lock()
 	held := o.held

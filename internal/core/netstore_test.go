@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"knnpc/internal/disk"
 	"knnpc/internal/netstore"
@@ -206,86 +206,6 @@ func TestNetOwnerStaleLeaseWriteBack(t *testing.T) {
 	}
 }
 
-// corePRoxy is a minimal frame-forwarding proxy used to take a shard
-// down deterministically mid-phase-4: it counts LEASE request frames
-// and trips — killing current and future connections — after the
-// configured number, which lands inside the phase-4 tape (phase 1 PUTs
-// carry no leases).
-type coreProxy struct {
-	ln              net.Listener
-	backend         string
-	broken          atomic.Bool
-	tripAfterLeases int64
-	leases          atomic.Int64
-}
-
-func newCoreProxy(t *testing.T, backend string, tripAfterLeases int64) *coreProxy {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &coreProxy{ln: ln, backend: backend, tripAfterLeases: tripAfterLeases}
-	go p.acceptLoop()
-	t.Cleanup(func() { ln.Close() })
-	return p
-}
-
-func (p *coreProxy) Addr() string { return p.ln.Addr().String() }
-
-// heal reopens the link and disarms the trip counter, so the recovered
-// engine runs to completion.
-func (p *coreProxy) heal() { p.broken.Store(false); p.leases.Store(-(1 << 60)) }
-
-func (p *coreProxy) acceptLoop() {
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		if p.broken.Load() {
-			conn.Close()
-			continue
-		}
-		go p.serve(conn)
-	}
-}
-
-func (p *coreProxy) serve(client net.Conn) {
-	defer client.Close()
-	backend, err := net.Dial("tcp", p.backend)
-	if err != nil {
-		return
-	}
-	defer backend.Close()
-	go io.Copy(client, backend)
-	// Requests are re-framed so the proxy can count LEASE frames and
-	// cut the link cleanly between requests.
-	hdr := make([]byte, 4)
-	for {
-		if p.broken.Load() {
-			return
-		}
-		if _, err := io.ReadFull(client, hdr); err != nil {
-			return
-		}
-		n := int(uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3]))
-		frame := make([]byte, n)
-		if _, err := io.ReadFull(client, frame); err != nil {
-			return
-		}
-		if n > 0 && frame[0] == 0x03 /* opLease */ && p.tripAfterLeases > 0 {
-			if p.leases.Add(1) > p.tripAfterLeases {
-				p.broken.Store(true)
-				return
-			}
-		}
-		if _, err := backend.Write(append(append([]byte{}, hdr...), frame...)); err != nil {
-			return
-		}
-	}
-}
-
 // TestNetStoreShardDiesMidPhase4 mirrors PR 3's injection matrix for
 // the network path: a shard that dies mid-load must surface a real
 // error from Iterate, drain every in-flight worker, release the full
@@ -297,30 +217,47 @@ func TestNetStoreShardDiesMidPhase4(t *testing.T) {
 		K: 6, NumPartitions: 8, ExecWorkers: 2,
 		PrefetchDepth: 2, AsyncWriteback: true,
 		MemoryBudget: 1 << 24, Seed: 23,
+		// The shard stays down, so every retry is spent; don't spend the
+		// production pacing on them too.
+		StoreRetries: 1, StoreRetryBackoff: time.Millisecond,
 	}
 	refOpts := base
 	refStats, refGraph := runEngine(t, refOpts, users, 2)
 	_ = refStats
 
-	cluster, err := netstore.StartCluster(2, 8, nil)
+	// Shard 1 goes down — every request on every connection dies — once
+	// it has seen its 2nd LEASE, which lands inside the phase-4 tape
+	// (phase 1 PUTs carry no leases). Shard 0 is untouched.
+	var leases atomic.Int32
+	down := &cutter{match: func(f []byte) bool {
+		if isOp(wireLease)(f) {
+			leases.Add(1)
+		}
+		return leases.Load() > 2
+	}}
+	down.arm(1 << 30)
+	cluster, err := netstore.StartClusterOpts([]string{"127.0.0.1:0", "127.0.0.1:0"}, 8, nil,
+		netstore.ClusterOptions{WrapListener: func(shard int, ln net.Listener) net.Listener {
+			if shard == 1 {
+				return down.wrap(ln)
+			}
+			return ln
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	addrs := cluster.Addrs()
-	// Shard 1 sits behind the flaky proxy; shard 0 is direct.
-	proxy := newCoreProxy(t, addrs[1], 2)
 
 	store := testStore(t, users, 42)
 	opts := base
-	opts.NetStoreAddrs = []string{addrs[0], proxy.Addr()}
+	opts.NetStoreAddrs = cluster.Addrs()
 	eng, err := New(store, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 
-	// Iteration 0: the proxy trips after the 2nd LEASE — mid-phase-4.
+	// Iteration 0: the shard dies mid-phase-4 and stays dead.
 	_, err = eng.Iterate(context.Background())
 	if err == nil {
 		t.Fatal("iteration with a dying shard returned no error")
@@ -332,11 +269,10 @@ func TestNetStoreShardDiesMidPhase4(t *testing.T) {
 		t.Fatalf("%d staged budget bytes leaked by the aborted netstore iteration", used)
 	}
 
-	// Heal the link; the engine's client poisoned its connection to the
-	// proxied shard, so it must be rebuilt through a fresh engine — the
-	// cross-process story is a restarted worker, not a resurrected
-	// socket. State on the shards is rebuilt by phase 1 either way.
-	proxy.heal()
+	// Heal the shard and run a fresh engine against it — the
+	// cross-process story is a restarted worker. State on the shards is
+	// rebuilt by phase 1 either way.
+	down.arm(0)
 	eng2, err := New(testStore(t, users, 42), opts)
 	if err != nil {
 		t.Fatal(err)

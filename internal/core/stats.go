@@ -26,8 +26,12 @@ func (p PhaseTimes) Total() time.Duration {
 type IterationStats struct {
 	// Iteration is the 0-based iteration index.
 	Iteration int
-	// Phases records per-phase wall time.
+	// Phases records per-phase wall time, summed over Attempts.
 	Phases PhaseTimes
+	// Attempts is how many times phases 1–4 ran: 1 on a clean run, one
+	// more for every transient store failure the iteration healed by
+	// restarting from phase 1 (Options.StoreRetries bounds it).
+	Attempts int
 	// NumPartitions is m.
 	NumPartitions int
 	// PartitionObjective is the paper's Σ(N_in + N_out) criterion

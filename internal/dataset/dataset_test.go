@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"sort"
 	"testing"
 
 	"knnpc/internal/graph"
@@ -99,15 +100,31 @@ func TestAlphaControlsSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatStats := graph.ComputeDegreeStats(flat.TotalDegrees())
-	skewedStats := graph.ComputeDegreeStats(skewed.TotalDegrees())
-	if skewedStats.Gini <= flatStats.Gini {
-		t.Errorf("alpha=0.9 should be more unequal than alpha=0: gini %g vs %g",
-			skewedStats.Gini, flatStats.Gini)
+	flatMax, flatTop := degreeSpread(flat.TotalDegrees())
+	skewedMax, skewedTop := degreeSpread(skewed.TotalDegrees())
+	if skewedTop <= flatTop {
+		t.Errorf("alpha=0.9 should be more unequal than alpha=0: top-decile degree share %g vs %g",
+			skewedTop, flatTop)
 	}
-	if skewedStats.Max < 3*flatStats.Max {
-		t.Errorf("skewed max degree %d should dwarf flat max %d", skewedStats.Max, flatStats.Max)
+	if skewedMax < 3*flatMax {
+		t.Errorf("skewed max degree %d should dwarf flat max %d", skewedMax, flatMax)
 	}
+}
+
+// degreeSpread reports a degree distribution's maximum and the share of
+// all edge endpoints held by the top tenth of the nodes — 0.1 when
+// degrees are uniform, toward 1 when a few hubs hold most edges.
+func degreeSpread(degrees []int) (maxDeg int, topShare float64) {
+	sorted := append([]int(nil), degrees...)
+	sort.Ints(sorted)
+	total, top := 0, 0
+	for i, d := range sorted {
+		total += d
+		if i >= len(sorted)-len(sorted)/10 {
+			top += d
+		}
+	}
+	return sorted[len(sorted)-1], float64(top) / float64(total)
 }
 
 func TestWeightsShuffledNoIDCorrelation(t *testing.T) {
@@ -142,30 +159,6 @@ func TestUniformRandom(t *testing.T) {
 	}
 	if g.NumNodes() != 100 || g.NumEdges() != 500 {
 		t.Errorf("n=%d m=%d", g.NumNodes(), g.NumEdges())
-	}
-}
-
-func TestPreferentialAttachment(t *testing.T) {
-	g, err := PreferentialAttachment(500, 3, 8)
-	if err != nil {
-		t.Fatalf("PreferentialAttachment: %v", err)
-	}
-	if g.NumNodes() != 500 {
-		t.Errorf("NumNodes = %d", g.NumNodes())
-	}
-	// n-1 arriving nodes each link out times (capped early on).
-	if g.NumEdges() < 3*450 || g.NumEdges() > 3*499 {
-		t.Errorf("NumEdges = %d, want ≈ 3×499", g.NumEdges())
-	}
-	stats := graph.ComputeDegreeStats(g.TotalDegrees())
-	if stats.Max < 20 {
-		t.Errorf("PA graph should grow hubs, max degree = %d", stats.Max)
-	}
-	if _, err := PreferentialAttachment(1, 1, 0); err == nil {
-		t.Error("n=1 should fail")
-	}
-	if _, err := PreferentialAttachment(10, 0, 0); err == nil {
-		t.Error("out=0 should fail")
 	}
 }
 
@@ -214,10 +207,10 @@ func TestPresetGnutellaFlatterThanWiki(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wikiGini := graph.ComputeDegreeStats(gw.TotalDegrees()).Gini
-	gnutGini := graph.ComputeDegreeStats(gg.TotalDegrees()).Gini
-	if wikiGini <= gnutGini {
-		t.Errorf("Wiki-Vote should be more skewed than Gnutella: gini %g vs %g", wikiGini, gnutGini)
+	_, wikiTop := degreeSpread(gw.TotalDegrees())
+	_, gnutTop := degreeSpread(gg.TotalDegrees())
+	if wikiTop <= gnutTop {
+		t.Errorf("Wiki-Vote should be more skewed than Gnutella: top-decile degree share %g vs %g", wikiTop, gnutTop)
 	}
 }
 

@@ -112,55 +112,3 @@ func (ws *weightedSampler) draw(rng *rand.Rand) uint32 {
 func UniformRandom(n, m int, seed int64) (*graph.Digraph, error) {
 	return GraphSpec{Name: "uniform", Nodes: n, Edges: m, Alpha: 0, Seed: seed}.Generate()
 }
-
-// PreferentialAttachment generates a directed graph by the Barabási–
-// Albert process: nodes arrive one at a time and link to `out` existing
-// nodes chosen proportionally to current total degree. It produces
-// ≈ out×(n−1) edges with a heavy-tailed in-degree distribution and is
-// used by the growth-oriented experiments (FW-1).
-func PreferentialAttachment(n, out int, seed int64) (*graph.Digraph, error) {
-	if n < 2 || out < 1 {
-		return nil, fmt.Errorf("dataset: preferential attachment needs n≥2, out≥1 (n=%d out=%d)", n, out)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	g := graph.NewDigraph(n)
-	// targets is the repeated-endpoint urn: each edge endpoint appears
-	// once, so drawing uniformly from it is degree-proportional.
-	urn := []uint32{0}
-	for v := 1; v < n; v++ {
-		links := out
-		if links > v {
-			links = v
-		}
-		chosen := make(map[uint32]bool, links)
-		for len(chosen) < links {
-			var candidate uint32
-			// Mix uniform choice in to keep the minimum connectivity.
-			if rng.Intn(4) == 0 {
-				candidate = uint32(rng.Intn(v))
-			} else {
-				candidate = urn[rng.Intn(len(urn))]
-			}
-			if candidate == uint32(v) || chosen[candidate] {
-				continue
-			}
-			chosen[candidate] = true
-		}
-		// The urn's element order feeds later draws
-		// (urn[rng.Intn(len(urn))]), so appending in map order made the
-		// whole graph differ run to run under one seed — the same
-		// map-order-into-RNG bug the dataset profile generator once had.
-		// Iterate the chosen set sorted.
-		added := make([]uint32, 0, len(chosen))
-		for u := range chosen {
-			added = append(added, u)
-		}
-		sort.Slice(added, func(a, b int) bool { return added[a] < added[b] })
-		for _, u := range added {
-			g.AddEdge(uint32(v), u)
-			urn = append(urn, uint32(v), u)
-		}
-	}
-	g.SortAdjacency()
-	return g, nil
-}

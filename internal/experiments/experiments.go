@@ -110,39 +110,17 @@ type SweepPoint struct {
 	Devices []disk.DeviceAccounting
 }
 
-// EngineConfig describes one engine sweep point.
+// EngineConfig describes one engine sweep point: the workload's shape
+// and the engine's own options, passed through as they are.
 type EngineConfig struct {
 	Label      string
 	Users      int
-	K          int
-	Partitions int
-	Workers    int
-	// ExecWorkers shards the phase-4 op tape across that many executor
-	// goroutines (0/1 = the single-cursor execution).
-	ExecWorkers int
-	// BuildWorkers parallelizes the phase-1/2 build side across that
-	// many producer goroutines (0/1 = the serial build). Output and
-	// accounting are identical at every count.
-	BuildWorkers int
-	// Slots, PrefetchDepth, AsyncWriteback and ShardPrefetch configure
-	// phase-4 execution: S resident partitions (0 = the paper's 2),
-	// the async load lookahead (0 = serial loads), background
-	// write-back of evicted state, and the tuple-shard read lookahead
-	// (0 = synchronous shard reads).
-	Slots          int
-	PrefetchDepth  int
-	AsyncWriteback bool
-	ShardPrefetch  int
-	// NetStoreShards moves partition state behind an in-process
-	// loopback cluster of that many network state-store shards, one
-	// emulated spindle per shard (0 = the in-process store).
-	NetStoreShards int
-	OnDisk         bool
-	// EmulateDisk enforces the named disk model's latency on state
-	// I/O ("" = none) so latency-bound comparisons are host-neutral.
+	Iterations int
+	// EmulateDisk names the disk model whose latency is enforced on
+	// state I/O ("" = none) so latency-bound comparisons are
+	// host-neutral; it takes the place of Options.EmulateDisk.
 	EmulateDisk string
-	Iterations  int
-	Seed        int64
+	core.Options
 }
 
 // RunEngine measures one engine configuration: it generates a clustered
@@ -161,21 +139,9 @@ func RunEngine(ctx context.Context, cfg EngineConfig) (SweepPoint, error) {
 	if err != nil {
 		return point, err
 	}
-	eng, err := core.New(profile.NewStoreFromVectors(vecs), core.Options{
-		K:              cfg.K,
-		NumPartitions:  cfg.Partitions,
-		Workers:        cfg.Workers,
-		ExecWorkers:    cfg.ExecWorkers,
-		BuildWorkers:   cfg.BuildWorkers,
-		Slots:          cfg.Slots,
-		PrefetchDepth:  cfg.PrefetchDepth,
-		AsyncWriteback: cfg.AsyncWriteback,
-		ShardPrefetch:  cfg.ShardPrefetch,
-		NetStoreShards: cfg.NetStoreShards,
-		OnDisk:         cfg.OnDisk,
-		EmulateDisk:    emulate,
-		Seed:           cfg.Seed,
-	})
+	opts := cfg.Options
+	opts.EmulateDisk = emulate
+	eng, err := core.New(profile.NewStoreFromVectors(vecs), opts)
 	if err != nil {
 		return point, err
 	}
@@ -210,8 +176,8 @@ func GraphSizeSweep(ctx context.Context, sizes []int) ([]SweepPoint, error) {
 	points := make([]SweepPoint, 0, len(sizes))
 	for _, n := range sizes {
 		p, err := RunEngine(ctx, EngineConfig{
-			Label: fmt.Sprintf("users=%d", n), Users: n,
-			K: 10, Partitions: 8, OnDisk: true, Iterations: 2, Seed: 1,
+			Label: fmt.Sprintf("users=%d", n), Users: n, Iterations: 2,
+			Options: core.Options{K: 10, NumPartitions: 8, OnDisk: true, Seed: 1},
 		})
 		if err != nil {
 			return nil, err
@@ -228,8 +194,8 @@ func MemorySweep(ctx context.Context, users int, ms []int) ([]SweepPoint, error)
 	points := make([]SweepPoint, 0, len(ms))
 	for _, m := range ms {
 		p, err := RunEngine(ctx, EngineConfig{
-			Label: fmt.Sprintf("m=%d", m), Users: users,
-			K: 10, Partitions: m, OnDisk: true, Iterations: 2, Seed: 1,
+			Label: fmt.Sprintf("m=%d", m), Users: users, Iterations: 2,
+			Options: core.Options{K: 10, NumPartitions: m, OnDisk: true, Seed: 1},
 		})
 		if err != nil {
 			return nil, err
@@ -244,8 +210,8 @@ func ThreadSweep(ctx context.Context, users int, workers []int) ([]SweepPoint, e
 	points := make([]SweepPoint, 0, len(workers))
 	for _, w := range workers {
 		p, err := RunEngine(ctx, EngineConfig{
-			Label: fmt.Sprintf("workers=%d", w), Users: users,
-			K: 10, Partitions: 8, Workers: w, Iterations: 2, Seed: 1,
+			Label: fmt.Sprintf("workers=%d", w), Users: users, Iterations: 2,
+			Options: core.Options{K: 10, NumPartitions: 8, Workers: w, Seed: 1},
 		})
 		if err != nil {
 			return nil, err
@@ -273,9 +239,11 @@ func PrefetchSweep(ctx context.Context, users int, depths []int, workers int, mo
 			label += "/" + model
 		}
 		p, err := RunEngine(ctx, EngineConfig{
-			Label: label, Users: users,
-			K: 10, Partitions: 8, Workers: workers, PrefetchDepth: d,
-			OnDisk: true, EmulateDisk: model, Iterations: 2, Seed: 1,
+			Label: label, Users: users, Iterations: 2, EmulateDisk: model,
+			Options: core.Options{
+				K: 10, NumPartitions: 8, Workers: workers, PrefetchDepth: d,
+				OnDisk: true, Seed: 1,
+			},
 		})
 		if err != nil {
 			return nil, err
@@ -320,10 +288,12 @@ func PipelineSweep(ctx context.Context, users, depth, workers int, model string)
 			label += "/" + model
 		}
 		p, err := RunEngine(ctx, EngineConfig{
-			Label: label, Users: users,
-			K: 10, Partitions: 8, Workers: workers,
-			PrefetchDepth: st.PrefetchDepth, AsyncWriteback: st.AsyncWriteback, ShardPrefetch: st.ShardPrefetch,
-			OnDisk: true, EmulateDisk: model, Iterations: 2, Seed: 1,
+			Label: label, Users: users, Iterations: 2, EmulateDisk: model,
+			Options: core.Options{
+				K: 10, NumPartitions: 8, Workers: workers,
+				PrefetchDepth: st.PrefetchDepth, AsyncWriteback: st.AsyncWriteback, ShardPrefetch: st.ShardPrefetch,
+				OnDisk: true, Seed: 1,
+			},
 		})
 		if err != nil {
 			return nil, err
@@ -347,10 +317,12 @@ func ExecWorkerSweep(ctx context.Context, users int, workerCounts []int, model s
 			label += "/" + model
 		}
 		p, err := RunEngine(ctx, EngineConfig{
-			Label: label, Users: users,
-			K: 10, Partitions: 8, Workers: 2, ExecWorkers: w,
-			Slots: 4, PrefetchDepth: 2, AsyncWriteback: true, ShardPrefetch: 2,
-			OnDisk: true, EmulateDisk: model, Iterations: 2, Seed: 1,
+			Label: label, Users: users, Iterations: 2, EmulateDisk: model,
+			Options: core.Options{
+				K: 10, NumPartitions: 8, Workers: 2, ExecWorkers: w,
+				Slots: 4, PrefetchDepth: 2, AsyncWriteback: true, ShardPrefetch: 2,
+				OnDisk: true, Seed: 1,
+			},
 		})
 		if err != nil {
 			return nil, err
@@ -372,9 +344,12 @@ func ExecWorkerSweep(ctx context.Context, users int, workerCounts []int, model s
 func NetstoreSweep(ctx context.Context, users, workers int, shardCounts []int, model string) ([]SweepPoint, error) {
 	configs := make([]EngineConfig, 0, 1+len(shardCounts))
 	base := EngineConfig{
-		Users: users, K: 10, Partitions: 8, Workers: 2, ExecWorkers: workers,
-		Slots: 4, PrefetchDepth: 2, AsyncWriteback: true, ShardPrefetch: 2,
-		OnDisk: true, EmulateDisk: model, Iterations: 2, Seed: 1,
+		Users: users, Iterations: 2, EmulateDisk: model,
+		Options: core.Options{
+			K: 10, NumPartitions: 8, Workers: 2, ExecWorkers: workers,
+			Slots: 4, PrefetchDepth: 2, AsyncWriteback: true, ShardPrefetch: 2,
+			OnDisk: true, Seed: 1,
+		},
 	}
 	single := base
 	single.Label = fmt.Sprintf("single-spindle/workers=%d/%s", workers, model)
@@ -414,11 +389,12 @@ func BuildWorkerSweep(ctx context.Context, users int, workerCounts []int, shards
 			label += "/" + model
 		}
 		p, err := RunEngine(ctx, EngineConfig{
-			Label: label, Users: users,
-			K: 10, Partitions: 16, Workers: 2, ExecWorkers: 2, BuildWorkers: w,
-			Slots: 4, PrefetchDepth: 2, AsyncWriteback: true, ShardPrefetch: 2,
-			NetStoreShards: shards,
-			OnDisk:         true, EmulateDisk: model, Iterations: 2, Seed: 1,
+			Label: label, Users: users, Iterations: 2, EmulateDisk: model,
+			Options: core.Options{
+				K: 10, NumPartitions: 16, Workers: 2, ExecWorkers: 2, BuildWorkers: w,
+				Slots: 4, PrefetchDepth: 2, AsyncWriteback: true, ShardPrefetch: 2,
+				NetStoreShards: shards, OnDisk: true, Seed: 1,
+			},
 		})
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"knnpc/internal/core"
 	"knnpc/internal/dataset"
 	"knnpc/internal/disk"
 	"knnpc/internal/pigraph"
@@ -60,7 +61,8 @@ func TestPaperTable1Shape(t *testing.T) {
 func TestRunEngineAndSweeps(t *testing.T) {
 	ctx := context.Background()
 	point, err := RunEngine(ctx, EngineConfig{
-		Label: "tiny", Users: 120, K: 4, Partitions: 4, Iterations: 1, Seed: 3,
+		Label: "tiny", Users: 120, Iterations: 1,
+		Options: core.Options{K: 4, NumPartitions: 4, Seed: 3},
 	})
 	if err != nil {
 		t.Fatal(err)

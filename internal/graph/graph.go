@@ -1,7 +1,6 @@
 // Package graph provides the directed-graph substrate used by the
-// out-of-core KNN engine: a mutable adjacency-list graph (Digraph), an
-// immutable compressed-sparse-row form (CSR), a bounded-out-degree KNN
-// graph (KNN), text and binary codecs, and degree statistics.
+// out-of-core KNN engine: a mutable adjacency-list graph (Digraph), a
+// bounded-out-degree KNN graph (KNN), and text and binary codecs.
 //
 // Node identifiers are dense uint32 values in [0, NumNodes). All graphs
 // are directed; undirected inputs are represented by storing both arcs.

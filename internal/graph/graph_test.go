@@ -3,7 +3,6 @@ package graph
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -162,74 +161,5 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCSRMatchesDigraphProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(40)
-		g, err := FromEdges(n, randomEdges(r, n, 2*n))
-		if err != nil {
-			return false
-		}
-		c := CSRFromDigraph(g)
-		if c.NumNodes() != g.NumNodes() || c.NumEdges() != g.NumEdges() {
-			return false
-		}
-		for u := 0; u < n; u++ {
-			want := append([]uint32(nil), g.OutNeighbors(uint32(u))...)
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			if !reflect.DeepEqual(nilIfEmpty(want), nilIfEmpty(c.OutNeighbors(uint32(u)))) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func nilIfEmpty(s []uint32) []uint32 {
-	if len(s) == 0 {
-		return nil
-	}
-	return s
-}
-
-func TestCSRDuplicateCollapseAndHasEdge(t *testing.T) {
-	c, err := NewCSR(3, []Edge{{0, 2}, {0, 1}, {0, 2}, {2, 0}})
-	if err != nil {
-		t.Fatalf("NewCSR: %v", err)
-	}
-	if c.NumEdges() != 3 {
-		t.Fatalf("NumEdges = %d, want 3 (duplicate collapsed)", c.NumEdges())
-	}
-	if got := c.OutNeighbors(0); !reflect.DeepEqual(got, []uint32{1, 2}) {
-		t.Errorf("OutNeighbors(0) = %v, want sorted [1 2]", got)
-	}
-	if !c.HasEdge(0, 2) || c.HasEdge(0, 0) || c.HasEdge(1, 2) {
-		t.Error("HasEdge gave wrong answers")
-	}
-	if c.OutDegree(7) != 0 || c.OutNeighbors(7) != nil {
-		t.Error("out-of-range CSR queries should be empty")
-	}
-}
-
-func TestCSRRejectsOutOfRange(t *testing.T) {
-	if _, err := NewCSR(2, []Edge{{0, 2}}); err == nil {
-		t.Fatal("NewCSR should reject out-of-range endpoints")
-	}
-}
-
-func TestCSRTranspose(t *testing.T) {
-	c, err := NewCSR(3, []Edge{{0, 1}, {1, 2}})
-	if err != nil {
-		t.Fatalf("NewCSR: %v", err)
-	}
-	tr := c.Transpose()
-	if !tr.HasEdge(1, 0) || !tr.HasEdge(2, 1) || tr.NumEdges() != 2 {
-		t.Errorf("transpose edges wrong: %v", tr.Edges())
 	}
 }

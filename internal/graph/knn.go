@@ -58,37 +58,6 @@ func RandomKNN(n, k int, rng *rand.Rand) (*KNN, error) {
 	return g, nil
 }
 
-// KNNFromDigraph builds a KNN graph from an arbitrary directed graph by
-// keeping each node's first k out-neighbors (in ascending id order,
-// self-loops and duplicates dropped) — a warm start from existing
-// relationship data instead of the random G(0).
-func KNNFromDigraph(dg *Digraph, k int) (*KNN, error) {
-	g, err := NewKNN(dg.NumNodes(), k)
-	if err != nil {
-		return nil, err
-	}
-	for u := 0; u < dg.NumNodes(); u++ {
-		nbrs := append([]uint32(nil), dg.OutNeighbors(uint32(u))...)
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-		kept := nbrs[:0]
-		var prev uint32
-		for i, v := range nbrs {
-			if v == uint32(u) || (i > 0 && v == prev) {
-				continue
-			}
-			prev = v
-			kept = append(kept, v)
-			if len(kept) == k {
-				break
-			}
-		}
-		if err := g.Set(uint32(u), kept); err != nil {
-			return nil, fmt.Errorf("graph: warm start node %d: %w", u, err)
-		}
-	}
-	return g, nil
-}
-
 // K reports the out-degree bound.
 func (g *KNN) K() int { return g.k }
 

@@ -160,33 +160,6 @@ func TestDiffEdgesSymmetryProperty(t *testing.T) {
 	}
 }
 
-func TestKNNFromDigraph(t *testing.T) {
-	dg := NewDigraph(5)
-	dg.AddEdge(0, 3)
-	dg.AddEdge(0, 1)
-	dg.AddEdge(0, 4)
-	dg.AddEdge(0, 2) // four out-neighbors, k will clip to 2
-	dg.AddEdge(1, 1) // self loop dropped
-	dg.AddEdge(1, 2)
-
-	g, err := KNNFromDigraph(dg, 2)
-	if err != nil {
-		t.Fatalf("KNNFromDigraph: %v", err)
-	}
-	if got := g.Neighbors(0); !reflect.DeepEqual(got, []uint32{1, 2}) {
-		t.Errorf("N(0) = %v, want first two by id [1 2]", got)
-	}
-	if got := g.Neighbors(1); !reflect.DeepEqual(got, []uint32{2}) {
-		t.Errorf("N(1) = %v, want [2] (self loop dropped)", got)
-	}
-	if got := g.Neighbors(4); len(got) != 0 {
-		t.Errorf("N(4) = %v, want empty", got)
-	}
-	if _, err := KNNFromDigraph(dg, 0); err == nil {
-		t.Error("k=0 should fail")
-	}
-}
-
 func TestKNNCloneAndDigraph(t *testing.T) {
 	g, _ := NewKNN(3, 2)
 	g.Set(0, []uint32{1, 2})

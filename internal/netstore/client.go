@@ -406,18 +406,6 @@ func (c *Client) Release(p uint32, token uint64) error {
 	return err
 }
 
-// Reset drops the phase-4 accumulation (partials and leases) on every
-// shard, keeping bases, epochs, views, and the pending queues — the
-// engine's barrier before re-running a failed phase 4.
-func (c *Client) Reset() error {
-	for i, sc := range c.shards {
-		if _, err := sc.roundTrip([]byte{opReset}); err != nil {
-			return fmt.Errorf("netstore: reset shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // Collect streams every stored partition through emit in ascending
 // partition id order (shard ranges are contiguous and ordered, so
 // shard-order emission is id-order emission — the in-process stores'

@@ -337,26 +337,29 @@ func (c *Client) Staleness() (StalenessDoc, bool, error) {
 
 // DrainUpdates collects and clears every shard's pending update queue,
 // in shard order then arrival order — which preserves per-user order,
-// since a user's pushes all route to the same shard.
+// since a user's pushes all route to the same shard. Like
+// DrainMutations, an error comes with the updates collected so far:
+// their shards have already cleared them, so the caller must keep them
+// (the engine does, and re-issues the drain for the rest).
 func (c *Client) DrainUpdates() ([]profile.Update, error) {
 	var all []profile.Update
 	for s, sc := range c.shards {
 		// roundTripOnce: same lost-response hazard as DrainMutations.
 		body, err := sc.roundTripOnce([]byte{opDrainUpd})
 		if err != nil {
-			return nil, fmt.Errorf("netstore: drain updates from shard %d: %w", s, err)
+			return all, fmt.Errorf("netstore: drain updates from shard %d: %w", s, err)
 		}
 		for len(body) > 0 {
 			size, rest, err := cutU32(body)
 			if err != nil {
-				return nil, err
+				return all, err
 			}
 			if uint64(size) > uint64(len(rest)) {
-				return nil, fmt.Errorf("netstore: drained batch claims %d bytes over %d", size, len(rest))
+				return all, fmt.Errorf("netstore: drained batch claims %d bytes over %d", size, len(rest))
 			}
 			batch, err := DecodeUpdates(rest[:size])
 			if err != nil {
-				return nil, err
+				return all, err
 			}
 			all = append(all, batch...)
 			body = rest[size:]

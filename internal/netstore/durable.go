@@ -32,11 +32,12 @@ import (
 // fsync is issued, so host-machine crashes are out of scope.
 
 // Journal record kinds (first payload byte of each journal frame).
+// 0x04 is retired and stays unassigned, so a journal that still holds
+// one fails replay loudly instead of being misread.
 const (
 	recPut      = 0x01 // u32 partition, kind byte, u64 token, blob
 	recLease    = 0x02 // u32 partition, u64 token (token monotonicity only)
 	recClear    = 0x03 // no body
-	recReset    = 0x04 // no body
 	recPushUpd  = 0x05 // encoded update batch
 	recAddUser  = 0x06 // u32 user, profile blob
 	recDelUser  = 0x07 // u32 user
@@ -229,10 +230,6 @@ func (s *Server) applyRecord(payload []byte) error {
 		return nil
 	case recClear:
 		s.base = make(map[uint32][]byte)
-		s.partials = make(map[uint32]map[uint64][]byte)
-		s.leases = make(map[uint32]map[uint64]struct{})
-		return nil
-	case recReset:
 		s.partials = make(map[uint32]map[uint64][]byte)
 		s.leases = make(map[uint32]map[uint64]struct{})
 		return nil

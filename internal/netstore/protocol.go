@@ -23,9 +23,6 @@
 //	                   in ascending id order
 //	CLEAR            → drop compute state (bases, partials, leases);
 //	                   epochs, serve views, and pending updates survive
-//	RESET            → drop phase-4 accumulation only (partials,
-//	                   leases); bases stay — the engine's retry barrier
-//	                   before re-running a failed phase 4
 //
 // and a read/serving side that never takes leases (the online query
 // tier — replicas and cmd/knnserve — speaks only these):
@@ -83,14 +80,7 @@ const (
 	opDelUser   = 0x0e
 	opDrainMut  = 0x0f
 	opStaleness = 0x10
-	// opReset drops the shard's phase-4 accumulation — partials and
-	// leases — while keeping bases, epochs, serve views, and the pending
-	// queues. It is the engine's retry barrier: before re-running a
-	// failed phase 4 it RESETs every shard, so partials a half-finished
-	// attempt managed to write can never merge with the rerun's (TopK
-	// merge does not deduplicate; a surviving duplicate would corrupt
-	// the bit-identity invariant).
-	opReset = 0x11
+	// 0x11 is retired and stays unassigned.
 )
 
 // Statuses (first payload byte of a response frame).

@@ -71,7 +71,6 @@ func TestProtocolDocMatchesCode(t *testing.T) {
 			"DELUSER":   opDelUser,
 			"DRAINMUT":  opDrainMut,
 			"STALENESS": opStaleness,
-			"RESET":     opReset,
 			// Statuses share the "| NAME | `0xNN` |" row shape; list
 			// them here so the single regexp's catch covers both tables.
 			"OK":    statusOK,

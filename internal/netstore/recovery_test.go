@@ -108,13 +108,30 @@ func TestRecoveryReplayEqualsPreCrashState(t *testing.T) {
 	if err != nil || len(muts) != 2 {
 		t.Fatalf("recovered mutations = %v, %v", muts, err)
 	}
-	// The pre-crash partial replayed, so a RESET (the engine's retry
-	// barrier) still has something to drop — and the base survives it.
-	if err := client2.Reset(); err != nil {
+	// The pre-crash partial replayed, and a base PUT after recovery —
+	// the first thing a restarted compute does to the partition — still
+	// drops it: the healed attempt collects its own partials only.
+	partials := func() int {
+		n := -1
+		err := client2.Collect(func(it CollectItem) error {
+			if it.Partition == 1 {
+				n = len(it.Partials)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if n := partials(); n != 1 {
+		t.Fatalf("recovered shard holds %d partials of partition 1, want the 1 replayed", n)
+	}
+	if err := client2.PutBase(1, []byte("base-1")); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := client2.Get(1); err != nil || string(got) != "base-1" {
-		t.Fatalf("post-reset base = %q, %v", got, err)
+	if n := partials(); n != 0 {
+		t.Fatalf("%d partials of partition 1 survived the post-recovery base PUT", n)
 	}
 }
 
@@ -364,5 +381,69 @@ func TestRecoveryFromSnapshotOnly(t *testing.T) {
 	doc, ok, err := client2.Staleness()
 	if err != nil || !ok || doc.LastFullEpoch != 3 {
 		t.Fatalf("snapshot-only staleness = %+v, %v, %v", doc, ok, err)
+	}
+}
+
+// TestJournalFailureFailsTheVerb: a DELUSER or a drain whose journal
+// append fails must fail — and leave memory where the journal is — or
+// the shard runs ahead of its own log: a restart would resurrect the
+// user its caller was told is gone, and hand the engine a batch it has
+// already drained. The journal's descriptor is closed underneath a live
+// shard, the shape a full or yanked disk gives every later append.
+func TestJournalFailureFailsTheVerb(t *testing.T) {
+	dir := t.TempDir()
+	srv, client := startDurable(t, "127.0.0.1:0", dir)
+	addr := srv.Addr()
+
+	vec, err := profile.NewVector([]profile.Entry{{Item: 3, Weight: 1.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.PushUpdates([]profile.Update{{User: 5, Kind: profile.SetItem, Item: 3, Weight: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.AddUser(6, vec.AppendBinary(nil)); err != nil {
+		t.Fatal(err)
+	}
+
+	srv.mu.Lock()
+	srv.durable.journal.Close()
+	srv.mu.Unlock()
+
+	if err := client.DelUser(7); err == nil {
+		t.Error("DELUSER answered OK though its journal record was never written")
+	}
+	if ups, err := client.DrainUpdates(); err == nil {
+		t.Errorf("DRAINUPD handed out %d updates though the drain was never journaled", len(ups))
+	}
+	if muts, err := client.DrainMutations(); err == nil {
+		t.Errorf("DRAINMUT handed out %d mutations though the drain was never journaled", len(muts))
+	}
+	srv.mu.Lock()
+	_, dead := srv.tombstones[7]
+	queued := len(srv.updates) + len(srv.mutations)
+	srv.mu.Unlock()
+	if dead || queued != 2 {
+		t.Errorf("failed verbs still mutated memory: user 7 tombstoned=%v, %d of 2 batches still queued", dead, queued)
+	}
+	client.Close()
+	srv.Close()
+
+	// The recovered shard agrees with what the callers were told:
+	// nobody was deleted and nothing was drained.
+	srv2, client2 := startDurable(t, addr, dir)
+	defer srv2.Close()
+	defer client2.Close()
+	srv2.mu.Lock()
+	_, dead = srv2.tombstones[7]
+	srv2.mu.Unlock()
+	if dead {
+		t.Error("user 7 is tombstoned after recovery though its DELUSER failed")
+	}
+	if ups, err := client2.DrainUpdates(); err != nil || len(ups) != 1 {
+		t.Errorf("recovered update queue = %v, %v; want the 1 undrained update", ups, err)
+	}
+	if muts, err := client2.DrainMutations(); err != nil || len(muts) != 1 {
+		t.Errorf("recovered mutation queue = %v, %v; want the 1 undrained mutation", muts, err)
 	}
 }

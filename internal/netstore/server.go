@@ -227,9 +227,6 @@ func (s *Server) handle(op byte, body []byte, send func([]byte) error) ([]byte, 
 	case opClear:
 		return nil, s.clear()
 
-	case opReset:
-		return nil, s.reset()
-
 	case opEpoch:
 		p, _, err := cutU32(body)
 		if err != nil {
@@ -267,7 +264,7 @@ func (s *Server) handle(op byte, body []byte, send func([]byte) error) ([]byte, 
 		return nil, s.pushUpdates(body)
 
 	case opDrainUpd:
-		return s.drainUpdates(), nil
+		return s.drainUpdates()
 
 	case opAddUser:
 		u, blob, err := cutU32(body)
@@ -281,11 +278,10 @@ func (s *Server) handle(op byte, body []byte, send func([]byte) error) ([]byte, 
 		if err != nil {
 			return nil, hangUp(err)
 		}
-		s.delUser(u)
-		return nil, nil
+		return nil, s.delUser(u)
 
 	case opDrainMut:
-		return s.drainMutations(), nil
+		return s.drainMutations()
 
 	case opStaleness:
 		s.mu.Lock()
@@ -343,30 +339,48 @@ func (s *Server) addUser(u uint32, profileBlob []byte) error {
 
 // delUser tombstones user u — point lookups on this shard miss
 // immediately, before any delta commit — and, on u's owning shard,
-// enqueues a MutDel record for the engine's next delta pass.
-func (s *Server) delUser(u uint32) {
+// enqueues a MutDel record for the engine's next delta pass. The
+// journal record lands first: were the append to fail after the
+// tombstone was set, a restart would resurrect a user its caller was
+// told is gone.
+func (s *Server) delUser(u uint32) error {
 	batch := EncodeMutations([]Mutation{{Op: MutDel, User: u}})
 	s.mu.Lock()
+	if err := s.logRecordLocked(recDelUser, appendU32(nil, u)); err != nil {
+		s.mu.Unlock()
+		return err
+	}
 	s.tombstones[u] = struct{}{}
 	owner := s.ownsUser(u)
 	if owner {
 		s.mutations = append(s.mutations, batch)
 	}
-	s.logRecordLocked(recDelUser, appendU32(nil, u))
 	s.mu.Unlock()
 	if owner {
 		s.cfg.Device.Append(int64(len(batch)))
 	}
+	return nil
 }
 
 // drainMutations returns the concatenated pending mutation batches (in
-// arrival order) and clears the queue — same shape as drainUpdates:
-// each batch length-prefixed, charged as one sequential read.
-func (s *Server) drainMutations() []byte {
+// arrival order) and clears the queue — same shape as drainUpdates.
+func (s *Server) drainMutations() ([]byte, error) {
+	return s.drainQueue(&s.mutations, recDrainMut)
+}
+
+// drainQueue hands out one pending queue, each batch length-prefixed,
+// and clears it, charging the drained volume as one sequential read.
+// The drain is journaled before the queue is cleared and fails without
+// clearing it when the append does: a drain the journal never saw would
+// be replayed by a restart, handing the engine the same batches twice.
+func (s *Server) drainQueue(queue *[][]byte, rec byte) ([]byte, error) {
 	s.mu.Lock()
-	batches := s.mutations
-	s.mutations = nil
-	s.logRecordLocked(recDrainMut, nil)
+	if err := s.logRecordLocked(rec, nil); err != nil {
+		s.mu.Unlock()
+		return nil, err
+	}
+	batches := *queue
+	*queue = nil
 	s.mu.Unlock()
 	var out []byte
 	var volume int64
@@ -378,7 +392,7 @@ func (s *Server) drainMutations() []byte {
 	if volume > 0 {
 		s.cfg.Device.Read(volume)
 	}
-	return out
+	return out, nil
 }
 
 // checkRange validates shard ownership — the router is the only
@@ -615,23 +629,8 @@ func (s *Server) pushUpdates(blob []byte) error {
 // drainUpdates returns the concatenated pending update batches (in
 // arrival order) and clears the queue. The response payload is a
 // sequence of encoded batches, each length-prefixed.
-func (s *Server) drainUpdates() []byte {
-	s.mu.Lock()
-	batches := s.updates
-	s.updates = nil
-	s.logRecordLocked(recDrainUpd, nil)
-	s.mu.Unlock()
-	var out []byte
-	var volume int64
-	for _, b := range batches {
-		out = appendU32(out, uint32(len(b)))
-		out = append(out, b...)
-		volume += int64(len(b))
-	}
-	if volume > 0 {
-		s.cfg.Device.Read(volume)
-	}
-	return out
+func (s *Server) drainUpdates() ([]byte, error) {
+	return s.drainQueue(&s.updates, recDrainUpd)
 }
 
 func (s *Server) lease(p uint32) (uint64, error) {
@@ -733,20 +732,6 @@ func (s *Server) clear() error {
 	s.partials = make(map[uint32]map[uint64][]byte)
 	s.leases = make(map[uint32]map[uint64]struct{})
 	err := s.logRecordLocked(recClear, nil)
-	s.mu.Unlock()
-	return err
-}
-
-// reset drops the shard's phase-4 accumulation — partials and leases —
-// keeping bases, epochs, views, and the pending queues. This is the
-// engine's retry barrier: a re-run of phase 4 must start from the
-// phase-1 bases with nothing left over from the failed attempt, or a
-// surviving partial would merge twice (TopK merge does not dedupe).
-func (s *Server) reset() error {
-	s.mu.Lock()
-	s.partials = make(map[uint32]map[uint64][]byte)
-	s.leases = make(map[uint32]map[uint64]struct{})
-	err := s.logRecordLocked(recReset, nil)
 	s.mu.Unlock()
 	return err
 }

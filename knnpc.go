@@ -350,13 +350,15 @@ func storeFromItems(profiles [][]Item) (*profile.Store, error) {
 	return profile.NewStoreFromVectors(vecs), nil
 }
 
-// Iterate runs one five-phase KNN iteration.
+// Iterate runs one five-phase KNN iteration. A Report alongside an
+// error matching ErrPublishFailed describes an iteration that was
+// committed; do not run it again.
 func (s *System) Iterate(ctx context.Context) (Report, error) {
 	st, err := s.eng.Iterate(ctx)
-	if err != nil {
+	if st == nil {
 		return Report{}, err
 	}
-	return reportFrom(st), nil
+	return reportFrom(st), err
 }
 
 // Run executes up to maxIters iterations, stopping early on
@@ -414,10 +416,10 @@ func (s *System) RemoveProfileItem(u uint32, item uint32) {
 	s.eng.EnqueueUpdate(profile.Update{User: u, Kind: profile.RemoveItem, Item: item})
 }
 
-// ErrPublishFailed marks an ApplyDeltas pass whose commit landed but
-// whose post-commit republish of serve views or the staleness document
-// failed; the committed state is intact and the next successful commit
-// republishes. Test with errors.Is.
+// ErrPublishFailed marks an Iterate or ApplyDeltas call whose commit
+// landed but whose post-commit publish of serve views or the staleness
+// document failed; the committed state is intact and the next
+// successful commit republishes. Test with errors.Is.
 var ErrPublishFailed = core.ErrPublishFailed
 
 // DeltaReport summarizes one ApplyDeltas commit.

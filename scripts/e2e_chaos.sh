@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end proof of the robustness stack: crash-recovery, the retry
-# ladders, and seeded fault injection, at the process level.
+# End-to-end proof of the robustness stack: crash-recovery, the engine's
+# retry ladder, and seeded fault injection, at the process level.
 #
 # Leg 1 (seeded faults): launch cmd/statestore with a -faults plan
 # (delay + disk-delay pressure on every shard listener), run the full
@@ -12,10 +12,12 @@
 #
 # Leg 2 (crash + recovery): run the two shards as two separate
 # statestore processes (-shard/-shards with a shared -datadir), start a
-# longer knnrun with -iterretries, SIGKILL one shard mid-run, restart
-# it over the same data directory (snapshot+journal recovery, lease
-# fencing), and require the healed run's graph to be byte-identical to
-# the fault-free reference.
+# longer knnrun whose engine retry budget (-iterretries) outlasts a
+# shard restart, SIGKILL one shard mid-run, restart it over the same
+# data directory (snapshot+journal recovery, lease fencing), and require
+# the healed run's graph to be byte-identical to the fault-free
+# reference; the iterations that had to restart their compute are
+# listed from the "attempts" column of knnrun's rows.
 # Run via `make e2e-chaos`.
 set -euo pipefail
 
@@ -114,9 +116,12 @@ SHARD1_PID=$!
 wait_ready "$WORK/shard0.log" "$SHARD0_PID" "shard 0"
 wait_ready "$WORK/shard1.log" "$SHARD1_PID" "shard 1"
 
-echo "== starting the chaos run (knnrun -iterretries 5)"
+# The engine's ladder is the only one above the client's per-op retries:
+# a budget of 6 pauses 0.25+0.5+1+2+4+8 s between compute restarts,
+# which outlasts the SIGKILL + restart below with room to spare.
+echo "== starting the chaos run (knnrun -iterretries 6)"
 "$WORK/knnrun" "${RUN_ARGS[@]}" -netstore 127.0.0.1:7825,127.0.0.1:7826 \
-  -iterretries 5 -dumpgraph "$WORK/chaos.graph" >"$WORK/chaos.log" &
+  -iterretries 6 -dumpgraph "$WORK/chaos.graph" >"$WORK/chaos.log" &
 KNNRUN_PID=$!
 
 # Wait until iteration 1's stats line appears — the run is mid-flight,
@@ -155,4 +160,10 @@ if ! cmp "$WORK/ref.graph" "$WORK/chaos.graph"; then
 fi
 LINES=$(wc -l <"$WORK/ref.graph")
 echo "PASS: shard crashed and recovered mid-run; graph byte-identical ($LINES users)"
-grep "failed transiently" "$WORK/chaos.log" || true
+# The last column of knnrun's iteration rows is IterationStats.Attempts:
+# above 1, the engine healed that iteration by restarting its compute.
+# A restart quick enough for the client's per-op retries to ride out,
+# with no lease held across it, needs no engine-level heal, so this is
+# reported, not required.
+awk '$1 ~ /^[0-9]+$/ && $NF > 1 { print "iteration " $1 " healed on compute attempt " $NF; healed = 1 }
+     END { if (!healed) print "(no iteration had to restart its compute: the outage was absorbed below the engine)" }' "$WORK/chaos.log"
