@@ -23,20 +23,23 @@ race:
 
 # Focused, uncached -race pass over the phase-4 concurrency surface:
 # the sharded-tape executor and ownership layer at workers=4, the
-# executor error-path drains, DiskTable Close-vs-ShardAhead, the
+# executor error-path drains, the tuple table's Close-vs-ShardAhead and
+# concurrent-AddBatch tests on both media, the
 # emulated device's debt accounting, mid-run cancellation, and the
 # engine's retry ladder healing every store exchange. `race`
 # already runs these once; this target re-runs them with -count=1 so
 # CI exercises the racy interleavings fresh on every push. Tests are
 # selected by name, so a rename could silently shrink the pass: the
-# target first lists what the pattern matches and fails when any
-# package matches nothing.
-RACE_PHASE4_RUN = Worker|Sharded|Parallel|Split|Cancel|Close|Device|Pipelined|MidTape|Commit|PartStore|NetStore|NetOwner|Lease|Torn|Shard|Heal
+# target first prints what the pattern matches in each package and
+# fails when any package matches nothing.
+RACE_PHASE4_RUN = Worker|Sharded|Parallel|Split|Cancel|Close|Device|Pipelined|MidTape|Commit|PartStore|NetStore|NetOwner|Lease|Torn|Shard|Agree|Heal
 RACE_PHASE4_PKGS = ./internal/pigraph ./internal/core ./internal/tuples ./internal/disk ./internal/netstore ./internal/lint
 race-phase4:
 	@for pkg in $(RACE_PHASE4_PKGS); do \
-		if ! $(GO) test -list '$(RACE_PHASE4_RUN)' $$pkg | grep -q '^Test'; then \
+		tests="$$($(GO) test -list '$(RACE_PHASE4_RUN)' $$pkg | grep '^Test' | tr '\n' ' ')"; \
+		if [ -z "$$tests" ]; then \
 			echo "race-phase4: no test in $$pkg matches '$(RACE_PHASE4_RUN)'"; exit 1; fi; \
+		echo "race-phase4: $$pkg: $$tests"; \
 	done
 	$(GO) test -race -count=1 -run '$(RACE_PHASE4_RUN)' $(RACE_PHASE4_PKGS)
 

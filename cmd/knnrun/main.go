@@ -89,52 +89,49 @@ func main() {
 	}
 }
 
+// config is the parsed command line. The engine's own knobs bind
+// straight into opts; the selectors run resolves by name, and what
+// only knnrun itself consumes, sit beside it.
 type config struct {
-	users, items, k, m, iters, workers int
-	execWorkers, buildWorkers          int
-	slots, prefetch, shardAhead        int
-	writeback                          bool
-	heuristic, partitioner, sim        string
-	emulate                            string
-	netstore                           string
-	serveViews                         bool
-	staleness                          float64
-	iterRetries                        int
-	dumpGraph                          string
-	onDisk, profilesOnDisk, recall     bool
-	scratch                            string
-	seed                               int64
+	opts                        core.Options
+	users, items, iters         int
+	heuristic, partitioner, sim string
+	emulate                     string
+	netstore                    string
+	dumpGraph                   string
+	recall                      bool
 }
 
 func parseFlags(args []string) config {
 	fs := flag.NewFlagSet("knnrun", flag.ExitOnError)
 	var cfg config
+	opts := &cfg.opts
 	fs.IntVar(&cfg.users, "users", 2000, "number of users")
 	fs.IntVar(&cfg.items, "items", 5000, "item-space size")
-	fs.IntVar(&cfg.k, "k", 10, "neighbors per user")
-	fs.IntVar(&cfg.m, "m", 8, "number of partitions")
+	fs.IntVar(&opts.K, "k", 10, "neighbors per user")
+	fs.IntVar(&opts.NumPartitions, "m", 8, "number of partitions")
 	fs.IntVar(&cfg.iters, "iters", 5, "maximum iterations")
-	fs.IntVar(&cfg.workers, "workers", 1, "scoring goroutines")
-	fs.IntVar(&cfg.execWorkers, "execworkers", 1, "phase-4 tape workers (shard the traversal plan across this many executors)")
-	fs.IntVar(&cfg.buildWorkers, "buildworkers", 1, "phase-1/2 build workers (parallel state construction and tuple producers; output identical at every count)")
-	fs.IntVar(&cfg.slots, "slots", 2, "resident-partition budget S per worker")
-	fs.IntVar(&cfg.prefetch, "prefetch", 0, "async load lookahead depth (0 = serial phase 4)")
-	fs.BoolVar(&cfg.writeback, "writeback", false, "write partition state back asynchronously")
-	fs.IntVar(&cfg.shardAhead, "shardahead", 0, "tuple-shard read lookahead in pair steps (0 = sync reads)")
+	fs.IntVar(&opts.Workers, "workers", 1, "scoring goroutines")
+	fs.IntVar(&opts.ExecWorkers, "execworkers", 1, "phase-4 tape workers (shard the traversal plan across this many executors)")
+	fs.IntVar(&opts.BuildWorkers, "buildworkers", 1, "phase-1/2 build workers (parallel state construction and tuple producers; output identical at every count)")
+	fs.IntVar(&opts.Slots, "slots", 2, "resident-partition budget S per worker")
+	fs.IntVar(&opts.PrefetchDepth, "prefetch", 0, "async load lookahead depth (0 = serial phase 4)")
+	fs.BoolVar(&opts.AsyncWriteback, "writeback", false, "write partition state back asynchronously")
+	fs.IntVar(&opts.ShardPrefetch, "shardahead", 0, "tuple-shard read lookahead in pair steps (0 = sync reads)")
 	fs.StringVar(&cfg.heuristic, "heuristic", "Low-High", "PI traversal heuristic")
 	fs.StringVar(&cfg.partitioner, "partitioner", "greedy", "partitioning strategy")
 	fs.StringVar(&cfg.sim, "sim", "cosine", "similarity measure")
-	fs.BoolVar(&cfg.onDisk, "ondisk", true, "use real files for partition state")
+	fs.BoolVar(&opts.OnDisk, "ondisk", true, "use real files for partition state")
 	fs.StringVar(&cfg.emulate, "emulate", "", "enforce a disk model's latency on state I/O: hdd, ssd, nvme (empty = none)")
 	fs.StringVar(&cfg.netstore, "netstore", "", `sharded network state store: "shards=N" (loopback cluster) or a comma-separated statestore address list (empty = in-process store)`)
-	fs.BoolVar(&cfg.serveViews, "serveviews", false, "publish serve views to the network store after each iteration (requires -netstore)")
-	fs.Float64Var(&cfg.staleness, "staleness", 0, "drain add/delete deltas each pass and run a full iteration only at drift ≥ this score (0 = always iterate)")
-	fs.IntVar(&cfg.iterRetries, "iterretries", 0, "the engine's store-retry budget: restarts of an iteration's compute, or re-issues of a drain or publish, after a transient store failure (network store runs; 0 = the engine default of 3)")
+	fs.BoolVar(&opts.PublishViews, "serveviews", false, "publish serve views to the network store after each iteration (requires -netstore)")
+	fs.Float64Var(&opts.StalenessThreshold, "staleness", 0, "drain add/delete deltas each pass and run a full iteration only at drift ≥ this score (0 = always iterate)")
+	fs.IntVar(&opts.StoreRetries, "iterretries", 0, "the engine's store-retry budget: restarts of an iteration's compute, or re-issues of a drain or publish, after a transient store failure (network store runs; 0 = the engine default of 3)")
 	fs.StringVar(&cfg.dumpGraph, "dumpgraph", "", "write the final KNN graph to this file (deterministic text, diffable across runs)")
-	fs.BoolVar(&cfg.profilesOnDisk, "profilesondisk", false, "keep the canonical profile collection on disk too")
+	fs.BoolVar(&opts.ProfilesOnDisk, "profilesondisk", false, "keep the canonical profile collection on disk too")
 	fs.BoolVar(&cfg.recall, "recall", false, "also compute exact KNN and report recall (O(n²))")
-	fs.StringVar(&cfg.scratch, "scratch", "", "scratch directory (empty = temp)")
-	fs.Int64Var(&cfg.seed, "seed", 1, "RNG seed")
+	fs.StringVar(&opts.ScratchDir, "scratch", "", "scratch directory (empty = temp)")
+	fs.Int64Var(&opts.Seed, "seed", 1, "RNG seed")
 	fs.Parse(args)
 	return cfg
 }
@@ -152,46 +149,24 @@ func run(out io.Writer, cfg config) error {
 	if !ok {
 		return fmt.Errorf("unknown similarity %q", cfg.sim)
 	}
-	emulate, err := disk.ResolveModel(cfg.emulate)
-	if err != nil {
+	opts := cfg.opts
+	opts.Heuristic, opts.Partitioner, opts.Similarity = h, p, sim
+	var err error
+	if opts.EmulateDisk, err = disk.ResolveModel(cfg.emulate); err != nil {
 		return err
 	}
-	netShards, netAddrs, err := parseNetStore(cfg.netstore)
-	if err != nil {
+	if opts.NetStoreShards, opts.NetStoreAddrs, err = parseNetStore(cfg.netstore); err != nil {
 		return err
 	}
 
 	fmt.Fprintf(out, "generating %d users × %d items (clustered ratings)...\n", cfg.users, cfg.items)
-	vecs, _, err := dataset.RatingsProfiles(cfg.users, cfg.items, 25, 8, cfg.seed)
+	vecs, _, err := dataset.RatingsProfiles(cfg.users, cfg.items, 25, 8, opts.Seed)
 	if err != nil {
 		return err
 	}
 	store := profile.NewStoreFromVectors(vecs)
 
-	eng, err := core.New(store, core.Options{
-		K:                  cfg.k,
-		NumPartitions:      cfg.m,
-		Partitioner:        p,
-		Heuristic:          h,
-		Similarity:         sim,
-		Workers:            cfg.workers,
-		ExecWorkers:        cfg.execWorkers,
-		BuildWorkers:       cfg.buildWorkers,
-		Slots:              cfg.slots,
-		PrefetchDepth:      cfg.prefetch,
-		AsyncWriteback:     cfg.writeback,
-		ShardPrefetch:      cfg.shardAhead,
-		NetStoreShards:     netShards,
-		NetStoreAddrs:      netAddrs,
-		PublishViews:       cfg.serveViews,
-		StalenessThreshold: cfg.staleness,
-		StoreRetries:       cfg.iterRetries,
-		OnDisk:             cfg.onDisk,
-		EmulateDisk:        emulate,
-		ProfilesOnDisk:     cfg.profilesOnDisk,
-		ScratchDir:         cfg.scratch,
-		Seed:               cfg.seed,
-	})
+	eng, err := core.New(store, opts)
 	if err != nil {
 		return err
 	}
@@ -199,17 +174,17 @@ func run(out io.Writer, cfg config) error {
 
 	netDesc := "off"
 	switch {
-	case netShards > 0:
-		netDesc = fmt.Sprintf("loopback/%d-shards", netShards)
-	case len(netAddrs) > 0:
-		netDesc = fmt.Sprintf("external/%d-shards", len(netAddrs))
+	case opts.NetStoreShards > 0:
+		netDesc = fmt.Sprintf("loopback/%d-shards", opts.NetStoreShards)
+	case len(opts.NetStoreAddrs) > 0:
+		netDesc = fmt.Sprintf("external/%d-shards", len(opts.NetStoreAddrs))
 	}
 	fmt.Fprintf(out, "engine: k=%d m=%d heuristic=%s partitioner=%s sim=%s workers=%d execworkers=%d buildworkers=%d slots=%d prefetch=%d writeback=%v shardahead=%d ondisk=%v netstore=%s\n\n",
-		cfg.k, cfg.m, h.Name(), p.Name(), sim.Name(), cfg.workers, cfg.execWorkers, cfg.buildWorkers, cfg.slots, cfg.prefetch, cfg.writeback, cfg.shardAhead, cfg.onDisk, netDesc)
+		opts.K, opts.NumPartitions, h.Name(), p.Name(), sim.Name(), opts.Workers, opts.ExecWorkers, opts.BuildWorkers, opts.Slots, opts.PrefetchDepth, opts.AsyncWriteback, opts.ShardPrefetch, opts.OnDisk, netDesc)
 	fmt.Fprintln(out, "iter  phase1(part)  phase2(tuples)  phase3(pi)  phase4(score)  phase5(upd)  ops  prefetched  async-wb  changed  attempts")
 
 	for i := 0; i < cfg.iters; i++ {
-		if cfg.staleness > 0 {
+		if opts.StalenessThreshold > 0 {
 			ds, err := eng.ApplyDeltas()
 			if err != nil {
 				// A publish failure happens after the commit already
@@ -227,7 +202,7 @@ func run(out io.Writer, cfg config) error {
 			}
 			if !eng.NeedsIteration() {
 				fmt.Fprintf(out, "staleness %.3f below threshold %.3f; skipping full iteration\n",
-					eng.MaxStaleness(), cfg.staleness)
+					eng.MaxStaleness(), opts.StalenessThreshold)
 				break
 			}
 		}
@@ -270,7 +245,7 @@ func run(out io.Writer, cfg config) error {
 
 	if cfg.recall {
 		fmt.Fprintln(out, "\ncomputing exact KNN for recall (O(n²))...")
-		truth, err := exact.Compute(store, exact.Options{K: cfg.k, Sim: sim, Workers: cfg.workers})
+		truth, err := exact.Compute(store, exact.Options{K: opts.K, Sim: sim, Workers: opts.Workers})
 		if err != nil {
 			return err
 		}

@@ -5,13 +5,15 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"knnpc/internal/core"
 )
 
 func smallConfig() config {
 	return config{
-		users: 150, items: 500, k: 4, m: 4, iters: 2, workers: 2,
+		opts:  core.Options{K: 4, NumPartitions: 4, Workers: 2, Seed: 1},
+		users: 150, items: 500, iters: 2,
 		heuristic: "Low-High", partitioner: "greedy", sim: "cosine",
-		onDisk: false, seed: 1,
 	}
 }
 
@@ -42,8 +44,8 @@ func TestRunWithRecall(t *testing.T) {
 
 func TestRunOnDisk(t *testing.T) {
 	cfg := smallConfig()
-	cfg.onDisk = true
-	cfg.scratch = t.TempDir()
+	cfg.opts.OnDisk = true
+	cfg.opts.ScratchDir = t.TempDir()
 	var buf bytes.Buffer
 	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
@@ -55,12 +57,12 @@ func TestRunOnDisk(t *testing.T) {
 
 func TestRunExecWorkers(t *testing.T) {
 	cfg := smallConfig()
-	cfg.execWorkers = 3
-	cfg.onDisk = true
-	cfg.scratch = t.TempDir()
-	cfg.prefetch = 2
-	cfg.writeback = true
-	cfg.shardAhead = 2
+	cfg.opts.ExecWorkers = 3
+	cfg.opts.OnDisk = true
+	cfg.opts.ScratchDir = t.TempDir()
+	cfg.opts.PrefetchDepth = 2
+	cfg.opts.AsyncWriteback = true
+	cfg.opts.ShardPrefetch = 2
 	var buf bytes.Buffer
 	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
@@ -72,9 +74,9 @@ func TestRunExecWorkers(t *testing.T) {
 
 func TestRunBuildWorkers(t *testing.T) {
 	cfg := smallConfig()
-	cfg.buildWorkers = 4
-	cfg.onDisk = true
-	cfg.scratch = t.TempDir()
+	cfg.opts.BuildWorkers = 4
+	cfg.opts.OnDisk = true
+	cfg.opts.ScratchDir = t.TempDir()
 	var buf bytes.Buffer
 	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
@@ -101,7 +103,7 @@ func TestRunRejectsBadNames(t *testing.T) {
 
 func TestParseFlags(t *testing.T) {
 	cfg := parseFlags([]string{"-users", "42", "-k", "3", "-heuristic", "Seq.", "-ondisk=false"})
-	if cfg.users != 42 || cfg.k != 3 || cfg.heuristic != "Seq." || cfg.onDisk {
+	if cfg.users != 42 || cfg.opts.K != 3 || cfg.heuristic != "Seq." || cfg.opts.OnDisk {
 		t.Errorf("parseFlags wrong: %+v", cfg)
 	}
 }
@@ -120,7 +122,7 @@ func TestRunNetstoreLoopbackMatchesInProcess(t *testing.T) {
 
 	net := smallConfig()
 	net.netstore = "shards=2"
-	net.execWorkers = 2
+	net.opts.ExecWorkers = 2
 	net.dumpGraph = dir + "/netstore.graph"
 	buf.Reset()
 	if err := run(&buf, net); err != nil {

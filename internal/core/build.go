@@ -44,24 +44,10 @@ func (e *Engine) buildWorkerCount() int {
 // runBuildTasks executes the tasks on a pool of at most workers
 // goroutines. The first error cancels the task context, remaining
 // tasks are skipped, and every started task has returned before
-// runBuildTasks does. workers == 1 degenerates to a sequential loop
-// with a cancellation check between tasks — the serial build.
+// runBuildTasks does. A pool of one goroutine draining the feed in
+// task order is the serial build.
 func runBuildTasks(ctx context.Context, workers int, tasks []func(context.Context) error) error {
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for _, task := range tasks {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := task(ctx); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
+	workers = max(1, min(workers, len(tasks)))
 	taskCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -137,17 +123,24 @@ func (e *Engine) buildStates(ctx context.Context, parts []*partition.Data, state
 	return runBuildTasks(ctx, workers, tasks)
 }
 
+// tupleSink is what phase 2's producers emit into: H's batched add. It
+// is the seam through which a test observes the batches, not a second
+// table contract — the engine only ever passes a *tuples.DiskTable.
+type tupleSink interface {
+	AddBatch([]tuples.Tuple) error
+}
+
 // emitBatcher accumulates one producer's tuples and hands them to the
 // table batch-wise. Each producer owns one batcher — no sharing — so
 // the only cross-goroutine contention is inside the table's own
 // per-shard locking.
 type emitBatcher struct {
 	ctx   context.Context
-	table tuples.Table
+	table tupleSink
 	buf   []tuples.Tuple
 }
 
-func newEmitBatcher(ctx context.Context, table tuples.Table) *emitBatcher {
+func newEmitBatcher(ctx context.Context, table tupleSink) *emitBatcher {
 	return &emitBatcher{ctx: ctx, table: table, buf: make([]tuples.Tuple, 0, emitBatch)}
 }
 
@@ -179,7 +172,7 @@ func (b *emitBatcher) flush() error {
 // populateTable runs phase 2: the bridge, direct-edge and exploration
 // tuple streams produced concurrently on the build pool, all emitting
 // into H through batched adds.
-func (e *Engine) populateTable(ctx context.Context, dg *graph.Digraph, parts []*partition.Data, table tuples.Table) error {
+func (e *Engine) populateTable(ctx context.Context, dg *graph.Digraph, parts []*partition.Data, table tupleSink) error {
 	workers := e.buildWorkerCount()
 	tasks := make([]func(context.Context) error, 0, len(parts)+2*workers)
 

@@ -15,8 +15,8 @@ import (
 
 // TestParallelBuildMatchesSerialEngine is the end-to-end invariant of
 // the parallel build side, the phase-1/2 analogue of the engine's
-// phase-4 matrix tests: for BuildWorkers ∈ {1, 2, 4, 8}, on both the
-// in-memory and the on-disk table, the engine must reproduce the
+// phase-4 matrix tests: for BuildWorkers ∈ {1, 2, 4, 8}, with the table
+// in memory and spilling to disk, the engine must reproduce the
 // serial build's graph trajectory bit for bit, with identical tuple
 // tallies, PI-graph sizes and Table 1 load/unload accounting every
 // iteration. RandomCandidates is on so the matrix covers all three
@@ -70,7 +70,7 @@ func TestParallelBuildMatchesSerialEngine(t *testing.T) {
 // the graph: the hash table a parallel build leaves behind is
 // bit-identical to the serial one — same Added tally, same raw
 // ShardCounts (the PI-graph weights), same de-duplicated sorted shard
-// contents — for every worker count, on both table implementations.
+// contents — for every worker count, on both media.
 func TestParallelBuildShardContents(t *testing.T) {
 	const users, m = 250, 6
 	store := testStore(t, users, 33)
@@ -93,17 +93,15 @@ func TestParallelBuildShardContents(t *testing.T) {
 		shards map[tuples.ShardID][]tuples.Tuple
 	}
 	build := func(workers int, disky bool) snapshot {
-		var table tuples.Table
+		var scratch *disk.Scratch // nil: the table never spills
 		if disky {
-			scratch, err := disk.NewScratch(t.TempDir())
-			if err != nil {
+			var err error
+			if scratch, err = disk.NewScratch(t.TempDir()); err != nil {
 				t.Fatal(err)
 			}
-			var stats disk.IOStats
-			table = tuples.NewDiskTable(assign, scratch, &stats, 32)
-		} else {
-			table = tuples.NewMemTable(assign)
 		}
+		var stats disk.IOStats
+		table := tuples.NewDiskTable(assign, scratch, &stats, 32)
 		defer table.Close()
 		eng.opts.BuildWorkers = workers
 		if err := eng.populateTable(context.Background(), dg, parts, table); err != nil {
@@ -148,7 +146,7 @@ func TestParallelBuildShardContents(t *testing.T) {
 // absorbed `after` batches, then counts every batch that still arrives
 // — the instrument for the mid-phase-2 cancellation contract.
 type cancelingTable struct {
-	tuples.Table
+	*tuples.DiskTable
 	cancel  context.CancelFunc
 	after   int32
 	batches atomic.Int32
@@ -163,7 +161,7 @@ func (c *cancelingTable) AddBatch(ts []tuples.Tuple) error {
 	if n > c.after {
 		c.late.Add(1)
 	}
-	return c.Table.AddBatch(ts)
+	return c.DiskTable.AddBatch(ts)
 }
 
 // TestBuildCancelMidPhase2 mirrors the mid-phase-4 cancel test on the
@@ -194,7 +192,8 @@ func TestBuildCancelMidPhase2(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	table := &cancelingTable{Table: tuples.NewMemTable(assign), cancel: cancel, after: 2}
+	var stats disk.IOStats
+	table := &cancelingTable{DiskTable: tuples.NewDiskTable(assign, nil, &stats, 0), cancel: cancel, after: 2}
 	defer table.Close()
 
 	err = eng.populateTable(ctx, dg, parts, table)

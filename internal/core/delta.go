@@ -289,9 +289,14 @@ func (e *Engine) ApplyDeltas() (*DeltaStats, error) {
 				if err := insert(m.User, m.Profile); err != nil {
 					return fail(fmt.Errorf("core: delta upsert user %d: %w", m.User, err))
 				}
-				upserts = append(upserts, profile.Update{
-					User: m.User, Kind: profile.ReplaceProfile, Vector: m.Profile,
-				})
+				if first := e.g.NumNodes(); int(m.User) >= first {
+					// Appended earlier in this pass: not in the store yet.
+					newVecs[int(m.User)-first] = m.Profile
+				} else {
+					upserts = append(upserts, profile.Update{
+						User: m.User, Kind: profile.ReplaceProfile, Vector: m.Profile,
+					})
+				}
 				stats.Upserts++
 			case m.User == n:
 				if err := appendUser(m.User, m.Profile); err != nil {
@@ -379,19 +384,24 @@ func (e *Engine) ApplyDeltas() (*DeltaStats, error) {
 		return stats, nil
 	}
 
-	// Commit window: profile growth, upserts, graph swap, tombstones,
+	// Commit window: upserts, profile growth, graph swap, tombstones,
 	// the staged bookkeeping and the epoch move together under the
-	// query boundary, exactly like Iterate's phase-5 commit.
+	// query boundary, exactly like Iterate's phase-5 commit. The two
+	// store steps can fail, and fail parks the whole batch to be staged
+	// again — so the repeatable one (replacing a profile twice is
+	// replacing it once) goes first and Extend, which must happen exactly
+	// once, goes last: whichever fails, the store still has the user count
+	// the parked batch was staged against.
 	e.serveMu.Lock()
-	if err := e.profiles.Extend(newVecs); err != nil {
-		e.serveMu.Unlock()
-		return fail(fmt.Errorf("core: extend profiles: %w", err))
-	}
 	if len(upserts) > 0 {
 		if _, err := e.profiles.Apply(upserts); err != nil {
 			e.serveMu.Unlock()
 			return fail(fmt.Errorf("core: apply delta upserts: %w", err))
 		}
+	}
+	if err := e.profiles.Extend(newVecs); err != nil {
+		e.serveMu.Unlock()
+		return fail(fmt.Errorf("core: extend profiles: %w", err))
 	}
 	e.g = g
 	e.dead = dead
@@ -430,11 +440,11 @@ func (e *Engine) ApplyDeltas() (*DeltaStats, error) {
 	return stats, nil
 }
 
-// publishDeltaViews re-encodes and republishes the serve views of the
-// given partitions from the just-committed state: the last full
-// iteration's members minus tombstones, plus the partition's
-// delta-added users. Before the first full iteration there are no
-// views to patch, so the republish is skipped.
+// publishDeltaViews republishes the serve views of the given partitions
+// from the just-committed state: the last full iteration's members
+// minus tombstones, plus the partition's delta-added users. Before the
+// first full iteration there are no views to patch, so the republish is
+// skipped.
 func (e *Engine) publishDeltaViews(affected map[int]bool) (int, error) {
 	if e.lastParts == nil {
 		return 0, nil
@@ -450,22 +460,11 @@ func (e *Engine) publishDeltaViews(affected map[int]bool) (int, error) {
 		members := make([]uint32, 0, len(e.lastParts[p].Members)+len(e.deltaMembers[p]))
 		members = append(members, e.lastParts[p].Members...)
 		members = append(members, e.deltaMembers[p]...)
-		entries := make([]netstore.ViewEntry, 0, len(members))
-		for _, u := range members {
-			if _, tomb := e.dead[u]; tomb {
-				continue
-			}
-			vec, err := e.profiles.Profile(u)
-			if err != nil {
-				return 0, fmt.Errorf("partition %d user %d: %w", p, u, err)
-			}
-			entries = append(entries, netstore.ViewEntry{
-				User:      u,
-				Neighbors: e.g.Neighbors(u),
-				Profile:   vec.AppendBinary(nil),
-			})
+		view, err := e.encodeView(members)
+		if err != nil {
+			return 0, fmt.Errorf("partition %d: %w", p, err)
 		}
-		if err := e.netClient.PutDeltaView(uint32(p), netstore.EncodeView(entries)); err != nil {
+		if err := e.netClient.PutDeltaView(uint32(p), view); err != nil {
 			return 0, err
 		}
 	}

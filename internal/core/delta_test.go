@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -395,6 +396,74 @@ func TestDeltaAddOrdering(t *testing.T) {
 	}
 	if !gotVec.Equal(vec) {
 		t.Fatal("upsert did not replace the profile")
+	}
+}
+
+// failOnceProfiles is a profile store whose first Apply fails — a
+// streaming rewrite that hit ENOSPC — and whose later ones work.
+type failOnceProfiles struct {
+	canonicalProfiles
+	failed bool
+}
+
+func (f *failOnceProfiles) Apply(updates []profile.Update) (int, error) {
+	if !f.failed {
+		f.failed = true
+		return 0, errors.New("injected: no space left on device")
+	}
+	return f.canonicalProfiles.Apply(updates)
+}
+
+// TestDeltaCommitWindowSurvivesFailedApply: a profile-store error inside
+// the delta commit window parks the batch, and the next pass must be able
+// to stage it again — so the failed pass may not have grown the store.
+// (With Extend ahead of Apply it had: the retry appended the new user a
+// second time and every later id was off by one against the graph.)
+func TestDeltaCommitWindowSurvivesFailedApply(t *testing.T) {
+	store := testStore(t, 40, 31)
+	n := uint32(store.NumUsers())
+	eng, err := New(store, Options{K: 3, NumPartitions: 3, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	eng.profiles = &failOnceProfiles{canonicalProfiles: eng.profiles}
+	added, err := profile.NewVector([]profile.Entry{{Item: 2, Weight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upserted, err := profile.NewVector([]profile.Entry{{Item: 3, Weight: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.EnqueueAddUser(n, upserted)
+	eng.EnqueueAddUser(n, added) // upsert of a user this very pass appends
+	eng.EnqueueAddUser(7, upserted)
+	if _, err := eng.ApplyDeltas(); err == nil {
+		t.Fatal("the injected Apply failure did not surface")
+	}
+	if got := eng.profiles.NumUsers(); got != int(n) {
+		t.Fatalf("failed pass left %d profiles, want the %d it started with", got, n)
+	}
+
+	ds, err := eng.ApplyDeltas()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Adds != 1 || ds.Upserts != 2 {
+		t.Fatalf("healed pass reported %+v, want the parked add and both upserts", ds)
+	}
+	if users, nodes := eng.profiles.NumUsers(), eng.Graph().NumNodes(); users != nodes || nodes != int(n)+1 {
+		t.Fatalf("after the healed pass: %d profiles, %d graph nodes, want %d of each", users, nodes, n+1)
+	}
+	for u, want := range map[uint32]profile.Vector{n: added, 7: upserted} {
+		got, _, err := eng.QueryProfile(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("user %d serves %+v, want %+v", u, got, want)
+		}
 	}
 }
 

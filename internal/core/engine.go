@@ -117,9 +117,9 @@ type Options struct {
 	// partition state: up to this many upcoming pair/self steps have
 	// their tuple-shard spill bytes read (and de-duplicated) on
 	// background goroutines before the cursor needs them. 0 (default)
-	// reads every shard synchronously inside the pair step. Only
-	// effective with OnDisk (the in-memory table has no shard I/O to
-	// hide).
+	// reads every shard synchronously inside the pair step. A shard that
+	// never spilled (every shard, without OnDisk) has no bytes to read
+	// but its sort-and-dedup moves off the cursor just the same.
 	ShardPrefetch int
 	// NetStoreShards, when positive, moves partition state behind an
 	// in-process loopback cluster of that many network state-store
@@ -181,10 +181,12 @@ type Options struct {
 	// result does not depend on timing). 0 defaults to 250ms.
 	StoreRetryBackoff time.Duration
 	// OnDisk selects real file-backed partition state and tuple
-	// spills under ScratchDir; false keeps serialized state in memory
-	// (same code paths, no file traffic). With a network store
-	// configured, partition state lives behind the store instead and
-	// OnDisk governs only the tuple spills and profile file.
+	// spills under ScratchDir; false hands the partition store and the
+	// tuple table no scratch directory, so serialized state and raw
+	// tuples stay in memory (same code, no file traffic). With a
+	// network store configured, partition state lives behind the store
+	// instead and OnDisk governs only the tuple spills and profile
+	// file.
 	OnDisk bool
 	// ProfilesOnDisk additionally keeps the canonical profile
 	// collection P(t) in a disk file (profile.FileStore): phase 1
@@ -206,8 +208,8 @@ type Options struct {
 	// partition state; loading beyond it fails with
 	// disk.ErrBudgetExceeded.
 	MemoryBudget int64
-	// TupleBatch tunes the disk hash table's spill batch (default
-	// 1024 tuples).
+	// TupleBatch tunes the hash table's per-shard spill batch (default
+	// 1024 tuples; nothing spills without OnDisk).
 	TupleBatch int
 	// RandomCandidates, when positive, injects that many uniformly
 	// random extra candidates per user into H each iteration. The
@@ -617,7 +619,7 @@ type iteration struct {
 	dg     *graph.Digraph        // G(t) as phase 1 partitioned it
 	assign *partition.Assignment // phase 1
 	parts  []*partition.Data     // phase 1
-	table  tuples.Table          // phase 2; consumed by phase 4
+	table  *tuples.DiskTable     // phase 2; consumed by phase 4
 
 	schedule *pigraph.Schedule   // phase 3
 	execOpts pigraph.ExecOptions // phase 3; what Simulate predicted for
@@ -723,10 +725,7 @@ func (e *Engine) phasePartition(ctx context.Context, it *iteration) error {
 // the direct edges of G(t), and the exploration stream — from
 // concurrent producers on the build pool, emitting in batches.
 func (e *Engine) phaseTuples(ctx context.Context, it *iteration) error {
-	table, err := e.newTable(it.assign)
-	if err != nil {
-		return err
-	}
+	table := e.newTable(it.assign)
 	it.table = table
 	// Tombstoned users neither emit nor receive candidates: the filter
 	// drops their tuples at the table door. Installed only when there
@@ -781,14 +780,12 @@ func (e *Engine) phasePIGraph(_ context.Context, it *iteration) error {
 // AsyncWriteback's bounded background write-backs, and ShardPrefetch
 // tuple-shard reads.
 func (e *Engine) phaseScore(ctx context.Context, it *iteration) error {
-	prefetcher, _ := it.table.(tuples.ShardPrefetcher)
 	runCtx, cancelRun := context.WithCancel(ctx)
 	shared := &phase4Shared{
 		engine: e,
 		assign: it.assign,
 		owner:  it.states,
 		table:  it.table,
-		shards: prefetcher,
 		ctx:    runCtx,
 		cancel: cancelRun,
 	}
@@ -815,9 +812,7 @@ func (e *Engine) phaseScore(ctx context.Context, it *iteration) error {
 	for w, r := range perWorker {
 		st.WorkerOps[w] = r.Ops()
 	}
-	if prefetcher != nil {
-		st.PrefetchedShardBytes = prefetcher.PrefetchedShardBytes()
-	}
+	st.PrefetchedShardBytes = it.table.PrefetchedShardBytes()
 	st.TuplesScored = shared.scored.Load()
 	// The totals are the field-wise sum of perWorker by construction,
 	// so this one check covers the whole worker breakdown: predicted
@@ -937,20 +932,30 @@ func (e *Engine) publish(ctx context.Context, parts []*partition.Data) error {
 	return nil
 }
 
-// publishView encodes partition p's serve view from the committed graph
-// and profiles and PUTs it to the partition's shard. The shard stamps
-// the view with the partition's current epoch (the one this iteration's
-// phase-1 base PUT opened), which is what lets replicas equate "epoch
-// moved" with "a newer view exists".
+// publishView PUTs partition p's serve view to the partition's shard.
+// The shard stamps the view with the partition's current epoch (the one
+// this iteration's phase-1 base PUT opened), which is what lets replicas
+// equate "epoch moved" with "a newer view exists".
 func (e *Engine) publishView(p int, part *partition.Data) error {
-	entries := make([]netstore.ViewEntry, 0, len(part.Members))
-	for _, u := range part.Members {
+	view, err := e.encodeView(part.Members)
+	if err != nil {
+		return err
+	}
+	return e.netClient.PutView(uint32(p), view)
+}
+
+// encodeView encodes the serve view of one partition's members from the
+// committed graph and profiles: each live member's top-K list and
+// profile, in member order.
+func (e *Engine) encodeView(members []uint32) ([]byte, error) {
+	entries := make([]netstore.ViewEntry, 0, len(members))
+	for _, u := range members {
 		if _, tomb := e.dead[u]; tomb {
 			continue // tombstoned users are not served
 		}
 		vec, err := e.profiles.Profile(u)
 		if err != nil {
-			return fmt.Errorf("user %d: %w", u, err)
+			return nil, fmt.Errorf("user %d: %w", u, err)
 		}
 		entries = append(entries, netstore.ViewEntry{
 			User:      u,
@@ -958,7 +963,7 @@ func (e *Engine) publishView(p int, part *partition.Data) error {
 			Profile:   vec.AppendBinary(nil),
 		})
 	}
-	return e.netClient.PutView(uint32(p), netstore.EncodeView(entries))
+	return netstore.EncodeView(entries), nil
 }
 
 // QueryNeighbors answers a point lookup for user u's committed top-K
@@ -1022,6 +1027,16 @@ func (e *Engine) ReplicaAddrs() []string {
 	return e.replicas.Addrs()
 }
 
+// dataScratch is where OnDisk is consulted: the scratch directory
+// partition state and tuple spills go to, or nil to keep both in RAM
+// (the engine may still own a scratch for the profile file alone).
+func (e *Engine) dataScratch() *disk.Scratch {
+	if e.opts.OnDisk {
+		return e.scratch
+	}
+	return nil
+}
+
 // newPartStore decides where an iteration's partition state lives — the
 // one choice between the two partStore implementations: behind the
 // network store when the engine has one, otherwise in this process, on
@@ -1030,20 +1045,13 @@ func (e *Engine) newPartStore() partStore {
 	if e.netClient != nil {
 		return newNetOwner(e.netClient, e.budget, &e.iostats, e.opts.K)
 	}
-	var scratch *disk.Scratch
-	if e.opts.OnDisk {
-		scratch = e.scratch
-	}
-	return newPartOwner(e.opts.NumPartitions, scratch, e.device, e.budget, &e.iostats, e.opts.K)
+	return newPartOwner(e.opts.NumPartitions, e.dataScratch(), e.device, e.budget, &e.iostats, e.opts.K)
 }
 
-func (e *Engine) newTable(assign *partition.Assignment) (tuples.Table, error) {
-	if e.opts.OnDisk {
-		t := tuples.NewDiskTable(assign, e.scratch, &e.iostats, e.opts.TupleBatch)
-		t.SetDevice(e.device) // shard reads queue on the same emulated spindle
-		return t, nil
-	}
-	return tuples.NewMemTable(assign), nil
+func (e *Engine) newTable(assign *partition.Assignment) *tuples.DiskTable {
+	t := tuples.NewDiskTable(assign, e.dataScratch(), &e.iostats, e.opts.TupleBatch)
+	t.SetDevice(e.device) // shard reads queue on the same emulated spindle
+	return t
 }
 
 // phase4Shared carries the state one schedule execution shares across
@@ -1057,8 +1065,7 @@ type phase4Shared struct {
 	engine *Engine
 	assign *partition.Assignment
 	owner  partStore
-	table  tuples.Table
-	shards tuples.ShardPrefetcher // nil when the table has no async path
+	table  *tuples.DiskTable
 	scored atomic.Int64
 
 	ctx    context.Context
@@ -1108,19 +1115,16 @@ func (s *phase4Shared) workerCallbacks(index int) pigraph.Callbacks {
 	}
 	// No Load/Unload: the executor composes a synchronous load from
 	// Fetch+Commit and a synchronous unload from Evict+Flush.
-	cb := pigraph.Callbacks{
-		Pair:    w.pair,
-		Self:    w.self,
-		Fetch:   w.fetch,
-		Commit:  w.commit,
-		Discard: w.discard,
-		Evict:   w.evict,
-		Flush:   w.flush,
+	return pigraph.Callbacks{
+		Pair:      w.pair,
+		Self:      w.self,
+		PairAhead: w.pairAhead,
+		Fetch:     w.fetch,
+		Commit:    w.commit,
+		Discard:   w.discard,
+		Evict:     w.evict,
+		Flush:     w.flush,
 	}
-	if s.shards != nil {
-		cb.PairAhead = w.pairAhead
-	}
-	return cb
 }
 
 // phase4Worker is one tape worker's executor state. The resident
@@ -1214,9 +1218,9 @@ func (w *phase4Worker) flush(id uint32, _ any) error {
 // pair (or self visit, when a == b) will consume, so the cursor finds
 // them already read and de-duplicated.
 func (w *phase4Worker) pairAhead(a, b uint32) {
-	w.shared.shards.ShardAhead(a, b)
+	w.shared.table.ShardAhead(a, b)
 	if a != b {
-		w.shared.shards.ShardAhead(b, a)
+		w.shared.table.ShardAhead(b, a)
 	}
 }
 

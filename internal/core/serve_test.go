@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"testing"
@@ -293,6 +294,22 @@ func TestQueryBeforeFirstIterate(t *testing.T) {
 	}
 }
 
+// viewsDigest hashes every partition's stored serve view, in partition
+// order — the exact bytes primaries hand to replicas and lookups.
+func viewsDigest(t *testing.T, c *netstore.Client, parts int) string {
+	t.Helper()
+	h := sha256.New()
+	for p := 0; p < parts; p++ {
+		_, blob, err := c.GetView(uint32(p))
+		if err != nil {
+			t.Fatalf("GetView(%d): %v", p, err)
+		}
+		fmt.Fprintf(h, "%d:", len(blob))
+		h.Write(blob)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
 // TestDeltaViewsRepublished drives the full online-mutation loop over
 // the store fleet: a front end pushes ADDUSER/DELUSER, ApplyDeltas
 // drains them, commits, and republishes only the affected partitions'
@@ -319,6 +336,11 @@ func TestDeltaViewsRepublished(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer front.Close()
+	// The published bytes are pinned: both publish paths share one
+	// encoder, and these digests were taken when each still had its own.
+	if got, want := viewsDigest(t, front, 6), "e1a97ae4cc6a2a78"; got != want {
+		t.Errorf("full-iteration views digest %s, want %s", got, want)
+	}
 	vec, err := profile.NewVector([]profile.Entry{{Item: 3, Weight: 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -339,6 +361,9 @@ func TestDeltaViewsRepublished(t *testing.T) {
 	}
 	if ds.Republished == 0 {
 		t.Fatal("no partition views republished after the delta commit")
+	}
+	if got, want := viewsDigest(t, front, 6), "fb6bc8e06182cbed"; got != want {
+		t.Errorf("delta-commit views digest %s, want %s", got, want)
 	}
 
 	for _, tc := range []struct {

@@ -64,7 +64,7 @@ type IterationStats struct {
 	AsyncUnloads int64
 	// PrefetchedShardBytes is the volume of tuple-shard spill bytes
 	// read asynchronously ahead of the cursor (0 unless
-	// Options.ShardPrefetch > 0 on an on-disk table).
+	// Options.ShardPrefetch > 0 with OnDisk — nothing spills without).
 	PrefetchedShardBytes int64
 	// BuildWorkers is the width of the phase-1/2 build pool the
 	// iteration ran with (Options.BuildWorkers; 1 for the serial

@@ -86,9 +86,6 @@ func (t *Tracker) RecordDelete(p, touchedEdges int) {
 	t.parts[p].TouchedEdges += uint64(touchedEdges)
 }
 
-// NumPartitions reports the tracked partition count.
-func (t *Tracker) NumPartitions() int { return len(t.parts) }
-
 // LastFullEpoch reports the epoch of the last full iteration (0 before
 // the first ResetFull).
 func (t *Tracker) LastFullEpoch() uint64 { return t.lastFull }

@@ -290,37 +290,6 @@ func TestBuildConservesEdges(t *testing.T) {
 	}
 }
 
-func TestDataBinaryRoundTrip(t *testing.T) {
-	p := &Data{
-		ID:       3,
-		Members:  []uint32{1, 5, 9},
-		InEdges:  []graph.Edge{{Src: 2, Dst: 1}, {Src: 4, Dst: 5}},
-		OutEdges: []graph.Edge{{Src: 1, Dst: 7}},
-	}
-	buf := p.AppendBinary(nil)
-	if len(buf) != p.ByteSize() {
-		t.Errorf("encoded %d bytes, ByteSize says %d", len(buf), p.ByteSize())
-	}
-	got, rest, err := DecodeData(buf)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("DecodeData: %v (rest %d)", err, len(rest))
-	}
-	if !reflect.DeepEqual(got, p) {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, p)
-	}
-}
-
-func TestDecodeDataErrors(t *testing.T) {
-	p := &Data{ID: 1, Members: []uint32{0}, InEdges: []graph.Edge{{Src: 1, Dst: 0}}}
-	buf := p.AppendBinary(nil)
-	if _, _, err := DecodeData(buf[:8]); err == nil {
-		t.Error("short header should fail")
-	}
-	if _, _, err := DecodeData(buf[:len(buf)-2]); err == nil {
-		t.Error("truncated payload should fail")
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, name := range []string{"range", "hash", "greedy"} {
 		p, ok := ByName(name)

@@ -142,7 +142,7 @@ func (s *FileStore) Apply(updates []Update) (int, error) {
 }
 
 // Extend appends new users' vectors at the next sequential ids with
-// one sequential write at the end of the file — the delta path's
+// one sequential write at the end of the recorded data — the delta path's
 // storage half of adding users, far cheaper than the full rewrite
 // Apply pays.
 func (s *FileStore) Extend(vecs []Vector) error {
@@ -162,11 +162,14 @@ func (s *FileStore) Extend(vecs []Vector) error {
 		buf = v.AppendBinary(buf)
 		lengths = append(lengths, int32(len(buf)-start))
 	}
-	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	// Written at end, not appended: a torn earlier Extend may have left
+	// bytes past end that no offset records, and appending behind them
+	// would put these vectors where the offsets below do not point.
+	f, err := os.OpenFile(s.path, os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("profile: open store for extend: %w", err)
 	}
-	if _, err := f.Write(buf); err != nil {
+	if _, err := f.WriteAt(buf, end); err != nil {
 		f.Close()
 		return fmt.Errorf("profile: extend store: %w", err)
 	}

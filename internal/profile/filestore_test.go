@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -162,5 +163,40 @@ func TestFileStoreExtend(t *testing.T) {
 	}
 	if err := fs.Extend(nil); err != nil {
 		t.Fatal(err) // no-op
+	}
+}
+
+// TestFileStoreExtendAfterTornWrite: an Extend that failed after a
+// partial write leaves bytes past the last recorded vector. The next
+// Extend must overwrite them — appending behind them would record
+// offsets that point into the junk.
+func TestFileStoreExtendAfterTornWrite(t *testing.T) {
+	want := []Vector{FromItems([]uint32{1, 2}), FromItems([]uint32{5})}
+	fs, _ := newFileStore(t, want[:1])
+	if err := fs.Extend(want[1:]); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(fs.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("torn tail of a failed extend")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, FromItems([]uint32{8, 9}), Vector{}, FromItems([]uint32{3}))
+	if err := fs.Extend(want[2:]); err != nil {
+		t.Fatal(err)
+	}
+	for u, w := range want {
+		got, err := fs.Profile(uint32(u))
+		if err != nil {
+			t.Fatalf("Profile(%d): %v", u, err)
+		}
+		if !got.Equal(w) {
+			t.Errorf("user %d read back %+v, want %+v", u, got, w)
+		}
 	}
 }

@@ -13,32 +13,42 @@ import (
 	"knnpc/internal/partition"
 )
 
-// DiskTable is the out-of-core implementation of the hash table H. Raw
-// tuples are appended (duplicates and all) to one spill file per shard
-// through small in-memory batch buffers; de-duplication happens
-// shard-at-a-time when phase 4 reads the shard — exactly the moment the
-// two owning partitions are resident anyway, so peak memory stays
-// bounded by a single shard rather than the whole tuple set.
+// DiskTable is the hash table H: it absorbs raw tuples (duplicates and
+// all) and serves de-duplicated, deterministically ordered shards keyed
+// by the partition pair of the endpoints. Raw tuples collect in one
+// in-memory buffer per shard; de-duplication happens shard-at-a-time
+// when phase 4 reads the shard — exactly the moment the two owning
+// partitions are resident anyway.
 //
-// Concurrency contract: Add and AddBatch run in phase 2, strictly
-// before any Shard or ShardAhead call, and are safe for concurrent use
-// with each other and with Close — each shard's pending buffer, raw
-// count and spill writer are guarded by that shard's own mutex, so
-// producers contend only when they hit the same shard, and distinct
-// shards spill to distinct files. Spill append ORDER within a shard
-// therefore depends on producer interleaving, which is immaterial:
-// de-duplication sorts the whole shard at read time, so shard contents
-// are a pure function of the tuple multiset. Shard and ShardAhead are
-// called from the phase-4 executor's cursor goroutines; the
-// asynchronous read issued by ShardAhead runs on a background
-// goroutine that touches only state it owns (the shard's writer, spill
-// file and pending buffer are handed over at issue time).
+// Where the raw tuples wait is the table's one switch. With a scratch
+// directory a shard's buffer is appended to that shard's spill file
+// each time it reaches the spill batch, so peak memory stays bounded by
+// a single shard rather than the whole tuple set. With a nil scratch it
+// is never flushed: the whole shard stays in RAM and is read back as
+// the unflushed tail every shard has. No other line of code differs.
+//
+// Concurrency contract: AddBatch runs in phase 2, strictly before any
+// Shard or ShardAhead call, and is safe for concurrent use with itself
+// and with Close — phase 2's bridge, direct-edge and exploration
+// producers all feed one table from their own goroutines. Each shard's
+// pending buffer, raw count and spill writer are guarded by that
+// shard's own mutex, so producers contend only when they hit the same
+// shard, and distinct shards spill to distinct files. Append ORDER
+// within a shard therefore depends on producer interleaving, which is
+// immaterial: de-duplication sorts the whole shard at read time, so
+// everything the table serves afterwards (Added, ShardCounts, the
+// de-duplicated sorted Shard contents) is a pure function of the tuple
+// multiset and a parallel build is bit-identical to a serial one. Shard
+// and ShardAhead are called from the phase-4 executor's cursor
+// goroutines; the asynchronous read issued by ShardAhead runs on a
+// background goroutine that touches only state it owns (the shard's
+// writer, spill file and pending buffer are handed over at issue time).
 //
 // Lock order: the table mutex (shard map, futures, closed) is always
 // taken before a shard's mutex, never the reverse.
 type DiskTable struct {
 	assign  *partition.Assignment
-	scratch *disk.Scratch
+	scratch *disk.Scratch // nil = never spill
 	stats   *disk.IOStats
 	device  *disk.Device // nil = no emulated latency on shard spill I/O
 	batch   int
@@ -103,8 +113,9 @@ type shardFuture struct {
 // they are flushed as one spill record (8 bytes per tuple).
 const defaultBatch = 1024
 
-// NewDiskTable returns an empty disk-backed H whose spill files live
-// under scratch. batch ≤ 0 selects the default batch size.
+// NewDiskTable returns an empty H whose spill files live under scratch;
+// a nil scratch keeps every tuple in memory. batch ≤ 0 selects the
+// default spill batch size.
 func NewDiskTable(assign *partition.Assignment, scratch *disk.Scratch, stats *disk.IOStats, batch int) *DiskTable {
 	if batch <= 0 {
 		batch = defaultBatch
@@ -145,11 +156,12 @@ func (t *DiskTable) shard(id ShardID) (*diskShard, error) {
 	return sh, nil
 }
 
-// addKeys appends packed tuples to one shard, flushing full batches.
-// It returns the spill bytes written, so callers can charge the
-// emulated device AFTER releasing the shard lock — sleeping modeled
-// latency while holding a shard every other producer's next batch
-// will touch would convoy the whole build behind one spindle access.
+// addKeys appends packed tuples to one shard, flushing full batches
+// when there is a scratch directory to flush to. It returns the spill
+// bytes written, so callers can charge the emulated device AFTER
+// releasing the shard lock — sleeping modeled latency while holding a
+// shard every other producer's next batch will touch would convoy the
+// whole build behind one spindle access.
 func (t *DiskTable) addKeys(id ShardID, keys []uint64) (int64, error) {
 	sh, err := t.shard(id)
 	if err != nil {
@@ -162,33 +174,23 @@ func (t *DiskTable) addKeys(id ShardID, keys []uint64) (int64, error) {
 	}
 	sh.count += int64(len(keys))
 	sh.pending = append(sh.pending, keys...)
-	if len(sh.pending) >= t.batch {
+	if t.scratch != nil && len(sh.pending) >= t.batch {
 		return t.flushLocked(id, sh)
 	}
 	return 0, nil
 }
 
-// SetTombstones implements Table.
+// SetTombstones installs the deletion predicate: every subsequently
+// added tuple with a tombstoned endpoint is dropped at the door, so a
+// deleted user neither emits nor receives candidates in the next full
+// iteration. The predicate must be installed before any producer starts
+// adding (it is read without synchronization from the add path) and
+// must be safe for concurrent calls. A nil predicate — the default —
+// filters nothing and costs one nil check per batch.
 func (t *DiskTable) SetTombstones(dead func(uint32) bool) { t.dead = dead }
 
-// Add implements Table.
-func (t *DiskTable) Add(s, d uint32) error {
-	if t.dead != nil && (t.dead(s) || t.dead(d)) {
-		return nil
-	}
-	id := ShardID{I: t.assign.Of(s), J: t.assign.Of(d)}
-	spilled, err := t.addKeys(id, []uint64{pack(s, d)})
-	if err != nil {
-		return err
-	}
-	if spilled > 0 {
-		t.device.Append(spilled)
-	}
-	t.added.Add(1)
-	return nil
-}
-
-// AddBatch implements Table: tuples are grouped by shard through a
+// AddBatch records a batch of tuples — producers accumulate a local
+// buffer and hand it over whole. Tuples are grouped by shard through a
 // pooled ordinal-indexed scratch, so each touched shard's lock (and at
 // most one spill flush per shard) is paid once per batch instead of
 // once per tuple, and the grouping itself allocates nothing in steady
@@ -277,11 +279,13 @@ func (t *DiskTable) shardPath(id ShardID) string {
 	return t.scratch.Path(fmt.Sprintf("shard-%d-%d.tuples", id.I, id.J))
 }
 
-// Added implements Table.
+// Added reports the number of tuples added (duplicates included).
 func (t *DiskTable) Added() int64 { return t.added.Load() }
 
-// ShardCounts implements Table. Counts are raw (duplicates included);
-// they upper-bound the distinct tuple count.
+// ShardCounts returns the raw tuple count (duplicates included, an
+// upper bound on the distinct count) per directed partition pair — the
+// weights from which the PI graph is built. It must only be called
+// after all adds have completed (phase 3 reads it once).
 func (t *DiskTable) ShardCounts() map[ShardID]int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -377,9 +381,10 @@ func (t *DiskTable) readShard(id ShardID, pending []uint64, w *disk.RecordWriter
 // ShardAhead starts reading shard (i, j) on a background goroutine, so
 // the later Shard call for the same pair returns the already-read (and
 // already de-duplicated) tuples instead of blocking the phase-4 cursor
-// on spill I/O and sorting. The pair sequence is fixed by the op tape,
-// so the executor knows which shards are needed next; shards are only
-// written in phase 2, so there is no write-back hazard to order
+// on spill I/O and sorting — a shard that never spilled still moves its
+// sort-and-dedup off the cursor. The pair sequence is fixed by the op
+// tape, so the executor knows which shards are needed next; shards are
+// only written in phase 2, so there is no write-back hazard to order
 // against. Announcing an empty, unknown, already-announced or
 // already-consumed shard is a no-op.
 func (t *DiskTable) ShardAhead(i, j uint32) {
@@ -418,8 +423,10 @@ func (t *DiskTable) ShardAhead(i, j uint32) {
 // the asynchronous ShardAhead path.
 func (t *DiskTable) PrefetchedShardBytes() int64 { return t.prefetchedBytes.Load() }
 
-// Shard implements Table: it drains the shard's spill file, de-
-// duplicates by sort-unique, and deletes the file (each shard is read
+// Shard returns the de-duplicated tuples whose endpoints lie in
+// partitions (i, j), sorted by (S, D): it drains the shard's spill
+// file, de-duplicates by sort-unique, and deletes the file. It consumes
+// the shard, so it may be called at most once per shard (each is read
 // exactly once, by the PI-edge that owns it). A shard announced with
 // ShardAhead is served from the in-flight read instead — waiting for it
 // if necessary. Calling Shard on a closed table is an error: the spill
@@ -456,12 +463,12 @@ func (t *DiskTable) Shard(i, j uint32) ([]Tuple, error) {
 	return ts, err
 }
 
-// Close implements Table: it waits out any in-flight shard reads, then
-// closes and removes any remaining spill files. The closed flag is set
-// under the table mutex (the same lock the add path's shard lookup
-// takes), and each shard's state is detached under that shard's own
-// mutex and marked dead BEFORE it is torn down — so an Add, AddBatch,
-// Shard or ShardAhead racing with Close either completes entirely
+// Close waits out any in-flight shard reads, then closes and removes
+// any remaining spill files. The closed flag is set under the table
+// mutex (the same lock the add path's shard lookup takes), and each
+// shard's state is detached under that shard's own mutex and marked
+// dead BEFORE it is torn down — so an AddBatch, Shard or ShardAhead
+// racing with Close either completes entirely
 // against state it already holds, or observes closed/dead and errors.
 // Never a half-dismantled shard or a writer Close is about to close
 // under it.
@@ -508,6 +515,3 @@ func (t *DiskTable) Close() error {
 	}
 	return firstErr
 }
-
-var _ Table = (*DiskTable)(nil)
-var _ ShardPrefetcher = (*DiskTable)(nil)

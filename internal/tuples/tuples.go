@@ -70,69 +70,6 @@ func GenerateBridge(p *partition.Data, emit func(s, d uint32) error) error {
 	return nil
 }
 
-// Table is the hash table H: it absorbs raw tuples (with duplicates)
-// and serves de-duplicated, deterministically ordered shards keyed by
-// the partition pair of the endpoints.
-//
-// Concurrency contract: Add and AddBatch are safe for concurrent use
-// with each other — phase 2's bridge, direct-edge and exploration
-// producers all feed one table from their own goroutines. Because H
-// de-duplicates and shards only by endpoint partitions, everything the
-// table serves afterwards (Added, ShardCounts, the de-duplicated
-// sorted Shard contents) depends only on the multiset of tuples added,
-// never on the interleaving, so a parallel build is bit-identical to a
-// serial one. Shard and ShardAhead still run strictly after the add
-// phase, per the five-phase structure.
-type Table interface {
-	// Add records the tuple (s, d).
-	Add(s, d uint32) error
-	// AddBatch records a batch of tuples in one call — the batched
-	// emit path of the parallel build: producers accumulate a local
-	// buffer and hand it over whole, so per-tuple locking and encode
-	// overhead amortize across the batch. Equivalent to calling Add
-	// for each element.
-	AddBatch(ts []Tuple) error
-	// Added reports the number of tuples added (duplicates included).
-	Added() int64
-	// ShardCounts returns the raw tuple count per directed partition
-	// pair — the weights from which the PI graph is built. It must only
-	// be called after all adds have completed (phase 3 reads it once).
-	ShardCounts() map[ShardID]int64
-	// Shard returns the de-duplicated tuples whose endpoints lie in
-	// partitions (i, j), sorted by (S, D). It may be called at most
-	// once per shard (disk-backed tables consume the shard).
-	Shard(i, j uint32) ([]Tuple, error)
-	// SetTombstones installs the deletion predicate: every subsequently
-	// added tuple with a tombstoned endpoint is dropped at the door, so
-	// a deleted user neither emits nor receives candidates in the next
-	// full iteration. The predicate must be installed before any
-	// producer starts adding (it is read without synchronization from
-	// the add paths) and must be safe for concurrent calls. A nil
-	// predicate — the default — filters nothing and costs one nil check
-	// per add, keeping the deletion-free path bit-identical to a table
-	// without the filter.
-	SetTombstones(dead func(uint32) bool)
-	// Close releases any resources.
-	Close() error
-}
-
-// ShardPrefetcher is the optional asynchronous read-ahead surface of a
-// Table. The phase-4 executor knows the pair sequence from its op tape,
-// so it announces upcoming shards through ShardAhead; implementations
-// start reading (and de-duplicating) the shard on a background
-// goroutine so the matching Shard call finds the data ready. Tables
-// without a useful async path (the in-memory table) simply don't
-// implement it.
-type ShardPrefetcher interface {
-	// ShardAhead begins an asynchronous read of shard (i, j). It must
-	// be safe to announce any shard at most once before its Shard call,
-	// including empty or unknown shards (a no-op).
-	ShardAhead(i, j uint32)
-	// PrefetchedShardBytes reports the cumulative bytes read through
-	// the asynchronous path.
-	PrefetchedShardBytes() int64
-}
-
 // ShardID names a directed partition pair: tuples (s, d) with
 // partition(s) = I and partition(d) = J.
 type ShardID struct {

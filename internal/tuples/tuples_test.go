@@ -2,6 +2,7 @@ package tuples
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -145,17 +146,112 @@ func paperDedupGraph() *graph.Digraph {
 	return g
 }
 
-func newTables(t *testing.T, assign *partition.Assignment) map[string]Table {
+// media are the two places H's raw tuples can wait: "mem" is a table
+// with no scratch (it never spills), "disk" one that spills to files.
+var media = []string{"mem", "disk"}
+
+// newTable returns an empty H on the named medium. batch only matters
+// on "disk"; tests pass a tiny one so every shard really spills.
+func newTable(t *testing.T, medium string, a *partition.Assignment, batch int) *DiskTable {
 	t.Helper()
-	scratch, err := disk.NewScratch(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	var scratch *disk.Scratch
+	if medium == "disk" {
+		var err error
+		if scratch, err = disk.NewScratch(t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var stats disk.IOStats
-	return map[string]Table{
-		"mem":  NewMemTable(assign),
-		"disk": NewDiskTable(assign, scratch, &stats, 4), // tiny batch to force spills
+	return NewDiskTable(a, scratch, new(disk.IOStats), batch)
+}
+
+// addTo adapts a table to GenerateBridge's per-tuple emit.
+func addTo(table *DiskTable) func(s, d uint32) error {
+	return func(s, d uint32) error { return table.AddBatch([]Tuple{{S: s, D: d}}) }
+}
+
+// addParallel feeds stream into table from four concurrent AddBatch
+// producers, in an order shuffled by r and in batches of a different
+// size per producer, so shards interleave arbitrarily.
+func addParallel(t *testing.T, table *DiskTable, stream []Tuple, r *rand.Rand) {
+	t.Helper()
+	shuffled := slices.Clone(stream)
+	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		lo, hi := w*len(shuffled)/4, (w+1)*len(shuffled)/4
+		wg.Add(1)
+		go func(chunk []Tuple, step int) {
+			defer wg.Done()
+			for len(chunk) > 0 {
+				n := min(step, len(chunk))
+				if err := table.AddBatch(chunk[:n]); err != nil {
+					t.Error(err)
+					return
+				}
+				chunk = chunk[n:]
+			}
+		}(shuffled[lo:hi], 3+w*7)
 	}
+	wg.Wait()
+}
+
+// contents is everything H serves once the adds are done.
+type contents struct {
+	added  int64
+	counts map[ShardID]int64
+	shards map[ShardID][]Tuple
+}
+
+// drain reads every shard of an m-partition table once — announcing
+// them all through ShardAhead first when ahead is set.
+func drain(t *testing.T, table *DiskTable, m uint32, ahead bool) contents {
+	t.Helper()
+	c := contents{added: table.Added(), counts: table.ShardCounts(), shards: make(map[ShardID][]Tuple)}
+	if ahead {
+		for i := uint32(0); i < m; i++ {
+			for j := uint32(0); j < m; j++ {
+				table.ShardAhead(i, j)
+			}
+		}
+	}
+	for i := uint32(0); i < m; i++ {
+		for j := uint32(0); j < m; j++ {
+			ts, err := table.Shard(i, j)
+			if err != nil {
+				t.Fatalf("Shard(%d,%d): %v", i, j, err)
+			}
+			if ts != nil {
+				c.shards[ShardID{i, j}] = ts
+			}
+		}
+	}
+	return c
+}
+
+// oracle is H by brute force: a set of packed tuples per shard, plus
+// the raw tallies, filled one tuple at a time.
+func oracle(a *partition.Assignment, stream []Tuple, dead func(uint32) bool) contents {
+	sets := make(map[ShardID]map[uint64]struct{})
+	c := contents{counts: make(map[ShardID]int64), shards: make(map[ShardID][]Tuple)}
+	for _, tu := range stream {
+		if dead != nil && (dead(tu.S) || dead(tu.D)) {
+			continue
+		}
+		id := ShardID{I: a.Of(tu.S), J: a.Of(tu.D)}
+		if sets[id] == nil {
+			sets[id] = make(map[uint64]struct{})
+		}
+		sets[id][pack(tu.S, tu.D)] = struct{}{}
+		c.counts[id]++
+		c.added++
+	}
+	for id, set := range sets {
+		for k := range set {
+			c.shards[id] = append(c.shards[id], unpack(k))
+		}
+		sortTuples(c.shards[id])
+	}
+	return c
 }
 
 func TestTableDeduplicatesPaperCases(t *testing.T) {
@@ -164,34 +260,30 @@ func TestTableDeduplicatesPaperCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, table := range newTables(t, a) {
-		t.Run(name, func(t *testing.T) {
+	for _, medium := range media {
+		t.Run(medium, func(t *testing.T) {
+			table := newTable(t, medium, a, 4)
 			defer table.Close()
 			// The diamond yields (3,6) twice (bridges 4 and 5); the
 			// cycle yields duplicates like (0,1) from direct + 2-hop.
+			add := addTo(table)
 			for _, p := range partition.Build(g, a) {
-				if err := GenerateBridge(p, table.Add); err != nil {
+				if err := GenerateBridge(p, add); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for _, e := range g.Edges() {
-				if err := table.Add(e.Src, e.Dst); err != nil {
+				if err := add(e.Src, e.Dst); err != nil {
 					t.Fatal(err)
 				}
 			}
 			seen := make(map[Tuple]bool)
-			for i := uint32(0); i < 2; i++ {
-				for j := uint32(0); j < 2; j++ {
-					shard, err := table.Shard(i, j)
-					if err != nil {
-						t.Fatalf("Shard(%d,%d): %v", i, j, err)
+			for _, shard := range drain(t, table, 2, false).shards {
+				for _, tu := range shard {
+					if seen[tu] {
+						t.Fatalf("duplicate tuple %v across shards", tu)
 					}
-					for _, tu := range shard {
-						if seen[tu] {
-							t.Fatalf("duplicate tuple %v across shards", tu)
-						}
-						seen[tu] = true
-					}
+					seen[tu] = true
 				}
 			}
 			if !seen[Tuple{3, 6}] {
@@ -207,62 +299,55 @@ func TestTableDeduplicatesPaperCases(t *testing.T) {
 	}
 }
 
+// TestMemAndDiskTablesAgreeProperty is the one-table proof: over random
+// tuple multisets fed through concurrent AddBatch producers, the table
+// that never spills, the table that spills every single tuple, and a
+// brute-force oracle agree on Added, on the raw ShardCounts and on
+// every shard's sorted de-duplicated contents — with and without
+// tombstones, with shards consumed through ShardAhead and through plain
+// Shard.
 func TestMemAndDiskTablesAgreeProperty(t *testing.T) {
-	f := func(seed int64) bool {
+	for seed := int64(0); seed < 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		n := 4 + r.Intn(30)
-		m := 2 + r.Intn(3)
-		if m > n {
-			m = n
+		n, m := 4+r.Intn(40), 1+r.Intn(5)
+		of := make([]uint32, n)
+		for u := range of {
+			of[u] = uint32(r.Intn(m))
 		}
-		g, err := dataset.UniformRandom(n, min(4*n, n*(n-1)), seed)
+		a, err := partition.NewAssignment(of, m)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		a, err := (partition.Hash{}).Partition(g, m)
-		if err != nil {
-			return false
+		// Few users, many draws: most tuples arrive more than once.
+		stream := make([]Tuple, r.Intn(800))
+		for i := range stream {
+			stream[i] = Tuple{S: uint32(r.Intn(n)), D: uint32(r.Intn(n))}
 		}
-		scratch, err := disk.NewScratch("")
-		if err != nil {
-			return false
-		}
-		defer scratch.Close()
-		var stats disk.IOStats
-		mem := NewMemTable(a)
-		dsk := NewDiskTable(a, scratch, &stats, 3)
-		defer mem.Close()
-		defer dsk.Close()
-
-		for _, p := range partition.Build(g, a) {
-			if err := GenerateBridge(p, func(s, d uint32) error {
-				if err := mem.Add(s, d); err != nil {
-					return err
-				}
-				return dsk.Add(s, d)
-			}); err != nil {
-				return false
-			}
-		}
-		for i := uint32(0); int(i) < m; i++ {
-			for j := uint32(0); int(j) < m; j++ {
-				a1, err := mem.Shard(i, j)
-				if err != nil {
-					return false
-				}
-				a2, err := dsk.Shard(i, j)
-				if err != nil {
-					return false
-				}
-				if !reflect.DeepEqual(a1, a2) {
-					return false
+		tombstoned := map[uint32]bool{uint32(r.Intn(n)): true, uint32(r.Intn(n)): true}
+		for _, dead := range []func(uint32) bool{nil, func(u uint32) bool { return tombstoned[u] }} {
+			want := oracle(a, stream, dead)
+			for _, ahead := range []bool{false, true} {
+				for _, medium := range media {
+					table := newTable(t, medium, a, 1)
+					table.SetTombstones(dead)
+					addParallel(t, table, stream, r)
+					got := drain(t, table, uint32(m), ahead)
+					if err := table.Close(); err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("seed %d %s tombstones=%v ahead=%v", seed, medium, dead != nil, ahead)
+					if got.added != want.added {
+						t.Errorf("%s: Added = %d, oracle %d", name, got.added, want.added)
+					}
+					if !reflect.DeepEqual(got.counts, want.counts) {
+						t.Errorf("%s: ShardCounts = %v, oracle %v", name, got.counts, want.counts)
+					}
+					if !reflect.DeepEqual(got.shards, want.shards) {
+						t.Errorf("%s: shard contents diverge from the oracle", name)
+					}
 				}
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -275,10 +360,13 @@ func TestShardsAreSortedAndOwnedByRightPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := NewMemTable(a)
+	table := newTable(t, "mem", a, 0)
 	defer table.Close()
+	add := addTo(table)
 	for _, e := range g.Edges() {
-		table.Add(e.Src, e.Dst)
+		if err := add(e.Src, e.Dst); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for id := range table.ShardCounts() {
 		shard, err := table.Shard(id.I, id.J)
@@ -296,122 +384,96 @@ func TestShardsAreSortedAndOwnedByRightPartitions(t *testing.T) {
 	}
 }
 
-func TestMemTableCounts(t *testing.T) {
-	a, err := partition.NewAssignment([]uint32{0, 0, 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := NewMemTable(a)
-	table.Add(0, 1)
-	table.Add(0, 1) // duplicate
-	table.Add(0, 2)
-	if table.Added() != 3 {
-		t.Errorf("Added = %d, want 3", table.Added())
-	}
-	if table.Unique() != 2 {
-		t.Errorf("Unique = %d, want 2", table.Unique())
-	}
-	counts := table.ShardCounts()
-	if counts[ShardID{0, 0}] != 1 || counts[ShardID{0, 1}] != 1 {
-		t.Errorf("ShardCounts = %v", counts)
-	}
-}
-
 func TestDiskTableAddAfterClose(t *testing.T) {
 	a, err := partition.NewAssignment([]uint32{0, 0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := disk.NewScratch(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats disk.IOStats
-	table := NewDiskTable(a, scratch, &stats, 0)
-	if err := table.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := table.Add(0, 1); err == nil {
-		t.Error("Add after Close should fail")
-	}
-	if err := table.AddBatch([]Tuple{{0, 1}}); err == nil {
-		t.Error("AddBatch after Close should fail")
-	}
-	if err := table.Close(); err != nil {
-		t.Errorf("double Close should be a no-op, got %v", err)
+	for _, medium := range media {
+		table := newTable(t, medium, a, 0)
+		if err := table.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := table.AddBatch([]Tuple{{0, 1}}); err == nil {
+			t.Errorf("%s: AddBatch after Close should fail", medium)
+		}
+		if err := table.Close(); err != nil {
+			t.Errorf("%s: double Close should be a no-op, got %v", medium, err)
+		}
 	}
 }
 
-// TestDiskTableAddRacesClose is the satellite race test for the
-// concurrent-build contract: producers hammer Add/AddBatch from
-// several goroutines while Close lands in the middle. Run under -race
-// in CI. Before the closed check moved under the table's locking
-// scheme, Add read t.closed unsynchronized while Close wrote it — a
-// data race — and a producer that slipped past the check could
-// resurrect a spill writer for a file Close had already removed. After
-// the fix every add either lands entirely before Close detaches its
-// shard (the file is then cleaned up by Close) or reports the closed
-// error; no spill file may survive.
+// TestDiskTableAddRacesClose is the race test for the concurrent-build
+// contract: producers hammer AddBatch from several goroutines while
+// Close lands in the middle. Run under -race in CI. Before the closed
+// check moved under the table's locking scheme, the add path read
+// t.closed unsynchronized while Close wrote it — a data race — and a
+// producer that slipped past the check could resurrect a spill writer
+// for a file Close had already removed. After the fix every add either
+// lands entirely before Close detaches its shard (the file is then
+// cleaned up by Close) or reports the closed error; no spill file may
+// survive.
 func TestDiskTableAddRacesClose(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		dir := t.TempDir()
-		a, err := partition.NewAssignment([]uint32{0, 1, 0, 1, 2, 2}, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch, err := disk.NewScratch(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats disk.IOStats
-		table := NewDiskTable(a, scratch, &stats, 2) // tiny batch: every producer flushes
-
-		start := make(chan struct{})
-		done := make(chan struct{}, 3)
-		producer := func(base uint32, batched bool) {
-			defer func() { done <- struct{}{} }()
-			<-start
-			r := rand.New(rand.NewSource(seed + int64(base)))
-			for i := 0; i < 400; i++ {
-				s, d := uint32(r.Intn(6)), uint32(r.Intn(6))
-				var err error
-				if batched {
-					err = table.AddBatch([]Tuple{{s, d}, {d, s}})
-				} else {
-					err = table.Add(s, d)
-				}
-				if err != nil {
-					if !strings.Contains(err.Error(), "closed") {
-						t.Errorf("seed %d: unexpected add error: %v", seed, err)
-					}
-					return
+	a, err := partition.NewAssignment([]uint32{0, 1, 0, 1, 2, 2}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, medium := range media {
+		for seed := int64(0); seed < 5; seed++ {
+			dir := t.TempDir()
+			var scratch *disk.Scratch
+			if medium == "disk" {
+				if scratch, err = disk.NewScratch(dir); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}
-		go producer(0, false)
-		go producer(1, true)
-		go producer(2, true)
-		closed := make(chan error, 1)
-		go func() {
-			<-start
-			closed <- table.Close()
-		}()
-		close(start)
+			table := NewDiskTable(a, scratch, new(disk.IOStats), 2) // tiny batch: every producer flushes
 
-		if err := <-closed; err != nil {
-			t.Fatalf("seed %d: Close: %v", seed, err)
-		}
-		for r := 0; r < 3; r++ {
-			<-done
-		}
-		// Whatever interleaving happened, Close must have removed every
-		// spill file a racing producer managed to create.
-		files, err := filepath.Glob(filepath.Join(dir, "shard-*.tuples"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(files) > 0 {
-			t.Fatalf("seed %d: spill files survived Close: %v", seed, files)
+			start := make(chan struct{})
+			done := make(chan struct{}, 3)
+			producer := func(base uint32, pairs bool) {
+				defer func() { done <- struct{}{} }()
+				<-start
+				r := rand.New(rand.NewSource(seed + int64(base)))
+				for i := 0; i < 400; i++ {
+					s, d := uint32(r.Intn(6)), uint32(r.Intn(6))
+					batch := []Tuple{{s, d}}
+					if pairs {
+						batch = append(batch, Tuple{d, s})
+					}
+					if err := table.AddBatch(batch); err != nil {
+						if !strings.Contains(err.Error(), "closed") {
+							t.Errorf("%s seed %d: unexpected add error: %v", medium, seed, err)
+						}
+						return
+					}
+				}
+			}
+			go producer(0, false)
+			go producer(1, true)
+			go producer(2, true)
+			closed := make(chan error, 1)
+			go func() {
+				<-start
+				closed <- table.Close()
+			}()
+			close(start)
+
+			if err := <-closed; err != nil {
+				t.Fatalf("%s seed %d: Close: %v", medium, seed, err)
+			}
+			for r := 0; r < 3; r++ {
+				<-done
+			}
+			// Whatever interleaving happened, Close must have removed every
+			// spill file a racing producer managed to create.
+			files, err := filepath.Glob(filepath.Join(dir, "shard-*.tuples"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(files) > 0 {
+				t.Fatalf("%s seed %d: spill files survived Close: %v", medium, seed, files)
+			}
 		}
 	}
 }
@@ -419,9 +481,9 @@ func TestDiskTableAddRacesClose(t *testing.T) {
 // TestParallelAddBatchMatchesSerialTable is the table-level statement
 // of the build-side invariant: the same tuple multiset fed through
 // concurrent AddBatch producers (in shuffled, overlapping slices) must
-// leave H byte-for-byte equal to feeding it through serial per-tuple
-// Add — same Added tally, same raw ShardCounts, same de-duplicated
-// sorted shard contents — for both table implementations.
+// leave H byte-for-byte equal to feeding it one tuple at a time from one
+// goroutine — same Added tally, same raw ShardCounts, same
+// de-duplicated sorted shard contents — on both media.
 func TestParallelAddBatchMatchesSerialTable(t *testing.T) {
 	const users, m, seed = 60, 4, 11
 	g, err := dataset.UniformRandom(users, 5*users, seed)
@@ -446,81 +508,25 @@ func TestParallelAddBatchMatchesSerialTable(t *testing.T) {
 		stream = append(stream, Tuple{S: e.Src, D: e.Dst})
 	}
 
-	type result struct {
-		added  int64
-		counts map[ShardID]int64
-		shards map[ShardID][]Tuple
-	}
-	drain := func(table Table) result {
-		res := result{added: table.Added(), counts: table.ShardCounts(), shards: make(map[ShardID][]Tuple)}
-		for i := uint32(0); i < m; i++ {
-			for j := uint32(0); j < m; j++ {
-				ts, err := table.Shard(i, j)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ts != nil {
-					res.shards[ShardID{i, j}] = ts
-				}
-			}
-		}
-		return res
-	}
-
-	for _, name := range []string{"mem", "disk"} {
-		t.Run(name, func(t *testing.T) {
-			mk := func() Table {
-				if name == "mem" {
-					return NewMemTable(a)
-				}
-				scratch, err := disk.NewScratch(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				var stats disk.IOStats
-				return NewDiskTable(a, scratch, &stats, 4)
-			}
-			serial := mk()
+	for _, medium := range media {
+		t.Run(medium, func(t *testing.T) {
+			serial := newTable(t, medium, a, 4)
 			defer serial.Close()
 			for _, tu := range stream {
-				if err := serial.Add(tu.S, tu.D); err != nil {
+				if err := serial.AddBatch([]Tuple{tu}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			want := drain(serial)
+			want := drain(t, serial, m, false)
 
-			parallel := mk()
+			parallel := newTable(t, medium, a, 4)
 			defer parallel.Close()
-			// Shuffle a copy so producers interleave shards arbitrarily,
-			// then split into uneven slices fed from 4 goroutines in
-			// batches of varying size.
-			shuffled := append([]Tuple(nil), stream...)
-			r := rand.New(rand.NewSource(seed))
-			r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-			var wg sync.WaitGroup
-			for w := 0; w < 4; w++ {
-				lo, hi := w*len(shuffled)/4, (w+1)*len(shuffled)/4
-				wg.Add(1)
-				go func(chunk []Tuple, step int) {
-					defer wg.Done()
-					for len(chunk) > 0 {
-						n := min(step, len(chunk))
-						if err := parallel.AddBatch(chunk[:n]); err != nil {
-							t.Error(err)
-							return
-						}
-						chunk = chunk[n:]
-					}
-				}(shuffled[lo:hi], 3+w*7)
-			}
-			wg.Wait()
-			got := drain(parallel)
+			addParallel(t, parallel, stream, rand.New(rand.NewSource(seed)))
+			got := drain(t, parallel, m, false)
 
 			if got.added != want.added {
 				t.Errorf("Added = %d parallel, %d serial", got.added, want.added)
 			}
-			// Disk counts are raw-add tallies, mem counts distinct-set
-			// sizes — both pure functions of the multiset.
 			if !reflect.DeepEqual(got.counts, want.counts) {
 				t.Errorf("ShardCounts diverge:\nparallel %v\nserial   %v", got.counts, want.counts)
 			}
@@ -536,8 +542,9 @@ func TestEmptyShardIsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, table := range newTables(t, a) {
-		t.Run(name, func(t *testing.T) {
+	for _, medium := range media {
+		t.Run(medium, func(t *testing.T) {
+			table := newTable(t, medium, a, 4)
 			defer table.Close()
 			shard, err := table.Shard(1, 1)
 			if err != nil || shard != nil {
@@ -547,10 +554,10 @@ func TestEmptyShardIsEmpty(t *testing.T) {
 	}
 }
 
-// shardAheadFixture builds a mem + disk table pair over a random
-// two-hop workload, with a tiny spill batch so shard prefetch has real
-// file bytes to read.
-func shardAheadFixture(t *testing.T, seed int64, n, m int) (*MemTable, *DiskTable, *partition.Assignment) {
+// shardAheadFixture fills one table per medium with the same random
+// two-hop workload; the disk one has a tiny spill batch so shard
+// prefetch has real file bytes to read.
+func shardAheadFixture(t *testing.T, seed int64, n, m int) map[string]*DiskTable {
 	t.Helper()
 	g, err := dataset.UniformRandom(n, 4*n, seed)
 	if err != nil {
@@ -560,33 +567,26 @@ func shardAheadFixture(t *testing.T, seed int64, n, m int) (*MemTable, *DiskTabl
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := disk.NewScratch(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats disk.IOStats
-	mem := NewMemTable(a)
-	dsk := NewDiskTable(a, scratch, &stats, 4)
-	for _, p := range partition.Build(g, a) {
-		if err := GenerateBridge(p, func(s, d uint32) error {
-			if err := mem.Add(s, d); err != nil {
-				return err
+	tables := make(map[string]*DiskTable)
+	for _, medium := range media {
+		tables[medium] = newTable(t, medium, a, 4)
+		for _, p := range partition.Build(g, a) {
+			if err := GenerateBridge(p, addTo(tables[medium])); err != nil {
+				t.Fatal(err)
 			}
-			return dsk.Add(s, d)
-		}); err != nil {
-			t.Fatal(err)
 		}
 	}
-	return mem, dsk, a
+	return tables
 }
 
 // TestShardAheadMatchesSynchronousShard: announcing a shard and then
-// reading it returns exactly the bytes a synchronous Shard would have,
+// reading it returns exactly the tuples a synchronous Shard would have,
 // on every shard of the table, and the async path reports the spill
 // bytes it read.
 func TestShardAheadMatchesSynchronousShard(t *testing.T) {
 	const m = 3
-	mem, dsk, _ := shardAheadFixture(t, 7, 40, m)
+	tables := shardAheadFixture(t, 7, 40, m)
+	mem, dsk := tables["mem"], tables["disk"]
 	defer mem.Close()
 	defer dsk.Close()
 
@@ -621,68 +621,67 @@ func TestShardAheadMatchesSynchronousShard(t *testing.T) {
 // received a tuple (or out-of-range partitions) neither errors nor
 // leaks goroutines, and their Shard still reports empty.
 func TestShardAheadUnknownShardIsNoop(t *testing.T) {
-	mem, dsk, _ := shardAheadFixture(t, 9, 12, 2)
-	defer mem.Close()
-	defer dsk.Close()
-	dsk.ShardAhead(17, 23)
-	if ts, err := dsk.Shard(17, 23); err != nil || ts != nil {
-		t.Fatalf("unknown shard returned %v, %v", ts, err)
-	}
-	if dsk.PrefetchedShardBytes() != 0 {
-		t.Errorf("no-op announcements read %d bytes", dsk.PrefetchedShardBytes())
+	for medium, table := range shardAheadFixture(t, 9, 12, 2) {
+		table.ShardAhead(17, 23)
+		if ts, err := table.Shard(17, 23); err != nil || ts != nil {
+			t.Fatalf("%s: unknown shard returned %v, %v", medium, ts, err)
+		}
+		if table.PrefetchedShardBytes() != 0 {
+			t.Errorf("%s: no-op announcements read %d bytes", medium, table.PrefetchedShardBytes())
+		}
+		table.Close()
 	}
 }
 
-// TestCloseRacesShardAhead is the satellite race test: readers issue
-// ShardAhead announcements and consume shards from several goroutines
-// while Close lands in the middle. Run under -race in CI: before the
-// fix, Close tore down the writers map outside the mutex while a
-// concurrent Shard was taking from it, so a late read could touch a
-// writer Close had already closed (or a removed spill file) — or race
-// on the map itself. After Close every Shard must either have
+// TestCloseRacesShardAhead is the race test on the read side: readers
+// issue ShardAhead announcements and consume shards from several
+// goroutines while Close lands in the middle. Run under -race in CI:
+// before the fix, Close tore down the writers map outside the mutex
+// while a concurrent Shard was taking from it, so a late read could
+// touch a writer Close had already closed (or a removed spill file) —
+// or race on the map itself. After Close every Shard must either have
 // completed against state it took earlier or report a "after Close"
 // error; it must never silently return an empty shard.
 func TestCloseRacesShardAhead(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		mem, dsk, _ := shardAheadFixture(t, 100+seed, 60, 4)
-		mem.Close()
+		for medium, table := range shardAheadFixture(t, 100+seed, 60, 4) {
+			start := make(chan struct{})
+			done := make(chan error, 2)
+			// Each reader owns a disjoint half of the shard space (Shard is
+			// consume-once), announcing ahead and consuming like a phase-4
+			// worker cursor.
+			reader := func(iBase uint32) {
+				<-start
+				for k := uint32(0); k < 8; k++ {
+					i, j := iBase+k/4, k%4
+					table.ShardAhead(i, j)
+					if _, err := table.Shard(i, j); err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- nil
+			}
+			go reader(0)
+			go reader(2)
+			closed := make(chan error, 1)
+			go func() {
+				<-start
+				closed <- table.Close()
+			}()
+			close(start)
 
-		start := make(chan struct{})
-		done := make(chan error, 2)
-		// Each reader owns a disjoint half of the shard space (Shard is
-		// consume-once), announcing ahead and consuming like a phase-4
-		// worker cursor.
-		reader := func(iBase uint32) {
-			<-start
-			for k := uint32(0); k < 8; k++ {
-				i, j := iBase+k/4, k%4
-				dsk.ShardAhead(i, j)
-				if _, err := dsk.Shard(i, j); err != nil {
-					done <- err
-					return
+			if err := <-closed; err != nil {
+				t.Fatalf("%s seed %d: Close: %v", medium, seed, err)
+			}
+			for r := 0; r < 2; r++ {
+				if err := <-done; err != nil && !strings.Contains(err.Error(), "after Close") {
+					t.Fatalf("%s seed %d: reader saw unexpected error: %v", medium, seed, err)
 				}
 			}
-			done <- nil
-		}
-		go reader(0)
-		go reader(2)
-		closed := make(chan error, 1)
-		go func() {
-			<-start
-			closed <- dsk.Close()
-		}()
-		close(start)
-
-		if err := <-closed; err != nil {
-			t.Fatalf("seed %d: Close: %v", seed, err)
-		}
-		for r := 0; r < 2; r++ {
-			if err := <-done; err != nil && !strings.Contains(err.Error(), "after Close") {
-				t.Fatalf("seed %d: reader saw unexpected error: %v", seed, err)
+			if _, err := table.Shard(0, 1); err == nil {
+				t.Fatalf("%s seed %d: Shard on a closed table returned no error", medium, seed)
 			}
-		}
-		if _, err := dsk.Shard(0, 1); err == nil {
-			t.Fatalf("seed %d: Shard on a closed table returned no error", seed)
 		}
 	}
 }
@@ -691,66 +690,47 @@ func TestCloseRacesShardAhead(t *testing.T) {
 // but never-consumed shards (an aborted phase 4) waits out the reads
 // and removes every spill file.
 func TestCloseDrainsInFlightShardReads(t *testing.T) {
-	mem, dsk, _ := shardAheadFixture(t, 11, 40, 3)
-	defer mem.Close()
-	for i := uint32(0); i < 3; i++ {
-		for j := uint32(0); j < 3; j++ {
-			dsk.ShardAhead(i, j)
+	for medium, table := range shardAheadFixture(t, 11, 40, 3) {
+		for i := uint32(0); i < 3; i++ {
+			for j := uint32(0); j < 3; j++ {
+				table.ShardAhead(i, j)
+			}
 		}
-	}
-	if err := dsk.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := dsk.Close(); err != nil {
-		t.Fatal(err) // idempotent
+		if err := table.Close(); err != nil {
+			t.Fatalf("%s: %v", medium, err)
+		}
+		if err := table.Close(); err != nil {
+			t.Fatalf("%s: %v", medium, err) // idempotent
+		}
 	}
 }
 
-// TestTombstoneFilterDropsDeadEndpoints: with a predicate installed,
-// both tables drop tuples touching tombstoned users on both add paths;
-// with no predicate the tables behave exactly as before.
+// TestTombstoneFilterDropsDeadEndpoints: with a predicate installed the
+// table drops tuples touching tombstoned users, whichever end they are
+// on; with no predicate the batch is passed through uncopied.
 func TestTombstoneFilterDropsDeadEndpoints(t *testing.T) {
 	a, err := partition.NewAssignment([]uint32{0, 0, 1, 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := disk.NewScratch(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats disk.IOStats
-	dead := func(u uint32) bool { return u == 2 }
-	for name, table := range map[string]Table{
-		"mem":  NewMemTable(a),
-		"disk": NewDiskTable(a, scratch, &stats, 0),
-	} {
-		table.SetTombstones(dead)
-		if err := table.Add(0, 2); err != nil { // dead dst: dropped
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := table.Add(2, 1); err != nil { // dead src: dropped
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := table.AddBatch([]Tuple{{0, 1}, {2, 3}, {3, 2}, {1, 3}}); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, medium := range media {
+		table := newTable(t, medium, a, 0)
+		table.SetTombstones(func(u uint32) bool { return u == 2 })
+		// (0,2) has a dead destination, (2,1) a dead source.
+		if err := table.AddBatch([]Tuple{{0, 2}, {2, 1}, {0, 1}, {2, 3}, {3, 2}, {1, 3}}); err != nil {
+			t.Fatalf("%s: %v", medium, err)
 		}
 		if got := table.Added(); got != 2 {
-			t.Errorf("%s: Added = %d, want 2 surviving tuples", name, got)
+			t.Errorf("%s: Added = %d, want 2 surviving tuples", medium, got)
 		}
 		var all []Tuple
-		for i := uint32(0); i < 2; i++ {
-			for j := uint32(0); j < 2; j++ {
-				ts, err := table.Shard(i, j)
-				if err != nil {
-					t.Fatalf("%s: Shard(%d,%d): %v", name, i, j, err)
-				}
-				all = append(all, ts...)
-			}
+		for _, ts := range drain(t, table, 2, false).shards {
+			all = append(all, ts...)
 		}
 		sortTuples(all)
 		want := []Tuple{{0, 1}, {1, 3}}
 		if !reflect.DeepEqual(all, want) {
-			t.Errorf("%s: surviving tuples %v, want %v", name, all, want)
+			t.Errorf("%s: surviving tuples %v, want %v", medium, all, want)
 		}
 		if err := table.Close(); err != nil {
 			t.Fatal(err)

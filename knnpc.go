@@ -118,7 +118,8 @@ type Config struct {
 	// many upcoming partition pairs have their candidate-tuple shard
 	// bytes read (and de-duplicated) in the background before the
 	// cursor scores them. 0 (default) reads each shard synchronously.
-	// Only effective with OnDisk.
+	// Without OnDisk there are no bytes to read, but the shard's
+	// sort-and-dedup moves off the cursor just the same.
 	ShardPrefetch int
 	// NetStoreShards, when positive, runs phase 4 over a sharded
 	// network state store served from this process over loopback: each
@@ -153,9 +154,10 @@ type Config struct {
 	// PublishViews.
 	NetStoreReplicas bool
 	// OnDisk stores partition state and tuple spills in real files
-	// under ScratchDir ("" = private temp dir), exercising the
-	// out-of-core path. When false, state is serialized in memory
-	// through the same code paths. With a network store configured,
+	// under ScratchDir ("" = private temp dir). When false the same
+	// partition store and the same tuple table run with nowhere to
+	// write: the serialized state and the raw tuples stay in memory
+	// and every other code path is shared. With a network store configured,
 	// partition state lives behind the store and OnDisk governs only
 	// tuple spills and the profile file.
 	OnDisk bool
