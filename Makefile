@@ -45,13 +45,16 @@ race-phase4:
 
 # Each native fuzz target for FUZZTIME: the partition-state and
 # worker-partial decoders must never panic, never size storage from a
-# count the input cannot back, and round-trip what they accept. `go
-# test -fuzz` takes one target and one package per run. A crasher is
-# written under the package's testdata/fuzz/ — commit it with the fix.
+# count the input cannot back, and round-trip what they accept; every
+# planner's schedule of a fuzzed PI graph must validate and never load
+# more under MIN than under LRU. `go test -fuzz` takes one target and
+# one package per run. A crasher is written under the package's
+# testdata/fuzz/ — commit it with the fix.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePartState$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMergePartial$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime $(FUZZTIME) ./internal/pigraph
 
 # End-to-end proof of the network state store: launches cmd/statestore
 # with 2 shards, runs knnrun once in-process and once with -netstore on
@@ -80,7 +83,7 @@ bench-smoke:
 	$(GO) run ./bench -runs 2 -seconds 5
 
 # Applies the benchmark's bounds to the last `make bench` against BASE,
-# e.g. `make bench-compare BASE=BENCH_18.json`; exits non-zero on
+# e.g. `make bench-compare BASE=BENCH_25.json`; exits non-zero on
 # a regressed or unresolved end-to-end metric, or on an exact count
 # that differs at equal seeds.
 bench-compare:

@@ -12,7 +12,9 @@
 //	-k           neighbors per user (default 10)
 //	-m           number of partitions (default 8)
 //	-iters       maximum iterations (default 5)
-//	-heuristic   PI traversal: "Seq.", "High-Low", "Low-High", "Greedy-Reuse"
+//	-heuristic   PI traversal, by pigraph name: "Seq.", "High-Low",
+//	             "Low-High", "Max-Reuse", "Edge-Order" ("" = the engine
+//	             default, Max-Reuse planned for -slots and -execworkers)
 //	-partitioner "greedy", "range", or "hash"
 //	-sim         "cosine", "jaccard", "dice", "overlap"
 //	-workers     scoring goroutines (default 1)
@@ -118,7 +120,11 @@ func parseFlags(args []string) config {
 	fs.IntVar(&opts.PrefetchDepth, "prefetch", 0, "async load lookahead depth (0 = serial phase 4)")
 	fs.BoolVar(&opts.AsyncWriteback, "writeback", false, "write partition state back asynchronously")
 	fs.IntVar(&opts.ShardPrefetch, "shardahead", 0, "tuple-shard read lookahead in pair steps (0 = sync reads)")
-	fs.StringVar(&cfg.heuristic, "heuristic", "Low-High", "PI traversal heuristic")
+	var heuristics []string
+	for _, h := range pigraph.AllHeuristics() {
+		heuristics = append(heuristics, strconv.Quote(h.Name()))
+	}
+	fs.StringVar(&cfg.heuristic, "heuristic", "", "PI traversal heuristic: "+strings.Join(heuristics, ", ")+" (empty = the engine default)")
 	fs.StringVar(&cfg.partitioner, "partitioner", "greedy", "partitioning strategy")
 	fs.StringVar(&cfg.sim, "sim", "cosine", "similarity measure")
 	fs.BoolVar(&opts.OnDisk, "ondisk", true, "use real files for partition state")
@@ -137,9 +143,13 @@ func parseFlags(args []string) config {
 }
 
 func run(out io.Writer, cfg config) error {
-	h, ok := pigraph.HeuristicByName(cfg.heuristic)
-	if !ok {
-		return fmt.Errorf("unknown heuristic %q", cfg.heuristic)
+	opts := cfg.opts
+	if cfg.heuristic != "" {
+		h, ok := pigraph.HeuristicByName(cfg.heuristic, opts.Slots, opts.ExecWorkers)
+		if !ok {
+			return fmt.Errorf("unknown heuristic %q", cfg.heuristic)
+		}
+		opts.Heuristic = h
 	}
 	p, ok := partition.ByName(cfg.partitioner)
 	if !ok {
@@ -149,8 +159,7 @@ func run(out io.Writer, cfg config) error {
 	if !ok {
 		return fmt.Errorf("unknown similarity %q", cfg.sim)
 	}
-	opts := cfg.opts
-	opts.Heuristic, opts.Partitioner, opts.Similarity = h, p, sim
+	opts.Partitioner, opts.Similarity = p, sim
 	var err error
 	if opts.EmulateDisk, err = disk.ResolveModel(cfg.emulate); err != nil {
 		return err
@@ -180,8 +189,8 @@ func run(out io.Writer, cfg config) error {
 		netDesc = fmt.Sprintf("external/%d-shards", len(opts.NetStoreAddrs))
 	}
 	fmt.Fprintf(out, "engine: k=%d m=%d heuristic=%s partitioner=%s sim=%s workers=%d execworkers=%d buildworkers=%d slots=%d prefetch=%d writeback=%v shardahead=%d ondisk=%v netstore=%s\n\n",
-		opts.K, opts.NumPartitions, h.Name(), p.Name(), sim.Name(), opts.Workers, opts.ExecWorkers, opts.BuildWorkers, opts.Slots, opts.PrefetchDepth, opts.AsyncWriteback, opts.ShardPrefetch, opts.OnDisk, netDesc)
-	fmt.Fprintln(out, "iter  phase1(part)  phase2(tuples)  phase3(pi)  phase4(score)  phase5(upd)  ops  prefetched  async-wb  changed  attempts")
+		opts.K, opts.NumPartitions, eng.Heuristic().Name(), p.Name(), sim.Name(), opts.Workers, opts.ExecWorkers, opts.BuildWorkers, opts.Slots, opts.PrefetchDepth, opts.AsyncWriteback, opts.ShardPrefetch, opts.OnDisk, netDesc)
+	fmt.Fprintln(out, "iter  phase1(part)  phase2(tuples)  phase3(pi)  phase4(score)  phase5(upd)  ops  reads  attached  prefetched  async-wb  changed  attempts")
 
 	for i := 0; i < cfg.iters; i++ {
 		if opts.StalenessThreshold > 0 {
@@ -215,9 +224,10 @@ func run(out io.Writer, cfg config) error {
 			}
 			fmt.Fprintf(out, "iteration %d: committed but publish failed: %v\n", st.Iteration, err)
 		}
-		fmt.Fprintf(out, "%4d  %12v  %14v  %10v  %13v  %11v  %5d  %10d  %8d  %7d  %8d\n",
+		fmt.Fprintf(out, "%4d  %12v  %14v  %10v  %13v  %11v  %5d  %5d  %8d  %10d  %8d  %7d  %8d\n",
 			st.Iteration, st.Phases.Partition, st.Phases.Tuples, st.Phases.PIGraph,
-			st.Phases.Score, st.Phases.Update, st.Ops(), st.PrefetchedLoads, st.AsyncUnloads, st.EdgeChanges, st.Attempts)
+			st.Phases.Score, st.Phases.Update, st.Ops(), st.MediumReads, st.Attaches,
+			st.PrefetchedLoads, st.AsyncUnloads, st.EdgeChanges, st.Attempts)
 		if st.EdgeChanges == 0 {
 			fmt.Fprintln(out, "converged")
 			break

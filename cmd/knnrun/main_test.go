@@ -30,6 +30,24 @@ func TestRunSmokes(t *testing.T) {
 	}
 }
 
+// TestRunDefaultHeuristic: an empty -heuristic leaves the choice to the
+// engine, whose default plans for the run's -slots and -execworkers,
+// and the iteration rows split loads into reads and attaches.
+func TestRunDefaultHeuristic(t *testing.T) {
+	cfg := smallConfig()
+	cfg.heuristic = ""
+	cfg.opts.Slots, cfg.opts.ExecWorkers = 3, 2
+	var buf bytes.Buffer
+	if err := run(&buf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"heuristic=Max-Reuse", "reads  attached"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
 func TestRunWithRecall(t *testing.T) {
 	cfg := smallConfig()
 	cfg.recall = true

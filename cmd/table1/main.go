@@ -14,8 +14,8 @@
 //
 //	table1 [-all] [-dataset name]
 //
-//	-all      also run the extension heuristics (Greedy-Reuse,
-//	          Cost-Aware) and the naive Edge-Order baseline
+//	-all      also run the Max-Reuse planner (at the paper's two slots
+//	          and one cursor) and the naive Edge-Order baseline
 //	-dataset  run a single dataset (default: all six)
 package main
 
@@ -32,7 +32,7 @@ import (
 )
 
 func main() {
-	all := flag.Bool("all", false, "include extension heuristics and the naive baseline")
+	all := flag.Bool("all", false, "include the Max-Reuse planner and the naive Edge-Order baseline")
 	only := flag.String("dataset", "", "run a single dataset (paper name, e.g. \"Wiki-Vote\")")
 	flag.Parse()
 	if err := run(os.Stdout, *all, *only); err != nil {

@@ -32,9 +32,14 @@ func TestRunAllHeuristicsFlag(t *testing.T) {
 	if err := run(&buf, true, "Gen. Rel."); err != nil {
 		t.Fatal(err)
 	}
-	for _, col := range []string{"Greedy-Reuse", "Cost-Aware", "Edge-Order"} {
+	for _, col := range []string{"Max-Reuse", "Edge-Order"} {
 		if !strings.Contains(buf.String(), col) {
 			t.Errorf("-all output missing %s column", col)
+		}
+	}
+	for _, col := range []string{"Greedy-Reuse", "Cost-Aware"} {
+		if strings.Contains(buf.String(), col) {
+			t.Errorf("-all output still has the deleted %s column", col)
 		}
 	}
 }

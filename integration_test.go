@@ -6,6 +6,7 @@ import (
 
 	"knnpc/internal/core"
 	"knnpc/internal/dataset"
+	"knnpc/internal/pigraph"
 	"knnpc/internal/profile"
 )
 
@@ -95,7 +96,8 @@ func TestOnDiskMatchesInMemoryAcrossIterations(t *testing.T) {
 func TestHeuristicsAgreeOnResults(t *testing.T) {
 	profiles := testProfiles(t, 100)
 	var first []([]uint32)
-	for _, h := range []string{"Seq.", "High-Low", "Low-High", "Greedy-Reuse", "Cost-Aware", "Edge-Order"} {
+	for _, heur := range pigraph.AllHeuristics() {
+		h := heur.Name()
 		sys, err := New(profiles, Config{K: 4, Partitions: 6, Heuristic: h, Seed: 31})
 		if err != nil {
 			t.Fatalf("%s: %v", h, err)

@@ -40,7 +40,7 @@ type Options struct {
 	// Partitioner is the phase-1 strategy (default partition.Greedy).
 	Partitioner partition.Partitioner
 	// Heuristic is the phase-3 PI traversal order (default
-	// pigraph.DegreeLowHigh, the paper's usually-best variant).
+	// pigraph.MaxReuse planned for this engine's Slots and ExecWorkers).
 	Heuristic pigraph.Heuristic
 	// Similarity is sim(s,d) (default profile.Cosine).
 	Similarity profile.Similarity
@@ -51,8 +51,8 @@ type Options struct {
 	// ExecWorkers shards the phase-4 op tape itself: the schedule's
 	// visit sequence is split into that many contiguous segments at
 	// pair boundaries and each segment runs on its own executor
-	// goroutine with its own Slots-slot LRU budget over the shared
-	// state store (default 1, the single-cursor execution). Workers
+	// goroutine with its own Slots-slot budget, evicted by MIN, over the
+	// shared state store (default 1, the single-cursor execution). Workers
 	// that hold the same partition concurrently share one in-memory
 	// instance through the in-process partition store, and accumulator
 	// folds serialize per partition, so the scored output is identical
@@ -245,9 +245,6 @@ func (o *Options) applyDefaults() {
 	if o.Partitioner == nil {
 		o.Partitioner = partition.Greedy{}
 	}
-	if o.Heuristic == nil {
-		o.Heuristic = pigraph.DegreeLowHigh()
-	}
 	if o.Similarity == nil {
 		o.Similarity = profile.Cosine{}
 	}
@@ -262,6 +259,9 @@ func (o *Options) applyDefaults() {
 	}
 	if o.Slots == 0 {
 		o.Slots = 2
+	}
+	if o.Heuristic == nil {
+		o.Heuristic = pigraph.MaxReuse(o.Slots, o.ExecWorkers)
 	}
 	if o.StoreRetries == 0 {
 		o.StoreRetries = 3
@@ -493,6 +493,10 @@ func (e *Engine) SetGraph(g *graph.KNN) error {
 	e.g = g.Clone()
 	return nil
 }
+
+// Heuristic reports the phase-3 planner the engine runs:
+// Options.Heuristic, or the default built for Slots and ExecWorkers.
+func (e *Engine) Heuristic() pigraph.Heuristic { return e.opts.Heuristic }
 
 // Graph returns a copy of the current KNN graph G(t).
 func (e *Engine) Graph() *graph.KNN { return e.g.Clone() }
@@ -807,6 +811,7 @@ func (e *Engine) phaseScore(ctx context.Context, it *iteration) error {
 	st.Loads, st.Unloads = result.Loads, result.Unloads
 	st.PrefetchedLoads = result.PrefetchedLoads
 	st.AsyncUnloads = result.AsyncUnloads
+	st.MediumReads, st.Attaches = shared.reads.Load(), shared.attaches.Load()
 	st.ExecWorkers = len(perWorker)
 	st.WorkerOps = make([]int64, len(perWorker))
 	for w, r := range perWorker {
@@ -1067,6 +1072,8 @@ type phase4Shared struct {
 	owner  partStore
 	table  *tuples.DiskTable
 	scored atomic.Int64
+	// reads and attaches split the tape loads by what each acquire cost.
+	reads, attaches atomic.Int64
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -1154,9 +1161,14 @@ func (w *phase4Worker) fetch(id uint32) (any, error) {
 	if err := w.shared.ctxErr(); err != nil {
 		return nil, err
 	}
-	st, err := w.shared.owner.acquire(w.index, id)
+	st, attached, err := w.shared.owner.acquire(w.index, id)
 	if err != nil {
 		return nil, w.shared.fail(err)
+	}
+	if attached {
+		w.shared.attaches.Add(1)
+	} else {
+		w.shared.reads.Add(1)
 	}
 	return st, nil
 }

@@ -94,7 +94,7 @@ func TestEngineMatchesReferenceIteration(t *testing.T) {
 		{"on-disk sequential heuristic", Options{K: 5, NumPartitions: 5, OnDisk: true, Heuristic: pigraph.Sequential{}}},
 		{"parallel scoring", Options{K: 5, NumPartitions: 4, Workers: 4}},
 		{"jaccard", Options{K: 5, NumPartitions: 3, Similarity: profile.Jaccard{}}},
-		{"greedy reuse heuristic", Options{K: 4, NumPartitions: 6, Heuristic: pigraph.GreedyReuse{}}},
+		{"low-high heuristic", Options{K: 4, NumPartitions: 6, Heuristic: pigraph.DegreeLowHigh()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := testStore(t, 90, 5)

@@ -88,34 +88,34 @@ func (o *netOwner) put(st *partState) error {
 	return nil
 }
 
-func (o *netOwner) acquire(worker int, id uint32) (*partState, error) {
+func (o *netOwner) acquire(worker int, id uint32) (*partState, bool, error) {
 	token, err := o.client.Lease(id)
 	if err != nil {
-		return nil, fmt.Errorf("core: lease partition %d: %w", id, err)
+		return nil, false, fmt.Errorf("core: lease partition %d: %w", id, err)
 	}
 	blob, err := o.client.Get(id)
 	if err != nil {
 		// Best-effort: the shard that failed the GET may still honor the
 		// release; a leaked lease is revoked by the next epoch anyway.
 		_ = o.client.Release(id, token)
-		return nil, fmt.Errorf("core: load partition %d: %w", id, err)
+		return nil, false, fmt.Errorf("core: load partition %d: %w", id, err)
 	}
 	st, err := decodePartState(blob, o.k)
 	if err != nil {
 		_ = o.client.Release(id, token)
-		return nil, err
+		return nil, false, err
 	}
 	size := int64(st.byteSize())
 	if err := o.budget.Reserve(size); err != nil {
 		_ = o.client.Release(id, token)
-		return nil, err
+		return nil, false, err
 	}
 	o.stats.AddRead(int64(len(blob)))
 	o.stats.AddLoad()
 	o.mu.Lock()
 	o.held[netHold{worker, id}] = &netLease{st: st, token: token, size: size}
 	o.mu.Unlock()
-	return st, nil
+	return st, false, nil
 }
 
 func (o *netOwner) release(worker int, id uint32, writeBack bool) error {

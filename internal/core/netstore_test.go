@@ -62,6 +62,10 @@ func TestNetStoreMatchesInProcessEngine(t *testing.T) {
 					if sum != n.Ops() {
 						t.Fatalf("%s iter %d: per-worker ops sum %d, total %d", name, i, sum, n.Ops())
 					}
+					if n.MediumReads != n.Loads || n.Attaches != 0 {
+						t.Fatalf("%s iter %d: %d reads + %d attaches for %d loads — private copies never attach",
+							name, i, n.MediumReads, n.Attaches, n.Loads)
+					}
 				}
 			}
 		}
@@ -174,7 +178,7 @@ func TestNetOwnerStaleLeaseWriteBack(t *testing.T) {
 	budget := disk.NewBudget(1 << 20)
 	var stats disk.IOStats
 	owner := newNetOwner(client, budget, &stats, 4)
-	held, err := owner.acquire(0, 0)
+	held, _, err := owner.acquire(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,10 @@ type partStore interface {
 	// distinct partitions are safe.
 	put(st *partState) error
 	// acquire materializes partition id for one worker; every acquire
-	// must be paired with exactly one release.
-	acquire(worker int, id uint32) (*partState, error)
+	// must be paired with exactly one release. attached reports that it
+	// cost no medium read: the worker shares an instance another worker
+	// already holds.
+	acquire(worker int, id uint32) (st *partState, attached bool, err error)
 	// release drops one worker's hold; writeBack false is the discard
 	// path of an aborted run.
 	release(worker int, id uint32, writeBack bool) error
@@ -60,11 +62,12 @@ type partStore interface {
 // is what makes concurrent folds correct: every worker's accumulator
 // pushes land in the same TopK (under the partition's fold lock), so no
 // write-back can overwrite another worker's folds. It is also why this
-// placement keeps sharing instead of netOwner's private copies: about
-// half the tape loads of a two-worker run attach instead of queueing on
-// the one spindle (docs/ARCHITECTURE.md has the measurement). The
-// executor-level Loads/Unloads accounting is untouched: each worker's
-// tape counts its own ops whether the acquire attached or read.
+// placement keeps sharing instead of netOwner's private copies: a tape
+// load that attaches does not queue on the one spindle
+// (IterationStats.Attaches counts them; docs/ARCHITECTURE.md has the
+// measurement). The executor-level Loads/Unloads accounting is
+// untouched: each worker's tape counts its own ops whether the acquire
+// attached or read.
 //
 // A state is serialized on every write and deserialized on every read
 // on either medium, so the in-memory one exercises the same code paths
@@ -190,27 +193,27 @@ func (o *partOwner) put(st *partState) error {
 // acquire materializes partition id, attaching to the live shared
 // instance when another worker already holds it and reading the medium
 // (charging the memory budget) otherwise.
-func (o *partOwner) acquire(_ int, id uint32) (*partState, error) {
+func (o *partOwner) acquire(_ int, id uint32) (*partState, bool, error) {
 	g, err := o.guard(id)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.refs > 0 {
 		g.refs++
-		return g.st, nil
+		return g.st, true, nil
 	}
 	st, err := o.read(g, id)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if err := o.budget.Reserve(int64(st.byteSize())); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	o.stats.AddLoad()
 	g.st, g.refs = st, 1
-	return st, nil
+	return st, false, nil
 }
 
 // release drops one reference to partition id. The last reference

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"knnpc/internal/disk"
@@ -12,10 +13,12 @@ import (
 
 // partStoreMedium opens one placement of the partStore contract over
 // conformanceParts partitions and knows how to damage partition id's
-// stored blob behind the store's back.
+// stored blob behind the store's back. shares reports whether a second
+// concurrent holder attaches to the first one's instance.
 type partStoreMedium struct {
-	name string
-	open func(t *testing.T, budget *disk.Budget, stats *disk.IOStats) (store partStore, corrupt func(id uint32))
+	name   string
+	shares bool
+	open   func(t *testing.T, budget *disk.Budget, stats *disk.IOStats) (store partStore, corrupt func(id uint32))
 }
 
 const (
@@ -24,11 +27,11 @@ const (
 )
 
 var partStoreMedia = []partStoreMedium{
-	{"memory", func(t *testing.T, budget *disk.Budget, stats *disk.IOStats) (partStore, func(uint32)) {
+	{"memory", true, func(t *testing.T, budget *disk.Budget, stats *disk.IOStats) (partStore, func(uint32)) {
 		o := newPartOwner(conformanceParts, nil, nil, budget, stats, conformanceK)
 		return o, func(id uint32) { o.guards[id].blob = []byte{1, 2, 3} }
 	}},
-	{"file", func(t *testing.T, budget *disk.Budget, stats *disk.IOStats) (partStore, func(uint32)) {
+	{"file", true, func(t *testing.T, budget *disk.Budget, stats *disk.IOStats) (partStore, func(uint32)) {
 		scratch, err := disk.NewScratch(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
@@ -40,7 +43,7 @@ var partStoreMedia = []partStoreMedium{
 			}
 		}
 	}},
-	{"loopback net", func(t *testing.T, budget *disk.Budget, stats *disk.IOStats) (partStore, func(uint32)) {
+	{"loopback net", false, func(t *testing.T, budget *disk.Budget, stats *disk.IOStats) (partStore, func(uint32)) {
 		cluster, err := netstore.StartCluster(2, conformanceParts, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -132,11 +135,15 @@ func TestPartStoreConformance(t *testing.T) {
 			var held, done sync.WaitGroup
 			held.Add(2)
 			errs := make([]error, 2)
+			var attaches atomic.Int32
 			for w := range pushes {
 				done.Add(1)
 				go func() {
 					defer done.Done()
-					st, err := store.acquire(w, 0)
+					st, attached, err := store.acquire(w, 0)
+					if attached {
+						attaches.Add(1)
+					}
 					held.Done()
 					if err != nil {
 						errs[w] = err
@@ -160,6 +167,9 @@ func TestPartStoreConformance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("worker %d: %v", w, err)
 				}
+			}
+			if want := map[bool]int32{true: 1, false: 0}[medium.shares]; attaches.Load() != want {
+				t.Errorf("%d of the two concurrent acquires attached, want %d", attaches.Load(), want)
 			}
 			if used := budget.Used(); used != 0 {
 				t.Fatalf("%d budget bytes still charged after both releases", used)
@@ -186,13 +196,13 @@ func TestPartStoreConformance(t *testing.T) {
 			if err := store.release(0, 0, true); err == nil {
 				t.Error("release without acquire succeeded")
 			}
-			if _, err := store.acquire(0, 2); err == nil {
+			if _, _, err := store.acquire(0, 2); err == nil {
 				t.Error("acquire of a partition that was never put succeeded")
 			}
 
 			// abort drops every hold and returns its bytes.
 			for w, id := range []uint32{0, 1} {
-				if _, err := store.acquire(w, id); err != nil {
+				if _, _, err := store.acquire(w, id); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -208,7 +218,7 @@ func TestPartStoreConformance(t *testing.T) {
 			}
 
 			corrupt(1)
-			if _, err := store.acquire(0, 1); err == nil {
+			if _, _, err := store.acquire(0, 1); err == nil {
 				t.Error("acquire decoded a corrupt blob")
 			}
 			if used := budget.Used(); used != 0 {
@@ -220,7 +230,7 @@ func TestPartStoreConformance(t *testing.T) {
 			if err := store.cleanup(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := store.acquire(0, 0); err == nil {
+			if _, _, err := store.acquire(0, 0); err == nil {
 				t.Error("acquire succeeded after cleanup")
 			}
 		})

@@ -98,14 +98,16 @@ func candidates(tk *knn.TopK) [][2]uint64 {
 }
 
 // requireSameState fails unless a and b hold the same members, profiles
-// and accumulator contents.
+// and accumulator contents. Profiles compare by their encodings: the
+// codec carries weights bit for bit, NaN included, which value equality
+// would call different.
 func requireSameState(t testing.TB, a, b *partState) {
 	t.Helper()
 	if a.id != b.id || !slices.Equal(a.members, b.members) {
 		t.Fatalf("states differ: id %d members %v vs id %d members %v", a.id, a.members, b.id, b.members)
 	}
 	for i, u := range a.members {
-		if !a.profiles.At(i).Equal(b.profiles.At(i)) {
+		if !bytes.Equal(a.profiles.At(i).AppendBinary(nil), b.profiles.At(i).AppendBinary(nil)) {
 			t.Fatalf("member %d: profiles differ", u)
 		}
 		if a.accs[i].K() != b.accs[i].K() || !slices.Equal(candidates(&a.accs[i]), candidates(&b.accs[i])) {

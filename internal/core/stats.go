@@ -62,6 +62,14 @@ type IterationStats struct {
 	// Options.AsyncWriteback). Like PrefetchedLoads, every async
 	// unload is still counted once in Unloads.
 	AsyncUnloads int64
+	// MediumReads and Attaches split Loads by what each one cost the
+	// partition store: a read off the medium (file, memory blob or
+	// network store), or an attach to the instance another tape worker
+	// already held, which is free. MediumReads + Attaches == Loads;
+	// Attaches is 0 at ExecWorkers=1 and over a network store, whose
+	// workers hold private copies.
+	MediumReads int64
+	Attaches    int64
 	// PrefetchedShardBytes is the volume of tuple-shard spill bytes
 	// read asynchronously ahead of the cursor (0 unless
 	// Options.ShardPrefetch > 0 with OnDisk — nothing spills without).

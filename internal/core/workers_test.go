@@ -15,10 +15,11 @@ import (
 // on-disk store, the sharded engine must reproduce the single-cursor
 // engine's graph trajectory bit for bit, its per-worker op counts must
 // sum to the deterministic (Slots, W) totals (the engine additionally
-// asserts measured == simulated internally every iteration), and the
-// scored tuple count must be identical. Run under -race in CI — the
-// partition store's shared instances and concurrent folds are the
-// point of this test.
+// asserts measured == simulated internally every iteration), every tape
+// load must be either a medium read or an attach to another worker's
+// instance (none attach at W=1), and the scored tuple count must be
+// identical. Run under -race in CI — the partition store's shared
+// instances and concurrent folds are the point of this test.
 func TestShardedWorkersMatchSerialEngine(t *testing.T) {
 	const users, iters = 300, 3
 	for _, onDisk := range []bool{false, true} {
@@ -56,9 +57,9 @@ func TestShardedWorkersMatchSerialEngine(t *testing.T) {
 				if sum != p.Ops() {
 					t.Errorf("%s iter %d: per-worker ops sum %d, total %d", name, i, sum, p.Ops())
 				}
-				if p.Ops() < s.Ops() {
-					t.Errorf("%s iter %d: sharded %d ops under serial's %d — workers start with empty slots, totals cannot shrink",
-						name, i, p.Ops(), s.Ops())
+				if p.MediumReads+p.Attaches != p.Loads || s.MediumReads != s.Loads || s.Attaches != 0 {
+					t.Errorf("%s iter %d: sharded %d reads + %d attaches for %d loads, serial %d + %d for %d",
+						name, i, p.MediumReads, p.Attaches, p.Loads, s.MediumReads, s.Attaches, s.Loads)
 				}
 				if s.TuplesScored != p.TuplesScored || s.EdgeChanges != p.EdgeChanges {
 					t.Fatalf("%s iter %d: sharded scored=%d changes=%d, serial scored=%d changes=%d",

@@ -11,7 +11,8 @@ import (
 // smallest Table 1 dataset. The generator and every heuristic are
 // seeded and deterministic, so these integers must never drift between
 // runs or platforms; a change here means the reproduction's reported
-// numbers changed and EXPERIMENTS.md must be regenerated.
+// numbers changed: rerun `go run ./cmd/table1 -all` and update README's
+// Table 1 section.
 func TestTable1GoldenGenRel(t *testing.T) {
 	spec, ok := dataset.PresetByName(dataset.GeneralRel)
 	if !ok {
@@ -22,16 +23,18 @@ func TestTable1GoldenGenRel(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := map[string]int64{
-		"Seq.":         36326,
-		"High-Low":     33448,
-		"Low-High":     33430,
-		"Greedy-Reuse": 31986,
-		"Cost-Aware":   30670,
-		"Edge-Order":   57496,
+		"Seq.":       36326,
+		"High-Low":   33448,
+		"Low-High":   33430,
+		"Max-Reuse":  28936,
+		"Edge-Order": 57474, // 57496 under LRU eviction
+	}
+	if len(rows[0].Ops) != len(golden) {
+		t.Errorf("%d heuristics ran, %d have goldens", len(rows[0].Ops), len(golden))
 	}
 	for h, want := range golden {
 		if got := rows[0].Ops[h]; got != want {
-			t.Errorf("%s: ops = %d, want golden %d (regenerate EXPERIMENTS.md if intentional)", h, got, want)
+			t.Errorf("%s: ops = %d, want golden %d (if intentional, rerun `go run ./cmd/table1 -all` and update README's Table 1 section)", h, got, want)
 		}
 	}
 }

@@ -107,7 +107,7 @@ type ExecOptions struct {
 	// Workers shards the op tape itself: the schedule's visit sequence
 	// is cut into that many contiguous segments at pair boundaries (see
 	// Schedule.Split) and each segment runs on its own goroutine with
-	// its own Slots-slot LRU budget. 0 or 1 (the default) is the
+	// its own Slots-slot budget, evicted by MIN. 0 or 1 (the default) is the
 	// single-cursor execution; the accounting invariant generalizes:
 	// for a fixed (Slots, Workers) the per-worker tapes — and therefore
 	// the per-worker and summed Loads/Unloads — are deterministic, and
@@ -203,20 +203,25 @@ type op struct {
 }
 
 // slotMachine models the paper's memory constraint generalized to S
-// slots: at most S partitions resident. Eviction is least-recently-used
-// with the current primary pinned. It emits the op tape instead of
-// invoking callbacks, so execution and simulation read the same plan.
+// slots: at most S partitions resident. The whole request sequence is
+// known when the tape is planned, so eviction is Belady's MIN: the
+// victim is the resident, other than the pinned current primary, whose
+// next request is furthest away — a partition never requested again
+// counts as infinitely far, ties go to the lowest slot. For a fixed
+// visit order that is the fewest loads any eviction policy achieves,
+// and MIN is a stack algorithm, so a larger S never costs more. It
+// emits the op tape instead of invoking callbacks, so execution and
+// simulation read the same plan.
 type slotMachine struct {
 	resident []int64 // partition ids; -1 = empty
-	lastUsed []int64
-	tick     int64
+	nextUse  []int   // per slot: request index of the resident's next use
 	tape     []op
 }
 
 func newSlotMachine(slots int) *slotMachine {
 	sm := &slotMachine{
 		resident: make([]int64, slots),
-		lastUsed: make([]int64, slots),
+		nextUse:  make([]int, slots),
 	}
 	for i := range sm.resident {
 		sm.resident[i] = -1
@@ -224,33 +229,25 @@ func newSlotMachine(slots int) *slotMachine {
 	return sm
 }
 
-// ensure makes p resident. pinned (≥0) names a partition that must not
-// be evicted; pass -1 to pin nothing.
-func (sm *slotMachine) ensure(p uint32, pinned int64) error {
-	sm.tick++
-	for i := range sm.resident {
-		if sm.resident[i] == int64(p) {
-			sm.lastUsed[i] = sm.tick
+// ensure makes p resident; next is the index of p's next request. pinned
+// (≥0) names a partition that must not be evicted; pass -1 to pin
+// nothing.
+func (sm *slotMachine) ensure(p uint32, pinned int64, next int) error {
+	slot := -1
+	for i, r := range sm.resident {
+		if r == int64(p) {
+			sm.nextUse[i] = next
 			return nil
 		}
-	}
-	slot := -1
-	for i := range sm.resident {
-		if sm.resident[i] == -1 {
+		if r == -1 && slot == -1 {
 			slot = i
-			break
 		}
 	}
 	if slot == -1 {
-		// Evict the least recently used slot that is not pinned.
-		best := int64(1) << 62
-		for i := range sm.resident {
-			if sm.resident[i] == pinned {
-				continue
-			}
-			if sm.lastUsed[i] < best {
-				best = sm.lastUsed[i]
-				slot = i
+		far := -1
+		for i, r := range sm.resident {
+			if r != pinned && sm.nextUse[i] > far {
+				far, slot = sm.nextUse[i], i
 			}
 		}
 		if slot == -1 {
@@ -259,7 +256,7 @@ func (sm *slotMachine) ensure(p uint32, pinned int64) error {
 		sm.tape = append(sm.tape, op{kind: opUnload, a: uint32(sm.resident[slot])})
 	}
 	sm.resident[slot] = int64(p)
-	sm.lastUsed[slot] = sm.tick
+	sm.nextUse[slot] = next
 	sm.tape = append(sm.tape, op{kind: opLoad, a: p})
 	return nil
 }
@@ -276,20 +273,43 @@ func (sm *slotMachine) drain() {
 }
 
 // plan resolves the schedule into the op tape of an S-slot execution.
-// Memory starts empty and is drained at the end.
+// Memory starts empty and is drained at the end. The requests are the
+// visits' primaries and peers in order; a backward scan gives each one
+// the index of its partition's next request (len(reqs) when there is
+// none) so ensure can evict by MIN.
 func (s *Schedule) plan(slots int) ([]op, error) {
-	sm := newSlotMachine(slots)
+	var reqs []uint32
 	for _, v := range s.Visits {
-		if err := sm.ensure(v.Primary, -1); err != nil {
+		reqs = append(append(reqs, v.Primary), v.Peers...)
+	}
+	m := s.NumPartitions
+	for _, p := range reqs {
+		m = max(m, int(p)+1)
+	}
+	next := make([]int, len(reqs))
+	upcoming := make([]int, m)
+	for p := range upcoming {
+		upcoming[p] = len(reqs)
+	}
+	for i := len(reqs) - 1; i >= 0; i-- {
+		next[i], upcoming[reqs[i]] = upcoming[reqs[i]], i
+	}
+
+	sm := newSlotMachine(slots)
+	i := 0
+	for _, v := range s.Visits {
+		if err := sm.ensure(v.Primary, -1, next[i]); err != nil {
 			return nil, err
 		}
+		i++
 		if v.Self {
 			sm.tape = append(sm.tape, op{kind: opSelf, a: v.Primary})
 		}
 		for _, peer := range v.Peers {
-			if err := sm.ensure(peer, int64(v.Primary)); err != nil {
+			if err := sm.ensure(peer, int64(v.Primary), next[i]); err != nil {
 				return nil, err
 			}
+			i++
 			sm.tape = append(sm.tape, op{kind: opPair, a: v.Primary, b: peer})
 		}
 	}

@@ -3,6 +3,9 @@ package pigraph
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,54 +51,47 @@ func simulate(t testing.TB, s *Schedule) Result {
 	return r
 }
 
-// referenceExecute is the original hard-coded two-slot serial executor
-// (the pre-pipelining implementation), kept verbatim as the oracle for
-// tape-equivalence testing: an execution with Slots=2 must reproduce
-// its callback sequence op for op, per tape worker.
-func referenceExecute(s *Schedule, cb Callbacks) (Result, error) {
-	type refMachine struct {
-		resident [2]int64
-		lastUsed [2]int64
-		tick     int64
-		result   Result
+// requests flattens a schedule into the executor's request sequence:
+// each visit's primary, then its peers.
+func requests(s *Schedule) []uint32 {
+	var out []uint32
+	for _, v := range s.Visits {
+		out = append(out, v.Primary)
+		out = append(out, v.Peers...)
 	}
-	sm := &refMachine{resident: [2]int64{-1, -1}}
+	return out
+}
+
+// oracleExecute is an independent serial executor with S slots, kept as
+// the tests' reference: it walks the visits, fills the lowest free slot
+// on a miss, and otherwise evicts the slot victim() picks from the
+// residents and the request index; at the end it unloads what is left
+// in slot order. Every callback fires at the point the tape executor
+// must fire it.
+func oracleExecute(s *Schedule, slots int, cb Callbacks, victim func(resident []int64, pinned int64, at int) int) (Result, error) {
+	var r Result
+	resident := make([]int64, slots)
+	for i := range resident {
+		resident[i] = -1
+	}
+	at := 0 // index of the current request
 	ensure := func(p uint32, pinned int64) error {
-		sm.tick++
-		for i := range sm.resident {
-			if sm.resident[i] == int64(p) {
-				sm.lastUsed[i] = sm.tick
-				return nil
-			}
+		defer func() { at++ }()
+		if slices.Contains(resident, int64(p)) {
+			return nil
 		}
-		slot := -1
-		for i := range sm.resident {
-			if sm.resident[i] == -1 {
-				slot = i
-				break
-			}
-		}
-		if slot == -1 {
-			best := int64(1) << 62
-			for i := range sm.resident {
-				if sm.resident[i] == pinned {
-					continue
-				}
-				if sm.lastUsed[i] < best {
-					best = sm.lastUsed[i]
-					slot = i
-				}
-			}
-			sm.result.Unloads++
+		slot := slices.Index(resident, -1)
+		if slot < 0 {
+			slot = victim(resident, pinned, at)
+			r.Unloads++
 			if cb.Unload != nil {
-				if err := cb.Unload(uint32(sm.resident[slot])); err != nil {
+				if err := cb.Unload(uint32(resident[slot])); err != nil {
 					return err
 				}
 			}
 		}
-		sm.resident[slot] = int64(p)
-		sm.lastUsed[slot] = sm.tick
-		sm.result.Loads++
+		resident[slot] = int64(p)
+		r.Loads++
 		if cb.Load != nil {
 			return cb.Load(p)
 		}
@@ -103,76 +99,218 @@ func referenceExecute(s *Schedule, cb Callbacks) (Result, error) {
 	}
 	for _, v := range s.Visits {
 		if err := ensure(v.Primary, -1); err != nil {
-			return sm.result, err
+			return r, err
 		}
 		if v.Self {
-			sm.result.Selfs++
+			r.Selfs++
 			if cb.Self != nil {
 				if err := cb.Self(v.Primary); err != nil {
-					return sm.result, err
+					return r, err
 				}
 			}
 		}
 		for _, peer := range v.Peers {
 			if err := ensure(peer, int64(v.Primary)); err != nil {
-				return sm.result, err
+				return r, err
 			}
-			sm.result.Pairs++
+			r.Pairs++
 			if cb.Pair != nil {
 				if err := cb.Pair(v.Primary, peer); err != nil {
-					return sm.result, err
+					return r, err
 				}
 			}
 		}
 	}
-	for i := range sm.resident {
-		if sm.resident[i] == -1 {
+	for _, p := range resident {
+		if p == -1 {
 			continue
 		}
-		sm.result.Unloads++
+		r.Unloads++
 		if cb.Unload != nil {
-			if err := cb.Unload(uint32(sm.resident[i])); err != nil {
-				return sm.result, err
+			if err := cb.Unload(uint32(p)); err != nil {
+				return r, err
 			}
 		}
-		sm.resident[i] = -1
 	}
-	return sm.result, nil
+	return r, nil
 }
 
-// TestTapeMatchesReferenceSerialExecutor pins the Table 1 invariant:
-// the op-tape executor with the default options reproduces the original
-// serial two-slot implementation event for event, on every heuristic
-// over a spread of random PI graphs.
+// minExecute is the brute-force MIN oracle: on each eviction it scans
+// the request sequence forward from the current request for every
+// non-pinned resident's next use and evicts the furthest (never used
+// again is furthest of all; ties to the lowest slot).
+func minExecute(s *Schedule, slots int, cb Callbacks) (Result, error) {
+	reqs := requests(s)
+	return oracleExecute(s, slots, cb, func(resident []int64, pinned int64, at int) int {
+		slot, far := -1, -1
+		for i, p := range resident {
+			if p == pinned {
+				continue
+			}
+			next := len(reqs) // never used again
+			for j := at + 1; j < len(reqs); j++ {
+				if int64(reqs[j]) == p {
+					next = j
+					break
+				}
+			}
+			if next > far {
+				slot, far = i, next
+			}
+		}
+		return slot
+	})
+}
+
+// lruExecute evicts the least recently requested non-pinned resident —
+// the executor's policy before MIN, kept as the property oracle MIN
+// must never lose to.
+func lruExecute(s *Schedule, slots int) Result {
+	reqs := requests(s)
+	r, _ := oracleExecute(s, slots, Callbacks{}, func(resident []int64, pinned int64, at int) int {
+		slot, oldest := -1, at
+		for i, p := range resident {
+			if p == pinned {
+				continue
+			}
+			last := -1
+			for j := at - 1; j >= 0; j-- {
+				if int64(reqs[j]) == p {
+					last = j
+					break
+				}
+			}
+			if last < oldest {
+				slot, oldest = i, last
+			}
+		}
+		return slot
+	})
+	return r
+}
+
+// TestTapeMatchesReferenceSerialExecutor pins the executor to the
+// brute-force MIN oracle event for event: at S ∈ {2, 3, 4} slots, on
+// every heuristic over a spread of random PI graphs, an execution
+// reproduces the oracle's callback sequence and counts exactly.
 func TestTapeMatchesReferenceSerialExecutor(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23} {
 		for _, shape := range []struct{ n, m int }{{8, 14}, {25, 80}, {60, 300}} {
 			g := randomPI(t, seed, shape.n, shape.m)
 			for _, h := range AllHeuristics() {
 				s := h.Plan(g)
-
-				var want []event
-				wantRes, err := referenceExecute(s, traceCallbacks(&want))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var got []event
-				gotRes, err := execute(s, traceCallbacks(&got), ExecOptions{Slots: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				if gotRes != wantRes {
-					t.Fatalf("%s seed=%d n=%d: result %+v, reference %+v", h.Name(), seed, shape.n, gotRes, wantRes)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d events, reference %d", h.Name(), len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s: event %d = %+v, reference %+v", h.Name(), i, got[i], want[i])
+				for _, slots := range []int{2, 3, 4} {
+					name := fmt.Sprintf("%s seed=%d n=%d slots=%d", h.Name(), seed, shape.n, slots)
+					var want []event
+					wantRes, err := minExecute(s, slots, traceCallbacks(&want))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got []event
+					gotRes, err := execute(s, traceCallbacks(&got), ExecOptions{Slots: slots})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if gotRes != wantRes {
+						t.Fatalf("%s: result %+v, oracle %+v", name, gotRes, wantRes)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: trace differs from the oracle's:\n%v\n%v", name, got, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestMINNeverLosesToLRU: for every heuristic × S ∈ {2, 3, 4, 8} × W ∈
+// {1, 2, 3} on random PI graphs, the executor's loads never exceed what
+// LRU eviction would spend on the same per-worker segments.
+func TestMINNeverLosesToLRU(t *testing.T) {
+	for _, seed := range []int64{4, 19} {
+		g := randomPI(t, seed, 30, 130)
+		for _, h := range AllHeuristics() {
+			s := h.Plan(g)
+			for _, slots := range []int{2, 3, 4, 8} {
+				for _, workers := range []int{1, 2, 3} {
+					got, err := s.Simulate(ExecOptions{Slots: slots, Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var lru Result
+					for _, seg := range s.Split(workers) {
+						lru.Add(lruExecute(seg, slots))
+					}
+					if got.Loads > lru.Loads || got.Loads != got.Unloads {
+						t.Errorf("%s seed=%d slots=%d workers=%d: MIN %d/%d loads/unloads, LRU %d loads",
+							h.Name(), seed, slots, workers, got.Loads, got.Unloads, lru.Loads)
+					}
+				}
+			}
+		}
+	}
+}
+
+// minLoads is the exhaustive search: the fewest loads any sequence of
+// eviction choices spends on reqs with S slots, where pinned[i] names
+// the partition request i must not evict (-1 for none). Demand paging
+// loses nothing against pre-emptive eviction, so branching over the
+// victim at each miss covers every policy.
+func minLoads(reqs []uint32, pinned []int64, resident []int64, i int) int {
+	if i == len(reqs) {
+		return 0
+	}
+	p := int64(reqs[i])
+	if slices.Contains(resident, p) {
+		return minLoads(reqs, pinned, resident, i+1)
+	}
+	if free := slices.Index(resident, -1); free >= 0 {
+		next := slices.Clone(resident)
+		next[free] = p
+		return 1 + minLoads(reqs, pinned, next, i+1)
+	}
+	best := math.MaxInt
+	for slot, r := range resident {
+		if r == pinned[i] {
+			continue
+		}
+		next := slices.Clone(resident)
+		next[slot] = p
+		best = min(best, 1+minLoads(reqs, pinned, next, i+1))
+	}
+	return best
+}
+
+// TestMINIsOptimalOnTinyTapes compares the executor with the exhaustive
+// search over every eviction choice on random schedules of at most ten
+// requests over five partitions, at S ∈ {2, 3}.
+func TestMINIsOptimalOnTinyTapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		s := &Schedule{NumPartitions: 5}
+		var pinned []int64
+		for len(pinned) < 10 {
+			v := Visit{Primary: uint32(rng.Intn(5))}
+			pinned = append(pinned, -1)
+			for _, q := range rng.Perm(5)[:rng.Intn(3)] {
+				if q != int(v.Primary) && len(pinned) < 10 {
+					v.Peers = append(v.Peers, uint32(q))
+					pinned = append(pinned, int64(v.Primary))
+				}
+			}
+			s.Visits = append(s.Visits, v)
+		}
+		for _, slots := range []int{2, 3} {
+			got, err := s.Simulate(ExecOptions{Slots: slots})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resident := make([]int64, slots)
+			for i := range resident {
+				resident[i] = -1
+			}
+			if want := minLoads(requests(s), pinned, resident, 0); got.Loads != int64(want) {
+				t.Fatalf("trial %d slots=%d %+v: executor loads %d, optimum %d", trial, slots, s.Visits, got.Loads, want)
 			}
 		}
 	}
@@ -239,9 +377,12 @@ func TestMultiSlotResidencyInvariants(t *testing.T) {
 	}
 }
 
-// TestMoreSlotsNeverIncreaseOps: growing the budget can only help the
-// LRU slot machine on these workloads (each extra slot keeps strictly
-// more history resident).
+// TestMoreSlotsNeverIncreaseOps: growing the budget never costs ops.
+// This is a theorem, not an observation: MIN is a stack algorithm —
+// the partitions resident with S slots are always a subset of those
+// resident with S+1 on the same request sequence — and pinning the
+// primary is MIN on the sequence with the primary re-requested before
+// each peer.
 func TestMoreSlotsNeverIncreaseOps(t *testing.T) {
 	g := randomPI(t, 99, 40, 200)
 	simOps := func(s *Schedule, slots int) int64 {

@@ -2,12 +2,13 @@ package pigraph
 
 import (
 	"container/heap"
+	"slices"
 	"sort"
 )
 
 // This file holds heuristics beyond the paper's three: the naive
-// baseline its introduction argues against, and the cost-aware
-// traversal its future-work section proposes.
+// baseline its introduction argues against, and the slot- and
+// worker-aware planner its future-work section calls for.
 
 // EdgeOrder is the strawman the paper's design exists to avoid:
 // process PI edges one at a time in an order with no partition
@@ -71,119 +72,193 @@ func scatterKey(i, j uint32) uint64 {
 	return x
 }
 
-// CostAware implements the heuristic the paper's future work sketches:
-// "consider the amount of time consumed for both partition load/unload
-// operations and the similarity computation for tuples given two
-// partitions". It greedily maximizes scoring work unlocked per
-// partition load: still-resident partitions with remaining work are
-// continued first (their loads are already paid for); otherwise the
-// partition with the highest remaining tuple weight is fetched. Within
-// a visit, heavy shards are processed first.
-type CostAware struct{}
+// MaxReuse is the planner built for the budget it runs under: slots
+// resident partitions per tape worker and workers tape workers (below 2
+// and 1 select those defaults). Where the paper's heuristics visit one
+// primary's whole star at a time, it walks the live PI edges greedily
+// over a model of the S slots: after each load it emits the free steps
+// (the loaded partition's self-shard and its pairs with residents), then
+// loads the partition that unlocks the most steps with the residents
+// that survive the load, evicting one it does not connect to, else the
+// one with the fewest live edges; with nothing to unlock it cold-starts
+// from the highest remaining degree. The modelled slots empty at each of
+// Split(workers)'s quota boundaries, so each worker's segment is one
+// cohesive walk. A plan made for one budget stays valid at any other,
+// only less tight.
+func MaxReuse(slots, workers int) Heuristic {
+	return maxReuse{slots: max(slots, 2), workers: max(workers, 1)}
+}
+
+type maxReuse struct{ slots, workers int }
 
 // Name implements Heuristic.
-func (CostAware) Name() string { return "Cost-Aware" }
+func (maxReuse) Name() string { return "Max-Reuse" }
 
 // Plan implements Heuristic.
-func (CostAware) Plan(g *PIGraph) *Schedule {
-	st := newTraversal(g)
+func (h maxReuse) Plan(g *PIGraph) *Schedule {
+	w := newReuseWalk(g, h.slots)
+	total := g.NumEdges()
+	for p := range w.self {
+		if w.self[p] {
+			total++
+		}
+	}
+	for _, quota := range quotas(total, h.workers) {
+		w.walk(quota)
+		for len(w.resident) > 0 {
+			w.evict(w.resident[0])
+		}
+	}
+	return w.schedule()
+}
+
+// reuseWalk is Max-Reuse's state. conn counts each partition's live
+// edges to resident partitions and is kept current on load, evict and
+// consume, so choosing a load never rescans the residents' adjacency.
+type reuseWalk struct {
+	*traversal
+	slots    int
+	adj      [][]uint32 // live neighbours in id order; consumed edges dropped lazily
+	resident []uint32   // the modelled slots, in load order
+	isRes    []bool
+	conn     []int
+	reuse    maxHeap // candidates by rank; an entry is live while its rank is current
+	queued   []int   // per partition: the rank of its newest entry in reuse, 0 if none
+	cold     *degreeQueue
+}
+
+func newReuseWalk(g *PIGraph, slots int) *reuseWalk {
 	m := g.NumPartitions()
-
-	// Remaining incident tuple weight per partition, kept current as
-	// edges are consumed; a lazy max-heap serves the fallback pick.
-	remWeight := make([]int64, m)
-	for i := uint32(0); int(i) < m; i++ {
-		remWeight[i] = g.SelfWeight(i)
-		for _, j := range g.Neighbors(i) {
-			remWeight[i] += g.Weight(i, j)
-		}
+	w := &reuseWalk{
+		traversal: newTraversal(g),
+		slots:     slots,
+		adj:       make([][]uint32, m),
+		isRes:     make([]bool, m),
+		conn:      make([]int, m),
+		queued:    make([]int, m),
+		cold:      newDegreeQueue(g),
 	}
-	wq := &weightHeap{}
-	for i := uint32(0); int(i) < m; i++ {
-		if remWeight[i] > 0 {
-			heap.Push(wq, weightEntry{w: remWeight[i], p: i})
-		}
+	for p := range w.adj {
+		w.adj[p] = g.Neighbors(uint32(p))
+		w.offer(uint32(p)) // self-only work scores 1 from the start
 	}
-
-	resident := [2]int64{-1, -1}
-	for {
-		// Continue a resident partition when it still has work: its
-		// load is already paid, so any remaining weight is free.
-		next, found := uint32(0), false
-		for _, r := range resident {
-			if r < 0 {
-				continue
-			}
-			q := uint32(r)
-			if st.hasWork(q) && (!found || remWeight[q] > remWeight[next] || (remWeight[q] == remWeight[next] && q < next)) {
-				next, found = q, true
-			}
-		}
-		if !found {
-			// Fetch the heaviest remaining partition.
-			for wq.Len() > 0 {
-				e := heap.Pop(wq).(weightEntry)
-				if e.w != remWeight[e.p] || !st.hasWork(e.p) {
-					continue // stale
-				}
-				next, found = e.p, true
-				break
-			}
-			if !found {
-				break
-			}
-		}
-
-		peers := st.livePeers(next)
-		// Heavy shards first; ties by id for determinism.
-		sort.Slice(peers, func(a, b int) bool {
-			wa, wb := g.Weight(next, peers[a]), g.Weight(next, peers[b])
-			if wa != wb {
-				return wa > wb
-			}
-			return peers[a] < peers[b]
-		})
-		// Account consumed weight before emitting.
-		for _, q := range peers {
-			w := g.Weight(next, q)
-			remWeight[next] -= w
-			remWeight[q] -= w
-			if remWeight[q] > 0 {
-				heap.Push(wq, weightEntry{w: remWeight[q], p: q})
-			}
-		}
-		if st.self[next] {
-			remWeight[next] -= g.SelfWeight(next)
-		}
-		st.emit(next, peers)
-		resident = [2]int64{int64(next), -1}
-		if len(peers) > 0 {
-			resident[1] = int64(peers[len(peers)-1])
-		}
-	}
-	return st.schedule()
+	return w
 }
 
-type weightEntry struct {
-	w int64
-	p uint32
-}
-
-type weightHeap []weightEntry
-
-func (h weightHeap) Len() int { return len(h) }
-func (h weightHeap) Less(a, b int) bool {
-	if h[a].w != h[b].w {
-		return h[a].w > h[b].w
+// rank orders load candidates: the steps loading p unlocks now — its
+// edges to the residents that survive the load (at most slots-1, since
+// a full machine evicts one) plus its self-shard — then the fewest live
+// edges, finishing nearly-done partitions before they strand. 0 means
+// loading p unlocks nothing.
+func (w *reuseWalk) rank(p uint32) int {
+	steps := min(w.conn[p], w.slots-1)
+	if w.self[p] {
+		steps++
 	}
-	return h[a].p < h[b].p
+	if steps == 0 {
+		return 0
+	}
+	m := len(w.deg)
+	return steps*(m+1) + m - w.deg[p]
 }
-func (h weightHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *weightHeap) Push(x interface{}) { *h = append(*h, x.(weightEntry)) }
-func (h *weightHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// offer (re)queues non-resident p under its current rank, unless its
+// newest entry already carries it.
+func (w *reuseWalk) offer(p uint32) {
+	if r := w.rank(p); r > 0 && !w.isRes[p] && r != w.queued[p] {
+		heap.Push(&w.reuse, heapEntry{key: r, p: p})
+		w.queued[p] = r
+	}
+}
+
+// liveNbrs returns p's live neighbours in id order, dropping consumed
+// edges from its list as it goes.
+func (w *reuseWalk) liveNbrs(p uint32) []uint32 {
+	live := w.adj[p][:0]
+	for _, q := range w.adj[p] {
+		if _, ok := w.live[p][q]; ok {
+			live = append(live, q)
+		}
+	}
+	w.adj[p] = live
+	return live
+}
+
+// next picks the partition to load: the best live reuse candidate, else
+// a cold start.
+func (w *reuseWalk) next() (uint32, bool) {
+	for w.reuse.Len() > 0 {
+		e := heap.Pop(&w.reuse).(heapEntry)
+		if e.key == w.queued[e.p] {
+			w.queued[e.p] = 0
+		}
+		if !w.isRes[e.p] && e.key == w.rank(e.p) {
+			return e.p, true
+		}
+	}
+	return w.cold.popMax(w.traversal)
+}
+
+// walk emits up to quota steps.
+func (w *reuseWalk) walk(quota int) {
+	for quota > 0 {
+		x, ok := w.next()
+		if !ok {
+			return
+		}
+		if len(w.resident) == w.slots {
+			w.evict(w.victim(x))
+		}
+		w.resident = append(w.resident, x)
+		w.isRes[x] = true
+		for _, q := range w.liveNbrs(x) {
+			w.conn[q]++
+			w.offer(q)
+		}
+
+		// The free steps: x's self-shard, then its pairs with residents.
+		if w.self[x] {
+			quota--
+		}
+		var peers []uint32
+		for _, r := range w.resident {
+			if _, ok := w.live[x][r]; ok && quota > 0 {
+				peers = append(peers, r)
+				quota--
+			}
+		}
+		if len(peers) == 0 && !w.self[x] {
+			continue // a cold start: x's partners come next
+		}
+		w.emit(x, peers)
+		w.conn[x] -= len(peers)
+		for _, r := range peers {
+			w.conn[r]--
+		}
+	}
+}
+
+// victim is the resident to evict for x: one x does not connect to if
+// any, else the one with the fewest live edges, ties to the earliest
+// loaded.
+func (w *reuseWalk) victim(x uint32) uint32 {
+	best, bestLinked := w.resident[0], true
+	for i, r := range w.resident {
+		_, linked := w.live[x][r]
+		if i == 0 || (!linked && bestLinked) || (linked == bestLinked && w.deg[r] < w.deg[best]) {
+			best, bestLinked = r, linked
+		}
+	}
+	return best
+}
+
+func (w *reuseWalk) evict(r uint32) {
+	w.resident = slices.DeleteFunc(w.resident, func(p uint32) bool { return p == r })
+	w.isRes[r] = false
+	for _, q := range w.liveNbrs(r) {
+		w.conn[q]--
+		w.offer(q)
+	}
+	w.offer(r)
+	w.cold.push(r, w.deg[r])
 }

@@ -23,7 +23,7 @@ type Schedule struct {
 }
 
 // Heuristic decides the traversal order of the PI graph. The paper
-// evaluates Sequential, DegreeHighLow and DegreeLowHigh; GreedyReuse is
+// evaluates Sequential, DegreeHighLow and DegreeLowHigh; MaxReuse is
 // the "better heuristics" extension its future work calls for.
 type Heuristic interface {
 	// Name identifies the heuristic in experiment output; Table 1 uses
@@ -50,9 +50,7 @@ func (Sequential) Plan(g *PIGraph) *Schedule {
 		if !st.hasWork(p) {
 			continue
 		}
-		peers := st.livePeers(p)
-		sort.Slice(peers, func(a, b int) bool { return peers[a] < peers[b] })
-		st.emit(p, peers)
+		st.emit(p, st.livePeers(p))
 	}
 	return st.schedule()
 }
@@ -95,56 +93,6 @@ func (d degreeOrder) Plan(g *PIGraph) *Schedule {
 		// Peer degrees dropped; refresh their queue entries.
 		for _, q := range peers {
 			pq.push(q, st.deg[q])
-		}
-	}
-	return st.schedule()
-}
-
-// GreedyReuse is an extension heuristic: like High-Low it starts from
-// the highest-degree partition, but whenever a partition that is still
-// resident in one of the two memory slots has remaining edges, it is
-// visited next — turning the node transition into a free slot reuse.
-type GreedyReuse struct{}
-
-// Name implements Heuristic.
-func (GreedyReuse) Name() string { return "Greedy-Reuse" }
-
-// Plan implements Heuristic.
-func (GreedyReuse) Plan(g *PIGraph) *Schedule {
-	st := newTraversal(g)
-	pq := newDegreeQueue(g)
-	// resident mirrors the two-slot state after each visit: the visit's
-	// primary and its final co-loaded peer survive in memory.
-	resident := [2]int64{-1, -1}
-	for {
-		// Prefer a still-resident partition with remaining work: making
-		// it the next primary costs no load. Pick the busier one.
-		next, found := uint32(0), false
-		for _, r := range resident {
-			if r < 0 {
-				continue
-			}
-			q := uint32(r)
-			if st.hasWork(q) && (!found || st.deg[q] > st.deg[next] || (st.deg[q] == st.deg[next] && q < next)) {
-				next, found = q, true
-			}
-		}
-		if !found {
-			p, ok := pq.popMax(st)
-			if !ok {
-				break
-			}
-			next = p
-		}
-		peers := st.livePeers(next)
-		st.sortPeersByDegree(peers, false)
-		st.emit(next, peers)
-		for _, q := range peers {
-			pq.push(q, st.deg[q])
-		}
-		resident = [2]int64{int64(next), -1}
-		if len(peers) > 0 {
-			resident[1] = int64(peers[len(peers)-1])
 		}
 	}
 	return st.schedule()
@@ -232,26 +180,28 @@ func (st *traversal) schedule() *Schedule {
 // degreeQueue is a max-heap of (degree, partition) with lazy deletion:
 // stale entries (whose degree no longer matches) are discarded on pop.
 type degreeQueue struct {
-	entries degreeHeap
+	entries maxHeap
 }
 
-type degreeEntry struct {
-	deg int
+// maxHeap is a container/heap of (key, partition) entries, largest key
+// first, ties to the smaller id.
+type maxHeap []heapEntry
+
+type heapEntry struct {
+	key int
 	p   uint32
 }
 
-type degreeHeap []degreeEntry
-
-func (h degreeHeap) Len() int { return len(h) }
-func (h degreeHeap) Less(a, b int) bool {
-	if h[a].deg != h[b].deg {
-		return h[a].deg > h[b].deg
+func (h maxHeap) Len() int { return len(h) }
+func (h maxHeap) Less(a, b int) bool {
+	if h[a].key != h[b].key {
+		return h[a].key > h[b].key
 	}
 	return h[a].p < h[b].p
 }
-func (h degreeHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *degreeHeap) Push(x interface{}) { *h = append(*h, x.(degreeEntry)) }
-func (h *degreeHeap) Pop() interface{} {
+func (h maxHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
+func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(heapEntry)) }
+func (h *maxHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	x := old[n-1]
@@ -262,22 +212,22 @@ func (h *degreeHeap) Pop() interface{} {
 func newDegreeQueue(g *PIGraph) *degreeQueue {
 	q := &degreeQueue{}
 	for i := 0; i < g.NumPartitions(); i++ {
-		q.entries = append(q.entries, degreeEntry{deg: g.Degree(uint32(i)), p: uint32(i)})
+		q.entries = append(q.entries, heapEntry{key: g.Degree(uint32(i)), p: uint32(i)})
 	}
 	heap.Init(&q.entries)
 	return q
 }
 
 func (q *degreeQueue) push(p uint32, deg int) {
-	heap.Push(&q.entries, degreeEntry{deg: deg, p: p})
+	heap.Push(&q.entries, heapEntry{key: deg, p: p})
 }
 
 // popMax returns the partition with the highest current remaining
 // degree that still has work, discarding stale heap entries.
 func (q *degreeQueue) popMax(st *traversal) (uint32, bool) {
 	for q.entries.Len() > 0 {
-		e := heap.Pop(&q.entries).(degreeEntry)
-		if e.deg != st.deg[e.p] {
+		e := heap.Pop(&q.entries).(heapEntry)
+		if e.key != st.deg[e.p] {
 			continue // stale
 		}
 		if !st.hasWork(e.p) {
@@ -294,17 +244,25 @@ func Heuristics() []Heuristic {
 	return []Heuristic{Sequential{}, DegreeHighLow(), DegreeLowHigh()}
 }
 
-// AllHeuristics additionally includes the extension heuristics:
-// Greedy-Reuse and Cost-Aware (the paper's future-work direction) and
-// the naive Edge-Order baseline the paper argues against.
-func AllHeuristics() []Heuristic {
-	return append(Heuristics(), GreedyReuse{}, CostAware{}, EdgeOrder{})
+// AllHeuristics additionally includes Max-Reuse (the paper's
+// future-work direction), planned for the paper's budget of two slots
+// and one cursor, and the naive Edge-Order baseline the paper argues
+// against.
+func AllHeuristics() []Heuristic { return heuristicsFor(2, 1) }
+
+// heuristicsFor lists every heuristic in Table 1 column order, built
+// for slots resident partitions per tape worker and workers tape
+// workers; only Max-Reuse reads the budget.
+func heuristicsFor(slots, workers int) []Heuristic {
+	return append(Heuristics(), MaxReuse(slots, workers), EdgeOrder{})
 }
 
-// HeuristicByName resolves a heuristic by Name (case-sensitive),
-// reporting false for unknown names.
-func HeuristicByName(name string) (Heuristic, bool) {
-	for _, h := range AllHeuristics() {
+// HeuristicByName resolves a heuristic by Name (case-sensitive) for the
+// execution budget it will run under — slots resident partitions per
+// tape worker and workers tape workers, 0 selecting the executor's
+// defaults of 2 and 1 — reporting false for unknown names.
+func HeuristicByName(name string, slots, workers int) (Heuristic, bool) {
+	for _, h := range heuristicsFor(slots, workers) {
 		if h.Name() == name {
 			return h, true
 		}

@@ -239,12 +239,12 @@ func TestDegreeHeuristicsBeatSequentialOnSkewedGraphs(t *testing.T) {
 	}
 }
 
-func TestGreedyReuseAtLeastMatchesHighLow(t *testing.T) {
+func TestMaxReuseAtLeastMatchesHighLow(t *testing.T) {
 	g := randomPI(t, 11, 400, 2400)
 	hl := simulate(t, DegreeHighLow().Plan(g)).Ops()
-	gr := simulate(t, (GreedyReuse{}).Plan(g)).Ops()
-	if gr > hl {
-		t.Errorf("Greedy-Reuse (%d) should not be worse than High-Low (%d)", gr, hl)
+	mr := simulate(t, MaxReuse(2, 1).Plan(g)).Ops()
+	if mr > hl {
+		t.Errorf("Max-Reuse (%d) should not be worse than High-Low (%d)", mr, hl)
 	}
 }
 
@@ -367,13 +367,22 @@ func TestValidateCatchesBadSchedules(t *testing.T) {
 
 func TestHeuristicByName(t *testing.T) {
 	for _, h := range AllHeuristics() {
-		got, ok := HeuristicByName(h.Name())
+		got, ok := HeuristicByName(h.Name(), 2, 1)
 		if !ok || got.Name() != h.Name() {
 			t.Errorf("HeuristicByName(%q) failed", h.Name())
 		}
 	}
-	if _, ok := HeuristicByName("random"); ok {
+	if _, ok := HeuristicByName("random", 2, 1); ok {
 		t.Error("unknown heuristic should report false")
+	}
+	// The resolver builds Max-Reuse for the budget it is handed; 0
+	// selects the executor's defaults.
+	g := randomPI(t, 3, 30, 120)
+	for _, b := range []struct{ slots, workers, wantSlots, wantWorkers int }{{4, 2, 4, 2}, {0, 0, 2, 1}} {
+		h, _ := HeuristicByName("Max-Reuse", b.slots, b.workers)
+		if got, want := h.Plan(g), MaxReuse(b.wantSlots, b.wantWorkers).Plan(g); !reflect.DeepEqual(got, want) {
+			t.Errorf("HeuristicByName(Max-Reuse, %d, %d) did not plan for S=%d W=%d", b.slots, b.workers, b.wantSlots, b.wantWorkers)
+		}
 	}
 }
 

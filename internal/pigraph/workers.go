@@ -34,34 +34,26 @@ func (s *Schedule) Split(workers int) []*Schedule {
 	for _, v := range s.Visits {
 		total += v.steps()
 	}
-	if workers <= 1 || total <= 1 {
+	sizes := quotas(total, workers)
+	if len(sizes) == 1 {
 		return []*Schedule{s}
 	}
-	if workers > total {
-		workers = total
-	}
 
-	out := make([]*Schedule, 0, workers)
+	out := make([]*Schedule, 0, len(sizes))
 	cur := &Schedule{NumPartitions: s.NumPartitions}
 	curSteps := 0
-	remaining := total
-	quota := func() int {
-		segsLeft := workers - len(out)
-		return (remaining + segsLeft - 1) / segsLeft
-	}
 	closeSegment := func() {
 		out = append(out, cur)
-		remaining -= curSteps
 		cur = &Schedule{NumPartitions: s.NumPartitions}
 		curSteps = 0
 	}
 	for _, v := range s.Visits {
 		for v.steps() > 0 {
-			need := quota() - curSteps
+			need := sizes[len(out)] - curSteps
 			if have := v.steps(); have <= need {
 				cur.Visits = append(cur.Visits, v)
 				curSteps += have
-				if curSteps == quota() && len(out) < workers-1 {
+				if curSteps == sizes[len(out)] && len(out) < len(sizes)-1 {
 					closeSegment()
 				}
 				break
@@ -87,9 +79,26 @@ func (s *Schedule) Split(workers int) []*Schedule {
 	return out
 }
 
+// quotas returns the step count of each segment when total steps are
+// cut into at most workers contiguous segments: the classic
+// ceil(remaining/segments-left) quota, so sizes differ by at most one.
+// Split and the Max-Reuse planner both call it, so a plan made for W
+// workers resets its modelled residency exactly where Split(W) cuts.
+func quotas(total, workers int) []int {
+	workers = max(1, min(workers, total))
+	out := make([]int, workers)
+	for k := range out {
+		left := workers - k
+		out[k] = (total + left - 1) / left
+		total -= out[k]
+	}
+	return out
+}
+
 // ExecuteParallel is the one way to run a schedule. The visit sequence
 // is Split into opts.Workers contiguous segments, each segment is
-// planned into an op tape under its own Slots-slot LRU budget, and each
+// planned into an op tape under its own Slots-slot budget evicted by
+// MIN (the resident whose next use on that tape is furthest), and each
 // tape is replayed on its own goroutine — overlapping whichever of phase
 // 4's three I/O streams ExecOptions enables (partition loads ahead of
 // the cursor, write-backs behind it, tuple-shard reads alongside it)

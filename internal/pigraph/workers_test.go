@@ -84,8 +84,10 @@ func TestSplitPreservesSchedule(t *testing.T) {
 
 // TestSimulateWorkersSumsSegments: the (Slots, Workers) simulation is
 // exactly the sum of the per-segment Slots simulations — the
-// deterministic totals the engine asserts against — and Workers=1
-// reproduces the single-cursor counts bit for bit.
+// deterministic totals the engine asserts against — Workers=1
+// reproduces the single-cursor counts bit for bit, and splitting one
+// schedule never saves ops (each worker starts with empty slots, and
+// the single cursor's MIN is optimal for the whole sequence).
 func TestSimulateWorkersSumsSegments(t *testing.T) {
 	g := randomPI(t, 41, 25, 110)
 	for _, h := range AllHeuristics() {
@@ -102,10 +104,18 @@ func TestSimulateWorkersSumsSegments(t *testing.T) {
 			t.Fatalf("%s: Workers=1 simulation %+v, single-cursor %+v", h.Name(), one, single)
 		}
 		for _, slots := range []int{2, 4} {
+			whole, err := s.Simulate(ExecOptions{Slots: slots})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, workers := range []int{2, 3, 4} {
 				got, err := s.Simulate(ExecOptions{Slots: slots, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if got.Ops() < whole.Ops() {
+					t.Errorf("%s slots=%d workers=%d: %d ops, one cursor needs only %d",
+						h.Name(), slots, workers, got.Ops(), whole.Ops())
 				}
 				var want Result
 				for _, seg := range s.Split(workers) {
@@ -152,10 +162,9 @@ func counts(r Result) Result {
 }
 
 // TestExecuteParallelMatchesPerSegmentSerial runs the one executor at
-// W ∈ {1,2,4} × pipelining depth ∈ {0,2} with per-worker trace
-// callbacks: every worker's callback sequence must equal the
-// single-cursor execution of its own segment — the referenceExecute
-// oracle at Slots=2, a W=1 depth-0 run of the segment at Slots=3 — each
+// W ∈ {1,2,4} × pipelining depth ∈ {0,2} × S ∈ {2,3,4} with per-worker
+// trace callbacks: every worker's callback sequence must equal the
+// brute-force MIN oracle's serial execution of its own segment, each
 // worker must respect its own Slots residency bound, and the summed
 // Result must equal both the per-worker sum and Simulate(opts).
 func TestExecuteParallelMatchesPerSegmentSerial(t *testing.T) {
@@ -164,7 +173,7 @@ func TestExecuteParallelMatchesPerSegmentSerial(t *testing.T) {
 		s := h.Plan(g)
 		for _, workers := range []int{1, 2, 4} {
 			for _, depth := range []int{0, 2} {
-				for _, slots := range []int{2, 3} {
+				for _, slots := range []int{2, 3, 4} {
 					name := fmt.Sprintf("%s workers=%d depth=%d slots=%d", h.Name(), workers, depth, slots)
 					opts := ExecOptions{Slots: slots, Workers: workers, PrefetchDepth: depth, WritebackDepth: depth, ShardAhead: depth}
 					segs := s.Split(workers)
@@ -203,12 +212,7 @@ func TestExecuteParallelMatchesPerSegmentSerial(t *testing.T) {
 					var sum Result
 					for w, seg := range segs {
 						var want []event
-						var wantRes Result
-						if slots == 2 {
-							wantRes, err = referenceExecute(seg, traceCallbacks(&want))
-						} else {
-							wantRes, err = execute(seg, traceCallbacks(&want), ExecOptions{Slots: slots})
-						}
+						wantRes, err := minExecute(seg, slots, traceCallbacks(&want))
 						if err != nil {
 							t.Fatal(err)
 						}

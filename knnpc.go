@@ -56,8 +56,9 @@ type Config struct {
 	// PartitionStrategy is "greedy" (default — minimizes the paper's
 	// Σ(N_in+N_out) criterion), "range", or "hash".
 	PartitionStrategy string
-	// Heuristic is the PI-graph traversal order: "Seq.", "High-Low",
-	// "Low-High" (default), or "Greedy-Reuse".
+	// Heuristic is the PI-graph traversal order: the paper's "Seq.",
+	// "High-Low" and "Low-High", "Max-Reuse" (default; planned for Slots
+	// and ExecWorkers), or the naive "Edge-Order" baseline.
 	Heuristic string
 	// Similarity is "cosine" (default), "jaccard", "dice" or
 	// "overlap".
@@ -224,7 +225,7 @@ func (c Config) engineOptions() (core.Options, error) {
 		opts.Partitioner = p
 	}
 	if c.Heuristic != "" {
-		h, ok := pigraph.HeuristicByName(c.Heuristic)
+		h, ok := pigraph.HeuristicByName(c.Heuristic, c.Slots, c.ExecWorkers)
 		if !ok {
 			return opts, fmt.Errorf("knnpc: unknown heuristic %q", c.Heuristic)
 		}

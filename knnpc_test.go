@@ -2,9 +2,15 @@ package knnpc
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
+	"strings"
 	"testing"
 
 	"knnpc/internal/dataset"
+	"knnpc/internal/pigraph"
 )
 
 func testProfiles(t *testing.T, users int) [][]Item {
@@ -43,6 +49,30 @@ func TestNewValidatesConfig(t *testing.T) {
 				t.Error("want config error")
 			}
 		})
+	}
+}
+
+// TestConfigHeuristicDocListsEveryName keeps Config.Heuristic's godoc in
+// step with the heuristics HeuristicByName resolves.
+func TestConfigHeuristicDocListsEveryName(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "knnpc.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if field, ok := n.(*ast.Field); ok && len(field.Names) == 1 && field.Names[0].Name == "Heuristic" {
+			doc = field.Doc.Text()
+		}
+		return doc == ""
+	})
+	if doc == "" {
+		t.Fatal("Config.Heuristic has no doc comment")
+	}
+	for _, h := range pigraph.AllHeuristics() {
+		if !strings.Contains(doc, strconv.Quote(h.Name())) {
+			t.Errorf("Config.Heuristic's doc does not list %q:\n%s", h.Name(), doc)
+		}
 	}
 }
 
