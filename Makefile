@@ -47,7 +47,9 @@ race-phase4:
 # worker-partial decoders must never panic, never size storage from a
 # count the input cannot back, and round-trip what they accept; every
 # planner's schedule of a fuzzed PI graph must validate and never load
-# more under MIN than under LRU. `go test -fuzz` takes one target and
+# more under MIN than under LRU; the tuple table must serve a fuzzed
+# multiset, consumed in either shard orientation, exactly once and
+# de-duplicated. `go test -fuzz` takes one target and
 # one package per run. A crasher is written under the package's
 # testdata/fuzz/ — commit it with the fix.
 FUZZTIME ?= 10s
@@ -55,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePartState$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMergePartial$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime $(FUZZTIME) ./internal/pigraph
+	$(GO) test -run '^$$' -fuzz '^FuzzDiskTableShards$$' -fuzztime $(FUZZTIME) ./internal/tuples
 
 # End-to-end proof of the network state store: launches cmd/statestore
 # with 2 shards, runs knnrun once in-process and once with -netstore on
@@ -83,7 +86,7 @@ bench-smoke:
 	$(GO) run ./bench -runs 2 -seconds 5
 
 # Applies the benchmark's bounds to the last `make bench` against BASE,
-# e.g. `make bench-compare BASE=BENCH_25.json`; exits non-zero on
+# e.g. `make bench-compare BASE=BENCH_27.json`; exits non-zero on
 # a regressed or unresolved end-to-end metric, or on an exact count
 # that differs at equal seeds.
 bench-compare:

@@ -41,7 +41,7 @@ func TestRunDefaultHeuristic(t *testing.T) {
 	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"heuristic=Max-Reuse", "reads  attached"} {
+	for _, want := range []string{"heuristic=Max-Reuse", "reads  attached  shards"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, buf.String())
 		}

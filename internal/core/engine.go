@@ -818,6 +818,7 @@ func (e *Engine) phaseScore(ctx context.Context, it *iteration) error {
 		st.WorkerOps[w] = r.Ops()
 	}
 	st.PrefetchedShardBytes = it.table.PrefetchedShardBytes()
+	st.ShardReads = it.table.SpillReads()
 	st.TuplesScored = shared.scored.Load()
 	// The totals are the field-wise sum of perWorker by construction,
 	// so this one check covers the whole worker breakdown: predicted
@@ -1124,8 +1125,8 @@ func (s *phase4Shared) workerCallbacks(index int) pigraph.Callbacks {
 	// Fetch+Commit and a synchronous unload from Evict+Flush.
 	return pigraph.Callbacks{
 		Pair:      w.pair,
-		Self:      w.self,
-		PairAhead: w.pairAhead,
+		Self:      func(id uint32) error { return w.pair(id, id) },
+		PairAhead: s.table.ShardAhead,
 		Fetch:     w.fetch,
 		Commit:    w.commit,
 		Discard:   w.discard,
@@ -1226,43 +1227,16 @@ func (w *phase4Worker) flush(id uint32, _ any) error {
 	return nil
 }
 
-// pairAhead starts background reads of the tuple shards an upcoming
-// pair (or self visit, when a == b) will consume, so the cursor finds
-// them already read and de-duplicated.
-func (w *phase4Worker) pairAhead(a, b uint32) {
-	w.shared.table.ShardAhead(a, b)
-	if a != b {
-		w.shared.table.ShardAhead(b, a)
-	}
-}
-
-// pair processes both directed shards of the unordered pair {a, b},
-// forward then reverse — the order accumulator tie-breaking has always
-// seen. No pair spans tape workers, so each shard is consumed exactly
-// once.
+// pair scores the one tuple shard of the unordered pair {a, b} — both
+// directions, read with one spill-file open — or partition a's self
+// shard when a == b. No pair spans tape workers, so each shard is
+// consumed exactly once; the table's ShardAhead, announced by the
+// executor, has usually read it already.
 func (w *phase4Worker) pair(a, b uint32) error {
 	if err := w.shared.ctxErr(); err != nil {
 		return err
 	}
-	fwd, err := w.shared.table.Shard(a, b)
-	if err != nil {
-		return w.shared.fail(err)
-	}
-	rev, err := w.shared.table.Shard(b, a)
-	if err != nil {
-		return w.shared.fail(err)
-	}
-	if err := w.scoreTuples(fwd); err != nil {
-		return err
-	}
-	return w.scoreTuples(rev)
-}
-
-func (w *phase4Worker) self(id uint32) error {
-	if err := w.shared.ctxErr(); err != nil {
-		return err
-	}
-	ts, err := w.shared.table.Shard(id, id)
+	ts, err := w.shared.table.Shard(a, b)
 	if err != nil {
 		return w.shared.fail(err)
 	}
@@ -1277,12 +1251,13 @@ func (w *phase4Worker) scoreTuples(ts []tuples.Tuple) error {
 	if err != nil {
 		return w.shared.fail(err)
 	}
-	// Fold in runs of same-partition sources (a shard has one), taking
-	// each owning partition's fold lock once per run: TopK pushes use a
-	// total order over (score, id), so the fold result is identical no
-	// matter how the workers' runs interleave. Score has already
-	// resolved every source through lookup, so each ordinal is known to
-	// name its user in the resident state.
+	// Fold in runs of same-partition sources (a shard serves at most
+	// two, one per endpoint partition), taking each owning partition's
+	// fold lock once per run: TopK pushes use a total order over
+	// (score, id), so the fold result is identical no matter how the
+	// workers' runs interleave. Score has already resolved every source
+	// through lookup, so each ordinal is known to name its user in the
+	// resident state.
 	assign := w.shared.assign
 	for lo := 0; lo < len(ts); {
 		pid := assign.Of(ts[lo].S)

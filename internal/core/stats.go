@@ -74,6 +74,11 @@ type IterationStats struct {
 	// read asynchronously ahead of the cursor (0 unless
 	// Options.ShardPrefetch > 0 with OnDisk — nothing spills without).
 	PrefetchedShardBytes int64
+	// ShardReads counts the tuple-shard spill files phase 4 opened: at
+	// most one per PI edge plus one per self shard (0 without OnDisk —
+	// nothing spills without — and for shards that never filled a
+	// spill batch).
+	ShardReads int64
 	// BuildWorkers is the width of the phase-1/2 build pool the
 	// iteration ran with (Options.BuildWorkers; 1 for the serial
 	// build). The build output — tuple counts, shard contents, and

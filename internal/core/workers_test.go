@@ -73,6 +73,26 @@ func TestShardedWorkersMatchSerialEngine(t *testing.T) {
 	}
 }
 
+// TestShardReadsAtMostOnePerPIStep: phase 4 opens one spill file per PI
+// edge and one per self shard at most — both directions of a partition
+// pair share a shard — at every iteration, with read-ahead and two tape
+// workers; a table with no scratch directory opens none.
+func TestShardReadsAtMostOnePerPIStep(t *testing.T) {
+	const users, iters = 300, 3
+	for _, onDisk := range []bool{false, true} {
+		opts := Options{K: 6, NumPartitions: 8, OnDisk: onDisk, TupleBatch: 8, Seed: 13,
+			ExecWorkers: 2, PrefetchDepth: 2, AsyncWriteback: true, ShardPrefetch: 2}
+		stats, _ := runEngine(t, opts, users, iters)
+		for i, st := range stats {
+			limit := int64(st.PIEdges + st.NumPartitions)
+			if onDisk && (st.ShardReads == 0 || st.ShardReads > limit) || !onDisk && st.ShardReads != 0 {
+				t.Errorf("ondisk=%v iter %d: %d spill files read for %d PI edges over %d partitions",
+					onDisk, i, st.ShardReads, st.PIEdges, st.NumPartitions)
+			}
+		}
+	}
+}
+
 // TestShardedWorkersDeterministicOps: the per-worker op breakdown is a
 // pure function of (schedule, Slots, ExecWorkers) — two engines with
 // identical seeds must report identical WorkerOps vectors, and the

@@ -36,6 +36,7 @@ type Replica struct {
 	mu      sync.Mutex
 	views   map[uint32]serveView
 	userIdx map[uint32]uint32
+	pulling map[uint32]*viewPull // in-flight view pull per partition
 
 	pulls    atomic.Uint64 // view re-pulls from the primary
 	degraded atomic.Uint64 // lookups served stale because the primary was unreachable
@@ -114,6 +115,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		},
 		views:   make(map[uint32]serveView),
 		userIdx: make(map[uint32]uint32),
+		pulling: make(map[uint32]*viewPull),
 	}
 	r.lo, r.hi = router.Range(cfg.Shard)
 	r.serve(r.handle)
@@ -218,17 +220,27 @@ func (r *Replica) primaryEpoch(p uint32) (base, view uint64, err error) {
 	return base, view, err
 }
 
+// viewPull is one in-flight GETVIEW of a partition; readers that find
+// it wait on done and share its outcome instead of pulling again.
+type viewPull struct {
+	done chan struct{}
+	err  error
+}
+
 // refreshPartition brings partition p's cached view up to the
 // primary's current view epoch: probe, and re-pull only on mismatch.
 // A primary that has not published a view yet (view epoch 0) leaves
-// the cache as-is.
+// the cache as-is. Concurrent readers of one stale partition share one
+// pull: the first starts it, the rest wait for it and then re-check
+// the cache against the epoch their own probe saw, so a read that
+// probed a commit still returns that commit or a later one.
 //
 // The probe carries the configured deadline and NEVER fails a request
 // it could still answer: when the primary is unreachable (transient
 // failure) and a cached view exists, the replica serves it as-is —
 // degraded mode, staleness bounded by however long the primary stays
 // down instead of by one epoch. Only a partition with no cached view
-// at all surfaces the probe failure.
+// at all surfaces the failure — the puller's, to every waiter too.
 func (r *Replica) refreshPartition(p uint32) error {
 	if int(p) < r.lo || int(p) >= r.hi {
 		return fmt.Errorf("netstore: partition %d outside replica %d/%d range [%d,%d)",
@@ -239,24 +251,59 @@ func (r *Replica) refreshPartition(p uint32) error {
 	r.mu.Unlock()
 	_, view, err := r.primaryEpoch(p)
 	if err != nil {
-		if IsTransient(err) && have {
-			r.degraded.Add(1)
-			return nil
-		}
-		return err
+		return r.degrade(err, have)
 	}
 	if view == 0 || (have && cached.epoch == view) {
 		return nil
 	}
-	epoch, blob, err := r.primaryGetView(p)
-	if err != nil {
-		if IsTransient(err) && have {
-			// The primary died between the probe and the pull; the view
-			// it advertised is gone for now. The cached epoch still
-			// serves.
-			r.degraded.Add(1)
+	for {
+		r.mu.Lock()
+		if v, ok := r.views[p]; ok && v.epoch >= view {
+			r.mu.Unlock()
 			return nil
 		}
+		if pull := r.pulling[p]; pull != nil {
+			r.mu.Unlock()
+			<-pull.done
+			if pull.err != nil {
+				return r.degrade(pull.err, have)
+			}
+			continue // the pull may predate the epoch this reader probed
+		}
+		pull := &viewPull{done: make(chan struct{})}
+		r.pulling[p] = pull
+		r.mu.Unlock()
+		pull.err = r.pullView(p)
+		r.mu.Lock()
+		delete(r.pulling, p)
+		r.mu.Unlock()
+		close(pull.done)
+		if pull.err != nil {
+			// The primary may have died between the probe and the pull;
+			// the view it advertised is gone for now, the cached epoch
+			// still serves.
+			return r.degrade(pull.err, have)
+		}
+		return nil
+	}
+}
+
+// degrade answers a failed probe or pull: a transient failure with a
+// cached view to fall back on is served stale (and counted); anything
+// else surfaces.
+func (r *Replica) degrade(err error, have bool) error {
+	if IsTransient(err) && have {
+		r.degraded.Add(1)
+		return nil
+	}
+	return err
+}
+
+// pullView fetches partition p's current view from the primary and
+// installs it in the cache.
+func (r *Replica) pullView(p uint32) error {
+	epoch, blob, err := r.primaryGetView(p)
+	if err != nil {
 		return err
 	}
 	entries, err := DecodeView(blob)

@@ -280,6 +280,48 @@ func TestReplicaPullOnce(t *testing.T) {
 	}
 }
 
+// TestReplicaConcurrentReadersPullOnce: lookups that race onto one
+// stale partition after a commit share one view pull — PROTOCOL's "at
+// most one view pull per partition per committed epoch" holds under
+// concurrency, not only for sequential reads — and every reader sees
+// the new epoch.
+func TestReplicaConcurrentReadersPullOnce(t *testing.T) {
+	cluster, client := startCluster(t, 1, 1, nil)
+	rs, _ := startReplicas(t, cluster, 1)
+	rep := rs.Replicas()[0]
+	const readers = 16
+	for epoch := uint64(1); epoch <= 5; epoch++ {
+		if err := client.PutBase(0, []byte("b")); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.PutView(0, viewFor(3, epoch)); err != nil {
+			t.Fatal(err)
+		}
+		before := rep.Pulls()
+		start := make(chan struct{})
+		errs := make(chan error, readers)
+		for i := 0; i < readers; i++ {
+			go func() {
+				<-start
+				got, _, err := rep.lookup(3)
+				if err == nil && got != epoch {
+					err = fmt.Errorf("read epoch %d after commit of %d", got, epoch)
+				}
+				errs <- err
+			}()
+		}
+		close(start)
+		for i := 0; i < readers; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if pulls := rep.Pulls() - before; pulls != 1 {
+			t.Fatalf("epoch %d: %d concurrent readers issued %d view pulls, want 1", epoch, readers, pulls)
+		}
+	}
+}
+
 // TestReplicaStalenessMatrix is the bounded-staleness pin: while a
 // publisher commits epochs as fast as it can (base PUT bumping the
 // epoch, then the view for that epoch — the engine's phase-1/commit

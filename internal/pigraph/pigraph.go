@@ -14,9 +14,10 @@
 //
 // The paper's PI edges are directed ((Ri,Rj) = tuples with s∈Ri, d∈Rj),
 // but the load/unload cost depends only on the unordered pair: with Ri
-// and Rj both resident, the shards (i,j) and (j,i) are processed
-// together. The PIGraph here therefore merges directions; reciprocal
-// directed pairs collapse into one undirected edge.
+// and Rj both resident, both directions' tuples are processed together
+// — H keeps them in one shard {i, j}. The PIGraph here therefore merges
+// directions; reciprocal directed pairs collapse into one undirected
+// edge.
 package pigraph
 
 import (
@@ -45,9 +46,11 @@ func New(m int) *PIGraph {
 	return &PIGraph{adj: adj, self: make([]int64, m)}
 }
 
-// AddShard accumulates the weight (tuple count) of the directed shard
-// (i, j) onto the undirected PI edge {i, j}, or onto the self weight
-// when i == j. Endpoints must be in range.
+// AddShard accumulates the weight (tuple count) of shard (i, j) onto
+// the undirected PI edge {i, j}, or onto the self weight when i == j.
+// The shard may be directed or already unordered — either orientation
+// lands on the same edge, so adding (i, j) and (j, i) sums them.
+// Endpoints must be in range.
 func (g *PIGraph) AddShard(i, j uint32, weight int64) error {
 	m := len(g.adj)
 	if int(i) >= m || int(j) >= m {
@@ -69,7 +72,9 @@ func (g *PIGraph) AddShard(i, j uint32, weight int64) error {
 }
 
 // FromTupleCounts builds the PI graph of an iteration from the hash
-// table's shard census.
+// table's shard census — the undirected one H reports, one count per
+// {I ≤ J}; a directed census (both (i, j) and (j, i) keyed) builds the
+// identical graph, since AddShard sums both directions into one edge.
 func FromTupleCounts(m int, counts map[tuples.ShardID]int64) (*PIGraph, error) {
 	g := New(m)
 	// Deterministic insertion order (map iteration is random).

@@ -7,7 +7,9 @@ import (
 	"testing/quick"
 
 	"knnpc/internal/dataset"
+	"knnpc/internal/disk"
 	"knnpc/internal/graph"
+	"knnpc/internal/partition"
 	"knnpc/internal/tuples"
 )
 
@@ -87,6 +89,58 @@ func TestFromTupleCounts(t *testing.T) {
 	}
 	if _, err := FromTupleCounts(2, counts); err == nil {
 		t.Error("out-of-range shard id should fail")
+	}
+}
+
+// TestUndirectedCensusBuildsTheSamePIGraph: on random tuple multisets,
+// the tuple table's undirected ShardCounts and the directed census (one
+// count per (partition(s), partition(d))) build one identical PI graph
+// (edges, adj weights, self weights), so every planner's visits — and
+// the ops goldens they imply — cannot move with the shard layout.
+func TestUndirectedCensusBuildsTheSamePIGraph(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n, m := 4+r.Intn(60), 1+r.Intn(10)
+		of := make([]uint32, n)
+		for u := range of {
+			of[u] = uint32(r.Intn(m))
+		}
+		a, err := partition.NewAssignment(of, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := make([]tuples.Tuple, r.Intn(1500))
+		directed := make(map[tuples.ShardID]int64)
+		for i := range stream {
+			tu := tuples.Tuple{S: uint32(r.Intn(n)), D: uint32(r.Intn(n))}
+			stream[i] = tu
+			directed[tuples.ShardID{I: a.Of(tu.S), J: a.Of(tu.D)}]++
+		}
+		table := tuples.NewDiskTable(a, nil, new(disk.IOStats), 0)
+		if err := table.AddBatch(stream); err != nil {
+			t.Fatal(err)
+		}
+		want, err := FromTupleCounts(m, directed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := FromTupleCounts(m, table.ShardCounts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		table.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: undirected census built %+v, directed %+v", seed, got, want)
+		}
+		for slots := 2; slots <= 4; slots++ {
+			for workers := 1; workers <= 3; workers++ {
+				for _, h := range heuristicsFor(slots, workers) {
+					if g, w := h.Plan(got), h.Plan(want); !reflect.DeepEqual(g.Visits, w.Visits) {
+						t.Fatalf("seed %d %s S=%d W=%d: visits diverge", seed, h.Name(), slots, workers)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -15,10 +15,12 @@ import (
 
 // DiskTable is the hash table H: it absorbs raw tuples (duplicates and
 // all) and serves de-duplicated, deterministically ordered shards keyed
-// by the partition pair of the endpoints. Raw tuples collect in one
-// in-memory buffer per shard; de-duplication happens shard-at-a-time
-// when phase 4 reads the shard — exactly the moment the two owning
-// partitions are resident anyway.
+// by the unordered partition pair of the endpoints: the tuples from
+// partition a to b and from b to a share the one shard {a, b}, so a PI
+// edge is one pending buffer and one spill file, read back with one
+// open. Raw tuples collect in one in-memory buffer per shard;
+// de-duplication happens shard-at-a-time when phase 4 reads the shard —
+// exactly the moment the two owning partitions are resident anyway.
 //
 // Where the raw tuples wait is the table's one switch. With a scratch
 // directory a shard's buffer is appended to that shard's spill file
@@ -60,6 +62,7 @@ type DiskTable struct {
 
 	added           atomic.Int64
 	prefetchedBytes atomic.Int64
+	spillReads      atomic.Int64
 
 	dead func(uint32) bool // tombstone predicate; set before producers start
 
@@ -74,21 +77,21 @@ type DiskTable struct {
 	// the batched emit path does not allocate one fresh record per
 	// flush the way the old per-call packing did; groupPool recycles
 	// the per-AddBatch shard-grouping scratch (one bucket slice per
-	// directed partition pair) across calls and producers.
+	// unordered partition pair) across calls and producers.
 	encPool   sync.Pool
 	groupPool sync.Pool
 }
 
 // batchGroups is the pooled scratch one AddBatch call groups its
-// tuples with: buckets is indexed by the shard ordinal I·m+J, touched
-// lists the non-empty ordinals so reset cost scales with the batch,
-// not with m².
+// tuples with: buckets is indexed by the shard ordinal I·m+J (I ≤ J, so
+// the slots below the diagonal stay unused), touched lists the
+// non-empty ordinals so reset cost scales with the batch, not with m².
 type batchGroups struct {
 	buckets [][]uint64
 	touched []int
 }
 
-// diskShard is one directed partition pair's spill state. Its mutex
+// diskShard is one unordered partition pair's spill state. Its mutex
 // guards every field; dead marks state torn down by Close (a late
 // producer that already passed the table's closed check must not
 // resurrect a writer for a removed file), taken marks state handed
@@ -206,7 +209,8 @@ func (t *DiskTable) AddBatch(ts []Tuple) error {
 		g = &batchGroups{buckets: make([][]uint64, m*m)}
 	}
 	for _, tu := range ts {
-		ord := int(t.assign.Of(tu.S))*m + int(t.assign.Of(tu.D))
+		id := pairID(t.assign.Of(tu.S), t.assign.Of(tu.D))
+		ord := int(id.I)*m + int(id.J)
 		if len(g.buckets[ord]) == 0 {
 			g.touched = append(g.touched, ord)
 		}
@@ -283,7 +287,8 @@ func (t *DiskTable) shardPath(id ShardID) string {
 func (t *DiskTable) Added() int64 { return t.added.Load() }
 
 // ShardCounts returns the raw tuple count (duplicates included, an
-// upper bound on the distinct count) per directed partition pair — the
+// upper bound on the distinct count) per unordered partition pair —
+// every key has I ≤ J, and the counts sum to Added. They are the
 // weights from which the PI graph is built. It must only be called
 // after all adds have completed (phase 3 reads it once).
 func (t *DiskTable) ShardCounts() map[ShardID]int64 {
@@ -314,10 +319,12 @@ func (sh *diskShard) takeLocked() (pending []uint64, w *disk.RecordWriter, count
 
 // readShard drains one taken shard: it finishes the spill file, reads
 // it back, deletes it, merges the unflushed tail, and de-duplicates by
-// sort-unique. It touches no table state beyond the handed-over writer
-// (plus the shared stats/device, which are concurrency-safe), so it may
-// run on a background goroutine. It returns the shard's tuples and the
-// spill bytes read from disk.
+// sort-unique in place. The one exact-size result holds the tuples
+// whose source lies in partition I, then those whose source lies in J,
+// each run sorted by (S, D). It touches no table state beyond the
+// handed-over writer (plus the shared stats/device, which are
+// concurrency-safe), so it may run on a background goroutine. It
+// returns the shard's tuples and the spill bytes read from disk.
 func (t *DiskTable) readShard(id ShardID, pending []uint64, w *disk.RecordWriter, count int64) ([]Tuple, int64, error) {
 	kp, _ := t.keyPool.Get().(*[]uint64)
 	if kp == nil {
@@ -363,32 +370,39 @@ func (t *DiskTable) readShard(id ShardID, pending []uint64, w *disk.RecordWriter
 			return nil, 0, err
 		}
 		t.device.Read(spillBytes)
+		t.spillReads.Add(1)
 	}
 
 	slices.Sort(keys)
-	out := make([]Tuple, 0, len(keys))
-	var prev uint64
-	for idx, k := range keys {
-		if idx > 0 && k == prev {
-			continue
+	keys = slices.Compact(keys)
+	// One pass: sources in I fill out from the front, sources in J from
+	// the back (so that run lands reversed and is flipped once).
+	out := make([]Tuple, len(keys))
+	lo, hi := 0, len(keys)
+	for _, k := range keys {
+		if tu := unpack(k); t.assign.Of(tu.S) == id.I {
+			out[lo] = tu
+			lo++
+		} else {
+			hi--
+			out[hi] = tu
 		}
-		prev = k
-		out = append(out, unpack(k))
 	}
+	slices.Reverse(out[lo:])
 	return out, spillBytes, nil
 }
 
-// ShardAhead starts reading shard (i, j) on a background goroutine, so
-// the later Shard call for the same pair returns the already-read (and
-// already de-duplicated) tuples instead of blocking the phase-4 cursor
-// on spill I/O and sorting — a shard that never spilled still moves its
-// sort-and-dedup off the cursor. The pair sequence is fixed by the op
-// tape, so the executor knows which shards are needed next; shards are
-// only written in phase 2, so there is no write-back hazard to order
-// against. Announcing an empty, unknown, already-announced or
-// already-consumed shard is a no-op.
+// ShardAhead starts reading shard {i, j} on a background goroutine, so
+// the later Shard call for the same pair, in either orientation,
+// returns the already-read (and already de-duplicated) tuples instead
+// of blocking the phase-4 cursor on spill I/O and sorting — a shard
+// that never spilled still moves its sort-and-dedup off the cursor. The
+// pair sequence is fixed by the op tape, so the executor knows which
+// shards are needed next; shards are only written in phase 2, so there
+// is no write-back hazard to order against. Announcing an empty,
+// unknown, already-announced or already-consumed shard is a no-op.
 func (t *DiskTable) ShardAhead(i, j uint32) {
-	id := ShardID{I: i, J: j}
+	id := pairID(i, j)
 	t.mu.Lock()
 	if t.closed || t.futures[id] != nil {
 		t.mu.Unlock()
@@ -423,17 +437,23 @@ func (t *DiskTable) ShardAhead(i, j uint32) {
 // the asynchronous ShardAhead path.
 func (t *DiskTable) PrefetchedShardBytes() int64 { return t.prefetchedBytes.Load() }
 
-// Shard returns the de-duplicated tuples whose endpoints lie in
-// partitions (i, j), sorted by (S, D): it drains the shard's spill
-// file, de-duplicates by sort-unique, and deletes the file. It consumes
-// the shard, so it may be called at most once per shard (each is read
-// exactly once, by the PI-edge that owns it). A shard announced with
-// ShardAhead is served from the in-flight read instead — waiting for it
-// if necessary. Calling Shard on a closed table is an error: the spill
-// files are gone, so silently returning an empty shard would hide lost
-// tuples.
+// SpillReads reports how many spill files shard reads have opened: at
+// most one per shard, and 0 for a table that never spilled.
+func (t *DiskTable) SpillReads() int64 { return t.spillReads.Load() }
+
+// Shard returns the de-duplicated tuples with one endpoint in partition
+// i and the other in j, in either direction: those with a source in
+// min(i, j) first, then those with a source in max(i, j), each run
+// sorted by (S, D). It drains the shard's spill file, de-duplicates by
+// sort-unique, and deletes the file. It consumes the shard: (i, j) and
+// (j, i) name the same one, so a second call in either orientation
+// returns nil (each shard is read exactly once, by the PI edge that
+// owns it). A shard announced with ShardAhead is served from the
+// in-flight read instead — waiting for it if necessary. Calling Shard
+// on a closed table is an error: the spill files are gone, so silently
+// returning an empty shard would hide lost tuples.
 func (t *DiskTable) Shard(i, j uint32) ([]Tuple, error) {
-	id := ShardID{I: i, J: j}
+	id := pairID(i, j)
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()

@@ -1,7 +1,8 @@
 // Package tuples implements phase 2 of the paper: generating the
 // neighbors'-neighbors tuples (s, d) of every user and collecting them —
 // together with the direct edges of G(t) — in a de-duplicating hash
-// table H, sharded by the partition pair (partition(s), partition(d)).
+// table H, sharded by the unordered partition pair
+// {partition(s), partition(d)}.
 //
 // Duplicates arise from cycles (a, b, c all linking to each other) and
 // from multiple bridges (a→b→d and a→c→d both yield (a, d)); H keeps
@@ -70,11 +71,16 @@ func GenerateBridge(p *partition.Data, emit func(s, d uint32) error) error {
 	return nil
 }
 
-// ShardID names a directed partition pair: tuples (s, d) with
-// partition(s) = I and partition(d) = J.
+// ShardID names an unordered partition pair, I ≤ J: the tuples (s, d)
+// with {partition(s), partition(d)} = {I, J}, both directions together.
 type ShardID struct {
 	I uint32
 	J uint32
+}
+
+// pairID is the ShardID of partitions i and j in either order.
+func pairID(i, j uint32) ShardID {
+	return ShardID{I: min(i, j), J: max(i, j)}
 }
 
 // filterTuples drops batch entries with a tombstoned endpoint. With a

@@ -61,12 +61,53 @@ func naiveTwoHop(g *graph.Digraph) []Tuple {
 	return out
 }
 
-// bySourceThenDest is the (S, D) order shards are served in.
+// bySourceThenDest is the (S, D) order each run of a shard is served in.
 func bySourceThenDest(a, b Tuple) int {
 	return cmp.Or(cmp.Compare(a.S, b.S), cmp.Compare(a.D, b.D))
 }
 
 func sortTuples(ts []Tuple) { slices.SortFunc(ts, bySourceThenDest) }
+
+// sortServed puts ts in the order shard id is served in: the tuples
+// whose source lies in partition id.I, then those whose source lies in
+// id.J, each run by (S, D).
+func sortServed(a *partition.Assignment, id ShardID, ts []Tuple) {
+	run := func(tu Tuple) int {
+		if a.Of(tu.S) == id.I {
+			return 0
+		}
+		return 1
+	}
+	slices.SortFunc(ts, func(x, y Tuple) int {
+		return cmp.Or(cmp.Compare(run(x), run(y)), bySourceThenDest(x, y))
+	})
+}
+
+// checkShard asserts the undirected shard contract on what Shard
+// served for id: I ≤ J, every tuple's endpoint partitions are {I, J},
+// and the S∈I run precedes the S∈J run, each strictly (S, D)-increasing
+// (so de-duplicated).
+func checkShard(a *partition.Assignment, id ShardID, ts []Tuple) error {
+	if id.I > id.J {
+		return fmt.Errorf("shard id %v is not normalised", id)
+	}
+	inJ := false
+	for k, tu := range ts {
+		ps, pd := a.Of(tu.S), a.Of(tu.D)
+		if min(ps, pd) != id.I || max(ps, pd) != id.J {
+			return fmt.Errorf("tuple %v (partitions %d,%d) landed in shard %v", tu, ps, pd, id)
+		}
+		if ps != id.I {
+			inJ = true
+		} else if inJ {
+			return fmt.Errorf("shard %v: source in %d after the run of sources in %d", id, id.I, id.J)
+		}
+		if k > 0 && a.Of(ts[k-1].S) == ps && bySourceThenDest(ts[k-1], tu) >= 0 {
+			return fmt.Errorf("shard %v: %v after %v breaks the (S, D) run order", id, tu, ts[k-1])
+		}
+	}
+	return nil
+}
 
 func TestGenerateBridgeHandComputed(t *testing.T) {
 	// 0→1→2, 0→1→3, 4→1→2 ... bridge 1 in one partition.
@@ -202,8 +243,9 @@ type contents struct {
 	shards map[ShardID][]Tuple
 }
 
-// drain reads every shard of an m-partition table once — announcing
-// them all through ShardAhead first when ahead is set.
+// drain reads every shard of an m-partition table once, asking for
+// every ordered pair (the mirror of a consumed shard serves nil) and
+// announcing them all through ShardAhead first when ahead is set.
 func drain(t *testing.T, table *DiskTable, m uint32, ahead bool) contents {
 	t.Helper()
 	c := contents{added: table.Added(), counts: table.ShardCounts(), shards: make(map[ShardID][]Tuple)}
@@ -228,8 +270,8 @@ func drain(t *testing.T, table *DiskTable, m uint32, ahead bool) contents {
 	return c
 }
 
-// oracle is H by brute force: a set of packed tuples per shard, plus
-// the raw tallies, filled one tuple at a time.
+// oracle is H by brute force: a set of packed tuples per unordered
+// partition pair, plus the raw tallies, filled one tuple at a time.
 func oracle(a *partition.Assignment, stream []Tuple, dead func(uint32) bool) contents {
 	sets := make(map[ShardID]map[uint64]struct{})
 	c := contents{counts: make(map[ShardID]int64), shards: make(map[ShardID][]Tuple)}
@@ -237,7 +279,7 @@ func oracle(a *partition.Assignment, stream []Tuple, dead func(uint32) bool) con
 		if dead != nil && (dead(tu.S) || dead(tu.D)) {
 			continue
 		}
-		id := ShardID{I: a.Of(tu.S), J: a.Of(tu.D)}
+		id := pairID(a.Of(tu.S), a.Of(tu.D))
 		if sets[id] == nil {
 			sets[id] = make(map[uint64]struct{})
 		}
@@ -249,7 +291,7 @@ func oracle(a *partition.Assignment, stream []Tuple, dead func(uint32) bool) con
 		for k := range set {
 			c.shards[id] = append(c.shards[id], unpack(k))
 		}
-		sortTuples(c.shards[id])
+		sortServed(a, id, c.shards[id])
 	}
 	return c
 }
@@ -302,10 +344,10 @@ func TestTableDeduplicatesPaperCases(t *testing.T) {
 // TestMemAndDiskTablesAgreeProperty is the one-table proof: over random
 // tuple multisets fed through concurrent AddBatch producers, the table
 // that never spills, the table that spills every single tuple, and a
-// brute-force oracle agree on Added, on the raw ShardCounts and on
-// every shard's sorted de-duplicated contents — with and without
-// tombstones, with shards consumed through ShardAhead and through plain
-// Shard.
+// brute-force oracle agree on Added, on the raw undirected ShardCounts
+// and on every shard's de-duplicated contents in served order — with
+// and without tombstones, with shards consumed through ShardAhead and
+// through plain Shard.
 func TestMemAndDiskTablesAgreeProperty(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -351,6 +393,11 @@ func TestMemAndDiskTablesAgreeProperty(t *testing.T) {
 	}
 }
 
+// TestShardsAreSortedAndOwnedByRightPartitions pins the undirected
+// shard contract on both media: ShardCounts keys all have I ≤ J and sum
+// to Added; shard {i, j} serves exactly the de-duplicated tuples whose
+// endpoint partitions are {i, j}, sources in i first, each run sorted;
+// and once Shard(a, b) has consumed it, Shard(b, a) returns nil.
 func TestShardsAreSortedAndOwnedByRightPartitions(t *testing.T) {
 	g, err := dataset.UniformRandom(40, 200, 9)
 	if err != nil {
@@ -360,27 +407,85 @@ func TestShardsAreSortedAndOwnedByRightPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := newTable(t, "mem", a, 0)
-	defer table.Close()
-	add := addTo(table)
+	stream := collectBridge(t, g, 4)
 	for _, e := range g.Edges() {
-		if err := add(e.Src, e.Dst); err != nil {
+		stream = append(stream, Tuple{S: e.Src, D: e.Dst})
+	}
+	want := oracle(a, stream, nil)
+	for _, medium := range media {
+		table := newTable(t, medium, a, 3)
+		if err := table.AddBatch(stream); err != nil {
+			t.Fatal(err)
+		}
+		counts := table.ShardCounts()
+		var sum int64
+		for id, n := range counts {
+			if id.I > id.J {
+				t.Errorf("%s: ShardCounts key %v has I > J", medium, id)
+			}
+			sum += n
+		}
+		if sum != table.Added() {
+			t.Errorf("%s: ShardCounts sum to %d, Added = %d", medium, sum, table.Added())
+		}
+		for id := range counts {
+			// The reverse orientation names the same shard.
+			shard, err := table.Shard(id.J, id.I)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := checkShard(a, id, shard); err != nil {
+				t.Errorf("%s: %v", medium, err)
+			}
+			if !reflect.DeepEqual(shard, want.shards[id]) {
+				t.Errorf("%s: shard %v diverges from the oracle", medium, id)
+			}
+			if again, err := table.Shard(id.I, id.J); err != nil || again != nil {
+				t.Errorf("%s: shard %v served twice: %d tuples, %v", medium, id, len(again), err)
+			}
+		}
+		if len(counts) != len(want.shards) {
+			t.Errorf("%s: %d shards, oracle %d", medium, len(counts), len(want.shards))
+		}
+		if err := table.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for id := range table.ShardCounts() {
-		shard, err := table.Shard(id.I, id.J)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.IsSortedFunc(shard, bySourceThenDest) {
-			t.Errorf("shard (%d,%d) not sorted", id.I, id.J)
-		}
-		for _, tu := range shard {
-			if a.Of(tu.S) != id.I || a.Of(tu.D) != id.J {
-				t.Errorf("tuple %v landed in wrong shard (%d,%d)", tu, id.I, id.J)
-			}
-		}
+}
+
+// TestShardAheadEitherOrientationStartsOneRead: announcing (a, b) and
+// then (b, a) starts exactly one background read of the one spill file,
+// and consuming it as (b, a) returns the whole shard.
+func TestShardAheadEitherOrientationStartsOneRead(t *testing.T) {
+	a, err := partition.NewAssignment([]uint32{0, 0, 1, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := newTable(t, "disk", a, 1)
+	defer table.Close()
+	if err := table.AddBatch([]Tuple{{0, 2}, {3, 1}, {2, 0}, {1, 3}, {0, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	table.ShardAhead(0, 1)
+	table.ShardAhead(1, 0)
+	table.mu.Lock()
+	inflight := len(table.futures)
+	table.mu.Unlock()
+	if inflight != 1 {
+		t.Fatalf("%d reads in flight after announcing both orientations, want 1", inflight)
+	}
+	got, err := table.Shard(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Tuple{{0, 2}, {1, 3}, {2, 0}, {3, 1}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("shard {0,1} = %v, want %v", got, want)
+	}
+	if n := table.SpillReads(); n != 1 {
+		t.Errorf("%d spill files read, want 1", n)
+	}
+	if table.PrefetchedShardBytes() != 5*8 {
+		t.Errorf("read ahead %d bytes, want the 5 spilled tuples", table.PrefetchedShardBytes())
 	}
 }
 
@@ -647,14 +752,15 @@ func TestCloseRacesShardAhead(t *testing.T) {
 		for medium, table := range shardAheadFixture(t, 100+seed, 60, 4) {
 			start := make(chan struct{})
 			done := make(chan error, 2)
-			// Each reader owns a disjoint half of the shard space (Shard is
-			// consume-once), announcing ahead and consuming like a phase-4
-			// worker cursor.
+			// Each reader walks half of the ordered pairs, announcing one
+			// orientation and consuming the other like a phase-4 worker
+			// cursor; (i, j) and (j, i) are one shard, so the readers
+			// race for the mirrored ones (the loser is served nil).
 			reader := func(iBase uint32) {
 				<-start
 				for k := uint32(0); k < 8; k++ {
 					i, j := iBase+k/4, k%4
-					table.ShardAhead(i, j)
+					table.ShardAhead(j, i)
 					if _, err := table.Shard(i, j); err != nil {
 						done <- err
 						return
