@@ -32,7 +32,7 @@ race:
 # selected by name, so a rename could silently shrink the pass: the
 # target first prints what the pattern matches in each package and
 # fails when any package matches nothing.
-RACE_PHASE4_RUN = Worker|Sharded|Parallel|Split|Cancel|Close|Device|Pipelined|MidTape|Commit|PartStore|NetStore|NetOwner|Lease|Torn|Shard|Agree|Heal
+RACE_PHASE4_RUN = Worker|Sharded|Parallel|Split|Cancel|Close|Device|Pipelined|MidTape|Commit|PartStore|Emit|NetStore|NetOwner|Lease|Torn|Shard|Agree|Heal
 RACE_PHASE4_PKGS = ./internal/pigraph ./internal/core ./internal/tuples ./internal/disk ./internal/netstore ./internal/lint
 race-phase4:
 	@for pkg in $(RACE_PHASE4_PKGS); do \
@@ -86,7 +86,7 @@ bench-smoke:
 	$(GO) run ./bench -runs 2 -seconds 5
 
 # Applies the benchmark's bounds to the last `make bench` against BASE,
-# e.g. `make bench-compare BASE=BENCH_27.json`; exits non-zero on
+# e.g. `make bench-compare BASE=BENCH_29.json`; exits non-zero on
 # a regressed or unresolved end-to-end metric, or on an exact count
 # that differs at equal seeds.
 bench-compare:

@@ -23,7 +23,7 @@ func TestRunSmokes(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"phase1", "phase4", "modeled disk time on hdd", "loads"} {
+	for _, want := range []string{"phase1", "phase4", "modeled disk time on hdd", "state reads"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
@@ -32,7 +32,8 @@ func TestRunSmokes(t *testing.T) {
 
 // TestRunDefaultHeuristic: an empty -heuristic leaves the choice to the
 // engine, whose default plans for the run's -slots and -execworkers,
-// and the iteration rows split loads into reads and attaches.
+// and the iteration rows split loads into reads and attaches, next to
+// the state writes and collect reads.
 func TestRunDefaultHeuristic(t *testing.T) {
 	cfg := smallConfig()
 	cfg.heuristic = ""
@@ -41,7 +42,7 @@ func TestRunDefaultHeuristic(t *testing.T) {
 	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"heuristic=Max-Reuse", "reads  attached  shards"} {
+	for _, want := range []string{"heuristic=Max-Reuse", "reads  attached  writes  collected  shards"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, buf.String())
 		}

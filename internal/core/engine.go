@@ -627,6 +627,7 @@ type iteration struct {
 
 	schedule *pigraph.Schedule   // phase 3
 	execOpts pigraph.ExecOptions // phase 3; what Simulate predicted for
+	loads    []int               // phase 3: planned loads per partition
 
 	next *graph.KNN // phase 4: G(t+1), not yet committed
 }
@@ -747,8 +748,9 @@ func (e *Engine) phaseTuples(ctx context.Context, it *iteration) error {
 }
 
 // phasePIGraph is phase 3: the partition interaction graph, the
-// heuristic's traversal plan, and the simulator's prediction of the
-// load/unload ops phase 4 will measure.
+// heuristic's traversal plan, the simulator's prediction of the
+// load/unload ops phase 4 will measure, and how many of those loads
+// each partition gets.
 func (e *Engine) phasePIGraph(_ context.Context, it *iteration) error {
 	pi, err := pigraph.FromTupleCounts(e.opts.NumPartitions, it.table.ShardCounts())
 	if err != nil {
@@ -772,18 +774,31 @@ func (e *Engine) phasePIGraph(_ context.Context, it *iteration) error {
 		return fmt.Errorf("simulate: %w", err)
 	}
 	it.stats.PredictedLoads, it.stats.PredictedUnloads = predicted.Loads, predicted.Unloads
+	if it.loads, err = it.schedule.LoadCounts(it.execOpts); err != nil {
+		return fmt.Errorf("load counts: %w", err)
+	}
 	return nil
 }
 
 // phaseScore is phase 4: execute the schedule under the S-slot memory
 // model — sharded across ExecWorkers tape segments — scoring shards and
 // folding results into the owning partitions' accumulators through the
-// partition store, then assemble G(t+1) from the persisted
-// accumulators. Each worker's executor overlaps up to three I/O streams
-// with its scoring cursor: PrefetchDepth upcoming partition fetches,
-// AsyncWriteback's bounded background write-backs, and ShardPrefetch
-// tuple-shard reads.
+// partition store, which hands each partition's final accumulators to
+// the row emitter of G(t+1) — at its last release, or from collect.
+// Each worker's executor overlaps up to three I/O streams with its
+// scoring cursor: PrefetchDepth upcoming partition fetches,
+// AsyncWriteback's bounded background write-backs (where emission then
+// runs too), and ShardPrefetch tuple-shard reads.
 func (e *Engine) phaseScore(ctx context.Context, it *iteration) error {
+	// G(t+1) exists before the run so releases can emit into it; an
+	// aborted run drops it with everything else.
+	next, err := graph.NewKNN(e.profiles.NumUsers(), e.opts.K)
+	if err != nil {
+		return err
+	}
+	it.states.arm(it.loads, func(st *partState) error { return st.emitRows(next) })
+	writesBefore := e.iostats.Snapshot().Unloads
+
 	runCtx, cancelRun := context.WithCancel(ctx)
 	shared := &phase4Shared{
 		engine: e,
@@ -812,6 +827,7 @@ func (e *Engine) phaseScore(ctx context.Context, it *iteration) error {
 	st.PrefetchedLoads = result.PrefetchedLoads
 	st.AsyncUnloads = result.AsyncUnloads
 	st.MediumReads, st.Attaches = shared.reads.Load(), shared.attaches.Load()
+	st.StateWrites = e.iostats.Snapshot().Unloads - writesBefore
 	st.ExecWorkers = len(perWorker)
 	st.WorkerOps = make([]int64, len(perWorker))
 	for w, r := range perWorker {
@@ -831,19 +847,7 @@ func (e *Engine) phaseScore(ctx context.Context, it *iteration) error {
 	// A COLLECT stream that dies mid-flight is not resumed (the client
 	// contract — see Client.Collect); like any other failure in here it
 	// fails the attempt.
-	next, err := graph.NewKNN(e.profiles.NumUsers(), e.opts.K)
-	if err != nil {
-		return err
-	}
-	err = it.states.collect(func(st *partState) error {
-		for i, u := range st.members {
-			if err := next.Set(u, st.accs[i].IDs()); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if st.CollectReads, err = it.states.collect(); err != nil {
 		return fmt.Errorf("collect: %w", err)
 	}
 	it.next = next
@@ -1219,7 +1223,8 @@ func (w *phase4Worker) residentState(id uint32) *partState {
 // flush drops the evicted partition's ownership reference — the
 // asynchronous half, run on the executor's write-back goroutines. The
 // last worker to let go performs the real store write, carrying every
-// worker's folds.
+// worker's folds — or, after the partition's last planned load, emits
+// its rows of G(t+1) in place of the write.
 func (w *phase4Worker) flush(id uint32, _ any) error {
 	if err := w.shared.owner.release(w.index, id, true); err != nil {
 		return w.shared.fail(err)

@@ -45,11 +45,17 @@ func storeTransient(err error) bool {
 // The executor-level Loads/Unloads accounting is untouched: every tape
 // load performs a real GET, every tape unload a real partial PUT, so
 // measured counts still equal the phase-3 simulation exactly.
+//
+// For the same reason no release ever holds a partition's final
+// accumulators — they exist only once COLLECT has merged every
+// worker's partials — so unlike partOwner, netOwner ignores the planned
+// loads arm hands it and emits every partition from collect.
 type netOwner struct {
 	client *netstore.Client
 	budget *disk.Budget
 	stats  *disk.IOStats
-	k      int // accumulator capacity of every state fetched
+	k      int                       // accumulator capacity of every state fetched
+	emit   func(st *partState) error // set by arm
 
 	mu   sync.Mutex
 	held map[netHold]*netLease
@@ -174,8 +180,11 @@ func (o *netOwner) abort() {
 	}
 }
 
-func (o *netOwner) collect(emit func(st *partState) error) error {
-	return o.client.Collect(func(it netstore.CollectItem) error {
+func (o *netOwner) arm(_ []int, emit func(st *partState) error) { o.emit = emit }
+
+func (o *netOwner) collect() (int64, error) {
+	var reads int64
+	err := o.client.Collect(func(it netstore.CollectItem) error {
 		st, err := decodePartState(it.Base, o.k)
 		if err != nil {
 			return err
@@ -188,8 +197,11 @@ func (o *netOwner) collect(emit func(st *partState) error) error {
 			volume += int64(len(partial))
 		}
 		o.stats.AddRead(volume)
-		return emit(st)
+		o.stats.AddLoad()
+		reads++
+		return o.emit(st)
 	})
+	return reads, err
 }
 
 func (o *netOwner) cleanup() error { return o.client.Clear() }

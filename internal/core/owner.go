@@ -9,10 +9,12 @@ import (
 
 // partStore is where one iteration's partition state lives, and the
 // one contract every phase reaches it through: phase 1 puts each fresh
-// state, phase 4's tape workers acquire, fold into and release
-// residencies, and the assembly step collects every final state. The
-// two implementations differ only in data placement — partOwner keeps
-// the blobs in this process and shares one resident instance per
+// state, phase 4 arms the store with its planned loads and the row
+// emitter of G(t+1), its tape workers acquire, fold into and release
+// residencies, and every partition's final state reaches the emitter
+// exactly once — at its last release or through collect. The two
+// implementations differ only in data placement — partOwner keeps the
+// blobs in this process and shares one resident instance per
 // partition, netOwner keeps them behind the sharded network store and
 // merges per-worker partials — and Engine.newPartStore chooses.
 //
@@ -23,13 +25,21 @@ type partStore interface {
 	// put persists a freshly built state (phase 1). Concurrent puts of
 	// distinct partitions are safe.
 	put(st *partState) error
+	// arm readies one phase-4 run: loads[id] is how many times the
+	// run's tapes acquire partition id (pigraph.Schedule.LoadCounts),
+	// and emit receives each partition's final state. It runs before
+	// any acquire of the run, and again for every retried run.
+	arm(loads []int, emit func(st *partState) error)
 	// acquire materializes partition id for one worker; every acquire
 	// must be paired with exactly one release. attached reports that it
 	// cost no medium read: the worker shares an instance another worker
 	// already holds.
 	acquire(worker int, id uint32) (st *partState, attached bool, err error)
 	// release drops one worker's hold; writeBack false is the discard
-	// path of an aborted run.
+	// path of an aborted run, which never emits. A release that holds a
+	// partition's final accumulators may hand them to emit instead of
+	// writing them back; emit may then run on the executor's write-back
+	// goroutines, concurrently for distinct partitions.
 	release(worker int, id uint32, writeBack bool) error
 	// fold runs fn with whatever serialization concurrent accumulator
 	// pushes into id's state need (none when workers hold private
@@ -39,9 +49,10 @@ type partStore interface {
 	// memory to the budget. It must only run after every worker has
 	// returned.
 	abort()
-	// collect streams every partition's final state in id order. It
-	// runs only after every hold has been released.
-	collect(emit func(st *partState) error) error
+	// collect hands emit, in id order, every final state no release
+	// emitted, and reports how many states it read off the medium to do
+	// so. It runs only after every hold has been released.
+	collect() (reads int64, err error)
 	// cleanup removes all stored state.
 	cleanup() error
 }
@@ -58,7 +69,7 @@ type partStore interface {
 // partition pays the real read (and the memory-budget charge); workers
 // that acquire it while it is already live attach to the same in-memory
 // instance for free. Releases are symmetric — only the last reference
-// writes the instance back and returns its budget. Sharing one instance
+// returns the budget and disposes of the instance. Sharing one instance
 // is what makes concurrent folds correct: every worker's accumulator
 // pushes land in the same TopK (under the partition's fold lock), so no
 // write-back can overwrite another worker's folds. It is also why this
@@ -68,6 +79,15 @@ type partStore interface {
 // measurement). The executor-level Loads/Unloads accounting is
 // untouched: each worker's tape counts its own ops whether the acquire
 // attached or read.
+//
+// Sharing also means some release holds each partition's final
+// accumulators. arm gives every guard a countdown of the partition's
+// planned acquires; a last reference dropped while acquires are still
+// to come writes the instance back, and the one dropped after the last
+// planned acquire hands it to the row emitter and writes nothing — the
+// only reader of those bytes would have been collect, copying the same
+// ids out. collect therefore reads only partitions no tape acquired,
+// whose phase-1 blob still has empty accumulators.
 //
 // A state is serialized on every write and deserialized on every read
 // on either medium, so the in-memory one exercises the same code paths
@@ -89,6 +109,7 @@ type partOwner struct {
 	// worth of bytes.
 	filebufs sync.Pool // *[]byte
 	guards   []partGuard
+	emit     func(st *partState) error // set by arm
 }
 
 type partGuard struct {
@@ -98,6 +119,10 @@ type partGuard struct {
 	mu   sync.Mutex
 	refs int
 	st   *partState
+	// planned is the armed run's acquire count for this partition and
+	// left the acquires still to come: the release that drops the last
+	// reference at left == 0 holds the final accumulators.
+	planned, left int
 	// stored records that the medium holds a blob for this partition.
 	stored bool
 	// blob is the memory medium's copy. Each write encodes over the
@@ -190,9 +215,21 @@ func (o *partOwner) put(st *partState) error {
 	return o.write(g, st)
 }
 
+func (o *partOwner) arm(loads []int, emit func(st *partState) error) {
+	o.emit = emit
+	for i := range o.guards {
+		g := &o.guards[i]
+		g.mu.Lock()
+		g.planned, g.left = loads[i], loads[i]
+		g.mu.Unlock()
+	}
+}
+
 // acquire materializes partition id, attaching to the live shared
 // instance when another worker already holds it and reading the medium
-// (charging the memory budget) otherwise.
+// (charging the memory budget) otherwise. An acquire the armed plan
+// does not account for is refused: the partition's final state may
+// already have been emitted.
 func (o *partOwner) acquire(_ int, id uint32) (*partState, bool, error) {
 	g, err := o.guard(id)
 	if err != nil {
@@ -200,8 +237,12 @@ func (o *partOwner) acquire(_ int, id uint32) (*partState, bool, error) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.left == 0 {
+		return nil, false, fmt.Errorf("core: acquire of partition %d beyond its %d planned acquires", id, g.planned)
+	}
 	if g.refs > 0 {
 		g.refs++
+		g.left--
 		return g.st, true, nil
 	}
 	st, err := o.read(g, id)
@@ -213,46 +254,52 @@ func (o *partOwner) acquire(_ int, id uint32) (*partState, bool, error) {
 	}
 	o.stats.AddLoad()
 	g.st, g.refs = st, 1
+	g.left--
 	return st, false, nil
 }
 
-// release drops one reference to partition id. The last reference
-// writes the instance back to the medium and returns its memory-budget
-// charge; with writeBack false (the discard path of an aborted run,
-// where the iteration's result is thrown away anyway) the instance is
-// dropped without the write. Earlier releases are free: the write-back
-// is deferred to the final holder so it carries every worker's folds.
+// release drops one reference to partition id. Earlier releases are
+// free; the last reference returns the memory-budget charge and
+// disposes of the instance, which by then carries every worker's folds.
+// While planned acquires are still to come it writes the instance back
+// to the medium. After the last one it emits the instance's rows of
+// G(t+1) instead and writes nothing. With writeBack false (the discard
+// path of an aborted run, whose result is thrown away anyway) it does
+// neither.
 func (o *partOwner) release(_ int, id uint32, writeBack bool) error {
 	g, err := o.guard(id)
 	if err != nil {
 		return err
 	}
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	if g.refs <= 0 {
+		g.mu.Unlock()
 		return fmt.Errorf("core: release of partition %d with no outstanding reference", id)
 	}
 	g.refs--
 	if g.refs > 0 {
+		g.mu.Unlock()
 		return nil
 	}
-	st := g.st
+	st, final := g.st, g.left == 0
 	g.st = nil
-	var writeErr error
-	if writeBack {
-		writeErr = o.write(g, st)
+	if writeBack && !final {
+		err = o.write(g, st)
+		if err == nil {
+			o.stats.AddUnload()
+		}
 	}
-	// Release the budget even when the write failed: the state is no
-	// longer resident and the failed write aborts the iteration, so
+	g.mu.Unlock()
+	// No acquire can reach a final instance any more, so it is emitted
+	// outside the guard.
+	if writeBack && final {
+		err = o.emit(st)
+	}
+	// Release the budget even when the write or emit failed: the state
+	// is no longer resident and the failure aborts the iteration, so
 	// keeping the reservation would poison every later iteration.
 	o.budget.Release(int64(st.byteSize()))
-	if writeErr != nil {
-		return writeErr
-	}
-	if writeBack {
-		o.stats.AddUnload()
-	}
-	return nil
+	return err
 }
 
 // fold runs fn with partition id's fold lock held, so concurrent
@@ -284,24 +331,33 @@ func (o *partOwner) abort() {
 	}
 }
 
-func (o *partOwner) collect(emit func(st *partState) error) error {
+// collect reads and emits the partitions no tape acquired; every other
+// partition was emitted by its final release.
+func (o *partOwner) collect() (int64, error) {
+	var reads int64
 	for i := range o.guards {
 		g := &o.guards[i]
 		g.mu.Lock()
-		if !g.stored {
+		if g.left > 0 || g.refs > 0 {
+			g.mu.Unlock()
+			return reads, fmt.Errorf("core: collect before partition %d's run finished (%d references held, %d planned acquires to come)", i, g.refs, g.left)
+		}
+		if g.planned > 0 || !g.stored {
 			g.mu.Unlock()
 			continue
 		}
 		st, err := o.read(g, uint32(i))
 		g.mu.Unlock()
 		if err != nil {
-			return err
+			return reads, err
 		}
-		if err := emit(st); err != nil {
-			return err
+		o.stats.AddLoad()
+		reads++
+		if err := o.emit(st); err != nil {
+			return reads, err
 		}
 	}
-	return nil
+	return reads, nil
 }
 
 func (o *partOwner) cleanup() error {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"knnpc/internal/graph"
 	"knnpc/internal/knn"
 	"knnpc/internal/partition"
 	"knnpc/internal/profile"
@@ -123,6 +124,23 @@ func decodePartState(buf []byte, k int) (*partState, error) {
 		}
 	}
 	return st, nil
+}
+
+// emitRows writes every member's row of G(t+1) — the ids its
+// accumulator holds — into next. One id buffer serves every member, so
+// a row costs only Set's copy.
+func (st *partState) emitRows(next *graph.KNN) error {
+	if len(st.accs) == 0 {
+		return nil
+	}
+	ids := make([]uint32, 0, st.accs[0].K())
+	for i, u := range st.members {
+		ids = st.accs[i].AppendIDs(ids[:0])
+		if err := next.Set(u, ids); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // encodePartial serializes the worker-private accumulator deltas of a

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"knnpc/internal/graph"
 	"knnpc/internal/knn"
 	"knnpc/internal/profile"
 )
@@ -247,6 +248,42 @@ func TestDecodePartStateAllocationsAreConstant(t *testing.T) {
 	}
 	if large > 16 { // 8 arrays; the race detector's build adds a few temporaries
 		t.Errorf("decodePartState allocates %v times, want a handful", large)
+	}
+}
+
+// TestEmitRowsOneAllocationPerRow: emitting a partition writes each
+// member's accumulator ids, sorted, as its G(t+1) row, and costs one
+// allocation per row (Set's copy) plus the partition's one id buffer.
+func TestEmitRowsOneAllocationPerRow(t *testing.T) {
+	const members, k = 64, 8
+	ids := make([]uint32, members)
+	for u := range ids {
+		ids[u] = uint32(u)
+	}
+	st := newTestPartState(t, 0, k, unitProfiles(ids...))
+	for i := range st.accs {
+		for c := 0; c < 2*k; c++ { // more candidates than K: the heap has to pick
+			st.accs[i].Push(uint32(members+(i*7+c*13)%200), float64((i+c)%11))
+		}
+	}
+	next, err := graph.NewKNN(members+200, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := st.emitRows(next); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > members+1 {
+		t.Errorf("emitting %d rows allocates %v times, want at most %d", members, allocs, members+1)
+	}
+	for i, u := range st.members {
+		want := st.accs[i].IDs()
+		slices.Sort(want)
+		if got := next.Neighbors(u); !slices.Equal(got, want) {
+			t.Fatalf("member %d row %v, want %v", u, got, want)
+		}
 	}
 }
 

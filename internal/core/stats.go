@@ -70,6 +70,17 @@ type IterationStats struct {
 	// workers hold private copies.
 	MediumReads int64
 	Attaches    int64
+	// StateWrites counts the partition states phase 4's releases wrote
+	// to the medium, and CollectReads the states the assembly step read
+	// back off it. In-process, a partition's release after its last
+	// planned load emits its rows of G(t+1) instead of writing, and
+	// collect reads only partitions no tape loaded, so every state
+	// written is read back exactly once: MediumReads == (partitions
+	// loaded) + StateWrites and CollectReads == NumPartitions −
+	// (partitions loaded). Over a network store every release writes
+	// its worker's partial and collect reads every partition.
+	StateWrites  int64
+	CollectReads int64
 	// PrefetchedShardBytes is the volume of tuple-shard spill bytes
 	// read asynchronously ahead of the cursor (0 unless
 	// Options.ShardPrefetch > 0 with OnDisk — nothing spills without).

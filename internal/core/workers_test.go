@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -145,7 +146,8 @@ func TestShardedWorkersBudgetReleased(t *testing.T) {
 }
 
 // TestCancelMidPhase4 pins the satellite cancellation contract: a
-// long emulated-HDD multi-worker phase 4 cancelled mid-run must return
+// long emulated-HDD multi-worker phase 4 cancelled mid-run — once by a
+// deadline, once right after a partition emitted its rows — must return
 // ctx.Err() promptly from every worker with all background flushes
 // drained and all staged memory released — and the abort must not
 // corrupt anything a subsequent Iterate needs: retrying the same
@@ -199,8 +201,28 @@ func TestCancelMidPhase4(t *testing.T) {
 		t.Fatalf("%d staged budget bytes leaked by the aborted iteration", used)
 	}
 
+	// Cancel iteration 1 again, this time at the first partition whose
+	// final release emits its rows of G(t+1): the run dies with part of
+	// the next graph assembled and nothing written back for it.
+	ctx, cancel = context.WithCancel(context.Background())
+	spy := &armSpy{partStore: eng.newPartStore(), onEmit: cancel}
+	_, err = eng.compute(ctx, spy, &IterationStats{})
+	cancel()
+	if cerr := spy.cleanup(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run cancelled at its first emit returned %v, want ctx.Err()", err)
+	}
+	if spy.emitted.Load() == 0 {
+		t.Fatal("no partition emitted before the cancellation")
+	}
+	if used := eng.budget.Used(); used != 0 {
+		t.Fatalf("%d staged budget bytes leaked by the run cancelled after an emit", used)
+	}
+
 	// Retrying the same iteration must reproduce the uncancelled
-	// engine's graph exactly: the abort wrote nothing partial that the
+	// engine's graph exactly: the aborts wrote nothing partial that the
 	// rebuild-from-phase-1 path could observe.
 	st, err := eng.Iterate(context.Background())
 	if err != nil {
@@ -223,5 +245,112 @@ func TestExecWorkersValidation(t *testing.T) {
 	store := testStore(t, 20, 1)
 	if _, err := New(store, Options{K: 3, ExecWorkers: -1}); err == nil {
 		t.Error("ExecWorkers=-1 accepted")
+	}
+}
+
+// armSpy wraps a partition store to observe what phase 4 arms it with:
+// the planned loads, and every emitted partition — optionally calling
+// onEmit at each emission, before the rows are written.
+type armSpy struct {
+	partStore
+	loads   []int
+	emitted atomic.Int64
+	onEmit  func()
+}
+
+func (s *armSpy) arm(loads []int, emit func(st *partState) error) {
+	s.loads = loads
+	s.partStore.arm(loads, func(st *partState) error {
+		s.emitted.Add(1)
+		if s.onEmit != nil {
+			s.onEmit()
+		}
+		return emit(st)
+	})
+}
+
+// TestEmitMatrixIdenticalGraph: the graph trajectory is identical at
+// every Slots × ExecWorkers × {memory, file} × {async write-back,
+// serial} combination, and in every iteration the in-process store
+// reads back each state it writes exactly once — collect reads what the
+// tapes never loaded, so MediumReads + CollectReads == m + StateWrites.
+// Under -race this is the test of emission on write-back goroutines:
+// with async write-back, final releases emit rows concurrently.
+func TestEmitMatrixIdenticalGraph(t *testing.T) {
+	const users, iters = 200, 2
+	base := Options{K: 5, NumPartitions: 6, TupleBatch: 64, Seed: 17}
+	refStats, refGraph := runEngine(t, base, users, iters)
+	for _, slots := range []int{2, 4} {
+		for _, workers := range []int{1, 2, 3} {
+			for _, onDisk := range []bool{false, true} {
+				for _, async := range []bool{false, true} {
+					opts := base
+					opts.Slots, opts.ExecWorkers, opts.OnDisk = slots, workers, onDisk
+					if async {
+						opts.AsyncWriteback, opts.PrefetchDepth = true, 1
+					}
+					name := fmt.Sprintf("slots=%d workers=%d ondisk=%v async=%v", slots, workers, onDisk, async)
+					stats, g := runEngine(t, opts, users, iters)
+					if refGraph.DiffEdges(g) != 0 {
+						t.Fatalf("%s: graph differs from the serial in-memory engine", name)
+					}
+					for i, st := range stats {
+						if st.TuplesScored != refStats[i].TuplesScored {
+							t.Errorf("%s iter %d: scored %d tuples, serial %d", name, i, st.TuplesScored, refStats[i].TuplesScored)
+						}
+						if st.MediumReads+st.CollectReads != int64(st.NumPartitions)+st.StateWrites {
+							t.Errorf("%s iter %d: %d medium reads + %d collect reads for %d partitions and %d state writes",
+								name, i, st.MediumReads, st.CollectReads, st.NumPartitions, st.StateWrites)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEmitReadsBackEveryWrite pins the in-process store's I/O account
+// against the plan it was armed with: every partition the tapes load is
+// read off the medium once plus once per write-back of it, and collect
+// reads exactly the partitions no tape loaded.
+func TestEmitReadsBackEveryWrite(t *testing.T) {
+	for _, onDisk := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			opts := Options{K: 5, NumPartitions: 8, OnDisk: onDisk, ExecWorkers: workers, Slots: 2, Seed: 29}
+			if onDisk {
+				opts.ScratchDir = t.TempDir()
+			}
+			eng, err := New(testStore(t, 250, 42), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spy := &armSpy{partStore: eng.newPartStore()}
+			st := &IterationStats{NumPartitions: opts.NumPartitions}
+			_, err = eng.compute(context.Background(), spy, st)
+			if cerr := spy.cleanup(); err == nil {
+				err = cerr
+			}
+			eng.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded := 0
+			for _, n := range spy.loads {
+				if n > 0 {
+					loaded++
+				}
+			}
+			name := fmt.Sprintf("ondisk=%v workers=%d", onDisk, workers)
+			if st.MediumReads != int64(loaded)+st.StateWrites || st.CollectReads != int64(opts.NumPartitions-loaded) {
+				t.Errorf("%s: %d medium reads, %d state writes, %d collect reads for %d of %d partitions loaded",
+					name, st.MediumReads, st.StateWrites, st.CollectReads, loaded, opts.NumPartitions)
+			}
+			if spy.emitted.Load() != int64(opts.NumPartitions) {
+				t.Errorf("%s: %d partitions emitted, want all %d", name, spy.emitted.Load(), opts.NumPartitions)
+			}
+			if st.StateWrites == 0 {
+				t.Errorf("%s: two slots over eight partitions wrote nothing back", name)
+			}
+		}
 	}
 }

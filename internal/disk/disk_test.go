@@ -142,6 +142,29 @@ func TestReadWriteFileCounted(t *testing.T) {
 	}
 }
 
+// TestWriteFileRewritesInPlace: WriteFile rewrites an existing file in
+// place, so a shorter rewrite must cut off the old tail and a longer one
+// extend the file — each leaves exactly the new bytes, counted once.
+func TestWriteFileRewritesInPlace(t *testing.T) {
+	var s IOStats
+	path := filepath.Join(t.TempDir(), "state")
+	for i, data := range []string{"a long first partition state", "short", "a longer third partition state"} {
+		if err := WriteFile(&s, path, []byte(data)); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != data {
+			t.Fatalf("after write %d the file holds %q, want %q", i, got, data)
+		}
+	}
+	if snap := s.Snapshot(); snap.Seeks != 3 || snap.WriteOps != 3 {
+		t.Errorf("three rewrites counted as %d seeks, %d writes", snap.Seeks, snap.WriteOps)
+	}
+}
+
 func TestReadFileMissing(t *testing.T) {
 	var s IOStats
 	if _, err := ReadFile(&s, filepath.Join(t.TempDir(), "nope"), nil); err == nil {

@@ -11,10 +11,27 @@ import (
 )
 
 // WriteFile writes data to path in one sequential pass, recording one
-// seek (the open positions the head) and one write in stats.
+// seek (the open positions the head) and one write in stats. An
+// existing file is rewritten in place and then cut to len(data) rather
+// than truncated to zero first: a file emptied by O_TRUNC is flushed to
+// the device when it is closed (ext4's auto_da_alloc), and the next
+// truncate waits for that writeback, so rewriting the same state file
+// over and over would turn scratch churn into real disk writes. Like a
+// truncating write, it is not atomic.
 func WriteFile(stats *IOStats, path string, data []byte) error {
 	stats.AddSeek()
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return fmt.Errorf("disk: write %s: %w", path, err)
+	}
+	_, err = f.WriteAt(data, 0)
+	if err == nil {
+		err = f.Truncate(int64(len(data)))
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("disk: write %s: %w", path, err)
 	}
 	stats.AddWrite(int64(len(data)))

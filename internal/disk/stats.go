@@ -57,8 +57,11 @@ type DeviceAccounting struct {
 
 // Snapshot is a point-in-time copy of the counters.
 type Snapshot struct {
-	// Loads and Unloads count partition-granularity transfers — the
-	// quantity Table 1 of the paper reports.
+	// Loads and Unloads count partition-state reads off and writes onto
+	// the storage medium. They are not the executor's tape ops, which
+	// Table 1 reports: a tape load that attaches to an instance another
+	// worker holds reads nothing, and a partition's final release emits
+	// its rows instead of writing.
 	Loads   int64
 	Unloads int64
 	// Seeks counts random accesses (file opens and repositionings).
@@ -77,10 +80,10 @@ type Snapshot struct {
 	Devices []DeviceAccounting
 }
 
-// AddLoad records a partition load.
+// AddLoad records a partition-state read off the medium.
 func (s *IOStats) AddLoad() { s.loads.Add(1) }
 
-// AddUnload records a partition unload.
+// AddUnload records a partition-state write onto the medium.
 func (s *IOStats) AddUnload() { s.unloads.Add(1) }
 
 // AddSeek records a random access.

@@ -3,7 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // KNN is the evolving K-nearest-neighbor graph G(t) of the paper: a
@@ -75,7 +75,8 @@ func (g *KNN) NumEdges() int {
 
 // Set replaces u's out-neighbor list. The list must contain at most K
 // distinct ids, none equal to u, all in range. The list is copied and
-// stored sorted by id.
+// stored sorted by id; the copy is Set's one allocation. Calls for
+// distinct nodes may run concurrently: each writes only its node's row.
 func (g *KNN) Set(u uint32, nbrs []uint32) error {
 	if int(u) >= len(g.nbr) {
 		return fmt.Errorf("graph: node %d out of range [0,%d)", u, len(g.nbr))
@@ -84,7 +85,7 @@ func (g *KNN) Set(u uint32, nbrs []uint32) error {
 		return fmt.Errorf("graph: node %d given %d neighbors, bound is %d", u, len(nbrs), g.k)
 	}
 	cp := append([]uint32(nil), nbrs...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
+	slices.Sort(cp)
 	for i, v := range cp {
 		if int(v) >= len(g.nbr) {
 			return fmt.Errorf("graph: neighbor %d of node %d out of range [0,%d)", v, u, len(g.nbr))

@@ -155,6 +155,17 @@ func (t *TopK) IDs() []uint32 {
 	return ids
 }
 
+// AppendIDs appends the held candidate ids to buf in heap order — no
+// ranking, for a caller that sorts them its own way (a G(t+1) row is
+// stored sorted by id) — so an emitter that reuses one buffer assembles
+// rows without allocating.
+func (t *TopK) AppendIDs(buf []uint32) []uint32 {
+	for _, e := range t.entries {
+		buf = append(buf, e.ID)
+	}
+	return buf
+}
+
 // ByteSize reports the encoded size in bytes.
 func (t *TopK) ByteSize() int { return 8 + 12*len(t.entries) }
 

@@ -689,6 +689,31 @@ func (s *Schedule) Simulate(opts ExecOptions) (Result, error) {
 	return total, nil
 }
 
+// LoadCounts reports, per partition id, how many loads the tapes an
+// execution under opts replays perform of that partition — the same
+// tapes Simulate and ExecuteParallel replay, so the counts sum to
+// Simulate(opts).Loads. A caller that knows how often each partition
+// will be loaded knows which unload is its last.
+func (s *Schedule) LoadCounts(opts ExecOptions) ([]int, error) {
+	_, tapes, err := s.tapes(opts)
+	if err != nil {
+		return nil, err
+	}
+	counts := make([]int, s.NumPartitions)
+	for _, tape := range tapes {
+		for _, o := range tape {
+			if o.kind != opLoad {
+				continue
+			}
+			for int(o.a) >= len(counts) {
+				counts = append(counts, 0)
+			}
+			counts[o.a]++
+		}
+	}
+	return counts, nil
+}
+
 // Validate checks that the schedule covers the PI graph exactly: every
 // undirected edge processed exactly once, every self-shard exactly
 // once, and no phantom work.

@@ -6,8 +6,9 @@ import "testing"
 // data[1] and data[2] the budget Max-Reuse plans for, every later byte
 // pair an edge (or a self-shard when both ends agree) — and requires
 // every heuristic's schedule to validate and to simulate at S ∈ 2..5 ×
-// W ∈ 1..3 with Loads == Unloads and no more loads than LRU eviction
-// spends on the same segments.
+// W ∈ 1..3 with Loads == Unloads, no more loads than LRU eviction
+// spends on the same segments, and per-partition LoadCounts summing to
+// the simulated Loads.
 func FuzzPlan(f *testing.F) {
 	f.Add([]byte{8, 4, 2, 0, 1, 1, 2, 2, 3, 3, 0, 0, 0, 4, 5})
 	f.Add([]byte{3, 2, 1, 1, 1})
@@ -45,6 +46,18 @@ func FuzzPlan(f *testing.F) {
 					if r.Loads != r.Unloads || r.Loads > lru.Loads {
 						t.Fatalf("%s S=%d W=%d: %d loads, %d unloads, LRU %d loads",
 							h.Name(), slots, workers, r.Loads, r.Unloads, lru.Loads)
+					}
+					counts, err := s.LoadCounts(ExecOptions{Slots: slots, Workers: workers})
+					if err != nil {
+						t.Fatalf("%s S=%d W=%d: %v", h.Name(), slots, workers, err)
+					}
+					var sum int64
+					for _, c := range counts {
+						sum += int64(c)
+					}
+					if sum != r.Loads {
+						t.Fatalf("%s S=%d W=%d: load counts %v sum to %d, simulated %d loads",
+							h.Name(), slots, workers, counts, sum, r.Loads)
 					}
 				}
 			}
