@@ -128,9 +128,15 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
+// frameChunk is the most readFrame allocates before payload bytes
+// arrive; a frame of up to this size is read with one allocation.
+const frameChunk = 1 << 20
+
 // readFrame receives one length-prefixed frame. A short read mid-frame
 // surfaces as io.ErrUnexpectedEOF — the torn-frame signal both sides
-// treat as a dead peer.
+// treat as a dead peer. The buffer starts at frameChunk at most and
+// doubles only as bytes arrive, so a length prefix alone — from a peer
+// or a corrupt file — cannot make the reader allocate maxFrame.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -140,12 +146,22 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("netstore: frame length %d exceeds the %d-byte bound (corrupt stream?)", n, maxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	size := int(n)
+	payload := make([]byte, 0, min(size, frameChunk))
+	for len(payload) < size {
+		if len(payload) == cap(payload) {
+			grown := make([]byte, len(payload), len(payload)+min(size-len(payload), len(payload)))
+			copy(grown, payload)
+			payload = grown
 		}
-		return nil, err
+		got, err := io.ReadFull(r, payload[len(payload):min(size, cap(payload))])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
 	return payload, nil
 }
