@@ -44,8 +44,9 @@ race-phase4:
 	$(GO) test -race -count=1 -run '$(RACE_PHASE4_RUN)' $(RACE_PHASE4_PKGS)
 
 # Each native fuzz target for FUZZTIME: the partition-state and
-# worker-partial decoders must never panic, never size storage from a
-# count the input cannot back, and round-trip what they accept; every
+# worker-partial decoders, the serve-view decoder and the replica's
+# WATCH-frame parse must never panic, never size storage from a count
+# the input cannot back, and round-trip what they accept; every
 # planner's schedule of a fuzzed PI graph must validate and never load
 # more under MIN than under LRU; the tuple table must serve a fuzzed
 # multiset, consumed in either shard orientation, exactly once and
@@ -58,6 +59,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMergePartial$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime $(FUZZTIME) ./internal/pigraph
 	$(GO) test -run '^$$' -fuzz '^FuzzDiskTableShards$$' -fuzztime $(FUZZTIME) ./internal/tuples
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeView$$' -fuzztime $(FUZZTIME) ./internal/netstore
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeShipFrame$$' -fuzztime $(FUZZTIME) ./internal/netstore
 
 # End-to-end proof of the network state store: launches cmd/statestore
 # with 2 shards, runs knnrun once in-process and once with -netstore on
@@ -86,7 +89,7 @@ bench-smoke:
 	$(GO) run ./bench -runs 2 -seconds 5
 
 # Applies the benchmark's bounds to the last `make bench` against BASE,
-# e.g. `make bench-compare BASE=BENCH_29.json`; exits non-zero on
+# e.g. `make bench-compare BASE=BENCH_31.json`; exits non-zero on
 # a regressed or unresolved end-to-end metric, or on an exact count
 # that differs at equal seeds.
 bench-compare:

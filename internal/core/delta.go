@@ -422,10 +422,18 @@ func (e *Engine) ApplyDeltas() (*DeltaStats, error) {
 
 	// Republish only the affected partitions' serve views, then the
 	// staleness document. putDeltaView bumps each partition's store
-	// epoch so replicas re-pull without a full base install. From here
-	// on the commit is durable: failures wrap ErrPublishFailed and do
-	// NOT requeue the mutations.
+	// epoch, and the store ships each view to its replicas, without a
+	// full base install. The views that still carry a moved user's copy
+	// from the last full publish republish too: this commit may change
+	// that user's entry, and the stale copy must not outlive it. From
+	// here on the commit is durable: failures wrap ErrPublishFailed and
+	// do NOT requeue the mutations.
 	if e.opts.PublishViews && e.netClient != nil {
+		for p, carries := range e.carrying {
+			if carries {
+				affected[p] = true
+			}
+		}
 		n, err := e.publishDeltaViews(affected)
 		if err != nil {
 			return stats, &publishError{err: fmt.Errorf("republish delta views: %w", err)}
@@ -467,6 +475,7 @@ func (e *Engine) publishDeltaViews(affected map[int]bool) (int, error) {
 		if err := e.netClient.PutDeltaView(uint32(p), view); err != nil {
 			return 0, err
 		}
+		e.carrying[p] = false
 	}
 	return len(parts), nil
 }

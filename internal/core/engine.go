@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -316,7 +317,10 @@ type Engine struct {
 	// partition slots of users added since; deltaBacklog the drained-
 	// but-uncommitted mutations a failed or incomplete ApplyDeltas
 	// pass parked for retry (store journals clear on drain, so this is
-	// their only home).
+	// their only home). carrying marks the partitions whose published
+	// serve view still holds a copy of a user the last full publish
+	// moved to a later partition (see publishMembers); the next delta
+	// commit republishes them without it.
 	deltas       *delta.Queue
 	dead         map[uint32]struct{}
 	tracker      *delta.Tracker
@@ -325,6 +329,7 @@ type Engine struct {
 	deltaAssign  map[uint32]int
 	deltaMembers map[int][]uint32
 	deltaBacklog []delta.Mutation
+	carrying     []bool
 }
 
 // New creates an engine over the given profiles. G(0) is a random
@@ -607,9 +612,10 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 
 	// Committed: from here on a failure must not look like a failed
 	// iteration, or a caller would run — and commit — it twice.
+	served := e.servedMembers()
 	e.adoptPartitioning(it)
 	e.iter++
-	err = e.publish(ctx, it.parts)
+	err = e.publish(ctx, it, served)
 	stats.IO = e.iostats.Snapshot().Sub(ioStart)
 	return stats, err
 }
@@ -916,24 +922,77 @@ func (e *Engine) adoptPartitioning(it *iteration) {
 	e.deltaMembers = make(map[int][]uint32)
 }
 
+// servedMembers reports, per partition, the membership its published
+// serve view carries — the last full iteration's members plus the
+// users delta commits placed there since — or nil when nothing is
+// published yet. Read it before adoptPartitioning replaces both.
+func (e *Engine) servedMembers() [][]uint32 {
+	if e.lastParts == nil || e.netClient == nil || !e.opts.PublishViews {
+		return nil
+	}
+	served := make([][]uint32, len(e.lastParts))
+	for p, part := range e.lastParts {
+		served[p] = append(append([]uint32(nil), part.Members...), e.deltaMembers[p]...)
+	}
+	return served
+}
+
+// publishMembers returns the members of each partition's serve view
+// for a full commit that PUTs views one at a time in partition order
+// 0..m−1. Partition p's view carries its new members next[p], plus every
+// user of its published membership served[p] whose new partition
+// partOf(u) comes after p: until that partition's view lands, p's view
+// is the only published view holding the user, and dropping it would
+// un-serve a live user for the rest of the publish. Such a user sits in
+// two views once both land, each carrying the same committed entry,
+// until the next commit: a delta commit could change the entry in only
+// one of them, so it republishes every carrying view first (see
+// ApplyDeltas), and a full commit republishes every view anyway. served
+// is nil before the first publish.
+func publishMembers(next, served [][]uint32, partOf func(u uint32) int) [][]uint32 {
+	members := make([][]uint32, len(next))
+	for p := range next {
+		members[p] = slices.Clip(next[p]) // appending copies, never writes into next[p]
+		if p >= len(served) {
+			continue
+		}
+		for _, u := range served[p] {
+			if partOf(u) > p {
+				members[p] = append(members[p], u)
+			}
+		}
+	}
+	return members
+}
+
 // publish pushes the committed iteration to the store: with
 // PublishViews every partition's serve view — final top-K lists and
-// post-update profiles, what point lookups and replicas answer from —
-// then the staleness document (freshly reset counters, new last-full
-// epoch; metadata only, never perturbs the I/O accounting). It runs
-// outside the commit window (it only reads committed state) but before
+// post-update profiles, what point lookups and replicas answer from,
+// with the members publishMembers keeps served mid-publish — then the
+// staleness document (freshly reset counters, new last-full epoch;
+// metadata only, never perturbs the I/O accounting). It runs outside
+// the commit window (it only reads committed state) but before
 // cleanup's deferred CLEAR, which preserves views by contract. Each PUT
 // is idempotent, so a failed one is re-issued; a store that stays down
 // past the budget is reported as ErrPublishFailed.
-func (e *Engine) publish(ctx context.Context, parts []*partition.Data) error {
+func (e *Engine) publish(ctx context.Context, it *iteration, served [][]uint32) error {
 	if e.netClient == nil {
 		return nil
 	}
 	if e.opts.PublishViews {
-		for p, part := range parts {
-			if err := e.retryStore(ctx, func() error { return e.publishView(p, part) }); err != nil {
+		next := make([][]uint32, len(it.parts))
+		for p, part := range it.parts {
+			next[p] = part.Members
+		}
+		partOf := func(u uint32) int { return int(it.assign.Of(u)) }
+		if e.carrying == nil {
+			e.carrying = make([]bool, len(next))
+		}
+		for p, members := range publishMembers(next, served, partOf) {
+			if err := e.retryStore(ctx, func() error { return e.publishView(p, members) }); err != nil {
 				return &publishError{err: fmt.Errorf("publish serve view %d: %w", p, err)}
 			}
+			e.carrying[p] = len(members) > len(next[p])
 		}
 	}
 	if err := e.retryStore(ctx, e.publishStaleness); err != nil {
@@ -946,8 +1005,8 @@ func (e *Engine) publish(ctx context.Context, parts []*partition.Data) error {
 // The shard stamps the view with the partition's current epoch (the one
 // this iteration's phase-1 base PUT opened), which is what lets replicas
 // equate "epoch moved" with "a newer view exists".
-func (e *Engine) publishView(p int, part *partition.Data) error {
-	view, err := e.encodeView(part.Members)
+func (e *Engine) publishView(p int, members []uint32) error {
+	view, err := e.encodeView(members)
 	if err != nil {
 		return err
 	}

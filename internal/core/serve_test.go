@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -193,6 +194,172 @@ func TestServeViewsPublished(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPublishNeverUnservesALiveUser: a full commit PUTs its views one
+// partition at a time, so while it runs the store serves the new views
+// of partitions 0..k−1 beside the previously published views of k..m−1.
+// At every such prefix every live user must be in some served view —
+// including users who moved to a partition published later than the
+// one they left, which the new membership alone would drop until the
+// later PUT lands. Membership is random per trial; the previously
+// served membership includes delta-placed users.
+func TestPublishNeverUnservesALiveUser(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 200; trial++ {
+		m := 2 + rng.Intn(7)
+		n := 10 + rng.Intn(50)
+		assign := func() (parts [][]uint32, of []int) {
+			parts, of = make([][]uint32, m), make([]int, n)
+			for u := 0; u < n; u++ {
+				of[u] = rng.Intn(m)
+				parts[of[u]] = append(parts[of[u]], uint32(u))
+			}
+			return parts, of
+		}
+		served, _ := assign()
+		next, of := assign()
+		partOf := func(u uint32) int { return of[u] }
+
+		if got := publishMembers(next, nil, partOf); fmt.Sprint(got) != fmt.Sprint(next) {
+			t.Fatalf("trial %d: first publish carries %v, want exactly %v", trial, got, next)
+		}
+		members := publishMembers(next, served, partOf)
+		for k := 0; k <= m; k++ {
+			visible := make(map[uint32]bool)
+			for p := 0; p < m; p++ {
+				view := served[p]
+				if p < k {
+					view = members[p]
+				}
+				for _, u := range view {
+					visible[u] = true
+				}
+			}
+			for u := uint32(0); int(u) < n; u++ {
+				if !visible[u] {
+					t.Fatalf("trial %d (m=%d): user %d (partition %d) is in no served view after publishing %d of %d views",
+						trial, m, u, of[u], k, m)
+				}
+			}
+		}
+		// A view only ever adds users it already served and who have
+		// not been published yet.
+		for p := range members {
+			extra := members[p][len(next[p]):]
+			if fmt.Sprint(members[p][:len(next[p])]) != fmt.Sprint(next[p]) {
+				t.Fatalf("trial %d: view %d = %v does not start with its members %v", trial, p, members[p], next[p])
+			}
+			was := make(map[uint32]bool)
+			for _, u := range served[p] {
+				was[u] = true
+			}
+			for _, u := range extra {
+				if !was[u] {
+					t.Fatalf("trial %d: view %d carries user %d, which it never served", trial, p, u)
+				}
+				if of[u] <= p {
+					t.Fatalf("trial %d: view %d carries user %d, already published in view %d", trial, p, u, of[u])
+				}
+			}
+		}
+	}
+}
+
+// TestDeltaCommitDropsCarriedCopies: a full commit keeps a user who
+// moved from partition A to a later partition B in A's view too (see
+// publishMembers). With A on shard 0 and B on shard 1, a lookup's
+// scatter reaches A's copy first, so the next delta commit must drop
+// it: after an upsert every reader sees the new profile, and after a
+// delete every reader misses — on primaries and replicas alike.
+func TestDeltaCommitDropsCarriedCopies(t *testing.T) {
+	const users, parts = 200, 6
+	eng, err := New(testStore(t, users, 42), Options{
+		K: 5, NumPartitions: parts, NetStoreShards: 2,
+		PublishViews: true, NetStoreReplicas: true, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	if _, err := eng.Iterate(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Shard 0 owns partitions [0, parts/2), shard 1 the rest.
+	moved := -1
+	for iter := 0; iter < 5 && moved < 0; iter++ {
+		before := make([]int, users)
+		for u := range before {
+			before[u] = eng.partitionOfUser(uint32(u))
+		}
+		if _, err := eng.Iterate(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for u, a := range before {
+			if a < parts/2 && eng.partitionOfUser(uint32(u)) >= parts/2 {
+				moved = u
+				break
+			}
+		}
+	}
+	if moved < 0 {
+		t.Fatal("no user moved from a shard-0 partition to a shard-1 partition")
+	}
+	u := uint32(moved)
+
+	front, err := netstore.Dial(eng.StoreAddrs(), parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer front.Close()
+	// check reads u through fresh clients (no routing hints) on both
+	// tiers: want is the profile every reader must see, nil a miss.
+	check := func(stage string, want []byte) {
+		t.Helper()
+		for _, tier := range []struct {
+			name  string
+			addrs []string
+		}{
+			{"primary", eng.StoreAddrs()},
+			{"replica", eng.ReplicaAddrs()},
+		} {
+			c, err := netstore.Dial(tier.addrs, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, blob, err := c.ProfileBytes(u)
+			c.Close()
+			switch {
+			case want == nil && err == nil:
+				t.Fatalf("%s: %s still serves user %d", stage, tier.name, u)
+			case want != nil && err != nil:
+				t.Fatalf("%s: %s: %v", stage, tier.name, err)
+			case want != nil && !bytes.Equal(blob, want):
+				t.Fatalf("%s: %s serves a stale profile for user %d", stage, tier.name, u)
+			}
+		}
+	}
+
+	vec, err := profile.NewVector([]profile.Entry{{Item: 11, Weight: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := front.AddUser(u, vec.AppendBinary(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.ApplyDeltas(); err != nil {
+		t.Fatal(err)
+	}
+	check("after upsert", vec.AppendBinary(nil))
+
+	if err := front.DelUser(u); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.ApplyDeltas(); err != nil {
+		t.Fatal(err)
+	}
+	check("after delete", nil)
 }
 
 // TestRemoteUpdatesDrained: updates pushed through the store's PUSHUPD

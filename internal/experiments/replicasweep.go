@@ -26,9 +26,10 @@ type ReplicaPoint struct {
 	Skew float64
 	// Ops is the number of read operations the rung served.
 	Ops uint64
-	// Misses counts not-in-any-published-view answers (legal early
-	// answers, reported because primaries show them and replicas
-	// don't).
+	// Misses counts not-in-any-published-view answers. A full
+	// commit's publish keeps every live user in some view at every
+	// step, so on either tier a miss means a user no commit has
+	// published yet or one that was deleted.
 	Misses uint64
 	// P50 and P99 are the merged read percentiles — the worse of the
 	// neighbors and profile op kinds, matching knnload's table.
@@ -104,7 +105,7 @@ func ReplicaSweep(ctx context.Context, users int, replicaCounts []int, skews []f
 }
 
 // replicaRung measures one replica count: it assembles the read
-// target (primaries, or r round-robined replica sets pulled from
+// target (primaries, or r round-robined replica sets following
 // them), replays the plan open-loop while the engine keeps iterating,
 // and reports the merged read percentiles.
 func replicaRung(ctx context.Context, eng *core.Engine, plan []load.Op, partitions, r int, skew float64) (ReplicaPoint, error) {

@@ -28,7 +28,9 @@ var ErrUnavailable = errors.New("netstore: shard unavailable")
 type UnavailableError struct {
 	// Addr is the shard's dial address.
 	Addr string
-	// Stage names the failing step: "dial", "send", or "receive".
+	// Stage names the failing step: "dial", "send", or "receive" — or
+	// "watch" when a replica's stream did not deliver a probed epoch in
+	// time.
 	Stage string
 	// Err is the underlying transport error.
 	Err error

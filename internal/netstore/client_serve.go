@@ -284,8 +284,8 @@ func (c *Client) DrainMutations() ([]Mutation, error) {
 
 // PutDeltaView republishes partition p's serve view after a delta
 // commit: the shard bumps the partition's epoch and stamps the view
-// with the new value, so replicas re-pull without any phase-1 base
-// install having happened.
+// with the new value and ships it to its replicas, without any phase-1
+// base install having happened.
 func (c *Client) PutDeltaView(p uint32, blob []byte) error {
 	sc, err := c.shardFor(p)
 	if err != nil {

@@ -282,21 +282,14 @@ func (s *Server) applyPut(p uint32, kind byte, token uint64, stored []byte) erro
 		}
 		s.partials[p][token] = stored
 	case putView, putDeltaView:
-		entries, err := DecodeView(stored)
-		if err != nil {
-			return fmt.Errorf("view of partition %d: %w", p, err)
-		}
-		viewIdx := make(map[uint32]ViewEntry, len(entries))
-		for _, e := range entries {
-			viewIdx[e.User] = e
-		}
 		if kind == putDeltaView {
 			s.epochs[p]++
 		}
-		s.views[p] = serveView{epoch: s.epochs[p], blob: stored, index: viewIdx}
-		for u := range viewIdx {
-			s.userIdx[u] = p
+		view, err := newServeView(s.epochs[p], stored)
+		if err != nil {
+			return fmt.Errorf("view of partition %d: %w", p, err)
 		}
+		s.installViewLocked(p, view) // no watcher exists before the listener
 	case putStale:
 		s.staleness = stored
 	default:
@@ -510,18 +503,11 @@ func (s *Server) restoreState(data []byte) error {
 		if berr != nil {
 			return berr
 		}
-		entries, derr := DecodeView(blob)
+		view, derr := newServeView(epoch, blob)
 		if derr != nil {
 			return fmt.Errorf("view of partition %d: %w", p, derr)
 		}
-		viewIdx := make(map[uint32]ViewEntry, len(entries))
-		for _, e := range entries {
-			viewIdx[e.User] = e
-		}
-		s.views[p] = serveView{epoch: epoch, blob: blob, index: viewIdx}
-		for u := range viewIdx {
-			s.userIdx[u] = p
-		}
+		s.installViewLocked(p, view)
 	}
 
 	if n, buf, err = cutU32(buf); err != nil {

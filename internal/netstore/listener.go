@@ -11,9 +11,10 @@ import (
 // rest. A nil error sends payload back in a statusOK frame. An error is
 // reported to the peer in-band, under the status byte its class maps
 // to, and the connection stays up — unless it is a hangUp, which ends
-// the connection without a reply. The one streaming verb writes its own
-// response frames through send and returns errReplied.
-type handleFunc func(op byte, body []byte, send func(frame []byte) error) (payload []byte, err error)
+// the connection without a reply. The streaming verbs (COLLECT, WATCH)
+// write their own response frames to conn and return errReplied or a
+// hangUp.
+type handleFunc func(op byte, body []byte, conn net.Conn) (payload []byte, err error)
 
 // errReplied is a handler's "the response is already on the wire".
 var errReplied = errors.New("netstore: response already sent")
@@ -115,7 +116,6 @@ func (l *frameListener) serveConn(conn net.Conn) {
 		delete(l.conns, conn)
 		l.mu.Unlock()
 	}()
-	send := func(frame []byte) error { return writeFrame(conn, frame) }
 	for {
 		req, err := readFrame(conn)
 		if err != nil {
@@ -125,16 +125,16 @@ func (l *frameListener) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		payload, err := l.handle(op, body, send)
+		payload, err := l.handle(op, body, conn)
 		switch {
 		case err == nil:
-			err = send(append([]byte{statusOK}, payload...))
+			err = writeFrame(conn, append([]byte{statusOK}, payload...))
 		case err == errReplied:
 			continue
 		case errors.As(err, &hangUpError{}):
 			return
 		default:
-			err = send(append([]byte{errorStatus(err)}, err.Error()...))
+			err = writeFrame(conn, append([]byte{errorStatus(err)}, err.Error()...))
 		}
 		if err != nil {
 			return

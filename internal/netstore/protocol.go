@@ -32,6 +32,8 @@
 //	GETVIEW p        → the serve view's epoch stamp and blob
 //	NEIGHBORS u      → user u's committed neighbor ids (epoch-tagged)
 //	PROFILE u        → user u's committed profile blob (epoch-tagged)
+//	WATCH            → stream every current serve view, then every view
+//	                   a later PUT installs (the replica feed)
 //	PUSHUPD blob     → enqueue encoded profile updates for phase 5
 //	DRAINUPD         → return and clear the pending update queue
 //	ADDUSER u blob   → record user u (re)entering the graph: clears the
@@ -58,6 +60,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"knnpc/internal/profile"
 )
@@ -81,6 +84,7 @@ const (
 	opDrainMut  = 0x0f
 	opStaleness = 0x10
 	// 0x11 is retired and stays unassigned.
+	opWatch = 0x12
 )
 
 // Statuses (first payload byte of a response frame).
@@ -110,22 +114,41 @@ const (
 	putStale = 0x04
 )
 
+// The WATCH stream's liveness rules. A primary sends a heartbeat after
+// watchHeartbeat of silence; both ends bound every frame on the stream
+// by watchTimeout — the replica each read, the primary each write — so
+// a dead or stalled peer is dropped within it, never waited on.
+const (
+	watchHeartbeat = 200 * time.Millisecond
+	watchTimeout   = 5 * watchHeartbeat
+)
+
 // maxFrame bounds a frame's payload so a torn or corrupt length prefix
 // fails fast instead of attempting a multi-gigabyte allocation.
 const maxFrame = 1 << 28
 
-// writeFrame sends one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("netstore: frame of %d bytes exceeds the %d-byte bound", len(payload), maxFrame)
+// writeFrame sends one length-prefixed frame whose payload is the
+// concatenation of parts, so a caller can frame a header and a stored
+// blob without copying the blob.
+func writeFrame(w io.Writer, parts ...[]byte) error {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > maxFrame {
+		return fmt.Errorf("netstore: frame of %d bytes exceeds the %d-byte bound", n, maxFrame)
 	}
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[:], uint32(n))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
-	return err
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // frameChunk is the most readFrame allocates before payload bytes
@@ -267,6 +290,55 @@ func decodeCollectItem(buf []byte) (CollectItem, error) {
 		return it, fmt.Errorf("netstore: collect item of partition %d has %d trailing bytes", it.Partition, len(buf))
 	}
 	return it, nil
+}
+
+// shipped is one view a primary forwards to its watchers: the
+// partition, the epoch stamp it was installed under, and the immutable
+// blob the PUT stored.
+type shipped struct {
+	partition uint32
+	epoch     uint64
+	blob      []byte
+}
+
+// shipHeader lays out the head of one WATCH stream frame: status PART,
+// partition u32 and epoch u64. The view blob follows it to the end of
+// the frame. A heartbeat frame is the bare status byte OK.
+func shipHeader(v shipped) []byte {
+	buf := make([]byte, 0, 1+4+8)
+	buf = append(buf, statusPart)
+	buf = appendU32(buf, v.partition)
+	return appendU64(buf, v.epoch)
+}
+
+// decodeShipFrame parses one WATCH stream frame. A heartbeat reports
+// heartbeat true and no view; an in-band failure (a node that refuses
+// WATCH) comes back as the error its status maps to. The blob aliases
+// frame.
+func decodeShipFrame(frame []byte) (v shipped, heartbeat bool, err error) {
+	status, body, err := cutByte(frame)
+	if err != nil {
+		return v, false, err
+	}
+	switch status {
+	case statusPart:
+		if v.partition, body, err = cutU32(body); err != nil {
+			return v, false, err
+		}
+		if v.epoch, body, err = cutU64(body); err != nil {
+			return v, false, err
+		}
+		v.blob = body
+		return v, false, nil
+	case statusOK:
+		if len(body) != 0 {
+			return v, false, fmt.Errorf("netstore: watch heartbeat carries %d bytes", len(body))
+		}
+		return v, true, nil
+	default:
+		_, err = checkResponse(frame) // never nil: OK is handled above
+		return v, false, err
+	}
 }
 
 // ViewEntry is one member of a partition's serve view: the user's

@@ -5,6 +5,7 @@ import (
 	"regexp"
 	"strconv"
 	"testing"
+	"time"
 )
 
 // docTable extracts "| Name | `0xNN` |" rows from one markdown table
@@ -71,6 +72,7 @@ func TestProtocolDocMatchesCode(t *testing.T) {
 			"DELUSER":   opDelUser,
 			"DRAINMUT":  opDrainMut,
 			"STALENESS": opStaleness,
+			"WATCH":     opWatch,
 			// Statuses share the "| NAME | `0xNN` |" row shape; list
 			// them here so the single regexp's catch covers both tables.
 			"OK":    statusOK,
@@ -91,6 +93,32 @@ func TestProtocolDocMatchesCode(t *testing.T) {
 			"deltaview": putDeltaView,
 			"stale":     putStale,
 		})
+}
+
+// TestProtocolDocStatesWatchTimings: the WATCH section quotes the
+// heartbeat interval and the frame deadline the code uses.
+func TestProtocolDocStatesWatchTimings(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/PROTOCOL.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		re   string
+		want time.Duration
+		unit time.Duration
+	}{
+		{"After ([0-9]+) ms without a view \\(`watchHeartbeat`\\)", watchHeartbeat, time.Millisecond},
+		{"by ([0-9]+) s \\(`watchTimeout`", watchTimeout, time.Second},
+	} {
+		m := regexp.MustCompile(c.re).FindSubmatch(doc)
+		if m == nil {
+			t.Errorf("PROTOCOL.md no longer matches %q", c.re)
+			continue
+		}
+		if got, _ := strconv.Atoi(string(m[1])); time.Duration(got)*c.unit != c.want {
+			t.Errorf("PROTOCOL.md says %s %v, code says %v", m[0], time.Duration(got)*c.unit, c.want)
+		}
+	}
 }
 
 // TestProtocolDocCoversFrameBound: the spec's framing section states

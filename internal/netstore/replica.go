@@ -17,30 +17,33 @@ import (
 // PROFILE) from a local cache of the primary's serve views and rejects
 // every compute verb, so it can never perturb phase-4 state.
 //
-// Staleness is bounded by the epoch discipline: before answering a
-// lookup the replica probes the primary's view epoch for the owning
-// partition — a metadata roundtrip that costs the primary no device
-// time — and re-pulls the view only when the stamp moved. Between
-// commits the replica therefore serves epoch N from its own spindle
-// while the primary's spindle grinds through phase-4 state traffic;
-// the moment iteration N+1 commits, the next lookup self-invalidates
-// and pulls epoch N+1. A read observes exactly one of the two — never
-// a mix, because views install atomically on both ends.
+// Views reach the cache by log shipping: one background goroutine
+// holds a WATCH subscription on the primary, which forwards every view
+// it installs straight from memory, and installs each one on arrival —
+// charging the replica's own spindle, never the primary's. A read still
+// probes the primary's view epoch for the owning partition (a metadata
+// roundtrip that costs the primary no device time), and when the cache
+// is behind it waits for the stream to deliver that epoch: a network
+// hop plus a local install, not a seek queued behind phase-4 state
+// traffic. A read observes exactly one view per partition — never a
+// mix, because views install atomically on both ends.
 type Replica struct {
 	*frameListener
 	cfg     ReplicaConfig
 	router  pigraph.ShardRouter
 	lo, hi  int
-	primary *shardConn
+	primary *shardConn // EPOCH probes
 
-	mu      sync.Mutex
-	views   map[uint32]serveView
-	userIdx map[uint32]uint32
-	pulling map[uint32]*viewPull // in-flight view pull per partition
+	mu        sync.Mutex
+	viewSet                 // the cache
+	installed chan struct{} // closed and replaced by every install
+	stream    net.Conn      // the live WATCH connection, nil between dials
 
-	pulls    atomic.Uint64 // view re-pulls from the primary
+	pulls    atomic.Uint64 // views transferred from the primary
 	degraded atomic.Uint64 // lookups served stale because the primary was unreachable
 	closed   atomic.Bool
+	stop     chan struct{} // closed by Close
+	followed chan struct{} // closed when the stream goroutine exits
 }
 
 // ReplicaConfig describes one read replica.
@@ -54,23 +57,24 @@ type ReplicaConfig struct {
 	Shard, Shards int
 	// NumPartitions is the engine's partition count m.
 	NumPartitions int
-	// Device, when non-nil, is the replica's own spindle: cached-view
-	// installs pay sequential writes and lookups pay point reads here
-	// instead of on the primary's device — the whole reason replicas
-	// improve tail latency under phase-4 load. Nil adds no latency.
+	// Device, when non-nil, is the replica's own spindle: every shipped
+	// view's install pays a sequential write here instead of a read on
+	// the primary's device — the whole reason replicas improve tail
+	// latency under phase-4 load. Nil adds no latency.
 	Device *disk.Device
-	// ProbeTimeout bounds each freshness probe and view pull against
-	// the primary, so a dead primary can never wedge a lookup — the
-	// probe fails fast and the replica serves its cached view in
-	// degraded mode instead. Default 1s.
+	// ProbeTimeout bounds each freshness probe against the primary and
+	// each wait for the stream to deliver the probed epoch, so a dead
+	// primary or a cut stream can never wedge a lookup — the replica
+	// serves its cached view in degraded mode instead. Default 1s.
 	ProbeTimeout time.Duration
 	// WrapListener, when non-nil, wraps the replica's listener before
 	// serving starts (the fault-injection seam, same as ServerConfig's).
 	WrapListener func(net.Listener) net.Listener
 }
 
-// NewReplica dials the primary, binds the replica's listener, and
-// starts serving in the background.
+// NewReplica dials the primary, binds the replica's listener, starts
+// following the primary's view stream, and starts serving in the
+// background.
 func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	router, err := pigraph.NewShardRouter(cfg.NumPartitions, max(cfg.Shards, 1))
 	if err != nil {
@@ -113,11 +117,13 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 			conn: conn,
 			rng:  rand.New(rand.NewSource(jitterSeed(0, cfg.Shard))),
 		},
-		views:   make(map[uint32]serveView),
-		userIdx: make(map[uint32]uint32),
-		pulling: make(map[uint32]*viewPull),
+		viewSet:   newViewSet(),
+		installed: make(chan struct{}),
+		stop:      make(chan struct{}),
+		followed:  make(chan struct{}),
 	}
 	r.lo, r.hi = router.Range(cfg.Shard)
+	go r.follow()
 	r.serve(r.handle)
 	return r, nil
 }
@@ -129,31 +135,122 @@ func (r *Replica) Range() (lo, hi int) { return r.lo, r.hi }
 // Device reports the replica's emulated spindle (nil without emulation).
 func (r *Replica) Device() *disk.Device { return r.cfg.Device }
 
-// Pulls reports how many view re-pulls the replica has issued — the
-// observable cost of invalidation (at most one per partition per
-// committed epoch, regardless of read rate).
+// Pulls reports how many views the replica has received from the
+// primary's stream and installed: one per partition per published
+// epoch (plus one per partition for each re-subscribe's snapshot),
+// however many reads there are.
 func (r *Replica) Pulls() uint64 { return r.pulls.Load() }
 
 // Degraded reports how many requests were answered from the cached
-// view because the primary was unreachable — the observable size of
-// the degraded-mode window.
+// view because the primary was unreachable or its stream had not
+// delivered the probed epoch in time — the observable size of the
+// degraded-mode window.
 func (r *Replica) Degraded() uint64 { return r.degraded.Load() }
 
-// Close stops the listener, hangs up on the primary and every client,
-// and waits for all handlers to return.
+// Close stops the listener and the stream goroutine, hangs up on the
+// primary and every client, and waits for all of them to return.
 func (r *Replica) Close() error {
 	if r.closed.Swap(true) {
 		return nil
 	}
+	close(r.stop)
+	r.mu.Lock()
+	if r.stream != nil {
+		r.stream.Close()
+	}
+	r.mu.Unlock()
+	<-r.followed
 	r.primary.mu.Lock()
 	r.primary.poisonLocked()
 	r.primary.mu.Unlock()
 	return r.frameListener.close()
 }
 
+// followBackoff is the stream goroutine's pause before it redials.
+const followBackoff = 50 * time.Millisecond
+
+// follow is the replica's one stream goroutine: subscribe, install
+// frames until the stream drops or goes silent past watchTimeout, then
+// redial after followBackoff — until Close.
+func (r *Replica) follow() {
+	defer close(r.followed)
+	for {
+		r.watch()
+		select {
+		case <-r.stop:
+			return
+		case <-time.After(followBackoff):
+		}
+	}
+}
+
+// watch runs one WATCH subscription until it drops.
+func (r *Replica) watch() {
+	conn, err := net.DialTimeout("tcp", r.cfg.Primary, r.cfg.ProbeTimeout)
+	if err != nil {
+		return
+	}
+	defer conn.Close()
+	r.mu.Lock()
+	if r.closed.Load() {
+		r.mu.Unlock()
+		return
+	}
+	r.stream = conn
+	r.mu.Unlock()
+	defer func() {
+		r.mu.Lock()
+		r.stream = nil
+		r.mu.Unlock()
+	}()
+	conn.SetDeadline(time.Now().Add(watchTimeout))
+	if err := writeFrame(conn, []byte{opWatch}); err != nil {
+		return
+	}
+	for {
+		conn.SetReadDeadline(time.Now().Add(watchTimeout))
+		frame, err := readFrame(conn)
+		if err != nil {
+			return
+		}
+		v, heartbeat, err := decodeShipFrame(frame)
+		if err != nil {
+			return
+		}
+		if heartbeat {
+			continue
+		}
+		if err := r.install(v); err != nil {
+			return // a corrupt frame: drop the stream, resubscribe
+		}
+	}
+}
+
+// install decodes one shipped view, charges its transfer to the
+// replica's own spindle as a sequential write, makes it visible, and
+// wakes every reader waiting for a newer epoch. Views install in
+// stream order, which is the primary's install order.
+func (r *Replica) install(v shipped) error {
+	if int(v.partition) < r.lo || int(v.partition) >= r.hi {
+		return fmt.Errorf("netstore: shipped partition %d outside replica range [%d,%d)", v.partition, r.lo, r.hi)
+	}
+	view, err := newServeView(v.epoch, v.blob)
+	if err != nil {
+		return err
+	}
+	r.cfg.Device.Append(int64(len(v.blob)))
+	r.mu.Lock()
+	r.setView(v.partition, view)
+	r.pulls.Add(1)
+	close(r.installed)
+	r.installed = make(chan struct{})
+	r.mu.Unlock()
+	return nil
+}
+
 // handle answers one request frame (see handleFunc) with the read
 // verbs only.
-func (r *Replica) handle(op byte, body []byte, _ func([]byte) error) ([]byte, error) {
+func (r *Replica) handle(op byte, body []byte, _ net.Conn) ([]byte, error) {
 	switch op {
 	case opEpoch:
 		// Forwarded: the epoch question is about the primary's state, and
@@ -197,10 +294,11 @@ func (r *Replica) handle(op byte, body []byte, _ func([]byte) error) ([]byte, er
 
 	default:
 		// Every non-read verb — GET, PUT, LEASE, RELEASE, COLLECT, CLEAR,
-		// PUSHUPD, DRAINUPD, ADDUSER, DELUSER, DRAINMUT, STALENESS — is
-		// refused: a replica can never mutate the primary's state or
-		// absorb writes (or mutations) that would be lost on re-pull, and
-		// staleness is primary-side metadata the front end reads there.
+		// PUSHUPD, DRAINUPD, ADDUSER, DELUSER, DRAINMUT, STALENESS, WATCH
+		// — is refused: a replica can never mutate the primary's state or
+		// absorb writes (or mutations) its stream would overwrite,
+		// staleness is primary-side metadata the front end reads there,
+		// and replicas follow primaries, not each other.
 		return nil, fmt.Errorf("netstore: replica of shard %d is read-only (op 0x%02x refused)", r.cfg.Shard, op)
 	}
 }
@@ -220,27 +318,24 @@ func (r *Replica) primaryEpoch(p uint32) (base, view uint64, err error) {
 	return base, view, err
 }
 
-// viewPull is one in-flight GETVIEW of a partition; readers that find
-// it wait on done and share its outcome instead of pulling again.
-type viewPull struct {
-	done chan struct{}
-	err  error
-}
-
 // refreshPartition brings partition p's cached view up to the
-// primary's current view epoch: probe, and re-pull only on mismatch.
-// A primary that has not published a view yet (view epoch 0) leaves
-// the cache as-is. Concurrent readers of one stale partition share one
-// pull: the first starts it, the rest wait for it and then re-check
-// the cache against the epoch their own probe saw, so a read that
-// probed a commit still returns that commit or a later one.
+// primary's current view epoch: probe, and unless the cache holds the
+// probed epoch, wait for the stream to install it. A primary that has
+// not published a view yet (view epoch 0) leaves the cache as-is. The
+// primary queues a view for its watchers in the same step that makes
+// its epoch visible to EPOCH, so a read that probed a commit returns
+// that commit or a later one: a later epoch the stream installs after
+// the probe answers is fresh too. A cache that was already past the
+// probed epoch is not — that is a primary restarted without a data
+// directory, its epochs begun again — and waits for the restarted
+// primary's view.
 //
-// The probe carries the configured deadline and NEVER fails a request
-// it could still answer: when the primary is unreachable (transient
-// failure) and a cached view exists, the replica serves it as-is —
-// degraded mode, staleness bounded by however long the primary stays
-// down instead of by one epoch. Only a partition with no cached view
-// at all surfaces the failure — the puller's, to every waiter too.
+// The probe and the wait are both bounded by ProbeTimeout, and neither
+// ever fails a request the replica could still answer: when the
+// primary is unreachable or its stream is behind and a cached view
+// exists, the replica serves it as-is — degraded mode, staleness
+// bounded by however long the outage lasts instead of by one epoch.
+// Only a partition with no cached view at all surfaces the failure.
 func (r *Replica) refreshPartition(p uint32) error {
 	if int(p) < r.lo || int(p) >= r.hi {
 		return fmt.Errorf("netstore: partition %d outside replica %d/%d range [%d,%d)",
@@ -253,44 +348,32 @@ func (r *Replica) refreshPartition(p uint32) error {
 	if err != nil {
 		return r.degrade(err, have)
 	}
-	if view == 0 || (have && cached.epoch == view) {
-		return nil
-	}
+	var timeout <-chan time.Time
 	for {
 		r.mu.Lock()
-		if v, ok := r.views[p]; ok && v.epoch >= view {
-			r.mu.Unlock()
+		v, have := r.views[p]
+		installed := r.installed
+		r.mu.Unlock()
+		if view == 0 || have && (v.epoch == view || v.epoch > view && v.epoch != cached.epoch) {
 			return nil
 		}
-		if pull := r.pulling[p]; pull != nil {
-			r.mu.Unlock()
-			<-pull.done
-			if pull.err != nil {
-				return r.degrade(pull.err, have)
-			}
-			continue // the pull may predate the epoch this reader probed
+		if timeout == nil {
+			t := time.NewTimer(r.cfg.ProbeTimeout)
+			defer t.Stop()
+			timeout = t.C
 		}
-		pull := &viewPull{done: make(chan struct{})}
-		r.pulling[p] = pull
-		r.mu.Unlock()
-		pull.err = r.pullView(p)
-		r.mu.Lock()
-		delete(r.pulling, p)
-		r.mu.Unlock()
-		close(pull.done)
-		if pull.err != nil {
-			// The primary may have died between the probe and the pull;
-			// the view it advertised is gone for now, the cached epoch
-			// still serves.
-			return r.degrade(pull.err, have)
+		select {
+		case <-installed:
+		case <-timeout:
+			return r.degrade(&UnavailableError{Addr: r.cfg.Primary, Stage: "watch",
+				Err: fmt.Errorf("view epoch %d of partition %d not shipped within %v", view, p, r.cfg.ProbeTimeout)}, have)
 		}
-		return nil
 	}
 }
 
-// degrade answers a failed probe or pull: a transient failure with a
-// cached view to fall back on is served stale (and counted); anything
-// else surfaces.
+// degrade answers a failed probe or an overdue stream: a transient
+// failure with a cached view to fall back on is served stale (and
+// counted); anything else surfaces.
 func (r *Replica) degrade(err error, have bool) error {
 	if IsTransient(err) && have {
 		r.degraded.Add(1)
@@ -299,49 +382,13 @@ func (r *Replica) degrade(err error, have bool) error {
 	return err
 }
 
-// pullView fetches partition p's current view from the primary and
-// installs it in the cache.
-func (r *Replica) pullView(p uint32) error {
-	epoch, blob, err := r.primaryGetView(p)
-	if err != nil {
-		return err
-	}
-	entries, err := DecodeView(blob)
-	if err != nil {
-		return err
-	}
-	idx := make(map[uint32]ViewEntry, len(entries))
-	for _, e := range entries {
-		idx[e.User] = e
-	}
-	// Installing the pulled view is a sequential write to the replica's
-	// own spindle — paid here, off the primary's device.
-	r.cfg.Device.Append(int64(len(blob)))
-	r.mu.Lock()
-	r.views[p] = serveView{epoch: epoch, blob: blob, index: idx}
-	for u := range idx {
-		r.userIdx[u] = p
-	}
-	r.mu.Unlock()
-	r.pulls.Add(1)
-	return nil
-}
-
-func (r *Replica) primaryGetView(p uint32) (uint64, []byte, error) {
-	body, err := r.primary.roundTrip(appendU32([]byte{opGetView}, p))
-	if err != nil {
-		return 0, nil, err
-	}
-	return cutU64(body)
-}
-
 // lookup resolves user u against the freshest cached views. Answers
 // come from the in-memory cache at RAM speed — the replica's spindle
-// is charged only when a pull installs a new view (refreshPartition),
-// which is what makes replica reads cheap under phase-4 load. An
-// unknown user triggers a full refresh of the replica's partition
-// range — the user may have moved partitions at the last commit —
-// before giving up with ErrNotServed.
+// is charged only when the stream installs a view, which is what makes
+// replica reads cheap under phase-4 load. An unknown user triggers a
+// full refresh of the replica's partition range — the user may have
+// moved partitions at the last commit — before giving up with
+// ErrNotServed.
 func (r *Replica) lookup(u uint32) (uint64, ViewEntry, error) {
 	r.mu.Lock()
 	p, hinted := r.userIdx[u]
@@ -369,13 +416,7 @@ func (r *Replica) lookup(u uint32) (uint64, ViewEntry, error) {
 func (r *Replica) cachedEntry(u uint32) (uint64, ViewEntry, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	p, ok := r.userIdx[u]
-	if !ok {
-		return 0, ViewEntry{}, false
-	}
-	v := r.views[p]
-	entry, ok := v.index[u]
-	return v.epoch, entry, ok
+	return r.entry(u)
 }
 
 // ReplicaSet bundles one loopback replica per primary shard — the

@@ -241,9 +241,10 @@ func TestReplicaReadOnly(t *testing.T) {
 	}
 }
 
-// TestReplicaPullOnce: re-reads of an unchanged epoch never re-pull the
-// view — the invalidation cost is one pull per partition per committed
-// epoch, not per read.
+// TestReplicaPullOnce: the primary ships each view to its replica once
+// — the subscribe snapshot, then one transfer per published epoch — and
+// no number of reads transfers it again. Views of other partitions
+// ship on their own; base PUTs ship nothing.
 func TestReplicaPullOnce(t *testing.T) {
 	cluster, client := startCluster(t, 1, 2, nil)
 	if err := client.PutBase(0, []byte("b")); err != nil {
@@ -253,38 +254,49 @@ func TestReplicaPullOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs, rc := startReplicas(t, cluster, 2)
+	rep := rs.Replicas()[0]
 	for i := 0; i < 25; i++ {
 		if _, _, err := rc.Neighbors(3); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// First lookup scatters over both partitions but only partition 0
-	// has a view; epoch probes repeat per read, pulls must not.
-	if pulls := rs.Replicas()[0].Pulls(); pulls != 1 {
-		t.Fatalf("%d view pulls for one epoch, want 1", pulls)
+	// The snapshot held partition 0's view only; epoch probes repeat per
+	// read, transfers must not.
+	if pulls := rep.Pulls(); pulls != 1 {
+		t.Fatalf("%d view transfers for one epoch, want 1", pulls)
 	}
-	// New epoch: exactly one more pull.
+	// New epoch of partition 0, first view of partition 1: one transfer
+	// each, however many reads follow.
 	if err := client.PutBase(0, []byte("b2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.PutView(0, viewFor(3, 2)); err != nil {
 		t.Fatal(err)
 	}
+	if err := client.PutBase(1, []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.PutView(1, viewFor(4, 1)); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10; i++ {
 		if epoch, _, err := rc.Neighbors(3); err != nil || epoch != 2 {
 			t.Fatalf("post-commit read = epoch %d, %v", epoch, err)
 		}
+		if epoch, _, err := rc.Neighbors(4); err != nil || epoch != 1 {
+			t.Fatalf("read of partition 1 = epoch %d, %v", epoch, err)
+		}
 	}
-	if pulls := rs.Replicas()[0].Pulls(); pulls != 2 {
-		t.Fatalf("%d view pulls after second epoch, want 2", pulls)
+	if pulls := rep.Pulls(); pulls != 3 {
+		t.Fatalf("%d view transfers after three published views, want 3", pulls)
 	}
 }
 
-// TestReplicaConcurrentReadersPullOnce: lookups that race onto one
-// stale partition after a commit share one view pull — PROTOCOL's "at
-// most one view pull per partition per committed epoch" holds under
-// concurrency, not only for sequential reads — and every reader sees
-// the new epoch.
+// TestReplicaConcurrentReadersPullOnce: readers that race onto one
+// partition right after a commit all see the new epoch, and the
+// partition still costs exactly one transfer per published epoch —
+// the stream carries each view once, whatever the number of readers
+// waiting for it.
 func TestReplicaConcurrentReadersPullOnce(t *testing.T) {
 	cluster, client := startCluster(t, 1, 1, nil)
 	rs, _ := startReplicas(t, cluster, 1)
@@ -297,7 +309,6 @@ func TestReplicaConcurrentReadersPullOnce(t *testing.T) {
 		if err := client.PutView(0, viewFor(3, epoch)); err != nil {
 			t.Fatal(err)
 		}
-		before := rep.Pulls()
 		start := make(chan struct{})
 		errs := make(chan error, readers)
 		for i := 0; i < readers; i++ {
@@ -316,8 +327,8 @@ func TestReplicaConcurrentReadersPullOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if pulls := rep.Pulls() - before; pulls != 1 {
-			t.Fatalf("epoch %d: %d concurrent readers issued %d view pulls, want 1", epoch, readers, pulls)
+		if pulls := rep.Pulls(); pulls != epoch {
+			t.Fatalf("epoch %d: %d view transfers after %d readers per epoch, want %d", epoch, pulls, readers, epoch)
 		}
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"knnpc/internal/disk"
 	"knnpc/internal/pigraph"
@@ -30,6 +32,52 @@ type serveView struct {
 	epoch uint64
 	blob  []byte
 	index map[uint32]ViewEntry
+}
+
+// newServeView decodes a view blob and indexes it by user. The blob is
+// kept, not copied: entries alias it.
+func newServeView(epoch uint64, blob []byte) (serveView, error) {
+	entries, err := DecodeView(blob)
+	if err != nil {
+		return serveView{}, err
+	}
+	index := make(map[uint32]ViewEntry, len(entries))
+	for _, e := range entries {
+		index[e.User] = e
+	}
+	return serveView{epoch: epoch, blob: blob, index: index}, nil
+}
+
+// viewSet is a shard's serve views and the index that routes each
+// member to the view holding it — the read state a primary serves from
+// and a replica caches. Its owner's mutex guards it.
+type viewSet struct {
+	views   map[uint32]serveView
+	userIdx map[uint32]uint32 // view member → owning partition
+}
+
+func newViewSet() viewSet {
+	return viewSet{views: make(map[uint32]serveView), userIdx: make(map[uint32]uint32)}
+}
+
+// setView makes v partition p's view and routes its members to it.
+func (vs viewSet) setView(p uint32, v serveView) {
+	vs.views[p] = v
+	for u := range v.index {
+		vs.userIdx[u] = p
+	}
+}
+
+// entry resolves user u through the index: the epoch of the view that
+// holds u and u's entry in it.
+func (vs viewSet) entry(u uint32) (uint64, ViewEntry, bool) {
+	p, ok := vs.userIdx[u]
+	if !ok {
+		return 0, ViewEntry{}, false
+	}
+	v := vs.views[p]
+	e, ok := v.index[u]
+	return v.epoch, e, ok
 }
 
 // ServerConfig describes one state-store shard.
@@ -83,16 +131,25 @@ type Server struct {
 	base       map[uint32][]byte
 	partials   map[uint32]map[uint64][]byte
 	leases     map[uint32]map[uint64]struct{}
-	epochs     map[uint32]uint64    // bumped by every base PUT; survives CLEAR
-	views      map[uint32]serveView // committed serve views; survive CLEAR
-	userIdx    map[uint32]uint32    // view member → owning partition
-	updates    [][]byte             // pending PUSHUPD batches; survive CLEAR
-	mutations  [][]byte             // pending ADDUSER/DELUSER batches; survive CLEAR
-	tombstones map[uint32]struct{}  // DELUSER'd users; lookups miss; survives CLEAR
-	staleness  []byte               // last putStale document; survives CLEAR
+	epochs     map[uint32]uint64   // bumped by every base PUT; survives CLEAR
+	viewSet                        // committed serve views; survive CLEAR
+	updates    [][]byte            // pending PUSHUPD batches; survive CLEAR
+	mutations  [][]byte            // pending ADDUSER/DELUSER batches; survive CLEAR
+	tombstones map[uint32]struct{} // DELUSER'd users; lookups miss; survives CLEAR
+	staleness  []byte              // last putStale document; survives CLEAR
 	nextToken  uint64
 	durable    *durableStore // nil without DataDir; guarded by mu for appends
+	watchers   []*watcher    // WATCH subscribers, in subscribe order
 	closed     bool
+}
+
+// watcher is one WATCH subscriber: a bounded queue of views to ship,
+// drained by the subscriber's own connection goroutine, and the signal
+// that the primary has dropped it. Both are created, filled and cut
+// only under Server.mu.
+type watcher struct {
+	queue chan shipped
+	cut   chan struct{}
 }
 
 // NewServer binds the shard's listener and starts serving in the
@@ -113,8 +170,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		partials:   make(map[uint32]map[uint64][]byte),
 		leases:     make(map[uint32]map[uint64]struct{}),
 		epochs:     make(map[uint32]uint64),
-		views:      make(map[uint32]serveView),
-		userIdx:    make(map[uint32]uint32),
+		viewSet:    newViewSet(),
 		tombstones: make(map[uint32]struct{}),
 	}
 	s.lo, s.hi = router.Range(cfg.Shard)
@@ -152,6 +208,10 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	for _, w := range s.watchers {
+		close(w.cut)
+	}
+	s.watchers = nil
 	s.mu.Unlock()
 	err := s.frameListener.close()
 	if s.durable != nil {
@@ -163,7 +223,7 @@ func (s *Server) Close() error {
 // handle answers one request frame (see handleFunc): a body too short
 // for its verb, or an unknown opcode, hangs up; everything else is
 // answered in-band.
-func (s *Server) handle(op byte, body []byte, send func([]byte) error) ([]byte, error) {
+func (s *Server) handle(op byte, body []byte, conn net.Conn) ([]byte, error) {
 	switch op {
 	case opGet:
 		p, _, err := cutU32(body)
@@ -215,14 +275,17 @@ func (s *Server) handle(op byte, body []byte, send func([]byte) error) ([]byte, 
 			return nil, err
 		}
 		for _, it := range items {
-			if err := send(encodeCollectItem(it)); err != nil {
+			if err := writeFrame(conn, encodeCollectItem(it)); err != nil {
 				return nil, hangUp(err)
 			}
 		}
-		if err := send([]byte{statusEnd}); err != nil {
+		if err := writeFrame(conn, []byte{statusEnd}); err != nil {
 			return nil, hangUp(err)
 		}
 		return nil, errReplied
+
+	case opWatch:
+		return nil, s.watch(conn)
 
 	case opClear:
 		return nil, s.clear()
@@ -455,17 +518,14 @@ func (s *Server) put(p uint32, kind byte, token uint64, blob []byte) error {
 		// switch below.
 	}
 	stored := append([]byte(nil), blob...)
-	var viewIdx map[uint32]ViewEntry
+	var view serveView
 	if kind == putView || kind == putDeltaView {
 		// Decode outside the state mutex — a view covers a whole
 		// partition's membership and lookups should not stall on it.
-		entries, err := DecodeView(stored)
-		if err != nil {
+		// The epoch stamp is set at install.
+		var err error
+		if view, err = newServeView(0, stored); err != nil {
 			return fmt.Errorf("netstore: view of partition %d: %w", p, err)
-		}
-		viewIdx = make(map[uint32]ViewEntry, len(entries))
-		for _, e := range entries {
-			viewIdx[e.User] = e
 		}
 	}
 	s.mu.Lock()
@@ -495,20 +555,16 @@ func (s *Server) put(p uint32, kind byte, token uint64, blob []byte) error {
 		// epoch (the one the publishing iteration's base PUT opened).
 		// Installed atomically — a point lookup sees the old complete
 		// view or the new complete view, never a mix.
-		s.views[p] = serveView{epoch: s.epochs[p], blob: stored, index: viewIdx}
-		for u := range viewIdx {
-			s.userIdx[u] = p
-		}
+		view.epoch = s.epochs[p]
+		s.installViewLocked(p, view)
 	case putDeltaView:
 		// A delta republish: no base install opened a new epoch, so the
 		// PUT itself bumps the counter and stamps the view with the new
-		// value — that moved stamp is what makes replicas re-pull.
+		// value — the moved stamp a replica's read probe compares.
 		// Compute state (base, partials, leases) is untouched.
 		s.epochs[p]++
-		s.views[p] = serveView{epoch: s.epochs[p], blob: stored, index: viewIdx}
-		for u := range viewIdx {
-			s.userIdx[u] = p
-		}
+		view.epoch = s.epochs[p]
+		s.installViewLocked(p, view)
 	case putStale:
 		s.staleness = stored
 	default:
@@ -549,6 +605,94 @@ func (s *Server) put(p uint32, kind byte, token uint64, blob []byte) error {
 	return nil
 }
 
+// installViewLocked makes v partition p's serve view and ships it to
+// every watcher. Shipping under the same s.mu hold as the install makes
+// each watcher's stream order the install order, so a replica that
+// sees a view epoch on EPOCH knows the frame carrying it is already
+// queued. The immutable stored blob is enqueued as is — no copy, no
+// device read. A watcher whose queue is full is cut off: a slow
+// replica costs itself a re-subscribe, never the primary a blocked PUT.
+func (s *Server) installViewLocked(p uint32, v serveView) {
+	s.setView(p, v)
+	kept := s.watchers[:0]
+	for _, w := range s.watchers {
+		select {
+		case w.queue <- shipped{partition: p, epoch: v.epoch, blob: v.blob}:
+			kept = append(kept, w)
+		default:
+			close(w.cut)
+		}
+	}
+	clear(s.watchers[len(kept):])
+	s.watchers = kept
+}
+
+// watch serves one WATCH subscription on the subscriber's connection
+// until the primary cuts it off or the connection fails: every current
+// view in partition order, then every view a later PUT installs, with a
+// heartbeat after watchHeartbeat of silence. The queue holds a full
+// snapshot plus a full commit's worth of views, so a subscriber that
+// keeps up is never cut. It always ends by hanging up — the stream has
+// no terminator — and a restarted primary's subscribers re-subscribe
+// and get a fresh snapshot; journal replay ships nothing.
+func (s *Server) watch(conn net.Conn) error {
+	w := &watcher{
+		queue: make(chan shipped, 2*(s.hi-s.lo)+16),
+		cut:   make(chan struct{}),
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return hangUp(fmt.Errorf("netstore: shard %d is closing", s.cfg.Shard))
+	}
+	for p := uint32(s.lo); int(p) < s.hi; p++ {
+		if v, ok := s.views[p]; ok {
+			w.queue <- shipped{partition: p, epoch: v.epoch, blob: v.blob}
+		}
+	}
+	s.watchers = append(s.watchers, w)
+	s.mu.Unlock()
+	defer s.unwatch(w)
+
+	idle := time.NewTimer(watchHeartbeat)
+	defer idle.Stop()
+	for {
+		var frame [][]byte
+		select {
+		case <-w.cut:
+			return hangUp(fmt.Errorf("netstore: watcher of shard %d cut off", s.cfg.Shard))
+		case v := <-w.queue:
+			frame = [][]byte{shipHeader(v), v.blob}
+		case <-idle.C:
+			frame = [][]byte{{statusOK}}
+		}
+		conn.SetWriteDeadline(time.Now().Add(watchTimeout))
+		if err := writeFrame(conn, frame...); err != nil {
+			return hangUp(err)
+		}
+		if !idle.Stop() {
+			select {
+			case <-idle.C:
+			default:
+			}
+		}
+		idle.Reset(watchHeartbeat)
+	}
+}
+
+// unwatch drops w from the watcher list if the primary has not already
+// cut it off.
+func (s *Server) unwatch(w *watcher) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, x := range s.watchers {
+		if x == w {
+			s.watchers = slices.Delete(s.watchers, i, i+1)
+			return
+		}
+	}
+}
+
 // epoch reports partition p's epoch counter and the epoch stamp of its
 // current serve view (0 when none is published). Epoch checks are
 // metadata reads — no device charge — which is what makes a replica's
@@ -563,9 +707,9 @@ func (s *Server) epoch(p uint32) (base, view uint64, err error) {
 	return s.epochs[p], s.views[p].epoch, nil
 }
 
-// getView reads partition p's serve view, charging the shard's spindle
-// for the full blob — the cost a replica pays once per epoch, where a
-// primary point lookup pays a (smaller) read per request.
+// getView reads partition p's serve view for a client, charging the
+// shard's spindle for the full blob. Replicas never issue it: views
+// reach them on the WATCH stream, straight from memory.
 func (s *Server) getView(p uint32) (uint64, []byte, error) {
 	if err := s.checkRange(p); err != nil {
 		return 0, nil, err
@@ -588,13 +732,7 @@ func (s *Server) getView(p uint32) (uint64, []byte, error) {
 func (s *Server) lookup(u uint32) (uint64, ViewEntry, error) {
 	s.mu.Lock()
 	_, dead := s.tombstones[u]
-	p, ok := s.userIdx[u]
-	var v serveView
-	var entry ViewEntry
-	if ok && !dead {
-		v = s.views[p]
-		entry, ok = v.index[u]
-	}
+	epoch, entry, ok := s.entry(u)
 	s.mu.Unlock()
 	if dead {
 		// A tombstoned user misses immediately on the primaries, even
@@ -606,7 +744,7 @@ func (s *Server) lookup(u uint32) (uint64, ViewEntry, error) {
 		return 0, ViewEntry{}, fmt.Errorf("%w: user %d on shard %d", ErrNotServed, u, s.cfg.Shard)
 	}
 	s.cfg.Device.Read(int64(12 + 4*len(entry.Neighbors) + len(entry.Profile)))
-	return v.epoch, entry, nil
+	return epoch, entry, nil
 }
 
 // pushUpdates enqueues one encoded batch of profile updates for the
