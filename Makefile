@@ -46,7 +46,9 @@ race-phase4:
 # Each native fuzz target for FUZZTIME: the partition-state and
 # worker-partial decoders, the serve-view decoder and the replica's
 # WATCH-frame parse must never panic, never size storage from a count
-# the input cannot back, and round-trip what they accept; every
+# the input cannot back, and round-trip what they accept; a shard's
+# journal replay must never panic, allocate in proportion to the
+# journal, and rebuild the same state from the prefix it accepts; every
 # planner's schedule of a fuzzed PI graph must validate and never load
 # more under MIN than under LRU; the tuple table must serve a fuzzed
 # multiset, consumed in either shard orientation, exactly once and
@@ -61,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDiskTableShards$$' -fuzztime $(FUZZTIME) ./internal/tuples
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeView$$' -fuzztime $(FUZZTIME) ./internal/netstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeShipFrame$$' -fuzztime $(FUZZTIME) ./internal/netstore
+	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/netstore
 
 # End-to-end proof of the network state store: launches cmd/statestore
 # with 2 shards, runs knnrun once in-process and once with -netstore on
@@ -71,7 +74,7 @@ e2e-netstore:
 # End-to-end proof of the robustness stack: a run against shards under
 # a seeded -faults plan must emit a byte-identical graph (and the plan
 # digest must reproduce across boots), and a run that loses a shard to
-# SIGKILL mid-iteration must heal through snapshot+journal recovery and
+# SIGKILL mid-iteration must heal through journal replay and
 # still match the fault-free reference byte for byte.
 e2e-chaos:
 	./scripts/e2e_chaos.sh

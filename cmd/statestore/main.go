@@ -23,9 +23,9 @@
 //	-partitions the engine's partition count m (must match the client)
 //	-emulate    per-shard emulated device model: "hdd", "ssd", "nvme"
 //	            ("" = serve at host speed)
-//	-datadir    root durability directory; each shard persists a
-//	            snapshot+journal pair under <datadir>/shard<i> and
-//	            recovers it on restart (see docs/PROTOCOL.md)
+//	-datadir    root durability directory; each shard journals its
+//	            mutations to <datadir>/shard<i>/journal and replays
+//	            it on restart (see docs/PROTOCOL.md)
 //	-shard      cluster-wide index of the first listed address — set
 //	            with -shards when this process hosts a slice of a
 //	            larger cluster, so one shard can restart alone
@@ -85,7 +85,7 @@ func run(out io.Writer, args []string, stop <-chan struct{}) error {
 	replicaOf := fs.String("replicaof", "", "comma-separated primary addresses; serve read replicas of them instead of primary shards")
 	partitions := fs.Int("partitions", 8, "engine partition count m")
 	emulate := fs.String("emulate", "", "emulated device model per shard: hdd, ssd, nvme (empty = host speed)")
-	dataDir := fs.String("datadir", "", "durability root; shard i persists snapshot+journal under <datadir>/shard<i> and recovers on restart")
+	dataDir := fs.String("datadir", "", "durability root; shard i journals its mutations to <datadir>/shard<i>/journal and replays it on restart")
 	shard := fs.Int("shard", 0, "cluster-wide index of the first listed address (use with -shards to host a slice of a larger cluster)")
 	shards := fs.Int("shards", 0, "cluster-wide shard count (0 = the -listen list is the whole cluster)")
 	faults := fs.String("faults", "", `seeded fault-injection spec, e.g. "seed=42,drop=0.01,delay=0.05,maxdelay=5ms" (empty = no faults)`)

@@ -1,6 +1,7 @@
 package netstore
 
 import (
+	"bytes"
 	"os"
 	"regexp"
 	"strconv"
@@ -83,6 +84,28 @@ func TestProtocolDocMatchesCode(t *testing.T) {
 			"MISS":  statusMiss,
 			"RETRY": statusRetry,
 		})
+
+	// The journal section's record table lists exactly the opcodes
+	// replay accepts; the opcode check above holds each verb's row to
+	// its opcode.
+	start := bytes.Index(doc, []byte("## Journal format"))
+	if start < 0 {
+		t.Fatal("PROTOCOL.md has no \"Journal format\" section")
+	}
+	section := doc[start:]
+	if end := bytes.Index(section[1:], []byte("\n## ")); end >= 0 {
+		section = section[:end+1]
+	}
+	records := map[byte]string{}
+	for name, b := range docTable(t, section, regexp.MustCompile(`(?m)^\| ([A-Za-z]+) +\| .(0x[0-9a-f]{2}). \|`)) {
+		records[b] = name
+	}
+	for b := 0; b < 256; b++ {
+		name, listed := records[byte(b)]
+		if accepted := journaled(byte(b)); accepted != listed {
+			t.Errorf("journal records: replay accepts 0x%02x = %v, PROTOCOL.md lists it = %v (%s)", b, accepted, listed, name)
+		}
+	}
 
 	check("put kinds",
 		regexp.MustCompile(`(?m)^\| (base|partial|deltaview|view|stale) +\| .(0x[0-9a-f]{2}). \|`),

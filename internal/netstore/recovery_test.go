@@ -3,8 +3,11 @@ package netstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,7 +16,7 @@ import (
 
 // startDurable launches a single durable shard over dir, returning the
 // server and a client dialed at it.
-func startDurable(t *testing.T, addr, dir string) (*Server, *Client) {
+func startDurable(t testing.TB, addr, dir string) (*Server, *Client) {
 	t.Helper()
 	srv, err := NewServer(ServerConfig{
 		Addr: addr, Shard: 0, Shards: 1, NumPartitions: 4, DataDir: dir,
@@ -282,9 +285,10 @@ func TestRecoveryTornJournalTail(t *testing.T) {
 }
 
 // TestSnapshotCutOnCommitMarker: a staleness publish — the engine's
-// per-iteration commit marker — cuts a snapshot and truncates the
-// journal, so recovery after a long run replays one iteration's tail,
-// not the whole history.
+// per-iteration commit marker — compacts the journal: afterwards the one
+// file holds exactly the compaction of the live state, so recovery after
+// a long run replays one iteration's tail, not the whole history. No
+// second file is left behind.
 func TestSnapshotCutOnCommitMarker(t *testing.T) {
 	dir := t.TempDir()
 	srv, client := startDurable(t, "127.0.0.1:0", dir)
@@ -294,30 +298,30 @@ func TestSnapshotCutOnCommitMarker(t *testing.T) {
 	if err := client.PutBase(0, []byte("iteration-state")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshot")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("snapshot exists before any commit marker: %v", err)
+	if bytes.Equal(readJournal(t, dir), compaction(t, srv)) {
+		t.Fatal("journal already equals its compaction before any commit marker; the test would be vacuous")
 	}
 	if err := client.PutStaleness(EncodeStaleness(StalenessDoc{LastFullEpoch: 1})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshot")); err != nil {
-		t.Fatalf("commit marker cut no snapshot: %v", err)
+	if got, want := readJournal(t, dir), compaction(t, srv); !bytes.Equal(got, want) {
+		t.Fatalf("journal after the commit marker is %d bytes, want its %d-byte compaction", len(got), len(want))
 	}
-	info, err := os.Stat(filepath.Join(dir, "journal"))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Size() != 0 {
-		t.Fatalf("journal holds %d bytes after a snapshot cut, want 0", info.Size())
+	if len(entries) != 1 || entries[0].Name() != "journal" {
+		t.Fatalf("data directory holds %v, want the journal alone", entries)
 	}
 }
 
-// TestRecoveryAfterSnapshotCutAndAppend: records appended *after* a
-// snapshot cut start at journal offset zero — the cut must rewind the
-// fd along with the truncate, or every post-cut append lands past a
-// zero-filled hole that replay reads as a garbage record. (Found by
-// scripts/e2e_chaos.sh: the first mid-run crash after a commit-marker
-// cut could not recover.)
+// TestRecoveryAfterSnapshotCutAndAppend: a record appended *after* a
+// compaction lands directly behind the compacted prefix — appends
+// continue on the renamed file's descriptor, not on the old one, whose
+// inode is gone, and not past a hole that replay would read as a
+// garbage record. (The hole was found by scripts/e2e_chaos.sh: the
+// first mid-run crash after a commit-marker cut could not recover.)
 func TestRecoveryAfterSnapshotCutAndAppend(t *testing.T) {
 	dir := t.TempDir()
 	srv, client := startDurable(t, "127.0.0.1:0", dir)
@@ -326,19 +330,20 @@ func TestRecoveryAfterSnapshotCutAndAppend(t *testing.T) {
 	if err := client.PutBase(0, []byte("pre-cut")); err != nil {
 		t.Fatal(err)
 	}
-	// The commit marker cuts a snapshot and truncates the journal.
+	// The commit marker compacts the journal.
 	if err := client.PutStaleness(EncodeStaleness(StalenessDoc{LastFullEpoch: 1})); err != nil {
 		t.Fatal(err)
 	}
+	compacted := int64(len(readJournal(t, dir)))
 	if err := client.PutBase(1, []byte("post-cut")); err != nil {
 		t.Fatal(err)
 	}
-	// The post-cut record must sit at offset zero, not past a hole.
+	// The post-cut record must sit right after the compaction, not past a hole.
 	info, err := os.Stat(filepath.Join(dir, "journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(4 + 1 + 4 + 1 + 8 + len("post-cut")); info.Size() != want {
+	if want := compacted + int64(4+1+4+1+8+len("post-cut")); info.Size() != want {
 		t.Fatalf("post-cut journal is %d bytes, want %d (a hole before the record?)", info.Size(), want)
 	}
 	client.Close()
@@ -348,7 +353,7 @@ func TestRecoveryAfterSnapshotCutAndAppend(t *testing.T) {
 	defer srv2.Close()
 	defer client2.Close()
 	if got, err := client2.Get(0); err != nil || string(got) != "pre-cut" {
-		t.Fatalf("snapshot state = %q, %v", got, err)
+		t.Fatalf("compacted state = %q, %v", got, err)
 	}
 	if got, err := client2.Get(1); err != nil || string(got) != "post-cut" {
 		t.Fatalf("post-cut journal state = %q, %v", got, err)
@@ -384,66 +389,388 @@ func TestRecoveryFromSnapshotOnly(t *testing.T) {
 	}
 }
 
-// TestJournalFailureFailsTheVerb: a DELUSER or a drain whose journal
-// append fails must fail — and leave memory where the journal is — or
-// the shard runs ahead of its own log: a restart would resurrect the
-// user its caller was told is gone, and hand the engine a batch it has
-// already drained. The journal's descriptor is closed underneath a live
+// TestJournalFailureFailsTheVerb: a mutating verb whose journal append
+// fails must fail and leave memory where the journal is, or the shard
+// runs ahead of its own log — a restart would resurrect a user its
+// caller was told is gone, hand the engine a batch it already drained,
+// re-grant a token, or lose a base its caller retries into a second
+// epoch bump. The journal's descriptor is closed underneath a live
 // shard, the shape a full or yanked disk gives every later append.
 func TestJournalFailureFailsTheVerb(t *testing.T) {
-	dir := t.TempDir()
-	srv, client := startDurable(t, "127.0.0.1:0", dir)
-	addr := srv.Addr()
-
 	vec, err := profile.NewVector([]profile.Entry{{Item: 3, Weight: 1.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.PushUpdates([]profile.Update{{User: 5, Kind: profile.SetItem, Item: 3, Weight: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.AddUser(6, vec.AppendBinary(nil)); err != nil {
-		t.Fatal(err)
-	}
+	for _, row := range []struct {
+		verb string
+		do   func(c *Client, token uint64) error
+	}{
+		{"PUT base", func(c *Client, _ uint64) error { return c.PutBase(1, []byte("next-base")) }},
+		{"PUT partial", func(c *Client, tok uint64) error { return c.PutPartial(1, tok, []byte("next-partial")) }},
+		{"PUT view", func(c *Client, _ uint64) error { return c.PutView(1, viewFor(5, 9)) }},
+		{"PUT deltaview", func(c *Client, _ uint64) error { return c.PutDeltaView(1, viewFor(5, 9)) }},
+		{"PUT stale", func(c *Client, _ uint64) error {
+			return c.PutStaleness(EncodeStaleness(StalenessDoc{LastFullEpoch: 9}))
+		}},
+		{"LEASE", func(c *Client, _ uint64) error { _, err := c.Lease(1); return err }},
+		{"CLEAR", func(c *Client, _ uint64) error { return c.Clear() }},
+		{"PUSHUPD", func(c *Client, _ uint64) error {
+			return c.PushUpdates([]profile.Update{{User: 8, Kind: profile.SetItem, Item: 4, Weight: 1}})
+		}},
+		{"ADDUSER", func(c *Client, _ uint64) error { return c.AddUser(7, vec.AppendBinary(nil)) }},
+		{"DELUSER", func(c *Client, _ uint64) error { return c.DelUser(6) }},
+		{"DRAINUPD", func(c *Client, _ uint64) error { _, err := c.DrainUpdates(); return err }},
+		{"DRAINMUT", func(c *Client, _ uint64) error { _, err := c.DrainMutations(); return err }},
+	} {
+		t.Run(row.verb, func(t *testing.T) {
+			dir := t.TempDir()
+			srv, client := startDurable(t, "127.0.0.1:0", dir)
+			addr := srv.Addr()
+			token := populate(t, client)
+			state, leases := dumpShard(srv), leaseDump(srv)
 
-	srv.mu.Lock()
-	srv.durable.journal.Close()
-	srv.mu.Unlock()
+			srv.mu.Lock()
+			srv.durable.journal.Close()
+			srv.mu.Unlock()
 
-	if err := client.DelUser(7); err == nil {
-		t.Error("DELUSER answered OK though its journal record was never written")
+			if err := row.do(client, token); err == nil {
+				t.Errorf("%s answered OK though its journal record was never written", row.verb)
+			}
+			if got := dumpShard(srv); got != state {
+				t.Errorf("failed %s still changed the shard:\n%s\nwant\n%s", row.verb, got, state)
+			}
+			if got := leaseDump(srv); got != leases {
+				t.Errorf("failed %s still changed the leases: %s, want %s", row.verb, got, leases)
+			}
+			client.Close()
+			srv.Close()
+
+			srv2, client2 := startDurable(t, addr, dir)
+			defer srv2.Close()
+			defer client2.Close()
+			if got := dumpShard(srv2); got != state {
+				t.Errorf("recovered shard after a failed %s:\n%s\nwant the pre-failure\n%s", row.verb, got, state)
+			}
+		})
 	}
-	if ups, err := client.DrainUpdates(); err == nil {
-		t.Errorf("DRAINUPD handed out %d updates though the drain was never journaled", len(ups))
+}
+
+// TestRecoveryMatchesLiveState: after every one of a few hundred seeded
+// random mutating verbs — stale-token partials, releases, commit
+// markers and re-adds of tombstoned users among them — a copy of the
+// data directory recovers to exactly the live shard, with an empty
+// lease table. The second pass compacts after every verb, so each cut
+// point is also a crash between a compaction and the next append.
+func TestRecoveryMatchesLiveState(t *testing.T) {
+	for _, compactEach := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compact=%v", compactEach), func(t *testing.T) {
+			dir := t.TempDir()
+			srv, client := startDurable(t, "127.0.0.1:0", dir)
+			defer srv.Close()
+			defer client.Close()
+			rng := rand.New(rand.NewPCG(7, 11))
+			var tokens [][2]uint64 // (partition, token), live or not
+			failed := 0
+			const ops = 300
+			for i := 0; i < ops; i++ {
+				verb, err := randomVerb(rng, client, &tokens)
+				if err != nil {
+					if !errors.Is(err, ErrStaleLease) && !strings.Contains(err.Error(), "no stored state") {
+						t.Fatalf("op %d (%s): %v", i, verb, err)
+					}
+					failed++
+				}
+				if compactEach {
+					srv.mu.Lock()
+					err := srv.compactLocked()
+					srv.mu.Unlock()
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				rec := recoverCopy(t, dir)
+				if got, want := dumpShard(rec), dumpShard(srv); got != want {
+					t.Fatalf("after op %d (%s) the recovered shard is\n%s\nwant the live\n%s", i, verb, got, want)
+				}
+				if l := leaseDump(rec); l != "" {
+					t.Fatalf("after op %d (%s) the recovered shard holds leases %s", i, verb, l)
+				}
+				rec.Close()
+			}
+			if failed > ops/2 {
+				t.Fatalf("%d of %d verbs were refused; the walk is mostly no-ops", failed, ops)
+			}
+		})
 	}
-	if muts, err := client.DrainMutations(); err == nil {
-		t.Errorf("DRAINMUT handed out %d mutations though the drain was never journaled", len(muts))
-	}
+}
+
+// TestCompactionCrashShapes: a crash anywhere inside a compaction
+// recovers to the same state — before the temp file exists, with it
+// torn, with it whole but not renamed, and after the rename — so no
+// base PUT's epoch is bumped twice and no update batch queues twice. A
+// data directory in the older snapshot+journal layout is refused by
+// name rather than started without its snapshot.
+func TestCompactionCrashShapes(t *testing.T) {
+	dir := t.TempDir()
+	srv, client := startDurable(t, "127.0.0.1:0", dir)
+	populate(t, client)
+	want := dumpShard(srv)
 	srv.mu.Lock()
-	_, dead := srv.tombstones[7]
-	queued := len(srv.updates) + len(srv.mutations)
+	wantEpoch, wantUpdates := srv.epochs[1], len(srv.updates)
 	srv.mu.Unlock()
-	if dead || queued != 2 {
-		t.Errorf("failed verbs still mutated memory: user 7 tombstoned=%v, %d of 2 batches still queued", dead, queued)
-	}
+	compacted := compaction(t, srv)
 	client.Close()
 	srv.Close()
+	journal := readJournal(t, dir)
+	if bytes.Equal(journal, compacted) {
+		t.Fatal("journal equals its compaction; the shapes would not differ")
+	}
 
-	// The recovered shard agrees with what the callers were told:
-	// nobody was deleted and nothing was drained.
-	srv2, client2 := startDurable(t, addr, dir)
-	defer srv2.Close()
-	defer client2.Close()
-	srv2.mu.Lock()
-	_, dead = srv2.tombstones[7]
-	srv2.mu.Unlock()
-	if dead {
-		t.Error("user 7 is tombstoned after recovery though its DELUSER failed")
+	for _, shape := range []struct {
+		name         string
+		journal, tmp []byte
+	}{
+		{"no tmp", journal, nil},
+		{"torn tmp", journal, compacted[:len(compacted)/2]},
+		{"tmp not renamed", journal, compacted},
+		{"renamed", compacted, nil},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			d := t.TempDir()
+			writeFile(t, filepath.Join(d, "journal"), shape.journal)
+			if shape.tmp != nil {
+				writeFile(t, filepath.Join(d, "journal.tmp"), shape.tmp)
+			}
+			srv2, client2 := startDurable(t, "127.0.0.1:0", d)
+			defer srv2.Close()
+			defer client2.Close()
+			if got := dumpShard(srv2); got != want {
+				t.Fatalf("recovered\n%s\nwant\n%s", got, want)
+			}
+			srv2.mu.Lock()
+			epoch, updates := srv2.epochs[1], len(srv2.updates)
+			srv2.mu.Unlock()
+			if epoch != wantEpoch || updates != wantUpdates {
+				t.Fatalf("partition 1 epoch %d with %d queued batches, want %d and %d", epoch, updates, wantEpoch, wantUpdates)
+			}
+			if _, err := os.Stat(filepath.Join(d, "journal.tmp")); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("journal.tmp survived recovery: %v", err)
+			}
+		})
 	}
-	if ups, err := client2.DrainUpdates(); err != nil || len(ups) != 1 {
-		t.Errorf("recovered update queue = %v, %v; want the 1 undrained update", ups, err)
+
+	t.Run("older snapshot layout", func(t *testing.T) {
+		d := t.TempDir()
+		writeFile(t, filepath.Join(d, "journal"), nil)
+		writeFile(t, filepath.Join(d, "snapshot"), []byte("KSN1"))
+		srv2, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Shard: 0, Shards: 1, NumPartitions: 4, DataDir: d})
+		if err == nil {
+			srv2.Close()
+			t.Fatal("a data directory holding a snapshot file started")
+		}
+		if !strings.Contains(err.Error(), filepath.Join(d, "snapshot")) {
+			t.Fatalf("refusal %q does not name the snapshot file", err)
+		}
+	})
+}
+
+// populate drives one of every mutating verb, with a commit marker in
+// the middle so the journal ends up as a compaction plus a tail, and
+// returns a lease token live on partition 1.
+func populate(tb testing.TB, c *Client) (token uint64) {
+	tb.Helper()
+	vec, err := profile.NewVector([]profile.Entry{{Item: 3, Weight: 1.5}})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if muts, err := client2.DrainMutations(); err != nil || len(muts) != 1 {
-		t.Errorf("recovered mutation queue = %v, %v; want the 1 undrained mutation", muts, err)
+	blob := vec.AppendBinary(nil)
+	steps := []func() error{
+		func() error { return c.PutBase(1, []byte("base-1")) },
+		func() error { return c.PutBase(2, []byte("base-2")) },
+		func() error { token, err = c.Lease(2); return err },
+		func() error { return c.PutPartial(2, token, []byte("partial-2")) },
+		func() error { return c.Release(2, token) },
+		func() error { return c.PutView(1, viewFor(5, 1)) },
+		func() error { return c.PutDeltaView(3, viewFor(6, 1)) },
+		func() error { return c.AddUser(6, blob) },
+		func() error { return c.DelUser(7) },
+		func() error {
+			return c.PushUpdates([]profile.Update{{User: 5, Kind: profile.SetItem, Item: 3, Weight: 2}})
+		},
+		func() error { return c.PutStaleness(EncodeStaleness(StalenessDoc{LastFullEpoch: 1, Users: 8})) },
+		func() error { return c.PutBase(1, []byte("base-1b")) },
+		func() error { token, err = c.Lease(1); return err },
+		func() error { return c.PutPartial(1, token, []byte("partial-1")) },
+		func() error { return c.DelUser(6) },
+		func() error { return c.AddUser(7, blob) },
+		func() error { _, err := c.DrainUpdates(); return err },
+		func() error {
+			return c.PushUpdates([]profile.Update{{User: 4, Kind: profile.SetItem, Item: 2, Weight: 1}})
+		},
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			tb.Fatalf("populate step %d: %v", i, err)
+		}
+	}
+	return token
+}
+
+// randomVerb sends one seeded random mutating verb, remembering every
+// lease it is granted, and names it.
+func randomVerb(rng *rand.Rand, c *Client, tokens *[][2]uint64) (string, error) {
+	p := uint32(rng.IntN(4))
+	u := uint32(rng.IntN(8))
+	blob := []byte(fmt.Sprintf("blob-%d", rng.IntN(1000)))
+	pick := func() (uint32, uint64) {
+		if len(*tokens) == 0 {
+			return p, uint64(rng.IntN(5))
+		}
+		lt := (*tokens)[rng.IntN(len(*tokens))]
+		return uint32(lt[0]), lt[1]
+	}
+	view := func() []byte {
+		var entries []ViewEntry
+		for n := rng.IntN(3); n >= 0; n-- {
+			entries = append(entries, ViewEntry{User: uint32(rng.IntN(8)), Neighbors: []uint32{u}, Profile: blob})
+		}
+		return EncodeView(entries)
+	}
+	switch rng.IntN(14) {
+	case 0, 1:
+		return "PUT base", c.PutBase(p, blob)
+	case 2, 3:
+		token, err := c.Lease(p)
+		if err == nil {
+			*tokens = append(*tokens, [2]uint64{uint64(p), token})
+		}
+		return "LEASE", err
+	case 4, 5:
+		lp, token := pick()
+		return "PUT partial", c.PutPartial(lp, token, blob)
+	case 6:
+		lp, token := pick()
+		return "RELEASE", c.Release(lp, token)
+	case 7:
+		return "PUT view", c.PutView(p, view())
+	case 8:
+		return "PUT deltaview", c.PutDeltaView(p, view())
+	case 9:
+		return "PUT stale", c.PutStaleness(EncodeStaleness(StalenessDoc{LastFullEpoch: rng.Uint64N(9), Users: 8}))
+	case 10:
+		if rng.IntN(3) == 0 {
+			return "CLEAR", c.Clear()
+		}
+		return "PUSHUPD", c.PushUpdates([]profile.Update{{User: u, Kind: profile.SetItem, Item: p, Weight: 1}})
+	case 11:
+		return "ADDUSER", c.AddUser(u, blob)
+	case 12:
+		return "DELUSER", c.DelUser(u)
+	default:
+		if rng.IntN(2) == 0 {
+			_, err := c.DrainUpdates()
+			return "DRAINUPD", err
+		}
+		_, err := c.DrainMutations()
+		return "DRAINMUT", err
+	}
+}
+
+// dumpShard renders everything a shard's recovery must bring back —
+// every durable map, walked in sorted key order — independently of the
+// compaction writer, so a compaction that drops or mis-orders state
+// shows as a difference. Leases are volatile (see leaseDump); the user
+// index is derived from the views. An epoch of 0 is the same as none.
+func dumpShard(s *Server) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var b strings.Builder
+	fmt.Fprintf(&b, "nextToken %d\nstaleness %x\n", s.nextToken, s.staleness)
+	for _, p := range sortedKeys(s.epochs) {
+		if s.epochs[p] != 0 {
+			fmt.Fprintf(&b, "epoch %d = %d\n", p, s.epochs[p])
+		}
+	}
+	for _, p := range sortedKeys(s.base) {
+		fmt.Fprintf(&b, "base %d %x\n", p, s.base[p])
+	}
+	for _, p := range sortedKeys(s.partials) {
+		for _, tok := range sortedKeys(s.partials[p]) {
+			fmt.Fprintf(&b, "partial %d token %d %x\n", p, tok, s.partials[p][tok])
+		}
+	}
+	for _, p := range sortedKeys(s.views) {
+		fmt.Fprintf(&b, "view %d at %d %x\n", p, s.views[p].epoch, s.views[p].blob)
+	}
+	fmt.Fprintf(&b, "tombstones %v\n", sortedKeys(s.tombstones))
+	for _, u := range s.updates {
+		fmt.Fprintf(&b, "update %x\n", u)
+	}
+	for _, m := range s.mutations {
+		fmt.Fprintf(&b, "mutation %x\n", m)
+	}
+	return b.String()
+}
+
+// leaseDump renders a shard's lease table, "" when it is empty.
+func leaseDump(s *Server) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var b strings.Builder
+	for _, p := range sortedKeys(s.leases) {
+		fmt.Fprintf(&b, "%d:%v ", p, sortedKeys(s.leases[p]))
+	}
+	return b.String()
+}
+
+// compaction is what compacting srv now would write.
+func compaction(tb testing.TB, srv *Server) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	srv.mu.Lock()
+	err := srv.writeCompactionLocked(&buf)
+	srv.mu.Unlock()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// recoverCopy recovers a second shard from a copy of dir, the way a
+// crash at this instant would find it.
+func recoverCopy(t *testing.T, dir string) *Server {
+	t.Helper()
+	cp := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeFile(t, filepath.Join(cp, e.Name()), data)
+	}
+	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Shard: 0, Shards: 1, NumPartitions: 4, DataDir: cp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+func readJournal(tb testing.TB, dir string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "journal"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+func writeFile(tb testing.TB, path string, data []byte) {
+	tb.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		tb.Fatal(err)
 	}
 }

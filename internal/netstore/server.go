@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -97,13 +96,15 @@ type ServerConfig struct {
 	// time, serialized per shard — N shards emulate N independent
 	// devices. Nil adds no latency.
 	Device *disk.Device
-	// DataDir, when non-empty, makes the shard durable: every applied
-	// mutation journals to DataDir before its response is sent, a
-	// snapshot is cut at each commit (staleness publish) or when the
-	// journal grows past its threshold, and a restarting shard replays
-	// snapshot+journal back to its pre-crash state. Leases are volatile
-	// on purpose — a restart revokes them all, which is what fences the
-	// pre-crash workers (see docs/PROTOCOL.md, "Snapshot and journal").
+	// DataDir, when non-empty, makes the shard durable: every mutating
+	// verb's request frame is appended to DataDir/journal before the verb
+	// applies, the journal is compacted — rewritten as the frames that
+	// rebuild the current state, then renamed over itself — at each
+	// commit (staleness publish) or after 4 MiB of appends, and a
+	// restarting shard replays it back to its pre-crash state. Leases are
+	// volatile on purpose — a restart revokes them all, which is what
+	// fences the pre-crash workers (see docs/PROTOCOL.md, "Journal
+	// format").
 	DataDir string
 	// WrapListener, when non-nil, wraps the shard's TCP listener before
 	// serving starts — the seam internal/fault's injecting listener
@@ -113,9 +114,10 @@ type ServerConfig struct {
 
 // Server is one state-store shard: a partition-range-validated blob map
 // with lease bookkeeping, serving the netstore protocol on a TCP
-// listener. All state is in memory; durability across iterations is the
-// engine's job (phase 1 rewrites every base blob), so the emulated
-// Device is the only "disk" a shard has.
+// listener. Its state lives in memory. With a DataDir, every mutating
+// verb is journaled before it applies and a restart replays the journal
+// (durable.go); the emulated Device is the cost model every verb is
+// charged against, not where the bytes live.
 type Server struct {
 	*frameListener
 	cfg    ServerConfig
@@ -156,6 +158,32 @@ type watcher struct {
 // background. The returned server is ready the moment this returns —
 // Addr reports the bound address.
 func NewServer(cfg ServerConfig) (*Server, error) {
+	s, err := newShard(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.DataDir != "" {
+		// Recover BEFORE binding the listener: no request is served
+		// until the pre-crash state is fully back, and recovery ends by
+		// revoking every lease — the restart itself fences workers that
+		// held tokens across the crash.
+		if err := s.recover(cfg.DataDir); err != nil {
+			return nil, fmt.Errorf("netstore: shard %d recover from %s: %w", cfg.Shard, cfg.DataDir, err)
+		}
+	}
+	if s.frameListener, err = listenFrames(cfg.Addr, cfg.WrapListener); err != nil {
+		if s.durable != nil {
+			s.durable.close()
+		}
+		return nil, err
+	}
+	s.serve(s.handle)
+	return s, nil
+}
+
+// newShard places an empty shard in its cluster, without a listener or
+// a journal.
+func newShard(cfg ServerConfig) (*Server, error) {
 	router, err := pigraph.NewShardRouter(cfg.NumPartitions, max(cfg.Shards, 1))
 	if err != nil {
 		return nil, fmt.Errorf("netstore: %w", err)
@@ -174,22 +202,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		tombstones: make(map[uint32]struct{}),
 	}
 	s.lo, s.hi = router.Range(cfg.Shard)
-	if cfg.DataDir != "" {
-		// Recover BEFORE binding the listener: no request is served
-		// until the pre-crash state is fully back, and recovery ends by
-		// revoking every lease — the restart itself fences workers that
-		// held tokens across the crash.
-		if err := s.recover(cfg.DataDir); err != nil {
-			return nil, fmt.Errorf("netstore: shard %d recover from %s: %w", cfg.Shard, cfg.DataDir, err)
-		}
-	}
-	if s.frameListener, err = listenFrames(cfg.Addr, cfg.WrapListener); err != nil {
-		if s.durable != nil {
-			s.durable.close()
-		}
-		return nil, err
-	}
-	s.serve(s.handle)
 	return s, nil
 }
 
@@ -221,8 +233,8 @@ func (s *Server) Close() error {
 }
 
 // handle answers one request frame (see handleFunc): a body too short
-// for its verb, or an unknown opcode, hangs up; everything else is
-// answered in-band.
+// for its verb (or, for a fixed-size mutating verb, too long), or an
+// unknown opcode, hangs up; everything else is answered in-band.
 func (s *Server) handle(op byte, body []byte, conn net.Conn) ([]byte, error) {
 	switch op {
 	case opGet:
@@ -232,42 +244,8 @@ func (s *Server) handle(op byte, body []byte, conn net.Conn) ([]byte, error) {
 		}
 		return s.get(p)
 
-	case opPut:
-		p, rest, err := cutU32(body)
-		if err != nil {
-			return nil, hangUp(err)
-		}
-		kind, rest, err := cutByte(rest)
-		if err != nil {
-			return nil, hangUp(err)
-		}
-		token, blob, err := cutU64(rest)
-		if err != nil {
-			return nil, hangUp(err)
-		}
-		return nil, s.put(p, kind, token, blob)
-
-	case opLease:
-		p, _, err := cutU32(body)
-		if err != nil {
-			return nil, hangUp(err)
-		}
-		token, err := s.lease(p)
-		if err != nil {
-			return nil, err
-		}
-		return appendU64(nil, token), nil
-
-	case opRelease:
-		p, rest, err := cutU32(body)
-		if err != nil {
-			return nil, hangUp(err)
-		}
-		token, _, err := cutU64(rest)
-		if err != nil {
-			return nil, hangUp(err)
-		}
-		return nil, s.release(p, token)
+	case opPut, opLease, opRelease, opClear, opPushUpd, opDrainUpd, opAddUser, opDelUser, opDrainMut:
+		return s.mutate(op, body)
 
 	case opCollect:
 		items, err := s.collect()
@@ -286,9 +264,6 @@ func (s *Server) handle(op byte, body []byte, conn net.Conn) ([]byte, error) {
 
 	case opWatch:
 		return nil, s.watch(conn)
-
-	case opClear:
-		return nil, s.clear()
 
 	case opEpoch:
 		p, _, err := cutU32(body)
@@ -323,29 +298,6 @@ func (s *Server) handle(op byte, body []byte, conn net.Conn) ([]byte, error) {
 		}
 		return encodeLookup(op, epoch, entry), nil
 
-	case opPushUpd:
-		return nil, s.pushUpdates(body)
-
-	case opDrainUpd:
-		return s.drainUpdates()
-
-	case opAddUser:
-		u, blob, err := cutU32(body)
-		if err != nil {
-			return nil, hangUp(err)
-		}
-		return nil, s.addUser(u, blob)
-
-	case opDelUser:
-		u, _, err := cutU32(body)
-		if err != nil {
-			return nil, hangUp(err)
-		}
-		return nil, s.delUser(u)
-
-	case opDrainMut:
-		return s.drainMutations()
-
 	case opStaleness:
 		s.mu.Lock()
 		blob := s.staleness
@@ -375,87 +327,322 @@ func encodeLookup(op byte, epoch uint64, entry ViewEntry) []byte {
 // shard u mod N, the same stable user-keyed mapping PUSHUPD routes by.
 // ADDUSER/DELUSER broadcast to every shard (tombstones must be globally
 // visible so point lookups miss immediately on whichever shard holds
-// the user's view), but only the owning shard journals the mutation, so
+// the user's view), but only the owning shard queues the mutation, so
 // the engine's drain sees each mutation exactly once.
 func (s *Server) ownsUser(u uint32) bool {
 	return int(u)%s.router.NumShards() == s.cfg.Shard
 }
 
-// addUser clears user u's tombstone (a re-add resurrects the id) and,
-// on u's owning shard, enqueues a MutAdd record carrying the profile
-// blob for the engine's next delta pass.
-func (s *Server) addUser(u uint32, profileBlob []byte) error {
-	batch := EncodeMutations([]Mutation{{Op: MutAdd, User: u, Profile: profileBlob}})
-	s.mu.Lock()
-	delete(s.tombstones, u)
-	owner := s.ownsUser(u)
-	if owner {
-		s.mutations = append(s.mutations, batch)
-	}
-	jerr := s.logRecordLocked(recAddUser, append(appendU32(nil, u), profileBlob...))
-	s.mu.Unlock()
-	if owner {
-		s.cfg.Device.Append(int64(len(batch)))
-	}
-	return jerr
+// command is one parsed mutating request. Its opcode and body as
+// received are its journal record (a LEASE record adds the granted
+// token); the other fields are what the verb carries and what prepare
+// derives from it.
+type command struct {
+	op    byte
+	body  []byte
+	p     uint32 // PUT, LEASE, RELEASE, the epoch record
+	kind  byte   // PUT kind
+	token uint64 // PUT, RELEASE; the token a LEASE grants
+	epoch uint64 // the epoch record
+	user  uint32 // ADDUSER, DELUSER
+	blob  []byte // PUT blob, PUSHUPD batch, ADDUSER profile
+
+	view  serveView // a view PUT's decode
+	batch []byte    // ADDUSER/DELUSER's mutation batch
 }
 
-// delUser tombstones user u — point lookups on this shard miss
-// immediately, before any delta commit — and, on u's owning shard,
-// enqueues a MutDel record for the engine's next delta pass. The
-// journal record lands first: were the append to fail after the
-// tombstone was set, a restart would resurrect a user its caller was
-// told is gone.
-func (s *Server) delUser(u uint32) error {
-	batch := EncodeMutations([]Mutation{{Op: MutDel, User: u}})
-	s.mu.Lock()
-	if err := s.logRecordLocked(recDelUser, appendU32(nil, u)); err != nil {
-		s.mu.Unlock()
-		return err
+// parseCommand cuts a mutating verb's body into a command — the one
+// parse live requests and journal replay share. A body that does not
+// hold exactly the verb's fields is refused: a live peer is hung up on,
+// and a journal holding it is corrupt.
+func parseCommand(op byte, body []byte) (command, error) {
+	c := command{op: op, body: body}
+	rest := body
+	var err error
+	switch op {
+	case opPut:
+		if c.p, rest, err = cutU32(rest); err != nil {
+			return c, err
+		}
+		if c.kind, rest, err = cutByte(rest); err != nil {
+			return c, err
+		}
+		c.token, c.blob, err = cutU64(rest)
+		return c, err
+	case opLease:
+		c.p, rest, err = cutU32(rest)
+	case opRelease:
+		if c.p, rest, err = cutU32(rest); err == nil {
+			c.token, rest, err = cutU64(rest)
+		}
+	case recEpoch:
+		if c.p, rest, err = cutU32(rest); err == nil {
+			c.epoch, rest, err = cutU64(rest)
+		}
+	case opPushUpd:
+		c.blob = body
+		return c, nil
+	case opAddUser:
+		c.user, c.blob, err = cutU32(rest)
+		return c, err
+	case opDelUser:
+		c.user, rest, err = cutU32(rest)
+	case opClear, opDrainUpd, opDrainMut:
+	default:
+		return c, fmt.Errorf("netstore: opcode 0x%02x is not a mutating verb", op)
 	}
-	s.tombstones[u] = struct{}{}
-	owner := s.ownsUser(u)
-	if owner {
-		s.mutations = append(s.mutations, batch)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("netstore: %d trailing bytes after the fields of opcode 0x%02x", len(rest), op)
 	}
-	s.mu.Unlock()
-	if owner {
-		s.cfg.Device.Append(int64(len(batch)))
+	return c, err
+}
+
+// prepare derives what apply needs but should not compute under s.mu —
+// a view's decode, a mutation's batch — and refuses a PUT kind no verb
+// defines. Live requests and replay both run it.
+func (c *command) prepare() error {
+	switch {
+	case c.op == opPut:
+		switch c.kind {
+		case putView, putDeltaView:
+			// The epoch stamp is set at apply.
+			view, err := newServeView(0, c.blob)
+			if err != nil {
+				return fmt.Errorf("netstore: view of partition %d: %w", c.p, err)
+			}
+			c.view = view
+		case putBase, putPartial, putStale:
+		default:
+			return fmt.Errorf("netstore: unknown PUT kind 0x%02x", c.kind)
+		}
+	case c.op == opAddUser:
+		c.batch = EncodeMutations([]Mutation{{Op: MutAdd, User: c.user, Profile: c.blob}})
+	case c.op == opDelUser:
+		c.batch = EncodeMutations([]Mutation{{Op: MutDel, User: c.user}})
 	}
 	return nil
 }
 
-// drainMutations returns the concatenated pending mutation batches (in
-// arrival order) and clears the queue — same shape as drainUpdates.
-func (s *Server) drainMutations() ([]byte, error) {
-	return s.drainQueue(&s.mutations, recDrainMut)
-}
-
-// drainQueue hands out one pending queue, each batch length-prefixed,
-// and clears it, charging the drained volume as one sequential read.
-// The drain is journaled before the queue is cleared and fails without
-// clearing it when the append does: a drain the journal never saw would
-// be replayed by a restart, handing the engine the same batches twice.
-func (s *Server) drainQueue(queue *[][]byte, rec byte) ([]byte, error) {
-	s.mu.Lock()
-	if err := s.logRecordLocked(rec, nil); err != nil {
-		s.mu.Unlock()
+// mutate runs one live mutating request: parse → validate → journal →
+// apply → charge the device. Nothing reaches memory before its record
+// reaches the journal, so a verb whose append fails leaves the shard
+// exactly as its log says it is.
+func (s *Server) mutate(op byte, body []byte) ([]byte, error) {
+	c, err := parseCommand(op, body)
+	if err != nil {
+		return nil, hangUp(err)
+	}
+	if err := s.admit(&c); err != nil {
 		return nil, err
 	}
-	batches := *queue
-	*queue = nil
+	s.mu.Lock()
+	err = s.checkLocked(&c)
+	if err == nil {
+		err = s.journalLocked(&c)
+	}
+	var drained [][]byte
+	if err == nil {
+		drained = s.applyLocked(&c)
+		if c.op == opPut && c.kind == putStale {
+			// A staleness publish is the engine's per-iteration commit
+			// marker. Its record is journaled and applied, so a failed
+			// compaction leaves the old journal whole, and the caller's
+			// retry replaces the document with itself.
+			err = s.compactLocked()
+		}
+	}
 	s.mu.Unlock()
-	var out []byte
-	var volume int64
-	for _, b := range batches {
-		out = appendU32(out, uint32(len(b)))
-		out = append(out, b...)
-		volume += int64(len(b))
+	if err != nil {
+		return nil, err
 	}
-	if volume > 0 {
-		s.cfg.Device.Read(volume)
+	return s.finish(&c, drained), nil
+}
+
+// admit is the validation of a live command that reads no shard state:
+// the range check, the fault gate, the update batch's decode, and
+// prepare. The gate fires before anything mutates, which is what makes
+// statusRetry's promise structurally true.
+func (s *Server) admit(c *command) error {
+	switch {
+	case c.op == opPut || c.op == opLease || c.op == opRelease:
+		if err := s.checkRange(c.p); err != nil {
+			return err
+		}
+	case c.op == opPushUpd:
+		// A corrupt batch fails its sender, not the draining engine.
+		if _, err := DecodeUpdates(c.blob); err != nil {
+			return err
+		}
 	}
-	return out, nil
+	if c.op == opPut {
+		switch c.kind {
+		case putBase:
+			if err := s.faultGate(disk.AccessWrite, int64(len(c.blob))); err != nil {
+				return err
+			}
+		case putPartial, putView, putDeltaView:
+			if err := s.faultGate(disk.AccessAppend, int64(len(c.blob))); err != nil {
+				return err
+			}
+		case putStale:
+			// Pure metadata, never charged to the device — so no injected
+			// device fault either; prepare refuses an unknown kind.
+		}
+	}
+	return c.prepare()
+}
+
+// checkLocked is the validation of a live command against shard state;
+// caller holds s.mu. A partial PUT or a RELEASE must carry a live lease
+// token, and a LEASE needs stored state and is granted the next token
+// here, before apply, so its record can carry it.
+func (s *Server) checkLocked(c *command) error {
+	switch {
+	case c.op == opPut && c.kind == putPartial, c.op == opRelease:
+		if _, live := s.leases[c.p][c.token]; !live {
+			return fmt.Errorf("%w: partition %d token %d", ErrStaleLease, c.p, c.token)
+		}
+	case c.op == opLease:
+		if _, ok := s.base[c.p]; !ok {
+			return fmt.Errorf("netstore: lease of partition %d with no stored state", c.p)
+		}
+		c.token = s.nextToken + 1
+	}
+	return nil
+}
+
+// applyLocked is a mutating verb's one state transition, shared by live
+// requests and replay; caller holds s.mu. It cannot fail — parse,
+// prepare and a live request's validation have refused anything it
+// could not apply — and it is the only writer of the shard's durable
+// maps. A drain returns the batches it took.
+func (s *Server) applyLocked(c *command) (drained [][]byte) {
+	switch c.op {
+	case opPut:
+		switch c.kind {
+		case putBase:
+			// A base PUT opens a new epoch for the partition: partials from
+			// the previous iteration are dropped, every outstanding lease
+			// is revoked — so a zombie worker's later write-back fails the
+			// fencing check instead of contaminating the fresh state — and
+			// the partition's epoch counter advances, which is what lets
+			// read replicas detect that their cached view is stale.
+			s.base[c.p] = c.blob
+			delete(s.partials, c.p)
+			delete(s.leases, c.p)
+			s.epochs[c.p]++
+		case putPartial:
+			if s.partials[c.p] == nil {
+				s.partials[c.p] = make(map[uint64][]byte)
+			}
+			s.partials[c.p][c.token] = c.blob
+		case putView:
+			// The committed serve view, stamped with the partition's current
+			// epoch (the one the publishing iteration's base PUT opened).
+			// Installed atomically — a point lookup sees the old complete
+			// view or the new complete view, never a mix.
+			c.view.epoch = s.epochs[c.p]
+			s.installViewLocked(c.p, c.view)
+		case putDeltaView:
+			// A delta republish: no base install opened a new epoch, so the
+			// PUT itself bumps the counter and stamps the view with the new
+			// value — the moved stamp a replica's read probe compares.
+			// Compute state (base, partials, leases) is untouched.
+			s.epochs[c.p]++
+			c.view.epoch = s.epochs[c.p]
+			s.installViewLocked(c.p, c.view)
+		case putStale:
+			s.staleness = c.blob
+		default:
+			panic("netstore: apply of an unprepared PUT kind")
+		}
+	case opLease:
+		// Replay re-grants the lease too; recovery revokes every lease
+		// afterwards, so what survives is nextToken — a restarted shard
+		// never re-grants a pre-crash token.
+		s.nextToken = max(s.nextToken, c.token)
+		if s.leases[c.p] == nil {
+			s.leases[c.p] = make(map[uint64]struct{})
+		}
+		s.leases[c.p][c.token] = struct{}{}
+	case opRelease:
+		delete(s.leases[c.p], c.token)
+	case recEpoch:
+		s.epochs[c.p] = c.epoch
+	case opClear:
+		clear(s.base)
+		clear(s.partials)
+		clear(s.leases)
+	case opPushUpd:
+		s.updates = append(s.updates, c.blob)
+	case opAddUser:
+		// A re-add resurrects a tombstoned id.
+		delete(s.tombstones, c.user)
+		if s.ownsUser(c.user) {
+			s.mutations = append(s.mutations, c.batch)
+		}
+	case opDelUser:
+		s.tombstones[c.user] = struct{}{}
+		if s.ownsUser(c.user) {
+			s.mutations = append(s.mutations, c.batch)
+		}
+	case opDrainUpd:
+		drained, s.updates = s.updates, nil
+	case opDrainMut:
+		drained, s.mutations = s.mutations, nil
+	default:
+		panic(fmt.Sprintf("netstore: apply of opcode 0x%02x", c.op))
+	}
+	return drained
+}
+
+// finish charges a live command's device time and builds its response.
+// It runs outside s.mu: the device serializes itself, and holding the
+// mutex through a modeled sleep would block other partitions'
+// bookkeeping.
+func (s *Server) finish(c *command, drained [][]byte) []byte {
+	switch c.op {
+	case opPut:
+		// A base PUT installs a partition's state wherever it lives — a
+		// random write. A partial — and a view publish — is a blind append
+		// to the shard's journal (the log-structured write path collect's
+		// per-partition read model assumes), so it pays sequential transfer
+		// with no seek. A staleness publish is pure metadata, like EPOCH.
+		switch c.kind {
+		case putBase:
+			s.cfg.Device.Write(int64(len(c.blob)))
+		case putPartial, putView, putDeltaView:
+			s.cfg.Device.Append(int64(len(c.blob)))
+		case putStale:
+		}
+		return nil
+	case opLease:
+		return appendU64(nil, c.token)
+	case opPushUpd:
+		s.cfg.Device.Append(int64(len(c.blob)))
+		return nil
+	case opAddUser, opDelUser:
+		if s.ownsUser(c.user) {
+			s.cfg.Device.Append(int64(len(c.batch)))
+		}
+		return nil
+	case opDrainUpd, opDrainMut:
+		// The queue hands out its batches, each length-prefixed, as one
+		// sequential read of the drained volume.
+		var out []byte
+		var volume int64
+		for _, b := range drained {
+			out = appendU32(out, uint32(len(b)))
+			out = append(out, b...)
+			volume += int64(len(b))
+		}
+		if volume > 0 {
+			s.cfg.Device.Read(volume)
+		}
+		return out
+	default:
+		return nil // RELEASE and CLEAR touch no device and answer nothing
+	}
 }
 
 // checkRange validates shard ownership — the router is the only
@@ -497,112 +684,6 @@ func (s *Server) get(p uint32) ([]byte, error) {
 	// needlessly block lease bookkeeping of other partitions.
 	s.cfg.Device.Read(int64(len(blob)))
 	return blob, nil
-}
-
-func (s *Server) put(p uint32, kind byte, token uint64, blob []byte) error {
-	if err := s.checkRange(p); err != nil {
-		return err
-	}
-	switch kind {
-	case putBase:
-		if err := s.faultGate(disk.AccessWrite, int64(len(blob))); err != nil {
-			return err
-		}
-	case putPartial, putView, putDeltaView:
-		if err := s.faultGate(disk.AccessAppend, int64(len(blob))); err != nil {
-			return err
-		}
-	case putStale:
-		// Pure metadata, never charged to the device — so no injected
-		// device fault either; an unknown kind fails in the state
-		// switch below.
-	}
-	stored := append([]byte(nil), blob...)
-	var view serveView
-	if kind == putView || kind == putDeltaView {
-		// Decode outside the state mutex — a view covers a whole
-		// partition's membership and lookups should not stall on it.
-		// The epoch stamp is set at install.
-		var err error
-		if view, err = newServeView(0, stored); err != nil {
-			return fmt.Errorf("netstore: view of partition %d: %w", p, err)
-		}
-	}
-	s.mu.Lock()
-	switch kind {
-	case putBase:
-		// A base PUT opens a new epoch for the partition: partials from
-		// the previous iteration are dropped, every outstanding lease
-		// is revoked — so a zombie worker's later write-back fails the
-		// fencing check instead of contaminating the fresh state — and
-		// the partition's epoch counter advances, which is what lets
-		// read replicas detect that their cached view is stale.
-		s.base[p] = stored
-		delete(s.partials, p)
-		delete(s.leases, p)
-		s.epochs[p]++
-	case putPartial:
-		if _, live := s.leases[p][token]; !live {
-			s.mu.Unlock()
-			return fmt.Errorf("%w: partition %d token %d", ErrStaleLease, p, token)
-		}
-		if s.partials[p] == nil {
-			s.partials[p] = make(map[uint64][]byte)
-		}
-		s.partials[p][token] = stored
-	case putView:
-		// The committed serve view, stamped with the partition's current
-		// epoch (the one the publishing iteration's base PUT opened).
-		// Installed atomically — a point lookup sees the old complete
-		// view or the new complete view, never a mix.
-		view.epoch = s.epochs[p]
-		s.installViewLocked(p, view)
-	case putDeltaView:
-		// A delta republish: no base install opened a new epoch, so the
-		// PUT itself bumps the counter and stamps the view with the new
-		// value — the moved stamp a replica's read probe compares.
-		// Compute state (base, partials, leases) is untouched.
-		s.epochs[p]++
-		view.epoch = s.epochs[p]
-		s.installViewLocked(p, view)
-	case putStale:
-		s.staleness = stored
-	default:
-		s.mu.Unlock()
-		return fmt.Errorf("netstore: unknown PUT kind 0x%02x", kind)
-	}
-	// Journal the applied PUT while still holding the state mutex, so
-	// journal order IS application order — replay cannot invert two
-	// racing writes. A staleness publish is the engine's per-iteration
-	// commit marker, so it also cuts a snapshot.
-	body := appendU32(nil, p)
-	body = append(body, kind)
-	body = appendU64(body, token)
-	body = append(body, stored...)
-	jerr := s.logRecordLocked(recPut, body)
-	if jerr == nil {
-		jerr = s.maybeSnapshotLocked(kind == putStale)
-	}
-	s.mu.Unlock()
-	if jerr != nil {
-		return jerr
-	}
-	// A base PUT installs a partition's state wherever it lives — a
-	// random write. A partial — and a view publish — is a blind append
-	// to the shard's journal (the log-structured write path collect's
-	// per-partition read model assumes), so it pays sequential transfer
-	// with no seek. A staleness publish is pure metadata, like EPOCH.
-	switch kind {
-	case putBase:
-		s.cfg.Device.Write(int64(len(blob)))
-	case putPartial, putView, putDeltaView:
-		s.cfg.Device.Append(int64(len(blob)))
-	case putStale:
-		// metadata only — no device charge
-	default:
-		panic("unreachable: kind validated above")
-	}
-	return nil
 }
 
 // installViewLocked makes v partition p's serve view and ships it to
@@ -747,68 +828,6 @@ func (s *Server) lookup(u uint32) (uint64, ViewEntry, error) {
 	return epoch, entry, nil
 }
 
-// pushUpdates enqueues one encoded batch of profile updates for the
-// engine's next phase 5. The batch is validated on arrival so a corrupt
-// frame fails its sender, not the draining engine. Appending to the
-// update journal is sequential — no seek.
-func (s *Server) pushUpdates(blob []byte) error {
-	if _, err := DecodeUpdates(blob); err != nil {
-		return err
-	}
-	stored := append([]byte(nil), blob...)
-	s.mu.Lock()
-	s.updates = append(s.updates, stored)
-	jerr := s.logRecordLocked(recPushUpd, stored)
-	s.mu.Unlock()
-	s.cfg.Device.Append(int64(len(blob)))
-	return jerr
-}
-
-// drainUpdates returns the concatenated pending update batches (in
-// arrival order) and clears the queue. The response payload is a
-// sequence of encoded batches, each length-prefixed.
-func (s *Server) drainUpdates() ([]byte, error) {
-	return s.drainQueue(&s.updates, recDrainUpd)
-}
-
-func (s *Server) lease(p uint32) (uint64, error) {
-	if err := s.checkRange(p); err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.base[p]; !ok {
-		return 0, fmt.Errorf("netstore: lease of partition %d with no stored state", p)
-	}
-	s.nextToken++
-	token := s.nextToken
-	if s.leases[p] == nil {
-		s.leases[p] = make(map[uint64]struct{})
-	}
-	s.leases[p][token] = struct{}{}
-	// Journal the grant for token monotonicity only: replay advances
-	// nextToken past every token ever issued, so a restarted shard can
-	// never re-grant a pre-crash token. The lease itself is volatile —
-	// recovery revokes it, which is the fencing.
-	if err := s.logRecordLocked(recLease, appendU64(appendU32(nil, p), token)); err != nil {
-		return 0, err
-	}
-	return token, nil
-}
-
-func (s *Server) release(p uint32, token uint64) error {
-	if err := s.checkRange(p); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, live := s.leases[p][token]; !live {
-		return fmt.Errorf("%w: release of partition %d token %d", ErrStaleLease, p, token)
-	}
-	delete(s.leases[p], token)
-	return nil
-}
-
 // collect snapshots every stored partition in ascending id order,
 // charging the spindle one read per partition covering the partition's
 // full volume (base plus partials): a partition's partials append to
@@ -823,19 +842,11 @@ func (s *Server) collect() ([]CollectItem, error) {
 		return nil, err
 	}
 	s.mu.Lock()
-	ids := make([]uint32, 0, len(s.base))
-	for id := range s.base {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := sortedKeys(s.base)
 	items := make([]CollectItem, 0, len(ids))
 	for _, id := range ids {
 		byToken := s.partials[id]
-		tokens := make([]uint64, 0, len(byToken))
-		for t := range byToken {
-			tokens = append(tokens, t)
-		}
-		sort.Slice(tokens, func(i, j int) bool { return tokens[i] < tokens[j] })
+		tokens := sortedKeys(byToken)
 		parts := make([][]byte, 0, len(tokens))
 		for _, t := range tokens {
 			parts = append(parts, byToken[t])
@@ -855,21 +866,4 @@ func (s *Server) collect() ([]CollectItem, error) {
 		s.cfg.Device.Read(volume)
 	}
 	return items, nil
-}
-
-// clear drops the compute-side state (bases, partials, leases) but
-// keeps the serving side — epochs, views, user index, pending updates,
-// pending mutations, tombstones, and the published staleness document.
-// The engine clears the store at the end of every iteration, after the
-// serve views are published; wiping them would blind the serving tier
-// between iterations, and resetting epochs would let a replica mistake
-// a fresh run's view for the one it already cached.
-func (s *Server) clear() error {
-	s.mu.Lock()
-	s.base = make(map[uint32][]byte)
-	s.partials = make(map[uint32]map[uint64][]byte)
-	s.leases = make(map[uint32]map[uint64]struct{})
-	err := s.logRecordLocked(recClear, nil)
-	s.mu.Unlock()
-	return err
 }

@@ -14,7 +14,8 @@
 # statestore processes (-shard/-shards with a shared -datadir), start a
 # longer knnrun whose engine retry budget (-iterretries) outlasts a
 # shard restart, SIGKILL one shard mid-run, restart it over the same
-# data directory (snapshot+journal recovery, lease fencing), and require
+# data directory (journal replay — the shard's one file, compacted at
+# each commit — and lease fencing), and require
 # the healed run's graph to be byte-identical to the fault-free
 # reference; the iterations that had to restart their compute are
 # listed from the "attempts" column of knnrun's rows.
