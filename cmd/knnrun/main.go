@@ -190,7 +190,7 @@ func run(out io.Writer, cfg config) error {
 	}
 	fmt.Fprintf(out, "engine: k=%d m=%d heuristic=%s partitioner=%s sim=%s workers=%d execworkers=%d buildworkers=%d slots=%d prefetch=%d writeback=%v shardahead=%d ondisk=%v netstore=%s\n\n",
 		opts.K, opts.NumPartitions, eng.Heuristic().Name(), p.Name(), sim.Name(), opts.Workers, opts.ExecWorkers, opts.BuildWorkers, opts.Slots, opts.PrefetchDepth, opts.AsyncWriteback, opts.ShardPrefetch, opts.OnDisk, netDesc)
-	fmt.Fprintln(out, "iter  phase1(part)  phase2(tuples)  phase3(pi)  phase4(score)  phase5(upd)  ops  reads  attached  writes  collected  shards  prefetched  async-wb  changed  attempts")
+	fmt.Fprintln(out, "iter  phase1(part)  phase2(tuples)  phase3(pi)  phase4(score)  phase5(upd)  ops  reads  attached  builds  writes  collected  shards  prefetched  async-wb  changed  attempts")
 
 	for i := 0; i < cfg.iters; i++ {
 		if opts.StalenessThreshold > 0 {
@@ -224,10 +224,10 @@ func run(out io.Writer, cfg config) error {
 			}
 			fmt.Fprintf(out, "iteration %d: committed but publish failed: %v\n", st.Iteration, err)
 		}
-		fmt.Fprintf(out, "%4d  %12v  %14v  %10v  %13v  %11v  %5d  %5d  %8d  %6d  %9d  %6d  %10d  %8d  %7d  %8d\n",
+		fmt.Fprintf(out, "%4d  %12v  %14v  %10v  %13v  %11v  %5d  %5d  %8d  %6d  %6d  %9d  %6d  %10d  %8d  %7d  %8d\n",
 			st.Iteration, st.Phases.Partition, st.Phases.Tuples, st.Phases.PIGraph,
 			st.Phases.Score, st.Phases.Update, st.Ops(), st.MediumReads, st.Attaches,
-			st.StateWrites, st.CollectReads, st.ShardReads, st.PrefetchedLoads, st.AsyncUnloads, st.EdgeChanges, st.Attempts)
+			st.StateBuilds, st.StateWrites, st.CollectReads, st.ShardReads, st.PrefetchedLoads, st.AsyncUnloads, st.EdgeChanges, st.Attempts)
 		if st.EdgeChanges == 0 {
 			fmt.Fprintln(out, "converged")
 			break

@@ -33,7 +33,7 @@ func TestRunSmokes(t *testing.T) {
 // TestRunDefaultHeuristic: an empty -heuristic leaves the choice to the
 // engine, whose default plans for the run's -slots and -execworkers,
 // and the iteration rows split loads into reads and attaches, next to
-// the state writes and collect reads.
+// the state builds, the state writes and collect reads.
 func TestRunDefaultHeuristic(t *testing.T) {
 	cfg := smallConfig()
 	cfg.heuristic = ""
@@ -42,7 +42,7 @@ func TestRunDefaultHeuristic(t *testing.T) {
 	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"heuristic=Max-Reuse", "reads  attached  writes  collected  shards"} {
+	for _, want := range []string{"heuristic=Max-Reuse", "reads  attached  builds  writes  collected  shards"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, buf.String())
 		}

@@ -12,11 +12,13 @@ import (
 
 // This file is the engine's parallel build side: phases 1–2 sharded
 // across Options.BuildWorkers producer goroutines. Phase-1 state
-// construction is embarrassingly parallel (each partition's state
-// depends only on that partition's members and the read-only canonical
-// profiles); phase 2 has three independent tuple streams — one bridge
-// generator per partition, the direct edges of G(t) cut into contiguous
-// ranges, and the exploration stream sharded by user range with a
+// construction — which only the network store does up front; the
+// in-process store builds each state at its first load — is
+// embarrassingly parallel (each partition's state depends only on that
+// partition's members and the read-only canonical profiles); phase 2
+// has three independent tuple streams — one bridge generator per
+// partition, the direct edges of G(t) cut into contiguous ranges, and
+// the exploration stream sharded by user range with a
 // per-(iteration, user) derived RNG seed — all feeding the hash table H
 // through a batched emit path. H de-duplicates and counts per shard, so
 // its contents, Added() tally and ShardCounts() are a pure function of
@@ -91,33 +93,24 @@ func runBuildTasks(ctx context.Context, workers int, tasks []func(context.Contex
 	return ctx.Err()
 }
 
-// buildStates runs phase 1's state construction: every partition's
-// members, profile snapshots and empty accumulators, built on the
-// worker pool and persisted through the state store. Partition states
-// are mutually independent and the canonical profile store is
-// read-only here, so the stored blobs are identical at every worker
-// count; only the Put order varies, which no reader can observe
+// buildEach runs fn over every partition on a pool of workers
+// goroutines: the network store's phase-1 state builds and base PUTs.
+// Partition states are mutually independent and the canonical profile
+// store is read-only here, so the stored blobs are identical at every
+// worker count; only the PUT order varies, which no reader can observe
 // (Collect streams in id order).
-func (e *Engine) buildStates(ctx context.Context, parts []*partition.Data, states partStore) error {
-	workers := e.buildWorkerCount()
+func buildEach(ctx context.Context, workers int, parts []*partition.Data, fn func(p *partition.Data) error) error {
+	workers = max(1, workers)
 	tasks := make([]func(context.Context) error, 0, len(parts))
 	// Stride-interleave the task order so the first wave of concurrent
-	// Puts spans the partition space: a sharded state store owns
+	// PUTs spans the partition space: a sharded state store owns
 	// contiguous partition ranges, so submitting 0,1,2,... would land
 	// a whole wave on one or two shard spindles while the rest idle.
-	// Put order is unobservable (Collect streams in id order), so this
-	// is pure scheduling.
 	stride := (len(parts) + workers - 1) / workers
 	for r := 0; r < stride; r++ {
 		for q := r; q < len(parts); q += stride {
 			p := parts[q]
-			tasks = append(tasks, func(context.Context) error {
-				st, err := newPartState(p, e.profiles, e.opts.K)
-				if err != nil {
-					return err
-				}
-				return states.put(st)
-			})
+			tasks = append(tasks, func(context.Context) error { return fn(p) })
 		}
 	}
 	return runBuildTasks(ctx, workers, tasks)

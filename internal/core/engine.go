@@ -71,19 +71,21 @@ type Options struct {
 	// single-cursor guidance can fail an ExecWorkers>1 iteration with
 	// ErrBudgetExceeded on some runs and not others.
 	ExecWorkers int
-	// BuildWorkers parallelizes the build side, phases 1–2: partition
-	// state construction runs one partition per pool slot, and the
-	// three phase-2 tuple streams (bridge generators, direct edges,
-	// random exploration) produce concurrently into the hash table H
-	// through batched adds (default 1, the serial build). The build
-	// output is bit-identical at every worker count: H de-duplicates
-	// and counts per shard, so everything downstream — ShardCounts,
-	// the PI graph, the schedule, and therefore the Table 1
-	// Loads/Unloads accounting — depends only on the tuple multiset,
-	// which the producer decomposition preserves exactly. Unlike
-	// ExecWorkers, BuildWorkers needs no extra MemoryBudget headroom:
-	// partition states are built, persisted and released one at a
-	// time per slot, never held resident.
+	// BuildWorkers parallelizes the build side, phases 1–2: the three
+	// phase-2 tuple streams (bridge generators, direct edges, random
+	// exploration) produce concurrently into the hash table H through
+	// batched adds, and over a network store phase 1's state
+	// construction and base PUTs run one partition per pool slot
+	// (default 1, the serial build). In process, phase 1 builds no
+	// state: the partition store builds each at its first load. The
+	// build output is bit-identical at every worker count: H
+	// de-duplicates and counts per shard, so everything downstream —
+	// ShardCounts, the PI graph, the schedule, and therefore the
+	// Table 1 Loads/Unloads accounting — depends only on the tuple
+	// multiset, which the producer decomposition preserves exactly.
+	// Unlike ExecWorkers, BuildWorkers needs no extra MemoryBudget
+	// headroom: partition states are built, stored and released one
+	// at a time per slot, never held resident.
 	BuildWorkers int
 	// Slots is the phase-4 memory budget S: at most S partitions
 	// resident at once (default 2, the paper's model; must be ≥ 2).
@@ -685,9 +687,11 @@ func (e *Engine) retryStore(ctx context.Context, op func() error) error {
 // restarts from phase 1, not from the failed phase: the tuple table is
 // consume-once (phase 4 deletes each shard's spill as it scores it), so
 // phases 2–3 must be rebuilt anyway, and phase 1's base PUT is the
-// store's fencing point — it drops the partition's partials and revokes
-// its leases — so nothing the failed attempt, or a worker still in
-// flight from it, left on a shard reaches the new attempt's collect.
+// network store's fencing point — it drops the partition's partials and
+// revokes its leases — so nothing the failed attempt, or a worker still
+// in flight from it, left on a shard reaches the new attempt's collect.
+// Only the network store is retried; the in-process store writes
+// nothing in phase 1.
 func (e *Engine) compute(ctx context.Context, states partStore, stats *IterationStats) (*iteration, error) {
 	it := &iteration{stats: stats, states: states}
 	defer func() {
@@ -713,9 +717,11 @@ func (e *Engine) compute(ctx context.Context, states partStore, stats *Iteration
 	return it, nil
 }
 
-// phasePartition is phase 1: partition G(t), then build every
-// partition's state — member profile snapshots plus empty accumulators
-// — on the BuildWorkers pool and install it in the partition store.
+// phasePartition is phase 1: partition G(t), then open the partition
+// store over the partitioning with the builder of each partition's
+// fresh state — member profile snapshots plus empty accumulators. The
+// network store builds and PUTs every state now, on the BuildWorkers
+// pool; the in-process one builds each at its first load.
 func (e *Engine) phasePartition(ctx context.Context, it *iteration) error {
 	it.dg = e.g.Digraph()
 	assign, err := e.opts.Partitioner.Partition(it.dg, e.opts.NumPartitions)
@@ -726,7 +732,8 @@ func (e *Engine) phasePartition(ctx context.Context, it *iteration) error {
 	it.parts = partition.Build(it.dg, assign)
 	it.stats.PartitionObjective = partition.Objective(it.dg, assign)
 	it.stats.BuildWorkers = e.buildWorkerCount()
-	if err := e.buildStates(ctx, it.parts, it.states); err != nil {
+	build := func(p *partition.Data) (*partState, error) { return newPartState(p, e.profiles, e.opts.K) }
+	if err := it.states.open(ctx, it.parts, build, it.stats.BuildWorkers); err != nil {
 		return fmt.Errorf("state init: %w", err)
 	}
 	return nil
@@ -832,7 +839,8 @@ func (e *Engine) phaseScore(ctx context.Context, it *iteration) error {
 	st.Loads, st.Unloads = result.Loads, result.Unloads
 	st.PrefetchedLoads = result.PrefetchedLoads
 	st.AsyncUnloads = result.AsyncUnloads
-	st.MediumReads, st.Attaches = shared.reads.Load(), shared.attaches.Load()
+	st.MediumReads, st.Attaches = shared.loads[fromMedium].Load(), shared.loads[fromPeer].Load()
+	st.StateBuilds = shared.loads[fromBuild].Load()
 	st.StateWrites = e.iostats.Snapshot().Unloads - writesBefore
 	st.ExecWorkers = len(perWorker)
 	st.WorkerOps = make([]int64, len(perWorker))
@@ -853,9 +861,12 @@ func (e *Engine) phaseScore(ctx context.Context, it *iteration) error {
 	// A COLLECT stream that dies mid-flight is not resumed (the client
 	// contract — see Client.Collect); like any other failure in here it
 	// fails the attempt.
-	if st.CollectReads, err = it.states.collect(); err != nil {
+	reads, builds, err := it.states.collect()
+	if err != nil {
 		return fmt.Errorf("collect: %w", err)
 	}
+	st.CollectReads = reads
+	st.StateBuilds += builds
 	it.next = next
 	st.EdgeChanges = e.g.DiffEdges(next)
 	return nil
@@ -1136,8 +1147,8 @@ type phase4Shared struct {
 	owner  partStore
 	table  *tuples.DiskTable
 	scored atomic.Int64
-	// reads and attaches split the tape loads by what each acquire cost.
-	reads, attaches atomic.Int64
+	// loads splits the tape loads by what each acquire cost.
+	loads [numStateSources]atomic.Int64
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -1225,15 +1236,11 @@ func (w *phase4Worker) fetch(id uint32) (any, error) {
 	if err := w.shared.ctxErr(); err != nil {
 		return nil, err
 	}
-	st, attached, err := w.shared.owner.acquire(w.index, id)
+	st, src, err := w.shared.owner.acquire(w.index, id)
 	if err != nil {
 		return nil, w.shared.fail(err)
 	}
-	if attached {
-		w.shared.attaches.Add(1)
-	} else {
-		w.shared.reads.Add(1)
-	}
+	w.shared.loads[src].Add(1)
 	return st, nil
 }
 

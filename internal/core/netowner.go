@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 
 	"knnpc/internal/disk"
 	"knnpc/internal/netstore"
+	"knnpc/internal/partition"
 )
 
 // storeTransient reports whether err is a store failure the engine's
@@ -19,9 +21,11 @@ func storeTransient(err error) bool {
 }
 
 // netOwner is the partition store behind the sharded network KV — the
-// in-process partOwner's guards replaced by store-side leases. Phase 1
-// PUTs base blobs, collect streams every shard's base state merged with
-// the workers' accumulated partials, cleanup clears the cluster. Where
+// in-process partOwner's guards replaced by store-side leases. open
+// builds every partition's state and PUTs it as the base blob — the
+// store's fencing point — collect streams every shard's base state
+// merged with the workers' accumulated partials, cleanup clears the
+// cluster. Where
 // partOwner refcounts one shared in-memory instance per partition,
 // netOwner gives every tape worker its own private copy:
 //
@@ -85,43 +89,53 @@ func newNetOwner(client *netstore.Client, budget *disk.Budget, stats *disk.IOSta
 	}
 }
 
-func (o *netOwner) put(st *partState) error {
-	blob := st.encode()
-	if err := o.client.PutBase(st.id, blob); err != nil {
-		return err
-	}
-	o.stats.AddWrite(int64(len(blob)))
-	return nil
+// open builds every partition's state on the build pool and PUTs it as
+// the partition's base. That PUT is the store's fencing point: it
+// revokes the partition's leases, drops its partials and bumps its
+// epoch, so nothing an earlier attempt left reaches this one's collect.
+func (o *netOwner) open(ctx context.Context, parts []*partition.Data, build stateBuilder, workers int) error {
+	return buildEach(ctx, workers, parts, func(p *partition.Data) error {
+		st, err := build(p)
+		if err != nil {
+			return err
+		}
+		blob := st.encode()
+		if err := o.client.PutBase(st.id, blob); err != nil {
+			return err
+		}
+		o.stats.AddWrite(int64(len(blob)))
+		return nil
+	})
 }
 
-func (o *netOwner) acquire(worker int, id uint32) (*partState, bool, error) {
+func (o *netOwner) acquire(worker int, id uint32) (*partState, stateSource, error) {
 	token, err := o.client.Lease(id)
 	if err != nil {
-		return nil, false, fmt.Errorf("core: lease partition %d: %w", id, err)
+		return nil, 0, fmt.Errorf("core: lease partition %d: %w", id, err)
 	}
 	blob, err := o.client.Get(id)
 	if err != nil {
 		// Best-effort: the shard that failed the GET may still honor the
 		// release; a leaked lease is revoked by the next epoch anyway.
 		_ = o.client.Release(id, token)
-		return nil, false, fmt.Errorf("core: load partition %d: %w", id, err)
+		return nil, 0, fmt.Errorf("core: load partition %d: %w", id, err)
 	}
 	st, err := decodePartState(blob, o.k)
 	if err != nil {
 		_ = o.client.Release(id, token)
-		return nil, false, err
+		return nil, 0, err
 	}
 	size := int64(st.byteSize())
 	if err := o.budget.Reserve(size); err != nil {
 		_ = o.client.Release(id, token)
-		return nil, false, err
+		return nil, 0, err
 	}
 	o.stats.AddRead(int64(len(blob)))
 	o.stats.AddLoad()
 	o.mu.Lock()
 	o.held[netHold{worker, id}] = &netLease{st: st, token: token, size: size}
 	o.mu.Unlock()
-	return st, false, nil
+	return st, fromMedium, nil
 }
 
 func (o *netOwner) release(worker int, id uint32, writeBack bool) error {
@@ -182,9 +196,8 @@ func (o *netOwner) abort() {
 
 func (o *netOwner) arm(_ []int, emit func(st *partState) error) { o.emit = emit }
 
-func (o *netOwner) collect() (int64, error) {
-	var reads int64
-	err := o.client.Collect(func(it netstore.CollectItem) error {
+func (o *netOwner) collect() (reads, builds int64, err error) {
+	err = o.client.Collect(func(it netstore.CollectItem) error {
 		st, err := decodePartState(it.Base, o.k)
 		if err != nil {
 			return err
@@ -201,7 +214,7 @@ func (o *netOwner) collect() (int64, error) {
 		reads++
 		return o.emit(st)
 	})
-	return reads, err
+	return reads, 0, err
 }
 
 func (o *netOwner) cleanup() error { return o.client.Clear() }

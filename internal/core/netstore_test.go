@@ -66,6 +66,10 @@ func TestNetStoreMatchesInProcessEngine(t *testing.T) {
 						t.Fatalf("%s iter %d: %d reads + %d attaches for %d loads — private copies never attach",
 							name, i, n.MediumReads, n.Attaches, n.Loads)
 					}
+					if n.StateBuilds != 0 || n.CollectReads != int64(n.NumPartitions) {
+						t.Fatalf("%s iter %d: %d state builds and %d collect reads over %d partitions — phase 1 PUTs every base and collect reads it",
+							name, i, n.StateBuilds, n.CollectReads, n.NumPartitions)
+					}
 				}
 			}
 		}

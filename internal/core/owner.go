@@ -1,20 +1,22 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	"knnpc/internal/disk"
+	"knnpc/internal/partition"
 )
 
 // partStore is where one iteration's partition state lives, and the
-// one contract every phase reaches it through: phase 1 puts each fresh
-// state, phase 4 arms the store with its planned loads and the row
-// emitter of G(t+1), its tape workers acquire, fold into and release
-// residencies, and every partition's final state reaches the emitter
-// exactly once — at its last release or through collect. The two
-// implementations differ only in data placement — partOwner keeps the
-// blobs in this process and shares one resident instance per
+// one contract every phase reaches it through: phase 1 opens the store
+// over its partitioning, phase 4 arms it with its planned loads and the
+// row emitter of G(t+1), its tape workers acquire, fold into and
+// release residencies, and every partition's final state reaches the
+// emitter exactly once — at its last release or through collect. The
+// two implementations differ only in data placement — partOwner keeps
+// the blobs in this process and shares one resident instance per
 // partition, netOwner keeps them behind the sharded network store and
 // merges per-worker partials — and Engine.newPartStore chooses.
 //
@@ -22,19 +24,22 @@ import (
 // lease-holding implementation can track per-worker tenancy; the
 // in-process one ignores it.
 type partStore interface {
-	// put persists a freshly built state (phase 1). Concurrent puts of
-	// distinct partitions are safe.
-	put(st *partState) error
+	// open starts an iteration over phase 1's partitioning: build makes
+	// a partition's fresh state — its members' profiles from P(t) and
+	// empty accumulators — and may run on up to workers goroutines at
+	// once. Whether the store builds every state now or each one when
+	// it is first needed is its own business; a second open starts
+	// over, discarding whatever an earlier run left.
+	open(ctx context.Context, parts []*partition.Data, build stateBuilder, workers int) error
 	// arm readies one phase-4 run: loads[id] is how many times the
 	// run's tapes acquire partition id (pigraph.Schedule.LoadCounts),
 	// and emit receives each partition's final state. It runs before
 	// any acquire of the run, and again for every retried run.
 	arm(loads []int, emit func(st *partState) error)
 	// acquire materializes partition id for one worker; every acquire
-	// must be paired with exactly one release. attached reports that it
-	// cost no medium read: the worker shares an instance another worker
-	// already holds.
-	acquire(worker int, id uint32) (st *partState, attached bool, err error)
+	// must be paired with exactly one release. src reports what it cost
+	// the store.
+	acquire(worker int, id uint32) (st *partState, src stateSource, err error)
 	// release drops one worker's hold; writeBack false is the discard
 	// path of an aborted run, which never emits. A release that holds a
 	// partition's final accumulators may hand them to emit instead of
@@ -50,12 +55,33 @@ type partStore interface {
 	// returned.
 	abort()
 	// collect hands emit, in id order, every final state no release
-	// emitted, and reports how many states it read off the medium to do
-	// so. It runs only after every hold has been released.
-	collect() (reads int64, err error)
+	// emitted, and reports how many of them it read off the medium and
+	// how many it built. It runs only after every hold has been
+	// released.
+	collect() (reads, builds int64, err error)
 	// cleanup removes all stored state.
 	cleanup() error
 }
+
+// stateBuilder makes partition p's fresh state: its members' profiles
+// snapshotted from P(t), empty accumulators (newPartState).
+type stateBuilder func(p *partition.Data) (*partState, error)
+
+// stateSource is what one acquire cost the partition store.
+type stateSource uint8
+
+const (
+	// fromMedium read the state off the medium: a file, a memory blob
+	// or the network store.
+	fromMedium stateSource = iota
+	// fromPeer attached to the instance another tape worker already
+	// held, which is free.
+	fromPeer
+	// fromBuild built the state from P(t): the partition's first load
+	// in process, which moves no bytes.
+	fromBuild
+	numStateSources
+)
 
 // partOwner is the in-process partition store, and the one place where
 // the W sharded tape executors of multi-worker phase 4 meet. Each
@@ -80,14 +106,22 @@ type partStore interface {
 // untouched: each worker's tape counts its own ops whether the acquire
 // attached or read.
 //
+// Nothing is written that nothing has changed. open writes no state:
+// it keeps phase 1's partitioning and build function, and every guard
+// starts fresh. The first acquire of a fresh partition builds its
+// state from P(t) — nothing has changed it yet, so a stored copy would
+// hold only what P(t) already does — and a guard stays fresh until its
+// first write-back; later acquires read the medium.
+//
 // Sharing also means some release holds each partition's final
 // accumulators. arm gives every guard a countdown of the partition's
 // planned acquires; a last reference dropped while acquires are still
 // to come writes the instance back, and the one dropped after the last
 // planned acquire hands it to the row emitter and writes nothing — the
 // only reader of those bytes would have been collect, copying the same
-// ids out. collect therefore reads only partitions no tape acquired,
-// whose phase-1 blob still has empty accumulators.
+// ids out. collect therefore touches only partitions no tape acquired,
+// and builds them: their accumulators are still empty. Every state
+// written is read back exactly once, and none is read at collect.
 //
 // A state is serialized on every write and deserialized on every read
 // on either medium, so the in-memory one exercises the same code paths
@@ -109,16 +143,22 @@ type partOwner struct {
 	// worth of bytes.
 	filebufs sync.Pool // *[]byte
 	guards   []partGuard
+	build    stateBuilder              // set by open
 	emit     func(st *partState) error // set by arm
 }
 
 type partGuard struct {
-	// mu serializes put/acquire/release — including the medium I/O they
-	// perform — for this partition. Cross-partition operations never
-	// contend.
+	// mu serializes open/acquire/release — including the medium I/O and
+	// the builds they perform — for this partition. Cross-partition
+	// operations never contend.
 	mu   sync.Mutex
 	refs int
 	st   *partState
+	// part is the partition open installed, and fresh records that no
+	// state of it has been written since: its next load builds from
+	// P(t) instead of reading the medium.
+	part  *partition.Data
+	fresh bool
 	// planned is the armed run's acquire count for this partition and
 	// left the acquires still to come: the release that drops the last
 	// reference at left == 0 holds the final accumulators.
@@ -172,6 +212,7 @@ func (o *partOwner) borrow() *[]byte {
 // write serializes st onto the medium. The caller holds g.mu.
 func (o *partOwner) write(g *partGuard, st *partState) error {
 	g.stored = true // before the write, so cleanup removes a torn file too
+	g.fresh = false
 	if o.scratch == nil {
 		g.blob = st.appendTo(g.blob[:0])
 		return nil
@@ -205,14 +246,27 @@ func (o *partOwner) read(g *partGuard, id uint32) (*partState, error) {
 	return decodePartState(blob, o.k)
 }
 
-func (o *partOwner) put(st *partState) error {
-	g, err := o.guard(st.id)
-	if err != nil {
-		return err
+// open installs phase 1's partitioning and marks every partition of it
+// fresh; it writes nothing. A build charges no emulated device time,
+// because no bytes move.
+func (o *partOwner) open(_ context.Context, parts []*partition.Data, build stateBuilder, _ int) error {
+	o.build = build
+	for i := range o.guards {
+		g := &o.guards[i]
+		g.mu.Lock()
+		g.part, g.fresh = nil, false
+		g.mu.Unlock()
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return o.write(g, st)
+	for _, p := range parts {
+		g, err := o.guard(p.ID)
+		if err != nil {
+			return err
+		}
+		g.mu.Lock()
+		g.part, g.fresh = p, true
+		g.mu.Unlock()
+	}
+	return nil
 }
 
 func (o *partOwner) arm(loads []int, emit func(st *partState) error) {
@@ -226,36 +280,46 @@ func (o *partOwner) arm(loads []int, emit func(st *partState) error) {
 }
 
 // acquire materializes partition id, attaching to the live shared
-// instance when another worker already holds it and reading the medium
-// (charging the memory budget) otherwise. An acquire the armed plan
-// does not account for is refused: the partition's final state may
+// instance when another worker already holds it and building or
+// reading it (charging the memory budget) otherwise. A failed build,
+// read or reservation leaves the guard as it was. An acquire the armed
+// plan does not account for is refused: the partition's final state may
 // already have been emitted.
-func (o *partOwner) acquire(_ int, id uint32) (*partState, bool, error) {
+func (o *partOwner) acquire(_ int, id uint32) (*partState, stateSource, error) {
 	g, err := o.guard(id)
 	if err != nil {
-		return nil, false, err
+		return nil, 0, err
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.left == 0 {
-		return nil, false, fmt.Errorf("core: acquire of partition %d beyond its %d planned acquires", id, g.planned)
+		return nil, 0, fmt.Errorf("core: acquire of partition %d beyond its %d planned acquires", id, g.planned)
 	}
 	if g.refs > 0 {
 		g.refs++
 		g.left--
-		return g.st, true, nil
+		return g.st, fromPeer, nil
 	}
-	st, err := o.read(g, id)
+	var st *partState
+	src := fromMedium
+	if g.fresh {
+		src = fromBuild
+		st, err = o.build(g.part)
+	} else {
+		st, err = o.read(g, id)
+	}
 	if err != nil {
-		return nil, false, err
+		return nil, 0, err
 	}
 	if err := o.budget.Reserve(int64(st.byteSize())); err != nil {
-		return nil, false, err
+		return nil, 0, err
 	}
-	o.stats.AddLoad()
+	if src == fromMedium {
+		o.stats.AddLoad()
+	}
 	g.st, g.refs = st, 1
 	g.left--
-	return st, false, nil
+	return st, src, nil
 }
 
 // release drops one reference to partition id. Earlier releases are
@@ -318,7 +382,7 @@ func (o *partOwner) fold(id uint32, fn func()) error {
 // abort force-drops every reference still held after a failed
 // execution, returning the staged memory to the budget without writing
 // anything back (the iteration's result is discarded; the next Iterate
-// rebuilds all partition state from phase 1).
+// starts over from phase 1).
 func (o *partOwner) abort() {
 	for i := range o.guards {
 		g := &o.guards[i]
@@ -331,33 +395,35 @@ func (o *partOwner) abort() {
 	}
 }
 
-// collect reads and emits the partitions no tape acquired; every other
-// partition was emitted by its final release.
-func (o *partOwner) collect() (int64, error) {
-	var reads int64
+// collect builds and emits the partitions no tape acquired; every
+// other partition was emitted by its final release. It reads nothing.
+func (o *partOwner) collect() (reads, builds int64, err error) {
 	for i := range o.guards {
 		g := &o.guards[i]
 		g.mu.Lock()
 		if g.left > 0 || g.refs > 0 {
 			g.mu.Unlock()
-			return reads, fmt.Errorf("core: collect before partition %d's run finished (%d references held, %d planned acquires to come)", i, g.refs, g.left)
+			return 0, builds, fmt.Errorf("core: collect before partition %d's run finished (%d references held, %d planned acquires to come)", i, g.refs, g.left)
 		}
-		if g.planned > 0 || !g.stored {
+		if g.planned > 0 || g.part == nil {
 			g.mu.Unlock()
 			continue
 		}
-		st, err := o.read(g, uint32(i))
+		if !g.fresh {
+			g.mu.Unlock()
+			return 0, builds, fmt.Errorf("core: partition %d has a written state no planned acquire reads", i)
+		}
+		st, err := o.build(g.part)
 		g.mu.Unlock()
 		if err != nil {
-			return reads, err
+			return 0, builds, err
 		}
-		o.stats.AddLoad()
-		reads++
+		builds++
 		if err := o.emit(st); err != nil {
-			return reads, err
+			return 0, builds, err
 		}
 	}
-	return reads, nil
+	return 0, builds, nil
 }
 
 func (o *partOwner) cleanup() error {
@@ -371,6 +437,7 @@ func (o *partOwner) cleanup() error {
 			}
 		}
 		g.stored, g.blob = false, nil
+		g.part, g.fresh = nil, false
 		g.mu.Unlock()
 	}
 	return firstErr

@@ -62,23 +62,31 @@ type IterationStats struct {
 	// Options.AsyncWriteback). Like PrefetchedLoads, every async
 	// unload is still counted once in Unloads.
 	AsyncUnloads int64
-	// MediumReads and Attaches split Loads by what each one cost the
-	// partition store: a read off the medium (file, memory blob or
-	// network store), or an attach to the instance another tape worker
-	// already held, which is free. MediumReads + Attaches == Loads;
-	// Attaches is 0 at ExecWorkers=1 and over a network store, whose
-	// workers hold private copies.
+	// MediumReads, Attaches and the builds among StateBuilds split
+	// Loads by what each one cost the partition store: a read off the
+	// medium (file, memory blob or network store), an attach to the
+	// instance another tape worker already held, which is free, or a
+	// build from P(t) at a partition's first load in process, which
+	// moves no bytes. Attaches is 0 at ExecWorkers=1 and over a network
+	// store, whose workers hold private copies.
 	MediumReads int64
 	Attaches    int64
+	// StateBuilds counts the partition states built from P(t) where a
+	// medium read would otherwise have been: in process, each
+	// partition's first load, and collect's build of every partition
+	// no tape loaded, so StateBuilds == NumPartitions. It is 0 over a
+	// network store, whose phase 1 builds and PUTs every base.
+	StateBuilds int64
 	// StateWrites counts the partition states phase 4's releases wrote
 	// to the medium, and CollectReads the states the assembly step read
-	// back off it. In-process, a partition's release after its last
-	// planned load emits its rows of G(t+1) instead of writing, and
-	// collect reads only partitions no tape loaded, so every state
-	// written is read back exactly once: MediumReads == (partitions
-	// loaded) + StateWrites and CollectReads == NumPartitions −
-	// (partitions loaded). Over a network store every release writes
-	// its worker's partial and collect reads every partition.
+	// back off it. In process nothing is written that nothing changed:
+	// a partition's release after its last planned load emits its rows
+	// of G(t+1) instead of writing, and collect builds what no tape
+	// loaded, so every state written is read back exactly once —
+	// MediumReads == StateWrites, MediumReads + Attaches + (partitions
+	// loaded) == Loads — and CollectReads == 0. Over a network store
+	// MediumReads + Attaches == Loads, every release writes its
+	// worker's partial and collect reads every partition.
 	StateWrites  int64
 	CollectReads int64
 	// PrefetchedShardBytes is the volume of tuple-shard spill bytes

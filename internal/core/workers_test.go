@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -9,6 +12,8 @@ import (
 	"time"
 
 	"knnpc/internal/disk"
+	"knnpc/internal/graph"
+	"knnpc/internal/partition"
 )
 
 // TestShardedWorkersMatchSerialEngine is the end-to-end invariant of
@@ -17,9 +22,10 @@ import (
 // engine's graph trajectory bit for bit, its per-worker op counts must
 // sum to the deterministic (Slots, W) totals (the engine additionally
 // asserts measured == simulated internally every iteration), every tape
-// load must be either a medium read or an attach to another worker's
-// instance (none attach at W=1), and the scored tuple count must be
-// identical. Run under -race in CI — the partition store's shared
+// load must be a medium read, an attach to another worker's instance
+// (none attach at W=1) or a partition's first load built from P(t) —
+// as many as the serial engine builds — and the scored tuple count must
+// be identical. Run under -race in CI — the partition store's shared
 // instances and concurrent folds are the point of this test.
 func TestShardedWorkersMatchSerialEngine(t *testing.T) {
 	const users, iters = 300, 3
@@ -58,10 +64,14 @@ func TestShardedWorkersMatchSerialEngine(t *testing.T) {
 				if sum != p.Ops() {
 					t.Errorf("%s iter %d: per-worker ops sum %d, total %d", name, i, sum, p.Ops())
 				}
-				if p.MediumReads+p.Attaches != p.Loads || s.MediumReads != s.Loads || s.Attaches != 0 {
+				// The partitions some tape loads do not depend on how the
+				// tape is split, so both engines build as many at acquire.
+				if p.Loads-p.MediumReads-p.Attaches != s.Loads-s.MediumReads || s.Attaches != 0 {
 					t.Errorf("%s iter %d: sharded %d reads + %d attaches for %d loads, serial %d + %d for %d",
 						name, i, p.MediumReads, p.Attaches, p.Loads, s.MediumReads, s.Attaches, s.Loads)
 				}
+				checkInProcessIO(t, fmt.Sprintf("%s iter %d", name, i), p)
+				checkInProcessIO(t, fmt.Sprintf("serial iter %d", i), s)
 				if s.TuplesScored != p.TuplesScored || s.EdgeChanges != p.EdgeChanges {
 					t.Fatalf("%s iter %d: sharded scored=%d changes=%d, serial scored=%d changes=%d",
 						name, i, p.TuplesScored, p.EdgeChanges, s.TuplesScored, s.EdgeChanges)
@@ -269,11 +279,22 @@ func (s *armSpy) arm(loads []int, emit func(st *partState) error) {
 	})
 }
 
+// checkInProcessIO asserts the in-process store's I/O account of one
+// iteration: every partition is built once and never read at collect,
+// and every state written is read back exactly once.
+func checkInProcessIO(t *testing.T, name string, st *IterationStats) {
+	t.Helper()
+	if st.StateBuilds != int64(st.NumPartitions) || st.CollectReads != 0 || st.MediumReads != st.StateWrites {
+		t.Errorf("%s: %d builds for %d partitions, %d collect reads, %d medium reads for %d state writes",
+			name, st.StateBuilds, st.NumPartitions, st.CollectReads, st.MediumReads, st.StateWrites)
+	}
+}
+
 // TestEmitMatrixIdenticalGraph: the graph trajectory is identical at
 // every Slots × ExecWorkers × {memory, file} × {async write-back,
 // serial} combination, and in every iteration the in-process store
-// reads back each state it writes exactly once — collect reads what the
-// tapes never loaded, so MediumReads + CollectReads == m + StateWrites.
+// builds each partition once and reads back each state it writes
+// exactly once (checkInProcessIO).
 // Under -race this is the test of emission on write-back goroutines:
 // with async write-back, final releases emit rows concurrently.
 func TestEmitMatrixIdenticalGraph(t *testing.T) {
@@ -298,10 +319,7 @@ func TestEmitMatrixIdenticalGraph(t *testing.T) {
 						if st.TuplesScored != refStats[i].TuplesScored {
 							t.Errorf("%s iter %d: scored %d tuples, serial %d", name, i, st.TuplesScored, refStats[i].TuplesScored)
 						}
-						if st.MediumReads+st.CollectReads != int64(st.NumPartitions)+st.StateWrites {
-							t.Errorf("%s iter %d: %d medium reads + %d collect reads for %d partitions and %d state writes",
-								name, i, st.MediumReads, st.CollectReads, st.NumPartitions, st.StateWrites)
-						}
+						checkInProcessIO(t, fmt.Sprintf("%s iter %d", name, i), st)
 					}
 				}
 			}
@@ -311,8 +329,8 @@ func TestEmitMatrixIdenticalGraph(t *testing.T) {
 
 // TestEmitReadsBackEveryWrite pins the in-process store's I/O account
 // against the plan it was armed with: every partition the tapes load is
-// read off the medium once plus once per write-back of it, and collect
-// reads exactly the partitions no tape loaded.
+// built at its first load and read off the medium once per write-back
+// of it, and collect builds exactly the partitions no tape loaded.
 func TestEmitReadsBackEveryWrite(t *testing.T) {
 	for _, onDisk := range []bool{false, true} {
 		for _, workers := range []int{1, 2} {
@@ -341,16 +359,132 @@ func TestEmitReadsBackEveryWrite(t *testing.T) {
 				}
 			}
 			name := fmt.Sprintf("ondisk=%v workers=%d", onDisk, workers)
-			if st.MediumReads != int64(loaded)+st.StateWrites || st.CollectReads != int64(opts.NumPartitions-loaded) {
-				t.Errorf("%s: %d medium reads, %d state writes, %d collect reads for %d of %d partitions loaded",
-					name, st.MediumReads, st.StateWrites, st.CollectReads, loaded, opts.NumPartitions)
+			if st.MediumReads+st.Attaches+int64(loaded) != st.Loads {
+				t.Errorf("%s: %d medium reads + %d attaches for %d loads with %d of %d partitions loaded",
+					name, st.MediumReads, st.Attaches, st.Loads, loaded, opts.NumPartitions)
 			}
+			checkInProcessIO(t, name, st)
 			if spy.emitted.Load() != int64(opts.NumPartitions) {
 				t.Errorf("%s: %d partitions emitted, want all %d", name, spy.emitted.Load(), opts.NumPartitions)
 			}
 			if st.StateWrites == 0 {
 				t.Errorf("%s: two slots over eight partitions wrote nothing back", name)
 			}
+		}
+	}
+}
+
+// openSpy records what the wrapped store's open did to the engine's I/O
+// counters and spindle.
+type openSpy struct {
+	partStore
+	stats *disk.IOStats
+	delta disk.Snapshot
+}
+
+func (s *openSpy) open(ctx context.Context, parts []*partition.Data, build stateBuilder, workers int) error {
+	before := s.stats.Snapshot()
+	err := s.partStore.open(ctx, parts, build, workers)
+	s.delta = s.stats.Snapshot().Sub(before)
+	return err
+}
+
+// graphDigest hashes every neighbor list in id order, as the benchmark's
+// graph_digest does.
+func graphDigest(g *graph.KNN) string {
+	h := sha256.New()
+	var buf [4]byte
+	for u := 0; u < g.NumNodes(); u++ {
+		nbrs := g.Neighbors(uint32(u))
+		binary.LittleEndian.PutUint32(buf[:], uint32(len(nbrs)))
+		h.Write(buf[:])
+		for _, v := range nbrs {
+			binary.LittleEndian.PutUint32(buf[:], v)
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestPartStoreBuildsOnEmulatedHDD runs the in-process store on files
+// over an emulated HDD at Slots ∈ {2, 4} × ExecWorkers ∈ {1, 2}: in
+// every iteration phase 1 makes no device access — no seek, no byte, no
+// modeled time — each partition is built exactly once, every state
+// written is read back exactly once, collect reads nothing, and the
+// tape's loads split into medium reads, attaches and one build per
+// loaded partition. The graph equals the network-store backend's and
+// the digest the engine produced when phase 1 still wrote every state.
+func TestPartStoreBuildsOnEmulatedHDD(t *testing.T) {
+	const users, iters, digest = 240, 3, "64e18fecd531b18b"
+	base := Options{K: 5, NumPartitions: 6, TupleBatch: 64, Seed: 33}
+	net := base
+	net.NetStoreShards = 2
+	_, netGraph := runEngine(t, net, users, iters)
+	if got := graphDigest(netGraph); got != digest {
+		t.Fatalf("network-store graph digest %s, want %s", got, digest)
+	}
+	for _, slots := range []int{2, 4} {
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("slots=%d workers=%d", slots, workers)
+			opts := base
+			opts.OnDisk, opts.EmulateDisk, opts.ScratchDir = true, &disk.HDD, t.TempDir()
+			opts.Slots, opts.ExecWorkers, opts.PrefetchDepth = slots, workers, 1
+			eng, err := New(testStore(t, users, 42), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < iters; i++ {
+				arm := &armSpy{partStore: eng.newPartStore()}
+				spy := &openSpy{partStore: arm, stats: &eng.iostats}
+				st := &IterationStats{NumPartitions: opts.NumPartitions}
+				_, err := eng.compute(context.Background(), spy, st)
+				if cerr := spy.cleanup(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := spy.delta
+				if d.Seeks+d.ReadOps+d.WriteOps+d.BytesRead+d.BytesWritten+d.Loads+d.Unloads != 0 {
+					t.Errorf("%s iter %d: phase 1 touched the medium: %+v", name, i, d)
+				}
+				for _, dev := range d.Devices {
+					if dev.Modeled != 0 {
+						t.Errorf("%s iter %d: phase 1 charged %v to %s", name, i, dev.Modeled, dev.Name)
+					}
+				}
+				loaded := 0
+				for _, n := range arm.loads {
+					if n > 0 {
+						loaded++
+					}
+				}
+				if st.MediumReads+st.Attaches+int64(loaded) != st.Loads {
+					t.Errorf("%s iter %d: %d medium reads + %d attaches + %d builds at acquire for %d loads",
+						name, i, st.MediumReads, st.Attaches, loaded, st.Loads)
+				}
+				checkInProcessIO(t, fmt.Sprintf("%s iter %d", name, i), st)
+
+				// The committed iteration accounts as its probe did; with two
+				// workers, which loads attach depends on timing.
+				it, err := eng.Iterate(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if it.Loads != st.Loads || it.StateBuilds != st.StateBuilds ||
+					workers == 1 && (it.MediumReads != st.MediumReads || it.StateWrites != st.StateWrites) {
+					t.Errorf("%s iter %d: Iterate accounted %d loads, %d reads, %d writes, %d builds; its probe %d, %d, %d, %d",
+						name, i, it.Loads, it.MediumReads, it.StateWrites, it.StateBuilds, st.Loads, st.MediumReads, st.StateWrites, st.StateBuilds)
+				}
+				checkInProcessIO(t, fmt.Sprintf("%s iter %d (committed)", name, i), it)
+			}
+			if eng.Graph().DiffEdges(netGraph) != 0 {
+				t.Errorf("%s: graph differs from the network-store backend's", name)
+			}
+			if got := graphDigest(eng.Graph()); got != digest {
+				t.Errorf("%s: graph digest %s, want %s", name, got, digest)
+			}
+			eng.Close()
 		}
 	}
 }

@@ -55,8 +55,21 @@ const journalThreshold = 4 << 20
 // own.
 type durableStore struct {
 	dir      string
-	journal  *os.File
+	journal  journalFile
 	appended int64 // bytes appended since the last compaction
+	// torn is set once a failed append could not be truncated away: the
+	// journal ends in a partial record, so the shard refuses every
+	// later mutating verb (fail-stop) rather than journal after it.
+	// Recovery drops the partial record as a torn tail.
+	torn error
+}
+
+// journalFile is what a shard needs of its open journal: an *os.File,
+// or in tests one that fails an append partway through.
+type journalFile interface {
+	io.WriteSeeker
+	Truncate(size int64) error
+	Close() error
 }
 
 func (d *durableStore) path(name string) string { return filepath.Join(d.dir, name) }
@@ -84,9 +97,19 @@ func journaled(op byte) bool {
 // a LEASE grants — compacting first once journalThreshold bytes were
 // appended since the last compaction; caller holds s.mu. A shard
 // without a DataDir journals nothing.
+//
+// An append that fails partway is truncated back to where it started,
+// so the next record follows the last whole one; if even that fails,
+// the shard stops accepting mutating verbs, RELEASE included.
 func (s *Server) journalLocked(c *command) error {
 	d := s.durable
-	if d == nil || !journaled(c.op) {
+	if d == nil {
+		return nil
+	}
+	if d.torn != nil {
+		return d.torn
+	}
+	if !journaled(c.op) {
 		return nil
 	}
 	if d.appended >= journalThreshold {
@@ -98,8 +121,17 @@ func (s *Server) journalLocked(c *command) error {
 	if c.op == opLease {
 		parts = append(parts, appendU64(nil, c.token))
 	}
-	if err := writeFrame(d.journal, parts...); err != nil {
+	end, err := d.journal.Seek(0, io.SeekEnd)
+	if err != nil {
 		return fmt.Errorf("netstore: journal append: %w", err)
+	}
+	if err := writeFrame(d.journal, parts...); err != nil {
+		err = fmt.Errorf("netstore: journal append: %w", err)
+		if terr := d.journal.Truncate(end); terr != nil {
+			d.torn = fmt.Errorf("netstore: shard refuses mutations after a torn journal record it could not truncate (%v): %w", terr, err)
+			return d.torn
+		}
+		return err
 	}
 	for _, p := range parts {
 		d.appended += int64(len(p))

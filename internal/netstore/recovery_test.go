@@ -455,6 +455,95 @@ func TestJournalFailureFailsTheVerb(t *testing.T) {
 	}
 }
 
+// tearingJournal lets the next append through for its first keep bytes
+// and then fails it, the shape a full disk gives a write; failTruncate
+// also fails the truncate that would cut the partial record away.
+type tearingJournal struct {
+	journalFile
+	keep         int // bytes still let through; -1 once the append tore
+	failTruncate bool
+}
+
+var errTear = errors.New("injected short write")
+
+func (j *tearingJournal) Write(p []byte) (int, error) {
+	if j.keep < 0 || len(p) <= j.keep {
+		if j.keep >= 0 {
+			j.keep -= len(p)
+		}
+		return j.journalFile.Write(p)
+	}
+	n, _ := j.journalFile.Write(p[:j.keep])
+	j.keep = -1
+	return n, errTear
+}
+
+func (j *tearingJournal) Truncate(size int64) error {
+	if j.failTruncate {
+		return errTear
+	}
+	return j.journalFile.Truncate(size)
+}
+
+// TestTornJournalAppendIsTruncated: a verb whose journal append writes
+// half its frame and fails answers an error and leaves no partial
+// record behind, so the next verb's record lands where the torn one
+// started and a restart over the data directory recovers exactly the
+// live shard. When the partial record cannot be truncated either, the
+// shard refuses every later mutating verb instead of journaling after
+// it, and a restart drops the torn tail and comes back with the state
+// from before the failure.
+func TestTornJournalAppendIsTruncated(t *testing.T) {
+	push := func(c *Client, user uint32) error {
+		return c.PushUpdates([]profile.Update{{User: user, Kind: profile.SetItem, Item: 4, Weight: 1}})
+	}
+	for _, failTruncate := range []bool{false, true} {
+		t.Run(fmt.Sprintf("failTruncate=%v", failTruncate), func(t *testing.T) {
+			dir := t.TempDir()
+			srv, client := startDurable(t, "127.0.0.1:0", dir)
+			addr := srv.Addr()
+			token := populate(t, client)
+			before := dumpShard(srv)
+			srv.mu.Lock()
+			// The 4-byte length prefix and the opcode land; the body does not.
+			srv.durable.journal = &tearingJournal{journalFile: srv.durable.journal, keep: 5, failTruncate: failTruncate}
+			srv.mu.Unlock()
+
+			if err := push(client, 8); err == nil {
+				t.Fatal("a push whose journal append tore answered OK")
+			}
+			if got := dumpShard(srv); got != before {
+				t.Fatalf("the torn push changed the shard:\n%s\nwant\n%s", got, before)
+			}
+			next := push(client, 9)
+			release := client.Release(1, token)
+			if failTruncate {
+				if next == nil || release == nil {
+					t.Fatalf("a shard with a torn journal record accepted a push (%v) and a release (%v)", next, release)
+				}
+			} else if next != nil || release != nil {
+				t.Fatalf("verbs after a truncated torn append failed: push %v, release %v", next, release)
+			}
+			live := dumpShard(srv)
+			if failTruncate && live != before {
+				t.Fatalf("the fail-stopped shard changed:\n%s\nwant\n%s", live, before)
+			}
+			client.Close()
+			srv.Close()
+
+			srv2, client2 := startDurable(t, addr, dir)
+			defer srv2.Close()
+			defer client2.Close()
+			if got := dumpShard(srv2); got != live {
+				t.Fatalf("recovered shard\n%s\nwant the live\n%s", got, live)
+			}
+			if err := push(client2, 10); err != nil {
+				t.Fatalf("push after the restart: %v", err)
+			}
+		})
+	}
+}
+
 // TestRecoveryMatchesLiveState: after every one of a few hundred seeded
 // random mutating verbs — stale-token partials, releases, commit
 // markers and re-adds of tombstoned users among them — a copy of the

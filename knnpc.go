@@ -83,16 +83,18 @@ type Config struct {
 	// on scheduling, so the worst case is what the budget must cover.
 	ExecWorkers int
 	// BuildWorkers parallelizes the build side of each iteration,
-	// phases 1–2: partition states are constructed one partition per
-	// pool slot, and the candidate-tuple streams (bridge join, direct
+	// phases 1–2: the candidate-tuple streams (bridge join, direct
 	// edges, exploration) are produced concurrently into the hash
-	// table through batched inserts (default 1, the serial build).
+	// table through batched inserts, and over a network store
+	// partition states are constructed and stored one partition per
+	// pool slot (default 1, the serial build). In process, phase 1
+	// builds no state: each partition's is built at its first load.
 	// Results and all reported accounting are bit-identical at every
 	// worker count — the table de-duplicates, so its contents depend
 	// only on WHAT was added, never on the order. A good setting is
 	// the machine's core count; unlike ExecWorkers it needs no
-	// MemoryBudgetBytes headroom, since built states are persisted
-	// and released immediately.
+	// MemoryBudgetBytes headroom, since built states are stored and
+	// released immediately.
 	BuildWorkers int
 	// Slots is the phase-4 memory budget: at most this many partitions
 	// resident at once (default 2, the paper's model; must be ≥ 2).
