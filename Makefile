@@ -44,9 +44,11 @@ race-phase4:
 	$(GO) test -race -count=1 -run '$(RACE_PHASE4_RUN)' $(RACE_PHASE4_PKGS)
 
 # Each native fuzz target for FUZZTIME: the partition-state and
-# worker-partial decoders, the serve-view decoder and the replica's
-# WATCH-frame parse must never panic, never size storage from a count
-# the input cannot back, and round-trip what they accept; a shard's
+# worker-partial decoders, the serve-view decoder, the replica's
+# WATCH-frame parse and the decoders of the update, mutation and
+# staleness bodies store clients send (PUSHUPD, ADDUSER, DRAINMUT) must
+# never panic, never size storage from a count the input cannot back,
+# and round-trip what they accept; a shard's
 # journal replay must never panic, allocate in proportion to the
 # journal, and rebuild the same state from the prefix it accepts; every
 # planner's schedule of a fuzzed PI graph must validate and never load
@@ -63,6 +65,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDiskTableShards$$' -fuzztime $(FUZZTIME) ./internal/tuples
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeView$$' -fuzztime $(FUZZTIME) ./internal/netstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeShipFrame$$' -fuzztime $(FUZZTIME) ./internal/netstore
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeUpdates$$' -fuzztime $(FUZZTIME) ./internal/netstore
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMutations$$' -fuzztime $(FUZZTIME) ./internal/netstore
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStaleness$$' -fuzztime $(FUZZTIME) ./internal/netstore
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/netstore
 
 # End-to-end proof of the network state store: launches cmd/statestore

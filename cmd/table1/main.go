@@ -27,7 +27,6 @@ import (
 	"text/tabwriter"
 
 	"knnpc/internal/dataset"
-	"knnpc/internal/experiments"
 	"knnpc/internal/pigraph"
 )
 
@@ -55,11 +54,11 @@ func run(out io.Writer, all bool, only string) error {
 		specs = []dataset.GraphSpec{spec}
 	}
 
-	rows, err := experiments.Table1(specs, heuristics)
+	rows, err := Table1(specs, heuristics)
 	if err != nil {
 		return err
 	}
-	paper := experiments.PaperTable1()
+	paper := PaperTable1()
 
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprint(w, "Datasets\tNodes\tEdges")

@@ -152,6 +152,28 @@ func TestEngineMeasuredOpsEqualPrediction(t *testing.T) {
 	}
 }
 
+// TestEngineOpsGrowWithPartitions is the memory trade the partition
+// count m buys: at the same two slots, more (smaller) partitions mean
+// less resident state and more load/unload operations. Every phase
+// of the iteration is timed.
+func TestEngineOpsGrowWithPartitions(t *testing.T) {
+	var ops []int64
+	for _, m := range []int{2, 4} {
+		stats, _ := runEngine(t, Options{K: 10, NumPartitions: m, OnDisk: true, Seed: 1}, 150, 2)
+		last := stats[len(stats)-1]
+		if ph := last.Phases; ph.Partition <= 0 || ph.Tuples <= 0 || ph.Score <= 0 {
+			t.Errorf("m=%d: phase times not measured: %+v", m, ph)
+		}
+		ops = append(ops, last.Ops())
+	}
+	if ops[0] != 4 {
+		t.Errorf("m=2 at two slots: %d ops, want 2m = 4", ops[0])
+	}
+	if ops[1] <= ops[0] {
+		t.Errorf("m=4 should need more ops than m=2: %d vs %d", ops[1], ops[0])
+	}
+}
+
 func TestEngineConvergesAndRecallImproves(t *testing.T) {
 	store := testStore(t, 150, 13)
 	k := 6

@@ -126,33 +126,49 @@ func TestNetStoreBudgetReleased(t *testing.T) {
 
 // TestNetStorePerShardDeviceAccounting: with emulation on, the
 // engine's IOStats snapshot reports one spindle per shard, each with
-// balanced books — the per-shard accounting the FW-8 sweep tabulates.
+// balanced books, after the local spindle when tuple shards spill to
+// disk.
 func TestNetStorePerShardDeviceAccounting(t *testing.T) {
-	store := testStore(t, 150, 3)
-	eng, err := New(store, Options{
-		K: 4, NumPartitions: 6, ExecWorkers: 2, NetStoreShards: 2,
-		EmulateDisk: &disk.NVMe, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if _, err := eng.Iterate(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	devs := eng.IOStats().Devices
-	if len(devs) != 2 {
-		t.Fatalf("snapshot has %d device entries, want one per shard (2): %+v", len(devs), devs)
-	}
-	for _, d := range devs {
-		if !strings.HasPrefix(d.Name, "shard") {
-			t.Fatalf("device %q not shard-named", d.Name)
+	for _, onDisk := range []bool{false, true} {
+		store := testStore(t, 150, 3)
+		opts := Options{
+			K: 4, NumPartitions: 6, ExecWorkers: 2, NetStoreShards: 2,
+			EmulateDisk: &disk.NVMe, Seed: 1,
 		}
-		if d.Modeled == 0 {
-			t.Fatalf("%s never charged — state I/O missed the shard spindle", d.Name)
+		if onDisk {
+			opts.OnDisk, opts.ScratchDir = true, t.TempDir()
 		}
-		if d.Slept+d.Debt != d.Modeled {
-			t.Fatalf("%s: slept %v + debt %v != modeled %v", d.Name, d.Slept, d.Debt, d.Modeled)
+		eng, err := New(store, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		if _, err := eng.Iterate(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		devs := eng.IOStats().Devices
+		if onDisk {
+			if len(devs) == 0 || devs[0].Name != "spindle" {
+				t.Fatalf("ondisk: first device entry is not the local spindle: %+v", devs)
+			}
+			if d := devs[0]; d.Slept+d.Debt != d.Modeled {
+				t.Fatalf("ondisk: spindle slept %v + debt %v != modeled %v", d.Slept, d.Debt, d.Modeled)
+			}
+			devs = devs[1:]
+		}
+		if len(devs) != 2 {
+			t.Fatalf("ondisk=%v: %d shard device entries, want one per shard (2): %+v", onDisk, len(devs), devs)
+		}
+		for _, d := range devs {
+			if !strings.HasPrefix(d.Name, "shard") {
+				t.Fatalf("device %q not shard-named", d.Name)
+			}
+			if d.Modeled == 0 {
+				t.Fatalf("%s never charged — state I/O missed the shard spindle", d.Name)
+			}
+			if d.Slept+d.Debt != d.Modeled {
+				t.Fatalf("%s: slept %v + debt %v != modeled %v", d.Name, d.Slept, d.Debt, d.Modeled)
+			}
 		}
 	}
 }

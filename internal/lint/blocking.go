@@ -36,7 +36,7 @@ func blockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	}
 	// Store clients: every method is at least one network round-trip.
 	// NumShards is pure bookkeeping.
-	if (isMethodOn(obj, netstorePath, "Client") || isMethodOn(obj, netstorePath, "ReadClient")) && name != "NumShards" {
+	if isMethodOn(obj, netstorePath, "Client") && name != "NumShards" {
 		return "(netstore client)." + name + " is a network round-trip", true
 	}
 	// Raw net I/O (conns, listeners) and explicit sleeps.

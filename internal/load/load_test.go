@@ -304,9 +304,9 @@ func TestRunCancel(t *testing.T) {
 
 // serveStack brings up primaries + replicas + the HTTP front end with
 // every user in a published view, and returns the base URL, the
-// primary addresses (for direct targets) and the primary client (for
-// draining pushed updates).
-func serveStack(t *testing.T, users int) (string, []string, *netstore.Client) {
+// primary and replica addresses (for direct targets) and the primary
+// client (for draining pushed updates).
+func serveStack(t *testing.T, users int) (string, []string, []string, *netstore.Client) {
 	t.Helper()
 	const partitions = 4
 	cluster, err := netstore.StartCluster(2, partitions, nil)
@@ -353,7 +353,7 @@ func serveStack(t *testing.T, users int) (string, []string, *netstore.Client) {
 	t.Cleanup(srv.Close)
 	hs := httptest.NewServer(srv.Mux())
 	t.Cleanup(hs.Close)
-	return hs.URL, cluster.Addrs(), primary
+	return hs.URL, cluster.Addrs(), reps.Addrs(), primary
 }
 
 // TestEndToEndHTTP is the knnload→knnserve smoke test: a mixed
@@ -361,7 +361,7 @@ func serveStack(t *testing.T, users int) (string, []string, *netstore.Client) {
 // zero errors and misses, and the written updates drain from the
 // primaries' phase-5 queue.
 func TestEndToEndHTTP(t *testing.T) {
-	url, _, primary := serveStack(t, 64)
+	url, _, _, primary := serveStack(t, 64)
 	cfg := PlanConfig{
 		Users: 64, Items: 500, Ops: 300,
 		Rate: 3000, Skew: 1.2,
@@ -412,9 +412,10 @@ func TestEndToEndHTTP(t *testing.T) {
 }
 
 // TestEndToEndDirect drives the netstore client directly against the
-// primaries — the HTTP-overhead-isolation mode — on the same stack.
+// primaries — the HTTP-overhead-isolation mode — on the same stack,
+// then replays a read-only plan against the replica tier.
 func TestEndToEndDirect(t *testing.T) {
-	_, addrs, primary := serveStack(t, 64)
+	_, addrs, replicas, primary := serveStack(t, 64)
 	tgt, err := NewDirectTarget("direct", addrs, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -441,13 +442,41 @@ func TestEndToEndDirect(t *testing.T) {
 	if uint64(len(drained)) != res.Kinds[Update].Ops {
 		t.Fatalf("drained %d, pushed %d", len(drained), res.Kinds[Update].Ops)
 	}
+
+	// Replicas answer every read of the plan from the views they
+	// follow, with measured, ordered percentiles.
+	reads, err := BuildPlan(PlanConfig{
+		Users: 64, Items: 500, Ops: 200, Rate: 4000, Skew: 1.2,
+		ProfileFrac: 0.3, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtgt, err := NewDirectTarget("replicas", replicas, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rtgt.Close()
+	res, err = Run(context.Background(), rtgt, reads, RunConfig{Concurrency: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops() != uint64(len(reads)) || res.Errors() != 0 || res.Misses() != 0 {
+		t.Fatalf("replica run: %d of %d ops, %d errors %d misses (first %q)",
+			res.Ops(), len(reads), res.Errors(), res.Misses(), res.Kinds[Neighbors].FirstError)
+	}
+	for _, k := range []Kind{Neighbors, Profile} {
+		if r := res.Kinds[k]; r.P50 <= 0 || r.P99 < r.P50 {
+			t.Errorf("replica run kind %d: bad percentiles p50=%v p99=%v", k, r.P50, r.P99)
+		}
+	}
 }
 
 // TestEndToEndMutations: a plan with add/del fractions drives PUT and
 // DELETE /v1/profile/{id} through both target flavors, and every
 // mutation lands in the primaries' delta journal.
 func TestEndToEndMutations(t *testing.T) {
-	url, addrs, primary := serveStack(t, 64)
+	url, addrs, _, primary := serveStack(t, 64)
 	cfg := PlanConfig{
 		Users: 64, Items: 500, Ops: 300,
 		Rate: 3000, Skew: 1.2,
@@ -499,49 +528,5 @@ func TestEndToEndMutations(t *testing.T) {
 	}
 	if want := res.Kinds[AddUser].Ops + res.Kinds[DelUser].Ops; uint64(len(muts)) != want {
 		t.Fatalf("direct drained %d mutations, sent %d", len(muts), want)
-	}
-}
-
-// TestRoundRobinTarget: ops rotate evenly across the backends and
-// Close fans out to every one.
-func TestRoundRobinTarget(t *testing.T) {
-	if _, err := NewRoundRobinTarget("empty", nil); err == nil {
-		t.Fatal("round-robin over zero targets must be rejected")
-	}
-	backends := []*countingTarget{{}, {}, {}}
-	rr, err := NewRoundRobinTarget("rr", []Target{backends[0], backends[1], backends[2]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.Name() != "rr" {
-		t.Errorf("name %q", rr.Name())
-	}
-	const ops = 99
-	var wg sync.WaitGroup
-	for i := 0; i < ops; i++ {
-		wg.Add(1)
-		go func(u uint32) {
-			defer wg.Done()
-			if err := rr.Do(Op{Kind: Neighbors, User: u}); err != nil {
-				t.Error(err)
-			}
-		}(uint32(i))
-	}
-	wg.Wait()
-	total := 0
-	for i, b := range backends {
-		b.mu.Lock()
-		n := len(b.ops)
-		b.mu.Unlock()
-		total += n
-		if n != ops/len(backends) {
-			t.Errorf("backend %d served %d ops, want %d", i, n, ops/len(backends))
-		}
-	}
-	if total != ops {
-		t.Errorf("served %d ops in total, want %d", total, ops)
-	}
-	if err := rr.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"knnpc/internal/api"
@@ -206,13 +205,13 @@ func drain(body io.ReadCloser) {
 // on the same store isolates the front end's overhead.
 type DirectTarget struct {
 	name string
-	c    netstore.ReadClient
+	c    *netstore.Client
 }
 
 // NewDirectTarget dials a store tier (primaries, or replicas for a
-// read-only workload) as a direct load target.
+// read-only workload: a replica refuses writes) as a direct load target.
 func NewDirectTarget(name string, addrs []string, partitions int) (*DirectTarget, error) {
-	c, err := netstore.DialRead(addrs, partitions)
+	c, err := netstore.Dial(addrs, partitions)
 	if err != nil {
 		return nil, fmt.Errorf("load: dial %s: %w", name, err)
 	}
@@ -247,32 +246,15 @@ func (t *DirectTarget) Do(op Op) error {
 			{User: op.User, Kind: profile.SetItem, Item: op.Item, Weight: op.Weight},
 		})
 	case AddUser:
-		m, ok := t.c.(mutator)
-		if !ok {
-			return fmt.Errorf("load: target %s cannot add users", t.name)
-		}
 		vec, err := profile.NewVector([]profile.Entry{{Item: op.Item, Weight: op.Weight}})
 		if err != nil {
 			return err
 		}
-		return m.AddUser(op.User, vec.AppendBinary(nil))
+		return t.c.AddUser(op.User, vec.AppendBinary(nil))
 	case DelUser:
-		m, ok := t.c.(mutator)
-		if !ok {
-			return fmt.Errorf("load: target %s cannot delete users", t.name)
-		}
-		return m.DelUser(op.User)
+		return t.c.DelUser(op.User)
 	}
 	return fmt.Errorf("load: unknown op kind %d", op.Kind)
-}
-
-// mutator is the whole-user mutation surface of the full store client.
-// ReadClient deliberately omits it (replica tiers are read-only), so
-// DirectTarget discovers it by assertion at op time — DialRead hands
-// back the full client, which satisfies this on primary tiers.
-type mutator interface {
-	AddUser(u uint32, profileBlob []byte) error
-	DelUser(u uint32) error
 }
 
 // missOr maps the store's not-served sentinel onto ErrMiss.
@@ -281,43 +263,4 @@ func missOr(err error) error {
 		return ErrMiss
 	}
 	return err
-}
-
-// RoundRobinTarget rotates ops across a fixed set of equivalent
-// targets — the client-side stand-in for a load balancer in front of
-// several replica sets, used by the FW-10 replica-count sweep. Do is
-// safe for concurrent use when every underlying target's Do is.
-type RoundRobinTarget struct {
-	name    string
-	next    atomic.Uint64
-	targets []Target
-}
-
-// NewRoundRobinTarget builds a rotating target over the given
-// backends. The backends are owned by the result: Close closes them
-// all.
-func NewRoundRobinTarget(name string, targets []Target) (*RoundRobinTarget, error) {
-	if len(targets) == 0 {
-		return nil, errors.New("load: round-robin over zero targets")
-	}
-	return &RoundRobinTarget{name: name, targets: targets}, nil
-}
-
-// Name labels the target.
-func (t *RoundRobinTarget) Name() string { return t.name }
-
-// Do executes one op on the next backend in rotation.
-func (t *RoundRobinTarget) Do(op Op) error {
-	return t.targets[(t.next.Add(1)-1)%uint64(len(t.targets))].Do(op)
-}
-
-// Close closes every backend, returning the first error.
-func (t *RoundRobinTarget) Close() error {
-	var first error
-	for _, b := range t.targets {
-		if err := b.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

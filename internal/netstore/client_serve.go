@@ -20,26 +20,6 @@ import (
 // order on a miss; servers answer statusMiss cheaply from their
 // in-memory user index, so the scatter costs network hops, not disk.
 
-// ReadClient is the subset of Client the serving tier needs: point
-// lookups and update pushes, no compute verbs. Both Client and
-// ReplicaClient satisfy it.
-type ReadClient interface {
-	Neighbors(u uint32) (epoch uint64, ids []uint32, err error)
-	ProfileBytes(u uint32) (epoch uint64, blob []byte, err error)
-	PushUpdates(updates []profile.Update) error
-	Close() error
-}
-
-// DialRead dials a store tier (primaries or replicas) and returns only
-// the serving surface. This is the load driver's direct-client mode:
-// the same lookups knnserve issues, minus the HTTP layer, so a
-// comparison of the two isolates HTTP overhead from store latency.
-// Note writes pushed through a replica tier will be refused — point
-// updates at the primaries.
-func DialRead(addrs []string, numPartitions int) (ReadClient, error) {
-	return Dial(addrs, numPartitions)
-}
-
 // hintCache remembers which shard last answered for a user.
 type hintCache struct {
 	mu    sync.Mutex
@@ -98,9 +78,9 @@ func (c *Client) PutView(p uint32, blob []byte) error {
 	return err
 }
 
-// GetView fetches partition p's serve view blob and the epoch it was
-// stamped with. This is the replica pull path; point lookups should use
-// Neighbors/ProfileBytes instead.
+// GetView fetches partition p's whole serve view blob and the epoch it
+// was stamped with, for inspecting a published view; point lookups
+// should use Neighbors/ProfileBytes instead.
 func (c *Client) GetView(p uint32) (epoch uint64, blob []byte, err error) {
 	sc, err := c.shardFor(p)
 	if err != nil {

@@ -9,8 +9,8 @@ import (
 )
 
 // Cluster bundles N loopback server shards started in one process —
-// the zero-configuration way to run the network store: benchmarks, the
-// FW-8 sweep, and `knnrun -netstore shards=N` all go through it, and
+// the zero-configuration way to run the network store: benchmarks, tests
+// and `knnrun -netstore shards=N` all go through it, and
 // because the client speaks the same TCP protocol either way, swapping
 // the loopback cluster for `cmd/statestore` processes on real machines
 // changes nothing above the dial.

@@ -2,8 +2,11 @@ package netstore
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
+
+	"knnpc/internal/profile"
 )
 
 // allocBound is the most a decoder may allocate for n input bytes: a
@@ -50,6 +53,93 @@ func FuzzDecodeView(f *testing.F) {
 		}
 		if again := EncodeView(entries); !bytes.Equal(again, data) {
 			t.Fatalf("accepted view re-encodes to %x, was %x", again, data)
+		}
+	})
+}
+
+// FuzzDecodeUpdates: arbitrary PUSHUPD bodies never panic the update
+// decoder, never make it allocate beyond a multiple of their length (the
+// claimed count is checked against the 13-byte records behind it), and
+// a batch it accepts re-encodes to exactly the same bytes.
+func FuzzDecodeUpdates(f *testing.F) {
+	f.Add(EncodeUpdates([]profile.Update{
+		{User: 3, Kind: profile.SetItem, Item: 17, Weight: 4.5},
+		{User: 9, Kind: profile.RemoveItem, Item: 2},
+		{User: 3, Kind: profile.SetItem, Item: 1, Weight: float32(math.Inf(-1))},
+	}))
+	f.Add(EncodeUpdates(nil))
+	f.Add(EncodeUpdates([]profile.Update{{User: 1, Kind: profile.ReplaceProfile}}))
+	f.Add(appendU32(nil, 0xFFFFFFFF))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var updates []profile.Update
+		var err error
+		requireBoundedAlloc(t, data, func() { updates, err = DecodeUpdates(data) })
+		if err != nil {
+			return
+		}
+		if again := EncodeUpdates(updates); !bytes.Equal(again, data) {
+			t.Fatalf("accepted update batch re-encodes to %x, was %x", again, data)
+		}
+	})
+}
+
+// FuzzDecodeMutations: arbitrary ADDUSER/DRAINMUT bodies never panic the
+// mutation decoder, never make it allocate beyond a multiple of their
+// length (neither the claimed count nor a profile length sizes a buffer
+// the bytes cannot back), and a batch it accepts re-encodes to exactly
+// the same bytes.
+func FuzzDecodeMutations(f *testing.F) {
+	vec, err := profile.NewVector([]profile.Entry{{Item: 4, Weight: 1}, {Item: 11, Weight: 0.5}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(EncodeMutations([]Mutation{
+		{Op: MutAdd, User: 40, Profile: vec.AppendBinary(nil)},
+		{Op: MutDel, User: 7},
+		{Op: MutAdd, User: 41},
+	}))
+	f.Add(EncodeMutations(nil))
+	f.Add(append(appendU32(appendU32(append(appendU32(nil, 1), MutDel), 7), 2), 1, 2))
+	f.Add(append(appendU32(appendU32(append(appendU32(nil, 1), MutAdd), 7), 0xFFFFFFFF), 1))
+	f.Add(append(appendU32(nil, 1), 0x02, 0, 0, 0, 0, 0, 0, 0, 0))
+	f.Add(appendU32(nil, 0xFFFFFFFF))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var muts []Mutation
+		var err error
+		requireBoundedAlloc(t, data, func() { muts, err = DecodeMutations(data) })
+		if err != nil {
+			return
+		}
+		if again := EncodeMutations(muts); !bytes.Equal(again, data) {
+			t.Fatalf("accepted mutation batch re-encodes to %x, was %x", again, data)
+		}
+	})
+}
+
+// FuzzDecodeStaleness: arbitrary staleness documents never panic the
+// decoder, never make it allocate beyond a multiple of their length (the
+// claimed row count is checked against the 44-byte rows behind it), and
+// a document it accepts re-encodes to exactly the same bytes.
+func FuzzDecodeStaleness(f *testing.F) {
+	f.Add(EncodeStaleness(StalenessDoc{
+		LastFullEpoch: 12, Threshold: 0.25, Users: 400,
+		Partitions: []PartitionStaleness{
+			{Partition: 0, Adds: 3, Deletes: 1, TouchedEdges: 40, Members: 50, Score: 0.18},
+			{Partition: 1, Members: 50},
+		},
+	}))
+	f.Add(EncodeStaleness(StalenessDoc{LastFullEpoch: 1}))
+	f.Add(append(EncodeStaleness(StalenessDoc{})[:24], appendU32(nil, 0xFFFFFFFF)...))
+	f.Add(EncodeStaleness(StalenessDoc{Threshold: math.NaN()})[:20])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var doc StalenessDoc
+		var err error
+		requireBoundedAlloc(t, data, func() { doc, err = DecodeStaleness(data) })
+		if err != nil {
+			return
+		}
+		if again := EncodeStaleness(doc); !bytes.Equal(again, data) {
+			t.Fatalf("accepted staleness document re-encodes to %x, was %x", again, data)
 		}
 	})
 }

@@ -199,7 +199,7 @@ func TestCollectOrderAndContent(t *testing.T) {
 
 // TestShardDevicesAccountIndependently: with emulation on, each shard's
 // spindle accrues its own modeled time and the slept+debt==modeled
-// invariant holds per shard — the accounting the FW-8 sweep reports.
+// invariant holds per shard — the accounting knnrun prints per spindle.
 func TestShardDevicesAccountIndependently(t *testing.T) {
 	cluster, client := startCluster(t, 2, 4, &disk.HDD)
 	blob := make([]byte, 32<<10)

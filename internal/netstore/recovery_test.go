@@ -768,8 +768,9 @@ func randomVerb(rng *rand.Rand, c *Client, tokens *[][2]uint64) (string, error) 
 // dumpShard renders everything a shard's recovery must bring back —
 // every durable map, walked in sorted key order — independently of the
 // compaction writer, so a compaction that drops or mis-orders state
-// shows as a difference. Leases are volatile (see leaseDump); the user
-// index is derived from the views. An epoch of 0 is the same as none.
+// shows as a difference. Leases are volatile (see leaseDump). The user
+// index is derived from the views, and dumped so that a route that
+// depends on install order shows too. An epoch of 0 is the same as none.
 func dumpShard(s *Server) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -790,6 +791,9 @@ func dumpShard(s *Server) string {
 	}
 	for _, p := range sortedKeys(s.views) {
 		fmt.Fprintf(&b, "view %d at %d %x\n", p, s.views[p].epoch, s.views[p].blob)
+	}
+	for _, u := range sortedKeys(s.userIdx) {
+		fmt.Fprintf(&b, "route %d -> view %d\n", u, s.userIdx[u])
 	}
 	fmt.Fprintf(&b, "tombstones %v\n", sortedKeys(s.tombstones))
 	for _, u := range s.updates {

@@ -127,6 +127,43 @@ func TestPointLookupRouting(t *testing.T) {
 	}
 }
 
+// TestViewRouteIsCanonical: a user held by two views routes to the
+// higher-numbered one whichever was installed last, falls back to the
+// other when the higher drops it, and has no route once no view holds
+// it — so a replayed or compacted shard routes exactly like the live
+// one it recovers.
+func TestViewRouteIsCanonical(t *testing.T) {
+	view := func(epoch uint64, users ...uint32) serveView {
+		var entries []ViewEntry
+		for _, u := range users {
+			entries = append(entries, ViewEntry{User: u})
+		}
+		v, err := newServeView(epoch, EncodeView(entries))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	forward, backward := newViewSet(), newViewSet()
+	forward.setView(0, view(10, 1, 2))
+	forward.setView(2, view(12, 1))
+	backward.setView(2, view(12, 1))
+	backward.setView(0, view(10, 1, 2))
+	for name, vs := range map[string]viewSet{"forward": forward, "backward": backward} {
+		if epoch, _, ok := vs.entry(1); !ok || epoch != 12 {
+			t.Fatalf("%s install order: user 1 answered from epoch %d (ok=%v), want view 2's 12", name, epoch, ok)
+		}
+	}
+	backward.setView(2, view(13))
+	if epoch, _, ok := backward.entry(1); !ok || epoch != 10 {
+		t.Fatalf("user 1 dropped from view 2 answered from epoch %d (ok=%v), want view 0's 10", epoch, ok)
+	}
+	backward.setView(0, view(14))
+	if len(backward.userIdx) != 0 {
+		t.Fatalf("no view holds a user, yet routes remain: %v", backward.userIdx)
+	}
+}
+
 // TestUpdatePushDrain: updates pushed from multiple client batches
 // drain in per-user order (same-shard routing by user id), across a
 // multi-shard cluster.

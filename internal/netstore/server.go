@@ -59,11 +59,37 @@ func newViewSet() viewSet {
 	return viewSet{views: make(map[uint32]serveView), userIdx: make(map[uint32]uint32)}
 }
 
-// setView makes v partition p's view and routes its members to it.
+// setView makes v partition p's view. A user held by several views
+// routes to the highest-numbered one, and a user no view holds has no
+// route, so the index depends only on which views are installed and
+// not on their install order: a live shard and its journal replay (or
+// compaction, which installs views in partition order) route alike.
 func (vs viewSet) setView(p uint32, v serveView) {
+	old := vs.views[p]
 	vs.views[p] = v
+	for u := range old.index {
+		if _, kept := v.index[u]; !kept && vs.userIdx[u] == p {
+			vs.reroute(u)
+		}
+	}
 	for u := range v.index {
-		vs.userIdx[u] = p
+		if q, ok := vs.userIdx[u]; !ok || q < p {
+			vs.userIdx[u] = p
+		}
+	}
+}
+
+// reroute points u at the highest-numbered view still holding it, or
+// drops its route when none does.
+func (vs viewSet) reroute(u uint32) {
+	delete(vs.userIdx, u)
+	for q, v := range vs.views {
+		if _, held := v.index[u]; !held {
+			continue
+		}
+		if cur, ok := vs.userIdx[u]; !ok || q > cur {
+			vs.userIdx[u] = q
+		}
 	}
 }
 

@@ -12,11 +12,10 @@ import "fmt"
 // any shared directory.
 //
 // The router is the one shard-routing layer every netstore party shares:
-// the client routes each worker callback's partition to its shard, the
-// servers validate that a request belongs to their range, and the
-// shard-count sweeps label per-shard results. Keeping it here, next to
-// the schedule machinery, pins the routing to the same partition-id
-// space the op tape is expressed in.
+// the client routes each worker callback's partition to its shard, and
+// the servers validate that a request belongs to their range. Keeping
+// it here, next to the schedule machinery, pins the routing to the same
+// partition-id space the op tape is expressed in.
 type ShardRouter struct {
 	numPartitions int
 	shards        int

@@ -18,14 +18,13 @@ declare -A HELP=(
   [knnserve]="knnserve -help"
   [knnload]="knnload -help"
   [table1]="table1 -help"
-  [experiments]="experiments -help"
   [datagen-graph]="datagen graph -help"
   [datagen-profiles]="datagen profiles -help"
   [knnlint]="knnlint -help"
 )
 
 echo "== building binaries"
-for bin in knnrun statestore knnserve knnload table1 experiments datagen knnlint; do
+for bin in knnrun statestore knnserve knnload table1 datagen knnlint; do
   go build -o "$WORK/$bin" "./cmd/$bin"
 done
 

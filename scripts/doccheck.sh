@@ -20,7 +20,6 @@ PACKAGES=(
   internal/serve
   internal/load
   internal/lint
-  internal/experiments
 )
 
 go run ./scripts/doccheck "${PACKAGES[@]}" README.md docs/*.md
