@@ -46,7 +46,8 @@ race-phase4:
 # Each native fuzz target for FUZZTIME: the partition-state and
 # worker-partial decoders, the serve-view decoder, the replica's
 # WATCH-frame parse and the decoders of the update, mutation and
-# staleness bodies store clients send (PUSHUPD, ADDUSER, DRAINMUT) must
+# staleness bodies store clients send (PUSHUPD, ADDUSER, DRAINMUT) and
+# the profile-vector decoder an ADDUSER profile passes through must
 # never panic, never size storage from a count the input cannot back,
 # and round-trip what they accept; a shard's
 # journal replay must never panic, allocate in proportion to the
@@ -69,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMutations$$' -fuzztime $(FUZZTIME) ./internal/netstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStaleness$$' -fuzztime $(FUZZTIME) ./internal/netstore
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/netstore
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVector$$' -fuzztime $(FUZZTIME) ./internal/profile
 
 # End-to-end proof of the network state store: launches cmd/statestore
 # with 2 shards, runs knnrun once in-process and once with -netstore on
@@ -97,7 +99,7 @@ bench-smoke:
 	$(GO) run ./bench -runs 2 -seconds 5
 
 # Applies the benchmark's bounds to the last `make bench` against BASE,
-# e.g. `make bench-compare BASE=BENCH_31.json`; exits non-zero on
+# e.g. `make bench-compare BASE=BENCH_36.json`; exits non-zero on
 # a regressed or unresolved end-to-end metric, or on an exact count
 # that differs at equal seeds.
 bench-compare:

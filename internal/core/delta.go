@@ -176,10 +176,7 @@ func (e *Engine) ApplyDeltas() (*DeltaStats, error) {
 
 	// Work on clones; the commit window swaps them in atomically.
 	g := e.g.Clone()
-	dead := make(map[uint32]struct{}, len(e.dead))
-	for u := range e.dead {
-		dead[u] = struct{}{}
-	}
+	dead := e.dead.Clone()
 	// overlay serves this pass's not-yet-committed profiles to the
 	// inserter (new users and upserted vectors).
 	overlay := make(map[uint32]profile.Vector)
@@ -213,7 +210,7 @@ func (e *Engine) ApplyDeltas() (*DeltaStats, error) {
 	cfg := delta.Config{
 		K:    e.opts.K,
 		Sim:  e.opts.Similarity,
-		Dead: func(v uint32) bool { _, ok := dead[v]; return ok },
+		Dead: func(v uint32) bool { return dead.Has(v) },
 	}
 	if e.lastAssign != nil {
 		cfg.PartitionOf = partOf
@@ -227,7 +224,7 @@ func (e *Engine) ApplyDeltas() (*DeltaStats, error) {
 
 	insert := func(u uint32, vec profile.Vector) error {
 		overlay[u] = vec
-		delete(dead, u) // an add of a tombstoned user resurrects it
+		dead.Remove(u) // an add of a tombstoned user resurrects it
 		res, err := delta.Insert(g, lookup, cfg, u, vec)
 		if err != nil {
 			return err
@@ -273,14 +270,15 @@ func (e *Engine) ApplyDeltas() (*DeltaStats, error) {
 			// ever contained the user, so no view changes.
 			delete(pendingDead, u)
 			overlay[u] = vec
-			dead[u] = struct{}{}
+			dead.Add(u)
 			stats.Deletes++
 			return nil
 		}
 		return insert(u, vec)
 	}
 
-	for _, m := range muts {
+	for i := 0; i < len(muts); i++ {
+		m := muts[i]
 		switch m.Op {
 		case delta.Add:
 			n := uint32(g.NumNodes())
@@ -323,36 +321,45 @@ func (e *Engine) ApplyDeltas() (*DeltaStats, error) {
 				delete(pendingDead, m.User)
 			}
 		case delta.Delete:
-			if _, ok := pending[m.User]; ok {
-				// The add has not landed yet. Cancelling it outright
-				// would leave its id permanently unoccupied — every
-				// later sequential add would park behind the gap — so
-				// the add still applies when its predecessors land,
-				// immediately tombstoned.
-				pendingDead[m.User] = true
-				continue
+			// A run of consecutive deletes is stripped in one scan of
+			// the graph, with the touched list each delete would have
+			// had on its own.
+			var run []uint32
+			for ; i < len(muts) && muts[i].Op == delta.Delete; i++ {
+				u := muts[i].User
+				if _, ok := pending[u]; ok {
+					// The add has not landed yet. Cancelling it
+					// outright would leave its id permanently
+					// unoccupied — every later sequential add would
+					// park behind the gap — so the add still applies
+					// when its predecessors land, immediately
+					// tombstoned.
+					pendingDead[u] = true
+					continue
+				}
+				if int(u) >= g.NumNodes() || dead.Has(u) {
+					continue // unknown user (an idempotent miss) or already tombstoned
+				}
+				dead.Add(u)
+				run = append(run, u)
 			}
-			if int(m.User) >= g.NumNodes() {
-				continue // unknown user: idempotent miss
-			}
-			if _, ok := dead[m.User]; ok {
-				continue // already tombstoned
-			}
-			touched, err := delta.Remove(g, m.User)
+			i-- // the loop's own increment steps past the run
+			touched, err := delta.RemoveRun(g, run)
 			if err != nil {
-				return fail(fmt.Errorf("core: delta delete user %d: %w", m.User, err))
+				return fail(fmt.Errorf("core: delta delete users %v: %w", run, err))
 			}
-			dead[m.User] = struct{}{}
-			stats.Deletes++
-			stats.TouchedUsers += len(touched)
-			p := partOf(m.User)
-			trackOps = append(trackOps, trackOp{del: true, p: p, edges: len(touched)})
-			if p >= 0 {
-				affected[p] = true
-			}
-			for _, v := range touched {
-				if pv := partOf(v); pv >= 0 {
-					affected[pv] = true
+			for j, u := range run {
+				stats.Deletes++
+				stats.TouchedUsers += len(touched[j])
+				p := partOf(u)
+				trackOps = append(trackOps, trackOp{del: true, p: p, edges: len(touched[j])})
+				if p >= 0 {
+					affected[p] = true
+				}
+				for _, v := range touched[j] {
+					if pv := partOf(v); pv >= 0 {
+						affected[pv] = true
+					}
 				}
 			}
 		default:

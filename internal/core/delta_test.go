@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -481,5 +483,117 @@ func TestDeltaValidation(t *testing.T) {
 	eng.Close()
 	if _, err := eng.ApplyDeltas(); err == nil {
 		t.Error("ApplyDeltas on closed engine should fail")
+	}
+}
+
+// TestDeltaGolden pins the delta path's output: a seeded script of
+// adds, upserts (live and tombstoned users), adds ahead of their id,
+// runs of deletes whose members list one another, a duplicate delete
+// and a delete of a held add, interleaved with full iterations, must
+// end in one graph and one summed DeltaStats. The values are the ones
+// the map-based inserter and the one-user-at-a-time strip produced, so
+// any change to the delta layer that is meant to be output-identical is
+// checked here by go test, not only by the benchmark's digest.
+func TestDeltaGolden(t *testing.T) {
+	const (
+		base, poolSize, k = 300, 80, 6
+		digest            = "cdd1995e6d15361c"
+	)
+	want := DeltaStats{Adds: 51, Upserts: 16, Deletes: 34, Held: 8, TouchedUsers: 409, SimEvals: 8283}
+	vecs, _, err := dataset.RatingsProfiles(base+poolSize, 1200, 20, 6, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(profile.NewStoreFromVectors(append([]profile.Vector(nil), vecs[:base]...)),
+		Options{K: k, NumPartitions: 5, TupleBatch: 64, Seed: 19, StalenessThreshold: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	for range 2 {
+		if _, err := eng.Iterate(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	next := uint32(base) // next sequential id
+	pool := vecs[base:]
+	var got DeltaStats
+	for round := 0; round < 8; round++ {
+		n := eng.Graph().NumNodes()
+		// Sequential adds; in odd rounds the last two arrive swapped.
+		adds := 3 + rng.Intn(4)
+		ids := make([]uint32, 0, adds)
+		for range adds {
+			ids = append(ids, next)
+			next++
+		}
+		if round%2 == 1 {
+			ids[adds-1], ids[adds-2] = ids[adds-2], ids[adds-1]
+		}
+		for _, u := range ids {
+			eng.EnqueueAddUser(u, pool[int(u)-base])
+		}
+		// Upserts of existing users, tombstoned ones included.
+		for range 2 {
+			eng.EnqueueAddUser(uint32(rng.Intn(n)), vecs[rng.Intn(base)])
+		}
+		// A run of deletes: u, a user u lists, a user that lists w, w,
+		// then u again.
+		g := eng.Graph()
+		u := uint32(rng.Intn(n))
+		run := []uint32{u}
+		if nb := g.Neighbors(u); len(nb) > 0 {
+			run = append(run, nb[rng.Intn(len(nb))])
+		}
+		w := uint32(rng.Intn(n))
+		for v := 0; v < n; v++ {
+			if slices.Contains(g.Neighbors(uint32(v)), w) {
+				run = append(run, uint32(v))
+				break
+			}
+		}
+		run = append(run, w, u)
+		for _, d := range run {
+			eng.EnqueueDelUser(d)
+		}
+		// An add ahead of its id, held into the next round; every
+		// third round its delete races it.
+		eng.EnqueueAddUser(next+1, pool[int(next+1)-base])
+		if round%3 == 2 {
+			eng.EnqueueDelUser(next + 1)
+		}
+		ds, err := eng.ApplyDeltas()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Adds += ds.Adds
+		got.Upserts += ds.Upserts
+		got.Deletes += ds.Deletes
+		got.Held += ds.Held
+		got.TouchedUsers += ds.TouchedUsers
+		got.SimEvals += ds.SimEvals
+		eng.EnqueueAddUser(next, pool[int(next)-base])
+		next += 2
+		if round%3 == 1 {
+			if _, err := eng.Iterate(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ds, err := eng.ApplyDeltas()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Adds += ds.Adds
+	got.Upserts += ds.Upserts
+	got.Deletes += ds.Deletes
+	got.Held += ds.Held
+	got.TouchedUsers += ds.TouchedUsers
+	got.SimEvals += ds.SimEvals
+	if d := graphDigest(eng.Graph()); d != digest || got != want {
+		t.Fatalf("delta golden: digest %s, stats %+v; want %s, %+v", d, got, digest, want)
 	}
 }

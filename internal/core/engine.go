@@ -324,7 +324,7 @@ type Engine struct {
 	// moved to a later partition (see publishMembers); the next delta
 	// commit republishes them without it.
 	deltas       *delta.Queue
-	dead         map[uint32]struct{}
+	dead         graph.NodeSet
 	tracker      *delta.Tracker
 	lastAssign   *partition.Assignment
 	lastParts    []*partition.Data
@@ -745,14 +745,9 @@ func (e *Engine) phasePartition(ctx context.Context, it *iteration) error {
 func (e *Engine) phaseTuples(ctx context.Context, it *iteration) error {
 	table := e.newTable(it.assign)
 	it.table = table
-	// Tombstoned users neither emit nor receive candidates: the filter
-	// drops their tuples at the table door. Installed only when there
-	// are tombstones, so deletion-free runs keep the exact pre-filter
-	// add path.
-	if len(e.dead) > 0 {
-		dead := e.dead
-		table.SetTombstones(func(u uint32) bool { _, ok := dead[u]; return ok })
-	}
+	// Tombstoned users neither emit nor receive candidates: the table
+	// drops their tuples at the door.
+	table.SetTombstones(e.dead)
 	if err := e.populateTable(ctx, it.dg, it.parts, table); err != nil {
 		return fmt.Errorf("populate H: %w", err)
 	}
@@ -923,7 +918,7 @@ func (e *Engine) adoptPartitioning(it *iteration) {
 	live := make([]int, len(it.parts))
 	for p, part := range it.parts {
 		for _, u := range part.Members {
-			if _, tomb := e.dead[u]; !tomb {
+			if !e.dead.Has(u) {
 				live[p]++
 			}
 		}
@@ -1030,7 +1025,7 @@ func (e *Engine) publishView(p int, members []uint32) error {
 func (e *Engine) encodeView(members []uint32) ([]byte, error) {
 	entries := make([]netstore.ViewEntry, 0, len(members))
 	for _, u := range members {
-		if _, tomb := e.dead[u]; tomb {
+		if e.dead.Has(u) {
 			continue // tombstoned users are not served
 		}
 		vec, err := e.profiles.Profile(u)
@@ -1057,7 +1052,7 @@ func (e *Engine) QueryNeighbors(u uint32) ([]uint32, uint64, error) {
 	if int(u) >= e.g.NumNodes() {
 		return nil, 0, fmt.Errorf("core: user %d out of range [0,%d)", u, e.g.NumNodes())
 	}
-	if _, tomb := e.dead[u]; tomb {
+	if e.dead.Has(u) {
 		return nil, 0, fmt.Errorf("core: user %d is tombstoned", u)
 	}
 	return append([]uint32(nil), e.g.Neighbors(u)...), e.epoch, nil
@@ -1070,7 +1065,7 @@ func (e *Engine) QueryNeighbors(u uint32) ([]uint32, uint64, error) {
 func (e *Engine) QueryProfile(u uint32) (profile.Vector, uint64, error) {
 	e.serveMu.RLock()
 	defer e.serveMu.RUnlock()
-	if _, tomb := e.dead[u]; tomb {
+	if e.dead.Has(u) {
 		return profile.Vector{}, 0, fmt.Errorf("core: user %d is tombstoned", u)
 	}
 	vec, err := e.profiles.Profile(u)

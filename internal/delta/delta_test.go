@@ -1,8 +1,10 @@
 package delta
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"knnpc/internal/graph"
@@ -191,5 +193,187 @@ func TestQueueFIFO(t *testing.T) {
 	}
 	if q.Len() != 0 || len(q.Drain()) != 0 {
 		t.Fatal("queue not empty after drain")
+	}
+}
+
+// randomCase builds a seeded random graph with bound k over n users
+// and weighted profiles drawn from a small item universe (some empty),
+// so candidates share items and scores tie.
+func randomCase(t *testing.T, rng *rand.Rand, n, k int) (*graph.KNN, []profile.Vector) {
+	t.Helper()
+	g, err := graph.RandomKNN(n, k, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs := make([]profile.Vector, n+8)
+	for u := range vecs {
+		entries := make([]profile.Entry, 0, 12)
+		for range rng.Intn(12) {
+			item := uint32(rng.Intn(40))
+			if slices.ContainsFunc(entries, func(e profile.Entry) bool { return e.Item == item }) {
+				continue
+			}
+			entries = append(entries, profile.Entry{Item: item, Weight: float32(1 + rng.Intn(4))})
+		}
+		v, err := profile.NewVector(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vecs[u] = v
+	}
+	return g, vecs
+}
+
+func sameGraph(a, b *graph.KNN) bool {
+	if a.NumNodes() != b.NumNodes() {
+		return false
+	}
+	for u := 0; u < a.NumNodes(); u++ {
+		if !slices.Equal(a.Neighbors(uint32(u)), b.Neighbors(uint32(u))) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestInsertMatchesReference holds Insert to the map-based inserter it
+// replaced: for every measure, with and without the partition filter
+// and tombstones, at K ∈ {1, 5, 10}, a sequence of adds and upserts
+// must return the same neighbors, touched users, pool size and
+// similarity-evaluation count, and leave the same graph.
+func TestInsertMatchesReference(t *testing.T) {
+	sims := []profile.Similarity{profile.Cosine{}, profile.Jaccard{}, profile.Dice{}, profile.Overlap{}}
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, sim := range sims {
+			for _, k := range []int{1, 5, 10} {
+				for _, restrict := range []bool{false, true} {
+					for _, tombs := range []bool{false, true} {
+						name := fmt.Sprintf("seed%d/%s/K%d/restrict=%v/tombstones=%v", seed, sim.Name(), k, restrict, tombs)
+						rng := rand.New(rand.NewSource(seed))
+						n := 30 + rng.Intn(120)
+						g, vecs := randomCase(t, rng, n, k)
+						profiles := func(u uint32) (profile.Vector, error) { return vecs[u], nil }
+						cfg := Config{K: k, Sim: sim}
+						if restrict {
+							cfg.PartitionOf = func(u uint32) int {
+								if u%7 == 3 {
+									return -1
+								}
+								return int(u*2654435761>>28) % 5
+							}
+						}
+						if tombs {
+							dead := make(map[uint32]bool)
+							for range n / 8 {
+								dead[uint32(rng.Intn(n))] = true
+							}
+							cfg.Dead = func(u uint32) bool { return dead[u] }
+						}
+						want := g.Clone()
+						for i := 0; i < 8; i++ {
+							u := uint32(g.NumNodes())
+							if i%3 == 2 {
+								u = uint32(rng.Intn(n)) // upsert
+							} else {
+								g.Grow(1)
+								want.Grow(1)
+							}
+							vec := vecs[rng.Intn(len(vecs))]
+							got, err := Insert(g, profiles, cfg, u, vec)
+							if err != nil {
+								t.Fatal(err)
+							}
+							ref, err := refInsert(want, profiles, cfg, u, vec)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !slices.Equal(got.Neighbors, ref.Neighbors) || !slices.Equal(got.Touched, ref.Touched) ||
+								got.Candidates != ref.Candidates || got.SimEvals != ref.SimEvals {
+								t.Fatalf("%s insert %d of user %d: got %+v, want %+v", name, i, u, got, ref)
+							}
+							if !sameGraph(g, want) {
+								t.Fatalf("%s insert %d of user %d: graphs differ", name, i, u)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRemoveRunMatchesSequentialRemove holds the one-scan strip of a
+// run of deletes to sequential one-user strips: the same touched list
+// per member and the same graph, for random runs with repeats and
+// out-of-range ids and for the two orderings of a member pair that
+// lists one another.
+func TestRemoveRunMatchesSequentialRemove(t *testing.T) {
+	check := func(t *testing.T, g *graph.KNN, run []uint32) [][]uint32 {
+		t.Helper()
+		want := g.Clone()
+		var wantTouched [][]uint32
+		for _, u := range run {
+			touched, err := refRemove(want, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantTouched = append(wantTouched, touched)
+		}
+		got, err := RemoveRun(g, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range run {
+			if !slices.Equal(got[i], wantTouched[i]) {
+				t.Fatalf("run %v member %d (%d): touched %v, want %v", run, i, run[i], got[i], wantTouched[i])
+			}
+		}
+		if !sameGraph(g, want) {
+			t.Fatalf("run %v: graphs differ", run)
+		}
+		return got
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 20 + rng.Intn(200)
+		g, _ := randomCase(t, rng, n, 1+rng.Intn(10))
+		for range 5 {
+			run := make([]uint32, 1+rng.Intn(12))
+			for i := range run {
+				run[i] = uint32(rng.Intn(n + 2)) // n, n+1: idempotent misses
+			}
+			if len(run) > 2 {
+				run[len(run)-1] = run[0] // a repeated delete
+			}
+			check(t, g, run)
+		}
+	}
+
+	// a lists b. Stripping a then b: b's strip finds a already emptied,
+	// so a is not in b's touched list. Stripping b then a: a's list
+	// still holds b when b's strip runs.
+	rng := rand.New(rand.NewSource(99))
+	g, _ := randomCase(t, rng, 60, 5)
+	a := uint32(7)
+	b := g.Neighbors(a)[0]
+	if got := check(t, g.Clone(), []uint32{a, b}); slices.Contains(got[1], a) {
+		t.Fatalf("earlier member %d in later member %d's touched list %v", a, b, got[1])
+	}
+	if got := check(t, g.Clone(), []uint32{b, a}); !slices.Contains(got[0], a) {
+		t.Fatalf("later member %d missing from earlier member %d's touched list %v", a, b, got[0])
+	}
+
+	// Remove is the one-user run.
+	want := g.Clone()
+	ref, err := refRemove(want, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Remove(g, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, ref) || !sameGraph(g, want) {
+		t.Fatalf("Remove(%d) = %v, want %v", a, got, ref)
 	}
 }

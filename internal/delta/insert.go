@@ -1,8 +1,11 @@
 package delta
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"knnpc/internal/graph"
 	"knnpc/internal/knn"
@@ -67,8 +70,13 @@ type Result struct {
 //     similarity warrants.
 //
 // Everything is deterministic for a fixed (g, profiles, cfg, u, vec):
-// seeds are id-arithmetic, candidate pools are sorted before scoring,
-// and ties break by id through knn.Better.
+// seeds are id-arithmetic, candidate pools are scored in ascending id
+// order, and ties break by id through knn.Better.
+//
+// vec is expanded once into a profile.Source and every candidate is
+// scored through it, bit for bit what cfg.Sim.Score(vec, ·) returns;
+// each candidate is scored at most once, and SimEvals counts those
+// scorings.
 func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Config, u uint32, vec profile.Vector) (Result, error) {
 	var res Result
 	if cfg.K < 1 {
@@ -93,19 +101,23 @@ func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Con
 		return v == u || (cfg.Dead != nil && cfg.Dead(v))
 	}
 
-	// Score cache: each candidate is evaluated against vec once.
-	scores := make(map[uint32]float64)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.scores.reset()
+	src := profile.NewSource(cfg.Sim)
+	src.Reset(vec)
+	// score evaluates each candidate against vec once.
 	score := func(v uint32) (float64, error) {
-		if s, ok := scores[v]; ok {
+		if s, ok := sc.scores.get(v); ok {
 			return s, nil
 		}
 		pv, err := profiles(v)
 		if err != nil {
 			return 0, fmt.Errorf("delta: profile of candidate %d: %w", v, err)
 		}
-		s := cfg.Sim.Score(vec, pv)
+		s := src.Score(pv)
 		res.SimEvals++
-		scores[v] = s
+		sc.scores.put(v, s)
 		return s, nil
 	}
 
@@ -115,7 +127,6 @@ func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Con
 		stride = 1
 	}
 	var optima []uint32
-	seen := make(map[uint32]bool)
 	for i := 0; i < seeds; i++ {
 		cur := uint32((int(u) + 1 + i*stride) % n)
 		ok := false
@@ -152,50 +163,61 @@ func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Con
 			}
 			cur, curScore = best, bestScore
 		}
-		if !seen[cur] {
-			seen[cur] = true
+		if !slices.Contains(optima, cur) {
 			optima = append(optima, cur)
 		}
 	}
 
 	// Allowed partitions: where the optima and their direct neighbors
-	// live.
-	var allowed map[int]bool
+	// live, as a set of partition+1 (PartitionOf's -1 is a partition
+	// like any other here).
+	var allowed graph.NodeSet
 	if cfg.PartitionOf != nil {
-		allowed = make(map[int]bool)
 		for _, b := range optima {
-			allowed[cfg.PartitionOf(b)] = true
+			allowed.Add(uint32(cfg.PartitionOf(b) + 1))
 			for _, v := range g.Neighbors(b) {
-				allowed[cfg.PartitionOf(v)] = true
+				allowed.Add(uint32(cfg.PartitionOf(v) + 1))
 			}
 		}
 	}
 
-	// Stage 2: two-hop candidate pool around the optima, filtered.
-	pool := make(map[uint32]bool)
-	admit := func(v uint32) {
-		if skip(v) || pool[v] {
-			return
-		}
-		if allowed != nil && !allowed[cfg.PartitionOf(v)] {
-			return
-		}
-		pool[v] = true
+	// Stage 2: two-hop candidate pool around the optima. Marking each
+	// id in a bitset over the graph deduplicates the pool, and reading
+	// the set back word by word yields it in ascending id order, so skip
+	// and the partition filter run once per distinct id and no sort is
+	// needed. The read-back clears every word it visits.
+	seen := sc.seen
+	if words := (n + 63) / 64; len(seen) < words {
+		seen = make(graph.NodeSet, words)
+		sc.seen = seen
 	}
 	for _, b := range optima {
-		admit(b)
+		seen.Add(b)
 		for _, v := range g.Neighbors(b) {
-			admit(v)
+			seen.Add(v)
 			for _, w := range g.Neighbors(v) {
-				admit(w)
+				seen.Add(w)
 			}
 		}
 	}
-	cands := make([]uint32, 0, len(pool))
-	for v := range pool {
-		cands = append(cands, v)
+	cands := sc.pool[:0]
+	for i, word := range seen {
+		if word == 0 {
+			continue
+		}
+		seen[i] = 0
+		for ; word != 0; word &= word - 1 {
+			v := uint32(i<<6 | bits.TrailingZeros64(word))
+			if skip(v) {
+				continue
+			}
+			if cfg.PartitionOf != nil && !allowed.Has(uint32(cfg.PartitionOf(v)+1)) {
+				continue
+			}
+			cands = append(cands, v)
+		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
+	sc.pool = cands
 	res.Candidates = len(cands)
 
 	// Stage 3a: u's top-K of the pool.
@@ -204,22 +226,24 @@ func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Con
 		return res, err
 	}
 	for _, c := range cands {
-		sc, err := score(c)
+		s, err := score(c)
 		if err != nil {
 			return res, err
 		}
-		tk.Push(c, sc)
+		tk.Push(c, s)
 	}
-	res.Neighbors = tk.IDs()
-	sort.Slice(res.Neighbors, func(i, j int) bool { return res.Neighbors[i] < res.Neighbors[j] })
+	res.Neighbors = tk.AppendIDs(nil)
+	slices.Sort(res.Neighbors)
 	if err := g.Set(u, res.Neighbors); err != nil {
 		return res, fmt.Errorf("delta: set neighbors of %d: %w", u, err)
 	}
 
 	// Stage 3b: bounded reverse refine — each chosen neighbor
 	// reconsiders its list with u as a candidate.
+	nsrc := profile.NewSource(cfg.Sim)
 	for _, v := range res.Neighbors {
-		changed, err := refineWith(g, profiles, cfg, &res, v, u, scores[v])
+		s, _ := sc.scores.get(v)
+		changed, err := refineWith(g, profiles, cfg, nsrc, &res, v, u, s)
 		if err != nil {
 			return res, err
 		}
@@ -232,13 +256,15 @@ func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Con
 
 // refineWith rebuilds v's neighbor list from its current neighbors
 // plus the candidate c (scored sim(v,c) = cScore), reporting whether
-// the list changed.
-func refineWith(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Config, res *Result, v, c uint32, cScore float64) (bool, error) {
+// the list changed. v's profile is expanded into src once, and its
+// neighbors are scored through it.
+func refineWith(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Config, src *profile.Source, res *Result, v, c uint32, cScore float64) (bool, error) {
 	cur := g.Neighbors(v)
 	vvec, err := profiles(v)
 	if err != nil {
 		return false, fmt.Errorf("delta: profile of refined user %d: %w", v, err)
 	}
+	src.Reset(vvec)
 	tk, err := knn.NewTopK(cfg.K)
 	if err != nil {
 		return false, err
@@ -251,13 +277,13 @@ func refineWith(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg
 		if err != nil {
 			return false, fmt.Errorf("delta: profile of neighbor %d: %w", w, err)
 		}
-		tk.Push(w, cfg.Sim.Score(vvec, wvec))
+		tk.Push(w, src.Score(wvec))
 		res.SimEvals++
 	}
 	tk.Push(c, cScore)
-	next := tk.IDs()
-	sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-	if equalIDs(next, cur) {
+	next := tk.AppendIDs(nil)
+	slices.Sort(next)
+	if slices.Equal(next, cur) {
 		return false, nil
 	}
 	if err := g.Set(v, next); err != nil {
@@ -266,46 +292,175 @@ func refineWith(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg
 	return true, nil
 }
 
-func equalIDs(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
+// scratch is one Insert's reusable working memory, pooled so a batch
+// of inserts recycles it.
+type scratch struct {
+	scores memo
+	seen   graph.NodeSet // all zero between inserts
+	pool   []uint32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// memo maps candidate ids to their scores for one Insert: open
+// addressing with linear probing over a power-of-two table, kept at
+// most half full. A slot stores id+1, so the zero key marks it empty
+// (node ids stay below 2^32−1).
+type memo struct {
+	keys  []uint32
+	vals  []float64
+	used  int
+	shift uint32
+}
+
+// memoMinBits sizes a fresh table for a typical insert's few hundred
+// to a thousand scorings.
+const memoMinBits = 11
+
+func (m *memo) reset() {
+	if m.keys == nil {
+		m.alloc(memoMinBits)
+		return
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	clear(m.keys)
+	m.used = 0
+}
+
+func (m *memo) alloc(width int) {
+	m.keys = make([]uint32, 1<<width)
+	m.vals = make([]float64, 1<<width)
+	m.shift = uint32(32 - width)
+	m.used = 0
+}
+
+func (m *memo) slot(v uint32) int { return int(((v + 1) * 0x9E3779B1) >> (m.shift & 31)) }
+
+func (m *memo) get(v uint32) (float64, bool) {
+	mask := len(m.keys) - 1
+	for i := m.slot(v); ; i = (i + 1) & mask {
+		switch m.keys[i] {
+		case v + 1:
+			return m.vals[i], true
+		case 0:
+			return 0, false
 		}
 	}
-	return true
+}
+
+// put records v's score; v must not be present.
+func (m *memo) put(v uint32, s float64) {
+	if 2*(m.used+1) > len(m.keys) {
+		keys, vals := m.keys, m.vals
+		m.alloc(bits.Len(uint(len(keys))))
+		for i, k := range keys {
+			if k != 0 {
+				m.put(k-1, vals[i])
+			}
+		}
+	}
+	mask := len(m.keys) - 1
+	i := m.slot(v)
+	for m.keys[i] != 0 {
+		i = (i + 1) & mask
+	}
+	m.keys[i], m.vals[i] = v+1, s
+	m.used++
 }
 
 // Remove strips user u from g: its out-list empties and it disappears
 // from every other user's list (lists shrink below K; the next full
 // iteration refills them). Returns the users whose lists changed,
-// which is the O(n·K) reverse scan's touched set.
+// which is the O(n·K) reverse scan's touched set. It is RemoveRun of
+// the one-user run.
 func Remove(g *graph.KNN, u uint32) ([]uint32, error) {
-	var touched []uint32
+	touched, err := RemoveRun(g, []uint32{u})
+	return touched[0], err
+}
+
+// RemoveRun strips every user of run from g in one O(n·K) scan and
+// returns, for each run member in order, the users whose lists its
+// strip changed — exactly what Remove(g, run[0]), Remove(g, run[1]), …
+// would return one call at a time. So a later member that lists an
+// earlier one is in the earlier one's touched list (its list still held
+// the id when that strip ran), while an earlier member that lists a
+// later one is not in the later one's list (it was emptied first). A
+// repeated id's later occurrences touch nothing.
+func RemoveRun(g *graph.KNN, run []uint32) ([][]uint32, error) {
+	touched := make([][]uint32, len(run))
 	n := g.NumNodes()
-	for v := 0; v < n; v++ {
-		if uint32(v) == u {
+	// member marks the run's ids; order maps each id to the run index
+	// of its first occurrence.
+	member := make(graph.NodeSet, (n+63)/64)
+	order := make([]runIndex, 0, len(run))
+	for i, u := range run {
+		if int(u) >= n || member.Has(u) {
 			continue
 		}
-		nbrs := g.Neighbors(uint32(v))
-		i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= u })
-		if i >= len(nbrs) || nbrs[i] != u {
-			continue
-		}
-		next := make([]uint32, 0, len(nbrs)-1)
-		next = append(next, nbrs[:i]...)
-		next = append(next, nbrs[i+1:]...)
-		if err := g.Set(uint32(v), next); err != nil {
-			return touched, fmt.Errorf("delta: strip %d from %d: %w", u, v, err)
-		}
-		touched = append(touched, uint32(v))
+		member.Add(u)
+		order = append(order, runIndex{u, i})
 	}
-	if len(g.Neighbors(u)) > 0 {
-		if err := g.Set(u, nil); err != nil {
-			return touched, fmt.Errorf("delta: clear %d: %w", u, err)
+	if len(order) == 0 {
+		return touched, nil
+	}
+	slices.SortFunc(order, func(a, b runIndex) int { return cmp.Compare(a.id, b.id) })
+	indexOf := func(u uint32) int {
+		k, _ := slices.BinarySearchFunc(order, u, func(r runIndex, u uint32) int { return cmp.Compare(r.id, u) })
+		return order[k].at
+	}
+
+	// Only ids in [lo, hi] can be members: one unsigned compare rejects
+	// the rest, so for one user or a run of nearby ids nearly every
+	// probe ends there.
+	lo, span := order[0].id, order[len(order)-1].id-order[0].id
+	inRun := func(w uint32) bool { return w-lo <= span && member.Has(w) }
+	for v := 0; v < n; v++ {
+		nbrs := g.Neighbors(uint32(v))
+		hits := 0
+		for _, w := range nbrs {
+			if inRun(w) {
+				hits++
+			}
+		}
+		if hits == 0 {
+			continue
+		}
+		// A member's own list empties at its turn: it is touched only
+		// by the strips of members after it, and is cleared below.
+		at := len(run)
+		if member.Has(uint32(v)) {
+			at = indexOf(uint32(v))
+		}
+		var kept []uint32
+		if at == len(run) {
+			kept = make([]uint32, 0, len(nbrs)-hits)
+		}
+		for _, w := range nbrs {
+			if !inRun(w) {
+				kept = append(kept, w)
+				continue
+			}
+			if j := indexOf(w); j < at {
+				touched[j] = append(touched[j], uint32(v))
+			}
+		}
+		if at == len(run) {
+			if err := g.Set(uint32(v), kept); err != nil {
+				return touched, fmt.Errorf("delta: strip run from %d: %w", v, err)
+			}
+		}
+	}
+	for _, r := range order {
+		if len(g.Neighbors(r.id)) > 0 {
+			if err := g.Set(r.id, nil); err != nil {
+				return touched, fmt.Errorf("delta: clear %d: %w", r.id, err)
+			}
 		}
 	}
 	return touched, nil
+}
+
+// runIndex pairs a run member with its position in the run.
+type runIndex struct {
+	id uint32
+	at int
 }

@@ -163,3 +163,25 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNodeSet: the zero set is empty and answers ids beyond its length;
+// Add grows it, Remove and Clone leave other members and the original
+// alone, and Len counts members.
+func TestNodeSet(t *testing.T) {
+	var s NodeSet
+	if s.Has(0) || s.Has(1<<20) || s.Len() != 0 {
+		t.Fatal("zero NodeSet is not empty")
+	}
+	s.Remove(5) // absent, beyond the length: a no-op
+	for _, u := range []uint32{0, 63, 64, 200} {
+		s.Add(u)
+	}
+	if len(s) != 4 || s.Len() != 4 || !s.Has(63) || !s.Has(200) || s.Has(62) || s.Has(201) || s.Has(1000) {
+		t.Fatalf("after adds: %v", s)
+	}
+	c := s.Clone()
+	s.Remove(63)
+	if s.Has(63) || !c.Has(63) || s.Len() != 3 || c.Len() != 4 {
+		t.Fatal("Remove reached the clone, or missed the set")
+	}
+}

@@ -142,12 +142,13 @@ func (Greedy) Partition(g *graph.Digraph, m int) (*Assignment, error) {
 
 	of := make([]uint32, n)
 	sizes := make([]int, m)
-	// Per-partition unique in-edge sources and out-edge destinations.
-	srcSets := make([]map[uint32]struct{}, m)
-	dstSets := make([]map[uint32]struct{}, m)
+	// Per-partition unique in-edge sources and out-edge destinations,
+	// one bit per node.
+	srcSets := make([]graph.NodeSet, m)
+	dstSets := make([]graph.NodeSet, m)
 	for p := 0; p < m; p++ {
-		srcSets[p] = make(map[uint32]struct{})
-		dstSets[p] = make(map[uint32]struct{})
+		srcSets[p] = make(graph.NodeSet, (n+63)/64)
+		dstSets[p] = make(graph.NodeSet, (n+63)/64)
 	}
 
 	// Visit nodes in descending total degree so high-impact nodes are
@@ -169,12 +170,12 @@ func (Greedy) Partition(g *graph.Digraph, m int) (*Assignment, error) {
 			}
 			delta := 0
 			for _, s := range sources {
-				if _, ok := srcSets[p][s]; !ok {
+				if !srcSets[p].Has(s) {
 					delta++
 				}
 			}
 			for _, d := range dests {
-				if _, ok := dstSets[p][d]; !ok {
+				if !dstSets[p].Has(d) {
 					delta++
 				}
 			}
@@ -189,10 +190,10 @@ func (Greedy) Partition(g *graph.Digraph, m int) (*Assignment, error) {
 		of[u] = uint32(best)
 		sizes[best]++
 		for _, s := range sources {
-			srcSets[best][s] = struct{}{}
+			srcSets[best].Add(s)
 		}
 		for _, d := range dests {
-			dstSets[best][d] = struct{}{}
+			dstSets[best].Add(d)
 		}
 	}
 	return NewAssignment(of, m)
@@ -205,19 +206,26 @@ func (Greedy) Partition(g *graph.Digraph, m int) (*Assignment, error) {
 func Objective(g *graph.Digraph, a *Assignment) int {
 	m := a.NumPartitions()
 	tr := g.Transpose()
+	srcs := make(graph.NodeSet, (g.NumNodes()+63)/64)
+	dsts := make(graph.NodeSet, (g.NumNodes()+63)/64)
 	total := 0
 	for p := 0; p < m; p++ {
-		srcs := make(map[uint32]struct{})
-		dsts := make(map[uint32]struct{})
+		clear(srcs)
+		clear(dsts)
 		for _, v := range a.Members(uint32(p)) {
 			for _, s := range tr.OutNeighbors(v) {
-				srcs[s] = struct{}{}
+				if !srcs.Has(s) {
+					srcs.Add(s)
+					total++
+				}
 			}
 			for _, d := range g.OutNeighbors(v) {
-				dsts[d] = struct{}{}
+				if !dsts.Has(d) {
+					dsts.Add(d)
+					total++
+				}
 			}
 		}
-		total += len(srcs) + len(dsts)
 	}
 	return total
 }

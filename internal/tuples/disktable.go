@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"knnpc/internal/disk"
+	"knnpc/internal/graph"
 	"knnpc/internal/partition"
 )
 
@@ -64,7 +65,7 @@ type DiskTable struct {
 	prefetchedBytes atomic.Int64
 	spillReads      atomic.Int64
 
-	dead func(uint32) bool // tombstone predicate; set before producers start
+	dead graph.NodeSet // tombstoned users; set before producers start
 
 	// readBufs recycles what the spill files' readers stream through:
 	// shards are read back one at a time, each file once.
@@ -183,23 +184,22 @@ func (t *DiskTable) addKeys(id ShardID, keys []uint64) (int64, error) {
 	return 0, nil
 }
 
-// SetTombstones installs the deletion predicate: every subsequently
-// added tuple with a tombstoned endpoint is dropped at the door, so a
-// deleted user neither emits nor receives candidates in the next full
-// iteration. The predicate must be installed before any producer starts
-// adding (it is read without synchronization from the add path) and
-// must be safe for concurrent calls. A nil predicate — the default —
-// filters nothing and costs one nil check per batch.
-func (t *DiskTable) SetTombstones(dead func(uint32) bool) { t.dead = dead }
+// SetTombstones installs the tombstone set: every subsequently added
+// tuple with a tombstoned endpoint is dropped at the door, so a deleted
+// user neither emits nor receives candidates in the next full
+// iteration. The set must be installed before any producer starts
+// adding and must not change while they run (it is read without
+// synchronization from the add path). An empty set — the default —
+// filters nothing.
+func (t *DiskTable) SetTombstones(dead graph.NodeSet) { t.dead = dead }
 
 // AddBatch records a batch of tuples — producers accumulate a local
 // buffer and hand it over whole. Tuples are grouped by shard through a
-// pooled ordinal-indexed scratch, so each touched shard's lock (and at
-// most one spill flush per shard) is paid once per batch instead of
-// once per tuple, and the grouping itself allocates nothing in steady
-// state.
+// pooled ordinal-indexed scratch, dropping tombstoned ones on the way,
+// so each touched shard's lock (and at most one spill flush per shard)
+// is paid once per batch instead of once per tuple, and the grouping
+// itself allocates nothing in steady state.
 func (t *DiskTable) AddBatch(ts []Tuple) error {
-	ts = filterTuples(ts, t.dead)
 	if len(ts) == 0 {
 		return nil
 	}
@@ -208,13 +208,18 @@ func (t *DiskTable) AddBatch(ts []Tuple) error {
 	if g == nil || len(g.buckets) < m*m {
 		g = &batchGroups{buckets: make([][]uint64, m*m)}
 	}
+	added := 0
 	for _, tu := range ts {
+		if t.dead.Has(tu.S) || t.dead.Has(tu.D) {
+			continue
+		}
 		id := pairID(t.assign.Of(tu.S), t.assign.Of(tu.D))
 		ord := int(id.I)*m + int(id.J)
 		if len(g.buckets[ord]) == 0 {
 			g.touched = append(g.touched, ord)
 		}
 		g.buckets[ord] = append(g.buckets[ord], pack(tu.S, tu.D))
+		added++
 	}
 	var spilled int64
 	var err error
@@ -237,7 +242,7 @@ func (t *DiskTable) AddBatch(ts []Tuple) error {
 	if spilled > 0 {
 		t.device.Append(spilled)
 	}
-	t.added.Add(int64(len(ts)))
+	t.added.Add(int64(added))
 	return nil
 }
 

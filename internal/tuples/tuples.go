@@ -82,19 +82,3 @@ type ShardID struct {
 func pairID(i, j uint32) ShardID {
 	return ShardID{I: min(i, j), J: max(i, j)}
 }
-
-// filterTuples drops batch entries with a tombstoned endpoint. With a
-// nil predicate the input is returned as-is, copy-free.
-func filterTuples(ts []Tuple, dead func(uint32) bool) []Tuple {
-	if dead == nil {
-		return ts
-	}
-	out := make([]Tuple, 0, len(ts))
-	for _, tu := range ts {
-		if dead(tu.S) || dead(tu.D) {
-			continue
-		}
-		out = append(out, tu)
-	}
-	return out
-}

@@ -6,11 +6,14 @@
 // godoc surface cannot silently rot. An argument ending in ".md" is a
 // Markdown file instead: it fails when it cites a Benchmark* function,
 // a cmd/<x> directory or an internal/<x> directory that the tree under
-// the working directory does not hold.
+// the working directory does not hold. A Markdown file, a Makefile or a
+// .yml workflow also fails when it cites a BENCH_*.json trajectory file
+// the working directory does not hold, or when a BASE= compare base
+// names any but the highest-numbered one.
 //
 // Usage:
 //
-//	doccheck <pkgdir|file.md> [...]
+//	doccheck <pkgdir|file.md|Makefile|file.yml> [...]
 //
 // Exits 0 when every exported symbol is documented and every citation
 // resolves, 1 otherwise (printing one "file:line: what" diagnostic per
@@ -26,19 +29,23 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 )
 
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: doccheck <pkgdir|file.md> [...]")
+		fmt.Fprintln(os.Stderr, "usage: doccheck <pkgdir|file.md|Makefile|file.yml> [...]")
 		os.Exit(2)
 	}
 	bad := 0
 	for _, arg := range os.Args[1:] {
 		check := checkDir
-		if strings.HasSuffix(arg, ".md") {
+		switch {
+		case strings.HasSuffix(arg, ".md"):
 			check = func(md string) ([]string, error) { return checkRefs(".", md) }
+		case filepath.Base(arg) == "Makefile" || strings.HasSuffix(arg, ".yml"):
+			check = func(file string) ([]string, error) { return checkTrajectory(".", file) }
 		}
 		findings, err := check(arg)
 		if err != nil {
@@ -65,6 +72,10 @@ var (
 	// of the identifier.
 	benchRef  = regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
 	benchDecl = regexp.MustCompile(`(?m)^func (Benchmark[A-Z]\w*)\(`)
+	// A cited trajectory file, a numbered one, and a compare base.
+	trajRef  = regexp.MustCompile(`\bBENCH_\w+\.json`)
+	trajNum  = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
+	baseDecl = regexp.MustCompile(`\bBASE=(BENCH_\w+\.json)`)
 )
 
 // checkRefs returns one diagnostic per line of the Markdown file at
@@ -78,7 +89,10 @@ func checkRefs(root, path string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	var findings []string
+	findings, err := trajectoryFindings(root, path, src)
+	if err != nil {
+		return nil, err
+	}
 	for i, line := range strings.Split(string(src), "\n") {
 		for _, m := range dirRef.FindAllStringSubmatch(line, -1) {
 			if fi, err := os.Stat(filepath.Join(root, m[1])); err != nil || !fi.IsDir() {
@@ -92,6 +106,60 @@ func checkRefs(root, path string) ([]string, error) {
 		}
 	}
 	return findings, nil
+}
+
+// checkTrajectory returns one diagnostic per line of the file at path
+// that cites a missing BENCH_*.json or a stale compare base.
+func checkTrajectory(root, path string) ([]string, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return trajectoryFindings(root, path, src)
+}
+
+// trajectoryFindings checks src's trajectory citations: each
+// BENCH_*.json it names must exist under root, and each BASE= must name
+// the highest-numbered one, the latest committed point.
+func trajectoryFindings(root, path string, src []byte) ([]string, error) {
+	latest, err := latestTrajectory(root)
+	if err != nil {
+		return nil, err
+	}
+	var findings []string
+	for i, line := range strings.Split(string(src), "\n") {
+		for _, name := range trajRef.FindAllString(line, -1) {
+			if _, err := os.Stat(filepath.Join(root, name)); err != nil {
+				findings = append(findings, fmt.Sprintf("%s:%d: cites %s, which is not committed", path, i+1, name))
+			}
+		}
+		for _, m := range baseDecl.FindAllStringSubmatch(line, -1) {
+			if m[1] != latest {
+				findings = append(findings, fmt.Sprintf("%s:%d: compare base %s is not the latest trajectory point %s", path, i+1, m[1], latest))
+			}
+		}
+	}
+	return findings, nil
+}
+
+// latestTrajectory names the highest-numbered BENCH_<n>.json under
+// root, "" when there is none.
+func latestTrajectory(root string) (string, error) {
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		return "", err
+	}
+	latest, best := "", -1
+	for _, e := range entries {
+		m := trajNum.FindStringSubmatch(e.Name())
+		if m == nil {
+			continue
+		}
+		if n, _ := strconv.Atoi(m[1]); n > best {
+			latest, best = e.Name(), n
+		}
+	}
+	return latest, nil
 }
 
 // declaredBenchmarks collects every top-level Benchmark* function

@@ -144,3 +144,41 @@ func TestCheckRefsCleanTwin(t *testing.T) {
 		t.Fatalf("findings = %v", findings)
 	}
 }
+
+// TestCheckTrajectory: a Makefile or workflow citing a trajectory file
+// that is not committed, or a compare base other than the
+// highest-numbered point (by number, not by name), is reported with
+// its line; citing committed points and the latest base is clean.
+func TestCheckTrajectory(t *testing.T) {
+	root := t.TempDir()
+	for _, name := range []string{"BENCH_BASELINE.json", "BENCH_9.json", "BENCH_10.json"} {
+		write(t, root, name, "{}")
+	}
+	check := func(body string) []string {
+		t.Helper()
+		write(t, root, "Makefile", body)
+		findings, err := checkTrajectory(root, filepath.Join(root, "Makefile"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return findings
+	}
+	findings := check("# e.g. make bench-compare BASE=BENCH_9.json\n" +
+		"\tBASE=BENCH_31.json go run ./bench\n")
+	joined := strings.Join(findings, "\n")
+	for _, want := range []string{
+		"Makefile:1: compare base BENCH_9.json is not the latest trajectory point BENCH_10.json",
+		"Makefile:2: cites BENCH_31.json, which is not committed",
+		"Makefile:2: compare base BENCH_31.json is not the latest",
+	} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("missing %q in:\n%s", want, joined)
+		}
+	}
+	if len(findings) != 3 {
+		t.Errorf("%d findings, want 3:\n%s", len(findings), joined)
+	}
+	if findings := check("BASE=BENCH_10.json; see BENCH_9.json and BENCH_BASELINE.json\n"); len(findings) != 0 {
+		t.Fatalf("findings = %v", findings)
+	}
+}
