@@ -45,19 +45,20 @@ race-phase4:
 
 # Each native fuzz target for FUZZTIME: the partition-state and
 # worker-partial decoders, the serve-view decoder, the replica's
-# WATCH-frame parse and the decoders of the update, mutation and
-# staleness bodies store clients send (PUSHUPD, ADDUSER, DRAINMUT) and
-# the profile-vector decoder an ADDUSER profile passes through must
-# never panic, never size storage from a count the input cannot back,
-# and round-trip what they accept; a shard's
-# journal replay must never panic, allocate in proportion to the
-# journal, and rebuild the same state from the prefix it accepts; every
-# planner's schedule of a fuzzed PI graph must validate and never load
-# more under MIN than under LRU; the tuple table must serve a fuzzed
-# multiset, consumed in either shard orientation, exactly once and
-# de-duplicated. `go test -fuzz` takes one target and
-# one package per run. A crasher is written under the package's
-# testdata/fuzz/ — commit it with the fix.
+# WATCH-frame parse, the frame reader, the COLLECT-item decoder, the
+# decoders of the update, mutation and staleness bodies store clients
+# send (PUSHUPD, ADDUSER, DRAINMUT) and the profile-vector decoder an
+# ADDUSER profile passes through must never panic, never size storage
+# from a count the input cannot back, and round-trip what they accept;
+# a shard's journal replay must never panic, allocate in proportion to
+# the journal, and rebuild the same state from the prefix it accepts;
+# every planner's schedule of a fuzzed PI graph must validate and never
+# load more under MIN than under LRU; the tuple table must serve a
+# fuzzed multiset, consumed in either shard orientation, exactly once
+# and de-duplicated; a -faults spec the parser accepts must validate.
+# `go test -fuzz` takes one target and one package per run. A crasher
+# is written under the package's testdata/fuzz/ — commit it with the
+# fix.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePartState$$' -fuzztime $(FUZZTIME) ./internal/core
@@ -66,11 +67,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDiskTableShards$$' -fuzztime $(FUZZTIME) ./internal/tuples
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeView$$' -fuzztime $(FUZZTIME) ./internal/netstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeShipFrame$$' -fuzztime $(FUZZTIME) ./internal/netstore
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/netstore
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCollectItem$$' -fuzztime $(FUZZTIME) ./internal/netstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeUpdates$$' -fuzztime $(FUZZTIME) ./internal/netstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMutations$$' -fuzztime $(FUZZTIME) ./internal/netstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStaleness$$' -fuzztime $(FUZZTIME) ./internal/netstore
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/netstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVector$$' -fuzztime $(FUZZTIME) ./internal/profile
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/fault
 
 # End-to-end proof of the network state store: launches cmd/statestore
 # with 2 shards, runs knnrun once in-process and once with -netstore on

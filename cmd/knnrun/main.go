@@ -37,11 +37,11 @@
 //	             after each committed iteration, so statestore replicas
 //	             and cmd/knnserve can answer point lookups mid-run
 //	             (requires -netstore)
-//	-staleness   incremental-maintenance threshold: each pass first
+//	-staleness   incremental-maintenance threshold: every pass first
 //	             drains queued whole-user adds/deletes (PUT/DELETE
 //	             /v1/profile/{id} through knnserve, or the store's
-//	             mutation journal) through a cheap delta commit, then
-//	             runs the full five-phase iteration only while some
+//	             mutation journal) through a cheap delta commit; the
+//	             full five-phase iteration then runs only while some
 //	             partition's drift score is ≥ this value (0 = always
 //	             iterate, the classic schedule)
 //	-iterretries the engine's store-retry budget (core.Options.StoreRetries;
@@ -131,7 +131,7 @@ func parseFlags(args []string) config {
 	fs.StringVar(&cfg.emulate, "emulate", "", "enforce a disk model's latency on state I/O: hdd, ssd, nvme (empty = none)")
 	fs.StringVar(&cfg.netstore, "netstore", "", `sharded network state store: "shards=N" (loopback cluster) or a comma-separated statestore address list (empty = in-process store)`)
 	fs.BoolVar(&opts.PublishViews, "serveviews", false, "publish serve views to the network store after each iteration (requires -netstore)")
-	fs.Float64Var(&opts.StalenessThreshold, "staleness", 0, "drain add/delete deltas each pass and run a full iteration only at drift ≥ this score (0 = always iterate)")
+	fs.Float64Var(&opts.StalenessThreshold, "staleness", 0, "run a full iteration only at drift ≥ this score; add/delete deltas apply every pass (0 = always iterate)")
 	fs.IntVar(&opts.StoreRetries, "iterretries", 0, "the engine's store-retry budget: restarts of an iteration's compute, or re-issues of a drain or publish, after a transient store failure (network store runs; 0 = the engine default of 3)")
 	fs.StringVar(&cfg.dumpGraph, "dumpgraph", "", "write the final KNN graph to this file (deterministic text, diffable across runs)")
 	fs.BoolVar(&opts.ProfilesOnDisk, "profilesondisk", false, "keep the canonical profile collection on disk too")
@@ -193,27 +193,27 @@ func run(out io.Writer, cfg config) error {
 	fmt.Fprintln(out, "iter  phase1(part)  phase2(tuples)  phase3(pi)  phase4(score)  phase5(upd)  ops  reads  attached  builds  writes  collected  shards  prefetched  async-wb  changed  attempts")
 
 	for i := 0; i < cfg.iters; i++ {
-		if opts.StalenessThreshold > 0 {
-			ds, err := eng.ApplyDeltas()
-			if err != nil {
-				// A publish failure happens after the commit already
-				// landed: the pass's work is durable, only the pushed
-				// serve views lag. Warn and keep iterating — the next
-				// committed iteration republishes every view anyway.
-				if !errors.Is(err, core.ErrPublishFailed) {
-					return err
-				}
-				fmt.Fprintf(out, "delta: committed but view publish failed: %v\n", err)
+		// Every pass applies queued deltas first, as Engine.Run does;
+		// with nothing queued that is a strict no-op.
+		ds, err := eng.ApplyDeltas()
+		if err != nil {
+			// A publish failure happens after the commit already
+			// landed: the pass's work is durable, only the pushed
+			// serve views lag. Warn and keep iterating — the next
+			// committed iteration republishes every view anyway.
+			if !errors.Is(err, core.ErrPublishFailed) {
+				return err
 			}
-			if ds.Adds+ds.Upserts+ds.Deletes > 0 {
-				fmt.Fprintf(out, "delta: %d adds, %d upserts, %d deletes (%d sim evals, %d views republished), max staleness %.3f\n",
-					ds.Adds, ds.Upserts, ds.Deletes, ds.SimEvals, ds.Republished, eng.MaxStaleness())
-			}
-			if !eng.NeedsIteration() {
-				fmt.Fprintf(out, "staleness %.3f below threshold %.3f; skipping full iteration\n",
-					eng.MaxStaleness(), opts.StalenessThreshold)
-				break
-			}
+			fmt.Fprintf(out, "delta: committed but view publish failed: %v\n", err)
+		}
+		if ds.Adds+ds.Upserts+ds.Deletes > 0 {
+			fmt.Fprintf(out, "delta: %d adds, %d upserts, %d deletes (%d sim evals, %d views republished), max staleness %.3f\n",
+				ds.Adds, ds.Upserts, ds.Deletes, ds.SimEvals, ds.Republished, eng.MaxStaleness())
+		}
+		if !eng.NeedsIteration() {
+			fmt.Fprintf(out, "staleness %.3f below threshold %.3f; skipping full iteration\n",
+				eng.MaxStaleness(), opts.StalenessThreshold)
+			break
 		}
 		st, err := eng.Iterate(context.Background())
 		if err != nil {

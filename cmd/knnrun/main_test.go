@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"knnpc/internal/core"
+	"knnpc/internal/netstore"
+	"knnpc/internal/profile"
 )
 
 func smallConfig() config {
@@ -161,6 +163,45 @@ func TestRunNetstoreLoopbackMatchesInProcess(t *testing.T) {
 	}
 	if len(a) == 0 || !bytes.Equal(a, b) {
 		t.Fatalf("graph dumps differ (in-process %d bytes, netstore %d bytes)", len(a), len(b))
+	}
+}
+
+// TestRunCommitsDeltasAtZeroStaleness: a pass applies queued deltas
+// whatever -staleness says, as Engine.Run does, so a user added through
+// an external cluster before the run (knnserve's PUT /v1/profile/{id})
+// is committed by a run that always iterates.
+func TestRunCommitsDeltasAtZeroStaleness(t *testing.T) {
+	cfg := smallConfig()
+	cluster, err := netstore.StartCluster(2, cfg.opts.NumPartitions, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	client, err := netstore.Dial(cluster.Addrs(), cfg.opts.NumPartitions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	added := profile.FromItems([]uint32{1, 2, 3})
+	if err := client.AddUser(uint32(cfg.users), added.AppendBinary(nil)); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.netstore = strings.Join(cluster.Addrs(), ",")
+	cfg.dumpGraph = t.TempDir() + "/graph"
+	var buf bytes.Buffer
+	if err := run(&buf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "delta: 1 adds, 0 upserts, 0 deletes") {
+		t.Errorf("the pushed add was not committed:\n%s", buf.String())
+	}
+	dump, err := os.ReadFile(cfg.dumpGraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(dump), "\n"); lines != cfg.users+1 {
+		t.Errorf("dumped graph has %d users, want %d", lines, cfg.users+1)
 	}
 }
 

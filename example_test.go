@@ -7,6 +7,55 @@ import (
 	"knnpc"
 )
 
+// Example builds a KNN graph over ten users with the public API and
+// prints each user's nearest neighbors. Users 0-4 like items 1-10 and
+// users 5-9 like items 11-20, so every user's neighbors come from its
+// own group.
+func Example() {
+	profiles := make([][]knnpc.Item, 10)
+	for u := 0; u < 10; u++ {
+		base := uint32(1)
+		if u >= 5 {
+			base = 11
+		}
+		seen := make(map[uint32]bool)
+		for i := uint32(0); i < 6; i++ {
+			item := base + (uint32(u)+i)%10/2*2 + i%3
+			if !seen[item] {
+				seen[item] = true
+				profiles[u] = append(profiles[u], knnpc.Item{ID: item, Weight: float32(1 + i%5)})
+			}
+		}
+	}
+
+	sys, err := knnpc.New(profiles, knnpc.Config{K: 3, Partitions: 2, Seed: 42})
+	if err != nil {
+		panic(err)
+	}
+	defer sys.Close()
+
+	reports, err := sys.Run(context.Background(), 10)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("converged after %d iterations\n", len(reports))
+	for u := uint32(0); u < 10; u++ {
+		fmt.Printf("user %d -> %v\n", u, sys.Neighbors(u))
+	}
+	// Output:
+	// converged after 3 iterations
+	// user 0 -> [1 2 3]
+	// user 1 -> [0 2 4]
+	// user 2 -> [0 1 3]
+	// user 3 -> [0 2 4]
+	// user 4 -> [1 2 3]
+	// user 5 -> [6 7 8]
+	// user 6 -> [5 7 9]
+	// user 7 -> [5 6 8]
+	// user 8 -> [5 7 9]
+	// user 9 -> [6 7 8]
+}
+
 // ExampleSystem_QueryNeighbors shows the online serving path: the
 // query methods are safe to call while Iterate runs and stamp every
 // answer with the epoch (committed iteration count) it reflects.

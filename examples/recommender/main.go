@@ -19,7 +19,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	"knnpc"
@@ -37,10 +39,17 @@ const (
 func main() {
 	prefetch := flag.Int("prefetch", 2, "async partition-load lookahead (0 = the paper's serial phase 4)")
 	flag.Parse()
+	if err := run(os.Stdout, *prefetch); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run builds the graph with the given prefetch depth and writes the
+// run summary and the recommendations to out.
+func run(out io.Writer, prefetch int) error {
 	vecs, clusters, err := dataset.RatingsProfiles(users, items, itemsPerUser, communities, 2024)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	profiles := make([][]knnpc.Item, users)
 	for u, v := range vecs {
@@ -53,32 +62,32 @@ func main() {
 		K:             k,
 		Partitions:    8,
 		Workers:       4,
-		PrefetchDepth: *prefetch,
+		PrefetchDepth: prefetch,
 		OnDisk:        true, // exercise the real out-of-core path
 		Seed:          7,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer sys.Close()
 
 	reports, err := sys.Run(context.Background(), 12)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	last := reports[len(reports)-1]
 	mode := "serial phase 4"
-	if *prefetch > 0 {
+	if prefetch > 0 {
 		mode = fmt.Sprintf("pipelined phase 4 (%d of %d loads prefetched)", last.PrefetchedLoads, last.LoadUnloadOps/2)
 	}
-	fmt.Printf("ran %d iterations, %s (last changed %d edges, %d load/unload ops per iter)\n\n",
+	fmt.Fprintf(out, "ran %d iterations, %s (last changed %d edges, %d load/unload ops per iter)\n\n",
 		len(reports), mode, last.EdgeChanges, last.LoadUnloadOps)
 
 	// Recommend for a few users: aggregate neighbors' ratings of items
 	// the user has not rated.
 	for _, u := range []uint32{0, 1, 2} {
 		recs := recommend(sys, profiles, u, 5)
-		fmt.Printf("user %4d (community %d): top recommendations %v\n", u, clusters[u], recs)
+		fmt.Fprintf(out, "user %4d (community %d): top recommendations %v\n", u, clusters[u], recs)
 	}
 
 	// Sanity metric: how often do recommendations stay within the
@@ -93,8 +102,9 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("\n%.1f%% of recommendations fall inside the user's own taste community\n",
+	_, err = fmt.Fprintf(out, "\n%.1f%% of recommendations fall inside the user's own taste community\n",
 		100*float64(inCommunity)/float64(total))
+	return err
 }
 
 // recommend returns the top-n unseen items, ranked by the summed

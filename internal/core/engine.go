@@ -873,6 +873,11 @@ func (e *Engine) phaseScore(ctx context.Context, it *iteration) error {
 // then observe the new epoch atomically: graph, profiles, and the epoch
 // counter move together.
 //
+// An update for a user P(t) does not hold, or of an unknown kind, is
+// dropped and counted before any update applies. No queue checks user
+// ids, and both queues are drained by now, so failing here would lose
+// the valid updates along with the bad one.
+//
 // The remote drain — the batches knnserve (or any store client) pushed
 // since the last iteration — runs first: it is the one exchange that
 // can fail, and failing before the local Drain means an aborted
@@ -898,14 +903,25 @@ func (e *Engine) phaseUpdate(ctx context.Context, it *iteration) error {
 
 	e.serveMu.Lock()
 	defer e.serveMu.Unlock()
-	applied, err := e.profiles.Apply(updates)
+	valid := updates[:0]
+	for _, u := range updates {
+		if int(u.User) < e.profiles.NumUsers() && knownUpdateKind(u.Kind) {
+			valid = append(valid, u)
+		}
+	}
+	applied, err := e.profiles.Apply(valid)
 	if err != nil {
 		return err
 	}
 	e.g = it.next
 	e.epoch++
 	it.stats.UpdatesApplied = applied
+	it.stats.UpdatesDropped = len(updates) - len(valid)
 	return nil
+}
+
+func knownUpdateKind(k profile.UpdateKind) bool {
+	return k == profile.SetItem || k == profile.RemoveItem || k == profile.ReplaceProfile
 }
 
 // adoptPartitioning runs right after a commit: the iteration refreshed

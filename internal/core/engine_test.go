@@ -11,6 +11,7 @@ import (
 	"knnpc/internal/exact"
 	"knnpc/internal/graph"
 	"knnpc/internal/knn"
+	"knnpc/internal/netstore"
 	"knnpc/internal/partition"
 	"knnpc/internal/pigraph"
 	"knnpc/internal/profile"
@@ -271,6 +272,79 @@ func TestEngineLazyProfileUpdates(t *testing.T) {
 	}
 	if before.Equal(after) {
 		t.Error("profile should have changed")
+	}
+}
+
+// TestPhase5DropsUpdatesForUnknownUsers: an update for a user P(t)
+// does not hold reaches phase 5 unchecked (EnqueueUpdate, a store
+// client's PUSHUPD). Phase 5 must drop and count it and commit the
+// rest: the epoch advances and the valid updates on either side of it
+// apply, whichever store holds P(t) and whichever queue carried them.
+func TestPhase5DropsUpdatesForUnknownUsers(t *testing.T) {
+	const users = 40
+	updates := []profile.Update{
+		{User: 1, Kind: profile.SetItem, Item: 9001, Weight: 3},
+		{User: 1000, Kind: profile.SetItem, Item: 9001, Weight: 4},
+		{User: 2, Kind: profile.SetItem, Item: 9002, Weight: 5},
+	}
+	rows := []struct {
+		name string
+		opts Options
+		push func(t *testing.T, eng *Engine)
+	}{
+		{"in-process", Options{}, nil},
+		{"profiles-on-disk", Options{ProfilesOnDisk: true, ScratchDir: t.TempDir()}, nil},
+		{"netstore-push", Options{NetStoreShards: 2}, func(t *testing.T, eng *Engine) {
+			client, err := netstore.Dial(eng.StoreAddrs(), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			if err := client.PushUpdates(updates); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			opts := row.opts
+			opts.K, opts.NumPartitions, opts.Seed = 3, 3, 8
+			eng, err := New(testStore(t, users, 31), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if row.push != nil {
+				row.push(t, eng)
+			} else {
+				for _, u := range updates {
+					eng.EnqueueUpdate(u)
+				}
+			}
+
+			st, err := eng.Iterate(context.Background())
+			if err != nil {
+				t.Fatalf("Iterate: %v", err)
+			}
+			if eng.Epoch() != 1 {
+				t.Errorf("epoch %d after one Iterate, want 1", eng.Epoch())
+			}
+			if st.UpdatesApplied != 2 || st.UpdatesDropped != 1 {
+				t.Errorf("applied %d, dropped %d; want 2 and 1", st.UpdatesApplied, st.UpdatesDropped)
+			}
+			for _, want := range []struct {
+				user, item uint32
+				weight     float32
+			}{{1, 9001, 3}, {2, 9002, 5}} {
+				vec, err := eng.Profile(want.user)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w, ok := vec.Weight(want.item); !ok || w != want.weight {
+					t.Errorf("user %d item %d = %v,%v; want %v,true", want.user, want.item, w, ok, want.weight)
+				}
+			}
+		})
 	}
 }
 

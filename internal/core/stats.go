@@ -118,6 +118,9 @@ type IterationStats struct {
 	// UpdatesApplied is the number of queued profile updates folded
 	// into P(t+1) in phase 5.
 	UpdatesApplied int
+	// UpdatesDropped is the number of drained updates phase 5 discarded
+	// because their user is outside P(t) or their kind is unknown.
+	UpdatesDropped int
 	// IO is the I/O counter delta for the whole iteration.
 	IO disk.Snapshot
 }

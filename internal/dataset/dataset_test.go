@@ -275,20 +275,6 @@ func TestProfileClustersAreMeaningful(t *testing.T) {
 	}
 }
 
-func TestDocumentProfilesSetWeights(t *testing.T) {
-	vecs, _, err := DocumentProfiles(50, 500, 30, 5, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for d, v := range vecs {
-		for _, e := range v.Entries() {
-			if e.Weight != 1 {
-				t.Fatalf("doc %d term %d weight %g, want 1", d, e.Item, e.Weight)
-			}
-		}
-	}
-}
-
 func TestProfileSpecValidation(t *testing.T) {
 	base := ProfileSpec{Users: 10, Items: 100, ItemsPerUser: 5, Clusters: 2, MaxWeight: 5}
 	tests := []struct {

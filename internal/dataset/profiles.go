@@ -118,17 +118,3 @@ func RatingsProfiles(users, items, itemsPerUser, clusters int, seed int64) ([]pr
 		Seed:         seed,
 	}.Generate()
 }
-
-// DocumentProfiles is a convenience wrapper: bag-of-words-like set
-// profiles (weight 1) over clustered topics, suited to Jaccard.
-func DocumentProfiles(docs, vocabulary, termsPerDoc, topics int, seed int64) ([]profile.Vector, []int, error) {
-	return ProfileSpec{
-		Users:        docs,
-		Items:        vocabulary,
-		ItemsPerUser: termsPerDoc,
-		Clusters:     topics,
-		Noise:        0.15,
-		MaxWeight:    1,
-		Seed:         seed,
-	}.Generate()
-}

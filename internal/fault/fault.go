@@ -93,7 +93,7 @@ func (c PlanConfig) validate() error {
 		{"DiskDelayRate", c.DiskDelayRate},
 	}
 	for _, r := range rates {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("fault: %s %v outside [0, 1]", r.name, r.v)
 		}
 	}

@@ -199,9 +199,36 @@ func TestParseSpec(t *testing.T) {
 	if p.Config() != want {
 		t.Fatalf("parsed %+v, want %+v", p.Config(), want)
 	}
-	for _, bad := range []string{"", "seed", "seed=x", "drop=2", "delay=0.5", "bogus=1"} {
+	for _, bad := range []string{"", "seed", "seed=x", "drop=2", "drop=NaN", "delay=0.5", "bogus=1"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q parsed without error", bad)
 		}
 	}
+}
+
+// FuzzParseSpec: no -faults string panics the spec parser, and a spec
+// it accepts yields a plan whose configuration validates and whose
+// every rate is a probability.
+func FuzzParseSpec(f *testing.F) {
+	f.Add("seed=42, drop=0.01,delay=0.05,maxdelay=5ms,torn=0.005,diskerr=0.01,diskdelay=0.02,maxdiskdelay=2ms")
+	f.Add("seed=1")
+	f.Add("drop=NaN")
+	f.Add("delay=0.5,maxdelay=-1s")
+	f.Add("torn=1e-300,,")
+	f.Add("seed=-9223372036854775808,diskdelay=1,maxdiskdelay=1h")
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		cfg := p.Config()
+		if err := cfg.validate(); err != nil {
+			t.Fatalf("spec %q accepted with an invalid config: %v", spec, err)
+		}
+		for _, rate := range []float64{cfg.DropRate, cfg.DelayRate, cfg.TornRate, cfg.DiskErrRate, cfg.DiskDelayRate} {
+			if !(rate >= 0 && rate <= 1) {
+				t.Fatalf("spec %q accepted with rate %v", spec, rate)
+			}
+		}
+	})
 }

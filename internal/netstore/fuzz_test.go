@@ -185,6 +185,71 @@ func FuzzDecodeShipFrame(f *testing.F) {
 	})
 }
 
+// FuzzReadFrame: no byte stream panics the frame reader or makes it
+// allocate more than frameChunk plus a multiple of the bytes that
+// arrived (a length prefix alone sizes nothing past frameChunk), a
+// frame it accepts is exactly what writeFrame puts on the wire for that
+// payload, and any payload writeFrame frames reads back identically.
+func FuzzReadFrame(f *testing.F) {
+	var framed bytes.Buffer
+	if err := writeFrame(&framed, []byte{statusOK}, []byte("payload")); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(framed.Bytes())
+	f.Add(appendU32(nil, 0))
+	f.Add(appendU32(nil, 3)[:2])
+	f.Add(append(appendU32(nil, 5), 1, 2))
+	f.Add(append(appendU32(nil, maxFrame), 0xAA))
+	f.Add(appendU32(nil, maxFrame+1))
+	f.Add(appendU32(nil, 0xFFFFFFFF))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var payload []byte
+		var err error
+		requireAllocWithin(t, len(data), frameChunk+allocBound(len(data)), func() {
+			payload, err = readFrame(bytes.NewReader(data))
+		})
+		if err == nil {
+			var wire bytes.Buffer
+			if werr := writeFrame(&wire, payload); werr != nil || !bytes.Equal(wire.Bytes(), data[:4+len(payload)]) {
+				t.Fatalf("accepted frame %x re-frames as %x (%v)", data[:4+len(payload)], wire.Bytes(), werr)
+			}
+		}
+
+		var wire bytes.Buffer
+		if err := writeFrame(&wire, data); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := readFrame(&wire); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("framed %x read back as %x (%v)", data, got, err)
+		}
+	})
+}
+
+// FuzzDecodeCollectItem: arbitrary COLLECT partition payloads never
+// panic the decoder or make it allocate beyond a multiple of their
+// length (the partial count is checked against the bytes behind it),
+// and an item it accepts re-encodes to the same frame byte for byte.
+func FuzzDecodeCollectItem(f *testing.F) {
+	item := encodeCollectItem(CollectItem{Partition: 3, Base: []byte{1, 2, 3}, Partials: [][]byte{{4}, {}, {5, 6}}})
+	f.Add(item[1:])
+	f.Add(encodeCollectItem(CollectItem{})[1:])
+	f.Add(item[1 : len(item)-1])
+	f.Add(append(item[1:], 0))
+	f.Add(appendU32(appendU32(nil, 1), 0xFFFFFFFF))
+	f.Add(appendU32(appendU32(appendU32(nil, 1), 0), 0xFFFFFFFF))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var it CollectItem
+		var err error
+		requireBoundedAlloc(t, data, func() { it, err = decodeCollectItem(data) })
+		if err != nil {
+			return
+		}
+		if again := encodeCollectItem(it); again[0] != statusPart || !bytes.Equal(again[1:], data) {
+			t.Fatalf("accepted collect item re-encodes to %x, was %x", again, data)
+		}
+	})
+}
+
 // FuzzReplay: arbitrary journal bytes never panic the one replay
 // decoder and never make it allocate beyond a multiple of their length
 // (a record's blobs alias the bytes it was handed, and no length prefix

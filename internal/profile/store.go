@@ -98,8 +98,8 @@ type Update struct {
 }
 
 // UpdateQueue collects profile changes during an iteration without
-// touching P(t); Apply drains it into a store at the iteration boundary
-// (phase 5). It is safe for concurrent Enqueue.
+// touching P(t); phase 5 drains it at the iteration boundary and folds
+// the updates into the store. It is safe for concurrent Enqueue.
 type UpdateQueue struct {
 	mu      sync.Mutex
 	pending []Update
@@ -154,21 +154,4 @@ func ApplyUpdates(s *Store, updates []Update) (int, error) {
 		}
 	}
 	return len(updates), nil
-}
-
-// Apply drains the queue into the store in FIFO order — this is phase 5
-// of the paper, turning P(t) into P(t+1). It returns the number of
-// updates applied. Unknown kinds or out-of-range users abort with an
-// error; earlier updates stay applied (the queue retains the failed
-// update and everything after it).
-func (q *UpdateQueue) Apply(s *Store) (int, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n, err := ApplyUpdates(s, q.pending)
-	if err != nil {
-		q.pending = q.pending[n:]
-		return n, err
-	}
-	q.pending = nil
-	return n, nil
 }

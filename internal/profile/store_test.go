@@ -58,7 +58,7 @@ func TestUpdateQueueLazyApply(t *testing.T) {
 	q.Enqueue(Update{User: 0, Kind: RemoveItem, Item: 1})
 	q.Enqueue(Update{User: 1, Kind: ReplaceProfile, Vector: FromItems([]uint32{7})})
 
-	// Lazy: the store is untouched until Apply.
+	// Lazy: the store is untouched until the drained updates are applied.
 	if s.Get(0).Len() != 1 || s.Get(1).Len() != 0 {
 		t.Fatal("enqueue must not modify the store")
 	}
@@ -66,12 +66,12 @@ func TestUpdateQueueLazyApply(t *testing.T) {
 		t.Fatalf("queue length = %d, want 3", q.Len())
 	}
 
-	n, err := q.Apply(s)
+	n, err := ApplyUpdates(s, q.Drain())
 	if err != nil || n != 3 {
-		t.Fatalf("Apply = %d, %v", n, err)
+		t.Fatalf("ApplyUpdates = %d, %v", n, err)
 	}
 	if q.Len() != 0 {
-		t.Error("queue should be empty after Apply")
+		t.Error("queue should be empty after Drain")
 	}
 	got0 := s.Get(0)
 	if got0.Len() != 1 {
@@ -90,14 +90,21 @@ func TestUpdateQueueFIFOOrder(t *testing.T) {
 	q := NewUpdateQueue()
 	q.Enqueue(Update{User: 0, Kind: SetItem, Item: 1, Weight: 1})
 	q.Enqueue(Update{User: 0, Kind: SetItem, Item: 1, Weight: 2}) // later wins
-	if _, err := q.Apply(s); err != nil {
-		t.Fatalf("Apply: %v", err)
+	drained := q.Drain()
+	if len(drained) != 2 || drained[0].Weight != 1 || drained[1].Weight != 2 {
+		t.Fatalf("Drain = %+v, want the two updates in enqueue order", drained)
+	}
+	if _, err := ApplyUpdates(s, drained); err != nil {
+		t.Fatalf("ApplyUpdates: %v", err)
 	}
 	if w, _ := s.Get(0).Weight(1); w != 2 {
 		t.Errorf("item 1 weight = %v, want 2 (last update wins)", w)
 	}
 }
 
+// TestUpdateQueueErrorKeepsTail: ApplyUpdates stops at the first bad
+// update and reports how many it applied, so updates[n:] is exactly the
+// failed update and its unapplied tail.
 func TestUpdateQueueErrorKeepsTail(t *testing.T) {
 	s := NewStore(1)
 	q := NewUpdateQueue()
@@ -105,19 +112,23 @@ func TestUpdateQueueErrorKeepsTail(t *testing.T) {
 	q.Enqueue(Update{User: 9, Kind: SetItem, Item: 1, Weight: 1}) // out of range
 	q.Enqueue(Update{User: 0, Kind: SetItem, Item: 2, Weight: 2})
 
-	n, err := q.Apply(s)
+	updates := q.Drain()
+	n, err := ApplyUpdates(s, updates)
 	if err == nil {
-		t.Fatal("Apply should fail on out-of-range user")
+		t.Fatal("ApplyUpdates should fail on out-of-range user")
 	}
 	if n != 1 {
 		t.Fatalf("applied = %d, want 1 before the failure", n)
 	}
-	if q.Len() != 2 {
-		t.Fatalf("queue should retain the failed update and its tail, len=%d", q.Len())
+	if tail := updates[n:]; len(tail) != 2 || tail[0].User != 9 {
+		t.Fatalf("tail = %+v, want the failed update and the one after it", tail)
 	}
-	// The first update landed.
+	// The first update landed; the one after the failure did not.
 	if _, ok := s.Get(0).Weight(1); !ok {
 		t.Error("update before the failure should be applied")
+	}
+	if _, ok := s.Get(0).Weight(2); ok {
+		t.Error("update after the failure must not be applied")
 	}
 }
 
@@ -125,7 +136,7 @@ func TestUpdateQueueUnknownKind(t *testing.T) {
 	s := NewStore(1)
 	q := NewUpdateQueue()
 	q.Enqueue(Update{User: 0, Kind: UpdateKind(42)})
-	if _, err := q.Apply(s); err == nil {
+	if _, err := ApplyUpdates(s, q.Drain()); err == nil {
 		t.Error("unknown kind should fail")
 	}
 }

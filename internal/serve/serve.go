@@ -173,7 +173,6 @@ func (s *Server) Mux() *http.ServeMux {
 	m.HandleFunc("GET "+api.PathStaleness, s.limit(s.handleStaleness))
 	m.HandleFunc("GET "+api.PathHealth, s.handleHealth)
 	m.HandleFunc("GET "+api.PathStats, s.handleStats)
-	// Deprecated pre-v1 alias; serves the identical v1 document.
 	return m
 }
 

@@ -10,21 +10,18 @@ DOC=docs/OPERATIONS.md
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
-# Binary → invocation that prints its flag set. datagen registers its
-# flags per subcommand, so both subcommands are checked.
+# Binary → invocation that prints its flag set.
 declare -A HELP=(
   [knnrun]="knnrun -help"
   [statestore]="statestore -help"
   [knnserve]="knnserve -help"
   [knnload]="knnload -help"
   [table1]="table1 -help"
-  [datagen-graph]="datagen graph -help"
-  [datagen-profiles]="datagen profiles -help"
   [knnlint]="knnlint -help"
 )
 
 echo "== building binaries"
-for bin in knnrun statestore knnserve knnload table1 datagen knnlint; do
+for bin in knnrun statestore knnserve knnload table1 knnlint; do
   go build -o "$WORK/$bin" "./cmd/$bin"
 done
 
