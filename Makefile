@@ -47,8 +47,11 @@ race-phase4:
 # worker-partial decoders, the serve-view decoder, the replica's
 # WATCH-frame parse, the frame reader, the COLLECT-item decoder, the
 # decoders of the update, mutation and staleness bodies store clients
-# send (PUSHUPD, ADDUSER, DRAINMUT) and the profile-vector decoder an
-# ADDUSER profile passes through must never panic, never size storage
+# send (PUSHUPD, ADDUSER, DRAINMUT), the client's decoders of the
+# answers shards send back (EPOCH, LEASE, GETVIEW/PROFILE, NEIGHBORS and
+# the drained batches), the profile-vector decoder an ADDUSER profile
+# passes through, the profile arena a partition state decodes into and
+# the top-k accumulator decoder must never panic, never size storage
 # from a count the input cannot back, and round-trip what they accept;
 # a shard's journal replay must never panic, allocate in proportion to
 # the journal, and rebuild the same state from the prefix it accepts;
@@ -73,7 +76,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMutations$$' -fuzztime $(FUZZTIME) ./internal/netstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStaleness$$' -fuzztime $(FUZZTIME) ./internal/netstore
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/netstore
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponses$$' -fuzztime $(FUZZTIME) ./internal/netstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVector$$' -fuzztime $(FUZZTIME) ./internal/profile
+	$(GO) test -run '^$$' -fuzz '^FuzzArenaDecode$$' -fuzztime $(FUZZTIME) ./internal/profile
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTopK$$' -fuzztime $(FUZZTIME) ./internal/knn
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/fault
 
 # End-to-end proof of the network state store: launches cmd/statestore

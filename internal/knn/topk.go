@@ -203,7 +203,8 @@ func SkipTopK(buf []byte) (k, n int, rest []byte, err error) {
 // Decode replaces t's candidates with those of the accumulator encoded
 // at the front of buf, reusing t's storage, and returns the remaining
 // bytes. The encoded capacity must be t's own: an accumulator of
-// another K is not a state this one can continue.
+// another K is not a state this one can continue. A refused encoding
+// leaves t as it was, or empty.
 func (t *TopK) Decode(buf []byte) ([]byte, error) {
 	k, n, rest, err := SkipTopK(buf)
 	if err != nil {
@@ -219,10 +220,13 @@ func (t *TopK) Decode(buf []byte) ([]byte, error) {
 			Score: math.Float64frombits(binary.LittleEndian.Uint64(buf[12+12*i:])),
 		})
 	}
-	// Restore the heap property (encoding preserves it, but do not
-	// trust external bytes).
-	for i := len(t.entries)/2 - 1; i >= 0; i-- {
-		t.down(i)
+	// The encoding preserves the heap order. Bytes that break it are
+	// refused, not repaired, so what Decode accepts re-encodes as is.
+	for i := 1; i < len(t.entries); i++ {
+		if t.worse(i, (i-1)/2) {
+			t.entries = t.entries[:0]
+			return nil, fmt.Errorf("knn: encoded top-k breaks the heap order at entry %d", i)
+		}
 	}
 	return rest, nil
 }

@@ -199,13 +199,14 @@ func (c *Client) Close() error {
 	return firstErr
 }
 
-// shardFor routes a partition to its shard connection.
-func (c *Client) shardFor(p uint32) (*shardConn, error) {
+// roundTripFor routes an idempotent request about partition p to the
+// shard owning it (see roundTrip).
+func (c *Client) roundTripFor(p uint32, req []byte) ([]byte, error) {
 	s, err := c.router.ShardOf(p)
 	if err != nil {
 		return nil, err
 	}
-	return c.shards[s], nil
+	return c.shards[s].roundTrip(req)
 }
 
 // roundTrip sends one request frame on the shard's connection and
@@ -289,12 +290,22 @@ func (sc *shardConn) exchangeLocked(req []byte) (sent bool, resp []byte, err err
 		sc.poisonLocked()
 		return true, nil, &UnavailableError{Addr: sc.addr, Stage: "send", Err: err}
 	}
-	resp, err = readFrame(sc.conn)
+	resp, err = sc.readLocked()
+	return true, resp, err
+}
+
+// readLocked reads one response frame under a fresh per-op deadline,
+// poisoning the connection when the transport fails. Each frame of a
+// stream re-arms the deadline: the bound is per-exchange silence, not
+// total stream duration — a long collect that keeps moving is healthy.
+func (sc *shardConn) readLocked() ([]byte, error) {
+	sc.conn.SetDeadline(time.Now().Add(sc.opts.OpTimeout))
+	resp, err := readFrame(sc.conn)
 	if err != nil {
 		sc.poisonLocked()
-		return true, nil, &UnavailableError{Addr: sc.addr, Stage: "receive", Err: err}
+		return nil, &UnavailableError{Addr: sc.addr, Stage: "receive", Err: err}
 	}
-	return true, resp, nil
+	return resp, nil
 }
 
 // poisonLocked closes a desynced or dead connection so the next
@@ -306,54 +317,15 @@ func (sc *shardConn) poisonLocked() {
 	}
 }
 
-// checkResponse splits a response frame into its payload, turning a
-// statusErr frame back into a Go error. Server-reported stale-lease
-// failures map onto ErrStaleLease, lookup misses onto ErrNotServed,
-// and transient server faults onto ErrRetryable so callers can match
-// with errors.Is.
-func checkResponse(resp []byte) ([]byte, error) {
-	status, body, err := cutByte(resp)
-	if err != nil {
-		return nil, err
-	}
-	switch status {
-	case statusOK:
-		return body, nil
-	case statusStale:
-		return nil, fmt.Errorf("%w: %s", ErrStaleLease, body)
-	case statusMiss:
-		return nil, fmt.Errorf("%w: %s", ErrNotServed, body)
-	case statusRetry:
-		return nil, fmt.Errorf("%w: %s", ErrRetryable, body)
-	case statusErr:
-		return nil, errors.New(string(body))
-	default:
-		return nil, fmt.Errorf("netstore: unexpected response status 0x%02x", status)
-	}
-}
-
 // Get fetches partition p's base state blob.
 func (c *Client) Get(p uint32) ([]byte, error) {
-	sc, err := c.shardFor(p)
-	if err != nil {
-		return nil, err
-	}
-	req := appendU32([]byte{opGet}, p)
-	return sc.roundTrip(req)
+	return c.roundTripFor(p, appendU32([]byte{opGet}, p))
 }
 
 // PutBase stores partition p's phase-1 state, opening a new epoch: the
 // shard drops accumulated partials and revokes outstanding leases.
 func (c *Client) PutBase(p uint32, blob []byte) error {
-	sc, err := c.shardFor(p)
-	if err != nil {
-		return err
-	}
-	req := appendU32([]byte{opPut}, p)
-	req = append(req, putBase)
-	req = appendU64(req, 0)
-	req = append(req, blob...)
-	_, err = sc.roundTrip(req)
+	_, err := c.roundTripFor(p, putRequest(p, putBase, 0, blob))
 	return err
 }
 
@@ -364,15 +336,7 @@ func (c *Client) PutBase(p uint32, blob []byte) error {
 // the server, so a retried PUT overwrites its own first copy instead
 // of duplicating it — what makes this verb safe to replay.
 func (c *Client) PutPartial(p uint32, token uint64, blob []byte) error {
-	sc, err := c.shardFor(p)
-	if err != nil {
-		return err
-	}
-	req := appendU32([]byte{opPut}, p)
-	req = append(req, putPartial)
-	req = appendU64(req, token)
-	req = append(req, blob...)
-	_, err = sc.roundTrip(req)
+	_, err := c.roundTripFor(p, putRequest(p, putPartial, token, blob))
 	return err
 }
 
@@ -381,30 +345,18 @@ func (c *Client) PutPartial(p uint32, token uint64, blob []byte) error {
 // a token on the server; leaked tokens hold no state and the next base
 // PUT revokes them.
 func (c *Client) Lease(p uint32) (uint64, error) {
-	sc, err := c.shardFor(p)
+	body, err := c.roundTripFor(p, appendU32([]byte{opLease}, p))
 	if err != nil {
 		return 0, err
 	}
-	req := appendU32([]byte{opLease}, p)
-	body, err := sc.roundTrip(req)
-	if err != nil {
-		return 0, err
-	}
-	token, _, err := cutU64(body)
-	return token, err
+	return decodeToken(body)
 }
 
 // Release invalidates a lease token. A retried RELEASE whose first
 // attempt was applied answers ErrStaleLease — callers treat that as
 // "already released".
 func (c *Client) Release(p uint32, token uint64) error {
-	sc, err := c.shardFor(p)
-	if err != nil {
-		return err
-	}
-	req := appendU32([]byte{opRelease}, p)
-	req = appendU64(req, token)
-	_, err = sc.roundTrip(req)
+	_, err := c.roundTripFor(p, appendU64(appendU32([]byte{opRelease}, p), token))
 	return err
 }
 
@@ -467,29 +419,9 @@ func (c *Client) Collect(emit func(item CollectItem) error) error {
 func (c *Client) collectShard(sc *shardConn, emit func(item CollectItem) error) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if sc.conn == nil {
-		conn, err := net.DialTimeout("tcp", sc.addr, sc.opts.DialTimeout)
-		if err != nil {
-			return &UnavailableError{Addr: sc.addr, Stage: "dial", Err: err}
-		}
-		sc.conn = conn
-	}
-	sc.conn.SetDeadline(time.Now().Add(sc.opts.OpTimeout))
-	if err := writeFrame(sc.conn, []byte{opCollect}); err != nil {
-		sc.poisonLocked()
-		return &UnavailableError{Addr: sc.addr, Stage: "send", Err: err}
-	}
-	for {
-		// Each frame of the stream re-arms the deadline: the bound is
-		// per-exchange silence, not total stream duration — a long
-		// collect that keeps moving is healthy.
-		sc.conn.SetDeadline(time.Now().Add(sc.opts.OpTimeout))
-		resp, err := readFrame(sc.conn)
-		if err != nil {
-			sc.poisonLocked()
-			return &UnavailableError{Addr: sc.addr, Stage: "receive", Err: err}
-		}
-		status, body, err := cutByte(resp)
+	_, resp, err := sc.exchangeLocked([]byte{opCollect})
+	for ; err == nil; resp, err = sc.readLocked() {
+		status, body, err := splitFrame(resp)
 		if err != nil {
 			return err
 		}
@@ -506,14 +438,14 @@ func (c *Client) collectShard(sc *shardConn, emit func(item CollectItem) error) 
 			}
 		case statusEnd:
 			return nil
-		case statusRetry:
-			return fmt.Errorf("%w: %s", ErrRetryable, body)
-		case statusErr:
-			return errors.New(string(body))
 		default:
+			if _, err := checkResponse(resp); err != nil {
+				return err
+			}
 			return fmt.Errorf("netstore: unexpected collect status 0x%02x", status)
 		}
 	}
+	return err
 }
 
 // Clear drops the compute state on every shard (bases, partials,

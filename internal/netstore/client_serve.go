@@ -47,34 +47,17 @@ func (h *hintCache) put(u uint32, s int) {
 // the moment phase 1 of a new iteration rewrites the partition; the
 // view epoch only moves when that iteration commits.
 func (c *Client) Epoch(p uint32) (base, view uint64, err error) {
-	sc, err := c.shardFor(p)
+	body, err := c.roundTripFor(p, appendU32([]byte{opEpoch}, p))
 	if err != nil {
 		return 0, 0, err
 	}
-	body, err := sc.roundTrip(appendU32([]byte{opEpoch}, p))
-	if err != nil {
-		return 0, 0, err
-	}
-	base, rest, err := cutU64(body)
-	if err != nil {
-		return 0, 0, err
-	}
-	view, _, err = cutU64(rest)
-	return base, view, err
+	return decodeEpoch(body)
 }
 
 // PutView publishes partition p's committed serve view (an EncodeView
 // blob). The shard stamps it with the partition's current epoch.
 func (c *Client) PutView(p uint32, blob []byte) error {
-	sc, err := c.shardFor(p)
-	if err != nil {
-		return err
-	}
-	req := appendU32([]byte{opPut}, p)
-	req = append(req, putView)
-	req = appendU64(req, 0)
-	req = append(req, blob...)
-	_, err = sc.roundTrip(req)
+	_, err := c.roundTripFor(p, putRequest(p, putView, 0, blob))
 	return err
 }
 
@@ -82,16 +65,11 @@ func (c *Client) PutView(p uint32, blob []byte) error {
 // was stamped with, for inspecting a published view; point lookups
 // should use Neighbors/ProfileBytes instead.
 func (c *Client) GetView(p uint32) (epoch uint64, blob []byte, err error) {
-	sc, err := c.shardFor(p)
+	body, err := c.roundTripFor(p, appendU32([]byte{opGetView}, p))
 	if err != nil {
 		return 0, nil, err
 	}
-	body, err := sc.roundTrip(appendU32([]byte{opGetView}, p))
-	if err != nil {
-		return 0, nil, err
-	}
-	epoch, blob, err = cutU64(body)
-	return epoch, blob, err
+	return decodeStamped(body)
 }
 
 // lookupOn issues one point-lookup op against one shard.
@@ -135,22 +113,7 @@ func (c *Client) Neighbors(u uint32) (epoch uint64, ids []uint32, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	epoch, rest, err := cutU64(body)
-	if err != nil {
-		return 0, nil, err
-	}
-	count, rest, err := cutU32(rest)
-	if err != nil {
-		return 0, nil, err
-	}
-	if uint64(count)*4 != uint64(len(rest)) {
-		return 0, nil, fmt.Errorf("netstore: neighbors response claims %d ids over %d bytes", count, len(rest))
-	}
-	ids = make([]uint32, count)
-	for i := range ids {
-		ids[i], rest, _ = cutU32(rest)
-	}
-	return epoch, ids, nil
+	return decodeNeighbors(body)
 }
 
 // ProfileBytes answers a point lookup for user u's committed profile
@@ -160,8 +123,7 @@ func (c *Client) ProfileBytes(u uint32) (epoch uint64, blob []byte, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	epoch, blob, err = cutU64(body)
-	return epoch, blob, err
+	return decodeStamped(body)
 }
 
 // PushUpdates enqueues profile updates for the engine's next phase 5.
@@ -233,30 +195,29 @@ func (c *Client) DelUser(u uint32) error {
 // collected so far are returned alongside it — the caller must keep
 // them (the engine parks them on its backlog) or they are lost.
 func (c *Client) DrainMutations() ([]Mutation, error) {
-	var all []Mutation
+	return drain(c, opDrainMut, "mutations", DecodeMutations)
+}
+
+// drain runs one drain verb on every shard in order and decodes every
+// batch the shards answer with, returning what it decoded before any
+// error alongside it.
+func drain[T any](c *Client, op byte, what string, decode func([]byte) ([]T, error)) ([]T, error) {
+	var all []T
 	for s, sc := range c.shards {
 		// roundTripOnce: a drain clears the queue as it answers, so if
 		// the response is lost the data is in flight, not on the shard —
 		// a blind replay would return an empty queue and the caller
 		// would never learn anything was dropped.
-		body, err := sc.roundTripOnce([]byte{opDrainMut})
+		body, err := sc.roundTripOnce([]byte{op})
 		if err != nil {
-			return all, fmt.Errorf("netstore: drain mutations from shard %d: %w", s, err)
+			return all, fmt.Errorf("netstore: drain %s from shard %d: %w", what, s, err)
 		}
-		for len(body) > 0 {
-			size, rest, err := cutU32(body)
-			if err != nil {
-				return all, err
-			}
-			if uint64(size) > uint64(len(rest)) {
-				return all, fmt.Errorf("netstore: drained mutation batch claims %d bytes over %d", size, len(rest))
-			}
-			batch, err := DecodeMutations(rest[:size])
-			if err != nil {
-				return all, err
-			}
+		if err := eachDrained(body, func(b []byte) error {
+			batch, err := decode(b)
 			all = append(all, batch...)
-			body = rest[size:]
+			return err
+		}); err != nil {
+			return all, err
 		}
 	}
 	return all, nil
@@ -267,15 +228,7 @@ func (c *Client) DrainMutations() ([]Mutation, error) {
 // with the new value and ships it to its replicas, without any phase-1
 // base install having happened.
 func (c *Client) PutDeltaView(p uint32, blob []byte) error {
-	sc, err := c.shardFor(p)
-	if err != nil {
-		return err
-	}
-	req := appendU32([]byte{opPut}, p)
-	req = append(req, putDeltaView)
-	req = appendU64(req, 0)
-	req = append(req, blob...)
-	_, err = sc.roundTrip(req)
+	_, err := c.roundTripFor(p, putRequest(p, putDeltaView, 0, blob))
 	return err
 }
 
@@ -286,11 +239,7 @@ func (c *Client) PutDeltaView(p uint32, blob []byte) error {
 func (c *Client) PutStaleness(blob []byte) error {
 	for s := range c.shards {
 		lo, _ := c.router.Range(s)
-		req := appendU32([]byte{opPut}, uint32(lo))
-		req = append(req, putStale)
-		req = appendU64(req, 0)
-		req = append(req, blob...)
-		if _, err := c.shards[s].roundTrip(req); err != nil {
+		if _, err := c.shards[s].roundTrip(putRequest(uint32(lo), putStale, 0, blob)); err != nil {
 			return fmt.Errorf("netstore: put staleness on shard %d: %w", s, err)
 		}
 	}
@@ -322,28 +271,5 @@ func (c *Client) Staleness() (StalenessDoc, bool, error) {
 // their shards have already cleared them, so the caller must keep them
 // (the engine does, and re-issues the drain for the rest).
 func (c *Client) DrainUpdates() ([]profile.Update, error) {
-	var all []profile.Update
-	for s, sc := range c.shards {
-		// roundTripOnce: same lost-response hazard as DrainMutations.
-		body, err := sc.roundTripOnce([]byte{opDrainUpd})
-		if err != nil {
-			return all, fmt.Errorf("netstore: drain updates from shard %d: %w", s, err)
-		}
-		for len(body) > 0 {
-			size, rest, err := cutU32(body)
-			if err != nil {
-				return all, err
-			}
-			if uint64(size) > uint64(len(rest)) {
-				return all, fmt.Errorf("netstore: drained batch claims %d bytes over %d", size, len(rest))
-			}
-			batch, err := DecodeUpdates(rest[:size])
-			if err != nil {
-				return all, err
-			}
-			all = append(all, batch...)
-			body = rest[size:]
-		}
-	}
-	return all, nil
+	return drain(c, opDrainUpd, "updates", DecodeUpdates)
 }

@@ -3,7 +3,6 @@ package netstore
 import (
 	"bufio"
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -187,7 +186,7 @@ func (s *Server) writeCompactionLocked(w io.Writer) error {
 		}
 	}
 	put := func(p uint32, kind byte, token uint64, blob []byte) {
-		emit(appendU64(append(appendU32([]byte{opPut}, p), kind), token), blob)
+		emit(putRequest(p, kind, token, nil), blob)
 	}
 	setEpoch := func(p uint32, e uint64) { emit(appendU64(appendU32([]byte{recEpoch}, p), e)) }
 	lo := uint32(s.lo) // routes the records that name no partition of their own
@@ -318,15 +317,16 @@ func (s *Server) recover(dir string) error {
 func (s *Server) replay(data []byte) (good int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	r := newReader("journal", data)
 	for {
-		n, rest, cerr := cutU32(data[good:])
-		if cerr != nil || n == 0 || uint64(n) > uint64(len(rest)) {
+		record := r.bytes()
+		if r.err != nil || len(record) == 0 {
 			return good, nil
 		}
-		if err := s.replayLocked(rest[:n]); err != nil {
+		if err := s.replayLocked(record); err != nil {
 			return good, fmt.Errorf("record at offset %d: %w", good, err)
 		}
-		good += 4 + int(n)
+		good = len(data) - len(r.buf)
 	}
 }
 
@@ -338,21 +338,9 @@ func (s *Server) replayLocked(record []byte) error {
 	if !journaled(op) {
 		return fmt.Errorf("opcode 0x%02x is never journaled", op)
 	}
-	var token uint64
-	if op == opLease {
-		// A LEASE record carries the granted token after the request body.
-		if len(body) < 8 {
-			return fmt.Errorf("LEASE record of %d bytes has no token", len(body))
-		}
-		token = binary.BigEndian.Uint64(body[len(body)-8:])
-		body = body[:len(body)-8]
-	}
-	c, err := parseCommand(op, body)
+	c, err := parseCommand(op, body, true)
 	if err != nil {
 		return err
-	}
-	if op == opLease {
-		c.token = token
 	}
 	if err := c.prepare(); err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -380,4 +381,82 @@ func TestDecodeCollectItemBoundsPartialCount(t *testing.T) {
 	if _, err := decodeCollectItem(buf); err == nil || !strings.Contains(err.Error(), "claims") {
 		t.Fatalf("absurd partial count: %v", err)
 	}
+}
+
+// requireHangUp sends one raw request frame on a fresh connection to
+// addr and fails unless the node hangs up instead of answering.
+func requireHangUp(t *testing.T, addr string, req []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	if err := writeFrame(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := readFrame(conn); err == nil {
+		t.Fatalf("request %x answered %x, want a hang-up", req, resp)
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("request %x: neither answered nor hung up on", req)
+	}
+}
+
+// TestFixedSizeFramesRefuseTrailingBytes: a fixed-size request with one
+// byte past its fields is a malformed frame on a primary and on a
+// replica alike, and a client refuses a fixed-size response that
+// carries one.
+func TestFixedSizeFramesRefuseTrailingBytes(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Shard: 0, Shards: 1, NumPartitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	rep, err := NewReplica(ReplicaConfig{Addr: "127.0.0.1:0", Primary: srv.Addr(), Shard: 0, Shards: 1, NumPartitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	keyed := func(op byte) []byte { return append(appendU32([]byte{op}, 1), 0) }
+
+	t.Run("primary", func(t *testing.T) {
+		for _, req := range [][]byte{
+			keyed(opGet), keyed(opEpoch), keyed(opGetView), keyed(opNeighbors), keyed(opProfile),
+			{opCollect, 0}, {opWatch, 0}, {opStaleness, 0},
+		} {
+			requireHangUp(t, srv.Addr(), req)
+		}
+	})
+	t.Run("replica", func(t *testing.T) {
+		for _, req := range [][]byte{
+			keyed(opGet), keyed(opEpoch), keyed(opGetView), keyed(opNeighbors), keyed(opProfile),
+		} {
+			requireHangUp(t, rep.Addr(), req)
+		}
+	})
+	t.Run("client", func(t *testing.T) {
+		answer := func(payload []byte) string {
+			return fakeShard(t, func(conn net.Conn) {
+				drainRequest(conn)
+				writeFrame(conn, append(append([]byte{statusOK}, payload...), 0))
+			})
+		}
+		client, err := DialOptions([]string{answer(appendU64(nil, 7))}, 4, fastOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		if token, err := client.Lease(0); err == nil {
+			t.Fatalf("LEASE answer with a trailing byte accepted as token %d", token)
+		}
+		client, err = DialOptions([]string{answer(appendU64(appendU64(nil, 3), 2))}, 4, fastOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		if base, view, err := client.Epoch(0); err == nil {
+			t.Fatalf("EPOCH answer with a trailing byte accepted as (%d, %d)", base, view)
+		}
+	})
 }

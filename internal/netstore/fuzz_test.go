@@ -291,3 +291,62 @@ func FuzzReplay(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeResponses: arbitrary answer bodies never panic the
+// client's decoders of the EPOCH pair, the LEASE token, a GETVIEW or
+// PROFILE answer, the NEIGHBORS list and the drained-batch splitter,
+// never make one allocate beyond a multiple of their length (the
+// NEIGHBORS count and every batch length are checked against the bytes
+// behind them), and an answer one accepts is exactly what the shared
+// encoder lays out for what it decoded.
+func FuzzDecodeResponses(f *testing.F) {
+	f.Add(encodeEpoch(3, 2))
+	f.Add(appendU64(nil, 7))
+	f.Add(appendStamped(4, viewFor(7, 4)))
+	f.Add(encodeLookup(opNeighbors, 9, ViewEntry{Neighbors: []uint32{1, 2, 3}}))
+	f.Add(encodeLookup(opNeighbors, 9, ViewEntry{}))
+	f.Add(append(appendU64(nil, 1), appendU32(nil, 0xFFFFFFFF)...))
+	f.Add(encodeDrained([][]byte{
+		EncodeUpdates([]profile.Update{{User: 3, Kind: profile.SetItem, Item: 1, Weight: 2}}),
+		{},
+		EncodeMutations([]Mutation{{Op: MutDel, User: 7}}),
+	}))
+	f.Add(appendU32(nil, 0xFFFFFFFF))
+	f.Add(append(encodeEpoch(3, 2), 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		same := func(what string, again []byte) {
+			t.Helper()
+			if !bytes.Equal(again, data) {
+				t.Fatalf("accepted %s %x re-encodes to %x", what, data, again)
+			}
+		}
+		var base, view, epoch, token uint64
+		var blob []byte
+		var ids []uint32
+		var err error
+		requireBoundedAlloc(t, data, func() { base, view, err = decodeEpoch(data) })
+		if err == nil {
+			same("EPOCH answer", encodeEpoch(base, view))
+		}
+		requireBoundedAlloc(t, data, func() { token, err = decodeToken(data) })
+		if err == nil {
+			same("LEASE answer", appendU64(nil, token))
+		}
+		requireBoundedAlloc(t, data, func() { epoch, blob, err = decodeStamped(data) })
+		if err == nil {
+			same("stamped answer", appendStamped(epoch, blob))
+		}
+		requireBoundedAlloc(t, data, func() { epoch, ids, err = decodeNeighbors(data) })
+		if err == nil {
+			same("NEIGHBORS answer", encodeLookup(opNeighbors, epoch, ViewEntry{Neighbors: ids}))
+		}
+		requireBoundedAlloc(t, data, func() { err = eachDrained(data, func([]byte) error { return nil }) })
+		if err == nil {
+			var batches [][]byte
+			if err := eachDrained(data, func(b []byte) error { batches = append(batches, b); return nil }); err != nil {
+				t.Fatalf("drained answer accepted once, then refused: %v", err)
+			}
+			same("drained answer", encodeDrained(batches))
+		}
+	})
+}

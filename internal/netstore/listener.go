@@ -7,22 +7,20 @@ import (
 	"sync"
 )
 
-// handleFunc answers one request frame, split into its opcode and the
-// rest. A nil error sends payload back in a statusOK frame. An error is
+// handleFunc answers one request, parsed by parseCommand. A nil error
+// sends payload back in a statusOK frame. An error is
 // reported to the peer in-band, under the status byte its class maps
 // to, and the connection stays up — unless it is a hangUp, which ends
 // the connection without a reply. The streaming verbs (COLLECT, WATCH)
 // write their own response frames to conn and return errReplied or a
 // hangUp.
-type handleFunc func(op byte, body []byte, conn net.Conn) (payload []byte, err error)
+type handleFunc func(c command, conn net.Conn) (payload []byte, err error)
 
 // errReplied is a handler's "the response is already on the wire".
 var errReplied = errors.New("netstore: response already sent")
 
 // hangUpError marks a failure the peer cannot be told about in-band: a
-// request body too short for its verb or an opcode the node does not
-// know means the two ends disagree about the protocol, and a failed
-// write means the connection is gone.
+// failed write means the connection is gone.
 type hangUpError struct{ error }
 
 // hangUp wraps err so the listener drops the connection instead of
@@ -105,9 +103,11 @@ func (l *frameListener) acceptLoop() {
 }
 
 // serveConn handles one client connection request-by-request. A torn
-// frame, a hangUp, or a write failure ends the connection; a
-// request-level failure (unknown partition, stale token) is answered
-// in-band and the connection stays up.
+// frame, a request parseCommand refuses — a body that does not hold
+// exactly its verb's fields, or an opcode no verb uses, means the two
+// ends disagree about the protocol — a hangUp, or a write failure ends
+// the connection; a request-level failure (unknown partition, stale
+// token) is answered in-band and the connection stays up.
 func (l *frameListener) serveConn(conn net.Conn) {
 	defer l.wg.Done()
 	defer func() {
@@ -121,11 +121,15 @@ func (l *frameListener) serveConn(conn net.Conn) {
 		if err != nil {
 			return // disconnect or torn frame: drop the peer, keep serving others
 		}
-		op, body, err := cutByte(req)
+		op, body, err := splitFrame(req)
 		if err != nil {
 			return
 		}
-		payload, err := l.handle(op, body, conn)
+		c, err := parseCommand(op, body, false)
+		if err != nil {
+			return
+		}
+		payload, err := l.handle(c, conn)
 		switch {
 		case err == nil:
 			err = writeFrame(conn, append([]byte{statusOK}, payload...))
@@ -140,22 +144,4 @@ func (l *frameListener) serveConn(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// errorStatus picks the status byte an in-band failure travels under.
-// Fencing rejections and lookup misses have their own so clients can
-// rebuild ErrStaleLease / ErrNotServed without parsing prose — the
-// signal is protocol, not message text. Transient faults (the
-// injected-device class) fire BEFORE any state mutates, so the client
-// may always retry — statusRetry is that promise on the wire.
-func errorStatus(err error) byte {
-	switch {
-	case errors.Is(err, ErrStaleLease):
-		return statusStale
-	case errors.Is(err, ErrNotServed):
-		return statusMiss
-	case errors.Is(err, ErrRetryable):
-		return statusRetry
-	}
-	return statusErr
 }

@@ -6,45 +6,13 @@
 // global device, which is exactly the ceiling the single shared spindle
 // hits at four tape workers.
 //
-// The protocol has five compute verbs plus housekeeping:
-//
-//	GET p            → the partition's base state blob
-//	PUT p kind tok b → store a blob: kind "base" (phase 1; resets the
-//	                   partition's partials, revokes outstanding
-//	                   leases, and bumps the partition's epoch), kind
-//	                   "partial" (a worker's write-back, admitted only
-//	                   under a live fencing token), or kind "view" (the
-//	                   committed per-partition serve view, stamped with
-//	                   the current epoch)
-//	LEASE p          → a fencing token; many workers may hold
-//	                   overlapping leases on one partition
-//	RELEASE p tok    → invalidate one token
-//	COLLECT          → stream every owned partition (base + partials)
-//	                   in ascending id order
-//	CLEAR            → drop compute state (bases, partials, leases);
-//	                   epochs, serve views, and pending updates survive
-//
-// and a read/serving side that never takes leases (the online query
-// tier — replicas and cmd/knnserve — speaks only these):
-//
-//	EPOCH p          → the partition's epoch plus the epoch stamp of
-//	                   its current serve view
-//	GETVIEW p        → the serve view's epoch stamp and blob
-//	NEIGHBORS u      → user u's committed neighbor ids (epoch-tagged)
-//	PROFILE u        → user u's committed profile blob (epoch-tagged)
-//	WATCH            → stream every current serve view, then every view
-//	                   a later PUT installs (the replica feed)
-//	PUSHUPD blob     → enqueue encoded profile updates for phase 5
-//	DRAINUPD         → return and clear the pending update queue
-//	ADDUSER u blob   → record user u (re)entering the graph: clears the
-//	                   shard's tombstone for u, and on u's owning shard
-//	                   (u mod N) enqueues the profile for the engine's
-//	                   delta path
-//	DELUSER u        → tombstone user u: point lookups on this shard
-//	                   miss immediately, and u's owning shard enqueues
-//	                   the removal for the engine's delta path
-//	DRAINMUT         → return and clear the pending mutation queue
-//	STALENESS        → the staleness document the engine last published
+// The compute verbs (GET, PUT, LEASE, RELEASE, COLLECT, CLEAR) move
+// phase-4 state under fencing leases; the read and serving verbs
+// (EPOCH, GETVIEW, NEIGHBORS, PROFILE, WATCH, PUSHUPD, DRAINUPD) and the
+// mutation verbs (ADDUSER, DELUSER, DRAINMUT, STALENESS) never take
+// one. docs/PROTOCOL.md specifies every message byte for byte, and a
+// test pins its tables to the constants below; this file is the one
+// place in the code that lays a message out and bounds it.
 //
 // Every frame is a uint32 big-endian length followed by that many
 // payload bytes; requests start with a one-byte opcode, responses with
@@ -57,6 +25,7 @@ package netstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -98,20 +67,54 @@ const (
 	statusRetry = 0x06 // transient server-side fault; the request was NOT applied — retry
 )
 
+// failureStatuses pairs each failure class the wire names with its
+// status. A node answers a failure under its class's status
+// (errorStatus), and a client turns the status back into the class
+// (checkResponse), so callers match with errors.Is, never on message
+// text. Every other failure travels as statusErr.
+var failureStatuses = [...]struct {
+	class  error
+	status byte
+}{{ErrStaleLease, statusStale}, {ErrNotServed, statusMiss}, {ErrRetryable, statusRetry}}
+
+// errorStatus picks the status byte an in-band failure travels under.
+// Transient faults (the injected-device class) fire BEFORE any state
+// mutates, so the client may always retry — statusRetry is that promise
+// on the wire.
+func errorStatus(err error) byte {
+	for _, f := range failureStatuses {
+		if errors.Is(err, f.class) {
+			return f.status
+		}
+	}
+	return statusErr
+}
+
+// checkResponse splits a response frame into its payload, turning a
+// failure status back into a Go error.
+func checkResponse(resp []byte) ([]byte, error) {
+	status, body, err := splitFrame(resp)
+	if err != nil || status == statusOK {
+		return body, err
+	}
+	for _, f := range failureStatuses {
+		if status == f.status {
+			return nil, fmt.Errorf("%w: %s", f.class, body)
+		}
+	}
+	if status == statusErr {
+		return nil, errors.New(string(body))
+	}
+	return nil, fmt.Errorf("netstore: unexpected response status 0x%02x", status)
+}
+
 // PUT kinds.
 const (
-	putBase    = 0x00
-	putPartial = 0x01
-	putView    = 0x02
-	// putDeltaView is a delta republish: it bumps the partition's epoch
-	// FIRST and then installs the view stamped with the new epoch, so
-	// replicas' probe-then-pull sees the stamp move without any phase-1
-	// base install having happened. Compute state is untouched.
-	putDeltaView = 0x03
-	// putStale stores the engine's staleness document (an
-	// EncodeStaleness blob) on the shard. Pure metadata: no device
-	// charge, survives CLEAR, replaced wholesale by each publish.
-	putStale = 0x04
+	putBase      = 0x00
+	putPartial   = 0x01
+	putView      = 0x02
+	putDeltaView = 0x03 // bumps the epoch, then installs the view stamped with it
+	putStale     = 0x04 // the engine's staleness document; metadata, survives CLEAR
 )
 
 // The WATCH stream's liveness rules. A primary sends a heartbeat after
@@ -194,27 +197,254 @@ func readFrame(r io.Reader) ([]byte, error) {
 func appendU32(buf []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(buf, v) }
 func appendU64(buf []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(buf, v) }
 
-// cut reads a fixed-width prefix off buf, reporting failure on short
-// payloads instead of panicking on attacker-controlled frames.
-func cutU32(buf []byte) (uint32, []byte, error) {
-	if len(buf) < 4 {
-		return 0, nil, fmt.Errorf("netstore: payload truncated (want 4 bytes, have %d)", len(buf))
-	}
-	return binary.BigEndian.Uint32(buf), buf[4:], nil
+// appendBytes appends b with its u32 length prefix — what reader.bytes
+// reads back.
+func appendBytes(buf, b []byte) []byte { return append(appendU32(buf, uint32(len(b))), b...) }
+
+// reader is the one bounded reader every netstore decoder goes
+// through. It reads a message's fields in order; the first read the
+// bytes cannot back sets a sticky error and every later read returns
+// zero values, so a decoder states its layout field by field and checks
+// the error once, at done. Byte fields alias the message.
+type reader struct {
+	what string // the message, for errors
+	buf  []byte
+	err  error
 }
 
-func cutU64(buf []byte) (uint64, []byte, error) {
-	if len(buf) < 8 {
-		return 0, nil, fmt.Errorf("netstore: payload truncated (want 8 bytes, have %d)", len(buf))
+func newReader(what string, buf []byte) *reader { return &reader{what: what, buf: buf} }
+
+// fail records the first failure, naming the message, and drops the
+// unread bytes.
+func (r *reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("netstore: "+r.what+" "+format, args...)
 	}
-	return binary.BigEndian.Uint64(buf), buf[8:], nil
+	r.buf = nil
 }
 
-func cutByte(buf []byte) (byte, []byte, error) {
-	if len(buf) < 1 {
-		return 0, nil, fmt.Errorf("netstore: payload truncated (want 1 byte, have 0)")
+// take cuts the next n bytes off the message.
+func (r *reader) take(n uint64) []byte {
+	if r.err != nil {
+		return nil
 	}
-	return buf[0], buf[1:], nil
+	if n > uint64(len(r.buf)) {
+		r.fail("truncated (want %d bytes, have %d)", n, len(r.buf))
+		return nil
+	}
+	b := r.buf[:n:n]
+	r.buf = r.buf[n:]
+	return b
+}
+
+// zeros is what a fixed-width read yields once the reader has failed.
+var zeros [8]byte
+
+// fixed cuts an n-byte integer field, or zeros once the reader failed.
+func (r *reader) fixed(n uint64) []byte {
+	if b := r.take(n); b != nil {
+		return b
+	}
+	return zeros[:n]
+}
+
+func (r *reader) u8() byte    { return r.fixed(1)[0] }
+func (r *reader) u32() uint32 { return binary.BigEndian.Uint32(r.fixed(4)) }
+func (r *reader) u64() uint64 { return binary.BigEndian.Uint64(r.fixed(8)) }
+
+// bytes reads a u32 length and that many bytes.
+func (r *reader) bytes() []byte { return r.take(uint64(r.u32())) }
+
+// rest takes every byte left: the blob that ends a message.
+func (r *reader) rest() []byte { return r.take(uint64(len(r.buf))) }
+
+// count reads a u32 item count and refuses one the remaining bytes
+// cannot back at minItemBytes per item, so a caller may size storage by
+// it: a corrupt count is a decode error, never an allocation the size
+// of the lie.
+func (r *reader) count(minItemBytes int) int {
+	n := r.u32()
+	if r.err == nil && uint64(n)*uint64(minItemBytes) > uint64(len(r.buf)) {
+		r.fail("claims %d items of at least %d bytes in %d bytes", n, minItemBytes, len(r.buf))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// done refuses bytes past the message's last field and reports the
+// first failure.
+func (r *reader) done() error {
+	if r.err == nil && len(r.buf) != 0 {
+		r.fail("has %d trailing bytes", len(r.buf))
+	}
+	return r.err
+}
+
+// splitFrame splits a frame payload into its leading opcode (a request)
+// or status (a response) and the body after it.
+func splitFrame(frame []byte) (head byte, body []byte, err error) {
+	r := newReader("frame", frame)
+	head = r.u8()
+	body = r.rest()
+	return head, body, r.err
+}
+
+// command is one parsed request, or one journal record. Its opcode and
+// body as received are its journal record (a LEASE record adds the
+// granted token); the other fields are what the verb carries and what
+// the server's prepare derives from it.
+type command struct {
+	op    byte
+	body  []byte
+	p     uint32 // GET, PUT, LEASE, RELEASE, EPOCH, GETVIEW, the epoch record
+	kind  byte   // PUT kind
+	token uint64 // PUT, RELEASE; the token a LEASE grants
+	epoch uint64 // the epoch record
+	user  uint32 // NEIGHBORS, PROFILE, ADDUSER, DELUSER
+	blob  []byte // PUT blob, PUSHUPD batch, ADDUSER profile
+
+	view  serveView // a view PUT's decode
+	batch []byte    // ADDUSER/DELUSER's mutation batch
+}
+
+// parseCommand cuts a request body — or, when record is set, a journal
+// record's — into a command: the one statement of every verb's request
+// layout, shared by primaries, replicas and journal replay. A body that
+// does not hold exactly its verb's fields, or an opcode that is no
+// verb, is refused: a live peer is hung up on, and a journal holding it
+// is corrupt. A LEASE record carries the granted token after the
+// request, and the epoch record is a journal's only.
+func parseCommand(op byte, body []byte, record bool) (command, error) {
+	c := command{op: op, body: body}
+	if op == recEpoch && !record {
+		return c, fmt.Errorf("netstore: opcode 0x%02x is a journal record, not a verb", op)
+	}
+	r := newReader("request", body)
+	switch op {
+	case opPut:
+		c.p = r.u32()
+		c.kind = r.u8()
+		c.token = r.u64()
+		c.blob = r.rest()
+	case opGet, opEpoch, opGetView:
+		c.p = r.u32()
+	case opLease:
+		c.p = r.u32()
+		if record {
+			c.token = r.u64()
+		}
+	case opRelease:
+		c.p = r.u32()
+		c.token = r.u64()
+	case recEpoch:
+		c.p = r.u32()
+		c.epoch = r.u64()
+	case opNeighbors, opProfile, opDelUser:
+		c.user = r.u32()
+	case opAddUser:
+		c.user = r.u32()
+		c.blob = r.rest()
+	case opPushUpd:
+		c.blob = r.rest()
+	case opCollect, opClear, opDrainUpd, opDrainMut, opStaleness, opWatch:
+	default:
+		return c, fmt.Errorf("netstore: unknown opcode 0x%02x", op)
+	}
+	return c, r.done()
+}
+
+// putRequest lays out a PUT request: partition u32, kind byte, token
+// u64, then the blob to the end of the frame.
+func putRequest(p uint32, kind byte, token uint64, blob []byte) []byte {
+	req := make([]byte, 0, 1+4+1+8+len(blob))
+	req = append(appendU32(append(req, opPut), p), kind)
+	return append(appendU64(req, token), blob...)
+}
+
+// encodeEpoch / decodeEpoch lay out the EPOCH answer: the partition's
+// base epoch u64, then its view's epoch stamp u64.
+func encodeEpoch(base, view uint64) []byte { return appendU64(appendU64(nil, base), view) }
+
+func decodeEpoch(body []byte) (base, view uint64, err error) {
+	r := newReader("EPOCH answer", body)
+	base = r.u64()
+	view = r.u64()
+	return base, view, r.done()
+}
+
+// decodeToken parses the LEASE answer: the granted token u64.
+func decodeToken(body []byte) (uint64, error) {
+	r := newReader("LEASE answer", body)
+	token := r.u64()
+	return token, r.done()
+}
+
+// appendStamped / decodeStamped lay out the GETVIEW and PROFILE
+// answers: the view's epoch stamp u64, then the view or profile blob to
+// the end of the frame.
+func appendStamped(epoch uint64, blob []byte) []byte {
+	return append(appendU64(make([]byte, 0, 8+len(blob)), epoch), blob...)
+}
+
+func decodeStamped(body []byte) (epoch uint64, blob []byte, err error) {
+	r := newReader("stamped answer", body)
+	epoch = r.u64()
+	blob = r.rest()
+	return epoch, blob, r.done()
+}
+
+// encodeLookup lays out a NEIGHBORS or PROFILE answer: the view epoch,
+// then the neighbor list (count-prefixed) or the profile blob.
+func encodeLookup(op byte, epoch uint64, entry ViewEntry) []byte {
+	if op == opProfile {
+		return appendStamped(epoch, entry.Profile)
+	}
+	resp := appendU32(appendU64(make([]byte, 0, 12+4*len(entry.Neighbors)), epoch), uint32(len(entry.Neighbors)))
+	for _, id := range entry.Neighbors {
+		resp = appendU32(resp, id)
+	}
+	return resp
+}
+
+// decodeNeighbors parses a NEIGHBORS answer.
+func decodeNeighbors(body []byte) (epoch uint64, ids []uint32, err error) {
+	r := newReader("NEIGHBORS answer", body)
+	epoch = r.u64()
+	ids = make([]uint32, r.count(4))
+	for i := range ids {
+		ids[i] = r.u32()
+	}
+	return epoch, ids, r.done()
+}
+
+// encodeDrained lays out a DRAINUPD or DRAINMUT answer: the queue's
+// batches in arrival order, each u32-length-prefixed.
+func encodeDrained(batches [][]byte) []byte {
+	n := 0
+	for _, b := range batches {
+		n += 4 + len(b)
+	}
+	out := make([]byte, 0, n)
+	for _, b := range batches {
+		out = appendBytes(out, b)
+	}
+	return out
+}
+
+// eachDrained splits a DRAINUPD or DRAINMUT answer into its batches,
+// handing each to fn in arrival order, and stops at fn's first error.
+func eachDrained(body []byte, fn func(batch []byte) error) error {
+	r := newReader("drained answer", body)
+	for len(r.buf) > 0 {
+		if batch := r.bytes(); r.err == nil {
+			if err := fn(batch); err != nil {
+				return err
+			}
+		}
+	}
+	return r.done()
 }
 
 // CollectItem is one partition's worth of a COLLECT stream: the base
@@ -237,11 +467,9 @@ func encodeCollectItem(it CollectItem) []byte {
 	buf = append(buf, statusPart)
 	buf = appendU32(buf, it.Partition)
 	buf = appendU32(buf, uint32(len(it.Partials)))
-	buf = appendU32(buf, uint32(len(it.Base)))
-	buf = append(buf, it.Base...)
+	buf = appendBytes(buf, it.Base)
 	for _, p := range it.Partials {
-		buf = appendU32(buf, uint32(len(p)))
-		buf = append(buf, p...)
+		buf = appendBytes(buf, p)
 	}
 	return buf
 }
@@ -249,47 +477,16 @@ func encodeCollectItem(it CollectItem) []byte {
 // decodeCollectItem parses a statusPart payload (status byte already
 // consumed).
 func decodeCollectItem(buf []byte) (CollectItem, error) {
-	var it CollectItem
-	var err error
-	if it.Partition, buf, err = cutU32(buf); err != nil {
-		return it, err
+	r := newReader("collect item", buf)
+	it := CollectItem{Partition: r.u32()}
+	// Each partial needs at least its 4-byte length prefix.
+	n := r.count(4)
+	it.Base = r.bytes()
+	it.Partials = make([][]byte, n)
+	for i := range it.Partials {
+		it.Partials[i] = r.bytes()
 	}
-	nPartials, buf, err := cutU32(buf)
-	if err != nil {
-		return it, err
-	}
-	// Each partial needs at least its 4-byte length prefix, so the
-	// count is bounded by the remaining payload — validated BEFORE the
-	// allocation below, or a corrupt count would be a fatal OOM instead
-	// of a decode error.
-	if int64(nPartials) > int64(len(buf))/4 {
-		return it, fmt.Errorf("netstore: collect item of partition %d claims %d partials in %d bytes", it.Partition, nPartials, len(buf))
-	}
-	baseLen, buf, err := cutU32(buf)
-	if err != nil {
-		return it, err
-	}
-	if uint32(len(buf)) < baseLen {
-		return it, fmt.Errorf("netstore: collect item of partition %d truncated in base blob", it.Partition)
-	}
-	it.Base = buf[:baseLen:baseLen]
-	buf = buf[baseLen:]
-	it.Partials = make([][]byte, 0, nPartials)
-	for i := uint32(0); i < nPartials; i++ {
-		var pLen uint32
-		if pLen, buf, err = cutU32(buf); err != nil {
-			return it, err
-		}
-		if uint32(len(buf)) < pLen {
-			return it, fmt.Errorf("netstore: collect item of partition %d truncated in partial %d", it.Partition, i)
-		}
-		it.Partials = append(it.Partials, buf[:pLen:pLen])
-		buf = buf[pLen:]
-	}
-	if len(buf) != 0 {
-		return it, fmt.Errorf("netstore: collect item of partition %d has %d trailing bytes", it.Partition, len(buf))
-	}
-	return it, nil
+	return it, r.done()
 }
 
 // shipped is one view a primary forwards to its watchers: the
@@ -316,25 +513,19 @@ func shipHeader(v shipped) []byte {
 // WATCH) comes back as the error its status maps to. The blob aliases
 // frame.
 func decodeShipFrame(frame []byte) (v shipped, heartbeat bool, err error) {
-	status, body, err := cutByte(frame)
+	status, body, err := splitFrame(frame)
 	if err != nil {
 		return v, false, err
 	}
 	switch status {
 	case statusPart:
-		if v.partition, body, err = cutU32(body); err != nil {
-			return v, false, err
-		}
-		if v.epoch, body, err = cutU64(body); err != nil {
-			return v, false, err
-		}
-		v.blob = body
-		return v, false, nil
+		r := newReader("watch frame", body)
+		v.partition = r.u32()
+		v.epoch = r.u64()
+		v.blob = r.rest()
+		return v, false, r.done()
 	case statusOK:
-		if len(body) != 0 {
-			return v, false, fmt.Errorf("netstore: watch heartbeat carries %d bytes", len(body))
-		}
-		return v, true, nil
+		return v, true, newReader("watch heartbeat", body).done()
 	default:
 		_, err = checkResponse(frame) // never nil: OK is handled above
 		return v, false, err
@@ -367,8 +558,7 @@ func EncodeView(entries []ViewEntry) []byte {
 		for _, id := range e.Neighbors {
 			buf = appendU32(buf, id)
 		}
-		buf = appendU32(buf, uint32(len(e.Profile)))
-		buf = append(buf, e.Profile...)
+		buf = appendBytes(buf, e.Profile)
 	}
 	return buf
 }
@@ -376,48 +566,20 @@ func EncodeView(entries []ViewEntry) []byte {
 // DecodeView parses a serve-view blob. Sub-slices alias blob, which
 // callers must therefore treat as immutable.
 func DecodeView(blob []byte) ([]ViewEntry, error) {
-	count, buf, err := cutU32(blob)
-	if err != nil {
-		return nil, err
-	}
-	// Every entry needs at least 12 bytes of fixed header, bounding the
-	// claimed count before the allocation (same rule as collect items).
-	if int64(count) > int64(len(buf))/12 {
-		return nil, fmt.Errorf("netstore: view claims %d members in %d bytes", count, len(buf))
-	}
-	entries := make([]ViewEntry, 0, count)
-	for i := uint32(0); i < count; i++ {
-		var e ViewEntry
-		if e.User, buf, err = cutU32(buf); err != nil {
-			return nil, fmt.Errorf("netstore: view member %d: %w", i, err)
-		}
-		nbrs, rest, err := cutU32(buf)
-		if err != nil {
-			return nil, fmt.Errorf("netstore: view member %d: %w", i, err)
-		}
-		buf = rest
-		if int64(nbrs) > int64(len(buf))/4 {
-			return nil, fmt.Errorf("netstore: view member %d claims %d neighbors in %d bytes", i, nbrs, len(buf))
-		}
-		e.Neighbors = make([]uint32, nbrs)
+	r := newReader("view", blob)
+	// Every entry needs at least 12 bytes of fixed header.
+	entries := make([]ViewEntry, r.count(12))
+	for i := range entries {
+		e := &entries[i]
+		e.User = r.u32()
+		e.Neighbors = make([]uint32, r.count(4))
 		for j := range e.Neighbors {
-			e.Neighbors[j] = binary.BigEndian.Uint32(buf)
-			buf = buf[4:]
+			e.Neighbors[j] = r.u32()
 		}
-		pLen, rest, err := cutU32(buf)
-		if err != nil {
-			return nil, fmt.Errorf("netstore: view member %d: %w", i, err)
-		}
-		buf = rest
-		if uint32(len(buf)) < pLen {
-			return nil, fmt.Errorf("netstore: view member %d truncated in profile blob", i)
-		}
-		e.Profile = buf[:pLen:pLen]
-		buf = buf[pLen:]
-		entries = append(entries, e)
+		e.Profile = r.bytes()
 	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("netstore: view has %d trailing bytes", len(buf))
+	if err := r.done(); err != nil {
+		return nil, err
 	}
 	return entries, nil
 }
@@ -441,41 +603,20 @@ func EncodeUpdates(updates []profile.Update) []byte {
 
 // DecodeUpdates parses an encoded update batch.
 func DecodeUpdates(blob []byte) ([]profile.Update, error) {
-	count, buf, err := cutU32(blob)
-	if err != nil {
+	r := newReader("update batch", blob)
+	updates := make([]profile.Update, r.count(13))
+	for i := range updates {
+		u := &updates[i]
+		u.Kind = profile.UpdateKind(r.u8())
+		u.User = r.u32()
+		u.Item = r.u32()
+		u.Weight = math.Float32frombits(r.u32())
+		if r.err == nil && u.Kind != profile.SetItem && u.Kind != profile.RemoveItem {
+			r.fail("holds update %d of non-wire kind %d", i, u.Kind)
+		}
+	}
+	if err := r.done(); err != nil {
 		return nil, err
-	}
-	if int64(count) > int64(len(buf))/13 {
-		return nil, fmt.Errorf("netstore: update batch claims %d updates in %d bytes", count, len(buf))
-	}
-	updates := make([]profile.Update, 0, count)
-	for i := uint32(0); i < count; i++ {
-		var u profile.Update
-		kind, rest, err := cutByte(buf)
-		if err != nil {
-			return nil, fmt.Errorf("netstore: update %d: %w", i, err)
-		}
-		buf = rest
-		u.Kind = profile.UpdateKind(kind)
-		if u.Kind != profile.SetItem && u.Kind != profile.RemoveItem {
-			return nil, fmt.Errorf("netstore: update %d has non-wire kind %d", i, kind)
-		}
-		if u.User, buf, err = cutU32(buf); err != nil {
-			return nil, fmt.Errorf("netstore: update %d: %w", i, err)
-		}
-		if u.Item, buf, err = cutU32(buf); err != nil {
-			return nil, fmt.Errorf("netstore: update %d: %w", i, err)
-		}
-		bits, rest2, err := cutU32(buf)
-		if err != nil {
-			return nil, fmt.Errorf("netstore: update %d: %w", i, err)
-		}
-		buf = rest2
-		u.Weight = math.Float32frombits(bits)
-		updates = append(updates, u)
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("netstore: update batch has %d trailing bytes", len(buf))
 	}
 	return updates, nil
 }
@@ -517,8 +658,7 @@ func EncodeMutations(muts []Mutation) []byte {
 	for _, m := range muts {
 		buf = append(buf, m.Op)
 		buf = appendU32(buf, m.User)
-		buf = appendU32(buf, uint32(len(m.Profile)))
-		buf = append(buf, m.Profile...)
+		buf = appendBytes(buf, m.Profile)
 	}
 	return buf
 }
@@ -527,47 +667,24 @@ func EncodeMutations(muts []Mutation) []byte {
 // ops on arrival so a malformed batch fails its sender, not the
 // draining engine.
 func DecodeMutations(blob []byte) ([]Mutation, error) {
-	count, buf, err := cutU32(blob)
-	if err != nil {
+	r := newReader("mutation batch", blob)
+	// Each mutation needs at least its 9-byte fixed header.
+	muts := make([]Mutation, r.count(9))
+	for i := range muts {
+		m := &muts[i]
+		m.Op = r.u8()
+		m.User = r.u32()
+		m.Profile = r.bytes()
+		switch {
+		case r.err != nil:
+		case m.Op != MutAdd && m.Op != MutDel:
+			r.fail("holds mutation %d of unknown op 0x%02x", i, m.Op)
+		case m.Op == MutDel && len(m.Profile) != 0:
+			r.fail("holds delete %d carrying %d profile bytes", i, len(m.Profile))
+		}
+	}
+	if err := r.done(); err != nil {
 		return nil, err
-	}
-	// Each mutation needs at least its 9-byte fixed header, bounding the
-	// claimed count before the allocation (same rule as collect items).
-	if int64(count) > int64(len(buf))/9 {
-		return nil, fmt.Errorf("netstore: mutation batch claims %d mutations in %d bytes", count, len(buf))
-	}
-	muts := make([]Mutation, 0, count)
-	for i := uint32(0); i < count; i++ {
-		var m Mutation
-		op, rest, err := cutByte(buf)
-		if err != nil {
-			return nil, fmt.Errorf("netstore: mutation %d: %w", i, err)
-		}
-		buf = rest
-		if op != MutAdd && op != MutDel {
-			return nil, fmt.Errorf("netstore: mutation %d has unknown op 0x%02x", i, op)
-		}
-		m.Op = op
-		if m.User, buf, err = cutU32(buf); err != nil {
-			return nil, fmt.Errorf("netstore: mutation %d: %w", i, err)
-		}
-		pLen, rest2, err := cutU32(buf)
-		if err != nil {
-			return nil, fmt.Errorf("netstore: mutation %d: %w", i, err)
-		}
-		buf = rest2
-		if uint32(len(buf)) < pLen {
-			return nil, fmt.Errorf("netstore: mutation %d truncated in profile blob", i)
-		}
-		if op == MutDel && pLen != 0 {
-			return nil, fmt.Errorf("netstore: mutation %d is a delete carrying %d profile bytes", i, pLen)
-		}
-		m.Profile = buf[:pLen:pLen]
-		buf = buf[pLen:]
-		muts = append(muts, m)
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("netstore: mutation batch has %d trailing bytes", len(buf))
 	}
 	return muts, nil
 }
@@ -633,53 +750,20 @@ func EncodeStaleness(doc StalenessDoc) []byte {
 
 // DecodeStaleness parses an encoded staleness document.
 func DecodeStaleness(blob []byte) (StalenessDoc, error) {
+	r := newReader("staleness document", blob)
 	var doc StalenessDoc
-	var err error
-	if doc.LastFullEpoch, blob, err = cutU64(blob); err != nil {
-		return doc, err
+	doc.LastFullEpoch = r.u64()
+	doc.Threshold = math.Float64frombits(r.u64())
+	doc.Users = r.u64()
+	doc.Partitions = make([]PartitionStaleness, r.count(44))
+	for i := range doc.Partitions {
+		p := &doc.Partitions[i]
+		p.Partition = r.u32()
+		p.Adds = r.u64()
+		p.Deletes = r.u64()
+		p.TouchedEdges = r.u64()
+		p.Members = r.u64()
+		p.Score = math.Float64frombits(r.u64())
 	}
-	bits, blob, err := cutU64(blob)
-	if err != nil {
-		return doc, err
-	}
-	doc.Threshold = math.Float64frombits(bits)
-	if doc.Users, blob, err = cutU64(blob); err != nil {
-		return doc, err
-	}
-	count, blob, err := cutU32(blob)
-	if err != nil {
-		return doc, err
-	}
-	if int64(count) > int64(len(blob))/44 {
-		return doc, fmt.Errorf("netstore: staleness doc claims %d partitions in %d bytes", count, len(blob))
-	}
-	doc.Partitions = make([]PartitionStaleness, 0, count)
-	for i := uint32(0); i < count; i++ {
-		var p PartitionStaleness
-		if p.Partition, blob, err = cutU32(blob); err != nil {
-			return doc, fmt.Errorf("netstore: staleness row %d: %w", i, err)
-		}
-		if p.Adds, blob, err = cutU64(blob); err != nil {
-			return doc, fmt.Errorf("netstore: staleness row %d: %w", i, err)
-		}
-		if p.Deletes, blob, err = cutU64(blob); err != nil {
-			return doc, fmt.Errorf("netstore: staleness row %d: %w", i, err)
-		}
-		if p.TouchedEdges, blob, err = cutU64(blob); err != nil {
-			return doc, fmt.Errorf("netstore: staleness row %d: %w", i, err)
-		}
-		if p.Members, blob, err = cutU64(blob); err != nil {
-			return doc, fmt.Errorf("netstore: staleness row %d: %w", i, err)
-		}
-		var sb uint64
-		if sb, blob, err = cutU64(blob); err != nil {
-			return doc, fmt.Errorf("netstore: staleness row %d: %w", i, err)
-		}
-		p.Score = math.Float64frombits(sb)
-		doc.Partitions = append(doc.Partitions, p)
-	}
-	if len(blob) != 0 {
-		return doc, fmt.Errorf("netstore: staleness doc has %d trailing bytes", len(blob))
-	}
-	return doc, nil
+	return doc, r.done()
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"knnpc/internal/disk"
-	"knnpc/internal/pigraph"
 )
 
 // Replica is a read-only state-store node shadowing one primary shard.
@@ -29,9 +28,8 @@ import (
 // mix, because views install atomically on both ends.
 type Replica struct {
 	*frameListener
+	placement
 	cfg     ReplicaConfig
-	router  pigraph.ShardRouter
-	lo, hi  int
 	primary *shardConn // EPOCH probes
 
 	mu        sync.Mutex
@@ -76,12 +74,9 @@ type ReplicaConfig struct {
 // following the primary's view stream, and starts serving in the
 // background.
 func NewReplica(cfg ReplicaConfig) (*Replica, error) {
-	router, err := pigraph.NewShardRouter(cfg.NumPartitions, max(cfg.Shards, 1))
+	pl, err := place(cfg.NumPartitions, cfg.Shards, cfg.Shard)
 	if err != nil {
-		return nil, fmt.Errorf("netstore: %w", err)
-	}
-	if cfg.Shard < 0 || cfg.Shard >= router.NumShards() {
-		return nil, fmt.Errorf("netstore: shard index %d out of range [0,%d)", cfg.Shard, router.NumShards())
+		return nil, err
 	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = time.Second
@@ -109,8 +104,8 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	}
 	r := &Replica{
 		frameListener: ln,
+		placement:     pl,
 		cfg:           cfg,
-		router:        router,
 		primary: &shardConn{
 			addr: cfg.Primary,
 			opts: popts,
@@ -122,15 +117,10 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		stop:      make(chan struct{}),
 		followed:  make(chan struct{}),
 	}
-	r.lo, r.hi = router.Range(cfg.Shard)
 	go r.follow()
 	r.serve(r.handle)
 	return r, nil
 }
-
-// Range reports the contiguous partition range [lo, hi) this replica
-// serves reads for.
-func (r *Replica) Range() (lo, hi int) { return r.lo, r.hi }
 
 // Device reports the replica's emulated spindle (nil without emulation).
 func (r *Replica) Device() *disk.Device { return r.cfg.Device }
@@ -231,8 +221,8 @@ func (r *Replica) watch() {
 // wakes every reader waiting for a newer epoch. Views install in
 // stream order, which is the primary's install order.
 func (r *Replica) install(v shipped) error {
-	if int(v.partition) < r.lo || int(v.partition) >= r.hi {
-		return fmt.Errorf("netstore: shipped partition %d outside replica range [%d,%d)", v.partition, r.lo, r.hi)
+	if err := r.checkRange(v.partition); err != nil {
+		return err
 	}
 	view, err := newServeView(v.epoch, v.blob)
 	if err != nil {
@@ -248,50 +238,13 @@ func (r *Replica) install(v shipped) error {
 	return nil
 }
 
-// handle answers one request frame (see handleFunc) with the read
-// verbs only.
-func (r *Replica) handle(op byte, body []byte, _ net.Conn) ([]byte, error) {
-	switch op {
-	case opEpoch:
-		// Forwarded: the epoch question is about the primary's state, and
-		// answering it from the cache would defeat its purpose.
-		p, _, err := cutU32(body)
-		if err != nil {
-			return nil, hangUp(err)
-		}
-		base, view, err := r.primaryEpoch(p)
-		if err != nil {
-			return nil, err
-		}
-		return appendU64(appendU64(nil, base), view), nil
-
-	case opGetView:
-		p, _, err := cutU32(body)
-		if err != nil {
-			return nil, hangUp(err)
-		}
-		if err := r.refreshPartition(p); err != nil {
-			return nil, err
-		}
-		r.mu.Lock()
-		v, okV := r.views[p]
-		r.mu.Unlock()
-		if !okV {
-			return nil, fmt.Errorf("netstore: partition %d has no published serve view", p)
-		}
-		return append(appendU64(nil, v.epoch), v.blob...), nil
-
-	case opNeighbors, opProfile:
-		u, _, err := cutU32(body)
-		if err != nil {
-			return nil, hangUp(err)
-		}
-		epoch, entry, err := r.lookup(u)
-		if err != nil {
-			return nil, err
-		}
-		return encodeLookup(op, epoch, entry), nil
-
+// handle answers one parsed request (see handleFunc): the read verbs
+// through the answerRead a primary shares, over this replica's epoch,
+// getView and lookup, and nothing else.
+func (r *Replica) handle(c command, _ net.Conn) ([]byte, error) {
+	switch c.op {
+	case opEpoch, opGetView, opNeighbors, opProfile:
+		return answerRead(r, &c)
 	default:
 		// Every non-read verb — GET, PUT, LEASE, RELEASE, COLLECT, CLEAR,
 		// PUSHUPD, DRAINUPD, ADDUSER, DELUSER, DRAINMUT, STALENESS, WATCH
@@ -299,23 +252,35 @@ func (r *Replica) handle(op byte, body []byte, _ net.Conn) ([]byte, error) {
 		// absorb writes (or mutations) its stream would overwrite,
 		// staleness is primary-side metadata the front end reads there,
 		// and replicas follow primaries, not each other.
-		return nil, fmt.Errorf("netstore: replica of shard %d is read-only (op 0x%02x refused)", r.cfg.Shard, op)
+		return nil, fmt.Errorf("netstore: replica of shard %d is read-only (op 0x%02x refused)", r.cfg.Shard, c.op)
 	}
 }
 
-// primaryEpoch probes the primary for partition p's (base, view) epoch
-// pair — the cheap freshness check.
-func (r *Replica) primaryEpoch(p uint32) (base, view uint64, err error) {
+// epoch forwards the EPOCH probe for partition p to the primary: the
+// epoch question is about the primary's state, and answering it from
+// the cache would defeat its purpose. It is also the cheap freshness
+// check every read makes.
+func (r *Replica) epoch(p uint32) (base, view uint64, err error) {
 	body, err := r.primary.roundTrip(appendU32([]byte{opEpoch}, p))
 	if err != nil {
 		return 0, 0, err
 	}
-	base, rest, err := cutU64(body)
-	if err != nil {
-		return 0, 0, err
+	return decodeEpoch(body)
+}
+
+// getView reads partition p's cached view once refreshPartition has
+// brought it up to the primary's view epoch.
+func (r *Replica) getView(p uint32) (uint64, []byte, error) {
+	if err := r.refreshPartition(p); err != nil {
+		return 0, nil, err
 	}
-	view, _, err = cutU64(rest)
-	return base, view, err
+	r.mu.Lock()
+	v, ok := r.views[p]
+	r.mu.Unlock()
+	if !ok {
+		return 0, nil, fmt.Errorf("netstore: partition %d has no published serve view", p)
+	}
+	return v.epoch, v.blob, nil
 }
 
 // refreshPartition brings partition p's cached view up to the
@@ -337,14 +302,13 @@ func (r *Replica) primaryEpoch(p uint32) (base, view uint64, err error) {
 // bounded by however long the outage lasts instead of by one epoch.
 // Only a partition with no cached view at all surfaces the failure.
 func (r *Replica) refreshPartition(p uint32) error {
-	if int(p) < r.lo || int(p) >= r.hi {
-		return fmt.Errorf("netstore: partition %d outside replica %d/%d range [%d,%d)",
-			p, r.cfg.Shard, r.router.NumShards(), r.lo, r.hi)
+	if err := r.checkRange(p); err != nil {
+		return err
 	}
 	r.mu.Lock()
 	cached, have := r.views[p]
 	r.mu.Unlock()
-	_, view, err := r.primaryEpoch(p)
+	_, view, err := r.epoch(p)
 	if err != nil {
 		return r.degrade(err, have)
 	}

@@ -146,9 +146,8 @@ type ServerConfig struct {
 // charged against, not where the bytes live.
 type Server struct {
 	*frameListener
-	cfg    ServerConfig
-	router pigraph.ShardRouter
-	lo, hi int
+	placement
+	cfg ServerConfig
 
 	mu sync.Mutex
 	// partials are keyed by the lease token that admitted them: a
@@ -210,16 +209,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // newShard places an empty shard in its cluster, without a listener or
 // a journal.
 func newShard(cfg ServerConfig) (*Server, error) {
-	router, err := pigraph.NewShardRouter(cfg.NumPartitions, max(cfg.Shards, 1))
+	pl, err := place(cfg.NumPartitions, cfg.Shards, cfg.Shard)
 	if err != nil {
-		return nil, fmt.Errorf("netstore: %w", err)
-	}
-	if cfg.Shard < 0 || cfg.Shard >= router.NumShards() {
-		return nil, fmt.Errorf("netstore: shard index %d out of range [0,%d)", cfg.Shard, router.NumShards())
+		return nil, err
 	}
 	s := &Server{
+		placement:  pl,
 		cfg:        cfg,
-		router:     router,
 		base:       make(map[uint32][]byte),
 		partials:   make(map[uint32]map[uint64][]byte),
 		leases:     make(map[uint32]map[uint64]struct{}),
@@ -227,12 +223,41 @@ func newShard(cfg ServerConfig) (*Server, error) {
 		viewSet:    newViewSet(),
 		tombstones: make(map[uint32]struct{}),
 	}
-	s.lo, s.hi = router.Range(cfg.Shard)
 	return s, nil
 }
 
-// Range reports the contiguous partition range [lo, hi) this shard owns.
-func (s *Server) Range() (lo, hi int) { return s.lo, s.hi }
+// placement is a store node's place in its cluster: shard index shard
+// of shards, owning the contiguous partition range [lo, hi) that
+// pigraph.ShardRouter assigns it. A replica sits where its primary does.
+type placement struct {
+	shard, shards int
+	lo, hi        int
+}
+
+// place validates a node's shard index and derives its range.
+func place(numPartitions, shards, shard int) (placement, error) {
+	router, err := pigraph.NewShardRouter(numPartitions, max(shards, 1))
+	if err != nil {
+		return placement{}, fmt.Errorf("netstore: %w", err)
+	}
+	if shard < 0 || shard >= router.NumShards() {
+		return placement{}, fmt.Errorf("netstore: shard index %d out of range [0,%d)", shard, router.NumShards())
+	}
+	lo, hi := router.Range(shard)
+	return placement{shard: shard, shards: router.NumShards(), lo: lo, hi: hi}, nil
+}
+
+// Range reports the contiguous partition range [lo, hi) the node owns.
+func (pl placement) Range() (lo, hi int) { return pl.lo, pl.hi }
+
+// checkRange validates shard ownership — the router is the only
+// directory; a misrouted request is a client bug surfaced loudly.
+func (pl placement) checkRange(p uint32) error {
+	if int(p) < pl.lo || int(p) >= pl.hi {
+		return fmt.Errorf("netstore: partition %d outside shard %d/%d range [%d,%d)", p, pl.shard, pl.shards, pl.lo, pl.hi)
+	}
+	return nil
+}
 
 // Device reports the shard's emulated spindle (nil without emulation).
 func (s *Server) Device() *disk.Device { return s.cfg.Device }
@@ -258,20 +283,19 @@ func (s *Server) Close() error {
 	return err
 }
 
-// handle answers one request frame (see handleFunc): a body too short
-// for its verb (or, for a fixed-size mutating verb, too long), or an
-// unknown opcode, hangs up; everything else is answered in-band.
-func (s *Server) handle(op byte, body []byte, conn net.Conn) ([]byte, error) {
-	switch op {
+// handle answers one parsed request (see handleFunc). The read verbs
+// are answered by answerRead, which a Replica shares; every other verb
+// is answered from the shard's own state.
+func (s *Server) handle(c command, conn net.Conn) ([]byte, error) {
+	switch c.op {
+	case opEpoch, opGetView, opNeighbors, opProfile:
+		return answerRead(s, &c)
+
 	case opGet:
-		p, _, err := cutU32(body)
-		if err != nil {
-			return nil, hangUp(err)
-		}
-		return s.get(p)
+		return s.get(c.p)
 
 	case opPut, opLease, opRelease, opClear, opPushUpd, opDrainUpd, opAddUser, opDelUser, opDrainMut:
-		return s.mutate(op, body)
+		return s.mutate(&c)
 
 	case opCollect:
 		items, err := s.collect()
@@ -291,39 +315,6 @@ func (s *Server) handle(op byte, body []byte, conn net.Conn) ([]byte, error) {
 	case opWatch:
 		return nil, s.watch(conn)
 
-	case opEpoch:
-		p, _, err := cutU32(body)
-		if err != nil {
-			return nil, hangUp(err)
-		}
-		base, view, err := s.epoch(p)
-		if err != nil {
-			return nil, err
-		}
-		return appendU64(appendU64(nil, base), view), nil
-
-	case opGetView:
-		p, _, err := cutU32(body)
-		if err != nil {
-			return nil, hangUp(err)
-		}
-		epoch, blob, err := s.getView(p)
-		if err != nil {
-			return nil, err
-		}
-		return append(appendU64(nil, epoch), blob...), nil
-
-	case opNeighbors, opProfile:
-		u, _, err := cutU32(body)
-		if err != nil {
-			return nil, hangUp(err)
-		}
-		epoch, entry, err := s.lookup(u)
-		if err != nil {
-			return nil, err
-		}
-		return encodeLookup(op, epoch, entry), nil
-
 	case opStaleness:
 		s.mu.Lock()
 		blob := s.staleness
@@ -331,22 +322,45 @@ func (s *Server) handle(op byte, body []byte, conn net.Conn) ([]byte, error) {
 		return blob, nil
 
 	default:
-		return nil, hangUp(fmt.Errorf("netstore: unknown opcode 0x%02x", op))
+		return nil, hangUp(fmt.Errorf("netstore: opcode 0x%02x is not a verb", c.op))
 	}
 }
 
-// encodeLookup lays out a NEIGHBORS or PROFILE response: the view epoch,
-// then the neighbor list (count-prefixed) or the profile blob.
-func encodeLookup(op byte, epoch uint64, entry ViewEntry) []byte {
-	resp := appendU64(nil, epoch)
-	if op == opProfile {
-		return append(resp, entry.Profile...)
+// readState is what the read verbs answer from: a primary's own serve
+// views, or a replica's cache of its primary's. Each node keeps its own
+// semantics behind these three methods — device charges on a primary;
+// the forwarded epoch probe, refresh and degraded mode on a replica.
+type readState interface {
+	epoch(p uint32) (base, view uint64, err error)
+	getView(p uint32) (epoch uint64, blob []byte, err error)
+	lookup(u uint32) (epoch uint64, entry ViewEntry, err error)
+}
+
+// answerRead answers one parsed read verb — EPOCH, GETVIEW, NEIGHBORS or
+// PROFILE — from st: the one handler primaries and replicas share.
+func answerRead(st readState, c *command) ([]byte, error) {
+	switch c.op {
+	case opEpoch:
+		base, view, err := st.epoch(c.p)
+		if err != nil {
+			return nil, err
+		}
+		return encodeEpoch(base, view), nil
+	case opGetView:
+		epoch, blob, err := st.getView(c.p)
+		if err != nil {
+			return nil, err
+		}
+		return appendStamped(epoch, blob), nil
+	case opNeighbors, opProfile:
+		epoch, entry, err := st.lookup(c.user)
+		if err != nil {
+			return nil, err
+		}
+		return encodeLookup(c.op, epoch, entry), nil
+	default:
+		return nil, hangUp(fmt.Errorf("netstore: opcode 0x%02x is not a read verb", c.op))
 	}
-	resp = appendU32(resp, uint32(len(entry.Neighbors)))
-	for _, id := range entry.Neighbors {
-		resp = appendU32(resp, id)
-	}
-	return resp
 }
 
 // ownsUser reports whether this shard is user u's mutation owner —
@@ -356,71 +370,7 @@ func encodeLookup(op byte, epoch uint64, entry ViewEntry) []byte {
 // the user's view), but only the owning shard queues the mutation, so
 // the engine's drain sees each mutation exactly once.
 func (s *Server) ownsUser(u uint32) bool {
-	return int(u)%s.router.NumShards() == s.cfg.Shard
-}
-
-// command is one parsed mutating request. Its opcode and body as
-// received are its journal record (a LEASE record adds the granted
-// token); the other fields are what the verb carries and what prepare
-// derives from it.
-type command struct {
-	op    byte
-	body  []byte
-	p     uint32 // PUT, LEASE, RELEASE, the epoch record
-	kind  byte   // PUT kind
-	token uint64 // PUT, RELEASE; the token a LEASE grants
-	epoch uint64 // the epoch record
-	user  uint32 // ADDUSER, DELUSER
-	blob  []byte // PUT blob, PUSHUPD batch, ADDUSER profile
-
-	view  serveView // a view PUT's decode
-	batch []byte    // ADDUSER/DELUSER's mutation batch
-}
-
-// parseCommand cuts a mutating verb's body into a command — the one
-// parse live requests and journal replay share. A body that does not
-// hold exactly the verb's fields is refused: a live peer is hung up on,
-// and a journal holding it is corrupt.
-func parseCommand(op byte, body []byte) (command, error) {
-	c := command{op: op, body: body}
-	rest := body
-	var err error
-	switch op {
-	case opPut:
-		if c.p, rest, err = cutU32(rest); err != nil {
-			return c, err
-		}
-		if c.kind, rest, err = cutByte(rest); err != nil {
-			return c, err
-		}
-		c.token, c.blob, err = cutU64(rest)
-		return c, err
-	case opLease:
-		c.p, rest, err = cutU32(rest)
-	case opRelease:
-		if c.p, rest, err = cutU32(rest); err == nil {
-			c.token, rest, err = cutU64(rest)
-		}
-	case recEpoch:
-		if c.p, rest, err = cutU32(rest); err == nil {
-			c.epoch, rest, err = cutU64(rest)
-		}
-	case opPushUpd:
-		c.blob = body
-		return c, nil
-	case opAddUser:
-		c.user, c.blob, err = cutU32(rest)
-		return c, err
-	case opDelUser:
-		c.user, rest, err = cutU32(rest)
-	case opClear, opDrainUpd, opDrainMut:
-	default:
-		return c, fmt.Errorf("netstore: opcode 0x%02x is not a mutating verb", op)
-	}
-	if err == nil && len(rest) != 0 {
-		err = fmt.Errorf("netstore: %d trailing bytes after the fields of opcode 0x%02x", len(rest), op)
-	}
-	return c, err
+	return int(u)%s.shards == s.shard
 }
 
 // prepare derives what apply needs but should not compute under s.mu —
@@ -449,26 +399,22 @@ func (c *command) prepare() error {
 	return nil
 }
 
-// mutate runs one live mutating request: parse → validate → journal →
+// mutate runs one parsed live mutating request: validate → journal →
 // apply → charge the device. Nothing reaches memory before its record
 // reaches the journal, so a verb whose append fails leaves the shard
 // exactly as its log says it is.
-func (s *Server) mutate(op byte, body []byte) ([]byte, error) {
-	c, err := parseCommand(op, body)
-	if err != nil {
-		return nil, hangUp(err)
-	}
-	if err := s.admit(&c); err != nil {
+func (s *Server) mutate(c *command) ([]byte, error) {
+	if err := s.admit(c); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	err = s.checkLocked(&c)
+	err := s.checkLocked(c)
 	if err == nil {
-		err = s.journalLocked(&c)
+		err = s.journalLocked(c)
 	}
 	var drained [][]byte
 	if err == nil {
-		drained = s.applyLocked(&c)
+		drained = s.applyLocked(c)
 		if c.op == opPut && c.kind == putStale {
 			// A staleness publish is the engine's per-iteration commit
 			// marker. Its record is journaled and applied, so a failed
@@ -481,7 +427,7 @@ func (s *Server) mutate(op byte, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.finish(&c, drained), nil
+	return s.finish(c, drained), nil
 }
 
 // admit is the validation of a live command that reads no shard state:
@@ -653,32 +599,19 @@ func (s *Server) finish(c *command, drained [][]byte) []byte {
 		}
 		return nil
 	case opDrainUpd, opDrainMut:
-		// The queue hands out its batches, each length-prefixed, as one
-		// sequential read of the drained volume.
-		var out []byte
+		// The queue hands out its batches as one sequential read of the
+		// drained volume.
 		var volume int64
 		for _, b := range drained {
-			out = appendU32(out, uint32(len(b)))
-			out = append(out, b...)
 			volume += int64(len(b))
 		}
 		if volume > 0 {
 			s.cfg.Device.Read(volume)
 		}
-		return out
+		return encodeDrained(drained)
 	default:
 		return nil // RELEASE and CLEAR touch no device and answer nothing
 	}
-}
-
-// checkRange validates shard ownership — the router is the only
-// directory; a misrouted request is a client bug surfaced loudly.
-func (s *Server) checkRange(p uint32) error {
-	if int(p) < s.lo || int(p) >= s.hi {
-		return fmt.Errorf("netstore: partition %d outside shard %d/%d range [%d,%d)",
-			p, s.cfg.Shard, s.router.NumShards(), s.lo, s.hi)
-	}
-	return nil
 }
 
 // faultGate consults the shard's device fault hook before an op reads
