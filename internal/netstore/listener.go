@@ -8,10 +8,10 @@ import (
 )
 
 // handleFunc answers one request, parsed by parseCommand. A nil error
-// sends payload back in a statusOK frame. An error is
-// reported to the peer in-band, under the status byte its class maps
-// to, and the connection stays up — unless it is a hangUp, which ends
-// the connection without a reply. The streaming verbs (COLLECT, WATCH)
+// sends payload back in a statusOK frame. An error is reported to the
+// peer in-band, under the status byte its class maps to, and the
+// connection stays up — unless it is a hangUp, which ends the
+// connection without a reply. The streaming verbs (COLLECT, WATCH)
 // write their own response frames to conn and return errReplied or a
 // hangUp.
 type handleFunc func(c command, conn net.Conn) (payload []byte, err error)
@@ -20,7 +20,7 @@ type handleFunc func(c command, conn net.Conn) (payload []byte, err error)
 var errReplied = errors.New("netstore: response already sent")
 
 // hangUpError marks a failure the peer cannot be told about in-band: a
-// failed write means the connection is gone.
+// failed write, or a stream the node ends.
 type hangUpError struct{ error }
 
 // hangUp wraps err so the listener drops the connection instead of

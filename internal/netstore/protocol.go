@@ -11,8 +11,8 @@
 // (EPOCH, GETVIEW, NEIGHBORS, PROFILE, WATCH, PUSHUPD, DRAINUPD) and the
 // mutation verbs (ADDUSER, DELUSER, DRAINMUT, STALENESS) never take
 // one. docs/PROTOCOL.md specifies every message byte for byte, and a
-// test pins its tables to the constants below; this file is the one
-// place in the code that lays a message out and bounds it.
+// test pins its tables to the constants below; this file is where
+// every message is parsed and bounded.
 //
 // Every frame is a uint32 big-endian length followed by that many
 // payload bytes; requests start with a one-byte opcode, responses with
