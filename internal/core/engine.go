@@ -596,6 +596,7 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 	}
 	stats := &IterationStats{Iteration: e.iter, NumPartitions: e.opts.NumPartitions}
 	ioStart := e.iostats.Snapshot()
+	e.budget.ResetPeak()
 	states := e.newPartStore()
 	defer states.cleanup()
 
@@ -608,6 +609,7 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 	if err != nil {
 		return nil, err
 	}
+	stats.StateAllocs, stats.BudgetPeak = states.stateAllocs(), e.budget.Peak()
 	if err := runPhase(ctx, it, 5, "profile updates", &stats.Phases.Update, e.phaseUpdate); err != nil {
 		return nil, err
 	}
@@ -732,7 +734,9 @@ func (e *Engine) phasePartition(ctx context.Context, it *iteration) error {
 	it.parts = partition.Build(it.dg, assign)
 	it.stats.PartitionObjective = partition.Objective(it.dg, assign)
 	it.stats.BuildWorkers = e.buildWorkerCount()
-	build := func(p *partition.Data) (*partState, error) { return newPartState(p, e.profiles, e.opts.K) }
+	build := func(p *partition.Data, into *partState) (*partState, error) {
+		return newPartState(p, e.profiles, e.opts.K, into)
+	}
 	if err := it.states.open(ctx, it.parts, build, it.stats.BuildWorkers); err != nil {
 		return fmt.Errorf("state init: %w", err)
 	}

@@ -431,16 +431,16 @@ func TestEngineClosedRefusesWork(t *testing.T) {
 func TestDecodePartStateErrors(t *testing.T) {
 	st := newTestPartState(t, 1, 3, map[uint32]profile.Vector{4: profile.FromItems([]uint32{1, 2})})
 	blob := st.encode()
-	if _, err := decodePartState(blob[:4], 3); err == nil {
+	if _, err := decodePartState(blob[:4], 3, nil); err == nil {
 		t.Error("short header should fail")
 	}
-	if _, err := decodePartState(blob[:len(blob)-3], 3); err == nil {
+	if _, err := decodePartState(blob[:len(blob)-3], 3, nil); err == nil {
 		t.Error("truncated state should fail")
 	}
-	if _, err := decodePartState(append(blob, 0xFF), 3); err == nil {
+	if _, err := decodePartState(append(blob, 0xFF), 3, nil); err == nil {
 		t.Error("trailing garbage should fail")
 	}
-	got, err := decodePartState(blob, 3)
+	got, err := decodePartState(blob, 3, nil)
 	if err != nil {
 		t.Fatalf("valid state failed to decode: %v", err)
 	}

@@ -54,12 +54,19 @@ func storeTransient(err error) bool {
 // accumulators — they exist only once COLLECT has merged every
 // worker's partials — so unlike partOwner, netOwner ignores the planned
 // loads arm hands it and emits every partition from collect.
+//
+// Private copies need not mean fresh memory: like partOwner, netOwner
+// fills every state it builds or decodes from its free list and gives
+// it back once the bytes it produced are on the wire or emitted — open
+// after the base PUT, release after the partial PUT, collect after the
+// emit. A discarded, aborted or failed copy is dropped instead.
 type netOwner struct {
 	client *netstore.Client
 	budget *disk.Budget
 	stats  *disk.IOStats
 	k      int                       // accumulator capacity of every state fetched
 	emit   func(st *partState) error // set by arm
+	free   stateFreeList
 
 	mu   sync.Mutex
 	held map[netHold]*netLease
@@ -93,16 +100,21 @@ func newNetOwner(client *netstore.Client, budget *disk.Budget, stats *disk.IOSta
 // the partition's base. That PUT is the store's fencing point: it
 // revokes the partition's leases, drops its partials and bumps its
 // epoch, so nothing an earlier attempt left reaches this one's collect.
+// Each build fills a state off the free list, given back once its
+// encoding is PUT.
 func (o *netOwner) open(ctx context.Context, parts []*partition.Data, build stateBuilder, workers int) error {
 	return buildEach(ctx, workers, parts, func(p *partition.Data) error {
-		st, err := build(p)
+		into := o.free.take()
+		st, err := build(p, into)
 		if err != nil {
+			o.free.give(into)
 			return err
 		}
 		blob := st.encode()
 		if err := o.client.PutBase(st.id, blob); err != nil {
 			return err
 		}
+		o.free.give(st)
 		o.stats.AddWrite(int64(len(blob)))
 		return nil
 	})
@@ -120,13 +132,16 @@ func (o *netOwner) acquire(worker int, id uint32) (*partState, stateSource, erro
 		_ = o.client.Release(id, token)
 		return nil, 0, fmt.Errorf("core: load partition %d: %w", id, err)
 	}
-	st, err := decodePartState(blob, o.k)
+	into := o.free.take()
+	st, err := decodePartState(blob, o.k, into)
 	if err != nil {
+		o.free.give(into)
 		_ = o.client.Release(id, token)
 		return nil, 0, err
 	}
 	size := int64(st.byteSize())
 	if err := o.budget.Reserve(size); err != nil {
+		o.free.give(st)
 		_ = o.client.Release(id, token)
 		return nil, 0, err
 	}
@@ -158,6 +173,8 @@ func (o *netOwner) release(worker int, id uint32, writeBack bool) error {
 	if err := o.client.PutPartial(id, l.token, blob); err != nil {
 		return fmt.Errorf("core: write back partition %d partial: %w", id, err)
 	}
+	// The partial is its own buffer, so the copy is dead once it is PUT.
+	o.free.give(l.st)
 	// A stale answer here is the release succeeding twice: RELEASE is
 	// retried on dropped connections, and a retry whose first send
 	// landed finds the token already gone. The partial above was
@@ -196,10 +213,16 @@ func (o *netOwner) abort() {
 
 func (o *netOwner) arm(_ []int, emit func(st *partState) error) { o.emit = emit }
 
+// collect decodes every partition's base into a state off the free
+// list, merges the workers' partials into it and emits it, then gives
+// the state back; once the stream ends it drops the list.
 func (o *netOwner) collect() (reads, builds int64, err error) {
+	defer o.free.drop()
 	err = o.client.Collect(func(it netstore.CollectItem) error {
-		st, err := decodePartState(it.Base, o.k)
+		into := o.free.take()
+		st, err := decodePartState(it.Base, o.k, into)
 		if err != nil {
+			o.free.give(into)
 			return err
 		}
 		volume := int64(len(it.Base))
@@ -212,9 +235,15 @@ func (o *netOwner) collect() (reads, builds int64, err error) {
 		o.stats.AddRead(volume)
 		o.stats.AddLoad()
 		reads++
-		return o.emit(st)
+		if err := o.emit(st); err != nil {
+			return err
+		}
+		o.free.give(st)
+		return nil
 	})
 	return reads, 0, err
 }
 
 func (o *netOwner) cleanup() error { return o.client.Clear() }
+
+func (o *netOwner) stateAllocs() int64 { return o.free.allocated() }

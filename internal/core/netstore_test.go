@@ -70,6 +70,7 @@ func TestNetStoreMatchesInProcessEngine(t *testing.T) {
 						t.Fatalf("%s iter %d: %d state builds and %d collect reads over %d partitions — phase 1 PUTs every base and collect reads it",
 							name, i, n.StateBuilds, n.CollectReads, n.NumPartitions)
 					}
+					checkStateAllocs(t, fmt.Sprintf("%s iter %d", name, i), opts, n)
 				}
 			}
 		}

@@ -61,11 +61,16 @@ type partStore interface {
 	collect() (reads, builds int64, err error)
 	// cleanup removes all stored state.
 	cleanup() error
+	// stateAllocs reports how many partition states the store has
+	// allocated since it was made: every other decode and build filled
+	// a state an earlier residency released (stateFreeList).
+	stateAllocs() int64
 }
 
-// stateBuilder makes partition p's fresh state: its members' profiles
-// snapshotted from P(t), empty accumulators (newPartState).
-type stateBuilder func(p *partition.Data) (*partState, error)
+// stateBuilder makes partition p's fresh state — its members' profiles
+// snapshotted from P(t), empty accumulators (newPartState) — filling
+// into, a released state, or a new one when into is nil.
+type stateBuilder func(p *partition.Data, into *partState) (*partState, error)
 
 // stateSource is what one acquire cost the partition store.
 type stateSource uint8
@@ -130,6 +135,14 @@ const (
 // access on the engine's emulated spindle, so phase 4 feels the latency
 // of the paper's hardware class even when the page cache absorbs the
 // real I/O.
+//
+// A state's memory lives for the store, not for one residency: every
+// build and read fills a state taken from the store's free list, and the
+// release that disposes of an instance gives it back once its write or
+// emit has returned, as collect does after emitting what it built. A
+// discarded, aborted or failed instance is dropped instead. So the
+// store allocates about as many states as were ever resident at once,
+// not one per load (IterationStats.StateAllocs).
 type partOwner struct {
 	scratch *disk.Scratch // nil = blobs stay in memory
 	device  *disk.Device  // nil = no emulated latency
@@ -142,6 +155,7 @@ type partOwner struct {
 	// read or write borrows one instead of allocating a partition's
 	// worth of bytes.
 	filebufs sync.Pool // *[]byte
+	free     stateFreeList
 	guards   []partGuard
 	build    stateBuilder              // set by open
 	emit     func(st *partState) error // set by arm
@@ -154,6 +168,10 @@ type partGuard struct {
 	mu   sync.Mutex
 	refs int
 	st   *partState
+	// size is the memory-budget charge the resident instance was
+	// admitted with. Folds grow the instance's encoding afterwards, so
+	// the release returns this, not the instance's byteSize.
+	size int64
 	// part is the partition open installed, and fresh records that no
 	// state of it has been written since: its next load builds from
 	// P(t) instead of reading the medium.
@@ -227,13 +245,14 @@ func (o *partOwner) write(g *partGuard, st *partState) error {
 	return nil
 }
 
-// read deserializes partition id off the medium. The caller holds g.mu.
-func (o *partOwner) read(g *partGuard, id uint32) (*partState, error) {
+// read deserializes partition id off the medium into into. The caller
+// holds g.mu.
+func (o *partOwner) read(g *partGuard, id uint32, into *partState) (*partState, error) {
 	if !g.stored {
 		return nil, fmt.Errorf("core: partition %d has no stored state", id)
 	}
 	if o.scratch == nil {
-		return decodePartState(g.blob, o.k)
+		return decodePartState(g.blob, o.k, into)
 	}
 	buf := o.borrow()
 	defer o.filebufs.Put(buf)
@@ -243,7 +262,7 @@ func (o *partOwner) read(g *partGuard, id uint32) (*partState, error) {
 	}
 	*buf = blob
 	o.device.Read(int64(len(blob)))
-	return decodePartState(blob, o.k)
+	return decodePartState(blob, o.k, into)
 }
 
 // open installs phase 1's partitioning and marks every partition of it
@@ -281,10 +300,11 @@ func (o *partOwner) arm(loads []int, emit func(st *partState) error) {
 
 // acquire materializes partition id, attaching to the live shared
 // instance when another worker already holds it and building or
-// reading it (charging the memory budget) otherwise. A failed build,
-// read or reservation leaves the guard as it was. An acquire the armed
-// plan does not account for is refused: the partition's final state may
-// already have been emitted.
+// reading it into a state off the free list (charging the memory
+// budget) otherwise. A failed build, read or reservation leaves the
+// guard as it was and gives the state back: no one else ever saw it.
+// An acquire the armed plan does not account for is refused: the
+// partition's final state may already have been emitted.
 func (o *partOwner) acquire(_ int, id uint32) (*partState, stateSource, error) {
 	g, err := o.guard(id)
 	if err != nil {
@@ -300,24 +320,28 @@ func (o *partOwner) acquire(_ int, id uint32) (*partState, stateSource, error) {
 		g.left--
 		return g.st, fromPeer, nil
 	}
+	into := o.free.take()
 	var st *partState
 	src := fromMedium
 	if g.fresh {
 		src = fromBuild
-		st, err = o.build(g.part)
+		st, err = o.build(g.part, into)
 	} else {
-		st, err = o.read(g, id)
+		st, err = o.read(g, id, into)
 	}
 	if err != nil {
+		o.free.give(into)
 		return nil, 0, err
 	}
-	if err := o.budget.Reserve(int64(st.byteSize())); err != nil {
+	size := int64(st.byteSize())
+	if err := o.budget.Reserve(size); err != nil {
+		o.free.give(st)
 		return nil, 0, err
 	}
 	if src == fromMedium {
 		o.stats.AddLoad()
 	}
-	g.st, g.refs = st, 1
+	g.st, g.size, g.refs = st, size, 1
 	g.left--
 	return st, src, nil
 }
@@ -327,9 +351,10 @@ func (o *partOwner) acquire(_ int, id uint32) (*partState, stateSource, error) {
 // disposes of the instance, which by then carries every worker's folds.
 // While planned acquires are still to come it writes the instance back
 // to the medium. After the last one it emits the instance's rows of
-// G(t+1) instead and writes nothing. With writeBack false (the discard
-// path of an aborted run, whose result is thrown away anyway) it does
-// neither.
+// G(t+1) instead and writes nothing. Either way the instance then goes
+// back to the free list. With writeBack false (the discard path of an
+// aborted run, whose result is thrown away anyway) it does neither and
+// drops the instance, as it does when the write or emit fails.
 func (o *partOwner) release(_ int, id uint32, writeBack bool) error {
 	g, err := o.guard(id)
 	if err != nil {
@@ -345,8 +370,8 @@ func (o *partOwner) release(_ int, id uint32, writeBack bool) error {
 		g.mu.Unlock()
 		return nil
 	}
-	st, final := g.st, g.left == 0
-	g.st = nil
+	st, size, final := g.st, g.size, g.left == 0
+	g.st, g.size = nil, 0
 	if writeBack && !final {
 		err = o.write(g, st)
 		if err == nil {
@@ -362,7 +387,10 @@ func (o *partOwner) release(_ int, id uint32, writeBack bool) error {
 	// Release the budget even when the write or emit failed: the state
 	// is no longer resident and the failure aborts the iteration, so
 	// keeping the reservation would poison every later iteration.
-	o.budget.Release(int64(st.byteSize()))
+	o.budget.Release(size)
+	if writeBack && err == nil {
+		o.free.give(st)
+	}
 	return err
 }
 
@@ -388,16 +416,19 @@ func (o *partOwner) abort() {
 		g := &o.guards[i]
 		g.mu.Lock()
 		if g.refs > 0 {
-			o.budget.Release(int64(g.st.byteSize()))
-			g.refs, g.st = 0, nil
+			o.budget.Release(g.size)
+			g.refs, g.st, g.size = 0, nil, 0
 		}
 		g.mu.Unlock()
 	}
 }
 
-// collect builds and emits the partitions no tape acquired; every
-// other partition was emitted by its final release. It reads nothing.
+// collect builds and emits the partitions no tape acquired, each into a
+// state off the free list that it gives back once emitted, and then
+// drops the list; every other partition was emitted by its final
+// release. It reads nothing.
 func (o *partOwner) collect() (reads, builds int64, err error) {
+	defer o.free.drop()
 	for i := range o.guards {
 		g := &o.guards[i]
 		g.mu.Lock()
@@ -413,15 +444,18 @@ func (o *partOwner) collect() (reads, builds int64, err error) {
 			g.mu.Unlock()
 			return 0, builds, fmt.Errorf("core: partition %d has a written state no planned acquire reads", i)
 		}
-		st, err := o.build(g.part)
+		into := o.free.take()
+		st, err := o.build(g.part, into)
 		g.mu.Unlock()
 		if err != nil {
+			o.free.give(into)
 			return 0, builds, err
 		}
 		builds++
 		if err := o.emit(st); err != nil {
 			return 0, builds, err
 		}
+		o.free.give(st)
 	}
 	return 0, builds, nil
 }
@@ -442,3 +476,5 @@ func (o *partOwner) cleanup() error {
 	}
 	return firstErr
 }
+
+func (o *partOwner) stateAllocs() int64 { return o.free.allocated() }

@@ -119,7 +119,9 @@ func openConformance(t *testing.T, store partStore) {
 	}
 	profiles := memCanonical{profile.NewStoreFromVectors(vecs)}
 	parts := []*partition.Data{{ID: 0, Members: conformanceMembers}, {ID: 1, Members: []uint32{4, 5}}}
-	build := func(p *partition.Data) (*partState, error) { return newPartState(p, profiles, conformanceK) }
+	build := func(p *partition.Data, into *partState) (*partState, error) {
+		return newPartState(p, profiles, conformanceK, into)
+	}
 	if err := store.open(context.Background(), parts, build, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +159,62 @@ var (
 // edges: a release nobody acquired errors, an acquire beyond the armed
 // plan is refused locally, abort returns every staged byte to the
 // budget, a partition open never installed cannot be acquired, and a
-// damaged blob is rejected by acquire without leaking budget.
+// damaged blob is rejected by acquire without leaking budget. In the
+// "charge" plan a release returns exactly the budget charge its acquire
+// reserved, however much the folds in between grew the state.
 func TestPartStoreConformance(t *testing.T) {
 	for _, medium := range partStoreMedia {
 		t.Run(medium.name, func(t *testing.T) {
 			t.Run("emitted at last release", func(t *testing.T) { checkPartStore(t, medium, false) })
 			t.Run("reloaded", func(t *testing.T) { checkPartStore(t, medium, true) })
+			t.Run("charge", func(t *testing.T) { checkPartStoreCharge(t, medium) })
 		})
+	}
+}
+
+// checkPartStoreCharge folds two pushes into partition 0 while it is
+// resident next to partition 1, then releases partition 0: the budget
+// must then hold partition 1's charge and nothing else. A release that
+// measured the grown state instead would return more than was reserved
+// and under-count partition 1.
+func checkPartStoreCharge(t *testing.T, medium partStoreMedium) {
+	budget := disk.NewBudget(1 << 20)
+	var stats disk.IOStats
+	store, _ := medium.open(t, budget, &stats)
+	openConformance(t, store)
+	store.arm([]int{1, 1, 0}, discardRows)
+	st0, _, err := store.acquire(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.fold(0, func() {
+		st0.accs[0].Push(10, 0.5)
+		st0.accs[1].Push(11, 0.25)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := budget.Used()
+	if _, _, err := store.acquire(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	charge1 := budget.Used() - before
+	if err := store.release(0, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	if used := budget.Used(); used != charge1 {
+		t.Errorf("after releasing partition 0 the budget holds %d bytes, want partition 1's charge of %d", used, charge1)
+	}
+	if err := store.release(0, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	if used := budget.Used(); used != 0 {
+		t.Errorf("%d budget bytes still charged after every release", used)
+	}
+	if _, _, err := store.collect(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.cleanup(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -390,14 +441,16 @@ func TestPartStoreBuildsAtFirstAcquire(t *testing.T) {
 			p := parts[rng.IntN(spread)]
 			p.Members = append(p.Members, uint32(u))
 		}
-		build := func(p *partition.Data) (*partState, error) { return newPartState(p, profiles, k) }
+		build := func(p *partition.Data, into *partState) (*partState, error) {
+			return newPartState(p, profiles, k, into)
+		}
 		want := make([][]byte, m)
 		for p, data := range parts {
-			st, err := build(data)
+			st, err := build(data, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			read, err := decodePartState(st.encode(), k)
+			read, err := decodePartState(st.encode(), k, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

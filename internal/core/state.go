@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 
 	"knnpc/internal/graph"
 	"knnpc/internal/knn"
@@ -70,11 +71,13 @@ const minMemberBytes = 4 + 4 + 8
 
 // decodePartState decodes a state whose accumulators have capacity k —
 // the engine's K; a blob written under another K is not this engine's.
-// The bytes may come off a disk or a wire, so nothing is sized from a
-// count before the bytes are known to be there to back it: storage is
-// allocated once, after a pass over the framing, and is bounded by
-// k+1 times len(buf).
-func decodePartState(buf []byte, k int) (*partState, error) {
+// It fills into, a released state whose arrays it truncates and grows
+// in place, or a new state when into is nil. The bytes may come off a
+// disk or a wire, so nothing is sized from a count before the bytes are
+// known to be there to back it: a pass over the framing comes first,
+// and what storage the fill then grows is bounded by k+1 times
+// len(buf). A refused blob leaves into fit only to be filled again.
+func decodePartState(buf []byte, k int, into *partState) (*partState, error) {
 	if len(buf) < 8 {
 		return nil, fmt.Errorf("core: short partition state header (%d bytes)", len(buf))
 	}
@@ -103,19 +106,18 @@ func decodePartState(buf []byte, k int) (*partState, error) {
 		return nil, fmt.Errorf("core: partition %d state has %d trailing bytes", id, len(rest))
 	}
 
-	st := &partState{id: id, members: make([]uint32, n)}
-	st.profiles.Grow(n, entries)
-	var err error
-	if st.accs, err = knn.NewTopKs(n, k); err != nil {
+	st, err := refill(into, id, n, k)
+	if err != nil {
 		return nil, err
 	}
+	st.profiles.Grow(n, entries)
 	rest = body
-	for i := range st.members {
+	for i := range n {
 		u := binary.LittleEndian.Uint32(rest)
 		if i > 0 && u <= st.members[i-1] {
 			return nil, fmt.Errorf("core: partition %d member ids not strictly increasing at member #%d (%d)", id, i, u)
 		}
-		st.members[i] = u
+		st.members = append(st.members, u)
 		if rest, err = st.profiles.Decode(rest[4:]); err != nil {
 			return nil, fmt.Errorf("core: partition %d member %d profile: %w", id, u, err)
 		}
@@ -226,13 +228,14 @@ func (st *partState) mergePartial(buf []byte) error {
 }
 
 // newPartState builds the fresh phase-1 state of one partition: member
-// profiles snapshotted from the canonical store, empty accumulators.
-func newPartState(p *partition.Data, profiles canonicalProfiles, k int) (*partState, error) {
-	st := &partState{id: p.ID, members: append([]uint32(nil), p.Members...)}
-	var err error
-	if st.accs, err = knn.NewTopKs(len(st.members), k); err != nil {
+// profiles snapshotted from the canonical store, empty accumulators. It
+// fills into, a released state, or a new state when into is nil.
+func newPartState(p *partition.Data, profiles canonicalProfiles, k int, into *partState) (*partState, error) {
+	st, err := refill(into, p.ID, len(p.Members), k)
+	if err != nil {
 		return nil, err
 	}
+	st.members = append(st.members, p.Members...)
 	vecs := make([]profile.Vector, len(st.members))
 	entries := 0
 	for i, u := range st.members {
@@ -246,4 +249,82 @@ func newPartState(p *partition.Data, profiles canonicalProfiles, k int) (*partSt
 		st.profiles.Append(v)
 	}
 	return st, nil
+}
+
+// refill readies into, or a new state when into is nil, to be filled as
+// partition id with n members: it empties the member list and the arena
+// but keeps their arrays, and empties n accumulators of capacity k inside
+// the K-slot windows they already own (knn.ResetTopKs).
+func refill(into *partState, id uint32, n, k int) (*partState, error) {
+	st := into
+	if st == nil {
+		st = new(partState)
+	}
+	accs, err := knn.ResetTopKs(st.accs, n, k)
+	if err != nil {
+		return nil, err
+	}
+	st.id, st.accs = id, accs
+	st.members = slices.Grow(st.members[:0], n)
+	st.profiles.Reset()
+	return st, nil
+}
+
+// stateFreeList holds the partition states a store has released, so the
+// next decode or build fills one of them instead of allocating members,
+// arena and accumulators again. A store takes a state for every decode
+// or build and gives it back only once nothing can reach it any more:
+// its write-back, partial PUT or emit has returned. A state that is
+// dropped instead — by a discard, an abort or a failed write — is left
+// to the garbage collector, so no state is ever reachable from two
+// residencies. A state is allocated only when the list is empty —
+// every state the store still has is held — so the list never holds
+// more states than were held at once. Each partition store owns one,
+// which its collect drops and which dies with the store at the end of
+// the iteration; give and take may run on different goroutines
+// (cursors, prefetches, write-backs and the build pool).
+type stateFreeList struct {
+	mu     sync.Mutex
+	free   []*partState
+	allocs int64 // states take allocated because free was empty
+}
+
+// take returns the most recently released state, or a new empty one.
+func (l *stateFreeList) take() *partState {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		l.allocs++
+		return new(partState)
+	}
+	st := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return st
+}
+
+// give returns st for a later take; nothing may use st afterwards.
+func (l *stateFreeList) give(st *partState) {
+	l.mu.Lock()
+	l.free = append(l.free, st)
+	l.mu.Unlock()
+}
+
+// drop lets the garbage collector have every listed state. A store's
+// collect calls it when done: no state is taken after collect unless a
+// retried attempt opens the store again, and states kept idle through
+// phase 5's commit and publish would only raise the heap size the
+// collector aims for.
+func (l *stateFreeList) drop() {
+	l.mu.Lock()
+	l.free = nil
+	l.mu.Unlock()
+}
+
+// allocated reports how many states take has allocated.
+func (l *stateFreeList) allocated() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.allocs
 }

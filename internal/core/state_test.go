@@ -7,10 +7,12 @@ import (
 	"math"
 	"os"
 	"slices"
+	"sync"
 	"testing"
 
 	"knnpc/internal/graph"
 	"knnpc/internal/knn"
+	"knnpc/internal/partition"
 	"knnpc/internal/profile"
 )
 
@@ -128,7 +130,7 @@ func TestPartStateCodecMatchesGolden(t *testing.T) {
 	if st.byteSize() != len(golden) {
 		t.Fatalf("byteSize = %d, encoded length %d", st.byteSize(), len(golden))
 	}
-	back, err := decodePartState(golden, goldenK)
+	back, err := decodePartState(golden, goldenK, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +194,11 @@ func TestDecodePartStateRejectsHostileBlobs(t *testing.T) {
 		"candidate count with no bytes":        cat(le32(1, 1), le32(5, 0, 0xFFFFFFFF, 0xFFFFFFFF)),
 		"vector count with no bytes":           cat(le32(1, 1), le32(5, 0xFFFFFFFF, 3, 0)),
 	} {
-		if _, err := decodePartState(blob, 3); err == nil {
+		if _, err := decodePartState(blob, 3, nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if st, err := decodePartState(cat(le32(1, 2), member(5, 3), member(6, 3)), 3); err != nil || len(st.members) != 2 {
+	if st, err := decodePartState(cat(le32(1, 2), member(5, 3), member(6, 3)), 3, nil); err != nil || len(st.members) != 2 {
 		t.Errorf("well-formed twin of the hostile blobs rejected: %v", err)
 	}
 }
@@ -237,7 +239,7 @@ func TestDecodePartStateAllocationsAreConstant(t *testing.T) {
 		}
 		blob := st.encode()
 		return testing.AllocsPerRun(20, func() {
-			if _, err := decodePartState(blob, 8); err != nil {
+			if _, err := decodePartState(blob, 8, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -248,6 +250,113 @@ func TestDecodePartStateAllocationsAreConstant(t *testing.T) {
 	}
 	if large > 16 { // 8 arrays; the race detector's build adds a few temporaries
 		t.Errorf("decodePartState allocates %v times, want a handful", large)
+	}
+}
+
+// TestDecodePartStateIntoReleasedStateAllocatesNothing: decoding or
+// building into a released state at least as large as the new one
+// reuses its members, arena and accumulator arrays — a decode allocates
+// nothing, a build only the list of member profiles it sizes the arena
+// from — and gives exactly the state a fresh decode or build gives.
+func TestDecodePartStateIntoReleasedStateAllocatesNothing(t *testing.T) {
+	const k = 8
+	state := func(members int) *partState {
+		profiles := make(map[uint32]profile.Vector, members)
+		for u := 0; u < members; u++ {
+			profiles[uint32(u)] = profile.FromItems([]uint32{uint32(u), uint32(u) + 7, uint32(u) + 90})
+		}
+		st := newTestPartState(t, 0, k, profiles)
+		for i := range st.accs {
+			for c := range k + 2 {
+				st.accs[i].Push(uint32(i+c)+1, float64(c%5))
+			}
+		}
+		return st
+	}
+	blob := state(300).encode()
+	into, err := decodePartState(state(400).encode(), k, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := decodePartState(blob, k, into); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("decoding into a released state allocates %v times, want 0", allocs)
+	}
+	fresh, err := decodePartState(blob, k, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameState(t, fresh, into)
+	if !bytes.Equal(into.encode(), blob) {
+		t.Fatal("state decoded into a released one re-encodes differently")
+	}
+
+	vecs := make([]profile.Vector, 300)
+	for u := range vecs {
+		vecs[u] = fresh.profiles.At(u)
+	}
+	profiles := memCanonical{profile.NewStoreFromVectors(vecs)}
+	part := &partition.Data{ID: 5, Members: fresh.members}
+	allocs = testing.AllocsPerRun(20, func() {
+		if _, err := newPartState(part, profiles, k, into); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("building into a released state allocates %v times, want only the list of member profiles it sizes the arena from", allocs)
+	}
+	built, err := newPartState(part, profiles, k, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameState(t, built, into)
+}
+
+// TestPartStoreFreeListConcurrent: goroutines that take, fill and give
+// back states at once — as cursors, prefetches, write-backs and the
+// build pool do — are never handed the same state, and the list
+// allocates no more states than were ever held at once.
+func TestPartStoreFreeListConcurrent(t *testing.T) {
+	const holders, rounds = 8, 200
+	blob := goldenPartState(t).encode()
+	var (
+		list   stateFreeList
+		wg     sync.WaitGroup
+		heldMu sync.Mutex
+		held   = make(map[*partState]bool)
+	)
+	for h := range holders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				st, err := decodePartState(blob, goldenK, list.take())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				heldMu.Lock()
+				twice := held[st]
+				held[st] = true
+				heldMu.Unlock()
+				if twice {
+					t.Errorf("holder %d was handed a state another holder still held", h)
+				}
+				st.accs[0].Push(uint32(100+h), 0.5)
+				heldMu.Lock()
+				delete(held, st)
+				heldMu.Unlock()
+				list.give(st)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := list.allocated(); n < 1 || n > holders {
+		t.Errorf("%d states allocated by %d concurrent holders", n, holders)
 	}
 }
 
@@ -290,21 +399,51 @@ func TestEmitRowsOneAllocationPerRow(t *testing.T) {
 // FuzzDecodePartState: arbitrary bytes never panic the decoder, an
 // accepted blob holds no more members or profile entries than its
 // length can carry (storage is sized from those counts), and what it
-// decodes to survives encode → decode unchanged.
+// decodes to survives encode → decode unchanged. Decoding into a dirty
+// released state — the golden decoded and then pushed into, or one
+// with more members than any input — accepts and refuses exactly what
+// a fresh decode does, never panics, and accepts to the same state.
 func FuzzDecodePartState(f *testing.F) {
 	golden := readGolden(f, "partstate_v1.bin")
 	f.Add(golden)
 	f.Add(golden[:len(golden)/2])
 	f.Add(le32(1, 0xFFFFFFFF))
+	wide := make([]uint32, 64)
+	for i := range wide {
+		wide[i] = uint32(3 * i)
+	}
+	dirtyStates := func(t *testing.T) []*partState {
+		pushed, err := decodePartState(golden, goldenK, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range pushed.accs {
+			pushed.accs[i].Push(1000+uint32(i), 0.875)
+		}
+		large := newTestPartState(t, 9, goldenK, unitProfiles(wide...))
+		for i := range large.accs {
+			large.accs[i].Push(uint32(i), 0.5)
+		}
+		return []*partState{pushed, large}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := decodePartState(data, goldenK)
+		st, err := decodePartState(data, goldenK, nil)
+		for _, dirty := range dirtyStates(t) {
+			into, intoErr := decodePartState(data, goldenK, dirty)
+			if (err == nil) != (intoErr == nil) {
+				t.Fatalf("fresh decode returned %v, decode into a released state %v", err, intoErr)
+			}
+			if err == nil {
+				requireSameState(t, st, into)
+			}
+		}
 		if err != nil {
 			return
 		}
 		if st.byteSize() != len(data) {
 			t.Fatalf("accepted %d bytes as a state of %d", len(data), st.byteSize())
 		}
-		again, err := decodePartState(st.encode(), goldenK)
+		again, err := decodePartState(st.encode(), goldenK, nil)
 		if err != nil {
 			t.Fatalf("re-encoded state rejected: %v", err)
 		}
@@ -322,7 +461,7 @@ func FuzzMergePartial(f *testing.F) {
 	f.Add(le32(0xFFFFFFFF))
 	base := readGolden(f, "partstate_v1.bin")
 	fresh := func(t *testing.T) *partState {
-		st, err := decodePartState(base, goldenK)
+		st, err := decodePartState(base, goldenK, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

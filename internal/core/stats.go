@@ -89,6 +89,17 @@ type IterationStats struct {
 	// worker's partial and collect reads every partition.
 	StateWrites  int64
 	CollectReads int64
+	// StateAllocs counts the partition states the iteration's store
+	// allocated, over every attempt. Every other build and read filled
+	// a state an earlier residency had released, so StateAllocs is
+	// bounded by the states ever resident or in flight at once — 2 at
+	// Slots=2, ExecWorkers=1, PrefetchDepth=0 — not by Loads.
+	StateAllocs int64
+	// BudgetPeak is the most bytes of partition state the memory budget
+	// had reserved at once during the iteration: each resident or
+	// in-flight state is charged its encoded size at the acquire that
+	// admitted it. It is at most Options.MemoryBudget when one is set.
+	BudgetPeak int64
 	// PrefetchedShardBytes is the volume of tuple-shard spill bytes
 	// read asynchronously ahead of the cursor (0 unless
 	// Options.ShardPrefetch > 0 with OnDisk — nothing spills without).

@@ -279,6 +279,51 @@ func (s *armSpy) arm(loads []int, emit func(st *partState) error) {
 	})
 }
 
+// TestPartStoreAllocatesOneStatePerSlot: at Slots=2, ExecWorkers=1 and
+// PrefetchDepth=0 at most two partition states are ever held at once,
+// so in every iteration the in-process store allocates exactly two, on
+// either medium, however many loads and builds the tape makes: every
+// other decode and build fills a released state. BudgetPeak is the
+// iteration's own high-water mark of the memory budget — positive,
+// within MemoryBudget, and the same in a second run at the same seed.
+func TestPartStoreAllocatesOneStatePerSlot(t *testing.T) {
+	const users, iters = 240, 3
+	for _, onDisk := range []bool{false, true} {
+		opts := Options{K: 5, NumPartitions: 8, Slots: 2, ExecWorkers: 1, MemoryBudget: 1 << 20, OnDisk: onDisk, Seed: 23}
+		first, _ := runEngine(t, opts, users, iters)
+		second, _ := runEngine(t, opts, users, iters)
+		for i, st := range first {
+			name := fmt.Sprintf("ondisk=%v iter %d", onDisk, i)
+			if st.StateAllocs != 2 {
+				t.Errorf("%s: %d states allocated for %d loads and %d builds, want 2", name, st.StateAllocs, st.Loads, st.StateBuilds)
+			}
+			if st.BudgetPeak <= 0 || st.BudgetPeak > opts.MemoryBudget {
+				t.Errorf("%s: budget peak %d, want in (0, %d]", name, st.BudgetPeak, opts.MemoryBudget)
+			}
+			if st.BudgetPeak != second[i].BudgetPeak {
+				t.Errorf("%s: budget peak %d, %d in a second run at the same seed", name, st.BudgetPeak, second[i].BudgetPeak)
+			}
+		}
+	}
+}
+
+// checkStateAllocs asserts the bound on one iteration's state
+// allocations: a state is allocated only when every earlier one is
+// held, and a tape worker holds at most its Slots resident partitions,
+// its PrefetchDepth fetches in flight and its write-backs in flight.
+// Phase 1's builds over a network store hold at most BuildWorkers more.
+func checkStateAllocs(t *testing.T, name string, opts Options, st *IterationStats) {
+	t.Helper()
+	writebacks := 0
+	if opts.AsyncWriteback {
+		writebacks = max(1, opts.PrefetchDepth)
+	}
+	bound := int64(st.ExecWorkers*(opts.Slots+opts.PrefetchDepth+writebacks) + st.BuildWorkers)
+	if st.StateAllocs <= 0 || st.StateAllocs > bound {
+		t.Errorf("%s: %d states allocated for %d loads, want 1..%d", name, st.StateAllocs, st.Loads, bound)
+	}
+}
+
 // checkInProcessIO asserts the in-process store's I/O account of one
 // iteration: every partition is built once and never read at collect,
 // and every state written is read back exactly once.
@@ -320,6 +365,7 @@ func TestEmitMatrixIdenticalGraph(t *testing.T) {
 							t.Errorf("%s iter %d: scored %d tuples, serial %d", name, i, st.TuplesScored, refStats[i].TuplesScored)
 						}
 						checkInProcessIO(t, fmt.Sprintf("%s iter %d", name, i), st)
+						checkStateAllocs(t, fmt.Sprintf("%s iter %d", name, i), opts, st)
 					}
 				}
 			}

@@ -40,11 +40,20 @@ func (b *Budget) Used() int64 {
 	return b.used
 }
 
-// Peak reports the maximum bytes ever reserved at once.
+// Peak reports the most bytes reserved at once since the budget was
+// made or ResetPeak last ran.
 func (b *Budget) Peak() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.peak
+}
+
+// ResetPeak restarts the high-water mark Peak reports at the bytes
+// reserved now, so a caller can read the peak of one stretch of work.
+func (b *Budget) ResetPeak() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.peak = b.used
 }
 
 // Reserve charges n bytes. It fails with ErrBudgetExceeded (leaving

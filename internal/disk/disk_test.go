@@ -368,7 +368,12 @@ func TestBudgetReserveRelease(t *testing.T) {
 	if b.Peak() != 100 {
 		t.Errorf("Peak = %d, want 100", b.Peak())
 	}
-	b.Release(100)
+	b.Release(70)
+	b.ResetPeak()
+	if b.Peak() != 30 {
+		t.Errorf("Peak after ResetPeak = %d, want the 30 bytes still reserved", b.Peak())
+	}
+	b.Release(30)
 	if b.Used() != 0 {
 		t.Errorf("Used after release = %d, want 0", b.Used())
 	}

@@ -372,6 +372,53 @@ func TestNewTopKsAccumulatorsAreIndependent(t *testing.T) {
 	}
 }
 
+// TestResetTopKsReusesWindows: ResetTopKs empties accumulators inside
+// the windows they own, without allocating, while the slice has room
+// for them; a larger count or another K allocates as NewTopKs does.
+func TestResetTopKsReusesWindows(t *testing.T) {
+	accs, err := NewTopKs(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range accs {
+		accs[i].Push(uint32(i), 0.5)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if accs, err = ResetTopKs(accs[:2], 4, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ResetTopKs within capacity allocates %v times", allocs)
+	}
+	if len(accs) != 4 {
+		t.Fatalf("%d accumulators, want 4", len(accs))
+	}
+	for i := range accs {
+		if accs[i].Len() != 0 || accs[i].K() != 3 {
+			t.Fatalf("accumulator %d: %d candidates, capacity %d after reset", i, accs[i].Len(), accs[i].K())
+		}
+	}
+	for i := 0; i < 10; i++ { // far more pushes than fit
+		accs[2].Push(uint32(i), float64(i))
+	}
+	if accs[1].Len() != 0 || accs[3].Len() != 0 {
+		t.Fatalf("pushes into a reset accumulator leaked into a neighbour")
+	}
+	for _, c := range []struct{ n, k int }{{5, 3}, {2, 4}} {
+		got, err := ResetTopKs(accs, c.n, c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != c.n || got[0].K() != c.k || got[0].Len() != 0 {
+			t.Errorf("ResetTopKs(n=%d, k=%d) gave %d accumulators of capacity %d", c.n, c.k, len(got), got[0].K())
+		}
+	}
+	if _, err := ResetTopKs(accs, 2, 0); err == nil {
+		t.Error("k=0 accepted")
+	}
+}
+
 // TestTopKDecodeReusesStorageAndChecksK: Decode fills an existing
 // accumulator in place and refuses bytes written under another K.
 func TestTopKDecodeReusesStorageAndChecksK(t *testing.T) {

@@ -76,6 +76,24 @@ func NewTopKs(n, k int) ([]TopK, error) {
 	return accs, nil
 }
 
+// ResetTopKs returns n empty accumulators of capacity k, reusing accs'
+// storage: while accs has room for n accumulators of capacity k, each
+// is emptied inside the K-slot window it already owns and nothing is
+// allocated or zeroed. Otherwise it allocates them as NewTopKs does.
+func ResetTopKs(accs []TopK, n, k int) ([]TopK, error) {
+	if cap(accs) < n || k <= 0 {
+		return NewTopKs(n, k)
+	}
+	accs = accs[:n]
+	for i := range accs {
+		if accs[i].k != k {
+			return NewTopKs(n, k)
+		}
+		accs[i].entries = accs[i].entries[:0]
+	}
+	return accs, nil
+}
+
 // K reports the capacity.
 func (t *TopK) K() int { return t.k }
 

@@ -25,6 +25,14 @@ func (a *Arena) Grow(vectors, entries int) {
 	a.norms = slices.Grow(a.norms, vectors)
 }
 
+// Reset empties the arena and keeps its arrays, so refilling it with
+// no more than it held before allocates nothing. Vectors At handed out
+// earlier alias those arrays and must no longer be used.
+func (a *Arena) Reset() {
+	a.items, a.weights = a.items[:0], a.weights[:0]
+	a.ends, a.norms = a.ends[:0], a.norms[:0]
+}
+
 // At returns vector i as a view of the arena's storage.
 func (a *Arena) At(i int) Vector {
 	lo := 0

@@ -196,7 +196,8 @@ func TestDecodeVectorConsumesPrefixOnly(t *testing.T) {
 
 // TestArenaHoldsVectorsBackToBack: vectors appended or decoded into an
 // arena come back equal with their norms, a failed decode leaves it
-// unchanged, and after Grow filling it allocates nothing.
+// unchanged, and after Grow — or a Reset of an arena that held as much —
+// filling it allocates nothing.
 func TestArenaHoldsVectorsBackToBack(t *testing.T) {
 	vecs := []Vector{
 		mustVector(t, Entry{Item: 1, Weight: 2}, Entry{Item: 9, Weight: -1}),
@@ -206,7 +207,7 @@ func TestArenaHoldsVectorsBackToBack(t *testing.T) {
 	encoded := append(vecs[2].AppendBinary(nil), 0xCD) // one trailing byte
 	var a Arena
 	allocs := testing.AllocsPerRun(5, func() {
-		a = Arena{items: a.items[:0], weights: a.weights[:0], ends: a.ends[:0], norms: a.norms[:0]}
+		a.Reset()
 		a.Grow(len(vecs), 5)
 		a.Append(vecs[0])
 		a.Append(vecs[1])
