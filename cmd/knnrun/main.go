@@ -56,7 +56,10 @@
 //	-dumpgraph   write the final KNN graph to this file, one sorted
 //	             neighbor line per user — deterministic, so two runs
 //	             (e.g. in-process vs -netstore) can be diffed byte for byte
-//	-scratch     scratch directory ("" = temp)
+//	-scratch     directory the engine makes its private scratch
+//	             directory in ("" = the system temp dir); removed at exit
+//	-cpuprofile  write a runtime/pprof CPU profile of every iteration
+//	             after the first to this file
 //	-seed        RNG seed
 //	-recall      also compute exact KNN and report recall (O(n²))
 package main
@@ -69,6 +72,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -101,6 +105,7 @@ type config struct {
 	emulate                     string
 	netstore                    string
 	dumpGraph                   string
+	cpuProfile                  string
 	recall                      bool
 }
 
@@ -136,7 +141,8 @@ func parseFlags(args []string) config {
 	fs.StringVar(&cfg.dumpGraph, "dumpgraph", "", "write the final KNN graph to this file (deterministic text, diffable across runs)")
 	fs.BoolVar(&opts.ProfilesOnDisk, "profilesondisk", false, "keep the canonical profile collection on disk too")
 	fs.BoolVar(&cfg.recall, "recall", false, "also compute exact KNN and report recall (O(n²))")
-	fs.StringVar(&opts.ScratchDir, "scratch", "", "scratch directory (empty = temp)")
+	fs.StringVar(&opts.ScratchDir, "scratch", "", "directory to make the engine's private scratch directory in (empty = temp)")
+	fs.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile of every iteration after the first to this file")
 	fs.Int64Var(&opts.Seed, "seed", 1, "RNG seed")
 	fs.Parse(args)
 	return cfg
@@ -190,7 +196,14 @@ func run(out io.Writer, cfg config) error {
 	}
 	fmt.Fprintf(out, "engine: k=%d m=%d heuristic=%s partitioner=%s sim=%s workers=%d execworkers=%d buildworkers=%d slots=%d prefetch=%d writeback=%v shardahead=%d ondisk=%v netstore=%s\n\n",
 		opts.K, opts.NumPartitions, eng.Heuristic().Name(), p.Name(), sim.Name(), opts.Workers, opts.ExecWorkers, opts.BuildWorkers, opts.Slots, opts.PrefetchDepth, opts.AsyncWriteback, opts.ShardPrefetch, opts.OnDisk, netDesc)
-	fmt.Fprintln(out, "iter  phase1(part)  phase2(tuples)  phase3(pi)  phase4(score)  phase5(upd)  ops  reads  attached  builds  writes  collected  shards  prefetched  async-wb  state-allocs  budget-peak  changed  attempts")
+	fmt.Fprintln(out, "iter  phase1(part)  phase2(tuples)  phase3(pi)  phase4(score)  phase5(upd)  ops  reads  attached  builds  writes  collected  shards  creates  prefetched  async-wb  state-allocs  budget-peak  changed  attempts")
+	var profiling *os.File
+	defer func() {
+		if profiling != nil {
+			pprof.StopCPUProfile()
+			profiling.Close()
+		}
+	}()
 
 	for i := 0; i < cfg.iters; i++ {
 		// Every pass applies queued deltas first, as Engine.Run does;
@@ -224,15 +237,35 @@ func run(out io.Writer, cfg config) error {
 			}
 			fmt.Fprintf(out, "iteration %d: committed but publish failed: %v\n", st.Iteration, err)
 		}
-		fmt.Fprintf(out, "%4d  %12v  %14v  %10v  %13v  %11v  %5d  %5d  %8d  %6d  %6d  %9d  %6d  %10d  %8d  %12d  %11d  %7d  %8d\n",
+		fmt.Fprintf(out, "%4d  %12v  %14v  %10v  %13v  %11v  %5d  %5d  %8d  %6d  %6d  %9d  %6d  %7d  %10d  %8d  %12d  %11d  %7d  %8d\n",
 			st.Iteration, st.Phases.Partition, st.Phases.Tuples, st.Phases.PIGraph,
 			st.Phases.Score, st.Phases.Update, st.Ops(), st.MediumReads, st.Attaches,
-			st.StateBuilds, st.StateWrites, st.CollectReads, st.ShardReads, st.PrefetchedLoads, st.AsyncUnloads,
+			st.StateBuilds, st.StateWrites, st.CollectReads, st.ShardReads, st.IO.Creates, st.PrefetchedLoads, st.AsyncUnloads,
 			st.StateAllocs, st.BudgetPeak, st.EdgeChanges, st.Attempts)
+		// The first iteration creates the scratch files and warms every
+		// pool, so a profile of phase 4's steady state starts after it.
+		if cfg.cpuProfile != "" && profiling == nil {
+			if profiling, err = os.Create(cfg.cpuProfile); err != nil {
+				return err
+			}
+			if err := pprof.StartCPUProfile(profiling); err != nil {
+				return err
+			}
+		}
 		if st.EdgeChanges == 0 {
 			fmt.Fprintln(out, "converged")
 			break
 		}
+	}
+
+	if profiling != nil {
+		pprof.StopCPUProfile()
+		err := profiling.Close()
+		profiling = nil
+		if err != nil {
+			return fmt.Errorf("cpu profile: %w", err)
+		}
+		fmt.Fprintf(out, "cpu profile of iterations after the first written to %s\n", cfg.cpuProfile)
 	}
 
 	iost := eng.IOStats()

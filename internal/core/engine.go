@@ -197,7 +197,9 @@ type Options struct {
 	// updates by streaming rewrite. This is the paper's setting —
 	// profile data is never fully resident.
 	ProfilesOnDisk bool
-	// ScratchDir hosts the on-disk state ("" = private temp dir).
+	// ScratchDir is where the engine makes its private scratch
+	// directory (disk.NewScratch; "" = the system temp dir), which holds
+	// the on-disk state until Close removes it.
 	ScratchDir string
 	// EmulateDisk, when non-nil with OnDisk set, enforces the model's
 	// device latency on every partition state load and unload (a
@@ -687,11 +689,12 @@ func (e *Engine) retryStore(ctx context.Context, op func() error) error {
 // (G(t), P(t), tombstones, seed, iteration number), so an attempt that
 // failed anywhere is cured by running it again, byte-identically. It
 // restarts from phase 1, not from the failed phase: the tuple table is
-// consume-once (phase 4 deletes each shard's spill as it scores it), so
-// phases 2–3 must be rebuilt anyway, and phase 1's base PUT is the
-// network store's fencing point — it drops the partition's partials and
-// revokes its leases — so nothing the failed attempt, or a worker still
-// in flight from it, left on a shard reaches the new attempt's collect.
+// consume-once (phase 4 reads each shard once, and a new table rewrites
+// its spill file from the start), so phases 2–3 must be rebuilt
+// anyway, and phase 1's base PUT is the network store's fencing point —
+// it drops the partition's partials and revokes its leases — so nothing
+// the failed attempt, or a worker still in flight from it, left on a
+// shard reaches the new attempt's collect.
 // Only the network store is retried; the in-process store writes
 // nothing in phase 1.
 func (e *Engine) compute(ctx context.Context, states partStore, stats *IterationStats) (*iteration, error) {
@@ -1225,16 +1228,19 @@ func (s *phase4Shared) workerCallbacks(index int) pigraph.Callbacks {
 }
 
 // phase4Worker is one tape worker's executor state. The resident
-// table (indexed by partition id, nil where not resident) is confined
-// to the worker's cursor (the scorer's goroutines only read it while
-// the cursor blocks in Score); everything cross-worker — partition
-// instances, accumulator folds, the scored tally — goes through
-// phase4Shared.
+// table (indexed by partition id, nil where not resident) and the
+// shard's two resolved endpoints are confined to the worker's cursor
+// (the scorer's goroutines only read ends while the cursor blocks in
+// Score); everything cross-worker — partition instances, accumulator
+// folds, the scored tally — goes through phase4Shared.
 type phase4Worker struct {
 	shared   *phase4Shared
 	index    int // tape worker index, the lease owner's tenancy key
 	scorer   knn.Scorer
 	resident []*partState
+	// ends are the resident states of the shard being scored, {a, b}
+	// of pair(a, b); both are a's for a self shard.
+	ends [2]*partState
 }
 
 // fetch materializes partition id without making it resident — the
@@ -1261,11 +1267,17 @@ func (w *phase4Worker) fetch(id uint32) (any, error) {
 
 // commit makes a fetched partition resident in this worker — the
 // synchronous half, run on the worker's cursor (the ownership
-// reference was already taken in fetch).
+// reference was already taken in fetch). It checks, once per load,
+// that the state's members are the assignment's: that is what lets
+// every endpoint lookup index the state's arena by the assignment's
+// ordinal with no per-endpoint check.
 func (w *phase4Worker) commit(id uint32, data any) error {
 	st, ok := data.(*partState)
 	if !ok {
 		return w.shared.fail(fmt.Errorf("core: commit of partition %d with unexpected payload %T", id, data))
+	}
+	if st.id != id || !slices.Equal(st.members, w.shared.assign.Members(id)) {
+		return w.shared.fail(fmt.Errorf("core: state of partition %d does not hold the members phase 1 assigned it", id))
 	}
 	w.resident[id] = st
 	return nil
@@ -1317,7 +1329,8 @@ func (w *phase4Worker) flush(id uint32, _ any) error {
 // directions, read with one spill-file open — or partition a's self
 // shard when a == b. No pair spans tape workers, so each shard is
 // consumed exactly once; the table's ShardAhead, announced by the
-// executor, has usually read it already.
+// executor, has usually read it already. The two resident states are
+// resolved here, once per shard, not once per endpoint.
 func (w *phase4Worker) pair(a, b uint32) error {
 	if err := w.shared.ctxErr(); err != nil {
 		return err
@@ -1326,13 +1339,18 @@ func (w *phase4Worker) pair(a, b uint32) error {
 	if err != nil {
 		return w.shared.fail(err)
 	}
+	if len(ts) == 0 {
+		return nil
+	}
+	for i, id := range [2]uint32{a, b} {
+		if w.ends[i] = w.residentState(id); w.ends[i] == nil {
+			return w.shared.fail(fmt.Errorf("core: partition %d of shard {%d,%d} not resident", id, a, b))
+		}
+	}
 	return w.scoreTuples(ts)
 }
 
 func (w *phase4Worker) scoreTuples(ts []tuples.Tuple) error {
-	if len(ts) == 0 {
-		return nil
-	}
 	scores, err := w.scorer.Score(ts, w.lookup)
 	if err != nil {
 		return w.shared.fail(err)
@@ -1342,20 +1360,15 @@ func (w *phase4Worker) scoreTuples(ts []tuples.Tuple) error {
 	// fold lock once per run: TopK pushes use a total order over
 	// (score, id), so the fold result is identical no matter how the
 	// workers' runs interleave. Score has already resolved every source
-	// through lookup, so each ordinal is known to name its user in the
-	// resident state.
+	// through lookup, so each source lies in one of the shard's ends.
 	assign := w.shared.assign
 	for lo := 0; lo < len(ts); {
-		pid := assign.Of(ts[lo].S)
+		owner := w.end(assign.Of(ts[lo].S))
 		hi := lo + 1
-		for hi < len(ts) && assign.Of(ts[hi].S) == pid {
+		for hi < len(ts) && assign.Of(ts[hi].S) == owner.id {
 			hi++
 		}
-		owner := w.residentState(pid)
-		if owner == nil {
-			return w.shared.fail(fmt.Errorf("core: partition %d of source %d not resident", pid, ts[lo].S))
-		}
-		if err := w.shared.owner.fold(pid, func() {
+		if err := w.shared.owner.fold(owner.id, func() {
 			for i := lo; i < hi; i++ {
 				owner.accs[assign.Ordinal(ts[i].S)].Push(ts[i].D, scores[i])
 			}
@@ -1368,15 +1381,26 @@ func (w *phase4Worker) scoreTuples(ts []tuples.Tuple) error {
 	return nil
 }
 
-// lookup resolves a tuple endpoint through arrays only: the
-// assignment's partition and ordinal tables, then the resident state's
-// arena.
-func (w *phase4Worker) lookup(u uint32) (profile.Vector, error) {
-	assign := w.shared.assign
-	pid := assign.Of(u)
-	st := w.residentState(pid)
-	if st == nil {
-		return profile.Vector{}, fmt.Errorf("core: partition %d of user %d not resident", pid, u)
+// end returns the shard end that is partition pid, or nil when pid is
+// neither.
+func (w *phase4Worker) end(pid uint32) *partState {
+	for _, st := range w.ends {
+		if st.id == pid {
+			return st
+		}
 	}
-	return st.lookup(u, assign.Ordinal(u))
+	return nil
+}
+
+// lookup resolves a tuple endpoint of the shard being scored by array
+// indexing alone: the assignment's partition table picks one of the
+// shard's two ends, and the assignment's ordinal indexes its arena —
+// commit checked that the two agree on every member.
+func (w *phase4Worker) lookup(u uint32) (profile.Vector, error) {
+	pid := w.shared.assign.Of(u)
+	st := w.end(pid)
+	if st == nil {
+		return profile.Vector{}, fmt.Errorf("core: user %d of partition %d is outside the shard {%d,%d}", u, pid, w.ends[0].id, w.ends[1].id)
+	}
+	return st.profiles.At(w.shared.assign.Ordinal(u)), nil
 }

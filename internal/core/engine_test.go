@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"knnpc/internal/dataset"
@@ -446,5 +449,97 @@ func TestDecodePartStateErrors(t *testing.T) {
 	}
 	if got.id != 1 || len(got.members) != 1 || !got.profiles.At(0).Equal(st.profiles.At(0)) {
 		t.Error("round trip lost data")
+	}
+}
+
+// TestEngineCreatesScratchFilesOnce: an on-disk engine rewrites its
+// spill and state files in place, so only its first iteration creates
+// files; later ones reopen them. Closing the engine removes them all.
+func TestEngineCreatesScratchFilesOnce(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := New(testStore(t, 200, 5), Options{K: 6, NumPartitions: 8, OnDisk: true, ScratchDir: dir, TupleBatch: 4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for it := 0; it < 3; it++ {
+		st, err := eng.Iterate(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first := it == 0; first != (st.IO.Creates > 0) {
+			t.Errorf("iteration %d created %d files (%d shards spilled, %d state writes)", it, st.IO.Creates, st.ShardReads, st.StateWrites)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) > 0 {
+		t.Errorf("closed engine left %v in its scratch parent (%v)", left, err)
+	}
+}
+
+// TestEnginesShareScratchDir: two on-disk engines run at once over one
+// ScratchDir each compute the graphs they compute in directories of
+// their own, and once both close the directory holds exactly what it
+// held before. Before each engine made a private directory inside it,
+// both named their files shard-I-J.tuples and state-N.bin at its root
+// and read each other's spills.
+func TestEnginesShareScratchDir(t *testing.T) {
+	const iters = 3
+	run := func(dir string, seed int64) (*graph.KNN, error) {
+		eng, err := New(testStore(t, 180, seed), Options{K: 5, NumPartitions: 6, OnDisk: true, ScratchDir: dir, TupleBatch: 4, Seed: seed})
+		if err != nil {
+			return nil, err
+		}
+		defer eng.Close()
+		for i := 0; i < iters; i++ {
+			if _, err := eng.Iterate(context.Background()); err != nil {
+				return nil, err
+			}
+		}
+		return eng.Graph(), nil
+	}
+	seeds := []int64{7, 8}
+	want := make([]*graph.KNN, len(seeds))
+	for i, seed := range seeds {
+		var err error
+		if want[i], err = run(t.TempDir(), seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	shared := t.TempDir()
+	if err := os.WriteFile(filepath.Join(shared, "shard-0-0.tuples"), []byte("the caller's"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*graph.KNN, len(seeds))
+	errs := make([]error, len(seeds))
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run(shared, seed)
+		}()
+	}
+	wg.Wait()
+	for i := range seeds {
+		if errs[i] != nil {
+			t.Fatalf("engine %d over the shared directory: %v", i, errs[i])
+		}
+		if d := got[i].DiffEdges(want[i]); d != 0 {
+			t.Errorf("engine %d over the shared directory differs from its own-directory run by %d edges", i, d)
+		}
+	}
+	left, err := os.ReadDir(shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 || left[0].Name() != "shard-0-0.tuples" {
+		t.Errorf("shared directory holds %v after both engines closed, want only the caller's file", left)
+	}
+	if b, _ := os.ReadFile(filepath.Join(shared, "shard-0-0.tuples")); string(b) != "the caller's" {
+		t.Errorf("the caller's file was overwritten: %q", b)
 	}
 }

@@ -59,7 +59,8 @@ type partStore interface {
 	// how many it built. It runs only after every hold has been
 	// released.
 	collect() (reads, builds int64, err error)
-	// cleanup removes all stored state.
+	// cleanup ends the iteration's use of the store: nothing it stored
+	// is readable afterwards.
 	cleanup() error
 	// stateAllocs reports how many partition states the store has
 	// allocated since it was made: every other decode and build filled
@@ -229,10 +230,10 @@ func (o *partOwner) borrow() *[]byte {
 
 // write serializes st onto the medium. The caller holds g.mu.
 func (o *partOwner) write(g *partGuard, st *partState) error {
-	g.stored = true // before the write, so cleanup removes a torn file too
 	g.fresh = false
 	if o.scratch == nil {
 		g.blob = st.appendTo(g.blob[:0])
+		g.stored = true
 		return nil
 	}
 	buf := o.borrow()
@@ -241,6 +242,7 @@ func (o *partOwner) write(g *partGuard, st *partState) error {
 	if err := disk.WriteFile(o.stats, o.path(st.id), *buf); err != nil {
 		return err
 	}
+	g.stored = true
 	o.device.Write(int64(len(*buf)))
 	return nil
 }
@@ -460,21 +462,21 @@ func (o *partOwner) collect() (reads, builds int64, err error) {
 	return 0, builds, nil
 }
 
+// cleanup resets every guard and drops the memory medium's blobs. It
+// removes no file: the next store over the same scratch rewrites
+// state-<p>.bin in place when it first writes p (disk.WriteFile), which
+// costs a fraction of re-creating it, and until then p's guard is not
+// stored, so no read ever sees a file an earlier iteration wrote. The
+// files go when the engine's scratch closes.
 func (o *partOwner) cleanup() error {
-	var firstErr error
 	for i := range o.guards {
 		g := &o.guards[i]
 		g.mu.Lock()
-		if g.stored && o.scratch != nil {
-			if err := disk.Remove(o.path(uint32(i))); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
 		g.stored, g.blob = false, nil
 		g.part, g.fresh = nil, false
 		g.mu.Unlock()
 	}
-	return firstErr
+	return nil
 }
 
 func (o *partOwner) stateAllocs() int64 { return o.free.allocated() }

@@ -28,15 +28,6 @@ type partState struct {
 	accs     []knn.TopK    // accs[i] belongs to members[i]; one backing array
 }
 
-// lookup returns member u's profile given its ordinal, re-checking that
-// the ordinal really names u in this state.
-func (st *partState) lookup(u uint32, ord int) (profile.Vector, error) {
-	if ord >= len(st.members) || st.members[ord] != u {
-		return profile.Vector{}, fmt.Errorf("core: user %d not in partition %d", u, st.id)
-	}
-	return st.profiles.At(ord), nil
-}
-
 // byteSize reports the encoded size, used for budget accounting.
 func (st *partState) byteSize() int {
 	n := 8 // id + member count

@@ -7,13 +7,18 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"knnpc/internal/disk"
 	"knnpc/internal/graph"
+	"knnpc/internal/knn"
 	"knnpc/internal/partition"
+	"knnpc/internal/profile"
+	"knnpc/internal/tuples"
 )
 
 // TestShardedWorkersMatchSerialEngine is the end-to-end invariant of
@@ -532,5 +537,77 @@ func TestPartStoreBuildsOnEmulatedHDD(t *testing.T) {
 			}
 			eng.Close()
 		}
+	}
+}
+
+// TestWorkerResolvesShardEnds: a tape worker resolves a shard's two
+// resident states once per pair step and indexes their arenas by
+// ordinal. So a state whose members are not phase 1's is refused when
+// it is committed, a shard whose partitions are not both resident is
+// an error, and so is an endpoint outside the shard's two partitions.
+func TestWorkerResolvesShardEnds(t *testing.T) {
+	const k = 3
+	store := testStore(t, 9, 4)
+	assign, err := partition.NewAssignment([]uint32{0, 0, 0, 1, 1, 1, 2, 2, 2}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := func(p uint32) *partState {
+		st, err := newPartState(&partition.Data{ID: p, Members: assign.Members(p)}, memCanonical{store}, k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	// Each worker gets a run of its own: the first error cancels it.
+	worker := func() *phase4Worker {
+		table := tuples.NewDiskTable(assign, nil, new(disk.IOStats), 0)
+		if err := table.AddBatch([]tuples.Tuple{{S: 0, D: 3}, {S: 4, D: 1}, {S: 2, D: 7}}); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		return &phase4Worker{
+			shared: &phase4Shared{
+				assign: assign,
+				owner:  newPartOwner(3, nil, nil, disk.NewBudget(0), new(disk.IOStats), k),
+				table:  table,
+				ctx:    ctx,
+				cancel: cancel,
+			},
+			scorer:   knn.Scorer{Sim: profile.Cosine{}},
+			resident: make([]*partState, 3),
+		}
+	}
+
+	w := worker()
+	for p := uint32(0); p < 2; p++ {
+		if err := w.commit(p, state(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.pair(1, 0); err != nil {
+		t.Fatalf("pair {0,1} with both resident: %v", err)
+	}
+	if got := w.resident[0].accs[0].AppendIDs(nil); !slices.Equal(got, []uint32{3}) {
+		t.Errorf("user 0's candidates = %v, want [3]", got)
+	}
+	if got := w.resident[1].accs[1].AppendIDs(nil); !slices.Equal(got, []uint32{1}) {
+		t.Errorf("user 4's candidates = %v, want [1]", got)
+	}
+	if _, err := w.lookup(7); err == nil || !strings.Contains(err.Error(), "outside the shard") {
+		t.Errorf("lookup of user 7 while scoring shard {0,1}: got %v", err)
+	}
+	if err := w.pair(0, 2); err == nil || !strings.Contains(err.Error(), "not resident") {
+		t.Errorf("pair {0,2} with 2 not resident: got %v", err)
+	}
+
+	wrong := state(1)
+	wrong.members[0] = 8
+	if err := worker().commit(1, wrong); err == nil {
+		t.Error("a state whose members are not the assignment's was committed")
+	}
+	if err := worker().commit(1, state(0)); err == nil {
+		t.Error("partition 0's state was committed as partition 1")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +22,7 @@ func TestIOStatsCounting(t *testing.T) {
 	s.AddRead(100)
 	s.AddRead(50)
 	s.AddWrite(30)
+	s.AddCreate()
 
 	snap := s.Snapshot()
 	if snap.Loads != 2 || snap.Unloads != 1 || snap.Seeks != 1 {
@@ -32,22 +34,25 @@ func TestIOStatsCounting(t *testing.T) {
 	if snap.WriteOps != 1 || snap.BytesWritten != 30 {
 		t.Errorf("write counters wrong: %+v", snap)
 	}
+	if snap.Creates != 1 {
+		t.Errorf("create counter wrong: %+v", snap)
+	}
 	if got := snap.LoadUnloadOps(); got != 3 {
 		t.Errorf("LoadUnloadOps = %d, want 3", got)
 	}
 
 	s.Reset()
 	if after := s.Snapshot(); after.LoadUnloadOps() != 0 || after.Seeks != 0 ||
-		after.ReadOps != 0 || after.WriteOps != 0 || after.BytesRead != 0 || after.BytesWritten != 0 {
+		after.ReadOps != 0 || after.WriteOps != 0 || after.BytesRead != 0 || after.BytesWritten != 0 || after.Creates != 0 {
 		t.Error("Reset should zero all counters")
 	}
 }
 
 func TestSnapshotSub(t *testing.T) {
-	a := Snapshot{Loads: 5, BytesRead: 100, Seeks: 3}
-	b := Snapshot{Loads: 2, BytesRead: 40, Seeks: 1}
+	a := Snapshot{Loads: 5, BytesRead: 100, Seeks: 3, Creates: 4}
+	b := Snapshot{Loads: 2, BytesRead: 40, Seeks: 1, Creates: 4}
 	d := a.Sub(b)
-	if d.Loads != 3 || d.BytesRead != 60 || d.Seeks != 2 {
+	if d.Loads != 3 || d.BytesRead != 60 || d.Seeks != 2 || d.Creates != 0 {
 		t.Errorf("Sub = %+v", d)
 	}
 }
@@ -144,7 +149,8 @@ func TestReadWriteFileCounted(t *testing.T) {
 
 // TestWriteFileRewritesInPlace: WriteFile rewrites an existing file in
 // place, so a shorter rewrite must cut off the old tail and a longer one
-// extend the file — each leaves exactly the new bytes, counted once.
+// extend the file — each leaves exactly the new bytes, counted once —
+// and only the first write creates the file.
 func TestWriteFileRewritesInPlace(t *testing.T) {
 	var s IOStats
 	path := filepath.Join(t.TempDir(), "state")
@@ -160,8 +166,8 @@ func TestWriteFileRewritesInPlace(t *testing.T) {
 			t.Fatalf("after write %d the file holds %q, want %q", i, got, data)
 		}
 	}
-	if snap := s.Snapshot(); snap.Seeks != 3 || snap.WriteOps != 3 {
-		t.Errorf("three rewrites counted as %d seeks, %d writes", snap.Seeks, snap.WriteOps)
+	if snap := s.Snapshot(); snap.Seeks != 3 || snap.WriteOps != 3 || snap.Creates != 1 {
+		t.Errorf("three rewrites counted as %d seeks, %d writes, %d creates", snap.Seeks, snap.WriteOps, snap.Creates)
 	}
 }
 
@@ -169,19 +175,6 @@ func TestReadFileMissing(t *testing.T) {
 	var s IOStats
 	if _, err := ReadFile(&s, filepath.Join(t.TempDir(), "nope"), nil); err == nil {
 		t.Error("reading a missing file should fail")
-	}
-}
-
-func TestRemoveIdempotent(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x")
-	if err := os.WriteFile(path, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := Remove(path); err != nil {
-		t.Fatalf("Remove: %v", err)
-	}
-	if err := Remove(path); err != nil {
-		t.Fatalf("second Remove should be a no-op, got %v", err)
 	}
 }
 
@@ -205,7 +198,7 @@ func TestRecordFileRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	r, err := new(ReadBuffers).Open(&s, path)
+	r, err := new(ReadBuffers).Open(&s, path, w.Size())
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -251,7 +244,7 @@ func TestRecordFilesThroughRecycledBuffers(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		r, err := bufs.Open(&s, path)
+		r, err := bufs.Open(&s, path, w.Size())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +277,7 @@ func TestRecordFileWithNoRecords(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	r, err := new(ReadBuffers).Open(&s, path)
+	r, err := new(ReadBuffers).Open(&s, path, w.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,13 +334,89 @@ func TestRecordReaderTruncated(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := new(ReadBuffers).Open(&s, path)
+	r, err := new(ReadBuffers).Open(&s, path, w.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	if _, err := r.Next(); err == nil || errors.Is(err, io.EOF) {
 		t.Errorf("truncated record should yield a real error, got %v", err)
+	}
+}
+
+// TestRecordFileRewrittenShorter: a record file reopened for a shorter
+// write keeps the earlier write's tail on disk, and a reader opened
+// with the new writer's Size serves exactly the new records. Only the
+// first open creates the file.
+func TestRecordFileRewrittenShorter(t *testing.T) {
+	var s IOStats
+	path := filepath.Join(t.TempDir(), "records")
+	for i, recs := range [][]string{{"a long first write", "and more of it", "and more"}, {"short"}, {}} {
+		w, err := CreateRecordFile(&s, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if err := w.Append([]byte(rec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := new(ReadBuffers).Open(&s, path, w.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for {
+			rec, err := r.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+			got = append(got, string(rec))
+		}
+		r.Close()
+		if !slices.Equal(got, recs) {
+			t.Fatalf("write %d read back %q, want %q", i, got, recs)
+		}
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Fatalf("the first write's bytes should still be on disk: %v", err)
+	}
+	if c := s.Snapshot().Creates; c != 1 {
+		t.Errorf("three writes of one file counted %d creates, want 1", c)
+	}
+}
+
+// TestRecordReaderShortFile: a file that ends before the size its
+// writer reported is an error, not a clean end of records.
+func TestRecordReaderShortFile(t *testing.T) {
+	var s IOStats
+	path := filepath.Join(t.TempDir(), "records")
+	w, err := CreateRecordFile(&s, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := new(ReadBuffers).Open(&s, path, w.Size()+11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err == nil || errors.Is(err, io.EOF) {
+		t.Errorf("a file 11 bytes short should yield a real error, got %v", err)
 	}
 }
 
@@ -425,6 +494,47 @@ func TestScratchCallerOwnedPreserved(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); err != nil {
 		t.Error("caller-owned dir must survive Close")
+	}
+}
+
+// TestScratchSharedParent: two scratches over one directory get
+// private directories of their own, and once both close the parent
+// holds exactly what it held before.
+func TestScratchSharedParent(t *testing.T) {
+	parent := t.TempDir()
+	if err := os.WriteFile(filepath.Join(parent, "mine"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewScratch(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewScratch(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Dir() == b.Dir() || filepath.Dir(a.Dir()) != parent || filepath.Dir(b.Dir()) != parent {
+		t.Fatalf("scratch dirs %s and %s should be distinct children of %s", a.Dir(), b.Dir(), parent)
+	}
+	for _, s := range []*Scratch{a, b} {
+		if err := WriteFile(new(IOStats), s.Path("state-0.bin"), []byte(s.Dir())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, _ := os.ReadFile(a.Path("state-0.bin")); string(got) != a.Dir() {
+		t.Errorf("scratch %s reads another's file: %q", a.Dir(), got)
+	}
+	for _, s := range []*Scratch{a, b} {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "mine" {
+		t.Errorf("parent holds %v after both scratches closed, want only its own file", entries)
 	}
 }
 

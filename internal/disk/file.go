@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"sync"
 )
@@ -20,7 +21,7 @@ import (
 // truncating write, it is not atomic.
 func WriteFile(stats *IOStats, path string, data []byte) error {
 	stats.AddSeek()
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	f, err := openForWrite(stats, path)
 	if err != nil {
 		return fmt.Errorf("disk: write %s: %w", path, err)
 	}
@@ -36,6 +37,23 @@ func WriteFile(stats *IOStats, path string, data []byte) error {
 	}
 	stats.AddWrite(int64(len(data)))
 	return nil
+}
+
+// openForWrite opens path for writing at offset 0 without truncating
+// it, creating it — and counting the create in stats — only when it
+// does not exist yet. Reopening a file costs a fraction of creating one
+// where an unlinked one stood, which is what scratch files rewritten
+// every iteration would otherwise pay.
+func openForWrite(stats *IOStats, path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if !errors.Is(err, fs.ErrNotExist) {
+		return f, err
+	}
+	if f, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644); err != nil {
+		return nil, err
+	}
+	stats.AddCreate()
+	return f, nil
 }
 
 // ReadFile reads path fully in one sequential pass, recording one seek
@@ -74,14 +92,6 @@ func ReadFile(stats *IOStats, path string, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// Remove deletes path, ignoring already-missing files.
-func Remove(path string) error {
-	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("disk: remove %s: %w", path, err)
-	}
-	return nil
-}
-
 // recordBufSize is the size of the sequential buffer a record reader
 // streams through, and the most a record writer buffers.
 const recordBufSize = 1 << 16
@@ -101,11 +111,17 @@ type RecordWriter struct {
 	w     *bufio.Writer // nil until the first Append
 	stats *IOStats
 	n     int64
+	size  int64
 }
 
-// CreateRecordFile creates (or truncates) a record file at path.
+// CreateRecordFile opens a record file at path for writing from offset
+// 0, creating it if it does not exist. An existing file is not
+// truncated: what an earlier, longer write left beyond this writer's
+// Size stays in place, and a reader opened with that Size never reads
+// it. A file rewritten every iteration is thus reopened in place, not
+// re-created.
 func CreateRecordFile(stats *IOStats, path string) (*RecordWriter, error) {
-	f, err := os.Create(path)
+	f, err := openForWrite(stats, path)
 	if err != nil {
 		return nil, fmt.Errorf("disk: create record file %s: %w", path, err)
 	}
@@ -128,11 +144,16 @@ func (rw *RecordWriter) Append(rec []byte) error {
 	}
 	rw.stats.AddWrite(int64(4 + len(rec)))
 	rw.n++
+	rw.size += int64(4 + len(rec))
 	return nil
 }
 
 // Count reports the number of records appended so far.
 func (rw *RecordWriter) Count() int64 { return rw.n }
+
+// Size reports the bytes appended so far, headers included: how much
+// of the file a reader of these records must read.
+func (rw *RecordWriter) Size() int64 { return rw.size }
 
 // Close flushes and closes the file.
 func (rw *RecordWriter) Close() error {
@@ -158,10 +179,11 @@ type ReadBuffers struct {
 	pool sync.Pool // *readBuf
 }
 
-// readBuf is what a RecordReader borrows: the stream buffer and the
-// record it hands out.
+// readBuf is what a RecordReader borrows: the stream buffer, the
+// limit it reads the file through, and the record it hands out.
 type readBuf struct {
 	r   *bufio.Reader
+	lim io.LimitedReader
 	rec []byte
 }
 
@@ -173,8 +195,11 @@ type RecordReader struct {
 	stats *IOStats
 }
 
-// Open opens a record file for sequential reading.
-func (b *ReadBuffers) Open(stats *IOStats, path string) (*RecordReader, error) {
+// Open opens a record file for sequential reading of its first size
+// bytes — the Size of the writer that wrote it. Whatever lies beyond
+// was left by an earlier, longer write and is never read; a file
+// shorter than size is an error at the record where it ends.
+func (b *ReadBuffers) Open(stats *IOStats, path string, size int64) (*RecordReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("disk: open record file %s: %w", path, err)
@@ -182,10 +207,10 @@ func (b *ReadBuffers) Open(stats *IOStats, path string) (*RecordReader, error) {
 	stats.AddSeek()
 	buf, _ := b.pool.Get().(*readBuf)
 	if buf == nil {
-		buf = &readBuf{r: bufio.NewReaderSize(f, recordBufSize)}
-	} else {
-		buf.r.Reset(f)
+		buf = &readBuf{r: bufio.NewReaderSize(nil, recordBufSize)}
 	}
+	buf.lim = io.LimitedReader{R: f, N: size}
+	buf.r.Reset(&buf.lim)
 	return &RecordReader{f: f, buf: buf, bufs: b, stats: stats}, nil
 }
 
@@ -196,6 +221,9 @@ func (rr *RecordReader) Next() ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(rr.buf.r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
+			if short := rr.buf.lim.N; short > 0 {
+				return nil, fmt.Errorf("disk: record file ends %d bytes short", short)
+			}
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("disk: read record header: %w", err)
@@ -219,6 +247,7 @@ func (rr *RecordReader) Close() error {
 		return nil
 	}
 	rr.buf.r.Reset(nil) // a pooled buffer must not pin the file
+	rr.buf.lim.R = nil
 	rr.bufs.pool.Put(rr.buf)
 	rr.buf = nil
 	if err := rr.f.Close(); err != nil {

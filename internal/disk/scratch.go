@@ -6,29 +6,33 @@ import (
 	"path/filepath"
 )
 
-// Scratch manages the on-disk working directory of one engine run:
-// partition files, spilled hash-table shards and accumulator state all
-// live under it. Close removes the directory if Scratch created it.
+// Scratch manages the on-disk working directory of one engine:
+// partition state files, spilled hash-table shards and the profile
+// file all live under it, and each is rewritten in place from one
+// iteration to the next, so they stay until the engine closes.
+//
+// The directory is always the scratch's own: a fresh directory made
+// inside the one it was given, which Close removes. Two engines handed
+// the same directory therefore never see each other's files, and the
+// caller's directory holds after Close exactly what it held before.
 type Scratch struct {
-	dir     string
-	created bool
+	dir string
 }
 
-// NewScratch returns a scratch rooted at dir. If dir is empty a fresh
-// temporary directory is created (and owned — Close will remove it). A
-// caller-provided dir is created if missing but never removed.
+// NewScratch creates a private directory inside dir — the system's
+// temporary directory when dir is empty — and returns a scratch rooted
+// there. A non-empty dir is created if missing and is never removed.
 func NewScratch(dir string) (*Scratch, error) {
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "knnpc-*")
-		if err != nil {
-			return nil, fmt.Errorf("disk: create scratch dir: %w", err)
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("disk: ensure scratch parent %s: %w", dir, err)
 		}
-		return &Scratch{dir: tmp, created: true}, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("disk: ensure scratch dir %s: %w", dir, err)
+	own, err := os.MkdirTemp(dir, "knnpc-*")
+	if err != nil {
+		return nil, fmt.Errorf("disk: create scratch dir: %w", err)
 	}
-	return &Scratch{dir: dir}, nil
+	return &Scratch{dir: own}, nil
 }
 
 // Dir reports the scratch root.
@@ -39,12 +43,8 @@ func (s *Scratch) Path(elem ...string) string {
 	return filepath.Join(append([]string{s.dir}, elem...)...)
 }
 
-// Close removes the directory when Scratch created it; otherwise it is
-// a no-op (caller-owned directories are preserved).
+// Close removes the scratch directory and every file in it.
 func (s *Scratch) Close() error {
-	if !s.created {
-		return nil
-	}
 	if err := os.RemoveAll(s.dir); err != nil {
 		return fmt.Errorf("disk: remove scratch dir %s: %w", s.dir, err)
 	}

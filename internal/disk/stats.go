@@ -26,6 +26,7 @@ type IOStats struct {
 	writeOps     atomic.Int64
 	bytesRead    atomic.Int64
 	bytesWritten atomic.Int64
+	creates      atomic.Int64
 
 	// devMu guards the registered emulated devices. Registration is
 	// rare (engine construction); snapshots read each device's own
@@ -72,6 +73,10 @@ type Snapshot struct {
 	// BytesRead/BytesWritten count payload volume.
 	BytesRead    int64
 	BytesWritten int64
+	// Creates counts files created, as opposed to reopened: scratch
+	// files are rewritten in place, so after an engine's first
+	// iteration it only moves when a file is needed for the first time.
+	Creates int64
 	// Devices reports per-spindle emulated-device time for every device
 	// registered with RegisterDevice, in registration order — one entry
 	// per state-store shard (plus the engine's local spindle), so
@@ -101,6 +106,9 @@ func (s *IOStats) AddWrite(n int64) {
 	s.bytesWritten.Add(n)
 }
 
+// AddCreate records a file created.
+func (s *IOStats) AddCreate() { s.creates.Add(1) }
+
 // RegisterDevice adds an emulated device to the stats' per-spindle
 // accounting: every Snapshot thereafter carries the device's
 // modeled/slept/debt times under its name. Nil devices are ignored.
@@ -124,6 +132,7 @@ func (s *IOStats) Snapshot() Snapshot {
 		WriteOps:     s.writeOps.Load(),
 		BytesRead:    s.bytesRead.Load(),
 		BytesWritten: s.bytesWritten.Load(),
+		Creates:      s.creates.Load(),
 	}
 	s.devMu.Lock()
 	devices := append([]*Device(nil), s.devices...)
@@ -153,6 +162,7 @@ func (s *IOStats) Reset() {
 	s.writeOps.Store(0)
 	s.bytesRead.Store(0)
 	s.bytesWritten.Store(0)
+	s.creates.Store(0)
 	s.devMu.Lock()
 	for i, d := range s.devices {
 		modeled, slept, debt := d.Accounting()
@@ -191,6 +201,7 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		WriteOps:     s.WriteOps - o.WriteOps,
 		BytesRead:    s.BytesRead - o.BytesRead,
 		BytesWritten: s.BytesWritten - o.BytesWritten,
+		Creates:      s.Creates - o.Creates,
 		Devices:      devices,
 	}
 }

@@ -30,6 +30,16 @@ import (
 // is never flushed: the whole shard stays in RAM and is read back as
 // the unflushed tail every shard has. No other line of code differs.
 //
+// A spill file outlives the table: one table per iteration writes
+// shard {I, J} to the same file, reopened in place from offset 0
+// (disk.CreateRecordFile), because creating hundreds of files an
+// iteration, each where the last one was unlinked, cost more than
+// reopening them and swung with the filesystem's journal. Each table
+// reads back exactly the bytes it wrote, so an earlier, larger shard's
+// tail is never served, and the files go when the scratch closes. Two
+// tables must therefore not be open over one scratch at once; the
+// engine builds one per compute attempt and closes it before the next.
+//
 // Concurrency contract: AddBatch runs in phase 2, strictly before any
 // Shard or ShardAhead call, and is safe for concurrent use with itself
 // and with Close — phase 2's bridge, direct-edge and exploration
@@ -70,9 +80,9 @@ type DiskTable struct {
 	// readBufs recycles what the spill files' readers stream through:
 	// shards are read back one at a time, each file once.
 	readBufs disk.ReadBuffers
-	// keyPool recycles the packed-tuple scratch a shard is sorted and
+	// keyPool recycles the key scratch a shard is sorted and
 	// de-duplicated in.
-	keyPool sync.Pool // *[]uint64
+	keyPool sync.Pool // *keyBufs
 
 	// encPool recycles spill-record encode buffers across flushes, so
 	// the batched emit path does not allocate one fresh record per
@@ -94,8 +104,8 @@ type batchGroups struct {
 
 // diskShard is one unordered partition pair's spill state. Its mutex
 // guards every field; dead marks state torn down by Close (a late
-// producer that already passed the table's closed check must not
-// resurrect a writer for a removed file), taken marks state handed
+// producer that already passed the table's closed check must not open
+// a writer Close will never close), taken marks state handed
 // over to a Shard/ShardAhead consumer.
 type diskShard struct {
 	mu      sync.Mutex
@@ -323,30 +333,52 @@ func (sh *diskShard) takeLocked() (pending []uint64, w *disk.RecordWriter, count
 }
 
 // readShard drains one taken shard: it finishes the spill file, reads
-// it back, deletes it, merges the unflushed tail, and de-duplicates by
-// sort-unique in place. The one exact-size result holds the tuples
-// whose source lies in partition I, then those whose source lies in J,
-// each run sorted by (S, D). It touches no table state beyond the
+// back the bytes this table wrote to it, merges the unflushed tail, and
+// orders and de-duplicates the lot by radix sort over compact keys
+// (shardOrder). The one exact-size result holds the tuples whose
+// source lies in partition I, then those whose source lies in J, each
+// run sorted by (S, D). It touches no table state beyond the
 // handed-over writer (plus the shared stats/device, which are
 // concurrency-safe), so it may run on a background goroutine. It
 // returns the shard's tuples and the spill bytes read from disk.
 func (t *DiskTable) readShard(id ShardID, pending []uint64, w *disk.RecordWriter, count int64) ([]Tuple, int64, error) {
-	kp, _ := t.keyPool.Get().(*[]uint64)
-	if kp == nil {
-		kp = new([]uint64)
+	o := newShardOrder(t.assign, id)
+	kb, _ := t.keyPool.Get().(*keyBufs)
+	if kb == nil {
+		kb = new(keyBufs)
 	}
-	keys := append(slices.Grow((*kp)[:0], int(count)), pending...)
-	defer func() { // keys may have been regrown; keep the larger array
-		*kp = keys[:0]
-		t.keyPool.Put(kp)
-	}()
+	defer t.keyPool.Put(kb)
+	if o.bits <= 32 {
+		return readShardKeys(t, id, &o, pending, w, int(count), &kb.k32)
+	}
+	return readShardKeys(t, id, &o, pending, w, int(count), &kb.k64)
+}
+
+// keyBufs is the pooled scratch a shard is keyed and sorted in: the
+// keys and the radix sort's second buffer, one array of twice the
+// shard's raw count, in the narrowest key width the shard fits.
+type keyBufs struct {
+	k32 []uint32
+	k64 []uint64
+}
+
+// readShardKeys is readShard at key width K: it decodes the unflushed
+// tail and the spill records straight into keys, so the raw tuples
+// never exist at full width, and checks that it read exactly the count
+// tuples that were added.
+func readShardKeys[K uint32 | uint64](t *DiskTable, id ShardID, o *shardOrder, pending []uint64, w *disk.RecordWriter, count int, buf *[]K) ([]Tuple, int64, error) {
+	*buf = slices.Grow((*buf)[:0], 2*count)
+	keys, tmp := (*buf)[:0:count], (*buf)[count:2*count]
+	for _, p := range pending {
+		keys = append(keys, K(o.key(p)))
+	}
 
 	var spillBytes int64
 	if w != nil {
 		if err := w.Close(); err != nil {
 			return nil, 0, fmt.Errorf("tuples: finish spill (%d,%d): %w", id.I, id.J, err)
 		}
-		r, err := t.readBufs.Open(t.stats, t.shardPath(id))
+		r, err := t.readBufs.Open(t.stats, t.shardPath(id), w.Size())
 		if err != nil {
 			return nil, 0, err
 		}
@@ -365,36 +397,19 @@ func (t *DiskTable) readShard(id ShardID, pending []uint64, w *disk.RecordWriter
 			}
 			spillBytes += int64(len(rec))
 			for off := 0; off < len(rec); off += 8 {
-				keys = append(keys, binary.LittleEndian.Uint64(rec[off:]))
+				keys = append(keys, K(o.key(binary.LittleEndian.Uint64(rec[off:]))))
 			}
 		}
 		if err := r.Close(); err != nil {
 			return nil, 0, err
 		}
-		if err := disk.Remove(t.shardPath(id)); err != nil {
-			return nil, 0, err
-		}
 		t.device.Read(spillBytes)
 		t.spillReads.Add(1)
 	}
-
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	// One pass: sources in I fill out from the front, sources in J from
-	// the back (so that run lands reversed and is flipped once).
-	out := make([]Tuple, len(keys))
-	lo, hi := 0, len(keys)
-	for _, k := range keys {
-		if tu := unpack(k); t.assign.Of(tu.S) == id.I {
-			out[lo] = tu
-			lo++
-		} else {
-			hi--
-			out[hi] = tu
-		}
+	if len(keys) != count {
+		return nil, 0, fmt.Errorf("tuples: shard (%d,%d) read back %d tuples, %d were added", id.I, id.J, len(keys), count)
 	}
-	slices.Reverse(out[lo:])
-	return out, spillBytes, nil
+	return expand(o, radixSort(keys, tmp, o.bits)), spillBytes, nil
 }
 
 // ShardAhead starts reading shard {i, j} on a background goroutine, so
@@ -449,14 +464,15 @@ func (t *DiskTable) SpillReads() int64 { return t.spillReads.Load() }
 // Shard returns the de-duplicated tuples with one endpoint in partition
 // i and the other in j, in either direction: those with a source in
 // min(i, j) first, then those with a source in max(i, j), each run
-// sorted by (S, D). It drains the shard's spill file, de-duplicates by
-// sort-unique, and deletes the file. It consumes the shard: (i, j) and
+// sorted by (S, D). It reads back what the table spilled of the shard
+// and radix-sorts it with the unflushed tail, dropping duplicates; the
+// spill file stays for the next table. It consumes the shard: (i, j) and
 // (j, i) name the same one, so a second call in either orientation
 // returns nil (each shard is read exactly once, by the PI edge that
 // owns it). A shard announced with ShardAhead is served from the
 // in-flight read instead — waiting for it if necessary. Calling Shard
-// on a closed table is an error: the spill files are gone, so silently
-// returning an empty shard would hide lost tuples.
+// on a closed table is an error: the table gave up its spill writers,
+// so silently returning an empty shard would hide lost tuples.
 func (t *DiskTable) Shard(i, j uint32) ([]Tuple, error) {
 	id := pairID(i, j)
 	t.mu.Lock()
@@ -488,15 +504,17 @@ func (t *DiskTable) Shard(i, j uint32) ([]Tuple, error) {
 	return ts, err
 }
 
-// Close waits out any in-flight shard reads, then closes and removes
-// any remaining spill files. The closed flag is set under the table
-// mutex (the same lock the add path's shard lookup takes), and each
-// shard's state is detached under that shard's own mutex and marked
-// dead BEFORE it is torn down — so an AddBatch, Shard or ShardAhead
-// racing with Close either completes entirely
-// against state it already holds, or observes closed/dead and errors.
-// Never a half-dismantled shard or a writer Close is about to close
-// under it.
+// Close waits out any in-flight shard reads, then closes every spill
+// writer still open. It removes no file: spill files belong to the
+// scratch directory and are rewritten in place by the next table over
+// it, which reads back only what it wrote itself; they go when the
+// scratch closes. The closed flag is set under the table mutex (the
+// same lock the add path's shard lookup takes), and each shard's state
+// is detached under that shard's own mutex and marked dead BEFORE it is
+// torn down — so an AddBatch, Shard or ShardAhead racing with Close
+// either completes entirely against state it already holds, or
+// observes closed/dead and errors. Never a half-dismantled shard or a
+// writer Close is about to close under it.
 func (t *DiskTable) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -511,10 +529,9 @@ func (t *DiskTable) Close() error {
 	t.mu.Unlock()
 
 	// Abandoned read-aheads (an aborted phase 4 never consumed them)
-	// own their writers and spill files; wait for each so no goroutine
-	// outlives the table and no file outlives the read — and keep their
-	// errors: a failed background read that nobody consumed must still
-	// surface somewhere.
+	// own their writers; wait for each so no goroutine or open file
+	// outlives the table — and keep their errors: a failed background
+	// read that nobody consumed must still surface somewhere.
 	var firstErr error
 	for _, f := range inflight {
 		<-f.done
@@ -522,7 +539,7 @@ func (t *DiskTable) Close() error {
 			firstErr = f.err
 		}
 	}
-	for id, sh := range shards {
+	for _, sh := range shards {
 		sh.mu.Lock()
 		w := sh.writer
 		sh.pending, sh.writer, sh.count = nil, nil, 0
@@ -532,9 +549,6 @@ func (t *DiskTable) Close() error {
 			continue
 		}
 		if err := w.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := disk.Remove(t.shardPath(id)); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -455,6 +456,44 @@ func TestShardsAreSortedAndOwnedByRightPartitions(t *testing.T) {
 	}
 }
 
+// TestShardKeysWiderThan32Bits: a shard whose source ranks and
+// destination ids need more than 32 bits between them is keyed at 64
+// bits and served exactly as a narrow one: 2^17 users in two
+// partitions need 17 bits of destination and 17 of rank.
+func TestShardKeysWiderThan32Bits(t *testing.T) {
+	const users = 1 << 17
+	of := make([]uint32, users)
+	for u := range of {
+		of[u] = uint32(u % 2)
+	}
+	a, err := partition.NewAssignment(of, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := newShardOrder(a, ShardID{I: 0, J: 1}); o.bits <= 32 {
+		t.Fatalf("shard {0,1} keys are %d bits; the test needs more than 32", o.bits)
+	}
+	r := rand.New(rand.NewSource(5))
+	stream := make([]Tuple, 0, 3000)
+	for len(stream) < cap(stream) {
+		s, d := uint32(r.Intn(users)), uint32(r.Intn(users))
+		stream = append(stream, Tuple{S: s, D: d}, Tuple{S: s, D: d}) // every tuple twice
+	}
+	want := oracle(a, stream, nil)
+	for _, medium := range media {
+		table := newTable(t, medium, a, 64)
+		if err := table.AddBatch(stream); err != nil {
+			t.Fatal(err)
+		}
+		if got := drain(t, table, 2, medium == "disk"); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: 64-bit keyed shards diverge from the oracle", medium)
+		}
+		if err := table.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestShardAheadEitherOrientationStartsOneRead: announcing (a, b) and
 // then (b, a) starts exactly one background read of the one spill file,
 // and consuming it as (b, a) returns the whole shard.
@@ -515,16 +554,18 @@ func TestDiskTableAddAfterClose(t *testing.T) {
 // Close lands in the middle. Run under -race in CI. Before the closed
 // check moved under the table's locking scheme, the add path read
 // t.closed unsynchronized while Close wrote it — a data race — and a
-// producer that slipped past the check could resurrect a spill writer
-// for a file Close had already removed. After the fix every add either
-// lands entirely before Close detaches its shard (the file is then
-// cleaned up by Close) or reports the closed error; no spill file may
-// survive.
+// producer that slipped past the check could open a spill writer Close
+// never closed. Whatever the interleaving, every add either lands
+// entirely before Close detaches its shard or reports the closed
+// error; no writer is open once Close returns; a later table over the
+// same scratch, whose spill files are the racing table's, serves
+// exactly its own tuples; and no file survives the scratch's Close.
 func TestDiskTableAddRacesClose(t *testing.T) {
 	a, err := partition.NewAssignment([]uint32{0, 1, 0, 1, 2, 2}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	later := []Tuple{{0, 1}, {1, 0}, {2, 4}, {4, 5}, {5, 4}, {0, 1}, {3, 3}, {1, 4}}
 	for _, medium := range media {
 		for seed := int64(0); seed < 5; seed++ {
 			dir := t.TempDir()
@@ -535,6 +576,15 @@ func TestDiskTableAddRacesClose(t *testing.T) {
 				}
 			}
 			table := NewDiskTable(a, scratch, new(disk.IOStats), 2) // tiny batch: every producer flushes
+			// Every shard spills more than the later table will, so that
+			// table's files have a tail it must not read.
+			for s := uint32(0); s < 6; s++ {
+				for d := uint32(0); d < 6; d++ {
+					if err := table.AddBatch([]Tuple{{s, d}, {d, s}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 
 			start := make(chan struct{})
 			done := make(chan struct{}, 3)
@@ -572,17 +622,50 @@ func TestDiskTableAddRacesClose(t *testing.T) {
 			for r := 0; r < 3; r++ {
 				<-done
 			}
-			// Whatever interleaving happened, Close must have removed every
-			// spill file a racing producer managed to create.
-			files, err := filepath.Glob(filepath.Join(dir, "shard-*.tuples"))
-			if err != nil {
+			if open := openFilesUnder(t, dir); len(open) > 0 {
+				t.Fatalf("%s seed %d: spill files still open after Close: %v", medium, seed, open)
+			}
+
+			next := NewDiskTable(a, scratch, new(disk.IOStats), 2)
+			for _, tu := range later {
+				if err := next.AddBatch([]Tuple{tu}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := drain(t, next, 3, seed%2 == 0), oracle(a, later, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: the table after a raced Close serves\n%+v\nwant its own\n%+v", medium, seed, got, want)
+			}
+			if err := next.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if len(files) > 0 {
-				t.Fatalf("%s seed %d: spill files survived Close: %v", medium, seed, files)
+			if scratch != nil {
+				if err := scratch.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if left, err := os.ReadDir(dir); err != nil || len(left) > 0 {
+				t.Fatalf("%s seed %d: %v survived the scratch's Close (%v)", medium, seed, left, err)
 			}
 		}
 	}
+}
+
+// openFilesUnder lists the files under dir this process holds open,
+// read off /proc/self/fd; it skips the test where that does not exist.
+func openFilesUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open files: %v", err)
+	}
+	var open []string
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			open = append(open, target)
+		}
+	}
+	return open
 }
 
 // TestParallelAddBatchMatchesSerialTable is the table-level statement

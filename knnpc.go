@@ -168,7 +168,10 @@ type Config struct {
 	// collection on disk (point reads in phase 1, streaming rewrite
 	// in phase 5) so profile data is never fully memory-resident.
 	ProfilesOnDisk bool
-	// ScratchDir hosts on-disk state when OnDisk is set.
+	// ScratchDir is where the engine makes its private scratch
+	// directory for on-disk state ("" = the system temp dir). Engines
+	// sharing one ScratchDir never see each other's files, and Close
+	// removes what the engine made there.
 	ScratchDir string
 	// EmulateDisk, with OnDisk set, enforces a disk model's device
 	// latency ("hdd", "ssd" or "nvme") on partition state I/O, so the
