@@ -6,55 +6,12 @@
 //
 // The op sequence is a pure function of the flags (see internal/load):
 // a fixed -seed replays byte-for-byte the same traffic against every
-// target, so a primary-vs-replica or HTTP-vs-direct comparison measures
-// the tiers, not the dice. Arrival is open-loop — ops dispatch at their
-// scheduled times regardless of earlier completions, and latency is
-// measured from the scheduled start, so a saturated server shows up as
-// tail latency instead of silently throttling the driver.
+// target. Arrival is open-loop, so a saturated server shows up as tail
+// latency instead of silently throttling the driver. The exit status is
+// non-zero when any target saw more than -maxerrors errors.
 //
-// Usage:
-//
-//	knnload -target replicas=http://127.0.0.1:7781 \
-//	        [-target primary=http://127.0.0.1:7782] \
-//	        [-target direct=net:127.0.0.1:7701,127.0.0.1:7702 -partitions 8] \
-//	        -users 100000 -ops 20000 -rate 2000 -zipf 1.1 -writefrac 0.05
-//
-//	-target      repeatable label=url target; url is a knnserve base URL,
-//	             or "net:" + comma-separated statestore addresses to
-//	             drive the store protocol directly (isolates HTTP
-//	             overhead; requires -partitions)
-//	-partitions  engine partition count m, for net: targets
-//	-users       simulated user population
-//	-items       item-space size writes draw from
-//	-ops         total operations per target
-//	-rate        open-loop arrival rate, ops/s
-//	-zipf        Zipf popularity exponent s (> 1; larger = more skew)
-//	-writefrac   fraction of ops that are profile-update writes
-//	-addfrac     fraction of ops that add a whole new user
-//	             (PUT /v1/profile/{id}; ids sequential from -users)
-//	-delfrac     fraction of ops that tombstone a user
-//	             (DELETE /v1/profile/{id}; previously added users first)
-//	-profilefrac fraction of reads hitting /v1/profile vs /v1/neighbors
-//	-burst       rate multiplier during burst windows (≤ 1 disables)
-//	-burstevery  burst period
-//	-burstlen    burst duration at the start of each period
-//	-window      time-bucket width for windowed percentiles
-//	-conc        worker goroutines per target
-//	-seed        RNG seed (same seed ⇒ identical op sequence)
-//	-timeout     per-request timeout for HTTP targets
-//	-maxerrors   errors tolerated per target before a non-zero exit
-//	             (default 0; raise under deliberate fault injection,
-//	             where bounded timeouts and sheds are the expected
-//	             outcome rather than a defect)
-//
-// Failed ops are classified — timeout, refused (connection-level),
-// shed (explicit 503 + Retry-After), protocol (everything else) — and
-// the per-op-type table carries a column per class, so a chaos run's
-// report separates designed degradation from breakage.
-//
-// Targets run sequentially over the same plan; with two or more, a
-// cross-target p50/p99 comparison table is printed at the end. The exit
-// status is non-zero when any target saw more than -maxerrors errors.
+// Run `knnload -help` for the flags; docs/OPERATIONS.md explains each
+// and how to read the report.
 package main
 
 import (
@@ -70,6 +27,7 @@ import (
 	"time"
 
 	"knnpc/internal/load"
+	"knnpc/internal/netstore"
 )
 
 func main() {
@@ -191,8 +149,12 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 // openTarget builds the Target a spec names: "net:" URLs dial the
 // store protocol directly, anything else is a knnserve base URL.
 func openTarget(spec targetSpec, partitions int, timeout time.Duration) (load.Target, error) {
-	if addrs, ok := strings.CutPrefix(spec.url, "net:"); ok {
-		return load.NewDirectTarget(spec.label, strings.Split(addrs, ","), partitions)
+	if list, ok := strings.CutPrefix(spec.url, "net:"); ok {
+		addrs, err := netstore.ParseAddrs(list)
+		if err != nil {
+			return nil, fmt.Errorf("target %s: %w", spec.label, err)
+		}
+		return load.NewDirectTarget(spec.label, addrs, partitions)
 	}
 	return load.NewHTTPTarget(spec.label, strings.TrimSuffix(spec.url, "/"), timeout), nil
 }

@@ -3,65 +3,8 @@
 // prints per-iteration phase timings, load/unload operations, and
 // modeled HDD/SSD/NVMe disk time.
 //
-// Usage:
-//
-//	knnrun [flags]
-//
-//	-users       number of users (default 2000)
-//	-items       item-space size (default 5000)
-//	-k           neighbors per user (default 10)
-//	-m           number of partitions (default 8)
-//	-iters       maximum iterations (default 5)
-//	-heuristic   PI traversal, by pigraph name: "Seq.", "High-Low",
-//	             "Low-High", "Max-Reuse", "Edge-Order" ("" = the engine
-//	             default, Max-Reuse planned for -slots and -execworkers)
-//	-partitioner "greedy", "range", or "hash"
-//	-sim         "cosine", "jaccard", "dice", "overlap"
-//	-workers     scoring goroutines (default 1)
-//	-execworkers phase-4 tape workers: shard the traversal plan across this many executors (default 1)
-//	-buildworkers phase-1/2 build workers: parallel state construction and
-//	             concurrent tuple producers with batched emit; output is
-//	             bit-identical at every count (default 1)
-//	-slots       resident-partition budget S per worker (default 2, the paper's model)
-//	-prefetch    async load lookahead depth; 0 = serial phase 4 (default 0)
-//	-writeback   write partition state back asynchronously (default false)
-//	-shardahead  tuple-shard read lookahead in pair steps; 0 = sync reads (default 0)
-//	-ondisk      use real files for partition state (default true)
-//	-emulate     enforce a disk model's latency on state I/O: "hdd", "ssd", "nvme" ("" = none)
-//	-netstore    run phase 4 over the sharded network state store:
-//	             "shards=N" starts an in-process loopback cluster of N
-//	             shards (one emulated spindle each under -emulate), or a
-//	             comma-separated address list connects to cmd/statestore
-//	             servers (addr i = shard i)
-//	-serveviews  publish per-partition serve views to the network store
-//	             after each committed iteration, so statestore replicas
-//	             and cmd/knnserve can answer point lookups mid-run
-//	             (requires -netstore)
-//	-staleness   incremental-maintenance threshold: every pass first
-//	             drains queued whole-user adds/deletes (PUT/DELETE
-//	             /v1/profile/{id} through knnserve, or the store's
-//	             mutation journal) through a cheap delta commit; the
-//	             full five-phase iteration then runs only while some
-//	             partition's drift score is ≥ this value (0 = always
-//	             iterate, the classic schedule)
-//	-iterretries the engine's store-retry budget (core.Options.StoreRetries;
-//	             network store runs): how many times one iteration
-//	             restarts its compute from phase 1, or re-issues a
-//	             drain or publish exchange, after a transient store
-//	             failure. The engine's ladder is the only one above the
-//	             client's per-op retries; raise the budget to ride out
-//	             a shard crash+restart mid-run. The "attempts" column
-//	             counts the compute attempts each iteration took
-//	             (0 = the engine default of 3)
-//	-dumpgraph   write the final KNN graph to this file, one sorted
-//	             neighbor line per user — deterministic, so two runs
-//	             (e.g. in-process vs -netstore) can be diffed byte for byte
-//	-scratch     directory the engine makes its private scratch
-//	             directory in ("" = the system temp dir); removed at exit
-//	-cpuprofile  write a runtime/pprof CPU profile of every iteration
-//	             after the first to this file
-//	-seed        RNG seed
-//	-recall      also compute exact KNN and report recall (O(n²))
+// Run `knnrun -help` for the flags; docs/OPERATIONS.md explains each
+// flag and every column of the iteration rows.
 package main
 
 import (
@@ -82,7 +25,7 @@ import (
 	"knnpc/internal/exact"
 	"knnpc/internal/graph"
 	"knnpc/internal/knn"
-	"knnpc/internal/partition"
+	"knnpc/internal/netstore"
 	"knnpc/internal/pigraph"
 	"knnpc/internal/profile"
 )
@@ -96,17 +39,16 @@ func main() {
 }
 
 // config is the parsed command line. The engine's own knobs bind
-// straight into opts; the selectors run resolves by name, and what
-// only knnrun itself consumes, sit beside it.
+// straight into opts and its strategy names into names; what only
+// knnrun itself consumes sits beside them.
 type config struct {
-	opts                        core.Options
-	users, items, iters         int
-	heuristic, partitioner, sim string
-	emulate                     string
-	netstore                    string
-	dumpGraph                   string
-	cpuProfile                  string
-	recall                      bool
+	opts                core.Options
+	names               core.Names
+	users, items, iters int
+	netstore            string
+	dumpGraph           string
+	cpuProfile          string
+	recall              bool
 }
 
 func parseFlags(args []string) config {
@@ -129,11 +71,11 @@ func parseFlags(args []string) config {
 	for _, h := range pigraph.AllHeuristics() {
 		heuristics = append(heuristics, strconv.Quote(h.Name()))
 	}
-	fs.StringVar(&cfg.heuristic, "heuristic", "", "PI traversal heuristic: "+strings.Join(heuristics, ", ")+" (empty = the engine default)")
-	fs.StringVar(&cfg.partitioner, "partitioner", "greedy", "partitioning strategy")
-	fs.StringVar(&cfg.sim, "sim", "cosine", "similarity measure")
+	fs.StringVar(&cfg.names.Heuristic, "heuristic", "", "PI traversal heuristic: "+strings.Join(heuristics, ", ")+" (empty = the engine default)")
+	fs.StringVar(&cfg.names.Partitioner, "partitioner", "greedy", "partitioning strategy")
+	fs.StringVar(&cfg.names.Similarity, "sim", "cosine", "similarity measure")
 	fs.BoolVar(&opts.OnDisk, "ondisk", true, "use real files for partition state")
-	fs.StringVar(&cfg.emulate, "emulate", "", "enforce a disk model's latency on state I/O: hdd, ssd, nvme (empty = none)")
+	fs.StringVar(&cfg.names.DiskModel, "emulate", "", "enforce a disk model's latency on state I/O: hdd, ssd, nvme (empty = none)")
 	fs.StringVar(&cfg.netstore, "netstore", "", `sharded network state store: "shards=N" (loopback cluster) or a comma-separated statestore address list (empty = in-process store)`)
 	fs.BoolVar(&opts.PublishViews, "serveviews", false, "publish serve views to the network store after each iteration (requires -netstore)")
 	fs.Float64Var(&opts.StalenessThreshold, "staleness", 0, "run a full iteration only at drift ≥ this score; add/delete deltas apply every pass (0 = always iterate)")
@@ -150,24 +92,8 @@ func parseFlags(args []string) config {
 
 func run(out io.Writer, cfg config) error {
 	opts := cfg.opts
-	if cfg.heuristic != "" {
-		h, ok := pigraph.HeuristicByName(cfg.heuristic, opts.Slots, opts.ExecWorkers)
-		if !ok {
-			return fmt.Errorf("unknown heuristic %q", cfg.heuristic)
-		}
-		opts.Heuristic = h
-	}
-	p, ok := partition.ByName(cfg.partitioner)
-	if !ok {
-		return fmt.Errorf("unknown partitioner %q", cfg.partitioner)
-	}
-	sim, ok := profile.ByName(cfg.sim)
-	if !ok {
-		return fmt.Errorf("unknown similarity %q", cfg.sim)
-	}
-	opts.Partitioner, opts.Similarity = p, sim
-	var err error
-	if opts.EmulateDisk, err = disk.ResolveModel(cfg.emulate); err != nil {
+	err := opts.Resolve(cfg.names)
+	if err != nil {
 		return err
 	}
 	if opts.NetStoreShards, opts.NetStoreAddrs, err = parseNetStore(cfg.netstore); err != nil {
@@ -195,7 +121,7 @@ func run(out io.Writer, cfg config) error {
 		netDesc = fmt.Sprintf("external/%d-shards", len(opts.NetStoreAddrs))
 	}
 	fmt.Fprintf(out, "engine: k=%d m=%d heuristic=%s partitioner=%s sim=%s workers=%d execworkers=%d buildworkers=%d slots=%d prefetch=%d writeback=%v shardahead=%d ondisk=%v netstore=%s\n\n",
-		opts.K, opts.NumPartitions, eng.Heuristic().Name(), p.Name(), sim.Name(), opts.Workers, opts.ExecWorkers, opts.BuildWorkers, opts.Slots, opts.PrefetchDepth, opts.AsyncWriteback, opts.ShardPrefetch, opts.OnDisk, netDesc)
+		opts.K, opts.NumPartitions, eng.Heuristic().Name(), opts.Partitioner.Name(), opts.Similarity.Name(), opts.Workers, opts.ExecWorkers, opts.BuildWorkers, opts.Slots, opts.PrefetchDepth, opts.AsyncWriteback, opts.ShardPrefetch, opts.OnDisk, netDesc)
 	fmt.Fprintln(out, "iter  phase1(part)  phase2(tuples)  phase3(pi)  phase4(score)  phase5(upd)  ops  reads  attached  builds  writes  collected  shards  creates  prefetched  async-wb  state-allocs  budget-peak  changed  attempts")
 	var profiling *os.File
 	defer func() {
@@ -289,7 +215,7 @@ func run(out io.Writer, cfg config) error {
 
 	if cfg.recall {
 		fmt.Fprintln(out, "\ncomputing exact KNN for recall (O(n²))...")
-		truth, err := exact.Compute(store, exact.Options{K: opts.K, Sim: sim, Workers: opts.Workers})
+		truth, err := exact.Compute(store, exact.Options{K: opts.K, Sim: opts.Similarity, Workers: opts.Workers})
 		if err != nil {
 			return err
 		}
@@ -300,7 +226,7 @@ func run(out io.Writer, cfg config) error {
 
 // parseNetStore interprets the -netstore flag: "" = in-process store,
 // "shards=N" = loopback cluster of N shards, anything else = a
-// comma-separated statestore address list in shard order.
+// statestore address list in shard order.
 func parseNetStore(v string) (shards int, addrs []string, err error) {
 	if v == "" {
 		return 0, nil, nil
@@ -312,12 +238,8 @@ func parseNetStore(v string) (shards int, addrs []string, err error) {
 		}
 		return shards, nil, nil
 	}
-	for _, a := range strings.Split(v, ",") {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			return 0, nil, fmt.Errorf("bad -netstore %q: empty address in list", v)
-		}
-		addrs = append(addrs, a)
+	if addrs, err = netstore.ParseAddrs(v); err != nil {
+		return 0, nil, fmt.Errorf("bad -netstore: %w", err)
 	}
 	return 0, addrs, nil
 }

@@ -10,39 +10,12 @@
 // and to the primary shards otherwise. Writes always go to the
 // primaries — replicas are read-only.
 //
-// Usage:
-//
-//	knnserve -listen 127.0.0.1:8080 -store 127.0.0.1:7701,127.0.0.1:7702 \
-//	         [-replicas 127.0.0.1:7801,127.0.0.1:7802] -partitions 8
-//
-//	-listen     HTTP listen address
-//	-store      comma-separated primary statestore addresses, in shard
-//	            order (same list knnrun -netstore uses)
-//	-replicas   comma-separated replica addresses (statestore
-//	            -replicaof); when set, lookups are served from here
-//	-partitions the engine's partition count m (must match the cluster)
-//	-maxinflight when positive, bound on concurrently served requests;
-//	            excess requests are shed with 503 + Retry-After
-//	            (/healthz and /v1/stats are exempt)
-//
-// Endpoints (JSON shapes are internal/api's v1 types, pinned by golden
-// tests; see docs/PROTOCOL.md):
-//
-//	GET  /v1/neighbors/{id}  api.NeighborsResponse
-//	GET  /v1/profile/{id}    api.ProfileResponse
-//	POST /v1/profile         api.UpdateRequest → 202 api.UpdateResponse,
-//	                         queued for the next phase 5
-//	GET  /v1/stats           api.StatsResponse: per-endpoint counts and
-//	                         p50/p90/p95/p99 from log-scale histograms
-//	GET  /healthz            per-tier reachability: "ok"/"degraded"
-//	                         (200 while anything can be served) or
-//	                         "unreachable" (503)
-//
-// Answers carry the epoch (committed engine iteration) they reflect;
-// a 404 means the user is not in any published view yet.
+// Run `knnserve -help` for the flags; docs/OPERATIONS.md explains each
+// and lists the endpoints, whose JSON shapes docs/PROTOCOL.md pins.
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -51,29 +24,19 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
+	"knnpc/internal/netstore"
 	"knnpc/internal/serve"
 )
 
 func main() {
-	if err := run(os.Stdout, os.Args[1:], waitForSignal()); err != nil {
+	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer cancel()
+	if err := run(os.Stdout, os.Args[1:], ctx.Done()); err != nil {
 		fmt.Fprintln(os.Stderr, "knnserve:", err)
 		os.Exit(1)
 	}
-}
-
-// waitForSignal returns a channel that closes on SIGINT/SIGTERM.
-func waitForSignal() <-chan struct{} {
-	done := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		<-sig
-		close(done)
-	}()
-	return done
 }
 
 // run starts the front end, announces the bound address on out, and
@@ -91,9 +54,19 @@ func run(out io.Writer, args []string, stop <-chan struct{}) error {
 	if *store == "" {
 		return errors.New("-store is required")
 	}
+	primaries, err := netstore.ParseAddrs(*store)
+	if err != nil {
+		return fmt.Errorf("-store: %w", err)
+	}
+	var readers []string
+	if *replicas != "" {
+		if readers, err = netstore.ParseAddrs(*replicas); err != nil {
+			return fmt.Errorf("-replicas: %w", err)
+		}
+	}
 	srv, err := serve.New(serve.Config{
-		Primaries:   splitList(*store),
-		Replicas:    splitList(*replicas),
+		Primaries:   primaries,
+		Replicas:    readers,
 		Partitions:  *partitions,
 		MaxInflight: *maxInflight,
 	})
@@ -120,19 +93,4 @@ func run(out io.Writer, args []string, stop <-chan struct{}) error {
 	case err := <-done:
 		return err
 	}
-}
-
-// splitList is a forgiving comma split ("" → nil); address validation
-// happens when the netstore client dials.
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }

@@ -115,6 +115,32 @@ func TestRunServesHTTP(t *testing.T) {
 	}
 }
 
+// TestRunRefusesEmptyAddress: a doubled comma in -store or -replicas
+// fails instead of silently dropping the entry, which would dial a
+// client with one shard fewer and shift every later shard's range.
+func TestRunRefusesEmptyAddress(t *testing.T) {
+	cluster, err := netstore.StartCluster(2, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	live := strings.Join(cluster.Addrs(), ",")
+	gapped := strings.Join(cluster.Addrs(), ",,")
+
+	var out safeBuffer
+	stop := make(chan struct{})
+	close(stop)
+	for _, args := range [][]string{
+		{"-store", gapped},
+		{"-store", live, "-replicas", gapped},
+	} {
+		args = append(args, "-listen", "127.0.0.1:0", "-partitions", "2")
+		if err := run(&out, args, stop); err == nil || !strings.Contains(err.Error(), "empty address") {
+			t.Errorf("%q: err = %v, want an empty-address error", args, err)
+		}
+	}
+}
+
 // safeBuffer is a mutex-guarded bytes.Buffer shared between run's
 // writer goroutine and the polling test reader.
 type safeBuffer struct {

@@ -3,54 +3,24 @@
 // one shard owning a contiguous partition range; give every shard its
 // own process/machine/disk in production, or list several addresses to
 // host a small cluster in one process (each shard still gets its own
-// emulated spindle).
+// emulated spindle). With -replicaof, the same process instead serves
+// read replicas, each listen address shadowing the corresponding
+// primary shard.
 //
-// With -replicaof, the same process instead serves read replicas:
-// each listen address shadows the corresponding primary shard, caching
-// its published serve views with epoch-based invalidation and
-// answering only the read verbs (EPOCH/GETVIEW/NEIGHBORS/PROFILE).
-//
-// Usage:
-//
-//	statestore -listen 127.0.0.1:7701,127.0.0.1:7702 -partitions 8 [-emulate hdd]
-//	statestore -listen 127.0.0.1:7801,127.0.0.1:7802 -replicaof 127.0.0.1:7701,127.0.0.1:7702 -partitions 8
-//
-//	-listen     comma-separated listen addresses, one per shard, in
-//	            shard order (the same order knnrun -netstore expects)
-//	-replicaof  comma-separated primary shard addresses; turns this
-//	            process into read replicas, -listen[i] shadowing
-//	            -replicaof[i]
-//	-partitions the engine's partition count m (must match the client)
-//	-emulate    per-shard emulated device model: "hdd", "ssd", "nvme"
-//	            ("" = serve at host speed)
-//	-datadir    root durability directory; each shard journals its
-//	            mutations to <datadir>/shard<i>/journal and replays
-//	            it on restart (see docs/PROTOCOL.md)
-//	-shard      cluster-wide index of the first listed address — set
-//	            with -shards when this process hosts a slice of a
-//	            larger cluster, so one shard can restart alone
-//	-shards     cluster-wide shard count (0 = the -listen list is the
-//	            whole cluster)
-//	-faults     seeded fault-injection spec, e.g.
-//	            "seed=42,drop=0.01,delay=0.05,maxdelay=5ms,torn=0.005";
-//	            see internal/fault.ParseSpec for every key
-//
-// The process prints one "shard i/N partitions [lo,hi) listening on
-// addr" line per shard (replicas print "replica" instead of "shard"),
-// with -faults a "fault plan ... digest ..." line pinning the decision
-// stream (same seed ⇒ same digest ⇒ same fault sequence), and a final
-// "ready" line once every listener is bound, then serves until
-// SIGINT/SIGTERM.
+// The process prints one "listening on" line per shard or replica and a
+// final "ready" line once every listener is bound, then serves until
+// SIGINT/SIGTERM. Run `statestore -help` for the flags;
+// docs/OPERATIONS.md explains each and the bring-up order of a cluster.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"knnpc/internal/disk"
@@ -59,22 +29,12 @@ import (
 )
 
 func main() {
-	if err := run(os.Stdout, os.Args[1:], waitForSignal()); err != nil {
+	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer cancel()
+	if err := run(os.Stdout, os.Args[1:], ctx.Done()); err != nil {
 		fmt.Fprintln(os.Stderr, "statestore:", err)
 		os.Exit(1)
 	}
-}
-
-// waitForSignal returns a channel that closes on SIGINT/SIGTERM.
-func waitForSignal() <-chan struct{} {
-	done := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		<-sig
-		close(done)
-	}()
-	return done
 }
 
 // run starts the shards, announces readiness on out, and serves until
@@ -96,9 +56,9 @@ func run(out io.Writer, args []string, stop <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	addrs, err := splitAddrs("-listen", *listen)
+	addrs, err := netstore.ParseAddrs(*listen)
 	if err != nil {
-		return err
+		return fmt.Errorf("-listen: %w", err)
 	}
 	var plan *fault.Plan
 	if *faults != "" {
@@ -120,9 +80,9 @@ func run(out io.Writer, args []string, stop <-chan struct{}) error {
 		if *dataDir != "" {
 			return fmt.Errorf("-datadir applies to primary shards only (replicas rebuild their cache from the primary)")
 		}
-		primaries, err := splitAddrs("-replicaof", *replicaOf)
+		primaries, err := netstore.ParseAddrs(*replicaOf)
 		if err != nil {
-			return err
+			return fmt.Errorf("-replicaof: %w", err)
 		}
 		var ropts netstore.ReplicaSetOptions
 		if plan != nil {
@@ -169,19 +129,4 @@ func run(out io.Writer, args []string, stop <-chan struct{}) error {
 	<-stop
 	fmt.Fprintln(out, "statestore: shutting down")
 	return nil
-}
-
-// splitAddrs parses a comma-separated address list, rejecting empties —
-// a silently dropped (or worse, default-bound) shard would shift every
-// later shard's partition range.
-func splitAddrs(flagName, list string) ([]string, error) {
-	var addrs []string
-	for _, a := range strings.Split(list, ",") {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			return nil, fmt.Errorf("empty address in %s %q", flagName, list)
-		}
-		addrs = append(addrs, a)
-	}
-	return addrs, nil
 }

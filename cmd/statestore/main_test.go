@@ -209,16 +209,19 @@ func (b *safeBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestRunRejectsEmptyListenEntry: a trailing/doubled comma must fail
-// loudly — a silently dropped or default-bound shard would shift every
-// later shard's partition range.
+// TestRunRejectsEmptyListenEntry: -listen and -replicaof read their
+// lists with netstore.ParseAddrs, whose test holds the list cases, so
+// a doubled comma fails instead of shifting every later shard's range.
 func TestRunRejectsEmptyListenEntry(t *testing.T) {
 	var out safeBuffer
 	stop := make(chan struct{})
 	close(stop)
-	for _, bad := range []string{"127.0.0.1:0,", ",127.0.0.1:0", "127.0.0.1:0,,127.0.0.1:0"} {
-		if err := run(&out, []string{"-listen", bad}, stop); err == nil {
-			t.Errorf("-listen %q accepted", bad)
+	for _, args := range [][]string{
+		{"-listen", "127.0.0.1:0,,127.0.0.1:0"},
+		{"-listen", "127.0.0.1:0,127.0.0.1:0", "-replicaof", "127.0.0.1:1,,127.0.0.1:2"},
+	} {
+		if err := run(&out, args, stop); err == nil || !strings.Contains(err.Error(), "empty address") {
+			t.Errorf("%q: err = %v, want an empty-address error", args, err)
 		}
 	}
 }

@@ -35,14 +35,6 @@ import (
 // a few hundred microseconds of work.
 const emitBatch = 4096
 
-// buildWorkerCount resolves the effective build-side pool width.
-func (e *Engine) buildWorkerCount() int {
-	if e.opts.BuildWorkers > 1 {
-		return e.opts.BuildWorkers
-	}
-	return 1
-}
-
 // runBuildTasks executes the tasks on a pool of at most workers
 // goroutines. The first error cancels the task context, remaining
 // tasks are skipped, and every started task has returned before
@@ -166,7 +158,7 @@ func (b *emitBatcher) flush() error {
 // tuple streams produced concurrently on the build pool, all emitting
 // into H through batched adds.
 func (e *Engine) populateTable(ctx context.Context, dg *graph.Digraph, parts []*partition.Data, table tupleSink) error {
-	workers := e.buildWorkerCount()
+	workers := e.opts.BuildWorkers
 	tasks := make([]func(context.Context) error, 0, len(parts)+2*workers)
 
 	// One bridge generator per partition: every bridge vertex lives in

@@ -213,12 +213,3 @@ func TestBuildCancelMidPhase2(t *testing.T) {
 		t.Errorf("canceled build still added %d tuples — not prompt", added)
 	}
 }
-
-// TestBuildWorkersValidation rejects a negative pool width at
-// construction, like every other worker knob.
-func TestBuildWorkersValidation(t *testing.T) {
-	store := testStore(t, 20, 1)
-	if _, err := New(store, Options{K: 3, BuildWorkers: -1}); err == nil {
-		t.Error("BuildWorkers=-1 accepted")
-	}
-}

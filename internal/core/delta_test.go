@@ -469,13 +469,9 @@ func TestDeltaCommitWindowSurvivesFailedApply(t *testing.T) {
 	}
 }
 
-// TestDeltaValidation: negative thresholds are rejected; ApplyDeltas
-// on a closed engine fails.
+// TestDeltaValidation: ApplyDeltas on a closed engine fails.
 func TestDeltaValidation(t *testing.T) {
 	store := testStore(t, 10, 1)
-	if _, err := New(store, Options{K: 3, StalenessThreshold: -1}); err == nil {
-		t.Error("negative staleness threshold should fail")
-	}
 	eng, err := New(store, Options{K: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -69,6 +69,8 @@ func referenceIterate(t *testing.T, g *graph.KNN, store *profile.Store, sim prof
 	return next
 }
 
+// TestNewValidation: New refuses a missing store and options that
+// break a rule (TestOptionsValidate holds the rules).
 func TestNewValidation(t *testing.T) {
 	store := testStore(t, 10, 1)
 	if _, err := New(nil, Options{K: 3}); err == nil {
@@ -76,12 +78,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(store, Options{K: 0}); err == nil {
 		t.Error("K=0 should fail")
-	}
-	if _, err := New(store, Options{K: 3, NumPartitions: 1}); err == nil {
-		t.Error("m=1 should fail")
-	}
-	if _, err := New(profile.NewStore(1), Options{K: 3}); err == nil {
-		t.Error("single user should fail")
 	}
 }
 

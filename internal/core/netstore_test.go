@@ -316,18 +316,10 @@ func TestNetStoreShardDiesMidPhase4(t *testing.T) {
 	}
 }
 
-// TestNetStoreOptionValidation rejects nonsensical store configs.
+// TestNetStoreOptionValidation: New refuses store addresses it cannot
+// dial; TestOptionsValidate holds the store options' rules.
 func TestNetStoreOptionValidation(t *testing.T) {
 	store := testStore(t, 30, 1)
-	if _, err := New(store, Options{K: 3, NetStoreShards: -1}); err == nil {
-		t.Error("negative shard count accepted")
-	}
-	if _, err := New(store, Options{K: 3, NetStoreShards: 2, NetStoreAddrs: []string{"x"}}); err == nil {
-		t.Error("NetStoreShards together with NetStoreAddrs accepted")
-	}
-	if _, err := New(store, Options{K: 3, NumPartitions: 4, NetStoreShards: 5}); err == nil {
-		t.Error("more shards than partitions accepted")
-	}
 	if _, err := New(store, Options{K: 3, NetStoreAddrs: []string{"127.0.0.1:1"}}); err == nil {
 		t.Error("dial of a dead address succeeded")
 	}

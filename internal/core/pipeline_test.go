@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"knnpc/internal/disk"
 	"knnpc/internal/graph"
 	"knnpc/internal/pigraph"
 )
@@ -148,23 +147,6 @@ func TestPrefetchChargesMemoryBudget(t *testing.T) {
 	}
 	if eng.budget.Peak() == 0 {
 		t.Fatal("budget never charged")
-	}
-}
-
-// TestPipelineOptionValidation rejects bad budgets at construction.
-func TestPipelineOptionValidation(t *testing.T) {
-	store := testStore(t, 20, 1)
-	if _, err := New(store, Options{K: 3, Slots: 1}); err == nil {
-		t.Error("Slots=1 accepted")
-	}
-	if _, err := New(store, Options{K: 3, PrefetchDepth: -1}); err == nil {
-		t.Error("PrefetchDepth=-1 accepted")
-	}
-	if _, err := New(store, Options{K: 3, ShardPrefetch: -1}); err == nil {
-		t.Error("ShardPrefetch=-1 accepted")
-	}
-	if _, err := New(store, Options{K: 3, EmulateDisk: &disk.HDD}); err == nil {
-		t.Error("EmulateDisk without OnDisk accepted")
 	}
 }
 

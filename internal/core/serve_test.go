@@ -429,20 +429,6 @@ func weightOf(v profile.Vector, item uint32) float32 {
 	return w
 }
 
-// TestServeOptionValidation rejects serving configs that cannot work.
-func TestServeOptionValidation(t *testing.T) {
-	store := testStore(t, 30, 1)
-	if _, err := New(store, Options{K: 3, PublishViews: true}); err == nil {
-		t.Error("PublishViews without a network store accepted")
-	}
-	if _, err := New(store, Options{K: 3, NetStoreReplicas: true, PublishViews: true}); err == nil {
-		t.Error("NetStoreReplicas without NetStoreShards accepted")
-	}
-	if _, err := New(store, Options{K: 3, NetStoreShards: 2, NetStoreReplicas: true}); err == nil {
-		t.Error("NetStoreReplicas without PublishViews accepted")
-	}
-}
-
 // TestQueryBeforeFirstIterate: epoch 0 queries answer from the seed
 // graph and P(0) — the serving tier is live from construction.
 func TestQueryBeforeFirstIterate(t *testing.T) {

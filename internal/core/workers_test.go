@@ -254,15 +254,6 @@ func TestCancelMidPhase4(t *testing.T) {
 	}
 }
 
-// TestExecWorkersValidation rejects a negative worker count at
-// construction, like every other phase-4 budget.
-func TestExecWorkersValidation(t *testing.T) {
-	store := testStore(t, 20, 1)
-	if _, err := New(store, Options{K: 3, ExecWorkers: -1}); err == nil {
-		t.Error("ExecWorkers=-1 accepted")
-	}
-}
-
 // armSpy wraps a partition store to observe what phase 4 arms it with:
 // the planned loads, and every emitted partition — optionally calling
 // onEmit at each emission, before the rows are written.
@@ -319,11 +310,8 @@ func TestPartStoreAllocatesOneStatePerSlot(t *testing.T) {
 // Phase 1's builds over a network store hold at most BuildWorkers more.
 func checkStateAllocs(t *testing.T, name string, opts Options, st *IterationStats) {
 	t.Helper()
-	writebacks := 0
-	if opts.AsyncWriteback {
-		writebacks = max(1, opts.PrefetchDepth)
-	}
-	bound := int64(st.ExecWorkers*(opts.Slots+opts.PrefetchDepth+writebacks) + st.BuildWorkers)
+	exec := opts.execOptions()
+	bound := int64(st.ExecWorkers*(exec.Slots+exec.PrefetchDepth+exec.WritebackDepth) + st.BuildWorkers)
 	if st.StateAllocs <= 0 || st.StateAllocs > bound {
 		t.Errorf("%s: %d states allocated for %d loads, want 1..%d", name, st.StateAllocs, st.Loads, bound)
 	}

@@ -19,6 +19,9 @@ import (
 // instead each access adds its modeled duration to a debt and the
 // device sleeps only when ≥ 1ms is owed, crediting back the actually
 // elapsed time, so aggregate device time stays exact.
+//
+// A nil *Device is valid everywhere and adds no latency, so callers
+// plumb one pointer without nil checks.
 type Device struct {
 	model Model
 	name  string
@@ -33,13 +36,6 @@ type Device struct {
 	// critical section includes the modeled sleep). See fault.go.
 	hookMu sync.Mutex
 	hook   FaultHook
-}
-
-// NewDevice returns an emulated device for the model. A nil receiver is
-// valid everywhere and adds no latency, so callers plumb one pointer
-// without nil checks.
-func NewDevice(m Model) *Device {
-	return &Device{model: m}
 }
 
 // NewNamedDevice returns an emulated device labeled for per-spindle

@@ -116,14 +116,17 @@ func TestModelThroughput(t *testing.T) {
 }
 
 func TestModelByName(t *testing.T) {
+	if m, err := ResolveModel(""); m != nil || err != nil {
+		t.Errorf(`ResolveModel("") = %v, %v; want no model`, m, err)
+	}
 	for _, name := range []string{"hdd", "ssd", "nvme"} {
-		m, ok := ModelByName(name)
-		if !ok || m.Name != name {
-			t.Errorf("ModelByName(%q) = %v, %v", name, m, ok)
+		m, err := ResolveModel(name)
+		if err != nil || m.Name != name {
+			t.Errorf("ResolveModel(%q) = %v, %v", name, m, err)
 		}
 	}
-	if _, ok := ModelByName("floppy"); ok {
-		t.Error("unknown model should report false")
+	if _, err := ResolveModel("floppy"); err == nil {
+		t.Error("unknown model should fail")
 	}
 }
 
@@ -547,7 +550,7 @@ func TestDeviceNilAndDebt(t *testing.T) {
 	nilDev.Read(1 << 20)  // must not panic
 	nilDev.Write(1 << 20) // must not panic
 
-	dev := NewDevice(Model{Name: "test", SeekLatency: 100 * time.Microsecond, ReadBandwidth: 1 << 30, WriteBandwidth: 1 << 30})
+	dev := NewNamedDevice(Model{Name: "test", SeekLatency: 100 * time.Microsecond, ReadBandwidth: 1 << 30, WriteBandwidth: 1 << 30}, "")
 	start := time.Now()
 	for i := 0; i < 20; i++ {
 		dev.Read(0)
@@ -578,7 +581,7 @@ func TestDeviceNilAndDebt(t *testing.T) {
 // or credited one accessor's sleep to another, would finish early).
 func TestDeviceDebtExactUnderConcurrency(t *testing.T) {
 	model := Model{Name: "test", SeekLatency: 200 * time.Microsecond, ReadBandwidth: 1 << 30, WriteBandwidth: 1 << 30}
-	dev := NewDevice(model)
+	dev := NewNamedDevice(model, "")
 	const goroutines, accesses = 8, 40
 	perOp := model.SeekLatency // zero-byte ops cost exactly one seek
 

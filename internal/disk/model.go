@@ -52,29 +52,20 @@ var (
 // ResolveModel resolves a preset model name for configuration
 // plumbing: "" means no model (nil), anything else must name a preset.
 func ResolveModel(name string) (*Model, error) {
-	if name == "" {
+	var m Model
+	switch name {
+	case "":
 		return nil, nil
-	}
-	m, ok := ModelByName(name)
-	if !ok {
+	case "hdd":
+		m = HDD
+	case "ssd":
+		m = SSD
+	case "nvme":
+		m = NVMe
+	default:
 		return nil, fmt.Errorf("disk: unknown disk model %q", name)
 	}
 	return &m, nil
-}
-
-// ModelByName returns a preset model by name, reporting false for
-// unknown names.
-func ModelByName(name string) (Model, bool) {
-	switch name {
-	case "hdd":
-		return HDD, true
-	case "ssd":
-		return SSD, true
-	case "nvme":
-		return NVMe, true
-	default:
-		return Model{}, false
-	}
 }
 
 // EstimateTime projects the measured counters onto the model:

@@ -80,31 +80,6 @@ func (g *Digraph) AddEdge(src, dst uint32) bool {
 	return true
 }
 
-// RemoveEdge deletes the arc (src, dst), reporting whether it existed.
-func (g *Digraph) RemoveEdge(src, dst uint32) bool {
-	if int(src) >= len(g.out) {
-		return false
-	}
-	lst := g.out[src]
-	for i, v := range lst {
-		if v == dst {
-			lst[i] = lst[len(lst)-1]
-			g.out[src] = lst[:len(lst)-1]
-			g.m--
-			return true
-		}
-	}
-	return false
-}
-
-// OutDegree reports the out-degree of u.
-func (g *Digraph) OutDegree(u uint32) int {
-	if int(u) >= len(g.out) {
-		return 0
-	}
-	return len(g.out[u])
-}
-
 // OutNeighbors returns the out-neighbor list of u. The returned slice is
 // a view into the graph's internal storage: callers must not mutate it
 // and must not retain it across mutations of the graph.
@@ -169,15 +144,6 @@ func (g *Digraph) SortAdjacency() {
 	for _, nbrs := range g.out {
 		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
 	}
-}
-
-// OutDegrees returns the out-degree of every node.
-func (g *Digraph) OutDegrees() []int {
-	degs := make([]int, len(g.out))
-	for u := range g.out {
-		degs[u] = len(g.out[u])
-	}
-	return degs
 }
 
 // InDegrees returns the in-degree of every node.

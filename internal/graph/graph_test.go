@@ -30,18 +30,6 @@ func TestDigraphAddRemove(t *testing.T) {
 	if g.HasEdge(2, 3) {
 		t.Error("HasEdge(2,3) should be false")
 	}
-	if !g.RemoveEdge(0, 1) {
-		t.Error("RemoveEdge(0,1) should report true")
-	}
-	if g.RemoveEdge(0, 1) {
-		t.Error("RemoveEdge(0,1) twice should report false")
-	}
-	if g.HasEdge(0, 1) {
-		t.Error("edge (0,1) should be gone after removal")
-	}
-	if got := g.NumEdges(); got != 1 {
-		t.Fatalf("NumEdges after removal = %d, want 1", got)
-	}
 }
 
 func TestDigraphOutOfRange(t *testing.T) {
@@ -55,11 +43,8 @@ func TestDigraphOutOfRange(t *testing.T) {
 	if g.NumEdges() != 0 {
 		t.Error("out-of-range adds must not change edge count")
 	}
-	if g.OutDegree(9) != 0 || g.OutNeighbors(9) != nil {
+	if g.OutNeighbors(9) != nil {
 		t.Error("queries on out-of-range nodes should be empty")
-	}
-	if g.RemoveEdge(9, 0) {
-		t.Error("RemoveEdge on out-of-range src should report false")
 	}
 }
 
@@ -113,9 +98,6 @@ func TestDegreeAccessors(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
 	g.AddEdge(3, 1)
-	if got := g.OutDegrees(); !reflect.DeepEqual(got, []int{2, 0, 0, 1}) {
-		t.Errorf("OutDegrees = %v", got)
-	}
 	if got := g.InDegrees(); !reflect.DeepEqual(got, []int{0, 2, 1, 0}) {
 		t.Errorf("InDegrees = %v", got)
 	}

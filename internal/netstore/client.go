@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -132,6 +133,20 @@ type shardConn struct {
 	mu   sync.Mutex
 	conn net.Conn
 	rng  *rand.Rand // backoff jitter; guarded by mu
+}
+
+// ParseAddrs reads a comma-separated address list in shard order, the
+// form every binary's shard-list flag takes. It trims spaces around
+// each address and refuses an empty entry: a dropped shard would shift
+// every later shard's partition range.
+func ParseAddrs(list string) ([]string, error) {
+	addrs := strings.Split(list, ",")
+	for i, a := range addrs {
+		if addrs[i] = strings.TrimSpace(a); addrs[i] == "" {
+			return nil, fmt.Errorf("netstore: empty address in list %q", list)
+		}
+	}
+	return addrs, nil
 }
 
 // Dial connects to one server per address; addrs[i] must be the shard

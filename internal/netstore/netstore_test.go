@@ -3,6 +3,7 @@ package netstore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -288,5 +289,27 @@ func TestConcurrentClientsAcrossShards(t *testing.T) {
 	}
 	if want := 2 * parts * 5; total != want {
 		t.Fatalf("collected %d partials, want %d", total, want)
+	}
+}
+
+// TestParseAddrs: a shard list keeps its order and trims spaces, and
+// any empty entry — leading, trailing, doubled or the whole list —
+// fails, since dropping it would shift every later shard's range.
+func TestParseAddrs(t *testing.T) {
+	for list, want := range map[string][]string{
+		"127.0.0.1:7701":          {"127.0.0.1:7701"},
+		"h1:1, h2:2":              {"h1:1", "h2:2"},
+		" b:2 ,a:1,c:3 ":          {"b:2", "a:1", "c:3"},
+		"127.0.0.1:0,127.0.0.1:0": {"127.0.0.1:0", "127.0.0.1:0"},
+	} {
+		got, err := ParseAddrs(list)
+		if err != nil || !slices.Equal(got, want) {
+			t.Errorf("ParseAddrs(%q) = %q, %v; want %q", list, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", " ", "127.0.0.1:0,", ",127.0.0.1:0", "127.0.0.1:0,,127.0.0.1:0", "a, ,b"} {
+		if got, err := ParseAddrs(bad); err == nil {
+			t.Errorf("ParseAddrs(%q) = %q, want an error", bad, got)
+		}
 	}
 }

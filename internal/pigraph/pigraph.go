@@ -143,21 +143,6 @@ func (g *PIGraph) Neighbors(i uint32) []uint32 {
 	return out
 }
 
-// TotalWeight reports the summed tuple weight over all edges and self
-// weights.
-func (g *PIGraph) TotalWeight() int64 {
-	var total int64
-	for i := range g.adj {
-		for j, w := range g.adj[i] {
-			if uint32(i) < j {
-				total += w
-			}
-		}
-		total += g.self[i]
-	}
-	return total
-}
-
 // LowerBound reports a simple lower bound on the load/unload operations
 // any two-slot schedule must perform: every partition with work must be
 // loaded at least once and unloaded at least once, and beyond the first

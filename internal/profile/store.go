@@ -64,16 +64,6 @@ func (s *Store) Vectors() []Vector {
 	return append([]Vector(nil), s.vecs...)
 }
 
-// TotalBytes reports the summed encoded size of all profiles, used to
-// size partitions against the memory budget.
-func (s *Store) TotalBytes() int {
-	total := 0
-	for _, v := range s.vecs {
-		total += v.ByteSize()
-	}
-	return total
-}
-
 // UpdateKind discriminates the operations a queued profile update can
 // carry.
 type UpdateKind int

@@ -38,17 +38,6 @@ func TestStoreCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestStoreTotalBytes(t *testing.T) {
-	s := NewStore(2)
-	s.Set(0, mustVector(t, Entry{1, 1}, Entry{2, 2}))
-	s.Set(1, mustVector(t, Entry{3, 3}))
-	// vector byte size = 4 + 8*len
-	want := (4 + 16) + (4 + 8)
-	if got := s.TotalBytes(); got != want {
-		t.Errorf("TotalBytes = %d, want %d", got, want)
-	}
-}
-
 func TestUpdateQueueLazyApply(t *testing.T) {
 	s := NewStore(2)
 	s.Set(0, mustVector(t, Entry{1, 1}))

@@ -30,12 +30,9 @@ import (
 	"time"
 
 	"knnpc/internal/core"
-	"knnpc/internal/disk"
 	"knnpc/internal/exact"
 	"knnpc/internal/graph"
 	"knnpc/internal/knn"
-	"knnpc/internal/partition"
-	"knnpc/internal/pigraph"
 	"knnpc/internal/profile"
 )
 
@@ -222,32 +219,15 @@ func (c Config) engineOptions() (core.Options, error) {
 		StalenessThreshold: c.StalenessThreshold,
 		Seed:               c.Seed,
 	}
-	if c.PartitionStrategy != "" {
-		p, ok := partition.ByName(c.PartitionStrategy)
-		if !ok {
-			return opts, fmt.Errorf("knnpc: unknown partition strategy %q", c.PartitionStrategy)
-		}
-		opts.Partitioner = p
-	}
-	if c.Heuristic != "" {
-		h, ok := pigraph.HeuristicByName(c.Heuristic, c.Slots, c.ExecWorkers)
-		if !ok {
-			return opts, fmt.Errorf("knnpc: unknown heuristic %q", c.Heuristic)
-		}
-		opts.Heuristic = h
-	}
-	if c.Similarity != "" {
-		s, ok := profile.ByName(c.Similarity)
-		if !ok {
-			return opts, fmt.Errorf("knnpc: unknown similarity %q", c.Similarity)
-		}
-		opts.Similarity = s
-	}
-	m, err := disk.ResolveModel(c.EmulateDisk)
+	err := opts.Resolve(core.Names{
+		Partitioner: c.PartitionStrategy,
+		Heuristic:   c.Heuristic,
+		Similarity:  c.Similarity,
+		DiskModel:   c.EmulateDisk,
+	})
 	if err != nil {
 		return opts, fmt.Errorf("knnpc: %w", err)
 	}
-	opts.EmulateDisk = m
 	return opts, nil
 }
 
@@ -574,15 +554,11 @@ func ExactNeighbors(profiles [][]Item, cfg Config) ([][]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim := profile.Similarity(profile.Cosine{})
-	if cfg.Similarity != "" {
-		s, ok := profile.ByName(cfg.Similarity)
-		if !ok {
-			return nil, fmt.Errorf("knnpc: unknown similarity %q", cfg.Similarity)
-		}
-		sim = s
+	var opts core.Options
+	if err := opts.Resolve(core.Names{Similarity: cfg.Similarity}); err != nil {
+		return nil, fmt.Errorf("knnpc: %w", err)
 	}
-	g, err := exact.Compute(store, exact.Options{K: cfg.K, Sim: sim, Workers: cfg.Workers})
+	g, err := exact.Compute(store, exact.Options{K: cfg.K, Sim: opts.Similarity, Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}

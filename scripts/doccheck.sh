@@ -22,6 +22,14 @@ PACKAGES=(
   internal/serve
   internal/load
   internal/lint
+  internal/disk
+  internal/graph
+  internal/profile
+  internal/partition
+  internal/knn
+  internal/dataset
+  internal/exact
+  internal/nndescent
 )
 
 go run ./scripts/doccheck "${PACKAGES[@]}" README.md docs/*.md Makefile .github/workflows/*.yml
