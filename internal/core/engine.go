@@ -123,20 +123,11 @@ func New(store *profile.Store, opts Options) (*Engine, error) {
 		deltaAssign:  make(map[uint32]int),
 		deltaMembers: make(map[int][]uint32),
 	}
-	// fail releases everything a partially built engine acquired.
+	// fail releases everything a partially built engine acquired;
+	// e.profiles is still memCanonical, which holds nothing to close. The
+	// construction error is the one to report, so Close's is dropped.
 	fail := func(err error) (*Engine, error) {
-		if e.replicas != nil {
-			e.replicas.Close()
-		}
-		if e.netClient != nil {
-			e.netClient.Close()
-		}
-		if e.netCluster != nil {
-			e.netCluster.Close()
-		}
-		if e.scratch != nil {
-			e.scratch.Close()
-		}
+		_ = e.Close()
 		return nil, err
 	}
 	if opts.EmulateDisk != nil && opts.OnDisk {
@@ -903,8 +894,6 @@ func (s *phase4Shared) workerCallbacks(index int) pigraph.Callbacks {
 		scorer:   knn.Scorer{Sim: s.engine.opts.Similarity, Workers: s.engine.opts.Workers},
 		resident: make([]*partState, s.assign.NumPartitions()),
 	}
-	// No Load/Unload: the executor composes a synchronous load from
-	// Fetch+Commit and a synchronous unload from Evict+Flush.
 	return pigraph.Callbacks{
 		Pair:      w.pair,
 		Self:      func(id uint32) error { return w.pair(id, id) },

@@ -3,14 +3,17 @@ package pigraph
 import "fmt"
 
 // Callbacks receive the events of a schedule execution. Nil callbacks
-// are skipped, so a pure simulation passes the zero value. The engine's
+// are no-ops, so a pure simulation passes the zero value. The engine's
 // phase 4 passes real partition I/O here, which is what guarantees the
-// engine's measured load/unload count equals the simulated one.
+// engine's measured load/unload count equals the simulated one. The
+// executor runs every load as Fetch then Commit and every unload as
+// Evict then Flush.
 type Callbacks struct {
-	// Load is called when partition p is brought into a memory slot.
-	Load func(p uint32) error
-	// Unload is called when partition p is evicted (or flushed at the
-	// end of the run).
+	// Load and Unload are the synchronous shorthand, kept while the
+	// benchmark harness names them: Load stands for a Fetch that loads p
+	// and a no-op Commit when either of that pair is nil, Unload for a
+	// no-op Evict and a Flush that unloads p when either of that pair is.
+	Load   func(p uint32) error
 	Unload func(p uint32) error
 	// Pair is called with both partitions resident to process the
 	// tuple shards of the unordered pair {primary, peer}.
@@ -18,21 +21,16 @@ type Callbacks struct {
 	// Self is called with p resident to process p's self-shard.
 	Self func(p uint32) error
 
-	// Fetch and Commit split Load into an asynchronous half and a
-	// synchronous half for pipelined execution (ExecOptions with
-	// PrefetchDepth > 0). Fetch reads partition p off the storage
-	// medium WITHOUT making it resident; the executor may run it on a
-	// background goroutine concurrently with Pair/Self/Unload of other
-	// partitions (never concurrently with a write-back of p itself —
-	// the executor orders each fetch after the completion of the
-	// write-back that precedes it on the tape, even when that write
-	// runs asynchronously). Commit makes the fetched value resident; it
-	// runs on the executor's cursor, serialized with every other
-	// cursor-side callback.
-	//
-	// When either is nil, or PrefetchDepth is 0, every load runs
-	// synchronously at its tape position: through Load, or — when Load
-	// is nil — as Fetch followed by Commit on the cursor.
+	// Fetch and Commit are the two halves of a load. Fetch reads
+	// partition p off the storage medium WITHOUT making it resident;
+	// with PrefetchDepth > 0 the executor may run it on a background
+	// goroutine concurrently with Pair/Self/Evict of other partitions
+	// (never concurrently with a write-back of p itself — the executor
+	// orders each fetch after the completion of the write-back that
+	// precedes it on the tape, even when that write runs
+	// asynchronously). Commit makes the fetched value resident; it runs
+	// on the executor's cursor, serialized with every other cursor-side
+	// callback.
 	Fetch  func(p uint32) (any, error)
 	Commit func(p uint32, data any) error
 	// Discard releases a successfully fetched value that will never be
@@ -45,24 +43,19 @@ type Callbacks struct {
 	// release them here.
 	Discard func(p uint32, data any)
 
-	// Evict and Flush split Unload into a synchronous half and an
-	// asynchronous half — the write-back analogue of Fetch/Commit —
-	// for ExecOptions with WritebackDepth > 0. Evict removes partition
-	// p from residency and returns the payload to be written back; it
-	// runs on the executor's cursor at the unload's tape position, so
-	// the Loads/Unloads accounting is untouched. Flush writes the
-	// evicted payload to the storage medium; the executor runs it on a
-	// background goroutine, bounded to WritebackDepth writes in flight,
-	// concurrently with any cursor work and with fetches of OTHER
-	// partitions. A load of p never observes a pending flush of p (the
-	// write-back hazard): the executor blocks that load — or its
-	// background fetch — until the flush lands, and surfaces the
-	// flush's error there. Every flush completes before ExecuteParallel
-	// returns.
-	//
-	// When either is nil, or WritebackDepth is 0, every unload runs
-	// synchronously at its tape position: through Unload, or — when
-	// Unload is nil — as Evict followed by Flush on the cursor.
+	// Evict and Flush are the two halves of an unload — the write-back
+	// analogue of Fetch/Commit. Evict removes partition p from
+	// residency and returns the payload to be written back; it runs on
+	// the executor's cursor at the unload's tape position, so the
+	// Loads/Unloads accounting is untouched. Flush writes the evicted
+	// payload to the storage medium; with WritebackDepth > 0 the
+	// executor runs it on a background goroutine, bounded to
+	// WritebackDepth writes in flight, concurrently with any cursor
+	// work and with fetches of OTHER partitions. A load of p never
+	// observes a pending flush of p (the write-back hazard): the
+	// executor blocks that load — or its background fetch — until the
+	// flush lands, and surfaces the flush's error there. Every flush
+	// completes before ExecuteParallel returns.
 	Evict func(p uint32) (any, error)
 	Flush func(p uint32, data any) error
 
@@ -332,9 +325,51 @@ type writeback struct {
 	err  error
 }
 
+// wait blocks until the flush lands and returns its error; a nil
+// writeback has nothing to wait for.
+func (wb *writeback) wait() error {
+	if wb == nil {
+		return nil
+	}
+	<-wb.done
+	return wb.err
+}
+
+// split adapts cb to the only form replay runs: the Load and Unload
+// shorthands become the split pairs they stand for, and every other
+// nil callback but PairAhead (called only when supplied) a no-op.
+func (cb Callbacks) split() Callbacks {
+	if cb.Fetch == nil || cb.Commit == nil {
+		cb.Fetch = func(uint32) (any, error) { return nil, nil }
+		cb.Commit = func(uint32, any) error { return nil }
+		if load := cb.Load; load != nil {
+			cb.Fetch = func(p uint32) (any, error) { return nil, load(p) }
+		}
+	}
+	if cb.Evict == nil || cb.Flush == nil {
+		cb.Evict = func(uint32) (any, error) { return nil, nil }
+		cb.Flush = func(uint32, any) error { return nil }
+		if unload := cb.Unload; unload != nil {
+			cb.Flush = func(p uint32, _ any) error { return unload(p) }
+		}
+	}
+	if cb.Discard == nil {
+		cb.Discard = func(uint32, any) {}
+	}
+	if cb.Pair == nil {
+		cb.Pair = func(uint32, uint32) error { return nil }
+	}
+	if cb.Self == nil {
+		cb.Self = func(uint32) error { return nil }
+	}
+	return cb
+}
+
 // replay walks one op tape on the calling goroutine — the only loop
-// that executes a schedule. A stream is enabled when its option is set
-// AND its callbacks are present; with none enabled every op runs
+// that executes a schedule, through the callbacks split adapts at
+// entry. A stream is enabled when its option is set AND the caller
+// supplied its callbacks (checked before adapting, so the shorthand
+// never runs off the cursor); with none enabled every op runs
 // synchronously at its tape position (the paper's serial execution) and
 // the loop allocates nothing. Enabled streams overlap I/O with the
 // cursor's compute work:
@@ -355,10 +390,11 @@ type writeback struct {
 //
 // Every flush completes — and every fetch is consumed or discarded —
 // before the function returns, on success and on error alike.
-func replay(tape []op, cb Callbacks, opts ExecOptions) (Result, error) {
+func replay(tape []op, cb Callbacks, opts ExecOptions) (r Result, err error) {
 	usePrefetch := opts.PrefetchDepth > 0 && cb.Fetch != nil && cb.Commit != nil
 	useWriteback := opts.WritebackDepth > 0 && cb.Evict != nil && cb.Flush != nil
 	useShardAhead := opts.ShardAhead > 0 && cb.PairAhead != nil
+	cb = cb.split()
 
 	// All per-op bookkeeping is indexed by tape position, and exists only
 	// for the streams that are enabled. hazard[i], for a load op at index
@@ -413,36 +449,28 @@ func replay(tape []op, cb Callbacks, opts ExecOptions) (Result, error) {
 	shardsAhead := 0
 	shardScan := 0 // next tape index to consider for announcement
 
-	// drainAll waits out every issued-but-unconsumed fetch (handing
-	// successfully fetched values back through Discard) and every
-	// in-flight flush, so no goroutine outlives the call. It returns
-	// the first flush error in tape order — on the success path the
-	// caller must fail the run with it, since the store now holds stale
-	// bytes for that partition.
-	drainAll := func() error {
+	// Wait out every issued-but-unconsumed fetch (handing successfully
+	// fetched values back through Discard) and every in-flight flush, so
+	// no goroutine outlives the call. A flush error fails a run that
+	// otherwise succeeded — the store now holds stale bytes for that
+	// partition — with the first such error in tape order.
+	defer func() {
 		for _, f := range futures {
 			if f == nil {
 				continue
 			}
 			<-f.done
-			if f.err == nil && cb.Discard != nil {
+			if f.err == nil {
 				cb.Discard(f.p, f.data)
 			}
 		}
-		var firstErr error
 		for _, wb := range writes {
-			if wb == nil {
-				continue
-			}
-			<-wb.done
-			if wb.err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("pigraph: write-back %d: %w", wb.p, wb.err)
+			if werr := wb.wait(); werr != nil && err == nil {
+				err = fmt.Errorf("pigraph: write-back %d: %w", wb.p, werr)
 			}
 		}
-		return firstErr
-	}
+	}()
 
-	var r Result
 	for cursor, o := range tape {
 		// Announce upcoming tuple shards, keeping at most ShardAhead
 		// pair/self steps announced-but-unprocessed. The scan may have
@@ -495,38 +523,76 @@ func replay(tape []op, cb Callbacks, opts ExecOptions) (Result, error) {
 			outstanding++
 			go func() {
 				defer close(f.done)
-				if wb != nil {
-					<-wb.done
-					if wb.err != nil {
-						f.err = fmt.Errorf("awaiting write-back: %w", wb.err)
-						return
-					}
+				if err := wb.wait(); err != nil {
+					f.err = fmt.Errorf("awaiting write-back: %w", err)
+					return
 				}
 				f.data, f.err = cb.Fetch(f.p)
 			}()
 			scan++
 		}
 
-		switch {
-		case o.kind == opUnload && useWriteback:
+		if useShardAhead && shardAnnounced[cursor] {
+			shardAnnounced[cursor] = false
+			shardsAhead--
+		}
+		switch o.kind {
+		case opLoad:
+			r.Loads++
+			var f *future
+			if usePrefetch {
+				f = futures[cursor]
+			}
+			var data any
+			if f != nil {
+				<-f.done
+				futures[cursor] = nil
+				outstanding--
+				if f.err != nil {
+					return r, fmt.Errorf("pigraph: prefetch %d: %w", o.a, f.err)
+				}
+				r.PrefetchedLoads++
+				data = f.data
+			} else {
+				// A synchronous load of a partition whose write-back may
+				// still be in flight: wait for the flush first.
+				if err := pendingWrite(cursor).wait(); err != nil {
+					return r, fmt.Errorf("pigraph: load %d awaiting write-back: %w", o.a, err)
+				}
+				if data, err = cb.Fetch(o.a); err != nil {
+					return r, fmt.Errorf("pigraph: fetch %d: %w", o.a, err)
+				}
+			}
+			if err := cb.Commit(o.a, data); err != nil {
+				// The value was fetched but never became resident: hand it
+				// back so staged resources (memory budget charges) are
+				// released before the error aborts the run.
+				cb.Discard(o.a, data)
+				return r, fmt.Errorf("pigraph: commit %d: %w", o.a, err)
+			}
+
+		case opUnload:
 			// Bounded background writer: admit the new write only after
 			// the oldest in-flight one lands.
-			for len(writeQueue) >= opts.WritebackDepth {
+			for useWriteback && len(writeQueue) >= opts.WritebackDepth {
 				oldest := writes[writeQueue[0]]
 				writeQueue = writeQueue[1:]
-				<-oldest.done
-				if oldest.err != nil {
-					_ = drainAll()
-					return r, fmt.Errorf("pigraph: write-back %d: %w", oldest.p, oldest.err)
+				if err := oldest.wait(); err != nil {
+					return r, fmt.Errorf("pigraph: write-back %d: %w", oldest.p, err)
 				}
 			}
 			r.Unloads++
-			r.AsyncUnloads++
 			data, err := cb.Evict(o.a)
 			if err != nil {
-				_ = drainAll()
 				return r, fmt.Errorf("pigraph: evict %d: %w", o.a, err)
 			}
+			if !useWriteback {
+				if err := cb.Flush(o.a, data); err != nil {
+					return r, fmt.Errorf("pigraph: flush %d: %w", o.a, err)
+				}
+				continue
+			}
+			r.AsyncUnloads++
 			wb := &writeback{p: o.a, done: make(chan struct{})}
 			writes[cursor] = wb
 			writeQueue = append(writeQueue, cursor)
@@ -535,116 +601,20 @@ func replay(tape []op, cb Callbacks, opts ExecOptions) (Result, error) {
 				wb.err = cb.Flush(wb.p, data)
 			}()
 
-		case o.kind == opLoad:
-			var f *future
-			if usePrefetch {
-				f = futures[cursor]
-			}
-			if f != nil {
-				<-f.done
-				futures[cursor] = nil
-				outstanding--
-			} else if wb := pendingWrite(cursor); wb != nil {
-				// Synchronous load with a possibly-pending write-back of
-				// the same partition: wait for the flush before reading.
-				<-wb.done
-				if wb.err != nil {
-					_ = drainAll()
-					return r, fmt.Errorf("pigraph: load %d awaiting write-back: %w", o.a, wb.err)
-				}
-			}
-			if err := applyOp(&r, o, cb, f); err != nil {
-				_ = drainAll()
-				return r, err
+		case opPair:
+			r.Pairs++
+			if err := cb.Pair(o.a, o.b); err != nil {
+				return r, fmt.Errorf("pigraph: pair {%d,%d}: %w", o.a, o.b, err)
 			}
 
-		default:
-			if useShardAhead && shardAnnounced[cursor] {
-				shardAnnounced[cursor] = false
-				shardsAhead--
-			}
-			if err := applyOp(&r, o, cb, nil); err != nil {
-				_ = drainAll()
-				return r, err
+		case opSelf:
+			r.Selfs++
+			if err := cb.Self(o.a); err != nil {
+				return r, fmt.Errorf("pigraph: self shard of %d: %w", o.a, err)
 			}
 		}
-	}
-	if err := drainAll(); err != nil {
-		return r, err
 	}
 	return r, nil
-}
-
-// applyOp executes one tape entry, counting it in r. For opLoad, a
-// non-nil future supplies the prefetched data (committed here, on the
-// cursor); otherwise the load runs synchronously — through Load, or by
-// composing Fetch+Commit when Load is nil, as a synchronous unload
-// composes Evict+Flush when Unload is nil.
-func applyOp(r *Result, o op, cb Callbacks, f *future) error {
-	switch o.kind {
-	case opLoad:
-		r.Loads++
-		var data any
-		switch {
-		case f != nil:
-			if f.err != nil {
-				return fmt.Errorf("pigraph: prefetch %d: %w", o.a, f.err)
-			}
-			r.PrefetchedLoads++
-			data = f.data
-		case cb.Load != nil:
-			if err := cb.Load(o.a); err != nil {
-				return fmt.Errorf("pigraph: load %d: %w", o.a, err)
-			}
-			return nil
-		case cb.Fetch != nil && cb.Commit != nil:
-			var err error
-			if data, err = cb.Fetch(o.a); err != nil {
-				return fmt.Errorf("pigraph: fetch %d: %w", o.a, err)
-			}
-		default:
-			return nil
-		}
-		if err := cb.Commit(o.a, data); err != nil {
-			// The value was fetched but never became resident: hand it
-			// back so staged resources (memory budget charges) are
-			// released before the error aborts the run.
-			if cb.Discard != nil {
-				cb.Discard(o.a, data)
-			}
-			return fmt.Errorf("pigraph: commit %d: %w", o.a, err)
-		}
-	case opUnload:
-		r.Unloads++
-		if cb.Unload != nil {
-			if err := cb.Unload(o.a); err != nil {
-				return fmt.Errorf("pigraph: unload %d: %w", o.a, err)
-			}
-		} else if cb.Evict != nil && cb.Flush != nil {
-			data, err := cb.Evict(o.a)
-			if err != nil {
-				return fmt.Errorf("pigraph: evict %d: %w", o.a, err)
-			}
-			if err := cb.Flush(o.a, data); err != nil {
-				return fmt.Errorf("pigraph: flush %d: %w", o.a, err)
-			}
-		}
-	case opPair:
-		r.Pairs++
-		if cb.Pair != nil {
-			if err := cb.Pair(o.a, o.b); err != nil {
-				return fmt.Errorf("pigraph: pair {%d,%d}: %w", o.a, o.b, err)
-			}
-		}
-	case opSelf:
-		r.Selfs++
-		if cb.Self != nil {
-			if err := cb.Self(o.a); err != nil {
-				return fmt.Errorf("pigraph: self shard of %d: %w", o.a, err)
-			}
-		}
-	}
-	return nil
 }
 
 // tapes validates and defaults opts and resolves the schedule into the

@@ -716,6 +716,76 @@ func TestAsyncWritebackMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestPipelinedShorthandStaysOnCursor pins what the executor's
+// adaptation of the Load/Unload shorthand must keep at nonzero stream
+// depths. A caller that supplies only the shorthand has every load and
+// unload run on the cursor: nothing is prefetched or written back
+// asynchronously, and no two callbacks ever overlap. A caller that
+// supplies the shorthand and the split pairs gets the same counts and
+// the same committed-version trace as either alone (the split pairs
+// win, so its streams run as if the shorthand were absent).
+func TestPipelinedShorthandStaysOnCursor(t *testing.T) {
+	g := randomPI(t, 43, 20, 80)
+	opts := ExecOptions{Slots: 2, PrefetchDepth: 2, WritebackDepth: 2}
+	for _, h := range AllHeuristics() {
+		s := h.Plan(g)
+
+		var inFlight, overlaps atomic.Int32
+		exclusive := func(f func() error) error {
+			if inFlight.Add(1) > 1 {
+				overlaps.Add(1)
+			}
+			defer inFlight.Add(-1)
+			time.Sleep(20 * time.Microsecond) // widen the window an off-cursor call would overlap in
+			return f()
+		}
+		var shortEvents []event
+		full := newFakeStore().callbacks(&shortEvents)
+		short := Callbacks{
+			Load:   func(p uint32) error { return exclusive(func() error { return full.Load(p) }) },
+			Unload: func(p uint32) error { return exclusive(func() error { return full.Unload(p) }) },
+			Pair:   func(uint32, uint32) error { return exclusive(func() error { return nil }) },
+			Self:   func(uint32) error { return exclusive(func() error { return nil }) },
+		}
+		shortRes, err := execute(s, short, opts)
+		if err != nil {
+			t.Fatalf("%s shorthand: %v", h.Name(), err)
+		}
+		if shortRes.PrefetchedLoads != 0 || shortRes.AsyncUnloads != 0 {
+			t.Errorf("%s shorthand: %d loads prefetched, %d unloads async; want all on the cursor",
+				h.Name(), shortRes.PrefetchedLoads, shortRes.AsyncUnloads)
+		}
+		if n := overlaps.Load(); n != 0 {
+			t.Errorf("%s shorthand: %d callbacks overlapped another", h.Name(), n)
+		}
+
+		run := func(name string, drop func(*Callbacks)) (Result, []event) {
+			store := newFakeStore()
+			store.flushDelay = 50 * time.Microsecond
+			var events []event
+			cb := store.callbacks(&events)
+			drop(&cb)
+			res, err := execute(s, cb, opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", h.Name(), name, err)
+			}
+			return res, events
+		}
+		splitRes, splitEvents := run("split", func(cb *Callbacks) { cb.Load, cb.Unload = nil, nil })
+		bothRes, bothEvents := run("both", func(*Callbacks) {})
+		if bothRes != splitRes {
+			t.Errorf("%s: both given %+v, split pairs alone %+v", h.Name(), bothRes, splitRes)
+		}
+		if counts(bothRes) != counts(shortRes) {
+			t.Errorf("%s: both given %+v, shorthand alone %+v", h.Name(), counts(bothRes), counts(shortRes))
+		}
+		if !slices.Equal(bothEvents, splitEvents) || !slices.Equal(bothEvents, shortEvents) {
+			t.Errorf("%s: committed versions differ:\nboth      %v\nsplit     %v\nshorthand %v",
+				h.Name(), bothEvents, splitEvents, shortEvents)
+		}
+	}
+}
+
 // TestPrefetchWaitsForInFlightWriteback pins the satellite hazard: a
 // prefetched load of p issued while p's asynchronous write is still in
 // flight must observe the written state. The schedule thrashes two of

@@ -320,16 +320,26 @@ func (t *DiskTable) ShardCounts() map[ShardID]int64 {
 	return out
 }
 
-// takeLocked detaches shard sh's consumption state — unflushed tail,
-// spill writer and raw count — transferring ownership to the caller.
-// The caller holds sh.mu. Each shard is taken at most once (Shard may
-// be called at most once per shard, and ShardAhead dedupes against
+// takeLocked detaches shard id's consumption state — unflushed tail,
+// spill writer and raw count — transferring ownership to the caller;
+// ok is false when the shard is unknown, empty or already taken. The
+// caller holds t.mu. Each shard is taken at most once (Shard may be
+// called at most once per shard, and ShardAhead dedupes against
 // in-flight futures).
-func (sh *diskShard) takeLocked() (pending []uint64, w *disk.RecordWriter, count int64) {
+func (t *DiskTable) takeLocked(id ShardID) (pending []uint64, w *disk.RecordWriter, count int64, ok bool) {
+	sh := t.shards[id]
+	if sh == nil {
+		return nil, nil, 0, false
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.taken || sh.count == 0 {
+		return nil, nil, 0, false
+	}
 	pending, w, count = sh.pending, sh.writer, sh.count
 	sh.pending, sh.writer, sh.count = nil, nil, 0
 	sh.taken = true
-	return pending, w, count
+	return pending, w, count, true
 }
 
 // readShard drains one taken shard: it finishes the spill file, reads
@@ -428,19 +438,11 @@ func (t *DiskTable) ShardAhead(i, j uint32) {
 		t.mu.Unlock()
 		return
 	}
-	sh := t.shards[id]
-	if sh == nil {
+	pending, w, count, ok := t.takeLocked(id)
+	if !ok {
 		t.mu.Unlock()
 		return
 	}
-	sh.mu.Lock()
-	if sh.taken || sh.count == 0 {
-		sh.mu.Unlock()
-		t.mu.Unlock()
-		return
-	}
-	pending, w, count := sh.takeLocked()
-	sh.mu.Unlock()
 	f := &shardFuture{done: make(chan struct{})}
 	t.futures[id] = f
 	t.mu.Unlock()
@@ -486,20 +488,11 @@ func (t *DiskTable) Shard(i, j uint32) ([]Tuple, error) {
 		<-f.done
 		return f.tuples, f.err
 	}
-	sh := t.shards[id]
-	if sh == nil {
-		t.mu.Unlock()
-		return nil, nil
-	}
-	sh.mu.Lock()
-	if sh.taken || sh.count == 0 {
-		sh.mu.Unlock()
-		t.mu.Unlock()
-		return nil, nil
-	}
-	pending, w, count := sh.takeLocked()
-	sh.mu.Unlock()
+	pending, w, count, ok := t.takeLocked(id)
 	t.mu.Unlock()
+	if !ok {
+		return nil, nil
+	}
 	ts, _, err := t.readShard(id, pending, w, count)
 	return ts, err
 }
