@@ -160,7 +160,8 @@ type PartitionStaleness struct {
 	// iteration.
 	Members uint64 `json:"members"`
 	// Score is the normalized drift the engine's staleness threshold
-	// compares against.
+	// compares against: (Adds + Deletes + TouchedEdges/K) / max(1,
+	// Members).
 	Score float64 `json:"score"`
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"knnpc/internal/api"
 	"knnpc/internal/delta"
 	"knnpc/internal/netstore"
 	"knnpc/internal/profile"
@@ -81,13 +82,13 @@ type DeltaStats struct {
 // ids — the first add's id is the current user count. Safe for
 // concurrent use.
 func (e *Engine) EnqueueAddUser(u uint32, vec profile.Vector) {
-	e.deltas.Enqueue(delta.Mutation{Op: delta.Add, User: u, Profile: vec})
+	e.deltas.put(delta.Mutation{Op: delta.Add, User: u, Profile: vec})
 }
 
 // EnqueueDelUser defers tombstoning user u to the next ApplyDeltas
 // pass. Safe for concurrent use.
 func (e *Engine) EnqueueDelUser(u uint32) {
-	e.deltas.Enqueue(delta.Mutation{Op: delta.Delete, User: u})
+	e.deltas.put(delta.Mutation{Op: delta.Delete, User: u})
 }
 
 // drainMutations collects this pass's work: the backlog parked by the
@@ -126,7 +127,7 @@ func (e *Engine) drainMutations(stats *DeltaStats) ([]delta.Mutation, error) {
 			return nil, fmt.Errorf("core: drain remote mutations: %w", err)
 		}
 	}
-	return append(muts, e.deltas.Drain()...), nil
+	return append(muts, e.deltas.drain()...), nil
 }
 
 // partitionOfUser maps a user to its partition in the last committed
@@ -496,16 +497,16 @@ func (e *Engine) publishStaleness() error {
 }
 
 // stalenessDoc assembles the current per-partition drift table.
-func (e *Engine) stalenessDoc() netstore.StalenessDoc {
+func (e *Engine) stalenessDoc() api.StalenessResponse {
 	snap := e.tracker.Snapshot()
-	doc := netstore.StalenessDoc{
+	doc := api.StalenessResponse{
 		LastFullEpoch: e.tracker.LastFullEpoch(),
 		Threshold:     e.opts.StalenessThreshold,
 		Users:         uint64(e.g.NumNodes()),
-		Partitions:    make([]netstore.PartitionStaleness, 0, len(snap)),
+		Partitions:    make([]api.PartitionStaleness, 0, len(snap)),
 	}
 	for p, c := range snap {
-		doc.Partitions = append(doc.Partitions, netstore.PartitionStaleness{
+		doc.Partitions = append(doc.Partitions, api.PartitionStaleness{
 			Partition:    uint32(p),
 			Adds:         c.Adds,
 			Deletes:      c.Deletes,
@@ -519,7 +520,7 @@ func (e *Engine) stalenessDoc() netstore.StalenessDoc {
 
 // Staleness reports the engine's current staleness document — the same
 // table publishStaleness pushes to the store.
-func (e *Engine) Staleness() netstore.StalenessDoc { return e.stalenessDoc() }
+func (e *Engine) Staleness() api.StalenessResponse { return e.stalenessDoc() }
 
 // MaxStaleness reports the worst partition's normalized drift since
 // the last full iteration.

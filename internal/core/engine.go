@@ -43,10 +43,10 @@ import (
 // G(t+1)/P(t+1).
 type Engine struct {
 	opts       Options
-	exec       pigraph.ExecOptions // phase 4's executor options, derived from opts once
-	profiles   canonicalProfiles   // canonical P(t)
-	queue      *profile.UpdateQueue
-	g          *graph.KNN // G(t)
+	exec       pigraph.ExecOptions   // phase 4's executor options, derived from opts once
+	profiles   canonicalProfiles     // canonical P(t)
+	updates    inbox[profile.Update] // the paper's queue q, drained by phase 5
+	g          *graph.KNN            // G(t)
 	iostats    disk.IOStats
 	budget     *disk.Budget
 	scratch    *disk.Scratch
@@ -79,7 +79,7 @@ type Engine struct {
 	// serve view still holds a copy of a user the last full publish
 	// moved to a later partition (see publishMembers); the next delta
 	// commit republishes them without it.
-	deltas       *delta.Queue
+	deltas       inbox[delta.Mutation]
 	dead         graph.NodeSet
 	tracker      *delta.Tracker
 	lastAssign   *partition.Assignment
@@ -115,10 +115,8 @@ func New(store *profile.Store, opts Options) (*Engine, error) {
 		opts:         opts,
 		exec:         opts.execOptions(),
 		profiles:     memCanonical{store: store},
-		queue:        profile.NewUpdateQueue(),
 		g:            g,
 		budget:       disk.NewBudget(opts.MemoryBudget),
-		deltas:       delta.NewQueue(),
 		tracker:      delta.NewTracker(opts.K),
 		deltaAssign:  make(map[uint32]int),
 		deltaMembers: make(map[int][]uint32),
@@ -209,7 +207,7 @@ func (e *Engine) Profile(u uint32) (profile.Vector, error) { return e.profiles.P
 
 // EnqueueUpdate defers a profile change to the end of the current
 // iteration (phase 5). Safe for concurrent use.
-func (e *Engine) EnqueueUpdate(u profile.Update) { e.queue.Enqueue(u) }
+func (e *Engine) EnqueueUpdate(u profile.Update) { e.updates.put(u) }
 
 // IOStats returns a snapshot of the engine's cumulative I/O counters.
 func (e *Engine) IOStats() disk.Snapshot { return e.iostats.Snapshot() }
@@ -568,7 +566,7 @@ func (e *Engine) phaseScore(ctx context.Context, it *iteration) error {
 //
 // The remote drain — the batches knnserve (or any store client) pushed
 // since the last iteration — runs first: it is the one exchange that
-// can fail, and failing before the local Drain means an aborted
+// can fail, and failing before the local drain means an aborted
 // iteration loses nothing queued locally. Both streams preserve
 // per-user order; cross-stream order is unspecified, like any two
 // concurrent EnqueueUpdate calls. DRAINUPD is at-most-once (a shard
@@ -587,13 +585,13 @@ func (e *Engine) phaseUpdate(ctx context.Context, it *iteration) error {
 			return fmt.Errorf("drain remote updates: %w", err)
 		}
 	}
-	updates = append(updates, e.queue.Drain()...)
+	updates = append(updates, e.updates.drain()...)
 
 	e.serveMu.Lock()
 	defer e.serveMu.Unlock()
 	valid := updates[:0]
 	for _, u := range updates {
-		if int(u.User) < e.profiles.NumUsers() && knownUpdateKind(u.Kind) {
+		if int(u.User) < e.profiles.NumUsers() && u.Kind.Valid() {
 			valid = append(valid, u)
 		}
 	}
@@ -606,10 +604,6 @@ func (e *Engine) phaseUpdate(ctx context.Context, it *iteration) error {
 	it.stats.UpdatesApplied = applied
 	it.stats.UpdatesDropped = len(updates) - len(valid)
 	return nil
-}
-
-func knownUpdateKind(k profile.UpdateKind) bool {
-	return k == profile.SetItem || k == profile.RemoveItem || k == profile.ReplaceProfile
 }
 
 // adoptPartitioning runs right after a commit: the iteration refreshed

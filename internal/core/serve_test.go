@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"knnpc/internal/api"
 	"knnpc/internal/netstore"
 	"knnpc/internal/profile"
 )
@@ -599,7 +600,7 @@ func TestDeltaViewsRepublished(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("staleness doc missing after upsert: ok=%v err=%v", ok, err)
 	}
-	var row *netstore.PartitionStaleness
+	var row *api.PartitionStaleness
 	for i := range doc.Partitions {
 		if doc.Partitions[i].Partition == uint32(own) {
 			row = &doc.Partitions[i]

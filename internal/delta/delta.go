@@ -13,11 +13,7 @@
 // drive the insertion path against in-memory fixtures.
 package delta
 
-import (
-	"sync"
-
-	"knnpc/internal/profile"
-)
+import "knnpc/internal/profile"
 
 // Op discriminates the two user-level mutations of the delta path.
 type Op uint8
@@ -38,37 +34,4 @@ type Mutation struct {
 	Op      Op
 	User    uint32
 	Profile profile.Vector // Add only
-}
-
-// Queue collects user mutations between delta passes, the user-level
-// analogue of profile.UpdateQueue. Safe for concurrent Enqueue.
-type Queue struct {
-	mu      sync.Mutex
-	pending []Mutation
-}
-
-// NewQueue returns an empty queue.
-func NewQueue() *Queue { return &Queue{} }
-
-// Enqueue appends a mutation for the next delta pass.
-func (q *Queue) Enqueue(m Mutation) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.pending = append(q.pending, m)
-}
-
-// Len reports the number of queued mutations.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.pending)
-}
-
-// Drain removes and returns all pending mutations in FIFO order.
-func (q *Queue) Drain() []Mutation {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := q.pending
-	q.pending = nil
-	return out
 }

@@ -180,22 +180,6 @@ func TestTrackerScores(t *testing.T) {
 	}
 }
 
-func TestQueueFIFO(t *testing.T) {
-	q := NewQueue()
-	q.Enqueue(Mutation{Op: Add, User: 1})
-	q.Enqueue(Mutation{Op: Delete, User: 2})
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	got := q.Drain()
-	if len(got) != 2 || got[0].User != 1 || got[1].Op != Delete {
-		t.Fatalf("drained %+v", got)
-	}
-	if q.Len() != 0 || len(q.Drain()) != 0 {
-		t.Fatal("queue not empty after drain")
-	}
-}
-
 // randomCase builds a seeded random graph with bound k over n users
 // and weighted profiles drawn from a small item universe (some empty),
 // so candidates share items and scores tie.

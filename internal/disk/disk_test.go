@@ -40,12 +40,6 @@ func TestIOStatsCounting(t *testing.T) {
 	if got := snap.LoadUnloadOps(); got != 3 {
 		t.Errorf("LoadUnloadOps = %d, want 3", got)
 	}
-
-	s.Reset()
-	if after := s.Snapshot(); after.LoadUnloadOps() != 0 || after.Seeks != 0 ||
-		after.ReadOps != 0 || after.WriteOps != 0 || after.BytesRead != 0 || after.BytesWritten != 0 || after.Creates != 0 {
-		t.Error("Reset should zero all counters")
-	}
 }
 
 func TestSnapshotSub(t *testing.T) {
@@ -729,36 +723,5 @@ func TestAppendTimeIsSeekless(t *testing.T) {
 	}
 	if slept+debt != modeled {
 		t.Fatalf("books unbalanced: %v + %v != %v", slept, debt, modeled)
-	}
-}
-
-// TestResetRebaselinesDevices: Reset's "zero all counters" promise
-// covers per-device times — a post-Reset snapshot starts device books
-// from zero (still balanced), while the Device's own cumulative
-// accounting is untouched for other holders.
-func TestResetRebaselinesDevices(t *testing.T) {
-	m := Model{Name: "unit", SeekLatency: 2 * time.Millisecond}
-	var s IOStats
-	dev := NewNamedDevice(m, "shard0")
-	s.RegisterDevice(dev)
-	dev.Read(0)
-	if before := s.Snapshot(); before.Devices[0].Modeled == 0 {
-		t.Fatal("device never charged")
-	}
-	s.Reset()
-	after := s.Snapshot()
-	if d := after.Devices[0]; d.Modeled != 0 || d.Slept != 0 || d.Debt != 0 {
-		t.Fatalf("post-Reset snapshot still carries device time: %+v", d)
-	}
-	dev.Read(0)
-	d := s.Snapshot().Devices[0]
-	if d.Modeled != m.ReadTime(0) {
-		t.Fatalf("post-Reset charge %v, want one read %v", d.Modeled, m.ReadTime(0))
-	}
-	if d.Slept+d.Debt != d.Modeled {
-		t.Fatalf("rebaselined books unbalanced: %+v", d)
-	}
-	if modeled, _, _ := dev.Accounting(); modeled != 2*m.ReadTime(0) {
-		t.Fatalf("device's own cumulative books were clobbered: %v", modeled)
 	}
 }

@@ -30,13 +30,9 @@ type IOStats struct {
 
 	// devMu guards the registered emulated devices. Registration is
 	// rare (engine construction); snapshots read each device's own
-	// internally-synchronized accounting. devBase holds each device's
-	// accounting as of the last Reset — a Device's own books are
-	// cumulative for its whole life (other holders may read them), so
-	// Reset re-baselines here instead of zeroing the device.
+	// internally-synchronized accounting.
 	devMu   sync.Mutex
 	devices []*Device
-	devBase []DeviceAccounting
 }
 
 // DeviceAccounting is one emulated device's time bookkeeping at a point
@@ -118,7 +114,6 @@ func (s *IOStats) RegisterDevice(d *Device) {
 	}
 	s.devMu.Lock()
 	s.devices = append(s.devices, d)
-	s.devBase = append(s.devBase, DeviceAccounting{Name: d.Name()})
 	s.devMu.Unlock()
 }
 
@@ -136,39 +131,12 @@ func (s *IOStats) Snapshot() Snapshot {
 	}
 	s.devMu.Lock()
 	devices := append([]*Device(nil), s.devices...)
-	base := append([]DeviceAccounting(nil), s.devBase...)
 	s.devMu.Unlock()
-	for i, d := range devices {
+	for _, d := range devices {
 		modeled, slept, debt := d.Accounting()
-		snap.Devices = append(snap.Devices, DeviceAccounting{
-			Name:    d.Name(),
-			Modeled: modeled - base[i].Modeled,
-			Slept:   slept - base[i].Slept,
-			Debt:    debt - base[i].Debt,
-		})
+		snap.Devices = append(snap.Devices, DeviceAccounting{Name: d.Name(), Modeled: modeled, Slept: slept, Debt: debt})
 	}
 	return snap
-}
-
-// Reset zeroes all counters, including the per-device times: each
-// registered device's current accounting becomes the new baseline
-// later Snapshots subtract (the device's own cumulative books are
-// shared with other holders and stay untouched).
-func (s *IOStats) Reset() {
-	s.loads.Store(0)
-	s.unloads.Store(0)
-	s.seeks.Store(0)
-	s.readOps.Store(0)
-	s.writeOps.Store(0)
-	s.bytesRead.Store(0)
-	s.bytesWritten.Store(0)
-	s.creates.Store(0)
-	s.devMu.Lock()
-	for i, d := range s.devices {
-		modeled, slept, debt := d.Accounting()
-		s.devBase[i] = DeviceAccounting{Name: d.Name(), Modeled: modeled, Slept: slept, Debt: debt}
-	}
-	s.devMu.Unlock()
 }
 
 // LoadUnloadOps reports Loads + Unloads — the single number the paper's

@@ -77,10 +77,6 @@ type ClientOptions struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the exponential backoff before jitter.
 	BackoffMax time.Duration
-	// JitterSeed seeds the backoff jitter RNG (per shard connection).
-	// Zero derives a fixed default, keeping the client deterministic
-	// unless the caller opts into spread.
-	JitterSeed int64
 }
 
 func (o *ClientOptions) applyDefaults() {
@@ -170,7 +166,7 @@ func DialOptions(addrs []string, numPartitions int, opts ClientOptions) (*Client
 		sc := &shardConn{
 			addr: addr,
 			opts: opts,
-			rng:  rand.New(rand.NewSource(jitterSeed(opts.JitterSeed, i))),
+			rng:  rand.New(rand.NewSource(jitterSeed(i))),
 		}
 		conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
 		if err != nil {
@@ -183,13 +179,12 @@ func DialOptions(addrs []string, numPartitions int, opts ClientOptions) (*Client
 	return c, nil
 }
 
-// jitterSeed derives shard i's backoff jitter seed, mixing the shard
-// index in so concurrent shard retries don't march in lockstep.
-func jitterSeed(seed int64, shard int) int64 {
-	if seed == 0 {
-		seed = 0x6b6e6e70 // fixed default: deterministic unless opted out
-	}
-	return seed*1000003 + int64(shard)*7919 + 1
+// jitterSeed derives a shard's backoff jitter seed from one fixed base,
+// so every client is deterministic, mixing the shard index in so
+// concurrent shard retries don't march in lockstep.
+func jitterSeed(shard int) int64 {
+	const base = 0x6b6e6e70
+	return base*1000003 + int64(shard)*7919 + 1
 }
 
 // NumShards reports the cluster width N.

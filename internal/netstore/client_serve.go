@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"knnpc/internal/api"
 	"knnpc/internal/profile"
 )
 
@@ -127,17 +128,15 @@ func (c *Client) ProfileBytes(u uint32) (epoch uint64, blob []byte, err error) {
 }
 
 // PushUpdates enqueues profile updates for the engine's next phase 5.
-// Updates are routed to shard u mod N — a user-keyed assignment that is
-// stable across iterations (unlike partitions), so two pushes for the
-// same user land on the same shard queue and drain in push order.
+// Each update goes to its user's shard (userShard), so two pushes for
+// the same user land on the same shard queue and drain in push order.
 func (c *Client) PushUpdates(updates []profile.Update) error {
 	if len(updates) == 0 {
 		return nil
 	}
-	n := len(c.shards)
-	byShard := make([][]profile.Update, n)
+	byShard := make([][]profile.Update, len(c.shards))
 	for _, upd := range updates {
-		s := int(upd.User) % n
+		s := userShard(upd.User, len(c.shards))
 		byShard[s] = append(byShard[s], upd)
 	}
 	for s, batch := range byShard {
@@ -249,17 +248,17 @@ func (c *Client) PutStaleness(blob []byte) error {
 // Staleness fetches the engine's last published staleness document
 // from shard 0 (every shard holds the same broadcast copy). The second
 // return reports whether any document has been published yet.
-func (c *Client) Staleness() (StalenessDoc, bool, error) {
+func (c *Client) Staleness() (api.StalenessResponse, bool, error) {
 	body, err := c.shards[0].roundTrip([]byte{opStaleness})
 	if err != nil {
-		return StalenessDoc{}, false, err
+		return api.StalenessResponse{}, false, err
 	}
 	if len(body) == 0 {
-		return StalenessDoc{}, false, nil
+		return api.StalenessResponse{}, false, nil
 	}
 	doc, err := DecodeStaleness(body)
 	if err != nil {
-		return StalenessDoc{}, false, err
+		return api.StalenessResponse{}, false, err
 	}
 	return doc, true, nil
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"knnpc/internal/api"
 	"knnpc/internal/profile"
 )
 
@@ -121,18 +122,18 @@ func FuzzDecodeMutations(f *testing.F) {
 // claimed row count is checked against the 44-byte rows behind it), and
 // a document it accepts re-encodes to exactly the same bytes.
 func FuzzDecodeStaleness(f *testing.F) {
-	f.Add(EncodeStaleness(StalenessDoc{
+	f.Add(EncodeStaleness(api.StalenessResponse{
 		LastFullEpoch: 12, Threshold: 0.25, Users: 400,
-		Partitions: []PartitionStaleness{
+		Partitions: []api.PartitionStaleness{
 			{Partition: 0, Adds: 3, Deletes: 1, TouchedEdges: 40, Members: 50, Score: 0.18},
 			{Partition: 1, Members: 50},
 		},
 	}))
-	f.Add(EncodeStaleness(StalenessDoc{LastFullEpoch: 1}))
-	f.Add(append(EncodeStaleness(StalenessDoc{})[:24], appendU32(nil, 0xFFFFFFFF)...))
-	f.Add(EncodeStaleness(StalenessDoc{Threshold: math.NaN()})[:20])
+	f.Add(EncodeStaleness(api.StalenessResponse{LastFullEpoch: 1}))
+	f.Add(append(EncodeStaleness(api.StalenessResponse{})[:24], appendU32(nil, 0xFFFFFFFF)...))
+	f.Add(EncodeStaleness(api.StalenessResponse{Threshold: math.NaN()})[:20])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var doc StalenessDoc
+		var doc api.StalenessResponse
 		var err error
 		requireBoundedAlloc(t, data, func() { doc, err = DecodeStaleness(data) })
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"knnpc/internal/api"
 	"knnpc/internal/profile"
 )
 
@@ -245,8 +246,8 @@ func TestWireSessionGolden(t *testing.T) {
 		{"DRAINMUT", func() error { _, err := client.DrainMutations(); return err }, ok},
 		{"ADDUSER, queued", func() error { return client.AddUser(9, blob) }, ok},
 		{"PUT stale", func() error {
-			return client.PutStaleness(EncodeStaleness(StalenessDoc{LastFullEpoch: 1, Threshold: 0.5, Users: 10,
-				Partitions: []PartitionStaleness{{Partition: 1, Adds: 1, Members: 2, Score: 0.5}}}))
+			return client.PutStaleness(EncodeStaleness(api.StalenessResponse{LastFullEpoch: 1, Threshold: 0.5, Users: 10,
+				Partitions: []api.PartitionStaleness{{Partition: 1, Adds: 1, Members: 2, Score: 0.5}}}))
 		}, ok},
 		{"STALENESS", func() error { _, _, err := client.Staleness(); return err }, ok},
 		{"CLEAR", func() error { return client.Clear() }, ok},

@@ -31,6 +31,7 @@ import (
 	"math"
 	"time"
 
+	"knnpc/internal/api"
 	"knnpc/internal/profile"
 )
 
@@ -631,10 +632,17 @@ const (
 	MutDel = 0x01
 )
 
+// userShard is the one rule that places a user's mutations: profile
+// updates (PUSHUPD) and user adds/deletes (ADDUSER/DELUSER) of user u
+// queue on shard u mod shards. Unlike a partition's shard it never
+// moves between iterations, so one user's pushes all land on one shard
+// queue and drain in push order.
+func userShard(u uint32, shards int) int { return int(u) % shards }
+
 // Mutation is one queued graph mutation — an online user add (with its
 // encoded profile vector) or a tombstone delete — awaiting the engine's
-// delta pass. Mutations are routed to shard user mod N (the same stable
-// mapping PUSHUPD uses), so per-user order survives the fleet.
+// delta pass. Mutations are routed by userShard, so per-user order
+// survives the fleet.
 type Mutation struct {
 	// Op is MutAdd or MutDel.
 	Op byte
@@ -689,49 +697,12 @@ func DecodeMutations(blob []byte) ([]Mutation, error) {
 	return muts, nil
 }
 
-// PartitionStaleness is one partition's row of the engine's published
-// staleness document: the mutation counts accumulated since the last
-// full iteration and the resulting staleness score.
-type PartitionStaleness struct {
-	// Partition is the partition id (per the assignment of the last
-	// full iteration).
-	Partition uint32
-	// Adds and Deletes count delta mutations attributed to the
-	// partition since its last full rebuild.
-	Adds, Deletes uint64
-	// TouchedEdges estimates how many graph edges delta commits have
-	// rewritten inside the partition.
-	TouchedEdges uint64
-	// Members is the partition's population at the last full iteration.
-	Members uint64
-	// Score is the normalized staleness the engine's threshold compares
-	// against: (Adds + Deletes + TouchedEdges/K) / max(1, Members).
-	Score float64
-}
-
-// StalenessDoc is the engine's published staleness document — what
-// GET /v1/staleness serves. One document covers every partition.
-type StalenessDoc struct {
-	// LastFullEpoch is the committed epoch of the most recent full
-	// five-phase iteration.
-	LastFullEpoch uint64
-	// Threshold is the configured staleness threshold (0 = delta
-	// scheduling disabled; every Run pass iterates fully).
-	Threshold float64
-	// Users is the total committed id space — every id ever assigned,
-	// tombstoned ones included — so the next fresh add takes id Users.
-	// Serving front ends use it to reject obviously out-of-range
-	// mutation ids before they reach a journal.
-	Users uint64
-	// Partitions holds one row per partition, in ascending id order.
-	Partitions []PartitionStaleness
-}
-
-// EncodeStaleness serializes a staleness document for putStale:
-// last-full epoch u64, threshold float64 bits u64, user count u64, row
-// count u32, then per row partition u32 and five u64 fields (score as
-// float64 bits).
-func EncodeStaleness(doc StalenessDoc) []byte {
+// EncodeStaleness serializes the engine's staleness document — the
+// body GET /v1/staleness serves, so the wire carries the api type
+// itself — for putStale: last-full epoch u64, threshold float64 bits
+// u64, user count u64, row count u32, then per row partition u32 and
+// five u64 fields (score as float64 bits).
+func EncodeStaleness(doc api.StalenessResponse) []byte {
 	buf := make([]byte, 0, 8+8+8+4+44*len(doc.Partitions))
 	buf = appendU64(buf, doc.LastFullEpoch)
 	buf = appendU64(buf, math.Float64bits(doc.Threshold))
@@ -749,13 +720,13 @@ func EncodeStaleness(doc StalenessDoc) []byte {
 }
 
 // DecodeStaleness parses an encoded staleness document.
-func DecodeStaleness(blob []byte) (StalenessDoc, error) {
+func DecodeStaleness(blob []byte) (api.StalenessResponse, error) {
 	r := newReader("staleness document", blob)
-	var doc StalenessDoc
+	var doc api.StalenessResponse
 	doc.LastFullEpoch = r.u64()
 	doc.Threshold = math.Float64frombits(r.u64())
 	doc.Users = r.u64()
-	doc.Partitions = make([]PartitionStaleness, r.count(44))
+	doc.Partitions = make([]api.PartitionStaleness, r.count(44))
 	for i := range doc.Partitions {
 		p := &doc.Partitions[i]
 		p.Partition = r.u32()

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"knnpc/internal/api"
 	"knnpc/internal/profile"
 )
 
@@ -68,7 +69,7 @@ func TestRecoveryReplayEqualsPreCrashState(t *testing.T) {
 	if err := client.DelUser(7); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.PutStaleness(EncodeStaleness(StalenessDoc{LastFullEpoch: 2, Users: 8})); err != nil {
+	if err := client.PutStaleness(EncodeStaleness(api.StalenessResponse{LastFullEpoch: 2, Users: 8})); err != nil {
 		t.Fatal(err)
 	}
 	baseEpoch, viewEpoch, err := client.Epoch(1)
@@ -301,7 +302,7 @@ func TestSnapshotCutOnCommitMarker(t *testing.T) {
 	if bytes.Equal(readJournal(t, dir), compaction(t, srv)) {
 		t.Fatal("journal already equals its compaction before any commit marker; the test would be vacuous")
 	}
-	if err := client.PutStaleness(EncodeStaleness(StalenessDoc{LastFullEpoch: 1})); err != nil {
+	if err := client.PutStaleness(EncodeStaleness(api.StalenessResponse{LastFullEpoch: 1})); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := readJournal(t, dir), compaction(t, srv); !bytes.Equal(got, want) {
@@ -331,7 +332,7 @@ func TestRecoveryAfterSnapshotCutAndAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The commit marker compacts the journal.
-	if err := client.PutStaleness(EncodeStaleness(StalenessDoc{LastFullEpoch: 1})); err != nil {
+	if err := client.PutStaleness(EncodeStaleness(api.StalenessResponse{LastFullEpoch: 1})); err != nil {
 		t.Fatal(err)
 	}
 	compacted := int64(len(readJournal(t, dir)))
@@ -371,7 +372,7 @@ func TestRecoveryFromSnapshotOnly(t *testing.T) {
 	if err := client.PutBase(1, []byte("snapped")); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.PutStaleness(EncodeStaleness(StalenessDoc{LastFullEpoch: 3})); err != nil {
+	if err := client.PutStaleness(EncodeStaleness(api.StalenessResponse{LastFullEpoch: 3})); err != nil {
 		t.Fatal(err)
 	}
 	client.Close()
@@ -410,7 +411,7 @@ func TestJournalFailureFailsTheVerb(t *testing.T) {
 		{"PUT view", func(c *Client, _ uint64) error { return c.PutView(1, viewFor(5, 9)) }},
 		{"PUT deltaview", func(c *Client, _ uint64) error { return c.PutDeltaView(1, viewFor(5, 9)) }},
 		{"PUT stale", func(c *Client, _ uint64) error {
-			return c.PutStaleness(EncodeStaleness(StalenessDoc{LastFullEpoch: 9}))
+			return c.PutStaleness(EncodeStaleness(api.StalenessResponse{LastFullEpoch: 9}))
 		}},
 		{"LEASE", func(c *Client, _ uint64) error { _, err := c.Lease(1); return err }},
 		{"CLEAR", func(c *Client, _ uint64) error { return c.Clear() }},
@@ -686,7 +687,9 @@ func populate(tb testing.TB, c *Client) (token uint64) {
 		func() error {
 			return c.PushUpdates([]profile.Update{{User: 5, Kind: profile.SetItem, Item: 3, Weight: 2}})
 		},
-		func() error { return c.PutStaleness(EncodeStaleness(StalenessDoc{LastFullEpoch: 1, Users: 8})) },
+		func() error {
+			return c.PutStaleness(EncodeStaleness(api.StalenessResponse{LastFullEpoch: 1, Users: 8}))
+		},
 		func() error { return c.PutBase(1, []byte("base-1b")) },
 		func() error { token, err = c.Lease(1); return err },
 		func() error { return c.PutPartial(1, token, []byte("partial-1")) },
@@ -745,7 +748,7 @@ func randomVerb(rng *rand.Rand, c *Client, tokens *[][2]uint64) (string, error) 
 	case 8:
 		return "PUT deltaview", c.PutDeltaView(p, view())
 	case 9:
-		return "PUT stale", c.PutStaleness(EncodeStaleness(StalenessDoc{LastFullEpoch: rng.Uint64N(9), Users: 8}))
+		return "PUT stale", c.PutStaleness(EncodeStaleness(api.StalenessResponse{LastFullEpoch: rng.Uint64N(9), Users: 8}))
 	case 10:
 		if rng.IntN(3) == 0 {
 			return "CLEAR", c.Clear()

@@ -110,7 +110,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 			addr: cfg.Primary,
 			opts: popts,
 			conn: conn,
-			rng:  rand.New(rand.NewSource(jitterSeed(0, cfg.Shard))),
+			rng:  rand.New(rand.NewSource(jitterSeed(cfg.Shard))),
 		},
 		viewSet:   newViewSet(),
 		installed: make(chan struct{}),

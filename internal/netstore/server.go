@@ -363,14 +363,14 @@ func answerRead(st readState, c *command) ([]byte, error) {
 	}
 }
 
-// ownsUser reports whether this shard is user u's mutation owner —
-// shard u mod N, the same stable user-keyed mapping PUSHUPD routes by.
+// ownsUser reports whether this shard is user u's mutation owner, by
+// the userShard rule PUSHUPD routes by.
 // ADDUSER/DELUSER broadcast to every shard (tombstones must be globally
 // visible so point lookups miss immediately on whichever shard holds
 // the user's view), but only the owning shard queues the mutation, so
 // the engine's drain sees each mutation exactly once.
 func (s *Server) ownsUser(u uint32) bool {
-	return int(u)%s.shards == s.shard
+	return userShard(u, s.shards) == s.shard
 }
 
 // prepare derives what apply needs but should not compute under s.mu —

@@ -136,23 +136,6 @@ func TestMaxReuseBudgets(t *testing.T) {
 	}
 }
 
-func TestLowerBound(t *testing.T) {
-	g := New(5)
-	g.AddShard(0, 1, 1)
-	g.AddShard(2, 2, 3) // self work also counts as active
-	if got := g.LowerBound(); got != 6 {
-		t.Errorf("LowerBound = %d, want 6 (three active partitions)", got)
-	}
-	// Every heuristic must respect the bound.
-	big := randomPI(t, 5, 60, 300)
-	lb := big.LowerBound()
-	for _, h := range AllHeuristics() {
-		if ops := simulate(t, h.Plan(big)).Ops(); ops < lb {
-			t.Errorf("%s: ops %d below lower bound %d", h.Name(), ops, lb)
-		}
-	}
-}
-
 func TestFromTupleCountsRoundTripToSchedule(t *testing.T) {
 	// End-to-end shape: tuple counts -> PI -> all heuristics validate.
 	counts := map[tuples.ShardID]int64{

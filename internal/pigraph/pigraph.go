@@ -142,20 +142,3 @@ func (g *PIGraph) Neighbors(i uint32) []uint32 {
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
-
-// LowerBound reports a simple lower bound on the load/unload operations
-// any two-slot schedule must perform: every partition with work must be
-// loaded at least once and unloaded at least once, and beyond the first
-// two loads each additional load is forced whenever a partition's edges
-// cannot all be co-scheduled — this bound only counts the first term
-// (2 × active partitions), so real schedules typically cost several
-// times more. It contextualizes heuristic quality in experiment output.
-func (g *PIGraph) LowerBound() int64 {
-	var active int64
-	for i := uint32(0); int(i) < len(g.adj); i++ {
-		if len(g.adj[i]) > 0 || g.self[i] > 0 {
-			active++
-		}
-	}
-	return 2 * active
-}

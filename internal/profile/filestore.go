@@ -94,7 +94,7 @@ func (s *FileStore) Apply(updates []Update) (int, error) {
 		if int(u.User) >= len(s.offsets) {
 			return 0, fmt.Errorf("profile: update %d targets user %d outside [0,%d)", i, u.User, len(s.offsets))
 		}
-		if u.Kind != SetItem && u.Kind != RemoveItem && u.Kind != ReplaceProfile {
+		if !u.Kind.Valid() {
 			return 0, fmt.Errorf("profile: update %d has unknown kind %d", i, u.Kind)
 		}
 		perUser[u.User] = append(perUser[u.User], u)
@@ -107,14 +107,7 @@ func (s *FileStore) Apply(updates []Update) (int, error) {
 			return 0, err
 		}
 		for _, upd := range perUser[uint32(u)] {
-			switch upd.Kind {
-			case SetItem:
-				v = v.WithItem(upd.Item, upd.Weight)
-			case RemoveItem:
-				v = v.WithoutItem(upd.Item)
-			case ReplaceProfile:
-				v = upd.Vector
-			}
+			v = upd.Apply(v)
 		}
 		vecs[u] = v
 	}

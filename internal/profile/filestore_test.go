@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -111,6 +112,65 @@ func TestFileStoreApplyFIFOWithinUser(t *testing.T) {
 	}
 	if w, _ := v.Weight(1); w != 9 {
 		t.Errorf("weight = %v, want 9 (FIFO order)", w)
+	}
+}
+
+// TestFileStoreApplyMatchesApplyUpdates: the disk-resident P(t) and
+// the in-memory one fold the same seeded stream of every update kind,
+// users repeated so per-user order matters, into equal profiles.
+func TestFileStoreApplyMatchesApplyUpdates(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	randomVector := func() Vector {
+		entries := make([]Entry, 0, 6)
+		for item := uint32(0); item < 24; item++ {
+			if rng.Intn(4) == 0 {
+				entries = append(entries, Entry{Item: item, Weight: float32(rng.Intn(5) + 1)})
+			}
+		}
+		v, err := NewVector(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	const users = 16
+	vecs := make([]Vector, users)
+	for u := range vecs {
+		vecs[u] = randomVector()
+	}
+	updates := make([]Update, 400)
+	kinds := map[UpdateKind]int{}
+	for i := range updates {
+		u := Update{User: uint32(rng.Intn(users)), Kind: UpdateKind(rng.Intn(3) + 1), Item: uint32(rng.Intn(24))}
+		switch u.Kind {
+		case SetItem:
+			u.Weight = float32(rng.Intn(9) + 1)
+		case ReplaceProfile:
+			u.Vector = randomVector()
+		}
+		kinds[u.Kind]++
+		updates[i] = u
+	}
+	if len(kinds) != 3 {
+		t.Fatalf("stream covers kinds %v, want all three", kinds)
+	}
+
+	mem := NewStoreFromVectors(append([]Vector(nil), vecs...))
+	if n, err := ApplyUpdates(mem, updates); err != nil || n != len(updates) {
+		t.Fatalf("ApplyUpdates = %d, %v", n, err)
+	}
+	fs, _ := newFileStore(t, vecs)
+	if n, err := fs.Apply(updates); err != nil || n != len(updates) {
+		t.Fatalf("FileStore.Apply = %d, %v", n, err)
+	}
+	for u := uint32(0); u < users; u++ {
+		got, err := fs.Profile(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := mem.Get(u); !got.Equal(want) {
+			t.Errorf("user %d: file store holds %v, memory store %v", u, got.Entries(), want.Entries())
+		}
 	}
 }
 

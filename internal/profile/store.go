@@ -1,9 +1,6 @@
 package profile
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Store holds the profile of every user — the P(t) of the paper. The
 // in-memory implementation backs small runs and tests; the out-of-core
@@ -78,6 +75,9 @@ const (
 	ReplaceProfile
 )
 
+// Valid reports whether k is one of the supported update operations.
+func (k UpdateKind) Valid() bool { return k >= SetItem && k <= ReplaceProfile }
+
 // Update is one deferred profile change in the queue q of the paper.
 type Update struct {
 	User   uint32
@@ -87,39 +87,19 @@ type Update struct {
 	Vector Vector  // ReplaceProfile
 }
 
-// UpdateQueue collects profile changes during an iteration without
-// touching P(t); phase 5 drains it at the iteration boundary and folds
-// the updates into the store. It is safe for concurrent Enqueue.
-type UpdateQueue struct {
-	mu      sync.Mutex
-	pending []Update
-}
-
-// NewUpdateQueue returns an empty queue.
-func NewUpdateQueue() *UpdateQueue { return &UpdateQueue{} }
-
-// Enqueue appends an update to be applied at the next iteration
-// boundary.
-func (q *UpdateQueue) Enqueue(u Update) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.pending = append(q.pending, u)
-}
-
-// Len reports the number of queued updates.
-func (q *UpdateQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.pending)
-}
-
-// Drain removes and returns all pending updates in FIFO order.
-func (q *UpdateQueue) Drain() []Update {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := q.pending
-	q.pending = nil
-	return out
+// Apply returns the profile v becomes under u — the one statement of
+// what each update kind means. An update whose Kind is not Valid leaves
+// v unchanged; callers check Valid first to refuse or count it.
+func (u Update) Apply(v Vector) Vector {
+	switch u.Kind {
+	case SetItem:
+		return v.WithItem(u.Item, u.Weight)
+	case RemoveItem:
+		return v.WithoutItem(u.Item)
+	case ReplaceProfile:
+		return u.Vector
+	}
+	return v
 }
 
 // ApplyUpdates folds updates into the store in order, returning how
@@ -127,19 +107,10 @@ func (q *UpdateQueue) Drain() []Update {
 // earlier updates stay applied.
 func ApplyUpdates(s *Store, updates []Update) (int, error) {
 	for i, u := range updates {
-		cur := s.Get(u.User)
-		var next Vector
-		switch u.Kind {
-		case SetItem:
-			next = cur.WithItem(u.Item, u.Weight)
-		case RemoveItem:
-			next = cur.WithoutItem(u.Item)
-		case ReplaceProfile:
-			next = u.Vector
-		default:
+		if !u.Kind.Valid() {
 			return i, fmt.Errorf("profile: unknown update kind %d", u.Kind)
 		}
-		if err := s.Set(u.User, next); err != nil {
+		if err := s.Set(u.User, u.Apply(s.Get(u.User))); err != nil {
 			return i, fmt.Errorf("profile: apply update %d: %w", i, err)
 		}
 	}

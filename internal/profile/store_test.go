@@ -1,9 +1,6 @@
 package profile
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestStoreGetSet(t *testing.T) {
 	s := NewStore(3)
@@ -38,29 +35,23 @@ func TestStoreCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestUpdateQueueLazyApply(t *testing.T) {
+func TestApplyUpdatesEachKind(t *testing.T) {
 	s := NewStore(2)
 	s.Set(0, mustVector(t, Entry{1, 1}))
-	q := NewUpdateQueue()
+	updates := []Update{
+		{User: 0, Kind: SetItem, Item: 2, Weight: 5},
+		{User: 0, Kind: RemoveItem, Item: 1},
+		{User: 1, Kind: ReplaceProfile, Vector: FromItems([]uint32{7})},
+	}
 
-	q.Enqueue(Update{User: 0, Kind: SetItem, Item: 2, Weight: 5})
-	q.Enqueue(Update{User: 0, Kind: RemoveItem, Item: 1})
-	q.Enqueue(Update{User: 1, Kind: ReplaceProfile, Vector: FromItems([]uint32{7})})
-
-	// Lazy: the store is untouched until the drained updates are applied.
+	// Lazy: the store is untouched until the updates are applied.
 	if s.Get(0).Len() != 1 || s.Get(1).Len() != 0 {
-		t.Fatal("enqueue must not modify the store")
-	}
-	if q.Len() != 3 {
-		t.Fatalf("queue length = %d, want 3", q.Len())
+		t.Fatal("holding updates must not modify the store")
 	}
 
-	n, err := ApplyUpdates(s, q.Drain())
+	n, err := ApplyUpdates(s, updates)
 	if err != nil || n != 3 {
 		t.Fatalf("ApplyUpdates = %d, %v", n, err)
-	}
-	if q.Len() != 0 {
-		t.Error("queue should be empty after Drain")
 	}
 	got0 := s.Get(0)
 	if got0.Len() != 1 {
@@ -74,16 +65,13 @@ func TestUpdateQueueLazyApply(t *testing.T) {
 	}
 }
 
-func TestUpdateQueueFIFOOrder(t *testing.T) {
+func TestApplyUpdatesFIFOOrder(t *testing.T) {
 	s := NewStore(1)
-	q := NewUpdateQueue()
-	q.Enqueue(Update{User: 0, Kind: SetItem, Item: 1, Weight: 1})
-	q.Enqueue(Update{User: 0, Kind: SetItem, Item: 1, Weight: 2}) // later wins
-	drained := q.Drain()
-	if len(drained) != 2 || drained[0].Weight != 1 || drained[1].Weight != 2 {
-		t.Fatalf("Drain = %+v, want the two updates in enqueue order", drained)
+	updates := []Update{
+		{User: 0, Kind: SetItem, Item: 1, Weight: 1},
+		{User: 0, Kind: SetItem, Item: 1, Weight: 2}, // later wins
 	}
-	if _, err := ApplyUpdates(s, drained); err != nil {
+	if _, err := ApplyUpdates(s, updates); err != nil {
 		t.Fatalf("ApplyUpdates: %v", err)
 	}
 	if w, _ := s.Get(0).Weight(1); w != 2 {
@@ -91,17 +79,16 @@ func TestUpdateQueueFIFOOrder(t *testing.T) {
 	}
 }
 
-// TestUpdateQueueErrorKeepsTail: ApplyUpdates stops at the first bad
+// TestApplyUpdatesErrorKeepsTail: ApplyUpdates stops at the first bad
 // update and reports how many it applied, so updates[n:] is exactly the
 // failed update and its unapplied tail.
-func TestUpdateQueueErrorKeepsTail(t *testing.T) {
+func TestApplyUpdatesErrorKeepsTail(t *testing.T) {
 	s := NewStore(1)
-	q := NewUpdateQueue()
-	q.Enqueue(Update{User: 0, Kind: SetItem, Item: 1, Weight: 1})
-	q.Enqueue(Update{User: 9, Kind: SetItem, Item: 1, Weight: 1}) // out of range
-	q.Enqueue(Update{User: 0, Kind: SetItem, Item: 2, Weight: 2})
-
-	updates := q.Drain()
+	updates := []Update{
+		{User: 0, Kind: SetItem, Item: 1, Weight: 1},
+		{User: 9, Kind: SetItem, Item: 1, Weight: 1}, // out of range
+		{User: 0, Kind: SetItem, Item: 2, Weight: 2},
+	}
 	n, err := ApplyUpdates(s, updates)
 	if err == nil {
 		t.Fatal("ApplyUpdates should fail on out-of-range user")
@@ -121,30 +108,18 @@ func TestUpdateQueueErrorKeepsTail(t *testing.T) {
 	}
 }
 
-func TestUpdateQueueUnknownKind(t *testing.T) {
+func TestApplyUpdatesUnknownKind(t *testing.T) {
 	s := NewStore(1)
-	q := NewUpdateQueue()
-	q.Enqueue(Update{User: 0, Kind: UpdateKind(42)})
-	if _, err := ApplyUpdates(s, q.Drain()); err == nil {
+	if _, err := ApplyUpdates(s, []Update{{User: 0, Kind: UpdateKind(42)}}); err == nil {
 		t.Error("unknown kind should fail")
 	}
-}
-
-func TestUpdateQueueConcurrentEnqueue(t *testing.T) {
-	q := NewUpdateQueue()
-	var wg sync.WaitGroup
-	const workers, perWorker = 8, 50
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				q.Enqueue(Update{User: 0, Kind: SetItem, Item: uint32(i), Weight: 1})
-			}
-		}()
+	for _, k := range []UpdateKind{0, SetItem, RemoveItem, ReplaceProfile, 42} {
+		if got, want := k.Valid(), k == SetItem || k == RemoveItem || k == ReplaceProfile; got != want {
+			t.Errorf("UpdateKind(%d).Valid() = %v, want %v", k, got, want)
+		}
 	}
-	wg.Wait()
-	if got := q.Len(); got != workers*perWorker {
-		t.Errorf("queue length = %d, want %d", got, workers*perWorker)
+	v := FromItems([]uint32{3})
+	if got := (Update{Kind: UpdateKind(42), Item: 3}).Apply(v); !got.Equal(v) {
+		t.Errorf("an invalid update changed the profile to %v", got.Entries())
 	}
 }

@@ -382,23 +382,7 @@ func (s *Server) handleStaleness(w http.ResponseWriter, r *http.Request) {
 		s.staleness.observe(start, http.StatusNotFound)
 		return
 	}
-	resp := api.StalenessResponse{
-		LastFullEpoch: doc.LastFullEpoch,
-		Threshold:     doc.Threshold,
-		Users:         doc.Users,
-		Partitions:    make([]api.PartitionStaleness, 0, len(doc.Partitions)),
-	}
-	for _, p := range doc.Partitions {
-		resp.Partitions = append(resp.Partitions, api.PartitionStaleness{
-			Partition:    p.Partition,
-			Adds:         p.Adds,
-			Deletes:      p.Deletes,
-			TouchedEdges: p.TouchedEdges,
-			Members:      p.Members,
-			Score:        p.Score,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, doc)
 	s.staleness.observe(start, http.StatusOK)
 }
 

@@ -269,11 +269,11 @@ func TestMutationEndpoints(t *testing.T) {
 
 	// Publish a staleness doc the way the engine does and read it back
 	// through the endpoint.
-	doc := netstore.StalenessDoc{
+	doc := api.StalenessResponse{
 		LastFullEpoch: 4,
 		Threshold:     0.25,
 		Users:         150,
-		Partitions: []netstore.PartitionStaleness{
+		Partitions: []api.PartitionStaleness{
 			{Partition: 0, Adds: 3, Deletes: 1, TouchedEdges: 40, Members: 100, Score: 0.08},
 			{Partition: 1, Members: 50},
 		},
