@@ -3,7 +3,24 @@ package core
 import (
 	"sync"
 	"testing"
+
+	"knnpc/internal/delta"
 )
+
+// TestInboxFIFO: user mutations drain in put order, and a second drain
+// is empty.
+func TestInboxFIFO(t *testing.T) {
+	var q inbox[delta.Mutation]
+	q.put(delta.Mutation{Op: delta.Add, User: 1})
+	q.put(delta.Mutation{Op: delta.Delete, User: 2})
+	got := q.drain()
+	if len(got) != 2 || got[0].User != 1 || got[0].Op != delta.Add || got[1].User != 2 || got[1].Op != delta.Delete {
+		t.Fatalf("drained %+v", got)
+	}
+	if rest := q.drain(); len(rest) != 0 {
+		t.Fatalf("second drain returned %+v", rest)
+	}
+}
 
 // TestInboxConcurrentPutDrain: producers put while a consumer drains;
 // every item comes out exactly once, each producer's items in put order,
