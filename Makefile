@@ -58,7 +58,7 @@ race-phase4:
 # every planner's schedule of a fuzzed PI graph must validate and never
 # load more under MIN than under LRU; the tuple table must serve a
 # fuzzed multiset, consumed in either shard orientation, exactly once
-# and de-duplicated; a -faults spec the parser accepts must validate.
+# and de-duplicated as (min, max) pairs; a -faults spec the parser accepts must validate.
 # `go test -fuzz` takes one target and one package per run. A crasher
 # is written under the package's testdata/fuzz/ — commit it with the
 # fix.
@@ -109,7 +109,7 @@ bench-smoke:
 	$(GO) run ./bench -runs 2 -seconds 5
 
 # Applies the benchmark's bounds to the last `make bench` against BASE,
-# e.g. `make bench-compare BASE=BENCH_41.json`; exits non-zero on
+# e.g. `make bench-compare BASE=BENCH_45.json`; exits non-zero on
 # a regressed or unresolved end-to-end metric, or on an exact count
 # that differs at equal seeds.
 bench-compare:

@@ -43,7 +43,7 @@ func Example() {
 		fmt.Printf("user %d -> %v\n", u, sys.Neighbors(u))
 	}
 	// Output:
-	// converged after 3 iterations
+	// converged after 2 iterations
 	// user 0 -> [1 2 3]
 	// user 1 -> [0 2 4]
 	// user 2 -> [0 1 3]
@@ -104,6 +104,6 @@ func ExampleSystem_QueryNeighbors() {
 	// Output:
 	// epoch before: 0
 	// epoch after > 0: true
-	// neighbors of 0: [2 6]
+	// neighbors of 0: [2 4]
 	// profile items: 3
 }

@@ -998,12 +998,13 @@ func (w *phase4Worker) flush(id uint32, _ any) error {
 	return nil
 }
 
-// pair scores the one tuple shard of the unordered pair {a, b} — both
-// directions, read with one spill-file open — or partition a's self
-// shard when a == b. No pair spans tape workers, so each shard is
-// consumed exactly once; the table's ShardAhead, announced by the
-// executor, has usually read it already. The two resident states are
-// resolved here, once per shard, not once per endpoint.
+// pair scores the one tuple shard of the unordered pair {a, b} —
+// every candidate pair with one endpoint in each, read with one
+// spill-file open — or partition a's self shard when a == b. No pair
+// spans tape workers, so each shard is consumed exactly once; the
+// table's ShardAhead, announced by the executor, has usually read it
+// already. The two resident states are resolved here, once per shard,
+// not once per endpoint.
 func (w *phase4Worker) pair(a, b uint32) error {
 	if err := w.shared.ctxErr(); err != nil {
 		return err
@@ -1028,27 +1029,32 @@ func (w *phase4Worker) scoreTuples(ts []tuples.Tuple) error {
 	if err != nil {
 		return w.shared.fail(err)
 	}
-	// Fold in runs of same-partition sources (a shard serves at most
-	// two, one per endpoint partition), taking each owning partition's
-	// fold lock once per run: TopK pushes use a total order over
+	// A tuple is one unordered pair, scored once and credited to both
+	// endpoints: (D, score) into S's accumulator, (S, score) into D's.
+	// Each shard end takes its partition's fold lock once and pushes
+	// every orientation that lands in it — a self shard has one end,
+	// which receives both. TopK pushes use a total order over
 	// (score, id), so the fold result is identical no matter how the
-	// workers' runs interleave. Score has already resolved every source
-	// through lookup, so each source lies in one of the shard's ends.
+	// workers' folds interleave. Score has already resolved every
+	// endpoint through lookup, so each lies in one of the shard's ends.
 	assign := w.shared.assign
-	for lo := 0; lo < len(ts); {
-		owner := w.end(assign.Of(ts[lo].S))
-		hi := lo + 1
-		for hi < len(ts) && assign.Of(ts[hi].S) == owner.id {
-			hi++
-		}
-		if err := w.shared.owner.fold(owner.id, func() {
-			for i := lo; i < hi; i++ {
-				owner.accs[assign.Ordinal(ts[i].S)].Push(ts[i].D, scores[i])
+	ends := w.ends[:]
+	if ends[0] == ends[1] {
+		ends = ends[:1]
+	}
+	for _, st := range ends {
+		if err := w.shared.owner.fold(st.id, func() {
+			for i, t := range ts {
+				if assign.Of(t.S) == st.id {
+					st.accs[assign.Ordinal(t.S)].Push(t.D, scores[i])
+				}
+				if assign.Of(t.D) == st.id {
+					st.accs[assign.Ordinal(t.D)].Push(t.S, scores[i])
+				}
 			}
 		}); err != nil {
 			return w.shared.fail(err)
 		}
-		lo = hi
 	}
 	w.shared.scored.Add(int64(len(ts)))
 	return nil

@@ -30,9 +30,12 @@ func testStore(t *testing.T, users int, seed int64) *profile.Store {
 }
 
 // referenceIterate is the straightforward in-memory statement of one
-// paper iteration: every user's candidates are its out-neighbors and
-// out-neighbors' out-neighbors; the new neighbor list is the top-K by
-// similarity, ties to smaller ids.
+// paper iteration with a symmetric similarity. u's forward candidates
+// are its out-neighbors and out-neighbors' out-neighbors; u's
+// candidates are its forward candidates plus every v that has u among
+// its own forward candidates, since sim(u, v) = sim(v, u) serves both.
+// The new neighbor list is the top-K by similarity, ties to smaller
+// ids.
 func referenceIterate(t *testing.T, g *graph.KNN, store *profile.Store, sim profile.Similarity, k int) *graph.KNN {
 	t.Helper()
 	n := g.NumNodes()
@@ -40,12 +43,28 @@ func referenceIterate(t *testing.T, g *graph.KNN, store *profile.Store, sim prof
 	if err != nil {
 		t.Fatal(err)
 	}
+	forward := func(u uint32) map[uint32]bool {
+		f := make(map[uint32]bool)
+		for _, v := range g.Neighbors(u) {
+			f[v] = true
+			for _, d := range g.Neighbors(v) {
+				f[d] = true
+			}
+		}
+		return f
+	}
+	fwd := make([]map[uint32]bool, n)
+	for u := range fwd {
+		fwd[u] = forward(uint32(u))
+	}
 	for u := 0; u < n; u++ {
 		cands := make(map[uint32]bool)
-		for _, v := range g.Neighbors(uint32(u)) {
+		for v := range fwd[u] {
 			cands[v] = true
-			for _, d := range g.Neighbors(v) {
-				cands[d] = true
+		}
+		for v := range fwd {
+			if fwd[v][uint32(u)] {
+				cands[uint32(v)] = true
 			}
 		}
 		delete(cands, uint32(u))

@@ -38,7 +38,8 @@ type IterationStats struct {
 	// value for the chosen assignment.
 	PartitionObjective int
 	// TuplesAdded counts raw tuple insertions into H (duplicates
-	// included); TuplesScored counts the de-duplicated tuples scored.
+	// included); TuplesScored counts the de-duplicated tuples scored,
+	// one similarity evaluation per unordered pair.
 	TuplesAdded  int64
 	TuplesScored int64
 	// PIEdges is the number of undirected PI-graph edges.

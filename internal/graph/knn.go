@@ -121,16 +121,12 @@ func (g *KNN) Edges() []Edge {
 	return edges
 }
 
-// Clone returns a deep copy.
+// Clone returns an independent copy: Set and Grow on either graph leave
+// the other unchanged. Rows are immutable — Set installs a fresh copy
+// and Neighbors hands out read-only views — so the clone shares them
+// and copies only the row table, one allocation however many nodes.
 func (g *KNN) Clone() *KNN {
-	c := &KNN{k: g.k, nbr: make([][]uint32, len(g.nbr))}
-	for u, nbrs := range g.nbr {
-		if len(nbrs) == 0 {
-			continue
-		}
-		c.nbr[u] = append([]uint32(nil), nbrs...)
-	}
-	return c
+	return &KNN{k: g.k, nbr: slices.Clone(g.nbr)}
 }
 
 // Grow appends extra nodes with empty neighbor lists — the delta

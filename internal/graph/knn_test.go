@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -157,6 +158,52 @@ func TestDiffEdgesSymmetryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKNNCloneIsIndependent: a clone shares the original's rows, yet
+// Set and Grow on either graph — overwriting a shared row, growing past
+// the row table's spare capacity, setting a grown node — leave the
+// other's rows and node count as they were.
+func TestKNNCloneIsIndependent(t *testing.T) {
+	rows := func(g *KNN) [][]uint32 {
+		out := make([][]uint32, g.NumNodes())
+		for u := range out {
+			out[u] = slices.Clone(g.Neighbors(uint32(u)))
+		}
+		return out
+	}
+	for _, mutateClone := range []bool{true, false} {
+		g, err := RandomKNN(6, 3, rand.New(rand.NewSource(7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Grow(1) // the row table now has spare capacity to append into
+		c := g.Clone()
+		changed, kept := c, g
+		if !mutateClone {
+			changed, kept = g, c
+		}
+		want, n := rows(kept), kept.NumNodes()
+		if err := changed.Set(0, []uint32{5, 4}); err != nil {
+			t.Fatal(err)
+		}
+		changed.Grow(2)
+		if err := changed.Set(6, []uint32{1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := changed.Set(8, []uint32{0, 2}); err != nil {
+			t.Fatal(err)
+		}
+		if kept.NumNodes() != n {
+			t.Errorf("mutateClone=%v: the other graph has %d nodes, want %d", mutateClone, kept.NumNodes(), n)
+		}
+		if got := rows(kept); !reflect.DeepEqual(got, want) {
+			t.Errorf("mutateClone=%v: the other graph's rows are %v, want %v", mutateClone, got, want)
+		}
+		if got := changed.Neighbors(0); !reflect.DeepEqual(got, []uint32{4, 5}) {
+			t.Errorf("mutateClone=%v: the mutated graph's row 0 is %v", mutateClone, got)
+		}
 	}
 }
 

@@ -42,8 +42,9 @@ func bestFirst(a, b Scored) int {
 
 // TopK accumulates a user's best K candidates. It is a bounded min-heap
 // (the root is the currently weakest kept candidate), giving O(log K)
-// insertion. Candidates must be distinct ids — the hash table H
-// guarantees each (s, d) pair is scored once per iteration.
+// insertion. Candidates must be distinct ids — the hash table H holds
+// each unordered pair {s, d} once per iteration, and phase 4 offers its
+// score once to each endpoint.
 //
 // TopK is the unit of partition state the engine persists: a partition
 // file carries one accumulator per member, serialized with

@@ -13,12 +13,17 @@ import (
 // budget leak hid (a payload whose Commit failed was dropped without
 // Discard, stranding its slot-budget charge).
 //
-// The check is flow-insensitive in the pairing sense: only functions
-// that contain both the acquire and a matching release are examined
-// (acquire-only functions transfer ownership — a lease token stored
-// for a later Unload is legal), and within such a function every
-// return after the acquire must have a release earlier in source
-// order, unless a deferred release covers all paths.
+// Only functions that contain both the acquire and a matching release
+// are examined (acquire-only functions transfer ownership — a lease
+// token stored for a later Unload is legal), and a deferred release
+// covers every path. Otherwise a return after the acquire is covered
+// only by a release that runs on its way out: one in the return's own
+// block or in a block enclosing it, between the acquire and the
+// return, or one inside the return expression. A release on a sibling
+// branch — an earlier error path this return never takes — does not
+// count. A return is also covered once the acquire's token has been
+// handed off on its way: stored into a field, map or slice element in
+// the same blocks, or returned to the caller.
 var Budgetpair = &Analyzer{
 	Name: "budgetpair",
 	Doc: "flags return paths between a staged acquire (Budget.Reserve, Client.Lease) and its " +
@@ -56,35 +61,61 @@ func runBudgetpair(pass *Pass) error {
 	return nil
 }
 
-// pairSite is one acquire, release, or return location. end matters
-// for returns: a release nested in the return expression itself
-// (`return c.Release(p, token)`) runs before the function exits and
-// covers that path.
+// pairSite is one acquire, release, hand-off or return location. end
+// matters for returns: a release nested in the return expression
+// itself (`return c.Release(p, token)`) runs before the function exits
+// and covers that path. block is the innermost statement list holding
+// the site — a block, case clause or select clause — which is what a
+// release or hand-off covers: the returns inside that list after it.
 type pairSite struct {
 	pos, end int
 	node     ast.Node
+	block    ast.Node
+}
+
+// covers reports whether site, which comes before ret, runs on every
+// path to ret: ret lies in site's own statement list.
+func (site pairSite) covers(ret pairSite) bool {
+	return site.pos < ret.pos && int(site.block.Pos()) <= ret.pos && ret.end <= int(site.block.End())
 }
 
 // checkPairScope applies one pairing discipline to one function body.
 func checkPairScope(pass *Pass, body *ast.BlockStmt, pair acquirePair) {
-	var acquires, releases, returns []pairSite
+	var acquires, releases, stores, returns []pairSite
 	deferredRelease := false
 
 	var inDefer ast.Node
-	// Releases are collected across nested literals too: a release
-	// inside `defer func() { ... }()` or a cleanup closure still
-	// releases. Acquires and returns stay shallow — they belong to
-	// this function's control flow.
+	var stack []ast.Node
+	innermostList := func() ast.Node {
+		for i := len(stack) - 1; i >= 0; i-- {
+			switch stack[i].(type) {
+			case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause:
+				return stack[i]
+			}
+		}
+		return body
+	}
+	// Releases are collected across nested literals too, so a release
+	// inside `defer func() { ... }()` is seen as deferred; one in a
+	// literal that is not deferred has the literal's body as its block
+	// and covers none of this function's returns. Acquires and returns
+	// stay shallow — they belong to this function's control flow.
 	ast.Inspect(body, func(n ast.Node) bool {
 		if n == nil {
+			stack = stack[:len(stack)-1]
 			return false
 		}
+		stack = append(stack, n)
 		if d, ok := n.(*ast.DeferStmt); ok {
 			inDefer = d
 		}
 		switch n := n.(type) {
 		case *ast.ReturnStmt:
 			returns = append(returns, pairSite{pos: int(n.Pos()), end: int(n.End()), node: n})
+		case *ast.AssignStmt:
+			if storesAway(n) {
+				stores = append(stores, pairSite{pos: int(n.Pos()), node: n, block: innermostList()})
+			}
 		case *ast.CallExpr:
 			obj := calleeObj(pass.Info, n)
 			if obj == nil {
@@ -94,7 +125,7 @@ func checkPairScope(pass *Pass, body *ast.BlockStmt, pair acquirePair) {
 			case isMethodOn(obj, pair.pkg, pair.typ) && obj.Name() == pair.acquire:
 				acquires = append(acquires, pairSite{pos: int(n.Pos()), node: n})
 			case isMethodOn(obj, pair.pkg, pair.typ) && obj.Name() == pair.release:
-				releases = append(releases, pairSite{pos: int(n.Pos()), node: n})
+				releases = append(releases, pairSite{pos: int(n.Pos()), node: n, block: innermostList()})
 				if inDefer != nil && n.Pos() >= inDefer.Pos() && n.End() <= inDefer.End() {
 					deferredRelease = true
 				}
@@ -104,9 +135,7 @@ func checkPairScope(pass *Pass, body *ast.BlockStmt, pair acquirePair) {
 	})
 
 	// Returns inside nested function literals are not this function's
-	// return paths; prune them. (Acquire/release sites inside literals
-	// are acceptable to keep — over-approximating releases only makes
-	// the check more permissive, never noisier.)
+	// return paths; prune them.
 	returns = pruneNestedReturns(body, returns)
 
 	if len(acquires) == 0 || len(releases) == 0 || deferredRelease {
@@ -116,25 +145,85 @@ func checkPairScope(pass *Pass, body *ast.BlockStmt, pair acquirePair) {
 		// A failed acquire stages nothing: returns inside the acquire's
 		// own error check (`tok, err := c.Lease(p); if err != nil { return }`
 		// or the init-statement form) are not leak paths.
-		exemptEnd := int(acquireExemptEnd(pass.Info, body, acq.node.(*ast.CallExpr)))
+		call := acq.node.(*ast.CallExpr)
+		exemptEnd := int(acquireExemptEnd(pass.Info, body, call))
+		token := acquiredToken(pass.Info, body, call)
 		for _, ret := range returns {
 			if ret.pos <= acq.pos || ret.pos <= exemptEnd {
 				continue
 			}
-			released := false
-			for _, rel := range releases {
-				if rel.pos > acq.pos && rel.pos <= ret.end {
-					released = true
-					break
-				}
-			}
-			if !released {
-				pass.Reportf(ret.node.Pos(), "return path leaks the %s staged at line %d: no %s between the acquire and this return (and no deferred release); release before returning",
+			if !releasedOrHandedOff(pass.Info, acq, ret, releases, stores, token) {
+				pass.Reportf(ret.node.Pos(), "return path leaks the %s staged at line %d: no %s runs between the acquire and this return (and no deferred release); release before returning",
 					pair.what, pass.Fset.Position(acq.node.Pos()).Line, pair.release)
 				break // one finding per acquire is enough
 			}
 		}
 	}
+}
+
+// releasedOrHandedOff reports whether the stake acq staged is settled
+// on the way to ret: a release after the acquire covers ret or sits in
+// its expression, or the acquire's token (nil when it has none) is
+// stored away before ret in a list covering it, or is returned by ret.
+func releasedOrHandedOff(info *types.Info, acq, ret pairSite, releases, stores []pairSite, token types.Object) bool {
+	for _, rel := range releases {
+		if rel.pos > acq.pos && (rel.covers(ret) || (rel.pos >= ret.pos && rel.pos <= ret.end)) {
+			return true
+		}
+	}
+	if token == nil {
+		return false
+	}
+	if mentions(info, ret.node, token) {
+		return true
+	}
+	for _, st := range stores {
+		if st.pos <= acq.pos || !st.covers(ret) {
+			continue
+		}
+		for _, rhs := range st.node.(*ast.AssignStmt).Rhs {
+			if mentions(info, rhs, token) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// storesAway reports whether the assignment writes somewhere that
+// outlives the function's locals: a field, a map or slice element, or
+// through a pointer.
+func storesAway(assign *ast.AssignStmt) bool {
+	for _, lhs := range assign.Lhs {
+		switch ast.Unparen(lhs).(type) {
+		case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
+			return true
+		}
+	}
+	return false
+}
+
+// acquiredToken returns the variable the acquire's first result is
+// assigned to (`token, err := c.Lease(p)`), or nil when the result is
+// discarded or the acquire is not the right-hand side of an assignment.
+func acquiredToken(info *types.Info, body *ast.BlockStmt, call *ast.CallExpr) types.Object {
+	var token types.Object
+	ast.Inspect(body, func(n ast.Node) bool {
+		assign, ok := n.(*ast.AssignStmt)
+		if !ok || token != nil {
+			return token == nil
+		}
+		if len(assign.Rhs) != 1 || ast.Unparen(assign.Rhs[0]) != call || len(assign.Lhs) == 0 {
+			return true
+		}
+		if id, ok := ast.Unparen(assign.Lhs[0]).(*ast.Ident); ok && id.Name != "_" {
+			if token = info.Defs[id]; token == nil {
+				token = info.Uses[id]
+			}
+		}
+		return false
+	})
+	return token
 }
 
 // acquireExemptEnd returns the end position of the acquire's
@@ -183,25 +272,16 @@ func condMentionsAssigned(info *types.Info, cond ast.Expr, stmt ast.Stmt) bool {
 	if !ok {
 		return false
 	}
-	written := make(map[types.Object]bool)
 	for _, lhs := range assign.Lhs {
 		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-			if obj := info.Defs[id]; obj != nil {
-				written[obj] = true
-			}
-			if obj := info.Uses[id]; obj != nil {
-				written[obj] = true
+			for _, obj := range []types.Object{info.Defs[id], info.Uses[id]} {
+				if obj != nil && mentions(info, cond, obj) {
+					return true
+				}
 			}
 		}
 	}
-	mentioned := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && (written[info.Uses[id]] && info.Uses[id] != nil) {
-			mentioned = true
-		}
-		return !mentioned
-	})
-	return mentioned
+	return false
 }
 
 // pruneNestedReturns drops returns that belong to nested function

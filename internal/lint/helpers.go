@@ -148,3 +148,15 @@ func pathMatcher(paths ...string) func(string) bool {
 	}
 	return func(path string) bool { return set[path] }
 }
+
+// mentions reports whether n uses the variable obj.
+func mentions(info *types.Info, n ast.Node, obj types.Object) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
+			found = true
+		}
+		return !found
+	})
+	return found
+}

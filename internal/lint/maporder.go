@@ -138,14 +138,7 @@ func sortedAfter(info *types.Info, body *ast.BlockStmt, rng *ast.RangeStmt, obj 
 			return true
 		}
 		for _, arg := range call.Args {
-			mentioned := false
-			ast.Inspect(arg, func(an ast.Node) bool {
-				if id, ok := an.(*ast.Ident); ok && info.Uses[id] == obj {
-					mentioned = true
-				}
-				return !mentioned
-			})
-			if mentioned {
+			if mentions(info, arg, obj) {
 				found = true
 				return false
 			}

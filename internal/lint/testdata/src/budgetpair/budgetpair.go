@@ -35,4 +35,41 @@ func leaseLeaky(c *netstore.Client, p uint32, ok func(uint64) bool) error {
 	return c.Release(p, token)
 }
 
-var use = []any{spillLeaky, leaseLeaky}
+// leaseSiblingLeak releases on the failed fetch but not on the failed
+// check after it: the release that comes earlier in source order sits
+// on a sibling error branch this return never runs.
+func leaseSiblingLeak(c *netstore.Client, p uint32, ok func([]byte) bool) ([]byte, error) {
+	token, err := c.Lease(p)
+	if err != nil {
+		return nil, err // failed acquire: exempt
+	}
+	blob, err := c.Get(p)
+	if err != nil {
+		_ = c.Release(p, token)
+		return nil, err
+	}
+	if !ok(blob) {
+		return nil, errors.New("bad blob") // want `return path leaks the partition lease`
+	}
+	return blob, c.Release(p, token)
+}
+
+// spillSiblingLeak is the same shape for a budget reservation: the
+// release inside one case clause does not cover the next.
+func spillSiblingLeak(b *disk.Budget, payload []byte) error {
+	n := int64(len(payload))
+	if err := b.Reserve(n); err != nil {
+		return err
+	}
+	switch {
+	case n == 0:
+		b.Release(n)
+		return errors.New("empty payload")
+	case n > 1<<20:
+		return errors.New("payload too large") // want `return path leaks the budget reservation`
+	}
+	b.Release(n)
+	return nil
+}
+
+var use = []any{spillLeaky, leaseLeaky, leaseSiblingLeak, spillSiblingLeak}

@@ -48,4 +48,55 @@ func releaseOnly(c *netstore.Client, p uint32, token uint64) error {
 	return c.Release(p, token)
 }
 
-var use = []any{spillReleasesEverywhere, spillDeferred, acquireTransfers, releaseOnly}
+// leaseReleasedBeforeBranch releases in the block enclosing the later
+// returns, so each of them runs it.
+func leaseReleasedBeforeBranch(c *netstore.Client, p uint32) error {
+	token, err := c.Lease(p)
+	if err != nil {
+		return err
+	}
+	if err := c.Release(p, token); err != nil {
+		return err
+	}
+	if p == 0 {
+		return errors.New("partition 0")
+	}
+	return nil
+}
+
+// holder keeps leases for a later release.
+type holder struct{ tokens map[uint32]uint64 }
+
+// leaseAndHold releases on its failed fetch and hands the token off on
+// success: stored in the holder, the lease is no longer this function's
+// to release, as in an acquire-only function.
+func (h *holder) leaseAndHold(c *netstore.Client, p uint32) ([]byte, error) {
+	token, err := c.Lease(p)
+	if err != nil {
+		return nil, err
+	}
+	blob, err := c.Get(p)
+	if err != nil {
+		_ = c.Release(p, token)
+		return nil, err
+	}
+	h.tokens[p] = token
+	return blob, nil
+}
+
+// leaseReturned releases on its failed fetch and returns the token to
+// the caller otherwise.
+func leaseReturned(c *netstore.Client, p uint32) (uint64, error) {
+	token, err := c.Lease(p)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := c.Get(p); err != nil {
+		_ = c.Release(p, token)
+		return 0, err
+	}
+	return token, nil
+}
+
+var use = []any{spillReleasesEverywhere, spillDeferred, acquireTransfers, releaseOnly,
+	leaseReleasedBeforeBranch, (*holder).leaseAndHold, leaseReturned}

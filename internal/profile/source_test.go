@@ -18,18 +18,33 @@ var sourceMeasures = []Similarity{Cosine{}, Jaccard{}, Dice{}, Overlap{}, onlySc
 // requireSourceMatchesScore checks, for every measure and every ordered
 // pair of vecs, that a Source reset to the first scores the second to
 // exactly the bits Similarity.Score gives — with one Source reused
-// across all of them, as the scorer reuses it across runs.
+// across all of them, as the scorer reuses it across runs — and that
+// the pair scores to the same bits from either end: Reset(a); Score(b)
+// equals Reset(b); Score(a). Phase 4 scores each unordered pair once,
+// from whichever endpoint is the tuple's source, and credits the score
+// to both, so it relies on this equality.
 func requireSourceMatchesScore(t *testing.T, vecs []Vector) {
 	t.Helper()
 	for _, sim := range sourceMeasures {
 		src := NewSource(sim)
+		scores := make([][]float64, len(vecs))
 		for si, s := range vecs {
 			src.Reset(s)
+			scores[si] = make([]float64, len(vecs))
 			for di, d := range vecs {
 				got, want := src.Score(d), sim.Score(s, d)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s: source %d (%v) vs %d (%v): Source.Score = %v (%#x), Score = %v (%#x)",
 						sim.Name(), si, s.Entries(), di, d.Entries(), got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				scores[si][di] = got
+			}
+		}
+		for si := range vecs {
+			for di := range si {
+				if ab, ba := scores[si][di], scores[di][si]; math.Float64bits(ab) != math.Float64bits(ba) {
+					t.Fatalf("%s: source %d scores %d to %v (%#x), source %d scores %d to %v (%#x)",
+						sim.Name(), si, di, ab, math.Float64bits(ab), di, si, ba, math.Float64bits(ba))
 				}
 			}
 		}

@@ -16,12 +16,20 @@ import (
 
 // DiskTable is the hash table H: it absorbs raw tuples (duplicates and
 // all) and serves de-duplicated, deterministically ordered shards keyed
-// by the unordered partition pair of the endpoints: the tuples from
-// partition a to b and from b to a share the one shard {a, b}, so a PI
-// edge is one pending buffer and one spill file, read back with one
-// open. Raw tuples collect in one in-memory buffer per shard;
-// de-duplication happens shard-at-a-time when phase 4 reads the shard —
-// exactly the moment the two owning partitions are resident anyway.
+// by the unordered partition pair of the endpoints: the tuples between
+// partitions a and b share the one shard {a, b}, so a PI edge is one
+// pending buffer and one spill file, read back with one open. Raw
+// tuples collect in one in-memory buffer per shard; de-duplication
+// happens shard-at-a-time when phase 4 reads the shard — exactly the
+// moment the two owning partitions are resident anyway.
+//
+// H holds each unordered candidate pair once. AddBatch stores a tuple
+// in canonical orientation, (min(S, D), max(S, D)), so (s, d) and
+// (d, s) are one key and the read-time de-duplication drops the
+// reciprocal copy with the plain ones; phase 4 scores the pair once and
+// credits the score to both endpoints. Orientation does not move a
+// tuple between shards, so Added and ShardCounts — the raw counts the
+// PI graph is weighted by — are what they would be without it.
 //
 // Where the raw tuples wait is the table's one switch. With a scratch
 // directory a shard's buffer is appended to that shard's spill file
@@ -204,8 +212,10 @@ func (t *DiskTable) addKeys(id ShardID, keys []uint64) (int64, error) {
 func (t *DiskTable) SetTombstones(dead graph.NodeSet) { t.dead = dead }
 
 // AddBatch records a batch of tuples — producers accumulate a local
-// buffer and hand it over whole. Tuples are grouped by shard through a
-// pooled ordinal-indexed scratch, dropping tombstoned ones on the way,
+// buffer and hand it over whole. Each tuple is stored in canonical
+// orientation, smaller id first, so a batch and its reversal add the
+// same keys. Tuples are grouped by shard through a pooled
+// ordinal-indexed scratch, dropping tombstoned ones on the way,
 // so each touched shard's lock (and at most one spill flush per shard)
 // is paid once per batch instead of once per tuple, and the grouping
 // itself allocates nothing in steady state.
@@ -228,7 +238,7 @@ func (t *DiskTable) AddBatch(ts []Tuple) error {
 		if len(g.buckets[ord]) == 0 {
 			g.touched = append(g.touched, ord)
 		}
-		g.buckets[ord] = append(g.buckets[ord], pack(tu.S, tu.D))
+		g.buckets[ord] = append(g.buckets[ord], pack(min(tu.S, tu.D), max(tu.S, tu.D)))
 		added++
 	}
 	var spilled int64
@@ -343,14 +353,15 @@ func (t *DiskTable) takeLocked(id ShardID) (pending []uint64, w *disk.RecordWrit
 }
 
 // readShard drains one taken shard: it finishes the spill file, reads
-// back the bytes this table wrote to it, merges the unflushed tail, and
-// orders and de-duplicates the lot by radix sort over compact keys
-// (shardOrder). The one exact-size result holds the tuples whose
-// source lies in partition I, then those whose source lies in J, each
-// run sorted by (S, D). It touches no table state beyond the
-// handed-over writer (plus the shared stats/device, which are
-// concurrency-safe), so it may run on a background goroutine. It
-// returns the shard's tuples and the spill bytes read from disk.
+// back the bytes this table wrote to it, merges the unflushed tail,
+// and orders and de-duplicates the lot by radix sort over compact
+// keys (shardOrder). The one exact-size result holds the canonical
+// (S ≤ D) tuples whose source lies in partition I, then those whose
+// source lies in J, each run sorted by (S, D). It touches no table
+// state beyond the handed-over writer (plus the shared stats/device,
+// which are concurrency-safe), so it may run on a background
+// goroutine. It returns the shard's tuples and the spill bytes read
+// from disk.
 func (t *DiskTable) readShard(id ShardID, pending []uint64, w *disk.RecordWriter, count int64) ([]Tuple, int64, error) {
 	o := newShardOrder(t.assign, id)
 	kb, _ := t.keyPool.Get().(*keyBufs)
@@ -423,7 +434,7 @@ func readShardKeys[K uint32 | uint64](t *DiskTable, id ShardID, o *shardOrder, p
 }
 
 // ShardAhead starts reading shard {i, j} on a background goroutine, so
-// the later Shard call for the same pair, in either orientation,
+// the later Shard call for the same pair, named in either order,
 // returns the already-read (and already de-duplicated) tuples instead
 // of blocking the phase-4 cursor on spill I/O and sorting — a shard
 // that never spilled still moves its sort-and-dedup off the cursor. The
@@ -463,18 +474,20 @@ func (t *DiskTable) PrefetchedShardBytes() int64 { return t.prefetchedBytes.Load
 // most one per shard, and 0 for a table that never spilled.
 func (t *DiskTable) SpillReads() int64 { return t.spillReads.Load() }
 
-// Shard returns the de-duplicated tuples with one endpoint in partition
-// i and the other in j, in either direction: those with a source in
-// min(i, j) first, then those with a source in max(i, j), each run
-// sorted by (S, D). It reads back what the table spilled of the shard
-// and radix-sorts it with the unflushed tail, dropping duplicates; the
-// spill file stays for the next table. It consumes the shard: (i, j) and
-// (j, i) name the same one, so a second call in either orientation
-// returns nil (each shard is read exactly once, by the PI edge that
-// owns it). A shard announced with ShardAhead is served from the
-// in-flight read instead — waiting for it if necessary. Calling Shard
-// on a closed table is an error: the table gave up its spill writers,
-// so silently returning an empty shard would hide lost tuples.
+// Shard returns the de-duplicated tuples with one endpoint in
+// partition i and the other in j, each unordered pair once in
+// canonical orientation (S ≤ D) — so a shard never serves both (s, d)
+// and (d, s): those with a source in min(i, j) first, then those with
+// a source in max(i, j), each run sorted by (S, D). It reads back
+// what the table spilled of the shard and radix-sorts it with the
+// unflushed tail, dropping duplicates; the spill file stays for the
+// next table. It consumes the shard: (i, j) and (j, i) name the same
+// one, so a second call in either order returns nil (each shard is
+// read exactly once, by the PI edge that owns it). A shard announced
+// with ShardAhead is served from the in-flight read instead — waiting
+// for it if necessary. Calling Shard on a closed table is an error:
+// the table gave up its spill writers, so silently returning an empty
+// shard would hide lost tuples.
 func (t *DiskTable) Shard(i, j uint32) ([]Tuple, error) {
 	id := pairID(i, j)
 	t.mu.Lock()

@@ -14,7 +14,8 @@ import (
 // of 32 users, every later byte pair a tuple — and consumes every shard
 // once by a byte-chosen mix of Shard(i, j), Shard(j, i) and ShardAhead
 // in either orientation. What is served must be exactly the
-// de-duplicated multiset, shard by shard in served order, and the
+// de-duplicated multiset of (min, max) pairs, shard by shard in served
+// order, and the
 // mirror of a consumed shard must serve nil. A second table over the
 // same scratch then takes the first half of the stream: its spill
 // files are the first table's, rewritten shorter, and it must serve
@@ -65,7 +66,7 @@ func FuzzDiskTableShards(f *testing.F) {
 // serveAll adds stream to table in data's chunk size, then consumes
 // every shard in data's mix of orientations and read-aheads and closes
 // the table, failing t unless what is served is exactly stream's
-// de-duplicated multiset.
+// de-duplicated multiset of (min, max) pairs.
 func serveAll(t *testing.T, table *DiskTable, a *partition.Assignment, data []byte, stream []Tuple) {
 	t.Helper()
 	defer table.Close()
@@ -110,7 +111,7 @@ func serveAll(t *testing.T, table *DiskTable, a *partition.Assignment, data []by
 		}
 	}
 	if !reflect.DeepEqual(served, want.shards) {
-		t.Fatalf("served shards diverge from the de-duplicated multiset:\ngot  %v\nwant %v", served, want.shards)
+		t.Fatalf("served shards diverge from the de-duplicated (min, max) multiset:\ngot  %v\nwant %v", served, want.shards)
 	}
 	if err := table.Close(); err != nil {
 		t.Fatal(err)

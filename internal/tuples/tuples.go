@@ -4,9 +4,11 @@
 // table H, sharded by the unordered partition pair
 // {partition(s), partition(d)}.
 //
-// Duplicates arise from cycles (a, b, c all linking to each other) and
-// from multiple bridges (a→b→d and a→c→d both yield (a, d)); H keeps
-// exactly one copy so phase 4 scores each candidate pair once.
+// Duplicates arise from cycles (a, b, c all linking to each other),
+// from multiple bridges (a→b→d and a→c→d both yield (a, d)) and from
+// reciprocity ((a, d) and (d, a)); H keeps exactly one copy of each
+// unordered pair, so phase 4 scores each candidate pair once and
+// credits the score to both endpoints.
 package tuples
 
 import (
@@ -16,7 +18,8 @@ import (
 )
 
 // Tuple is a candidate pair: D is a neighbor or neighbor's-neighbor of
-// S, so D is a candidate for S's next K-nearest set.
+// S. Similarity is symmetric, so the pair is a candidate for both
+// users' next K-nearest sets; H stores it once, as (min, max).
 type Tuple struct {
 	S uint32
 	D uint32
@@ -72,7 +75,8 @@ func GenerateBridge(p *partition.Data, emit func(s, d uint32) error) error {
 }
 
 // ShardID names an unordered partition pair, I ≤ J: the tuples (s, d)
-// with {partition(s), partition(d)} = {I, J}, both directions together.
+// with {partition(s), partition(d)} = {I, J}, whichever endpoint lies
+// in which.
 type ShardID struct {
 	I uint32
 	J uint32

@@ -86,8 +86,9 @@ func sortServed(a *partition.Assignment, id ShardID, ts []Tuple) {
 
 // checkShard asserts the undirected shard contract on what Shard
 // served for id: I ≤ J, every tuple's endpoint partitions are {I, J},
-// and the S∈I run precedes the S∈J run, each strictly (S, D)-increasing
-// (so de-duplicated).
+// every tuple is canonical (S ≤ D, so no shard serves both (s, d) and
+// (d, s)), and the S∈I run precedes the S∈J run, each strictly
+// (S, D)-increasing (so de-duplicated).
 func checkShard(a *partition.Assignment, id ShardID, ts []Tuple) error {
 	if id.I > id.J {
 		return fmt.Errorf("shard id %v is not normalised", id)
@@ -97,6 +98,9 @@ func checkShard(a *partition.Assignment, id ShardID, ts []Tuple) error {
 		ps, pd := a.Of(tu.S), a.Of(tu.D)
 		if min(ps, pd) != id.I || max(ps, pd) != id.J {
 			return fmt.Errorf("tuple %v (partitions %d,%d) landed in shard %v", tu, ps, pd, id)
+		}
+		if tu.S > tu.D {
+			return fmt.Errorf("shard %v serves %v against its canonical orientation", id, tu)
 		}
 		if ps != id.I {
 			inJ = true
@@ -271,8 +275,9 @@ func drain(t *testing.T, table *DiskTable, m uint32, ahead bool) contents {
 	return c
 }
 
-// oracle is H by brute force: a set of packed tuples per unordered
-// partition pair, plus the raw tallies, filled one tuple at a time.
+// oracle is H by brute force: the de-duplicated multiset of
+// (min, max) pairs per unordered partition pair, plus the raw tallies,
+// filled one tuple at a time.
 func oracle(a *partition.Assignment, stream []Tuple, dead graph.NodeSet) contents {
 	sets := make(map[ShardID]map[uint64]struct{})
 	c := contents{counts: make(map[ShardID]int64), shards: make(map[ShardID][]Tuple)}
@@ -284,7 +289,7 @@ func oracle(a *partition.Assignment, stream []Tuple, dead graph.NodeSet) content
 		if sets[id] == nil {
 			sets[id] = make(map[uint64]struct{})
 		}
-		sets[id][pack(tu.S, tu.D)] = struct{}{}
+		sets[id][pack(min(tu.S, tu.D), max(tu.S, tu.D))] = struct{}{}
 		c.counts[id]++
 		c.added++
 	}
@@ -346,7 +351,8 @@ func TestTableDeduplicatesPaperCases(t *testing.T) {
 // tuple multisets fed through concurrent AddBatch producers, the table
 // that never spills, the table that spills every single tuple, and a
 // brute-force oracle agree on Added, on the raw undirected ShardCounts
-// and on every shard's de-duplicated contents in served order — with
+// and on every shard's contents in served order, the de-duplicated
+// (min, max) pairs of what was added — with
 // and without tombstones, with shards consumed through ShardAhead and
 // through plain Shard.
 func TestMemAndDiskTablesAgreeProperty(t *testing.T) {
@@ -398,8 +404,9 @@ func TestMemAndDiskTablesAgreeProperty(t *testing.T) {
 
 // TestShardsAreSortedAndOwnedByRightPartitions pins the undirected
 // shard contract on both media: ShardCounts keys all have I ≤ J and sum
-// to Added; shard {i, j} serves exactly the de-duplicated tuples whose
-// endpoint partitions are {i, j}, sources in i first, each run sorted;
+// to Added; shard {i, j} serves exactly the de-duplicated (min, max)
+// pairs whose endpoint partitions are {i, j}, sources in i first, each
+// run sorted;
 // and once Shard(a, b) has consumed it, Shard(b, a) returns nil.
 func TestShardsAreSortedAndOwnedByRightPartitions(t *testing.T) {
 	g, err := dataset.UniformRandom(40, 200, 9)
@@ -496,7 +503,8 @@ func TestShardKeysWiderThan32Bits(t *testing.T) {
 
 // TestShardAheadEitherOrientationStartsOneRead: announcing (a, b) and
 // then (b, a) starts exactly one background read of the one spill file,
-// and consuming it as (b, a) returns the whole shard.
+// and consuming it as (b, a) returns the whole shard: each unordered
+// pair once, smaller id first.
 func TestShardAheadEitherOrientationStartsOneRead(t *testing.T) {
 	a, err := partition.NewAssignment([]uint32{0, 0, 1, 1}, 2)
 	if err != nil {
@@ -519,7 +527,7 @@ func TestShardAheadEitherOrientationStartsOneRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []Tuple{{0, 2}, {1, 3}, {2, 0}, {3, 1}}; !reflect.DeepEqual(got, want) {
+	if want := []Tuple{{0, 2}, {1, 3}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("shard {0,1} = %v, want %v", got, want)
 	}
 	if n := table.SpillReads(); n != 1 {
@@ -527,6 +535,76 @@ func TestShardAheadEitherOrientationStartsOneRead(t *testing.T) {
 	}
 	if table.PrefetchedShardBytes() != 5*8 {
 		t.Errorf("read ahead %d bytes, want the 5 spilled tuples", table.PrefetchedShardBytes())
+	}
+}
+
+// TestReversedBatchServesTheSameTable is the table's orientation
+// contract on both media: a batch and the same batch with every tuple
+// reversed leave equal Added, equal raw ShardCounts and equal served
+// shards, since a tuple's shard and its stored key do not depend on
+// which endpoint is its source.
+func TestReversedBatchServesTheSameTable(t *testing.T) {
+	g, err := dataset.UniformRandom(50, 250, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := (partition.Hash{}).Partition(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := collectBridge(t, g, 4)
+	reversed := make([]Tuple, len(stream))
+	for i, tu := range stream {
+		reversed[i] = Tuple{S: tu.D, D: tu.S}
+	}
+	for _, medium := range media {
+		var served [2]contents
+		for i, batch := range [][]Tuple{stream, reversed} {
+			table := newTable(t, medium, a, 3)
+			if err := table.AddBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			served[i] = drain(t, table, 4, i == 1)
+			if err := table.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(served[0], served[1]) {
+			t.Errorf("%s: the reversed batch serves\n%+v\nthe batch\n%+v", medium, served[1], served[0])
+		}
+	}
+}
+
+// TestBothOrientationsServeOnePair: a shard fed (s, d) and (d, s) —
+// within one batch, across batches, across a spill — serves the pair
+// once, smaller id first, in a self shard and in a cross shard alike.
+// TopK needs the distinct ids this guarantees: a pair served twice
+// would be pushed twice into each endpoint's accumulator.
+func TestBothOrientationsServeOnePair(t *testing.T) {
+	a, err := partition.NewAssignment([]uint32{0, 1, 0, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, medium := range media {
+		for _, pair := range []Tuple{{2, 0}, {3, 0}} {
+			table := newTable(t, medium, a, 1)
+			rev := Tuple{S: pair.D, D: pair.S}
+			for _, batch := range [][]Tuple{{pair, rev}, {rev}, {pair}} {
+				if err := table.AddBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := table.Shard(a.Of(pair.S), a.Of(pair.D))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := []Tuple{rev}; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: both orientations of %v serve %v, want %v", medium, pair, got, want)
+			}
+			if err := table.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
