@@ -531,7 +531,7 @@ func TestPartStoreBuildsOnEmulatedHDD(t *testing.T) {
 
 // TestWorkerResolvesShardEnds: a tape worker resolves a shard's two
 // resident states once per pair step and indexes their arenas by
-// ordinal. So a state whose members are not phase 1's is refused when
+// ordinal, crediting each pair's score to both endpoints. So a state whose members are not phase 1's is refused when
 // it is committed, a shard whose partitions are not both resident is
 // an error, and so is an endpoint outside the shard's two partitions.
 func TestWorkerResolvesShardEnds(t *testing.T) {
@@ -551,7 +551,7 @@ func TestWorkerResolvesShardEnds(t *testing.T) {
 	// Each worker gets a run of its own: the first error cancels it.
 	worker := func() *phase4Worker {
 		table := tuples.NewDiskTable(assign, nil, new(disk.IOStats), 0)
-		if err := table.AddBatch([]tuples.Tuple{{S: 0, D: 3}, {S: 4, D: 1}, {S: 2, D: 7}}); err != nil {
+		if err := table.AddBatch([]tuples.Tuple{{S: 0, D: 3}, {S: 4, D: 1}, {S: 2, D: 7}, {S: 2, D: 0}}); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
@@ -583,6 +583,25 @@ func TestWorkerResolvesShardEnds(t *testing.T) {
 	}
 	if got := w.resident[1].accs[1].AppendIDs(nil); !slices.Equal(got, []uint32{1}) {
 		t.Errorf("user 4's candidates = %v, want [1]", got)
+	}
+	// Each pair is folded into its destination end too.
+	if got := w.resident[1].accs[0].AppendIDs(nil); !slices.Equal(got, []uint32{0}) {
+		t.Errorf("user 3's candidates = %v, want [0]", got)
+	}
+	if got := w.resident[0].accs[1].AppendIDs(nil); !slices.Equal(got, []uint32{4}) {
+		t.Errorf("user 1's candidates = %v, want [4]", got)
+	}
+	// A self shard has one end, and each endpoint of its pair receives
+	// the other exactly once.
+	if err := w.pair(0, 0); err != nil {
+		t.Fatalf("self shard {0,0}: %v", err)
+	}
+	if got := w.resident[0].accs[2].AppendIDs(nil); !slices.Equal(got, []uint32{0}) {
+		t.Errorf("user 2's candidates = %v, want [0]", got)
+	}
+	got := w.resident[0].accs[0].AppendIDs(nil)
+	if slices.Sort(got); !slices.Equal(got, []uint32{2, 3}) {
+		t.Errorf("user 0's candidates = %v, want [2 3]", got)
 	}
 	if _, err := w.lookup(7); err == nil || !strings.Contains(err.Error(), "outside the shard") {
 		t.Errorf("lookup of user 7 while scoring shard {0,1}: got %v", err)

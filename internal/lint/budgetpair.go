@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // Budgetpair enforces the PR 3 leak lesson: a function that stages an
@@ -22,8 +23,11 @@ import (
 // return, or one inside the return expression. A release on a sibling
 // branch — an earlier error path this return never takes — does not
 // count. A return is also covered once the acquire's token has been
-// handed off on its way: stored into a field, map or slice element in
-// the same blocks, or returned to the caller.
+// handed off on its way: the token itself, or a composite literal
+// holding it, stored into a field, map or slice element in the same
+// blocks, or returned to the caller. A token that is only an error (a
+// Reserve's result) is never handed off, and neither is one merely
+// mentioned inside another expression.
 var Budgetpair = &Analyzer{
 	Name: "budgetpair",
 	Doc: "flags return paths between a staged acquire (Budget.Reserve, Client.Lease) and its " +
@@ -113,7 +117,7 @@ func checkPairScope(pass *Pass, body *ast.BlockStmt, pair acquirePair) {
 		case *ast.ReturnStmt:
 			returns = append(returns, pairSite{pos: int(n.Pos()), end: int(n.End()), node: n})
 		case *ast.AssignStmt:
-			if storesAway(n) {
+			if slices.ContainsFunc(n.Lhs, storesAway) {
 				stores = append(stores, pairSite{pos: int(n.Pos()), node: n, block: innermostList()})
 			}
 		case *ast.CallExpr:
@@ -165,24 +169,34 @@ func checkPairScope(pass *Pass, body *ast.BlockStmt, pair acquirePair) {
 // on the way to ret: a release after the acquire covers ret or sits in
 // its expression, or the acquire's token (nil when it has none) is
 // stored away before ret in a list covering it, or is returned by ret.
-func releasedOrHandedOff(info *types.Info, acq, ret pairSite, releases, stores []pairSite, token types.Object) bool {
+// Only the token itself counts as handed off — a stored value or a
+// result, or an element of a composite literal that is one; a token
+// merely mentioned in another expression (`fmt.Errorf("%d", token)`)
+// stays this function's to release.
+func releasedOrHandedOff(info *types.Info, acq, ret pairSite, releases, stores []pairSite, tok types.Object) bool {
 	for _, rel := range releases {
 		if rel.pos > acq.pos && (rel.covers(ret) || (rel.pos >= ret.pos && rel.pos <= ret.end)) {
 			return true
 		}
 	}
-	if token == nil {
+	if tok == nil {
 		return false
 	}
-	if mentions(info, ret.node, token) {
-		return true
+	for _, res := range ret.node.(*ast.ReturnStmt).Results {
+		if isToken(info, res, tok) {
+			return true
+		}
 	}
 	for _, st := range stores {
 		if st.pos <= acq.pos || !st.covers(ret) {
 			continue
 		}
-		for _, rhs := range st.node.(*ast.AssignStmt).Rhs {
-			if mentions(info, rhs, token) {
+		assign := st.node.(*ast.AssignStmt)
+		if len(assign.Lhs) != len(assign.Rhs) {
+			continue
+		}
+		for i, rhs := range assign.Rhs {
+			if storesAway(assign.Lhs[i]) && isToken(info, rhs, tok) {
 				return true
 			}
 		}
@@ -190,40 +204,68 @@ func releasedOrHandedOff(info *types.Info, acq, ret pairSite, releases, stores [
 	return false
 }
 
-// storesAway reports whether the assignment writes somewhere that
-// outlives the function's locals: a field, a map or slice element, or
-// through a pointer.
-func storesAway(assign *ast.AssignStmt) bool {
-	for _, lhs := range assign.Lhs {
-		switch ast.Unparen(lhs).(type) {
-		case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-			return true
+// isToken reports whether e is the token variable itself, or a
+// composite literal (or its address) holding the token as an element.
+func isToken(info *types.Info, e ast.Expr, tok types.Object) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return info.Uses[e] == tok
+	case *ast.UnaryExpr:
+		lit, ok := ast.Unparen(e.X).(*ast.CompositeLit)
+		return e.Op == token.AND && ok && isToken(info, lit, tok)
+	case *ast.CompositeLit:
+		for _, elt := range e.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				elt = kv.Value
+			}
+			if isToken(info, elt, tok) {
+				return true
+			}
 		}
+	}
+	return false
+}
+
+// storesAway reports whether an assignment target outlives the
+// function's locals: a field, a map or slice element, or a write
+// through a pointer.
+func storesAway(lhs ast.Expr) bool {
+	switch ast.Unparen(lhs).(type) {
+	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
+		return true
 	}
 	return false
 }
 
 // acquiredToken returns the variable the acquire's first result is
 // assigned to (`token, err := c.Lease(p)`), or nil when the result is
-// discarded or the acquire is not the right-hand side of an assignment.
+// discarded, is only an error (`err := b.Reserve(n)` hands nothing
+// off), or the acquire is not the right-hand side of an assignment.
 func acquiredToken(info *types.Info, body *ast.BlockStmt, call *ast.CallExpr) types.Object {
-	var token types.Object
+	first := info.TypeOf(call)
+	if tuple, ok := first.(*types.Tuple); ok && tuple.Len() > 0 {
+		first = tuple.At(0).Type()
+	}
+	if first == nil || types.Identical(first, types.Universe.Lookup("error").Type()) {
+		return nil
+	}
+	var tok types.Object
 	ast.Inspect(body, func(n ast.Node) bool {
 		assign, ok := n.(*ast.AssignStmt)
-		if !ok || token != nil {
-			return token == nil
+		if !ok || tok != nil {
+			return tok == nil
 		}
 		if len(assign.Rhs) != 1 || ast.Unparen(assign.Rhs[0]) != call || len(assign.Lhs) == 0 {
 			return true
 		}
 		if id, ok := ast.Unparen(assign.Lhs[0]).(*ast.Ident); ok && id.Name != "_" {
-			if token = info.Defs[id]; token == nil {
-				token = info.Uses[id]
+			if tok = info.Defs[id]; tok == nil {
+				tok = info.Uses[id]
 			}
 		}
 		return false
 	})
-	return token
+	return tok
 }
 
 // acquireExemptEnd returns the end position of the acquire's

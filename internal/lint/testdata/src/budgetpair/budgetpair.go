@@ -5,6 +5,7 @@ package budgetpair
 
 import (
 	"errors"
+	"fmt"
 
 	"knnpc/internal/disk"
 	"knnpc/internal/netstore"
@@ -72,4 +73,50 @@ func spillSiblingLeak(b *disk.Budget, payload []byte) error {
 	return nil
 }
 
-var use = []any{spillLeaky, leaseLeaky, leaseSiblingLeak, spillSiblingLeak}
+// spillErrReuse reuses the Reserve's err for a later call. Reserve
+// returns only an error, so the err returned on that call's failure
+// hands nothing off: the reservation leaks.
+func spillErrReuse(b *disk.Budget, n int64, read func() ([]byte, error)) ([]byte, error) {
+	err := b.Reserve(n)
+	if err != nil {
+		return nil, err // failed acquire: exempt
+	}
+	buf, err := read()
+	if err != nil {
+		return nil, err // want `return path leaks the budget reservation`
+	}
+	b.Release(n)
+	return buf, nil
+}
+
+// leaseTokenInMessage names the token in its error: a mention inside
+// another expression is not a hand-off.
+func leaseTokenInMessage(c *netstore.Client, p uint32, ok func(uint64) bool) error {
+	token, err := c.Lease(p)
+	if err != nil {
+		return err
+	}
+	if !ok(token) {
+		return fmt.Errorf("stale lease %d", token) // want `return path leaks the partition lease`
+	}
+	return c.Release(p, token)
+}
+
+// logbook keeps notes about leases, not the leases.
+type logbook struct{ notes map[uint32]string }
+
+// leaseTokenLogged stores a message naming the token, not the token.
+func (l *logbook) leaseTokenLogged(c *netstore.Client, p uint32, ok func(uint64) bool) error {
+	token, err := c.Lease(p)
+	if err != nil {
+		return err
+	}
+	if !ok(token) {
+		l.notes[p] = fmt.Sprint(token)
+		return errors.New("stale lease") // want `return path leaks the partition lease`
+	}
+	return c.Release(p, token)
+}
+
+var use = []any{spillLeaky, leaseLeaky, leaseSiblingLeak, spillSiblingLeak,
+	spillErrReuse, leaseTokenInMessage, (*logbook).leaseTokenLogged}

@@ -98,5 +98,30 @@ func leaseReturned(c *netstore.Client, p uint32) (uint64, error) {
 	return token, nil
 }
 
+// filed is one lease a filer keeps.
+type filed struct {
+	token uint64
+	blob  []byte
+}
+
+// filer keeps leases in records for a later release.
+type filer struct{ held map[uint32]*filed }
+
+// leaseAndFile hands the token off inside a composite literal, the
+// shape of a lease table's record.
+func (f *filer) leaseAndFile(c *netstore.Client, p uint32) error {
+	token, err := c.Lease(p)
+	if err != nil {
+		return err
+	}
+	blob, err := c.Get(p)
+	if err != nil {
+		_ = c.Release(p, token)
+		return err
+	}
+	f.held[p] = &filed{token: token, blob: blob}
+	return nil
+}
+
 var use = []any{spillReleasesEverywhere, spillDeferred, acquireTransfers, releaseOnly,
-	leaseReleasedBeforeBranch, (*holder).leaseAndHold, leaseReturned}
+	leaseReleasedBeforeBranch, (*holder).leaseAndHold, leaseReturned, (*filer).leaseAndFile}
