@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -98,30 +99,35 @@ func (e *Engine) EnqueueDelUser(u uint32) {
 // preserved because a user's mutations all journal on the shard user
 // mod N), then this process's own queue. Remote payloads that fail to
 // decode are dropped and counted in stats.Malformed — the journaled
-// bytes are immutable, so retrying cannot help. On a transport error
-// the mutations drained so far (whose journals are already cleared)
-// are parked on the backlog before returning, and the local queue is
-// left queued.
-func (e *Engine) drainMutations(stats *DeltaStats) ([]delta.Mutation, error) {
+// bytes are immutable, so retrying cannot help. DRAINMUT is
+// at-most-once, like phase 5's DRAINUPD, so a failed drain keeps what
+// the answering shards handed over and retryStore asks again. If the
+// drain stays down, the mutations drained so far (whose journals are
+// already cleared) are parked on the backlog before returning, and the
+// local queue is left queued.
+func (e *Engine) drainMutations(ctx context.Context, stats *DeltaStats) ([]delta.Mutation, error) {
 	muts := e.deltaBacklog
 	e.deltaBacklog = nil
 	if e.netClient != nil {
-		remote, err := e.netClient.DrainMutations()
-		for _, m := range remote {
-			switch m.Op {
-			case netstore.MutAdd:
-				vec, rest, derr := profile.DecodeVector(m.Profile)
-				if derr != nil || len(rest) != 0 {
+		err := e.retryStore(ctx, func() error {
+			remote, err := e.netClient.DrainMutations()
+			for _, m := range remote {
+				switch m.Op {
+				case netstore.MutAdd:
+					vec, rest, derr := profile.DecodeVector(m.Profile)
+					if derr != nil || len(rest) != 0 {
+						stats.Malformed++
+						continue
+					}
+					muts = append(muts, delta.Mutation{Op: delta.Add, User: m.User, Profile: vec})
+				case netstore.MutDel:
+					muts = append(muts, delta.Mutation{Op: delta.Delete, User: m.User})
+				default:
 					stats.Malformed++
-					continue
 				}
-				muts = append(muts, delta.Mutation{Op: delta.Add, User: m.User, Profile: vec})
-			case netstore.MutDel:
-				muts = append(muts, delta.Mutation{Op: delta.Delete, User: m.User})
-			default:
-				stats.Malformed++
 			}
-		}
+			return err
+		})
 		if err != nil {
 			e.deltaBacklog = muts
 			return nil, fmt.Errorf("core: drain remote mutations: %w", err)
@@ -153,14 +159,21 @@ func (e *Engine) partitionOfUser(u uint32) int {
 // miss) commits nothing either. On error the drained mutations are
 // parked on the backlog and retried by the next pass; a post-commit
 // publish failure returns non-nil stats plus an error satisfying
-// errors.Is(err, ErrPublishFailed). Not safe concurrently with
-// Iterate; Run interleaves them correctly.
+// errors.Is(err, ErrPublishFailed). The store exchanges — the remote
+// drain and the publish — heal through Iterate's retry ladder. Not safe
+// concurrently with Iterate; Run interleaves them correctly.
 func (e *Engine) ApplyDeltas() (*DeltaStats, error) {
+	return e.applyDeltas(context.Background())
+}
+
+// applyDeltas is ApplyDeltas under ctx, which bounds the retry
+// ladder's waits.
+func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 	if e.closed {
 		return nil, fmt.Errorf("core: engine is closed")
 	}
 	stats := &DeltaStats{}
-	muts, err := e.drainMutations(stats)
+	muts, err := e.drainMutations(ctx, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -392,27 +405,28 @@ func (e *Engine) ApplyDeltas() (*DeltaStats, error) {
 		return stats, nil
 	}
 
-	// Commit window: upserts, profile growth, graph swap, tombstones,
-	// the staged bookkeeping and the epoch move together under the
-	// query boundary, exactly like Iterate's phase-5 commit. The two
-	// store steps can fail, and fail parks the whole batch to be staged
-	// again — so the repeatable one (replacing a profile twice is
-	// replacing it once) goes first and Extend, which must happen exactly
-	// once, goes last: whichever fails, the store still has the user count
-	// the parked batch was staged against.
-	e.serveMu.Lock()
-	if len(upserts) > 0 {
-		if _, err := e.profiles.Apply(upserts); err != nil {
-			e.serveMu.Unlock()
-			return fail(fmt.Errorf("core: apply delta upserts: %w", err))
+	// Commit window: upserts, profile growth, graph swap, tombstones and
+	// the epoch move together under the query boundary, through the same
+	// commit as Iterate's phase 5. The two store steps can fail, and fail
+	// parks the whole batch to be staged again — so the repeatable one
+	// (replacing a profile twice is replacing it once) goes first and
+	// Extend, which must happen exactly once, goes last: whichever fails,
+	// the store still has the user count the parked batch was staged
+	// against.
+	err = e.commit(g, dead, func() error {
+		if len(upserts) > 0 {
+			if _, err := e.profiles.Apply(upserts); err != nil {
+				return fmt.Errorf("core: apply delta upserts: %w", err)
+			}
 		}
+		if err := e.profiles.Extend(newVecs); err != nil {
+			return fmt.Errorf("core: extend profiles: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return fail(err)
 	}
-	if err := e.profiles.Extend(newVecs); err != nil {
-		e.serveMu.Unlock()
-		return fail(fmt.Errorf("core: extend profiles: %w", err))
-	}
-	e.g = g
-	e.dead = dead
 	for _, op := range assignOps {
 		e.deltaAssign[op.u] = op.p
 		e.deltaMembers[op.p] = append(e.deltaMembers[op.p], op.u)
@@ -424,68 +438,35 @@ func (e *Engine) ApplyDeltas() (*DeltaStats, error) {
 			e.tracker.RecordAdd(op.p, op.edges)
 		}
 	}
-	e.epoch++
-	e.serveMu.Unlock()
 	e.deltaBacklog = held
 
-	// Republish only the affected partitions' serve views, then the
-	// staleness document. putDeltaView bumps each partition's store
-	// epoch, and the store ships each view to its replicas, without a
-	// full base install. The views that still carry a moved user's copy
-	// from the last full publish republish too: this commit may change
-	// that user's entry, and the stale copy must not outlive it. From
-	// here on the commit is durable: failures wrap ErrPublishFailed and
-	// do NOT requeue the mutations.
-	if e.opts.PublishViews && e.netClient != nil {
-		for p, carries := range e.carrying {
-			if carries {
-				affected[p] = true
-			}
-		}
-		n, err := e.publishDeltaViews(affected)
-		if err != nil {
-			return stats, &publishError{err: fmt.Errorf("republish delta views: %w", err)}
-		}
-		stats.Republished = n
+	// From here on the commit is durable: failures wrap ErrPublishFailed
+	// and do NOT requeue the mutations.
+	views := e.deltaViews(affected)
+	if err := e.publish(ctx, views, true); err != nil {
+		return stats, err
 	}
-	if e.netClient != nil {
-		if err := e.publishStaleness(); err != nil {
-			return stats, &publishError{err: fmt.Errorf("publish staleness: %w", err)}
-		}
-	}
+	stats.Republished = len(views)
 	return stats, nil
 }
 
-// publishDeltaViews republishes the serve views of the given partitions
-// from the just-committed state: the last full iteration's members
-// minus tombstones, plus the partition's delta-added users. Before the
-// first full iteration there are no views to patch, so the republish is
-// skipped.
-func (e *Engine) publishDeltaViews(affected map[int]bool) (int, error) {
-	if e.lastParts == nil {
-		return 0, nil
+// deltaViews lists the serve views a delta commit republishes, in
+// ascending partition order, each with its served membership: the
+// affected partitions, and the views that still carry a moved user's
+// copy from the last full publish — this commit may change that user's
+// entry, and the stale copy must not outlive it. Before the first full
+// iteration there are no views to patch.
+func (e *Engine) deltaViews(affected map[int]bool) []servedView {
+	if e.netClient == nil || !e.opts.PublishViews || e.lastParts == nil {
+		return nil
 	}
-	parts := make([]int, 0, len(affected))
-	for p := range affected {
-		if p >= 0 && p < len(e.lastParts) {
-			parts = append(parts, p)
+	var views []servedView
+	for p := range e.lastParts {
+		if affected[p] || e.carrying[p] {
+			views = append(views, servedView{p: p, members: e.servedMembers(p)})
 		}
 	}
-	sort.Ints(parts)
-	for _, p := range parts {
-		members := make([]uint32, 0, len(e.lastParts[p].Members)+len(e.deltaMembers[p]))
-		members = append(members, e.lastParts[p].Members...)
-		members = append(members, e.deltaMembers[p]...)
-		view, err := e.encodeView(members)
-		if err != nil {
-			return 0, fmt.Errorf("partition %d: %w", p, err)
-		}
-		if err := e.netClient.PutDeltaView(uint32(p), view); err != nil {
-			return 0, err
-		}
-		e.carrying[p] = false
-	}
-	return len(parts), nil
+	return views
 }
 
 // publishStaleness pushes the engine's staleness document to the store

@@ -57,11 +57,11 @@ type Engine struct {
 	iter       int
 	closed     bool
 
-	// serveMu is the query/commit boundary: Iterate takes the write
-	// side only around the commit window (graph swap + phase-5 profile
-	// rewrite), queries take the read side. Everything else an
-	// iteration does runs outside it, so lookups stay answerable
-	// through phase 4.
+	// serveMu is the query/commit boundary: commit takes the write
+	// side only around the commit window (profile-store writes, graph
+	// and tombstone swap), queries take the read side. Everything else
+	// an iteration or delta pass does runs outside it, so lookups stay
+	// answerable through phase 4.
 	serveMu sync.RWMutex
 	epoch   uint64 // committed epochs (iterations + delta commits); guarded by serveMu
 
@@ -120,6 +120,7 @@ func New(store *profile.Store, opts Options) (*Engine, error) {
 		tracker:      delta.NewTracker(opts.K),
 		deltaAssign:  make(map[uint32]int),
 		deltaMembers: make(map[int][]uint32),
+		carrying:     make([]bool, opts.NumPartitions),
 	}
 	// fail releases everything a partially built engine acquired;
 	// e.profiles is still memCanonical, which holds nothing to close. The
@@ -254,7 +255,7 @@ func (e *Engine) Close() error {
 func (e *Engine) Run(ctx context.Context, maxIters int) ([]*IterationStats, error) {
 	var all []*IterationStats
 	for i := 0; i < maxIters; i++ {
-		if _, err := e.ApplyDeltas(); err != nil {
+		if _, err := e.applyDeltas(ctx); err != nil {
 			return all, err
 		}
 		if !e.NeedsIteration() {
@@ -309,10 +310,10 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 
 	// Committed: from here on a failure must not look like a failed
 	// iteration, or a caller would run — and commit — it twice.
-	served := e.servedMembers()
+	views := e.fullViews(it)
 	e.adoptPartitioning(it)
 	e.iter++
-	err = e.publish(ctx, it, served)
+	err = e.publish(ctx, views, false)
 	stats.IO = e.iostats.Snapshot().Sub(ioStart)
 	return stats, err
 }
@@ -587,22 +588,37 @@ func (e *Engine) phaseUpdate(ctx context.Context, it *iteration) error {
 	}
 	updates = append(updates, e.updates.drain()...)
 
+	return e.commit(it.next, e.dead, func() error {
+		valid := updates[:0]
+		for _, u := range updates {
+			if int(u.User) < e.profiles.NumUsers() && u.Kind.Valid() {
+				valid = append(valid, u)
+			}
+		}
+		applied, err := e.profiles.Apply(valid)
+		if err != nil {
+			return err
+		}
+		it.stats.UpdatesApplied = applied
+		it.stats.UpdatesDropped = len(updates) - len(valid)
+		return nil
+	})
+}
+
+// commit is the one commit window, Iterate's and ApplyDeltas's alike.
+// Under the write side of the query boundary it runs write — the
+// profile-store changes, the only step that can fail, and then nothing
+// is committed — and swaps in the graph and the tombstone set and
+// advances the epoch, so queries see graph, profiles, tombstones and
+// epoch move together.
+func (e *Engine) commit(g *graph.KNN, dead graph.NodeSet, write func() error) error {
 	e.serveMu.Lock()
 	defer e.serveMu.Unlock()
-	valid := updates[:0]
-	for _, u := range updates {
-		if int(u.User) < e.profiles.NumUsers() && u.Kind.Valid() {
-			valid = append(valid, u)
-		}
-	}
-	applied, err := e.profiles.Apply(valid)
-	if err != nil {
+	if err := write(); err != nil {
 		return err
 	}
-	e.g = it.next
+	e.g, e.dead = g, dead
 	e.epoch++
-	it.stats.UpdatesApplied = applied
-	it.stats.UpdatesDropped = len(updates) - len(valid)
 	return nil
 }
 
@@ -626,19 +642,11 @@ func (e *Engine) adoptPartitioning(it *iteration) {
 	e.deltaMembers = make(map[int][]uint32)
 }
 
-// servedMembers reports, per partition, the membership its published
-// serve view carries — the last full iteration's members plus the
-// users delta commits placed there since — or nil when nothing is
-// published yet. Read it before adoptPartitioning replaces both.
-func (e *Engine) servedMembers() [][]uint32 {
-	if e.lastParts == nil || e.netClient == nil || !e.opts.PublishViews {
-		return nil
-	}
-	served := make([][]uint32, len(e.lastParts))
-	for p, part := range e.lastParts {
-		served[p] = append(append([]uint32(nil), part.Members...), e.deltaMembers[p]...)
-	}
-	return served
+// servedMembers is partition p's served membership, the members its
+// published serve view carries: the last full iteration's members plus
+// the users delta commits placed there since.
+func (e *Engine) servedMembers(p int) []uint32 {
+	return slices.Concat(e.lastParts[p].Members, e.deltaMembers[p])
 }
 
 // publishMembers returns the members of each partition's serve view
@@ -669,52 +677,80 @@ func publishMembers(next, served [][]uint32, partOf func(u uint32) int) [][]uint
 	return members
 }
 
-// publish pushes the committed iteration to the store: with
-// PublishViews every partition's serve view — final top-K lists and
-// post-update profiles, what point lookups and replicas answer from,
-// with the members publishMembers keeps served mid-publish — then the
-// staleness document (freshly reset counters, new last-full epoch;
-// metadata only, never perturbs the I/O accounting). It runs outside
-// the commit window (it only reads committed state) but before
-// cleanup's deferred CLEAR, which preserves views by contract. Each PUT
-// is idempotent, so a failed one is re-issued; a store that stays down
-// past the budget is reported as ErrPublishFailed.
-func (e *Engine) publish(ctx context.Context, it *iteration, served [][]uint32) error {
+// servedView is one serve view a commit publishes: partition p's
+// members, and whether some of them are copies carried for a later
+// partition (see publishMembers).
+type servedView struct {
+	p       int
+	members []uint32
+	carries bool
+}
+
+// fullViews lists the serve views a full commit publishes: with
+// PublishViews every partition's, in order 0..m−1, with the members
+// publishMembers keeps served mid-publish. Read it before
+// adoptPartitioning replaces the served membership.
+func (e *Engine) fullViews(it *iteration) []servedView {
+	if e.netClient == nil || !e.opts.PublishViews {
+		return nil
+	}
+	var served [][]uint32
+	if e.lastParts != nil {
+		served = make([][]uint32, len(e.lastParts))
+		for p := range e.lastParts {
+			served[p] = e.servedMembers(p)
+		}
+	}
+	next := make([][]uint32, len(it.parts))
+	for p, part := range it.parts {
+		next[p] = part.Members
+	}
+	partOf := func(u uint32) int { return int(it.assign.Of(u)) }
+	views := make([]servedView, len(next))
+	for p, members := range publishMembers(next, served, partOf) {
+		views[p] = servedView{p: p, members: members, carries: len(members) > len(next[p])}
+	}
+	return views
+}
+
+// publish is the one post-commit publish, Iterate's and ApplyDeltas's
+// alike: it PUTs the given serve views — final top-K lists and
+// post-update profiles, what point lookups and replicas answer from —
+// in order, then the staleness document (metadata only, never perturbs
+// the I/O accounting). A full commit PUTs with PutView: the shard
+// stamps each view with the partition's current epoch, the one this
+// iteration's phase-1 base PUT opened, which is what lets replicas
+// equate "epoch moved" with "a newer view exists". A delta commit PUTs
+// with PutDeltaView, which bumps the partition's epoch first, with no
+// base install. It runs outside the commit window (it only reads
+// committed state) but, in Iterate, before cleanup's deferred CLEAR,
+// which preserves views by contract. Each PUT installs the same view
+// however often it lands, so a failed one is re-issued (a re-issued
+// PutDeltaView may bump the epoch twice over identical content); a
+// store that stays down past the budget is reported as
+// ErrPublishFailed.
+func (e *Engine) publish(ctx context.Context, views []servedView, delta bool) error {
 	if e.netClient == nil {
 		return nil
 	}
-	if e.opts.PublishViews {
-		next := make([][]uint32, len(it.parts))
-		for p, part := range it.parts {
-			next[p] = part.Members
+	put := e.netClient.PutView
+	if delta {
+		put = e.netClient.PutDeltaView
+	}
+	for _, v := range views {
+		blob, err := e.encodeView(v.members)
+		if err == nil {
+			err = e.retryStore(ctx, func() error { return put(uint32(v.p), blob) })
 		}
-		partOf := func(u uint32) int { return int(it.assign.Of(u)) }
-		if e.carrying == nil {
-			e.carrying = make([]bool, len(next))
+		if err != nil {
+			return &publishError{err: fmt.Errorf("publish serve view %d: %w", v.p, err)}
 		}
-		for p, members := range publishMembers(next, served, partOf) {
-			if err := e.retryStore(ctx, func() error { return e.publishView(p, members) }); err != nil {
-				return &publishError{err: fmt.Errorf("publish serve view %d: %w", p, err)}
-			}
-			e.carrying[p] = len(members) > len(next[p])
-		}
+		e.carrying[v.p] = v.carries
 	}
 	if err := e.retryStore(ctx, e.publishStaleness); err != nil {
 		return &publishError{err: fmt.Errorf("publish staleness: %w", err)}
 	}
 	return nil
-}
-
-// publishView PUTs partition p's serve view to the partition's shard.
-// The shard stamps the view with the partition's current epoch (the one
-// this iteration's phase-1 base PUT opened), which is what lets replicas
-// equate "epoch moved" with "a newer view exists".
-func (e *Engine) publishView(p int, members []uint32) error {
-	view, err := e.encodeView(members)
-	if err != nil {
-		return err
-	}
-	return e.netClient.PutView(uint32(p), view)
 }
 
 // encodeView encodes the serve view of one partition's members from the
