@@ -452,9 +452,10 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 
 // deltaViews lists the serve views a delta commit republishes, in
 // ascending partition order, each with its served membership: the
-// affected partitions, and the views that still carry a moved user's
-// copy from the last full publish — this commit may change that user's
-// entry, and the stale copy must not outlive it. Before the first full
+// affected partitions, and the ones marked for republish — a view that
+// still carries a moved user's copy from the last full publish (this
+// commit may change that user's entry, and the stale copy must not
+// outlive it), or one a failed publish never PUT. Before the first full
 // iteration there are no views to patch.
 func (e *Engine) deltaViews(affected map[int]bool) []servedView {
 	if e.netClient == nil || !e.opts.PublishViews || e.lastParts == nil {
@@ -462,7 +463,7 @@ func (e *Engine) deltaViews(affected map[int]bool) []servedView {
 	}
 	var views []servedView
 	for p := range e.lastParts {
-		if affected[p] || e.carrying[p] {
+		if affected[p] || e.republish[p] {
 			views = append(views, servedView{p: p, members: e.servedMembers(p)})
 		}
 	}

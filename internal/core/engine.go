@@ -75,10 +75,10 @@ type Engine struct {
 	// partition slots of users added since; deltaBacklog the drained-
 	// but-uncommitted mutations a failed or incomplete ApplyDeltas
 	// pass parked for retry (store journals clear on drain, so this is
-	// their only home). carrying marks the partitions whose published
-	// serve view still holds a copy of a user the last full publish
-	// moved to a later partition (see publishMembers); the next delta
-	// commit republishes them without it.
+	// their only home). republish marks the partitions whose published
+	// serve view the next delta commit must republish: it still holds a
+	// copy of a user the last full publish moved to a later partition
+	// (see publishMembers), or a publish that stayed down never PUT it.
 	deltas       inbox[delta.Mutation]
 	dead         graph.NodeSet
 	tracker      *delta.Tracker
@@ -87,7 +87,7 @@ type Engine struct {
 	deltaAssign  map[uint32]int
 	deltaMembers map[int][]uint32
 	deltaBacklog []delta.Mutation
-	carrying     []bool
+	republish    []bool
 }
 
 // New creates an engine over the given profiles. G(0) is a random
@@ -120,7 +120,7 @@ func New(store *profile.Store, opts Options) (*Engine, error) {
 		tracker:      delta.NewTracker(opts.K),
 		deltaAssign:  make(map[uint32]int),
 		deltaMembers: make(map[int][]uint32),
-		carrying:     make([]bool, opts.NumPartitions),
+		republish:    make([]bool, opts.NumPartitions),
 	}
 	// fail releases everything a partially built engine acquired;
 	// e.profiles is still memCanonical, which holds nothing to close. The
@@ -728,7 +728,8 @@ func (e *Engine) fullViews(it *iteration) []servedView {
 // however often it lands, so a failed one is re-issued (a re-issued
 // PutDeltaView may bump the epoch twice over identical content); a
 // store that stays down past the budget is reported as
-// ErrPublishFailed.
+// ErrPublishFailed, and the views not yet PUT are left for the next
+// delta commit to republish.
 func (e *Engine) publish(ctx context.Context, views []servedView, delta bool) error {
 	if e.netClient == nil {
 		return nil
@@ -737,15 +738,20 @@ func (e *Engine) publish(ctx context.Context, views []servedView, delta bool) er
 	if delta {
 		put = e.netClient.PutDeltaView
 	}
-	for _, v := range views {
+	for i, v := range views {
 		blob, err := e.encodeView(v.members)
 		if err == nil {
 			err = e.retryStore(ctx, func() error { return put(uint32(v.p), blob) })
 		}
 		if err != nil {
+			// The views left unpublished lag the commit: the next delta
+			// commit republishes them, not only the ones it touches.
+			for _, rest := range views[i:] {
+				e.republish[rest.p] = true
+			}
 			return &publishError{err: fmt.Errorf("publish serve view %d: %w", v.p, err)}
 		}
-		e.carrying[v.p] = v.carries
+		e.republish[v.p] = v.carries
 	}
 	if err := e.retryStore(ctx, e.publishStaleness); err != nil {
 		return &publishError{err: fmt.Errorf("publish staleness: %w", err)}

@@ -24,11 +24,13 @@ const (
 	wireLease    = 0x03
 	wireCollect  = 0x05
 	wireDrainUpd = 0x0c
+	wireDrainMut = 0x0f
 
-	wireKindBase    = 0x00
-	wireKindPartial = 0x01
-	wireKindView    = 0x02
-	wireKindStale   = 0x04
+	wireKindBase      = 0x00
+	wireKindPartial   = 0x01
+	wireKindView      = 0x02
+	wireKindDeltaView = 0x03
+	wireKindStale     = 0x04
 )
 
 // isPut matches a PUT request frame of the given kind: opcode,
@@ -40,6 +42,13 @@ func isPut(kind byte) func([]byte) bool {
 // isOp matches a request frame by opcode.
 func isOp(op byte) func([]byte) bool {
 	return func(f []byte) bool { return len(f) > 0 && f[0] == op }
+}
+
+// nth matches only the n-th frame match accepts while the cutter is
+// armed (an unarmed cutter never asks).
+func nth(n int32, match func([]byte) bool) func([]byte) bool {
+	var seen atomic.Int32
+	return func(f []byte) bool { return match(f) && seen.Add(1) == n }
 }
 
 var errCut = errors.New("heal test: connection cut")
@@ -184,13 +193,16 @@ var healOpts = Options{
 
 const healUsers = 250
 
-// checkServed asserts the store's published view answers user 0 with
-// the engine's committed neighbor list.
-func checkServed(t *testing.T, front *netstore.Client, eng *Engine) {
+// checkServed asserts the store's published views answer each of users
+// with the engine's committed neighbor list.
+func checkServed(t *testing.T, front *netstore.Client, eng *Engine, users ...uint32) {
 	t.Helper()
-	want := eng.Graph().Neighbors(0)
-	if _, ids, err := front.Neighbors(0); err != nil || fmt.Sprint(ids) != fmt.Sprint(want) {
-		t.Errorf("the store serves user 0 as %v, %v; committed %v", ids, err, want)
+	g := eng.Graph()
+	for _, u := range users {
+		want := g.Neighbors(u)
+		if _, ids, err := front.Neighbors(u); err != nil || fmt.Sprint(ids) != fmt.Sprint(want) {
+			t.Errorf("the store serves user %d as %v, %v; committed %v", u, ids, err, want)
+		}
 	}
 }
 
@@ -328,7 +340,7 @@ func TestIterateHealsEveryStoreExchange(t *testing.T) {
 			if doc, ok, err := front.Staleness(); err != nil || !ok || doc.LastFullEpoch != 2 {
 				t.Errorf("published staleness = %+v, %v, %v; want last full epoch 2", doc, ok, err)
 			}
-			checkServed(t, front, eng)
+			checkServed(t, front, eng, 0)
 		})
 	}
 }
@@ -383,5 +395,165 @@ func TestIterateCommitThenPublishFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer front.Close()
-	checkServed(t, front, eng)
+	checkServed(t, front, eng, 0)
+}
+
+// deltaHeal is one run of TestApplyDeltasHealsEveryStoreExchange: an
+// engine over the heal cluster that has run one iteration and one delta
+// pass, and the front end that pushes its mutations and reads its views.
+type deltaHeal struct {
+	eng   *Engine
+	front *netstore.Client
+	cut   *cutter
+}
+
+// newDeltaHeal runs the iteration and the first, fault-free delta pass,
+// which adds user healUsers through the store.
+func newDeltaHeal(t *testing.T, cut *cutter, retries int) *deltaHeal {
+	t.Helper()
+	cluster := startHealCluster(t, cut)
+	opts := healOpts
+	opts.NetStoreAddrs = cluster.addrs()
+	opts.PublishViews = true
+	opts.StoreRetries = retries
+	eng, err := New(testStore(t, healUsers, 42), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	eng.netClient.Close()
+	eng.netClient, err = netstore.DialOptions(cluster.addrs(), healPartitions, netstore.ClientOptions{MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front, err := netstore.Dial(cluster.addrs(), healPartitions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { front.Close() })
+	h := &deltaHeal{eng: eng, front: front, cut: cut}
+	if _, err := eng.Iterate(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	h.push(t, healUsers, 0)
+	if _, err := eng.ApplyDeltas(); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// push journals an add (or upsert) of user u on its owning shard, with
+// the i-th profile of a small second dataset.
+func (h *deltaHeal) push(t *testing.T, u uint32, i uint32) {
+	t.Helper()
+	if err := h.front.AddUser(u, testStore(t, 4, 7).Get(i).AppendBinary(nil)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// secondPass is the pass the rows cut: it adds user healUsers+1, whose
+// mutation journals on shard 1, and upserts user healUsers, whose
+// journals on shard 0.
+func (h *deltaHeal) secondPass(t *testing.T, cuts int32) (*DeltaStats, error) {
+	t.Helper()
+	h.push(t, healUsers+1, 1)
+	h.push(t, healUsers, 2)
+	h.cut.arm(cuts)
+	ds, err := h.eng.ApplyDeltas()
+	if h.cut.fired.Load() == 0 {
+		t.Fatal("the fault never fired; the row tested nothing")
+	}
+	return ds, err
+}
+
+// TestApplyDeltasHealsEveryStoreExchange: one row per exchange a delta
+// pass has with the store, each failed once in the second of two passes.
+// ApplyDeltas heals it through Iterate's ladder: the pass commits once
+// (one epoch, the added user appended once, the upsert from the shard
+// that answered a cut drain kept), the graph is the fault-free one, and
+// the published view serves the added user. A publish that stays down
+// past the budget returns the committed pass's stats with
+// ErrPublishFailed, and the next pass republishes what it missed.
+func TestApplyDeltasHealsEveryStoreExchange(t *testing.T) {
+	never := &cutter{match: func([]byte) bool { return false }}
+	ref := newDeltaHeal(t, never, healOpts.StoreRetries)
+	if _, err := ref.eng.ApplyDeltas(); err != nil {
+		t.Fatal(err) // nothing queued: a no-op
+	}
+	ref.push(t, healUsers+1, 1)
+	ref.push(t, healUsers, 2)
+	if _, err := ref.eng.ApplyDeltas(); err != nil {
+		t.Fatal(err)
+	}
+	refGraph := ref.eng.Graph()
+	added := uint32(healUsers + 1)
+
+	for _, row := range []struct {
+		name string
+		cut  *cutter
+	}{
+		// Shard 0 answers with the upsert, shard 1's drain is cut before
+		// the shard sees it: the re-issue must keep the upsert.
+		{name: "DRAINMUT", cut: &cutter{match: nth(2, isOp(wireDrainMut))}},
+		{name: "PutDeltaView", cut: &cutter{match: isPut(wireKindDeltaView)}},
+		{name: "PutStaleness", cut: &cutter{match: isPut(wireKindStale)}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			h := newDeltaHeal(t, row.cut, healOpts.StoreRetries)
+			ds, err := h.secondPass(t, 1)
+			if err != nil {
+				t.Fatalf("one ApplyDeltas call did not heal the fault: %v", err)
+			}
+			if ds.Adds != 1 || ds.Upserts != 1 {
+				t.Errorf("healed pass reported %+v, want 1 add and 1 upsert", ds)
+			}
+			if n := h.eng.Graph().NumNodes(); n != healUsers+2 {
+				t.Errorf("%d users after the healed pass, want %d", n, healUsers+2)
+			}
+			if d := refGraph.DiffEdges(h.eng.Graph()); d != 0 {
+				t.Errorf("healed graph differs from the fault-free one in %d edges", d)
+			}
+			if e := h.eng.Epoch(); e != 3 {
+				t.Errorf("epoch %d after an iteration and two passes, want 3", e)
+			}
+			if doc, ok, err := h.front.Staleness(); err != nil || !ok || doc.Users != healUsers+2 {
+				t.Errorf("published staleness = %+v, %v, %v; want %d users", doc, ok, err, healUsers+2)
+			}
+			checkServed(t, h.front, h.eng, added, healUsers)
+		})
+	}
+
+	t.Run("PutDeltaView past the budget", func(t *testing.T) {
+		const retries = 2
+		h := newDeltaHeal(t, &cutter{match: isPut(wireKindDeltaView)}, retries)
+		ds, err := h.secondPass(t, retries+1)
+		if !errors.Is(err, ErrPublishFailed) || !netstore.IsTransient(err) {
+			t.Fatalf("pass with its publish down returned %v; want ErrPublishFailed over the transient cause", err)
+		}
+		if ds == nil || ds.Adds != 1 || ds.Upserts != 1 || ds.Republished != 0 {
+			t.Fatalf("committed pass reported %+v, want 1 add, 1 upsert, nothing republished", ds)
+		}
+		if e := h.eng.Epoch(); e != 3 {
+			t.Fatalf("epoch %d after the failed publish, want the commit's 3", e)
+		}
+		if d := refGraph.DiffEdges(h.eng.Graph()); d != 0 {
+			t.Errorf("graph differs from the fault-free one in %d edges", d)
+		}
+
+		// The next pass republishes every view the failed one missed, not
+		// only the ones its own mutation touches.
+		h.push(t, added, 3)
+		ds, err = h.eng.ApplyDeltas()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds.Republished == 0 {
+			t.Error("the next pass republished nothing")
+		}
+		all := make([]uint32, h.eng.Graph().NumNodes())
+		for u := range all {
+			all[u] = uint32(u)
+		}
+		checkServed(t, h.front, h.eng, all...)
+	})
 }
