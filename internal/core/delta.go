@@ -15,8 +15,8 @@ import (
 // Incremental graph maintenance: between full five-phase iterations the
 // engine absorbs user adds and deletes through a cheap delta path.
 // Added users enter via greedy search over the committed graph plus a
-// phase-2-style candidate pool restricted to the partitions their seed
-// neighbors live in (internal/delta); deleted users are tombstoned —
+// phase-2-style candidate pool around the search's seed neighbors
+// (internal/delta); deleted users are tombstoned —
 // stripped from the graph immediately, filtered out of phase-2 tuple
 // generation and the serve path afterwards. A per-partition staleness
 // counter accumulates the drift each delta commit causes, and Run
@@ -226,9 +226,6 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 		Sim:  e.opts.Similarity,
 		Dead: func(v uint32) bool { return dead.Has(v) },
 	}
-	if e.lastAssign != nil {
-		cfg.PartitionOf = partOf
-	}
 
 	var newVecs []profile.Vector               // appended users, in id order
 	var upserts []profile.Update               // ReplaceProfile for existing users
@@ -248,9 +245,9 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 		// The user's own partition when it has one (upsert or
 		// resurrection — its committed view must republish to pick up
 		// the new profile and neighbor list); otherwise the new user
-		// joins the partition of its nearest accepted neighbor (the
-		// serving tier's locality rule), partition 0 when the pool was
-		// empty.
+		// joins the partition of its lowest-id accepted neighbor that
+		// has one (Neighbors is sorted by id, not by score), partition 0
+		// when none has.
 		p := partOf(u)
 		if p < 0 {
 			p = 0

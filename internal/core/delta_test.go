@@ -490,15 +490,16 @@ func TestDeltaValidation(t *testing.T) {
 // the map-based inserter and the one-user-at-a-time strip produced,
 // re-recorded when phase 4 began crediting each scored pair to both
 // endpoints (the script's deletes follow the graph, so its counts moved
-// with it); any change to the delta layer that is meant to be
+// with it) and when the inserter's pool stopped being restricted to
+// the seed neighbors' partitions; any change to the delta layer that is meant to be
 // output-identical is checked here by go test, not only by the
 // benchmark's digest.
 func TestDeltaGolden(t *testing.T) {
 	const (
 		base, poolSize, k = 300, 80, 6
-		digest            = "420929634422a784"
+		digest            = "a7047b731bbf3c63"
 	)
-	want := DeltaStats{Adds: 49, Upserts: 16, Deletes: 32, Held: 8, TouchedUsers: 377, SimEvals: 8024}
+	want := DeltaStats{Adds: 49, Upserts: 16, Deletes: 32, Held: 8, TouchedUsers: 376, SimEvals: 8118}
 	vecs, _, err := dataset.RatingsProfiles(base+poolSize, 1200, 20, 6, 77)
 	if err != nil {
 		t.Fatal(err)

@@ -70,8 +70,8 @@ type Engine struct {
 	// commit windows, read under serveMu's read side by queries and
 	// unsynchronized by the single-threaded iteration path); tracker
 	// the per-partition drift counters; lastAssign/lastParts the
-	// partitioning of the last full iteration, which delta inserts
-	// restrict their candidate pools to; deltaAssign/deltaMembers the
+	// partitioning of the last full iteration, which places delta
+	// commits' users and views; deltaAssign/deltaMembers the
 	// partition slots of users added since; deltaBacklog the drained-
 	// but-uncommitted mutations a failed or incomplete ApplyDeltas
 	// pass parked for retry (store journals clear on drain, so this is
@@ -624,9 +624,9 @@ func (e *Engine) commit(g *graph.KNN, dead graph.NodeSet, write func() error) er
 
 // adoptPartitioning runs right after a commit: the iteration refreshed
 // every partition from scratch, so the staleness clock resets and its
-// partitioning becomes the locality map the next delta inserts restrict
-// themselves to. Delta-added users were partitioned for real by this
-// phase 1, so their provisional slots retire.
+// partitioning becomes the one delta commits place users and republish
+// views by. Delta-added users were partitioned for real by this phase
+// 1, so their provisional slots retire.
 func (e *Engine) adoptPartitioning(it *iteration) {
 	e.lastAssign, e.lastParts = it.assign, it.parts
 	live := make([]int, len(it.parts))

@@ -1,9 +1,9 @@
 // Package delta implements incremental maintenance of a committed KNN
 // graph between full five-phase iterations: new users are inserted by
 // a greedy search over the committed graph followed by a phase-2-style
-// candidate generation restricted to the partitions the search's seed
-// neighbors live in, deleted users are tombstoned and stripped from
-// every neighbor list, and a per-partition staleness counter decides —
+// candidate generation around the search's seed neighbors (Debatty et
+// al.'s search-then-refine), deleted users are tombstoned and stripped
+// from every neighbor list, and a per-partition staleness counter decides —
 // against a configurable threshold — when the accumulated drift
 // justifies scheduling a real iteration.
 //

@@ -77,35 +77,6 @@ func TestInsertDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-func TestInsertPartitionRestriction(t *testing.T) {
-	const n, k = 120, 6
-	g, store := fixture(t, n, k)
-	vec, err := profile.NewVector([]profile.Entry{{Item: 205, Weight: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	partOf := func(u uint32) int { return int(u) % 8 }
-	g1 := g.Clone()
-	g1.Grow(1)
-	r, err := Insert(g1, lookup(store), Config{K: k, Sim: profile.Cosine{}, PartitionOf: partOf}, n, vec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unrestricted pool for the same insert must be at least as large.
-	g2 := g.Clone()
-	g2.Grow(1)
-	full, err := Insert(g2, lookup(store), Config{K: k, Sim: profile.Cosine{}}, n, vec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Candidates > full.Candidates {
-		t.Fatalf("restricted pool %d > unrestricted %d", r.Candidates, full.Candidates)
-	}
-	if len(r.Neighbors) == 0 {
-		t.Fatal("restricted insert found no neighbors")
-	}
-}
-
 func TestInsertSkipsDead(t *testing.T) {
 	const n, k = 60, 4
 	g, store := fixture(t, n, k)
@@ -221,63 +192,53 @@ func sameGraph(a, b *graph.KNN) bool {
 }
 
 // TestInsertMatchesReference holds Insert to the map-based inserter it
-// replaced: for every measure, with and without the partition filter
-// and tombstones, at K ∈ {1, 5, 10}, a sequence of adds and upserts
-// must return the same neighbors, touched users, pool size and
-// similarity-evaluation count, and leave the same graph.
+// replaced: for every measure, with and without tombstones, at
+// K ∈ {1, 5, 10}, a sequence of adds and upserts must return the same
+// neighbors, touched users, pool size and similarity-evaluation count,
+// and leave the same graph.
 func TestInsertMatchesReference(t *testing.T) {
 	sims := []profile.Similarity{profile.Cosine{}, profile.Jaccard{}, profile.Dice{}, profile.Overlap{}}
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, sim := range sims {
 			for _, k := range []int{1, 5, 10} {
-				for _, restrict := range []bool{false, true} {
-					for _, tombs := range []bool{false, true} {
-						name := fmt.Sprintf("seed%d/%s/K%d/restrict=%v/tombstones=%v", seed, sim.Name(), k, restrict, tombs)
-						rng := rand.New(rand.NewSource(seed))
-						n := 30 + rng.Intn(120)
-						g, vecs := randomCase(t, rng, n, k)
-						profiles := func(u uint32) (profile.Vector, error) { return vecs[u], nil }
-						cfg := Config{K: k, Sim: sim}
-						if restrict {
-							cfg.PartitionOf = func(u uint32) int {
-								if u%7 == 3 {
-									return -1
-								}
-								return int(u*2654435761>>28) % 5
-							}
+				for _, tombs := range []bool{false, true} {
+					name := fmt.Sprintf("seed%d/%s/K%d/tombstones=%v", seed, sim.Name(), k, tombs)
+					rng := rand.New(rand.NewSource(seed))
+					n := 30 + rng.Intn(120)
+					g, vecs := randomCase(t, rng, n, k)
+					profiles := func(u uint32) (profile.Vector, error) { return vecs[u], nil }
+					cfg := Config{K: k, Sim: sim}
+					if tombs {
+						dead := make(map[uint32]bool)
+						for range n / 8 {
+							dead[uint32(rng.Intn(n))] = true
 						}
-						if tombs {
-							dead := make(map[uint32]bool)
-							for range n / 8 {
-								dead[uint32(rng.Intn(n))] = true
-							}
-							cfg.Dead = func(u uint32) bool { return dead[u] }
+						cfg.Dead = func(u uint32) bool { return dead[u] }
+					}
+					want := g.Clone()
+					for i := 0; i < 8; i++ {
+						u := uint32(g.NumNodes())
+						if i%3 == 2 {
+							u = uint32(rng.Intn(n)) // upsert
+						} else {
+							g.Grow(1)
+							want.Grow(1)
 						}
-						want := g.Clone()
-						for i := 0; i < 8; i++ {
-							u := uint32(g.NumNodes())
-							if i%3 == 2 {
-								u = uint32(rng.Intn(n)) // upsert
-							} else {
-								g.Grow(1)
-								want.Grow(1)
-							}
-							vec := vecs[rng.Intn(len(vecs))]
-							got, err := Insert(g, profiles, cfg, u, vec)
-							if err != nil {
-								t.Fatal(err)
-							}
-							ref, err := refInsert(want, profiles, cfg, u, vec)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !slices.Equal(got.Neighbors, ref.Neighbors) || !slices.Equal(got.Touched, ref.Touched) ||
-								got.Candidates != ref.Candidates || got.SimEvals != ref.SimEvals {
-								t.Fatalf("%s insert %d of user %d: got %+v, want %+v", name, i, u, got, ref)
-							}
-							if !sameGraph(g, want) {
-								t.Fatalf("%s insert %d of user %d: graphs differ", name, i, u)
-							}
+						vec := vecs[rng.Intn(len(vecs))]
+						got, err := Insert(g, profiles, cfg, u, vec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ref, err := refInsert(want, profiles, cfg, u, vec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got.Neighbors, ref.Neighbors) || !slices.Equal(got.Touched, ref.Touched) ||
+							got.Candidates != ref.Candidates || got.SimEvals != ref.SimEvals {
+							t.Fatalf("%s insert %d of user %d: got %+v, want %+v", name, i, u, got, ref)
+						}
+						if !sameGraph(g, want) {
+							t.Fatalf("%s insert %d of user %d: graphs differ", name, i, u)
 						}
 					}
 				}

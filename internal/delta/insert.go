@@ -26,13 +26,6 @@ type Config struct {
 	Seeds int
 	// MaxHops bounds each greedy descent (default 8).
 	MaxHops int
-	// PartitionOf maps an existing user to its partition in the last
-	// committed assignment; -1 for unknown. When non-nil, the
-	// candidate pool is restricted to the partitions the descent's
-	// seed neighbors live in — the phase-2 locality argument: a new
-	// user's true neighbors cluster in few partitions, so scoring the
-	// rest is wasted I/O. nil disables the restriction.
-	PartitionOf func(uint32) int
 	// Dead reports tombstoned users, which are never candidates and
 	// never refined. nil means none.
 	Dead func(uint32) bool
@@ -62,8 +55,7 @@ type Result struct {
 //     of local optima ("seed neighbors").
 //  2. Candidate generation: the seeds, their neighbors, and their
 //     neighbors' neighbors — the paper's phase-2 rule applied to the
-//     seed set — filtered to the partitions the seed neighborhoods
-//     occupy (PartitionOf).
+//     seed set.
 //  3. Refine: u keeps its top-K of the scored pool; each chosen
 //     neighbor v then reconsiders its own list with u as a candidate
 //     (one bounded NN-descent step), so edges point both ways where
@@ -168,24 +160,10 @@ func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Con
 		}
 	}
 
-	// Allowed partitions: where the optima and their direct neighbors
-	// live, as a set of partition+1 (PartitionOf's -1 is a partition
-	// like any other here).
-	var allowed graph.NodeSet
-	if cfg.PartitionOf != nil {
-		for _, b := range optima {
-			allowed.Add(uint32(cfg.PartitionOf(b) + 1))
-			for _, v := range g.Neighbors(b) {
-				allowed.Add(uint32(cfg.PartitionOf(v) + 1))
-			}
-		}
-	}
-
 	// Stage 2: two-hop candidate pool around the optima. Marking each
 	// id in a bitset over the graph deduplicates the pool, and reading
 	// the set back word by word yields it in ascending id order, so skip
-	// and the partition filter run once per distinct id and no sort is
-	// needed. The read-back clears every word it visits.
+	// runs once per distinct id and no sort is needed. The read-back clears every word it visits.
 	seen := sc.seen
 	if words := (n + 63) / 64; len(seen) < words {
 		seen = make(graph.NodeSet, words)
@@ -208,13 +186,9 @@ func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Con
 		seen[i] = 0
 		for ; word != 0; word &= word - 1 {
 			v := uint32(i<<6 | bits.TrailingZeros64(word))
-			if skip(v) {
-				continue
+			if !skip(v) {
+				cands = append(cands, v)
 			}
-			if cfg.PartitionOf != nil && !allowed.Has(uint32(cfg.PartitionOf(v)+1)) {
-				continue
-			}
-			cands = append(cands, v)
 		}
 	}
 	sc.pool = cands

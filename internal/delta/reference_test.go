@@ -14,8 +14,8 @@ import (
 // stripped a run in one scan: the differential tests hold the current
 // code to their output, bit for bit.
 
-// refInsert is Insert with Go-map score cache, pool, seen and
-// partition sets, and cfg.Sim.Score (a two-way merge) per pair.
+// refInsert is Insert with Go-map score cache, pool and seen sets, and
+// cfg.Sim.Score (a two-way merge) per pair.
 func refInsert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Config, u uint32, vec profile.Vector) (Result, error) {
 	var res Result
 	if cfg.K < 1 {
@@ -105,29 +105,12 @@ func refInsert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg 
 		}
 	}
 
-	// Allowed partitions: where the optima and their direct neighbors
-	// live.
-	var allowed map[int]bool
-	if cfg.PartitionOf != nil {
-		allowed = make(map[int]bool)
-		for _, b := range optima {
-			allowed[cfg.PartitionOf(b)] = true
-			for _, v := range g.Neighbors(b) {
-				allowed[cfg.PartitionOf(v)] = true
-			}
-		}
-	}
-
-	// Stage 2: two-hop candidate pool around the optima, filtered.
+	// Stage 2: two-hop candidate pool around the optima.
 	pool := make(map[uint32]bool)
 	admit := func(v uint32) {
-		if skip(v) || pool[v] {
-			return
+		if !skip(v) {
+			pool[v] = true
 		}
-		if allowed != nil && !allowed[cfg.PartitionOf(v)] {
-			return
-		}
-		pool[v] = true
 	}
 	for _, b := range optima {
 		admit(b)

@@ -455,7 +455,7 @@ func (s *System) DeleteUser(u uint32) {
 
 // ApplyDeltas folds every queued AddUser/DeleteUser mutation into the
 // committed graph without a full iteration: adds are placed by greedy
-// search plus partition-restricted candidate generation, deletes
+// search plus two-hop candidate generation around its optima, deletes
 // tombstone. With no queued mutations it is a strict no-op. Run calls
 // this automatically when Config.StalenessThreshold is set.
 func (s *System) ApplyDeltas() (DeltaReport, error) {
