@@ -21,15 +21,21 @@ type Config struct {
 	// the refine pass reuses sim(u,v) as sim(v,u), which holds for
 	// every measure internal/profile ships.
 	Sim profile.Similarity
-	// Seeds is the number of greedy-descent starting points spread
-	// deterministically over the id space (default 4).
-	Seeds int
-	// MaxHops bounds each greedy descent (default 8).
-	MaxHops int
 	// Dead reports tombstoned users, which are never candidates and
 	// never refined. nil means none.
 	Dead func(uint32) bool
 }
+
+// The greedy search starts from seeds points spread deterministically
+// over the id space and walks at most maxHops hops from each. At
+// churn-delta's shape (4,000 base users, K=16, 200 inserts, seed 1234)
+// the inserted users' recall is 0.07, 0.13, 0.23 and 0.43 at 1, 2, 4
+// and 8 seeds, for about 460, 660, 1,020 and 1,620 evaluations per add;
+// 4, 8 and 16 hops give 0.233, 0.231 and 0.231.
+const (
+	seeds   = 4
+	maxHops = 8
+)
 
 // Result reports what one insertion did.
 type Result struct {
@@ -50,7 +56,7 @@ type Result struct {
 // already be a node of g (grown beforehand) with profile vec; its
 // previous out-edges, if any, are replaced. The three stages:
 //
-//  1. Greedy search: from Seeds deterministic starting points, walk to
+//  1. Greedy search: from seeds deterministic starting points, walk to
 //     the best-scoring neighbor until no improvement, collecting a set
 //     of local optima ("seed neighbors").
 //  2. Candidate generation: the seeds, their neighbors, and their
@@ -80,14 +86,6 @@ func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Con
 	n := g.NumNodes()
 	if int(u) >= n {
 		return res, fmt.Errorf("delta: user %d outside grown graph [0,%d)", u, n)
-	}
-	seeds := cfg.Seeds
-	if seeds <= 0 {
-		seeds = 4
-	}
-	maxHops := cfg.MaxHops
-	if maxHops <= 0 {
-		maxHops = 8
 	}
 	skip := func(v uint32) bool {
 		return v == u || (cfg.Dead != nil && cfg.Dead(v))

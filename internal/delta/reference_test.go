@@ -28,14 +28,6 @@ func refInsert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg 
 	if int(u) >= n {
 		return res, fmt.Errorf("delta: user %d outside grown graph [0,%d)", u, n)
 	}
-	seeds := cfg.Seeds
-	if seeds <= 0 {
-		seeds = 4
-	}
-	maxHops := cfg.MaxHops
-	if maxHops <= 0 {
-		maxHops = 8
-	}
 	skip := func(v uint32) bool {
 		return v == u || (cfg.Dead != nil && cfg.Dead(v))
 	}
