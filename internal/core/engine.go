@@ -658,8 +658,8 @@ func (e *Engine) servedMembers(p int) []uint32 {
 // un-serve a live user for the rest of the publish. Such a user sits in
 // two views once both land, each carrying the same committed entry,
 // until the next commit: a delta commit could change the entry in only
-// one of them, so it republishes every carrying view first (see
-// ApplyDeltas), and a full commit republishes every view anyway. served
+// one of them, so it republishes every carrying view too (see
+// deltaViews), and a full commit republishes every view anyway. served
 // is nil before the first publish.
 func publishMembers(next, served [][]uint32, partOf func(u uint32) int) [][]uint32 {
 	members := make([][]uint32, len(next))
@@ -716,20 +716,16 @@ func (e *Engine) fullViews(it *iteration) []servedView {
 // publish is the one post-commit publish, Iterate's and ApplyDeltas's
 // alike: it PUTs the given serve views — final top-K lists and
 // post-update profiles, what point lookups and replicas answer from —
-// in order, then the staleness document (metadata only, never perturbs
-// the I/O accounting). A full commit PUTs with PutView: the shard
-// stamps each view with the partition's current epoch, the one this
-// iteration's phase-1 base PUT opened, which is what lets replicas
-// equate "epoch moved" with "a newer view exists". A delta commit PUTs
-// with PutDeltaView, which bumps the partition's epoch first, with no
-// base install. It runs outside the commit window (it only reads
-// committed state) but, in Iterate, before cleanup's deferred CLEAR,
-// which preserves views by contract. Each PUT installs the same view
-// however often it lands, so a failed one is re-issued (a re-issued
-// PutDeltaView may bump the epoch twice over identical content); a
-// store that stays down past the budget is reported as
-// ErrPublishFailed, and the views not yet PUT are left for the next
-// delta commit to republish.
+// in order, then the staleness document (metadata only). A full commit
+// PUTs with PutView, which stamps each view with the epoch this
+// iteration's phase-1 base PUT opened; a delta commit with
+// PutDeltaView, which bumps the partition's epoch first. It only reads
+// committed state, and in Iterate runs before cleanup's deferred CLEAR,
+// which preserves views. Each PUT installs the same view however often
+// it lands, so a failed one is re-issued (a re-issued PutDeltaView may
+// bump the epoch twice over identical content); a store that stays
+// down past the budget is reported as ErrPublishFailed, and the views
+// not yet PUT are marked for the next delta commit to republish.
 func (e *Engine) publish(ctx context.Context, views []servedView, delta bool) error {
 	if e.netClient == nil {
 		return nil

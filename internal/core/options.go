@@ -150,14 +150,15 @@ type Options struct {
 	NetStoreReplicas bool
 	// StoreRetries is the budget of the engine's one retry ladder (the
 	// only one above the store client's per-op retries): how many times
-	// one Iterate retries a step that failed transiently at the store —
-	// shard restart, dropped connection, injected fault, stale lease. A
+	// one Iterate or ApplyDeltas retries a step that failed transiently
+	// at the store — shard restart, dropped connection, injected fault,
+	// stale lease. A
 	// failed compute (phases 1–4 and the graph assembly) restarts from
 	// phase 1, whose base PUTs drop every partial and revoke every lease
 	// the failed attempt left behind, so a healed iteration produces
-	// exactly the graph a fault-free one would; a failed phase-5 drain or
-	// post-commit publish re-issues that one exchange. Each step has the
-	// budget to itself. Meaningful only with a network store; 0 defaults
+	// exactly the graph a fault-free one would; a failed remote drain
+	// (phase 5's or the delta pass's) or post-commit publish re-issues
+	// that one exchange. Each step has the budget to itself. Meaningful only with a network store; 0 defaults
 	// to 3.
 	StoreRetries int
 	// StoreRetryBackoff is the pause before the first retry, doubled for
