@@ -28,8 +28,8 @@ import (
 // parked on the engine's backlog and retried by the next pass — whether
 // it failed to apply or merely arrived ahead of its sequential id. All
 // engine bookkeeping (staleness tracker, delta partition slots) is
-// staged during a pass and lands only inside the commit window, so a
-// failed pass leaves no trace.
+// staged during a pass and lands only once the commit has, so a failed
+// pass leaves no trace.
 
 // ErrPublishFailed marks an Iterate or ApplyDeltas call whose commit
 // landed — the graph, profiles, tombstones and epoch all advanced, and
@@ -201,8 +201,8 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 		return e.profiles.Profile(v)
 	}
 
-	// Engine bookkeeping is staged here and replayed inside the commit
-	// window, so an aborted pass mutates nothing.
+	// Engine bookkeeping is staged here and replayed once the commit
+	// lands, so an aborted pass mutates nothing.
 	type assignOp struct {
 		u uint32
 		p int

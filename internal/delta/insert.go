@@ -161,7 +161,8 @@ func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Con
 	// Stage 2: two-hop candidate pool around the optima. Marking each
 	// id in a bitset over the graph deduplicates the pool, and reading
 	// the set back word by word yields it in ascending id order, so skip
-	// runs once per distinct id and no sort is needed. The read-back clears every word it visits.
+	// runs once per distinct id and no sort is needed. The read-back
+	// clears every word it visits.
 	seen := sc.seen
 	if words := (n + 63) / 64; len(seen) < words {
 		seen = make(graph.NodeSet, words)
