@@ -193,6 +193,31 @@ var healOpts = Options{
 
 const healUsers = 250
 
+// newHealEngine starts the shared heal engine over cluster with
+// published views and the given retry budget. Unless ownRetries, its
+// store client makes one attempt per op, so a failed exchange goes
+// straight up to the engine's ladder.
+func newHealEngine(t *testing.T, cluster *healCluster, retries int, ownRetries bool) *Engine {
+	t.Helper()
+	opts := healOpts
+	opts.NetStoreAddrs = cluster.addrs()
+	opts.PublishViews = true
+	opts.StoreRetries = retries
+	eng, err := New(testStore(t, healUsers, 42), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	if !ownRetries {
+		eng.netClient.Close()
+		eng.netClient, err = netstore.DialOptions(cluster.addrs(), healPartitions, netstore.ClientOptions{MaxAttempts: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return eng
+}
+
 // checkServed asserts the store's published views answer each of users
 // with the engine's committed neighbor list.
 func checkServed(t *testing.T, front *netstore.Client, eng *Engine, users ...uint32) {
@@ -269,21 +294,7 @@ func TestIterateHealsEveryStoreExchange(t *testing.T) {
 				}
 			}
 
-			opts := healOpts
-			opts.NetStoreAddrs = cluster.addrs()
-			opts.PublishViews = true
-			eng, err := New(testStore(t, healUsers, 42), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			if !row.ownRetries {
-				eng.netClient.Close()
-				eng.netClient, err = netstore.DialOptions(cluster.addrs(), healPartitions, netstore.ClientOptions{MaxAttempts: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
+			eng := newHealEngine(t, cluster, healOpts.StoreRetries, row.ownRetries)
 			front, err := netstore.Dial(cluster.addrs(), healPartitions)
 			if err != nil {
 				t.Fatal(err)
@@ -356,24 +367,12 @@ func TestIterateCommitThenPublishFails(t *testing.T) {
 
 	cut := &cutter{match: isPut(wireKindView)}
 	cluster := startHealCluster(t, cut)
-	opts := healOpts
-	opts.NetStoreAddrs = cluster.addrs()
-	opts.PublishViews = true
-	opts.StoreRetries = 2
-	eng, err := New(testStore(t, healUsers, 42), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	eng.netClient.Close()
-	eng.netClient, err = netstore.DialOptions(cluster.addrs(), healPartitions, netstore.ClientOptions{MaxAttempts: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const retries = 2
+	eng := newHealEngine(t, cluster, retries, false)
 
 	for i := 0; i < iters; i++ {
 		if i == 1 {
-			cut.arm(int32(opts.StoreRetries) + 1)
+			cut.arm(retries + 1)
 		}
 		st, err := eng.Iterate(context.Background())
 		if i == 1 {
@@ -412,20 +411,7 @@ type deltaHeal struct {
 func newDeltaHeal(t *testing.T, cut *cutter, retries int) *deltaHeal {
 	t.Helper()
 	cluster := startHealCluster(t, cut)
-	opts := healOpts
-	opts.NetStoreAddrs = cluster.addrs()
-	opts.PublishViews = true
-	opts.StoreRetries = retries
-	eng, err := New(testStore(t, healUsers, 42), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { eng.Close() })
-	eng.netClient.Close()
-	eng.netClient, err = netstore.DialOptions(cluster.addrs(), healPartitions, netstore.ClientOptions{MaxAttempts: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newHealEngine(t, cluster, retries, false)
 	front, err := netstore.Dial(cluster.addrs(), healPartitions)
 	if err != nil {
 		t.Fatal(err)
