@@ -79,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponses$$' -fuzztime $(FUZZTIME) ./internal/netstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVector$$' -fuzztime $(FUZZTIME) ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzArenaDecode$$' -fuzztime $(FUZZTIME) ./internal/profile
+	$(GO) test -run '^$$' -fuzz '^FuzzIndex$$' -fuzztime $(FUZZTIME) ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTopK$$' -fuzztime $(FUZZTIME) ./internal/knn
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/fault
 
@@ -109,7 +110,7 @@ bench-smoke:
 	$(GO) run ./bench -runs 2 -seconds 5
 
 # Applies the benchmark's bounds to the last `make bench` against BASE,
-# e.g. `make bench-compare BASE=BENCH_45.json`; exits non-zero on
+# e.g. `make bench-compare BASE=BENCH_47.json`; exits non-zero on
 # a regressed or unresolved end-to-end metric, or on an exact count
 # that differs at equal seeds.
 bench-compare:

@@ -14,9 +14,10 @@ import (
 
 // Incremental graph maintenance: between full five-phase iterations the
 // engine absorbs user adds and deletes through a cheap delta path.
-// Added users enter via greedy search over the committed graph plus a
-// phase-2-style candidate pool around the search's seed neighbors
-// (internal/delta); deleted users are tombstoned —
+// An added user gets its exact top-K among the live users, scored
+// through a postings index of P(t) (profile.Index) that each pass builds
+// for the items its adds hold, and its chosen neighbors reconsider
+// their lists with it (internal/delta); deleted users are tombstoned —
 // stripped from the graph immediately, filtered out of phase-2 tuple
 // generation and the serve path afterwards. A per-partition staleness
 // counter accumulates the drift each delta commit causes, and Run
@@ -70,8 +71,11 @@ type DeltaStats struct {
 	// TouchedUsers counts existing users whose neighbor lists the
 	// inserts' refine passes or the deletes' strips changed.
 	TouchedUsers int
-	// SimEvals is the pass's total similarity-evaluation cost —
-	// compare against the ~n·K·K of a full iteration.
+	// SimEvals is the pass's similarity-evaluation cost, one per
+	// scored pair: each add's candidates (the users sharing an item
+	// with it, or every live user when the measure cannot be indexed)
+	// plus its refine steps. Compare against the ~n·K·K of a full
+	// iteration.
 	SimEvals int
 	// Republished is the number of partition serve views republished
 	// after the commit.
@@ -187,9 +191,15 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 		e.deltaBacklog = muts
 		return nil, err
 	}
+	ix, err := e.passIndex(muts)
+	if err != nil {
+		return fail(err)
+	}
 
-	// Work on clones; the commit window swaps them in atomically.
-	g := e.g.Clone()
+	// Work on copies; the commit window swaps them in atomically. The
+	// graph copy reuses the row table of the graph the last commit
+	// replaced, which nothing else holds.
+	g := e.g.CloneInto(e.spare)
 	dead := e.dead.Clone()
 	// overlay serves this pass's not-yet-committed profiles to the
 	// inserter (new users and upserted vectors).
@@ -222,9 +232,10 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 	}
 
 	cfg := delta.Config{
-		K:    e.opts.K,
-		Sim:  e.opts.Similarity,
-		Dead: func(v uint32) bool { return dead.Has(v) },
+		K:     e.opts.K,
+		Sim:   e.opts.Similarity,
+		Dead:  func(v uint32) bool { return dead.Has(v) },
+		Index: ix,
 	}
 
 	var newVecs []profile.Vector               // appended users, in id order
@@ -233,7 +244,19 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 	pendingDead := make(map[uint32]bool)       // pending adds whose delete already arrived
 	affected := make(map[int]bool)
 
-	insert := func(u uint32, vec profile.Vector) error {
+	// insert places u with profile vec; indexed says u is a live user
+	// whose current profile the index holds.
+	insert := func(u uint32, vec profile.Vector, indexed bool) error {
+		if ix != nil {
+			if indexed {
+				old, err := lookup(u)
+				if err != nil {
+					return err
+				}
+				ix.Remove(u, old)
+			}
+			ix.Add(u, vec)
+		}
 		overlay[u] = vec
 		dead.Remove(u) // an add of a tombstoned user resurrects it
 		res, err := delta.Insert(g, lookup, cfg, u, vec)
@@ -285,7 +308,7 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 			stats.Deletes++
 			return nil
 		}
-		return insert(u, vec)
+		return insert(u, vec, false)
 	}
 
 	for i := 0; i < len(muts); i++ {
@@ -295,7 +318,7 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 			n := uint32(g.NumNodes())
 			switch {
 			case m.User < n:
-				if err := insert(m.User, m.Profile); err != nil {
+				if err := insert(m.User, m.Profile, !dead.Has(m.User)); err != nil {
 					return fail(fmt.Errorf("core: delta upsert user %d: %w", m.User, err))
 				}
 				if first := e.g.NumNodes(); int(m.User) >= first {
@@ -350,6 +373,13 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 				}
 				if int(u) >= g.NumNodes() || dead.Has(u) {
 					continue // unknown user (an idempotent miss) or already tombstoned
+				}
+				if ix != nil {
+					old, err := lookup(u)
+					if err != nil {
+						return fail(fmt.Errorf("core: delta delete user %d: %w", u, err))
+					}
+					ix.Remove(u, old)
 				}
 				dead.Add(u)
 				run = append(run, u)
@@ -445,6 +475,44 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 	}
 	stats.Republished = len(views)
 	return stats, nil
+}
+
+// passIndex returns the postings this pass's adds score through: the
+// engine's index, reset to cover the items the pass's adds hold and
+// filled with every live committed profile, so each add's Scan sees
+// every user sharing one of its items. It is nil, and inserts score
+// every live user instead, when the measure cannot be indexed. The
+// pass keeps it current as it goes; nothing outlives the pass but the
+// index's memory, which the next pass reuses.
+func (e *Engine) passIndex(muts []delta.Mutation) (*profile.Index, error) {
+	if e.index == nil {
+		ix, ok := profile.NewIndex(e.opts.Similarity)
+		if !ok {
+			return nil, nil
+		}
+		e.index = ix
+	}
+	e.cover = e.cover[:0]
+	for _, m := range muts {
+		if m.Op == delta.Add {
+			e.cover = append(e.cover, m.Profile)
+		}
+	}
+	e.index.Reset(e.cover)
+	if len(e.cover) == 0 {
+		return e.index, nil // nothing to score, and nothing to keep current
+	}
+	for u := uint32(0); int(u) < e.g.NumNodes(); u++ {
+		if e.dead.Has(u) {
+			continue
+		}
+		v, err := e.profiles.Profile(u)
+		if err != nil {
+			return nil, fmt.Errorf("core: index profile of user %d: %w", u, err)
+		}
+		e.index.Add(u, v)
+	}
+	return e.index, nil
 }
 
 // deltaViews lists the serve views a delta commit republishes, in

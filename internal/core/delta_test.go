@@ -469,6 +469,158 @@ func TestDeltaCommitWindowSurvivesFailedApply(t *testing.T) {
 	}
 }
 
+// exactLiveRow is exact.Compute's row for u over the engine's live
+// committed users, in engine ids: the live users are renumbered densely
+// in id order, which keeps exact.Compute's tie to the smaller id.
+func exactLiveRow(t *testing.T, eng *Engine, u uint32) []uint32 {
+	t.Helper()
+	var ids []uint32
+	var vecs []profile.Vector
+	at := -1
+	for v := uint32(0); int(v) < eng.g.NumNodes(); v++ {
+		if eng.dead.Has(v) {
+			continue
+		}
+		vec, err := eng.profiles.Profile(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v == u {
+			at = len(ids)
+		}
+		ids = append(ids, v)
+		vecs = append(vecs, vec)
+	}
+	g, err := exact.Compute(profile.NewStoreFromVectors(vecs), exact.Options{K: eng.opts.K, Sim: eng.opts.Similarity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row []uint32
+	for _, v := range g.Neighbors(uint32(at)) {
+		row = append(row, ids[v])
+	}
+	return row
+}
+
+// requireIndexCurrent checks that the postings index the last pass
+// left, when it had adds to score, is the index of the live committed
+// profiles over the same cover: scanning each of the pass's add
+// profiles returns the users and score bits that an index built fresh
+// from them returns.
+func requireIndexCurrent(t *testing.T, eng *Engine) {
+	t.Helper()
+	if eng.index == nil || len(eng.cover) == 0 {
+		return
+	}
+	fresh, _ := profile.NewIndex(eng.opts.Similarity)
+	fresh.Reset(eng.cover)
+	for v := uint32(0); int(v) < eng.g.NumNodes(); v++ {
+		vec, err := eng.profiles.Profile(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !eng.dead.Has(v) {
+			fresh.Add(v, vec)
+		}
+	}
+	for _, vec := range eng.cover {
+		gotU, gotS := eng.index.Scan(vec)
+		gotU, gotS = slices.Clone(gotU), slices.Clone(gotS)
+		wantU, wantS := fresh.Scan(vec)
+		if !slices.Equal(gotU, wantU) || !slices.Equal(gotS, wantS) {
+			t.Fatalf("pass index scans %v to %v %v, a fresh one to %v %v", vec.Entries(), gotU, gotS, wantU, wantS)
+		}
+	}
+}
+
+// TestDeltaInsertsStayExactAcrossAFailedPass runs a seeded script of
+// delta passes, each some deletes followed by one add, upsert or
+// resurrection, with a full iteration that replaces a profile halfway.
+// Each pass's inserted user must hold exact.Compute's row over the live
+// users at its commit, and the pass's postings index must end as the
+// index of the live profiles: it tracks every add, upsert and delete of
+// the pass, and sees the iteration's profile change. A second run makes
+// one pass's commit fail (failOnceProfiles) and retries it: it must end
+// in the graph of the fault-free run, so nothing the failed pass did to
+// the index survives it.
+func TestDeltaInsertsStayExactAcrossAFailedPass(t *testing.T) {
+	const base, k, passes, faultAt = 150, 5, 24, 9
+	vecs, _, err := dataset.RatingsProfiles(base+passes+1, 600, 18, 4, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(fault bool) string {
+		eng, err := New(profile.NewStoreFromVectors(slices.Clone(vecs[:base])), Options{K: k, NumPartitions: 4, Seed: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		ctx := context.Background()
+		if _, err := eng.Iterate(ctx); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(31))
+		next := uint32(base)
+		var replaced profile.Vector // the profile the last resurrection replaced
+		for pass := 0; pass < passes; pass++ {
+			n := eng.g.NumNodes()
+			for range rng.Intn(3) {
+				eng.EnqueueDelUser(uint32(rng.Intn(n)))
+			}
+			u, vec := next, vecs[next]
+			switch pass % 3 {
+			case 0:
+				// Resurrect the lowest tombstoned user, else upsert one.
+				u, vec = uint32(rng.Intn(n)), vecs[rng.Intn(len(vecs))]
+				for v := uint32(0); int(v) < n; v++ {
+					if eng.dead.Has(v) {
+						u = v
+						break
+					}
+				}
+				if replaced, err = eng.profiles.Profile(u); err != nil {
+					t.Fatal(err)
+				}
+			case 1:
+				// A new user with that replaced profile: an index still
+				// holding it under the resurrected id would rank that
+				// user first.
+				vec = replaced
+				next++
+			default:
+				next++
+			}
+			eng.EnqueueAddUser(u, vec)
+			if fault && pass == faultAt {
+				eng.profiles = &failOnceProfiles{canonicalProfiles: eng.profiles}
+				if _, err := eng.ApplyDeltas(); err == nil {
+					t.Fatal("the injected Apply failure did not surface")
+				}
+			}
+			if _, err := eng.ApplyDeltas(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := eng.g.Neighbors(u), exactLiveRow(t, eng, u); !slices.Equal(got, want) {
+				t.Fatalf("fault=%v pass %d: user %d's row %v, exact.Compute's %v", fault, pass, u, got, want)
+			}
+			requireIndexCurrent(t, eng)
+			if pass == passes/2 {
+				// User 0 takes the profile the next add brings, so an
+				// index still holding its old one would miss a tie at
+				// the top of that add's row.
+				eng.EnqueueUpdate(profile.Update{User: 0, Kind: profile.ReplaceProfile, Vector: vecs[next]})
+				if _, err := eng.Iterate(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return graphDigest(eng.g)
+	}
+	if want, got := run(false), run(true); got != want {
+		t.Fatalf("with one failed pass the script ends in graph %s, without it in %s", got, want)
+	}
+}
+
 // TestDeltaValidation: ApplyDeltas on a closed engine fails.
 func TestDeltaValidation(t *testing.T) {
 	store := testStore(t, 10, 1)
@@ -490,16 +642,19 @@ func TestDeltaValidation(t *testing.T) {
 // the map-based inserter and the one-user-at-a-time strip produced,
 // re-recorded when phase 4 began crediting each scored pair to both
 // endpoints (the script's deletes follow the graph, so its counts moved
-// with it) and when the inserter's pool stopped being restricted to
-// the seed neighbors' partitions; any change to the delta layer that is meant to be
-// output-identical is checked here by go test, not only by the
+// with it), when the inserter's pool stopped being restricted to the
+// seed neighbors' partitions, and when inserts stopped searching the
+// graph and took the exact top-K of the users sharing an item (their
+// rows changed, so did the refines they trigger: more touched users
+// for fewer evaluations); any change to the delta layer that is meant
+// to be output-identical is checked here by go test, not only by the
 // benchmark's digest.
 func TestDeltaGolden(t *testing.T) {
 	const (
 		base, poolSize, k = 300, 80, 6
-		digest            = "a7047b731bbf3c63"
+		digest            = "ff0edd96b141699e"
 	)
-	want := DeltaStats{Adds: 49, Upserts: 16, Deletes: 32, Held: 8, TouchedUsers: 376, SimEvals: 8118}
+	want := DeltaStats{Adds: 49, Upserts: 16, Deletes: 32, Held: 8, TouchedUsers: 492, SimEvals: 5793}
 	vecs, _, err := dataset.RatingsProfiles(base+poolSize, 1200, 20, 6, 77)
 	if err != nil {
 		t.Fatal(err)

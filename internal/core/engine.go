@@ -79,6 +79,13 @@ type Engine struct {
 	// serve view the next delta commit must republish: it still holds a
 	// copy of a user the last full publish moved to a later partition
 	// (see publishMembers), or a publish that stayed down never PUT it.
+	// index is the postings index delta inserts score through, reset
+	// and refilled by every pass (see passIndex) and kept between passes
+	// only for its memory; cover lists the profiles of the last pass's
+	// adds, whose items it covers. index is nil before the first pass,
+	// and stays nil when the measure cannot be indexed. spare is the
+	// graph the last commit replaced, whose row table the next delta
+	// pass copies G(t) into; nothing else holds it.
 	deltas       inbox[delta.Mutation]
 	dead         graph.NodeSet
 	tracker      *delta.Tracker
@@ -88,6 +95,9 @@ type Engine struct {
 	deltaMembers map[int][]uint32
 	deltaBacklog []delta.Mutation
 	republish    []bool
+	index        *profile.Index
+	cover        []profile.Vector
+	spare        *graph.KNN
 }
 
 // New creates an engine over the given profiles. G(0) is a random
@@ -617,7 +627,12 @@ func (e *Engine) commit(g *graph.KNN, dead graph.NodeSet, write func() error) er
 	if err := write(); err != nil {
 		return err
 	}
+	replaced := e.g
 	e.g, e.dead = g, dead
+	// The replaced graph's row table becomes the spare the next delta
+	// pass copies G(t) into. Pointed at the committed rows, it keeps
+	// alive no row that G(t) dropped.
+	e.spare = g.CloneInto(replaced)
 	e.epoch++
 	return nil
 }

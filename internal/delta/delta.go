@@ -1,16 +1,18 @@
 // Package delta implements incremental maintenance of a committed KNN
-// graph between full five-phase iterations: new users are inserted by
-// a greedy search over the committed graph followed by a phase-2-style
-// candidate generation around the search's seed neighbors (Debatty et
-// al.'s search-then-refine), deleted users are tombstoned and stripped
-// from every neighbor list, and a per-partition staleness counter decides —
-// against a configurable threshold — when the accumulated drift
-// justifies scheduling a real iteration.
+// graph between full five-phase iterations: a new user gets the exact
+// top-K of the live users — through a profile.Index, only the users
+// sharing an item with it are scored, the exact end of Debatty et al.'s
+// quality-against-evaluations curve — and each chosen neighbor then
+// reconsiders its own list with the new user; deleted users are
+// tombstoned and stripped from every neighbor list; and a per-partition
+// staleness counter decides — against a configurable threshold — when
+// the accumulated drift justifies scheduling a real iteration.
 //
 // The package is deliberately engine-agnostic: it operates on
-// graph.KNN plus a profile lookup function, so internal/core can apply
-// deltas to a private clone inside its commit window and tests can
-// drive the insertion path against in-memory fixtures.
+// graph.KNN plus a profile lookup function and an optional index, so
+// internal/core can apply deltas to a private copy inside its commit
+// window and tests can drive the insertion path against in-memory
+// fixtures.
 package delta
 
 import "knnpc/internal/profile"

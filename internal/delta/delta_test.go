@@ -7,12 +7,12 @@ import (
 	"slices"
 	"testing"
 
+	"knnpc/internal/exact"
 	"knnpc/internal/graph"
 	"knnpc/internal/profile"
 )
 
-// fixture builds a random graph plus clustered profiles so greedy
-// search has structure to exploit.
+// fixture builds a random graph plus clustered profiles.
 func fixture(t *testing.T, n, k int) (*graph.KNN, *profile.Store) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -191,55 +191,137 @@ func sameGraph(a, b *graph.KNN) bool {
 	return true
 }
 
-// TestInsertMatchesReference holds Insert to the map-based inserter it
-// replaced: for every measure, with and without tombstones, at
-// K ∈ {1, 5, 10}, a sequence of adds and upserts must return the same
-// neighbors, touched users, pool size and similarity-evaluation count,
-// and leave the same graph.
-func TestInsertMatchesReference(t *testing.T) {
+// exactRow is exact.Compute's row for u over the users live reports,
+// in the ids of vecs: the live users are renumbered densely in id
+// order, which keeps exact.Compute's tie to the smaller id.
+func exactRow(t *testing.T, vecs []profile.Vector, live func(uint32) bool, k int, sim profile.Similarity, u uint32) []uint32 {
+	t.Helper()
+	var ids []uint32
+	var sub []profile.Vector
+	at := -1
+	for v := range vecs {
+		if !live(uint32(v)) {
+			continue
+		}
+		if uint32(v) == u {
+			at = len(ids)
+		}
+		ids = append(ids, uint32(v))
+		sub = append(sub, vecs[v])
+	}
+	want, err := exact.Compute(profile.NewStoreFromVectors(sub), exact.Options{K: k, Sim: sim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row []uint32
+	for _, v := range want.Neighbors(uint32(at)) {
+		row = append(row, ids[v])
+	}
+	return row
+}
+
+// TestInsertMatchesExact holds Insert to exact.Compute and its two
+// paths to each other. For every measure, at K ∈ {1, 5, 16}, a seeded
+// script of adds, upserts, resurrections of tombstoned users and
+// deletes runs on two copies of one graph, one inserting through an
+// Index kept on the live profiles and one scoring every live user.
+// Each inserted user's row must be exact.Compute's row over the live
+// users — including users that share an item with fewer than K others,
+// empty profiles among them, and users whose overlaps all score below
+// 0, whose rows are filled at score 0 — and both copies must return the
+// same result and leave the same graph.
+func TestInsertMatchesExact(t *testing.T) {
 	sims := []profile.Similarity{profile.Cosine{}, profile.Jaccard{}, profile.Dice{}, profile.Overlap{}}
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, sim := range sims {
-			for _, k := range []int{1, 5, 10} {
-				for _, tombs := range []bool{false, true} {
-					name := fmt.Sprintf("seed%d/%s/K%d/tombstones=%v", seed, sim.Name(), k, tombs)
-					rng := rand.New(rand.NewSource(seed))
-					n := 30 + rng.Intn(120)
-					g, vecs := randomCase(t, rng, n, k)
-					profiles := func(u uint32) (profile.Vector, error) { return vecs[u], nil }
-					cfg := Config{K: k, Sim: sim}
-					if tombs {
-						dead := make(map[uint32]bool)
-						for range n / 8 {
-							dead[uint32(rng.Intn(n))] = true
-						}
-						cfg.Dead = func(u uint32) bool { return dead[u] }
+			for _, k := range []int{1, 5, 16} {
+				name := fmt.Sprintf("seed%d/%s/K%d", seed, sim.Name(), k)
+				rng := rand.New(rand.NewSource(seed))
+				n := 30 + rng.Intn(90)
+				scan, pool := randomCase(t, rng, n, k)
+				vecs := slices.Clone(pool[:n])
+				dead := make(map[uint32]bool)
+				for range n / 8 {
+					dead[uint32(rng.Intn(n))] = true
+				}
+				live := func(u uint32) bool { return !dead[u] }
+				// An item no one else holds, so the whole row is fill;
+				// and, under cosine, negative weights on shared items,
+				// which score every sharing user below the fill's 0.
+				fill := profile.FromItems([]uint32{1000})
+				negative, err := profile.NewVector([]profile.Entry{{Item: 1, Weight: -1}, {Item: 2, Weight: -2}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The index covers every profile the script inserts.
+				ix, _ := profile.NewIndex(sim)
+				ix.Reset(append(slices.Clone(pool), fill, negative))
+				for u, v := range vecs {
+					if live(uint32(u)) {
+						ix.Add(uint32(u), v)
 					}
-					want := g.Clone()
-					for i := 0; i < 8; i++ {
-						u := uint32(g.NumNodes())
-						if i%3 == 2 {
-							u = uint32(rng.Intn(n)) // upsert
-						} else {
-							g.Grow(1)
-							want.Grow(1)
+				}
+				profiles := func(u uint32) (profile.Vector, error) { return vecs[u], nil }
+				cfg := Config{K: k, Sim: sim, Dead: func(u uint32) bool { return dead[u] }}
+				indexed := cfg
+				indexed.Index = ix
+				viaIndex := scan.Clone()
+
+				for i := 0; i < 12; i++ {
+					u := uint32(scan.NumNodes())
+					switch i % 4 {
+					case 1: // upsert, or resurrect a tombstoned user
+						u = uint32(rng.Intn(len(vecs)))
+					case 3: // delete a live user
+						d := uint32(rng.Intn(len(vecs)))
+						if dead[d] {
+							continue
 						}
-						vec := vecs[rng.Intn(len(vecs))]
-						got, err := Insert(g, profiles, cfg, u, vec)
-						if err != nil {
-							t.Fatal(err)
+						ix.Remove(d, vecs[d])
+						dead[d] = true
+						for _, g := range []*graph.KNN{scan, viaIndex} {
+							if _, err := Remove(g, d); err != nil {
+								t.Fatal(err)
+							}
 						}
-						ref, err := refInsert(want, profiles, cfg, u, vec)
-						if err != nil {
-							t.Fatal(err)
+						continue
+					}
+					vec := pool[rng.Intn(len(pool))]
+					switch i % 8 {
+					case 4:
+						vec = fill
+					case 0:
+						vec = negative
+					}
+					if int(u) == len(vecs) {
+						scan.Grow(1)
+						viaIndex.Grow(1)
+						vecs = append(vecs, vec)
+					} else {
+						if live(u) {
+							ix.Remove(u, vecs[u])
 						}
-						if !slices.Equal(got.Neighbors, ref.Neighbors) || !slices.Equal(got.Touched, ref.Touched) ||
-							got.Candidates != ref.Candidates || got.SimEvals != ref.SimEvals {
-							t.Fatalf("%s insert %d of user %d: got %+v, want %+v", name, i, u, got, ref)
-						}
-						if !sameGraph(g, want) {
-							t.Fatalf("%s insert %d of user %d: graphs differ", name, i, u)
-						}
+						vecs[u] = vec
+						delete(dead, u)
+					}
+					ix.Add(u, vec)
+
+					got, err := Insert(viaIndex, profiles, indexed, u, vec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := Insert(scan, profiles, cfg, u, vec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got.Neighbors, want.Neighbors) || !slices.Equal(got.Touched, want.Touched) {
+						t.Fatalf("%s step %d, user %d: indexed insert %+v, scanning insert %+v", name, i, u, got, want)
+					}
+					if !sameGraph(viaIndex, scan) {
+						t.Fatalf("%s step %d, user %d: graphs differ", name, i, u)
+					}
+					if row := exactRow(t, vecs, live, k, sim, u); !slices.Equal(got.Neighbors, row) {
+						t.Fatalf("%s step %d, user %d: row %v, exact.Compute's %v", name, i, u, got.Neighbors, row)
 					}
 				}
 			}

@@ -3,7 +3,6 @@ package delta
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -12,7 +11,7 @@ import (
 	"knnpc/internal/profile"
 )
 
-// Config tunes the search-then-refine insertion.
+// Config configures an insertion.
 type Config struct {
 	// K is the neighbor bound (required, ≥ 1; must not exceed the
 	// graph's bound).
@@ -24,57 +23,53 @@ type Config struct {
 	// Dead reports tombstoned users, which are never candidates and
 	// never refined. nil means none.
 	Dead func(uint32) bool
+	// Index, when set, covers the inserted profile's items and holds
+	// every live user of the graph with the profile the profiles lookup
+	// returns for it (the inserted user may be among them, with the
+	// profile being inserted), scored under Sim. Insert then scores only
+	// the users that share an item with the inserted one. nil scores
+	// every live user.
+	Index *profile.Index
 }
-
-// The greedy search starts from seeds points spread deterministically
-// over the id space and walks at most maxHops hops from each. At
-// churn-delta's shape (4,000 base users, K=16, 200 inserts, seed 1234)
-// the inserted users' recall is 0.07, 0.13, 0.23 and 0.43 at 1, 2, 4
-// and 8 seeds, for about 460, 660, 1,020 and 1,620 evaluations per add;
-// 4, 8 and 16 hops give 0.233, 0.231 and 0.231.
-const (
-	seeds   = 4
-	maxHops = 8
-)
 
 // Result reports what one insertion did.
 type Result struct {
-	// Neighbors is the inserted user's chosen top-K, sorted by id
-	// (the graph's storage order).
+	// Neighbors is the inserted user's top-K, sorted by id (the
+	// graph's storage order). It is the graph's row, to read only.
 	Neighbors []uint32
 	// Touched lists existing users whose neighbor lists the refine
 	// pass changed.
 	Touched []uint32
-	// Candidates is the size of the scored candidate pool.
+	// Candidates is the number of users scored against the inserted
+	// one: those sharing an item with it, or every live user without
+	// an index.
 	Candidates int
-	// SimEvals counts similarity evaluations, the insertion's compute
-	// cost (compare against the ~n·K·K of a full iteration).
+	// SimEvals counts similarity evaluations, one per scored pair:
+	// the candidates plus the refine pass's (compare against the
+	// ~n·K·K of a full iteration).
 	SimEvals int
 }
 
 // Insert computes and installs user u's neighborhood in g. u must
 // already be a node of g (grown beforehand) with profile vec; its
-// previous out-edges, if any, are replaced. The three stages:
+// previous out-edges, if any, are replaced. The two stages:
 //
-//  1. Greedy search: from seeds deterministic starting points, walk to
-//     the best-scoring neighbor until no improvement, collecting a set
-//     of local optima ("seed neighbors").
-//  2. Candidate generation: the seeds, their neighbors, and their
-//     neighbors' neighbors — the paper's phase-2 rule applied to the
-//     seed set.
-//  3. Refine: u keeps its top-K of the scored pool; each chosen
-//     neighbor v then reconsiders its own list with u as a candidate
-//     (one bounded NN-descent step), so edges point both ways where
-//     similarity warrants.
+//  1. u's list is the exact top-K of the live users. With cfg.Index it
+//     is taken from the users that share an item with vec, each scored
+//     by the index, and the K smallest live ids among the rest at
+//     score 0 — every other user scores 0, and ties go to the smaller
+//     id, so no other user can make the list; a list with fewer than K
+//     positive scores is filled that way, exact.Compute's tie rule.
+//     Without an index every live user is scored in turn. Both give
+//     the same list.
+//  2. Refine: each chosen neighbor v reconsiders its own list with u
+//     as a candidate (one bounded NN-descent step), so edges point
+//     both ways where similarity warrants.
 //
 // Everything is deterministic for a fixed (g, profiles, cfg, u, vec):
-// seeds are id-arithmetic, candidate pools are scored in ascending id
-// order, and ties break by id through knn.Better.
-//
-// vec is expanded once into a profile.Source and every candidate is
-// scored through it, bit for bit what cfg.Sim.Score(vec, ·) returns;
-// each candidate is scored at most once, and SimEvals counts those
-// scorings.
+// ties break by id through knn.Better, and neighbors are refined in
+// ascending id order. Every score is bit for bit what
+// cfg.Sim.Score(vec, ·) returns.
 func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Config, u uint32, vec profile.Vector) (Result, error) {
 	var res Result
 	if cfg.K < 1 {
@@ -91,137 +86,71 @@ func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Con
 		return v == u || (cfg.Dead != nil && cfg.Dead(v))
 	}
 
+	// Stage 1: u's exact top-K.
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	sc.scores.reset()
-	src := profile.NewSource(cfg.Sim)
-	src.Reset(vec)
-	// score evaluates each candidate against vec once.
-	score := func(v uint32) (float64, error) {
-		if s, ok := sc.scores.get(v); ok {
-			return s, nil
-		}
-		pv, err := profiles(v)
-		if err != nil {
-			return 0, fmt.Errorf("delta: profile of candidate %d: %w", v, err)
-		}
-		s := src.Score(pv)
-		res.SimEvals++
-		sc.scores.put(v, s)
-		return s, nil
-	}
-
-	// Stage 1: greedy descents from id-spread seeds.
-	stride := n / seeds
-	if stride < 1 {
-		stride = 1
-	}
-	var optima []uint32
-	for i := 0; i < seeds; i++ {
-		cur := uint32((int(u) + 1 + i*stride) % n)
-		ok := false
-		for probes := 0; probes < n; probes++ {
-			if !skip(cur) {
-				ok = true
-				break
-			}
-			cur = (cur + 1) % uint32(n)
-		}
-		if !ok {
-			break // every other user is dead; nothing to link to
-		}
-		curScore, err := score(cur)
-		if err != nil {
-			return res, err
-		}
-		for hop := 0; hop < maxHops; hop++ {
-			best, bestScore, found := cur, curScore, false
-			for _, v := range g.Neighbors(cur) {
-				if skip(v) {
-					continue
-				}
-				sv, err := score(v)
-				if err != nil {
-					return res, err
-				}
-				if knn.Better(knn.Scored{ID: v, Score: sv}, knn.Scored{ID: best, Score: bestScore}) {
-					best, bestScore, found = v, sv, true
-				}
-			}
-			if !found {
-				break
-			}
-			cur, curScore = best, bestScore
-		}
-		if !slices.Contains(optima, cur) {
-			optima = append(optima, cur)
-		}
-	}
-
-	// Stage 2: two-hop candidate pool around the optima. Marking each
-	// id in a bitset over the graph deduplicates the pool, and reading
-	// the set back word by word yields it in ascending id order, so skip
-	// runs once per distinct id and no sort is needed. The read-back
-	// clears every word it visits.
-	seen := sc.seen
-	if words := (n + 63) / 64; len(seen) < words {
-		seen = make(graph.NodeSet, words)
-		sc.seen = seen
-	}
-	for _, b := range optima {
-		seen.Add(b)
-		for _, v := range g.Neighbors(b) {
-			seen.Add(v)
-			for _, w := range g.Neighbors(v) {
-				seen.Add(w)
-			}
-		}
-	}
-	cands := sc.pool[:0]
-	for i, word := range seen {
-		if word == 0 {
-			continue
-		}
-		seen[i] = 0
-		for ; word != 0; word &= word - 1 {
-			v := uint32(i<<6 | bits.TrailingZeros64(word))
-			if !skip(v) {
-				cands = append(cands, v)
-			}
-		}
-	}
-	sc.pool = cands
-	res.Candidates = len(cands)
-
-	// Stage 3a: u's top-K of the pool.
-	tk, err := knn.NewTopK(cfg.K)
+	tk, err := sc.topK(cfg.K)
 	if err != nil {
 		return res, err
 	}
-	for _, c := range cands {
-		s, err := score(c)
-		if err != nil {
-			return res, err
+	if cfg.Index != nil {
+		users, scores := cfg.Index.Scan(vec)
+		for i, v := range users {
+			if !skip(v) {
+				tk.Push(v, scores[i])
+				res.Candidates++
+			}
 		}
-		tk.Push(c, s)
+		// Only the K smallest live ids outside the scan can win a tie
+		// at 0.
+		j := 0
+		for v, filled := uint32(0), 0; int(v) < n && filled < cfg.K; v++ {
+			for j < len(users) && users[j] < v {
+				j++
+			}
+			if (j < len(users) && users[j] == v) || skip(v) {
+				continue
+			}
+			tk.Push(v, 0)
+			filled++
+		}
+	} else {
+		src := sc.source(cfg.Sim)
+		src.Reset(vec)
+		for v := uint32(0); int(v) < n; v++ {
+			if skip(v) {
+				continue
+			}
+			pv, err := profiles(v)
+			if err != nil {
+				return res, fmt.Errorf("delta: profile of candidate %d: %w", v, err)
+			}
+			tk.Push(v, src.Score(pv))
+			res.Candidates++
+		}
 	}
-	res.Neighbors = tk.AppendIDs(nil)
-	slices.Sort(res.Neighbors)
-	if err := g.Set(u, res.Neighbors); err != nil {
+	res.SimEvals = res.Candidates
+
+	chosen := tk.Result()
+	slices.SortFunc(chosen, func(a, b knn.Scored) int { return cmp.Compare(a.ID, b.ID) })
+	sc.ids = sc.ids[:0]
+	for _, c := range chosen {
+		sc.ids = append(sc.ids, c.ID)
+	}
+	if err := g.Set(u, sc.ids); err != nil {
 		return res, fmt.Errorf("delta: set neighbors of %d: %w", u, err)
 	}
+	res.Neighbors = g.Neighbors(u)
 
-	// Stage 3b: bounded reverse refine — each chosen neighbor
+	// Stage 2: bounded reverse refine — each chosen neighbor
 	// reconsiders its list with u as a candidate.
-	nsrc := profile.NewSource(cfg.Sim)
-	for _, v := range res.Neighbors {
-		s, _ := sc.scores.get(v)
-		changed, err := refineWith(g, profiles, cfg, nsrc, &res, v, u, s)
+	for _, c := range chosen {
+		changed, err := refineWith(g, profiles, cfg, sc, &res, c.ID, u, c.Score)
 		if err != nil {
 			return res, err
 		}
 		if changed {
-			res.Touched = append(res.Touched, v)
+			res.Touched = append(res.Touched, c.ID)
 		}
 	}
 	return res, nil
@@ -229,16 +158,17 @@ func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Con
 
 // refineWith rebuilds v's neighbor list from its current neighbors
 // plus the candidate c (scored sim(v,c) = cScore), reporting whether
-// the list changed. v's profile is expanded into src once, and its
-// neighbors are scored through it.
-func refineWith(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Config, src *profile.Source, res *Result, v, c uint32, cScore float64) (bool, error) {
+// the list changed. v's profile is expanded into the scratch's Source
+// once, and its neighbors are scored through it.
+func refineWith(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Config, sc *scratch, res *Result, v, c uint32, cScore float64) (bool, error) {
 	cur := g.Neighbors(v)
 	vvec, err := profiles(v)
 	if err != nil {
 		return false, fmt.Errorf("delta: profile of refined user %d: %w", v, err)
 	}
+	src := sc.source(cfg.Sim)
 	src.Reset(vvec)
-	tk, err := knn.NewTopK(cfg.K)
+	tk, err := sc.topK(cfg.K)
 	if err != nil {
 		return false, err
 	}
@@ -254,90 +184,46 @@ func refineWith(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg
 		res.SimEvals++
 	}
 	tk.Push(c, cScore)
-	next := tk.AppendIDs(nil)
-	slices.Sort(next)
-	if slices.Equal(next, cur) {
+	sc.ids = tk.AppendIDs(sc.ids[:0])
+	slices.Sort(sc.ids)
+	if slices.Equal(sc.ids, cur) {
 		return false, nil
 	}
-	if err := g.Set(v, next); err != nil {
+	if err := g.Set(v, sc.ids); err != nil {
 		return false, fmt.Errorf("delta: refine user %d: %w", v, err)
 	}
 	return true, nil
 }
 
-// scratch is one Insert's reusable working memory, pooled so a batch
-// of inserts recycles it.
+// scratch is Insert's reusable working memory, pooled so the inserts
+// and refines of a batch share one accumulator, one Source and one id
+// buffer.
 type scratch struct {
-	scores memo
-	seen   graph.NodeSet // all zero between inserts
-	pool   []uint32
+	tks []knn.TopK // one accumulator, emptied in place
+	src *profile.Source
+	ids []uint32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// memo maps candidate ids to their scores for one Insert: open
-// addressing with linear probing over a power-of-two table, kept at
-// most half full. A slot stores id+1, so the zero key marks it empty
-// (node ids stay below 2^32−1).
-type memo struct {
-	keys  []uint32
-	vals  []float64
-	used  int
-	shift uint32
+// topK returns the scratch's accumulator, empty, with capacity k.
+func (sc *scratch) topK(k int) (*knn.TopK, error) {
+	tks, err := knn.ResetTopKs(sc.tks, 1, k)
+	if err != nil {
+		return nil, err
+	}
+	sc.tks = tks
+	return &tks[0], nil
 }
 
-// memoMinBits sizes a fresh table for a typical insert's few hundred
-// to a thousand scorings.
-const memoMinBits = 11
-
-func (m *memo) reset() {
-	if m.keys == nil {
-		m.alloc(memoMinBits)
-		return
+// source returns the scratch's Source, scoring under sim.
+func (sc *scratch) source(sim profile.Similarity) *profile.Source {
+	if sc.src == nil {
+		sc.src = profile.NewSource(sim)
+	} else {
+		sc.src.SetSimilarity(sim)
 	}
-	clear(m.keys)
-	m.used = 0
-}
-
-func (m *memo) alloc(width int) {
-	m.keys = make([]uint32, 1<<width)
-	m.vals = make([]float64, 1<<width)
-	m.shift = uint32(32 - width)
-	m.used = 0
-}
-
-func (m *memo) slot(v uint32) int { return int(((v + 1) * 0x9E3779B1) >> (m.shift & 31)) }
-
-func (m *memo) get(v uint32) (float64, bool) {
-	mask := len(m.keys) - 1
-	for i := m.slot(v); ; i = (i + 1) & mask {
-		switch m.keys[i] {
-		case v + 1:
-			return m.vals[i], true
-		case 0:
-			return 0, false
-		}
-	}
-}
-
-// put records v's score; v must not be present.
-func (m *memo) put(v uint32, s float64) {
-	if 2*(m.used+1) > len(m.keys) {
-		keys, vals := m.keys, m.vals
-		m.alloc(bits.Len(uint(len(keys))))
-		for i, k := range keys {
-			if k != 0 {
-				m.put(k-1, vals[i])
-			}
-		}
-	}
-	mask := len(m.keys) - 1
-	i := m.slot(v)
-	for m.keys[i] != 0 {
-		i = (i + 1) & mask
-	}
-	m.keys[i], m.vals[i] = v+1, s
-	m.used++
+	return sc.src
 }
 
 // Remove strips user u from g: its out-list empties and it disappears

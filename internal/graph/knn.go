@@ -129,6 +129,19 @@ func (g *KNN) Clone() *KNN {
 	return &KNN{k: g.k, nbr: slices.Clone(g.nbr)}
 }
 
+// CloneInto is Clone into dst's row table, which it reuses when it has
+// room: dst becomes the copy and is returned, and nothing may still read
+// it as the graph it was. A nil dst allocates, as Clone does.
+func (g *KNN) CloneInto(dst *KNN) *KNN {
+	if dst == nil {
+		return g.Clone()
+	}
+	dst.k = g.k
+	dst.nbr = append(dst.nbr[:0], g.nbr...)
+	clear(dst.nbr[len(dst.nbr):cap(dst.nbr)]) // let the old rows go
+	return dst
+}
+
 // Grow appends extra nodes with empty neighbor lists — the delta
 // path's structural half of adding a user (the profile store grows in
 // lockstep). Existing edges are untouched; negative extra is ignored.

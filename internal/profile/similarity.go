@@ -17,19 +17,18 @@ type Similarity interface {
 type Cosine struct{}
 
 // Score implements Similarity.
-func (Cosine) Score(a, b Vector) float64 { return cosine(a.Dot(b), a, b) }
+func (c Cosine) Score(a, b Vector) float64 { return c.fromOverlap(a.Dot(b), 0, a.shape(), b.shape()) }
 
-func (Cosine) scoreFrom(x *Source, d Vector) float64 {
+func (c Cosine) scoreFrom(x *Source, d Vector) float64 {
 	dot, _ := x.overlap(d)
-	return cosine(dot, x.src, d)
+	return c.fromOverlap(dot, 0, x.src.shape(), d.shape())
 }
 
-func cosine(dot float64, a, b Vector) float64 {
-	na, nb := a.norm, b.norm
-	if na == 0 || nb == 0 {
+func (Cosine) fromOverlap(dot float64, _ int, a, b shape) float64 {
+	if a.norm == 0 || b.norm == 0 {
 		return 0
 	}
-	return dot / (na * nb)
+	return dot / (a.norm * b.norm)
 }
 
 // Name implements Similarity.
@@ -40,15 +39,17 @@ func (Cosine) Name() string { return "cosine" }
 type Jaccard struct{}
 
 // Score implements Similarity.
-func (Jaccard) Score(a, b Vector) float64 { return jaccard(a.IntersectionSize(b), a, b) }
-
-func (Jaccard) scoreFrom(x *Source, d Vector) float64 {
-	_, inter := x.overlap(d)
-	return jaccard(inter, x.src, d)
+func (j Jaccard) Score(a, b Vector) float64 {
+	return j.fromOverlap(0, a.IntersectionSize(b), a.shape(), b.shape())
 }
 
-func jaccard(inter int, a, b Vector) float64 {
-	union := a.Len() + b.Len() - inter
+func (j Jaccard) scoreFrom(x *Source, d Vector) float64 {
+	_, inter := x.overlap(d)
+	return j.fromOverlap(0, inter, x.src.shape(), d.shape())
+}
+
+func (Jaccard) fromOverlap(_ float64, inter int, a, b shape) float64 {
+	union := a.n + b.n - inter
 	if union == 0 {
 		return 0
 	}
@@ -63,15 +64,17 @@ func (Jaccard) Name() string { return "jaccard" }
 type Dice struct{}
 
 // Score implements Similarity.
-func (Dice) Score(a, b Vector) float64 { return dice(a.IntersectionSize(b), a, b) }
-
-func (Dice) scoreFrom(x *Source, d Vector) float64 {
-	_, inter := x.overlap(d)
-	return dice(inter, x.src, d)
+func (d Dice) Score(a, b Vector) float64 {
+	return d.fromOverlap(0, a.IntersectionSize(b), a.shape(), b.shape())
 }
 
-func dice(inter int, a, b Vector) float64 {
-	total := a.Len() + b.Len()
+func (c Dice) scoreFrom(x *Source, d Vector) float64 {
+	_, inter := x.overlap(d)
+	return c.fromOverlap(0, inter, x.src.shape(), d.shape())
+}
+
+func (Dice) fromOverlap(_ float64, inter int, a, b shape) float64 {
+	total := a.n + b.n
 	if total == 0 {
 		return 0
 	}
@@ -86,15 +89,17 @@ func (Dice) Name() string { return "dice" }
 type Overlap struct{}
 
 // Score implements Similarity.
-func (Overlap) Score(a, b Vector) float64 { return overlapCoeff(a.IntersectionSize(b), a, b) }
-
-func (Overlap) scoreFrom(x *Source, d Vector) float64 {
-	_, inter := x.overlap(d)
-	return overlapCoeff(inter, x.src, d)
+func (o Overlap) Score(a, b Vector) float64 {
+	return o.fromOverlap(0, a.IntersectionSize(b), a.shape(), b.shape())
 }
 
-func overlapCoeff(inter int, a, b Vector) float64 {
-	smaller := min(a.Len(), b.Len())
+func (o Overlap) scoreFrom(x *Source, d Vector) float64 {
+	_, inter := x.overlap(d)
+	return o.fromOverlap(0, inter, x.src.shape(), d.shape())
+}
+
+func (Overlap) fromOverlap(_ float64, inter int, a, b shape) float64 {
+	smaller := min(a.n, b.n)
 	if smaller == 0 {
 		return 0
 	}
@@ -103,6 +108,29 @@ func overlapCoeff(inter int, a, b Vector) float64 {
 
 // Name implements Similarity.
 func (Overlap) Name() string { return "overlap" }
+
+// formula is implemented by measures that are a function of what two
+// profiles share — the inner product dot and the count shared of their
+// common items — and of each side's shape. fromOverlap is each such
+// measure's one statement of its score: Score, scoreFrom (a Source's
+// path, which finds the shared items by probing and calls fromOverlap
+// statically, as the phase-4 kernel's inner step) and Index all end in
+// it, so whichever of them found the shared items, equal statistics
+// give equal bits. A measure reads only the statistic it needs; callers
+// that know it need not compute the other. fromOverlap(0, 0, a, b) is 0
+// whatever the shapes: a pair that shares no item scores 0, which is
+// what lets an Index look only at users that share an item.
+type formula interface {
+	fromOverlap(dot float64, shared int, a, b shape) float64
+	scoreFrom(x *Source, d Vector) float64
+}
+
+// shape is what a measure reads of one side of a pair besides the
+// shared items: its Euclidean norm and its item count.
+type shape struct {
+	norm float64
+	n    int
+}
 
 // ByName returns the similarity measure with the given name, used by
 // command-line tools. It reports false for unknown names.
@@ -127,8 +155,8 @@ var (
 	_ Similarity = Dice{}
 	_ Similarity = Overlap{}
 
-	_ sourceScorer = Cosine{}
-	_ sourceScorer = Jaccard{}
-	_ sourceScorer = Dice{}
-	_ sourceScorer = Overlap{}
+	_ formula = Cosine{}
+	_ formula = Jaccard{}
+	_ formula = Dice{}
+	_ formula = Overlap{}
 )

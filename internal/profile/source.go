@@ -19,7 +19,7 @@ import "math/bits"
 // multiple of the largest source profile it has seen.
 type Source struct {
 	sim  Similarity
-	kern sourceScorer // nil: sim offers nothing but Score
+	kern formula // nil: sim offers nothing but Score
 	src  Vector
 
 	// slots is the direct-mapped table: slot hash(item) holds the
@@ -37,17 +37,19 @@ type Source struct {
 	spill []uint32
 }
 
-// sourceScorer is implemented by measures that are a function of the
-// shared items' statistic (inner product or count) and per-vector
-// scalars, which is what a Source can supply without a merge.
-type sourceScorer interface {
-	scoreFrom(x *Source, d Vector) float64
-}
-
 // NewSource returns scratch for scoring runs under sim.
 func NewSource(sim Similarity) *Source {
-	kern, _ := sim.(sourceScorer)
-	return &Source{sim: sim, kern: kern}
+	x := new(Source)
+	x.SetSimilarity(sim)
+	return x
+}
+
+// SetSimilarity makes sim the measure Score uses from the next Reset
+// on, keeping the table's memory, so one Source can serve a caller that
+// is handed its measure per call.
+func (x *Source) SetSimilarity(sim Similarity) {
+	x.sim = sim
+	x.kern, _ = sim.(formula)
 }
 
 // slotsPerItem is the table's head-room: with 8 slots per source item

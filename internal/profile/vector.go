@@ -113,6 +113,10 @@ func (v Vector) Weight(item uint32) (float32, bool) {
 // Norm returns the Euclidean norm of the vector.
 func (v Vector) Norm() float64 { return v.norm }
 
+// shape is what a similarity measure reads of v besides the items it
+// shares with the other side.
+func (v Vector) shape() shape { return shape{norm: v.norm, n: len(v.items)} }
+
 // Dot returns the inner product of two vectors via a linear merge.
 func (v Vector) Dot(o Vector) float64 {
 	var (

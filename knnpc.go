@@ -426,7 +426,8 @@ type DeltaReport struct {
 	// TouchedUsers counts existing users whose neighbor lists changed.
 	TouchedUsers int
 	// SimEvals is the number of similarity evaluations the commit
-	// spent — the delta path's cost, versus a full iteration's.
+	// spent, one per scored pair — the delta path's cost, versus a full
+	// iteration's.
 	SimEvals int
 }
 
@@ -454,9 +455,10 @@ func (s *System) DeleteUser(u uint32) {
 }
 
 // ApplyDeltas folds every queued AddUser/DeleteUser mutation into the
-// committed graph without a full iteration: adds are placed by greedy
-// search plus two-hop candidate generation around its optima, deletes
-// tombstone. With no queued mutations it is a strict no-op. Run calls
+// committed graph without a full iteration: each add gets its exact
+// top-K among the live users, and its chosen neighbors reconsider their
+// lists with it; deletes tombstone. With no queued mutations it is a
+// strict no-op. Run calls
 // this automatically when Config.StalenessThreshold is set.
 func (s *System) ApplyDeltas() (DeltaReport, error) {
 	ds, err := s.eng.ApplyDeltas()
