@@ -82,7 +82,7 @@ func parseFlags(args []string) config {
 	fs.IntVar(&opts.StoreRetries, "iterretries", 0, "the engine's store-retry budget: restarts of an iteration's compute, or re-issues of a drain or publish, after a transient store failure (network store runs; 0 = the engine default of 3)")
 	fs.StringVar(&cfg.dumpGraph, "dumpgraph", "", "write the final KNN graph to this file (deterministic text, diffable across runs)")
 	fs.BoolVar(&opts.ProfilesOnDisk, "profilesondisk", false, "keep the canonical profile collection on disk too")
-	fs.BoolVar(&cfg.recall, "recall", false, "also compute exact KNN and report recall (O(n²))")
+	fs.BoolVar(&cfg.recall, "recall", false, "also compute exact KNN and report recall")
 	fs.StringVar(&opts.ScratchDir, "scratch", "", "directory to make the engine's private scratch directory in (empty = temp)")
 	fs.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile of every iteration after the first to this file")
 	fs.Int64Var(&opts.Seed, "seed", 1, "RNG seed")
@@ -214,7 +214,7 @@ func run(out io.Writer, cfg config) error {
 	}
 
 	if cfg.recall {
-		fmt.Fprintln(out, "\ncomputing exact KNN for recall (O(n²))...")
+		fmt.Fprintln(out, "\ncomputing exact KNN for recall...")
 		truth, err := exact.Compute(store, exact.Options{K: opts.K, Sim: opts.Similarity, Workers: opts.Workers})
 		if err != nil {
 			return err

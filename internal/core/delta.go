@@ -8,6 +8,7 @@ import (
 
 	"knnpc/internal/api"
 	"knnpc/internal/delta"
+	"knnpc/internal/graph"
 	"knnpc/internal/netstore"
 	"knnpc/internal/profile"
 )
@@ -17,7 +18,8 @@ import (
 // An added user gets its exact top-K among the live users, scored
 // through a postings index of P(t) (profile.Index) that each pass builds
 // for the items its adds hold, and its chosen neighbors reconsider
-// their lists with it (internal/delta); deleted users are tombstoned —
+// their lists with it by comparing the scores G(t) stores
+// (internal/delta); deleted users are tombstoned —
 // stripped from the graph immediately, filtered out of phase-2 tuple
 // generation and the serve path afterwards. A per-partition staleness
 // counter accumulates the drift each delta commit causes, and Run
@@ -73,9 +75,11 @@ type DeltaStats struct {
 	TouchedUsers int
 	// SimEvals is the pass's similarity-evaluation cost, one per
 	// scored pair: each add's candidates (the users sharing an item
-	// with it, or every live user when the measure cannot be indexed)
-	// plus its refine steps. Compare against the ~n·K·K of a full
-	// iteration.
+	// with it, or every live user when the measure cannot be indexed),
+	// the refine steps of rows holding no scores (a refine of a scored
+	// row compares, at no evaluation), and each upsert's rescoring of
+	// the entries that name the user. Compare against the ~n·K·K of a
+	// full iteration.
 	SimEvals int
 	// Republished is the number of partition serve views republished
 	// after the commit.
@@ -264,6 +268,17 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 			return err
 		}
 		stats.SimEvals += res.SimEvals
+		if indexed {
+			// The rows that listed the user hold its old profile's
+			// scores.
+			var changed graph.NodeSet
+			changed.Add(u)
+			evals, err := delta.Rescore(g, changed, lookup, e.opts.Similarity)
+			if err != nil {
+				return err
+			}
+			stats.SimEvals += evals
+		}
 		stats.TouchedUsers += len(res.Touched)
 		// The user's own partition when it has one (upsert or
 		// resurrection — its committed view must republish to pick up

@@ -646,7 +646,10 @@ func TestDeltaValidation(t *testing.T) {
 // seed neighbors' partitions, and when inserts stopped searching the
 // graph and took the exact top-K of the users sharing an item (their
 // rows changed, so did the refines they trigger: more touched users
-// for fewer evaluations); any change to the delta layer that is meant
+// for fewer evaluations), and when rows began holding their scores
+// (refines compare stored scores instead of rescoring, so only SimEvals
+// fell; upserts pay to rescore the entries that name them); any change
+// to the delta layer that is meant
 // to be output-identical is checked here by go test, not only by the
 // benchmark's digest.
 func TestDeltaGolden(t *testing.T) {
@@ -654,7 +657,7 @@ func TestDeltaGolden(t *testing.T) {
 		base, poolSize, k = 300, 80, 6
 		digest            = "ff0edd96b141699e"
 	)
-	want := DeltaStats{Adds: 49, Upserts: 16, Deletes: 32, Held: 8, TouchedUsers: 492, SimEvals: 5793}
+	want := DeltaStats{Adds: 49, Upserts: 16, Deletes: 32, Held: 8, TouchedUsers: 492, SimEvals: 3800}
 	vecs, _, err := dataset.RatingsProfiles(base+poolSize, 1200, 20, 6, 77)
 	if err != nil {
 		t.Fatal(err)

@@ -201,7 +201,18 @@ func (e *Engine) SetGraph(g *graph.KNN) error {
 	if g.K() > e.opts.K {
 		return fmt.Errorf("core: graph K=%d exceeds engine K=%d", g.K(), e.opts.K)
 	}
-	e.g = g.Clone()
+	// The warm start's scores, if it holds any, are not known to be
+	// this engine's: its rows are kept without them.
+	plain, err := graph.NewKNN(g.NumNodes(), g.K())
+	if err != nil {
+		return err
+	}
+	for u := uint32(0); int(u) < g.NumNodes(); u++ {
+		if err := plain.Set(u, g.Neighbors(u)); err != nil {
+			return err
+		}
+	}
+	e.g = plain
 	return nil
 }
 
@@ -497,7 +508,7 @@ func (e *Engine) phasePIGraph(_ context.Context, it *iteration) error {
 func (e *Engine) phaseScore(ctx context.Context, it *iteration) error {
 	// G(t+1) exists before the run so releases can emit into it; an
 	// aborted run drops it with everything else.
-	next, err := graph.NewKNN(e.profiles.NumUsers(), e.opts.K)
+	next, err := graph.NewScoredKNN(e.profiles.NumUsers(), e.opts.K)
 	if err != nil {
 		return err
 	}
@@ -597,22 +608,56 @@ func (e *Engine) phaseUpdate(ctx context.Context, it *iteration) error {
 		}
 	}
 	updates = append(updates, e.updates.drain()...)
+	valid := updates[:0]
+	for _, u := range updates {
+		if int(u.User) < e.profiles.NumUsers() && u.Kind.Valid() {
+			valid = append(valid, u)
+		}
+	}
+	dropped := len(updates) - len(valid)
+	if err := e.rescoreUpdated(it.next, valid); err != nil {
+		return err
+	}
 
 	return e.commit(it.next, e.dead, func() error {
-		valid := updates[:0]
-		for _, u := range updates {
-			if int(u.User) < e.profiles.NumUsers() && u.Kind.Valid() {
-				valid = append(valid, u)
-			}
-		}
 		applied, err := e.profiles.Apply(valid)
 		if err != nil {
 			return err
 		}
 		it.stats.UpdatesApplied = applied
-		it.stats.UpdatesDropped = len(updates) - len(valid)
+		it.stats.UpdatesDropped = dropped
 		return nil
 	})
+}
+
+// rescoreUpdated keeps the scores of G(t+1), which phase 4 took from
+// P(t), true of P(t+1): it folds updates over the profiles of the users
+// they name, as the store's Apply will, and rescores every entry of
+// next that involves one of those users.
+func (e *Engine) rescoreUpdated(next *graph.KNN, updates []profile.Update) error {
+	if len(updates) == 0 {
+		return nil
+	}
+	after := make(map[uint32]profile.Vector)
+	var changed graph.NodeSet
+	for _, u := range updates {
+		v, ok := after[u.User]
+		if !ok {
+			var err error
+			if v, err = e.profiles.Profile(u.User); err != nil {
+				return fmt.Errorf("profile of updated user %d: %w", u.User, err)
+			}
+			changed.Add(u.User)
+		}
+		after[u.User] = u.Apply(v)
+	}
+	_, err := delta.Rescore(next, changed, func(v uint32) (profile.Vector, error) {
+		if vec, ok := after[v]; ok {
+			return vec, nil
+		}
+		return e.profiles.Profile(v)
+	}, e.opts.Similarity)
+	return err
 }
 
 // commit is the one commit window, Iterate's and ApplyDeltas's alike.

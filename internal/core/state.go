@@ -120,16 +120,18 @@ func decodePartState(buf []byte, k int, into *partState) (*partState, error) {
 }
 
 // emitRows writes every member's row of G(t+1) — the ids its
-// accumulator holds — into next. One id buffer serves every member, so
-// a row costs only Set's copy.
+// accumulator holds, with their scores — into next, a graph
+// NewScoredKNN made. One pair of buffers serves every member, and Emit
+// copies into next's slabs, so emitting allocates nothing per row.
 func (st *partState) emitRows(next *graph.KNN) error {
 	if len(st.accs) == 0 {
 		return nil
 	}
 	ids := make([]uint32, 0, st.accs[0].K())
+	scores := make([]float64, 0, st.accs[0].K())
 	for i, u := range st.members {
-		ids = st.accs[i].AppendIDs(ids[:0])
-		if err := next.Set(u, ids); err != nil {
+		ids, scores = st.accs[i].AppendRow(ids[:0], scores[:0])
+		if err := next.Emit(u, ids, scores); err != nil {
 			return err
 		}
 	}

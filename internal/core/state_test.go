@@ -360,10 +360,13 @@ func TestPartStoreFreeListConcurrent(t *testing.T) {
 	}
 }
 
-// TestEmitRowsOneAllocationPerRow: emitting a partition writes each
-// member's accumulator ids, sorted, as its G(t+1) row, and costs one
-// allocation per row (Set's copy) plus the partition's one id buffer.
-func TestEmitRowsOneAllocationPerRow(t *testing.T) {
+// TestEmitRowsAllocatesNoRow: emitting a partition writes each
+// member's accumulator, sorted by id, as its G(t+1) row with the
+// scores beside the ids, into the slabs of a graph NewScoredKNN made:
+// the graph's four allocations (itself, its row table, the id slab and
+// the score slab) and the partition's two row buffers are all it
+// costs, however many rows.
+func TestEmitRowsAllocatesNoRow(t *testing.T) {
 	const members, k = 64, 8
 	ids := make([]uint32, members)
 	for u := range ids {
@@ -375,24 +378,34 @@ func TestEmitRowsOneAllocationPerRow(t *testing.T) {
 			st.accs[i].Push(uint32(members+(i*7+c*13)%200), float64((i+c)%11))
 		}
 	}
-	next, err := graph.NewKNN(members+200, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var next *graph.KNN
 	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if next, err = graph.NewScoredKNN(members+200, k); err != nil {
+			t.Fatal(err)
+		}
 		if err := st.emitRows(next); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > members+1 {
-		t.Errorf("emitting %d rows allocates %v times, want at most %d", members, allocs, members+1)
+	if allocs > 6 {
+		t.Errorf("emitting %d rows allocates %v times, want at most 6", members, allocs)
 	}
 	for i, u := range st.members {
-		want := st.accs[i].IDs()
-		slices.Sort(want)
-		if got := next.Neighbors(u); !slices.Equal(got, want) {
-			t.Fatalf("member %d row %v, want %v", u, got, want)
+		want := st.accs[i].Result()
+		slices.SortFunc(want, func(a, b knn.Scored) int { return cmp.Compare(a.ID, b.ID) })
+		got, scores := next.Neighbors(u), next.Scores(u)
+		if len(got) != len(want) || len(scores) != len(want) {
+			t.Fatalf("member %d row %v %v, want %v", u, got, scores, want)
 		}
+		for j, w := range want {
+			if got[j] != w.ID || scores[j] != w.Score {
+				t.Fatalf("member %d row %v %v, want %v", u, got, scores, want)
+			}
+		}
+	}
+	if err := st.emitRows(next); err == nil {
+		t.Error("a second emit of the same rows was accepted")
 	}
 }
 

@@ -578,17 +578,17 @@ func TestWorkerResolvesShardEnds(t *testing.T) {
 	if err := w.pair(1, 0); err != nil {
 		t.Fatalf("pair {0,1} with both resident: %v", err)
 	}
-	if got := w.resident[0].accs[0].AppendIDs(nil); !slices.Equal(got, []uint32{3}) {
+	if got := w.resident[0].accs[0].IDs(); !slices.Equal(got, []uint32{3}) {
 		t.Errorf("user 0's candidates = %v, want [3]", got)
 	}
-	if got := w.resident[1].accs[1].AppendIDs(nil); !slices.Equal(got, []uint32{1}) {
+	if got := w.resident[1].accs[1].IDs(); !slices.Equal(got, []uint32{1}) {
 		t.Errorf("user 4's candidates = %v, want [1]", got)
 	}
 	// Each pair is folded into its destination end too.
-	if got := w.resident[1].accs[0].AppendIDs(nil); !slices.Equal(got, []uint32{0}) {
+	if got := w.resident[1].accs[0].IDs(); !slices.Equal(got, []uint32{0}) {
 		t.Errorf("user 3's candidates = %v, want [0]", got)
 	}
-	if got := w.resident[0].accs[1].AppendIDs(nil); !slices.Equal(got, []uint32{4}) {
+	if got := w.resident[0].accs[1].IDs(); !slices.Equal(got, []uint32{4}) {
 		t.Errorf("user 1's candidates = %v, want [4]", got)
 	}
 	// A self shard has one end, and each endpoint of its pair receives
@@ -596,10 +596,10 @@ func TestWorkerResolvesShardEnds(t *testing.T) {
 	if err := w.pair(0, 0); err != nil {
 		t.Fatalf("self shard {0,0}: %v", err)
 	}
-	if got := w.resident[0].accs[2].AppendIDs(nil); !slices.Equal(got, []uint32{0}) {
+	if got := w.resident[0].accs[2].IDs(); !slices.Equal(got, []uint32{0}) {
 		t.Errorf("user 2's candidates = %v, want [0]", got)
 	}
-	got := w.resident[0].accs[0].AppendIDs(nil)
+	got := w.resident[0].accs[0].IDs()
 	if slices.Sort(got); !slices.Equal(got, []uint32{2, 3}) {
 		t.Errorf("user 0's candidates = %v, want [2 3]", got)
 	}

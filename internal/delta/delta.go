@@ -3,7 +3,8 @@
 // top-K of the live users — through a profile.Index, only the users
 // sharing an item with it are scored, the exact end of Debatty et al.'s
 // quality-against-evaluations curve — and each chosen neighbor then
-// reconsiders its own list with the new user; deleted users are
+// reconsiders its own list with the new user, comparing the scores its
+// row stores; deleted users are
 // tombstoned and stripped from every neighbor list; and a per-partition
 // staleness counter decides — against a configurable threshold — when
 // the accumulated drift justifies scheduling a real iteration.

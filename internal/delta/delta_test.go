@@ -2,6 +2,7 @@ package delta
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -323,6 +324,124 @@ func TestInsertMatchesExact(t *testing.T) {
 					if row := exactRow(t, vecs, live, k, sim, u); !slices.Equal(got.Neighbors, row) {
 						t.Fatalf("%s step %d, user %d: row %v, exact.Compute's %v", name, i, u, got.Neighbors, row)
 					}
+				}
+			}
+		}
+	}
+}
+
+// dropScores returns g with the same rows holding no scores.
+func dropScores(t *testing.T, g *graph.KNN) *graph.KNN {
+	t.Helper()
+	plain, err := graph.NewKNN(g.NumNodes(), g.K())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := uint32(0); int(u) < g.NumNodes(); u++ {
+		if err := plain.Set(u, g.Neighbors(u)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return plain
+}
+
+// requireTrueScores checks that every row of g holds its scores and
+// that each is sim's score of the two profiles, bit for bit.
+func requireTrueScores(t *testing.T, g *graph.KNN, vecs []profile.Vector, sim profile.Similarity, when string) {
+	t.Helper()
+	for u := uint32(0); int(u) < g.NumNodes(); u++ {
+		nbrs, scores := g.Neighbors(u), g.Scores(u)
+		if len(nbrs) > 0 && scores == nil {
+			t.Fatalf("%s: row %d %v holds no scores", when, u, nbrs)
+		}
+		for i, v := range nbrs {
+			if want := sim.Score(vecs[u], vecs[v]); math.Float64bits(scores[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: edge %d→%d holds %v, the profiles score %v", when, u, v, scores[i], want)
+			}
+		}
+	}
+}
+
+// TestInsertComparesStoredScores runs a seeded script of adds, upserts
+// (each followed by Rescore) and deletes on a graph whose rows hold
+// their scores. Before each insert, the same graph with its scores
+// dropped takes the same insert: both must return the same row and
+// Touched list and leave the same rows, and the scored one must spend
+// no evaluation beyond its candidates. After each step every score the
+// graph holds must be the similarity of the two profiles.
+func TestInsertComparesStoredScores(t *testing.T) {
+	sims := []profile.Similarity{profile.Cosine{}, profile.Jaccard{}}
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, sim := range sims {
+			for _, k := range []int{1, 6} {
+				name := fmt.Sprintf("seed%d/%s/K%d", seed, sim.Name(), k)
+				rng := rand.New(rand.NewSource(seed))
+				n := 40 + rng.Intn(60)
+				g, pool := randomCase(t, rng, n, k)
+				vecs := slices.Clone(pool[:n])
+				for u := uint32(0); int(u) < n; u++ {
+					nbrs := g.Neighbors(u)
+					scores := make([]float64, len(nbrs))
+					for i, v := range nbrs {
+						scores[i] = sim.Score(vecs[u], vecs[v])
+					}
+					if err := g.SetScored(u, nbrs, scores); err != nil {
+						t.Fatal(err)
+					}
+				}
+				profiles := func(u uint32) (profile.Vector, error) { return vecs[u], nil }
+				cfg := Config{K: k, Sim: sim}
+				saved, spent := 0, 0
+				for i := 0; i < 16; i++ {
+					u := uint32(g.NumNodes())
+					switch i % 4 {
+					case 1: // upsert
+						u = uint32(rng.Intn(len(vecs)))
+					case 3: // delete
+						if _, err := Remove(g, uint32(rng.Intn(len(vecs)))); err != nil {
+							t.Fatal(err)
+						}
+						requireTrueScores(t, g, vecs, sim, fmt.Sprintf("%s step %d", name, i))
+						continue
+					}
+					vec := pool[rng.Intn(len(pool))]
+					if int(u) == len(vecs) {
+						g.Grow(1)
+						vecs = append(vecs, vec)
+					} else {
+						vecs[u] = vec
+					}
+					plain := dropScores(t, g)
+					got, err := Insert(g, profiles, cfg, u, vec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := Insert(plain, profiles, cfg, u, vec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got.Neighbors, want.Neighbors) || !slices.Equal(got.Touched, want.Touched) || got.Candidates != want.Candidates {
+						t.Fatalf("%s step %d, user %d: scored insert %+v, unscored %+v", name, i, u, got, want)
+					}
+					if !sameGraph(g, plain) {
+						t.Fatalf("%s step %d, user %d: graphs differ", name, i, u)
+					}
+					if got.SimEvals != got.Candidates {
+						t.Fatalf("%s step %d: %d evaluations for %d candidates on a scored graph", name, i, got.SimEvals, got.Candidates)
+					}
+					saved += want.SimEvals - got.SimEvals
+					spent += got.SimEvals
+					if i%4 == 1 { // the rows that list u hold its old profile's scores
+						var changed graph.NodeSet
+						changed.Add(u)
+						if _, err := Rescore(g, changed, profiles, sim); err != nil {
+							t.Fatal(err)
+						}
+					}
+					requireTrueScores(t, g, vecs, sim, fmt.Sprintf("%s step %d", name, i))
+				}
+				if saved <= 0 {
+					t.Fatalf("%s: the stored scores saved no evaluation (%d spent)", name, spent)
 				}
 			}
 		}

@@ -44,9 +44,10 @@ type Result struct {
 	// one: those sharing an item with it, or every live user without
 	// an index.
 	Candidates int
-	// SimEvals counts similarity evaluations, one per scored pair:
-	// the candidates plus the refine pass's (compare against the
-	// ~n·K·K of a full iteration).
+	// SimEvals counts similarity evaluations, one per scored pair: the
+	// candidates, plus the neighbors of each refined row that holds no
+	// scores. A row that holds them is ranked by comparing, at no
+	// evaluation. (Compare against the ~n·K·K of a full iteration.)
 	SimEvals int
 }
 
@@ -64,12 +65,18 @@ type Result struct {
 //     the same list.
 //  2. Refine: each chosen neighbor v reconsiders its own list with u
 //     as a candidate (one bounded NN-descent step), so edges point
-//     both ways where similarity warrants.
+//     both ways where similarity warrants. v's list is ranked from the
+//     scores its row holds; only a row holding none (a random G(0), a
+//     warm start) is rescored from the profiles.
 //
 // Everything is deterministic for a fixed (g, profiles, cfg, u, vec):
 // ties break by id through knn.Better, and neighbors are refined in
-// ascending id order. Every score is bit for bit what
-// cfg.Sim.Score(vec, ·) returns.
+// ascending id order. Every row Insert writes holds its scores: u's
+// are bit for bit what cfg.Sim.Score(vec, ·) returns, and a refined
+// row keeps the scores it held and adds u's. So when every score g
+// holds is the similarity of the two profiles the lookup returns,
+// Insert leaves it so; a row whose stored scores are stale refines as
+// if they were true.
 func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Config, u uint32, vec profile.Vector) (Result, error) {
 	var res Result
 	if cfg.K < 1 {
@@ -95,25 +102,7 @@ func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Con
 	}
 	if cfg.Index != nil {
 		users, scores := cfg.Index.Scan(vec)
-		for i, v := range users {
-			if !skip(v) {
-				tk.Push(v, scores[i])
-				res.Candidates++
-			}
-		}
-		// Only the K smallest live ids outside the scan can win a tie
-		// at 0.
-		j := 0
-		for v, filled := uint32(0), 0; int(v) < n && filled < cfg.K; v++ {
-			for j < len(users) && users[j] < v {
-				j++
-			}
-			if (j < len(users) && users[j] == v) || skip(v) {
-				continue
-			}
-			tk.Push(v, 0)
-			filled++
-		}
+		res.Candidates = tk.PushOverlap(users, scores, n, skip)
 	} else {
 		src := sc.source(cfg.Sim)
 		src.Reset(vec)
@@ -131,26 +120,21 @@ func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Con
 	}
 	res.SimEvals = res.Candidates
 
-	chosen := tk.Result()
-	slices.SortFunc(chosen, func(a, b knn.Scored) int { return cmp.Compare(a.ID, b.ID) })
-	sc.ids = sc.ids[:0]
-	for _, c := range chosen {
-		sc.ids = append(sc.ids, c.ID)
-	}
-	if err := g.Set(u, sc.ids); err != nil {
+	sc.ids, sc.scores = tk.AppendRow(sc.ids[:0], sc.scores[:0])
+	if err := g.SetScored(u, sc.ids, sc.scores); err != nil {
 		return res, fmt.Errorf("delta: set neighbors of %d: %w", u, err)
 	}
 	res.Neighbors = g.Neighbors(u)
 
 	// Stage 2: bounded reverse refine — each chosen neighbor
-	// reconsiders its list with u as a candidate.
-	for _, c := range chosen {
-		changed, err := refineWith(g, profiles, cfg, sc, &res, c.ID, u, c.Score)
+	// reconsiders its list with u as a candidate, in ascending id order.
+	for i, v := range res.Neighbors {
+		changed, err := refineWith(g, profiles, cfg, sc, &res, v, u, g.Scores(u)[i])
 		if err != nil {
 			return res, err
 		}
 		if changed {
-			res.Touched = append(res.Touched, c.ID)
+			res.Touched = append(res.Touched, v)
 		}
 	}
 	return res, nil
@@ -158,50 +142,58 @@ func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Con
 
 // refineWith rebuilds v's neighbor list from its current neighbors
 // plus the candidate c (scored sim(v,c) = cScore), reporting whether
-// the list changed. v's profile is expanded into the scratch's Source
-// once, and its neighbors are scored through it.
+// the list changed. A row that holds its scores is ranked from them and
+// costs no evaluation; one that holds none has v's profile expanded into
+// the scratch's Source once and its neighbors scored through it. Either
+// way the new row is stored with its scores.
 func refineWith(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Config, sc *scratch, res *Result, v, c uint32, cScore float64) (bool, error) {
 	cur := g.Neighbors(v)
-	vvec, err := profiles(v)
-	if err != nil {
-		return false, fmt.Errorf("delta: profile of refined user %d: %w", v, err)
+	if _, linked := slices.BinarySearch(cur, c); linked {
+		return false, nil // list unchanged
 	}
-	src := sc.source(cfg.Sim)
-	src.Reset(vvec)
 	tk, err := sc.topK(cfg.K)
 	if err != nil {
 		return false, err
 	}
-	for _, w := range cur {
-		if w == c {
-			return false, nil // already linked; list unchanged
+	if scores := g.Scores(v); scores != nil {
+		for i, w := range cur {
+			tk.Push(w, scores[i])
 		}
-		wvec, err := profiles(w)
+	} else {
+		vvec, err := profiles(v)
 		if err != nil {
-			return false, fmt.Errorf("delta: profile of neighbor %d: %w", w, err)
+			return false, fmt.Errorf("delta: profile of refined user %d: %w", v, err)
 		}
-		tk.Push(w, src.Score(wvec))
-		res.SimEvals++
+		src := sc.source(cfg.Sim)
+		src.Reset(vvec)
+		for _, w := range cur {
+			wvec, err := profiles(w)
+			if err != nil {
+				return false, fmt.Errorf("delta: profile of neighbor %d: %w", w, err)
+			}
+			tk.Push(w, src.Score(wvec))
+			res.SimEvals++
+		}
 	}
 	tk.Push(c, cScore)
-	sc.ids = tk.AppendIDs(sc.ids[:0])
-	slices.Sort(sc.ids)
+	sc.ids, sc.scores = tk.AppendRow(sc.ids[:0], sc.scores[:0])
 	if slices.Equal(sc.ids, cur) {
 		return false, nil
 	}
-	if err := g.Set(v, sc.ids); err != nil {
+	if err := g.SetScored(v, sc.ids, sc.scores); err != nil {
 		return false, fmt.Errorf("delta: refine user %d: %w", v, err)
 	}
 	return true, nil
 }
 
 // scratch is Insert's reusable working memory, pooled so the inserts
-// and refines of a batch share one accumulator, one Source and one id
+// and refines of a batch share one accumulator, one Source and one row
 // buffer.
 type scratch struct {
-	tks []knn.TopK // one accumulator, emptied in place
-	src *profile.Source
-	ids []uint32
+	tks    []knn.TopK // one accumulator, emptied in place
+	src    *profile.Source
+	ids    []uint32
+	scores []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -272,6 +264,10 @@ func RemoveRun(g *graph.KNN, run []uint32) ([][]uint32, error) {
 	// probe ends there.
 	lo, span := order[0].id, order[len(order)-1].id-order[0].id
 	inRun := func(w uint32) bool { return w-lo <= span && member.Has(w) }
+	// A stripped row is assembled in these, which SetScored copies; the
+	// kept neighbors keep their scores when the row holds them.
+	var kept []uint32
+	var keptScores []float64
 	for v := 0; v < n; v++ {
 		nbrs := g.Neighbors(uint32(v))
 		hits := 0
@@ -289,13 +285,14 @@ func RemoveRun(g *graph.KNN, run []uint32) ([][]uint32, error) {
 		if member.Has(uint32(v)) {
 			at = indexOf(uint32(v))
 		}
-		var kept []uint32
-		if at == len(run) {
-			kept = make([]uint32, 0, len(nbrs)-hits)
-		}
-		for _, w := range nbrs {
+		scores := g.Scores(uint32(v))
+		kept, keptScores = kept[:0], keptScores[:0]
+		for i, w := range nbrs {
 			if !inRun(w) {
 				kept = append(kept, w)
+				if scores != nil {
+					keptScores = append(keptScores, scores[i])
+				}
 				continue
 			}
 			if j := indexOf(w); j < at {
@@ -303,7 +300,11 @@ func RemoveRun(g *graph.KNN, run []uint32) ([][]uint32, error) {
 			}
 		}
 		if at == len(run) {
-			if err := g.Set(uint32(v), kept); err != nil {
+			var ks []float64
+			if scores != nil {
+				ks = keptScores
+			}
+			if err := g.SetScored(uint32(v), kept, ks); err != nil {
 				return touched, fmt.Errorf("delta: strip run from %d: %w", v, err)
 			}
 		}
@@ -322,4 +323,48 @@ func RemoveRun(g *graph.KNN, run []uint32) ([][]uint32, error) {
 type runIndex struct {
 	id uint32
 	at int
+}
+
+// Rescore brings the scores g holds up to date after the profiles of
+// the users in changed have changed: in every row that holds scores,
+// each entry naming a changed user is rescored under sim with the
+// profiles the lookup returns, and a changed user's own row is rescored
+// whole. Ids never move, so no row is reranked; rows holding no scores
+// are left alone. It returns the number of evaluations.
+func Rescore(g *graph.KNN, changed graph.NodeSet, profiles func(uint32) (profile.Vector, error), sim profile.Similarity) (int, error) {
+	evals := 0
+	var scores []float64
+	for v := uint32(0); int(v) < g.NumNodes(); v++ {
+		nbrs, old := g.Neighbors(v), g.Scores(v)
+		if len(old) == 0 {
+			continue // no scores, or no neighbors
+		}
+		whole := changed.Has(v)
+		stale := whole
+		for _, w := range nbrs {
+			stale = stale || changed.Has(w)
+		}
+		if !stale {
+			continue
+		}
+		pv, err := profiles(v)
+		if err != nil {
+			return evals, fmt.Errorf("delta: rescore user %d: %w", v, err)
+		}
+		scores = append(scores[:0], old...)
+		for i, w := range nbrs {
+			if whole || changed.Has(w) {
+				pw, err := profiles(w)
+				if err != nil {
+					return evals, fmt.Errorf("delta: rescore neighbor %d of %d: %w", w, v, err)
+				}
+				scores[i] = sim.Score(pv, pw)
+				evals++
+			}
+		}
+		if err := g.SetScored(v, nbrs, scores); err != nil {
+			return evals, fmt.Errorf("delta: rescore user %d: %w", v, err)
+		}
+	}
+	return evals, nil
 }

@@ -1,7 +1,10 @@
-// Package exact computes the exact K-nearest-neighbor graph by brute
-// force — the ground truth against which the out-of-core engine and the
-// NN-Descent baseline are measured, and the O(n²) cost bar that
-// motivates both.
+// Package exact computes the exact K-nearest-neighbor graph — the
+// ground truth against which the out-of-core engine and the NN-Descent
+// baseline are measured. Every measure internal/profile ships scores 0
+// for two profiles that share no item, so a user's exact top-K lies
+// among the users sharing an item with it, filled at score 0 by
+// smallest id; Compute finds those users through a postings index
+// instead of scoring all n² pairs.
 package exact
 
 import (
@@ -13,7 +16,7 @@ import (
 	"knnpc/internal/profile"
 )
 
-// Options configures the brute-force computation.
+// Options configures the computation.
 type Options struct {
 	// K is the neighbor count (required, ≥ 1).
 	K int
@@ -23,9 +26,13 @@ type Options struct {
 	Workers int
 }
 
-// Compute scores every ordered user pair and keeps each user's K best —
-// Θ(n²) similarity evaluations. Deterministic: ties break to smaller
-// ids, identical to the engine's ordering.
+// Compute returns each user's K most similar users. Deterministic: ties
+// break to smaller ids, identical to the engine's ordering. Under a
+// measure profile.NewIndex accepts, each user is scored only against
+// the users sharing an item with it, through a postings index over
+// every profile (one per worker: a scan writes the index's scratch);
+// under any other measure every ordered pair is scored, Θ(n²)
+// evaluations. Both give the graph brute force gives.
 func Compute(store *profile.Store, opts Options) (*graph.KNN, error) {
 	if opts.K <= 0 {
 		return nil, fmt.Errorf("exact: K must be positive, got %d", opts.K)
@@ -41,61 +48,55 @@ func Compute(store *profile.Store, opts Options) (*graph.KNN, error) {
 	if n == 0 {
 		return g, nil
 	}
+	vecs := store.Vectors()
 
-	compute := func(u uint32) ([]uint32, error) {
-		tk, err := knn.NewTopK(opts.K)
-		if err != nil {
-			return nil, err
-		}
-		pu := store.Get(u)
-		for v := uint32(0); int(v) < n; v++ {
-			if v == u {
-				continue
+	// rows fills the rows of users first, first+step, … into g; Set on
+	// distinct rows may run concurrently.
+	rows := func(first, step int) error {
+		ix, indexed := profile.NewIndex(opts.Sim)
+		if indexed {
+			ix.Reset(vecs)
+			for v, vec := range vecs {
+				ix.Add(uint32(v), vec)
 			}
-			tk.Push(v, opts.Sim.Score(pu, store.Get(v)))
 		}
-		return tk.IDs(), nil
-	}
-
-	if opts.Workers < 2 {
-		for u := uint32(0); int(u) < n; u++ {
-			ids, err := compute(u)
+		for u := first; u < n; u += step {
+			tk, err := knn.NewTopK(opts.K)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if err := g.Set(u, ids); err != nil {
-				return nil, fmt.Errorf("exact: set neighbors of %d: %w", u, err)
+			self := func(v uint32) bool { return v == uint32(u) }
+			if indexed {
+				users, scores := ix.Scan(vecs[u])
+				tk.PushOverlap(users, scores, n, self)
+			} else {
+				for v := range vecs {
+					if !self(uint32(v)) {
+						tk.Push(uint32(v), opts.Sim.Score(vecs[u], vecs[v]))
+					}
+				}
+			}
+			if err := g.Set(uint32(u), tk.IDs()); err != nil {
+				return fmt.Errorf("exact: set neighbors of %d: %w", u, err)
 			}
 		}
-		return g, nil
+		return nil
 	}
 
-	results := make([][]uint32, n)
-	errs := make([]error, opts.Workers)
+	workers := min(max(opts.Workers, 1), n) // each builds its own index
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
+	for w := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for u := w; u < n; u += opts.Workers {
-				ids, err := compute(uint32(u))
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				results[u] = ids
-			}
-		}(w)
+			errs[w] = rows(w, workers)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
-		}
-	}
-	for u, ids := range results {
-		if err := g.Set(uint32(u), ids); err != nil {
-			return nil, fmt.Errorf("exact: set neighbors of %d: %w", u, err)
 		}
 	}
 	return g, nil

@@ -223,3 +223,58 @@ func TestKNNCloneAndDigraph(t *testing.T) {
 		t.Errorf("Digraph conversion wrong: %v", d.Edges())
 	}
 }
+
+// TestKNNScoredRows: SetScored stores ascending ids with their scores
+// and refuses what Set would plus unsorted ids and a score count that
+// is not one per id; Set's rows hold none. Emit writes a NewScoredKNN
+// row once, and a clone neither inherits the slabs nor sees a later
+// emit.
+func TestKNNScoredRows(t *testing.T) {
+	g, err := NewScoredKNN(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetScored(0, []uint32{1, 2}, []float64{0.5, 0.25}); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Scores(0); !slices.Equal(got, []float64{0.5, 0.25}) {
+		t.Fatalf("Scores(0) = %v", got)
+	}
+	for _, bad := range []struct {
+		nbrs   []uint32
+		scores []float64
+	}{
+		{[]uint32{2, 1}, []float64{1, 1}},
+		{[]uint32{1, 2}, []float64{1}},
+		{[]uint32{1, 1}, []float64{1, 1}},
+		{[]uint32{0}, []float64{1}},
+	} {
+		if err := g.SetScored(0, bad.nbrs, bad.scores); err == nil {
+			t.Errorf("SetScored(0, %v, %v) accepted", bad.nbrs, bad.scores)
+		}
+	}
+	if err := g.Set(1, []uint32{3, 0}); err != nil || g.Scores(1) != nil {
+		t.Fatalf("Set: err %v, scores %v", err, g.Scores(1))
+	}
+
+	clone := g.Clone()
+	if err := g.Emit(2, []uint32{0, 3}, []float64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(g.Neighbors(2), []uint32{0, 3}) || !slices.Equal(g.Scores(2), []float64{1, 2}) {
+		t.Fatalf("emitted row %v %v", g.Neighbors(2), g.Scores(2))
+	}
+	if err := g.Emit(2, []uint32{1}, []float64{1}); err == nil {
+		t.Error("a row was emitted twice")
+	}
+	if len(clone.Neighbors(2)) != 0 {
+		t.Errorf("the clone sees the emit: %v", clone.Neighbors(2))
+	}
+	if err := clone.Emit(3, []uint32{1}, []float64{1}); err == nil {
+		t.Error("a clone emitted into its original's slabs")
+	}
+	plain, _ := NewKNN(4, 2)
+	if err := plain.Emit(0, []uint32{1}, []float64{1}); err == nil {
+		t.Error("Emit on a graph without slabs was accepted")
+	}
+}

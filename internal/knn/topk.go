@@ -2,7 +2,7 @@
 // tuples of H against user profiles and maintaining each user's K most
 // similar candidates, from which the next graph G(t+1) is assembled. It
 // also provides the recall metric used to compare the out-of-core
-// result against exact brute force.
+// result against the exact graph.
 package knn
 
 import (
@@ -174,15 +174,51 @@ func (t *TopK) IDs() []uint32 {
 	return ids
 }
 
-// AppendIDs appends the held candidate ids to buf in heap order — no
-// ranking, for a caller that sorts them its own way (a G(t+1) row is
-// stored sorted by id) — so an emitter that reuses one buffer assembles
-// rows without allocating.
-func (t *TopK) AppendIDs(buf []uint32) []uint32 {
+// AppendRow appends the held candidates to ids and scores in ascending
+// id order, scores[i] belonging to ids[i] — the order a G(t+1) row is
+// stored in — so an emitter that reuses its two buffers assembles rows
+// without allocating.
+func (t *TopK) AppendRow(ids []uint32, scores []float64) ([]uint32, []float64) {
+	base := len(ids)
 	for _, e := range t.entries {
-		buf = append(buf, e.ID)
+		ids, scores = append(ids, e.ID), append(scores, e.Score)
+		for j := len(ids) - 1; j > base && ids[j-1] > ids[j]; j-- { // insertion sort: K is small
+			ids[j-1], ids[j] = ids[j], ids[j-1]
+			scores[j-1], scores[j] = scores[j], scores[j-1]
+		}
 	}
-	return buf
+	return ids, scores
+}
+
+// PushOverlap offers the users of a postings scan (profile.Index.Scan:
+// ascending ids and their scores) and then, at score 0, the K smallest
+// ids in [0, n) outside the scan. Under a measure that scores a pair
+// sharing no item 0, every user outside the scan ties at 0 and loses
+// the tie to a smaller id, so t ends holding the exact top-K of [0, n),
+// the rule brute force applies: a user with fewer than K scanned
+// candidates is filled at 0 by smallest id. skip drops users from both
+// (the scanned user itself, tombstones). It returns how many scanned
+// users it offered.
+func (t *TopK) PushOverlap(users []uint32, scores []float64, n int, skip func(uint32) bool) int {
+	offered := 0
+	for i, v := range users {
+		if !skip(v) {
+			t.Push(v, scores[i])
+			offered++
+		}
+	}
+	j := 0
+	for v, filled := uint32(0), 0; int(v) < n && filled < t.k; v++ {
+		for j < len(users) && users[j] < v {
+			j++
+		}
+		if (j < len(users) && users[j] == v) || skip(v) {
+			continue
+		}
+		t.Push(v, 0)
+		filled++
+	}
+	return offered
 }
 
 // ByteSize reports the encoded size in bytes.

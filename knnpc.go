@@ -525,8 +525,8 @@ func (s *System) StoreAddrs() []string { return s.eng.StoreAddrs() }
 func (s *System) ReplicaAddrs() []string { return s.eng.ReplicaAddrs() }
 
 // Recall measures the system's current graph against the exact KNN
-// graph computed by brute force with the same similarity — the standard
-// quality metric. It is O(n²) and meant for evaluation, not production.
+// graph under the same similarity (ExactNeighbors) — the standard
+// quality metric. It is meant for evaluation, not production.
 func (s *System) Recall(profiles [][]Item, cfg Config) (float64, error) {
 	truth, err := ExactNeighbors(profiles, cfg)
 	if err != nil {
@@ -548,8 +548,10 @@ func (s *System) Recall(profiles [][]Item, cfg Config) (float64, error) {
 // Close releases the system's scratch storage.
 func (s *System) Close() error { return s.eng.Close() }
 
-// ExactNeighbors computes the exact K-nearest neighbors of every user
-// by brute force — ground truth for evaluating the iterative system.
+// ExactNeighbors computes the exact K-nearest neighbors of every user —
+// ground truth for evaluating the iterative system. Under the built-in
+// similarities each user is scored only against the users sharing an
+// item with it (exact.Compute).
 // Only cfg.K, cfg.Similarity and cfg.Workers are used.
 func ExactNeighbors(profiles [][]Item, cfg Config) ([][]uint32, error) {
 	store, err := storeFromItems(profiles)
