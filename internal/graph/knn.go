@@ -48,8 +48,8 @@ func NewKNN(n, k int) (*KNN, error) {
 // NewScoredKNN is NewKNN for a graph whose rows are written once each by
 // Emit, with their scores — G(t+1) as phase 4 emits it. The rows are
 // carved from one id slab and one score slab, row u at offset u·K, so
-// the graph costs two allocations however many rows it holds, and
-// concurrent Emits for distinct rows write disjoint memory.
+// they cost two allocations however many there are, and concurrent
+// Emits for distinct rows write disjoint memory.
 func NewScoredKNN(n, k int) (*KNN, error) {
 	g, err := NewKNN(n, k)
 	if err != nil {
@@ -137,9 +137,9 @@ func (g *KNN) SetScored(u uint32, nbrs []uint32, scores []float64) error {
 
 // Emit is SetScored for a row written once into a graph NewScoredKNN
 // made: the row is copied into the slabs at u·K, so it allocates
-// nothing. Each row is emitted at most once, before anything else
-// writes it or the graph is cloned; calls for distinct nodes may run
-// concurrently.
+// nothing. A row already emitted, or set with neighbors, is refused, so
+// no slab region is written twice (a clone may share what it holds);
+// calls for distinct nodes may run concurrently.
 func (g *KNN) Emit(u uint32, nbrs []uint32, scores []float64) error {
 	if err := g.check(u, nbrs, scores); err != nil {
 		return err
@@ -149,7 +149,7 @@ func (g *KNN) Emit(u uint32, nbrs []uint32, scores []float64) error {
 		return fmt.Errorf("graph: node %d has no slab row to emit into", u)
 	}
 	if g.rows[u].ids != nil {
-		return fmt.Errorf("graph: node %d emitted twice", u)
+		return fmt.Errorf("graph: node %d already written", u)
 	}
 	r := row{ids: append(g.slabIDs[off:off:off+g.k], nbrs...)}
 	if scores != nil {
