@@ -110,7 +110,7 @@ bench-smoke:
 	$(GO) run ./bench -runs 2 -seconds 5
 
 # Applies the benchmark's bounds to the last `make bench` against BASE,
-# e.g. `make bench-compare BASE=BENCH_48.json`; exits non-zero on
+# e.g. `make bench-compare BASE=BENCH_49.json`; exits non-zero on
 # a regressed or unresolved end-to-end metric, or on an exact count
 # that differs at equal seeds.
 bench-compare:

@@ -8,7 +8,6 @@ import (
 
 	"knnpc/internal/api"
 	"knnpc/internal/delta"
-	"knnpc/internal/graph"
 	"knnpc/internal/netstore"
 	"knnpc/internal/profile"
 )
@@ -16,12 +15,16 @@ import (
 // Incremental graph maintenance: between full five-phase iterations the
 // engine absorbs user adds and deletes through a cheap delta path.
 // An added user gets its exact top-K among the live users, scored
-// through a postings index of P(t) (profile.Index) that each pass builds
-// for the items its adds hold, and its chosen neighbors reconsider
-// their lists with it by comparing the scores G(t) stores
-// (internal/delta); deleted users are tombstoned —
-// stripped from the graph immediately, filtered out of phase-2 tuple
-// generation and the serve path afterwards. A per-partition staleness
+// through a postings index of P(t) (profile.Index), and its chosen
+// neighbors reconsider their lists with it by comparing the scores G(t)
+// stores (internal/delta); deleted users are tombstoned — stripped
+// immediately from the rows their in-lists (delta.InLists) name,
+// filtered out of phase-2 tuple generation and the serve path
+// afterwards. The index and the in-lists are kept between passes, so a
+// pass costs its own mutations, not the population: each pass, and
+// phase 5 for the index, applies its changes to them, and they are
+// rebuilt only when they may have fallen behind (see passIndex and
+// passInLists). A per-partition staleness
 // counter accumulates the drift each delta commit causes, and Run
 // schedules a real iteration only when the worst partition's normalized
 // drift crosses Options.StalenessThreshold.
@@ -199,6 +202,7 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 	if err != nil {
 		return fail(err)
 	}
+	in := e.passInLists()
 
 	// Work on copies; the commit window swaps them in atomically. The
 	// graph copy reuses the row table of the graph the last commit
@@ -240,6 +244,7 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 		Sim:   e.opts.Similarity,
 		Dead:  func(v uint32) bool { return dead.Has(v) },
 		Index: ix,
+		In:    in,
 	}
 
 	var newVecs []profile.Vector               // appended users, in id order
@@ -271,9 +276,7 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 		if indexed {
 			// The rows that listed the user hold its old profile's
 			// scores.
-			var changed graph.NodeSet
-			changed.Add(u)
-			evals, err := delta.Rescore(g, changed, lookup, e.opts.Similarity)
+			evals, err := delta.RescoreListers(g, in, u, lookup, e.opts.Similarity)
 			if err != nil {
 				return err
 			}
@@ -400,7 +403,7 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 				run = append(run, u)
 			}
 			i-- // the loop's own increment steps past the run
-			touched, err := delta.RemoveRun(g, run)
+			touched, err := delta.RemoveRun(g, run, in)
 			if err != nil {
 				return fail(fmt.Errorf("core: delta delete users %v: %w", run, err))
 			}
@@ -442,8 +445,11 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 		stats.Held = len(ids)
 	}
 	if stats.Adds == 0 && stats.Upserts == 0 && stats.Deletes == 0 {
-		// Nothing landed: no commit, no epoch bump, no publishes.
+		// Nothing landed: no commit, no epoch bump, no publishes. No
+		// insert or strip ran, so the index and the in-lists still
+		// describe the committed state.
 		e.deltaBacklog = held
+		e.indexFresh, e.inFresh = ix != nil, true
 		return stats, nil
 	}
 
@@ -469,6 +475,9 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 	if err != nil {
 		return fail(err)
 	}
+	// The index and the in-lists followed every insert and strip of the
+	// pass, so they describe what it committed.
+	e.indexFresh, e.inFresh = ix != nil, true
 	for _, op := range assignOps {
 		e.deltaAssign[op.u] = op.p
 		e.deltaMembers[op.p] = append(e.deltaMembers[op.p], op.u)
@@ -493,12 +502,15 @@ func (e *Engine) applyDeltas(ctx context.Context) (*DeltaStats, error) {
 }
 
 // passIndex returns the postings this pass's adds score through: the
-// engine's index, reset to cover the items the pass's adds hold and
-// filled with every live committed profile, so each add's Scan sees
-// every user sharing one of its items. It is nil, and inserts score
-// every live user instead, when the measure cannot be indexed. The
-// pass keeps it current as it goes; nothing outlives the pass but the
-// index's memory, which the next pass reuses.
+// engine's index, which holds every live committed profile and covers
+// every item one of them holds, extended to cover the items of the
+// pass's adds and upserts. It is built from P(t) only when it is not
+// known to be current — at the first pass, and after anything that
+// changed profiles or tombstones without keeping it so (a failed pass
+// or commit, SetGraph); otherwise the pass and phase 5 keep it current
+// in proportion to their own mutations. It is nil, and inserts score
+// every live user instead, when the measure cannot be indexed. It
+// counts as stale until this pass commits.
 func (e *Engine) passIndex(muts []delta.Mutation) (*profile.Index, error) {
 	if e.index == nil {
 		ix, ok := profile.NewIndex(e.opts.Similarity)
@@ -507,27 +519,40 @@ func (e *Engine) passIndex(muts []delta.Mutation) (*profile.Index, error) {
 		}
 		e.index = ix
 	}
-	e.cover = e.cover[:0]
+	if !e.indexFresh {
+		err := e.index.Build(e.g.NumNodes(), func(u uint32) (profile.Vector, bool, error) {
+			if e.dead.Has(u) {
+				return profile.Vector{}, false, nil
+			}
+			v, err := e.profiles.Profile(u)
+			return v, true, err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: index profiles: %w", err)
+		}
+	}
+	e.indexFresh = false
 	for _, m := range muts {
 		if m.Op == delta.Add {
-			e.cover = append(e.cover, m.Profile)
+			e.index.Cover(m.Profile)
 		}
-	}
-	e.index.Reset(e.cover)
-	if len(e.cover) == 0 {
-		return e.index, nil // nothing to score, and nothing to keep current
-	}
-	for u := uint32(0); int(u) < e.g.NumNodes(); u++ {
-		if e.dead.Has(u) {
-			continue
-		}
-		v, err := e.profiles.Profile(u)
-		if err != nil {
-			return nil, fmt.Errorf("core: index profile of user %d: %w", u, err)
-		}
-		e.index.Add(u, v)
 	}
 	return e.index, nil
+}
+
+// passInLists returns the in-lists this pass's strips and upsert
+// rescores visit: a superset, for each user, of the rows of G(t) that
+// list it. They are built from G(t) at the first pass after a full
+// iteration, a failed pass or SetGraph, and again once the entries
+// inserts appended to them outnumber G(t)'s edge bound; otherwise the
+// last pass's are used as it left them. They count as stale until this
+// pass commits.
+func (e *Engine) passInLists() *delta.InLists {
+	if !e.inFresh || e.in.Added() > e.opts.K*e.g.NumNodes() {
+		e.in.Build(e.g)
+	}
+	e.inFresh = false
+	return &e.in
 }
 
 // deltaViews lists the serve views a delta commit republishes, in

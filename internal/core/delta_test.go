@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -502,33 +504,61 @@ func exactLiveRow(t *testing.T, eng *Engine, u uint32) []uint32 {
 	return row
 }
 
-// requireIndexCurrent checks that the postings index the last pass
-// left, when it had adds to score, is the index of the live committed
-// profiles over the same cover: scanning each of the pass's add
-// profiles returns the users and score bits that an index built fresh
-// from them returns.
-func requireIndexCurrent(t *testing.T, eng *Engine) {
+// requireIndexCurrent checks the postings index the engine keeps
+// between delta passes, when it counts as current, against one built
+// fresh from the live committed profiles: scanning each probe returns
+// the same users and score bits.
+func requireIndexCurrent(t *testing.T, eng *Engine, when string, probes []profile.Vector) {
 	t.Helper()
-	if eng.index == nil || len(eng.cover) == 0 {
+	if eng.index == nil || !eng.indexFresh {
 		return
 	}
 	fresh, _ := profile.NewIndex(eng.opts.Similarity)
-	fresh.Reset(eng.cover)
-	for v := uint32(0); int(v) < eng.g.NumNodes(); v++ {
+	err := fresh.Build(eng.g.NumNodes(), func(v uint32) (profile.Vector, bool, error) {
+		if eng.dead.Has(v) {
+			return profile.Vector{}, false, nil
+		}
 		vec, err := eng.profiles.Profile(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !eng.dead.Has(v) {
-			fresh.Add(v, vec)
-		}
+		return vec, true, err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, vec := range eng.cover {
+	for _, vec := range probes {
 		gotU, gotS := eng.index.Scan(vec)
 		gotU, gotS = slices.Clone(gotU), slices.Clone(gotS)
 		wantU, wantS := fresh.Scan(vec)
-		if !slices.Equal(gotU, wantU) || !slices.Equal(gotS, wantS) {
-			t.Fatalf("pass index scans %v to %v %v, a fresh one to %v %v", vec.Entries(), gotU, gotS, wantU, wantS)
+		if !slices.Equal(gotU, wantU) || !equalBits(gotS, wantS) {
+			t.Fatalf("%s: kept index scans %v to %v %v, a fresh one to %v %v", when, vec.Entries(), gotU, gotS, wantU, wantS)
+		}
+	}
+}
+
+// equalBits reports whether a and b hold the same float64 bits.
+func equalBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// requireInListsCover checks the in-lists the engine keeps between delta
+// passes, when they count as current: each user's names every row of
+// G(t) that lists it.
+func requireInListsCover(t *testing.T, eng *Engine, when string) {
+	t.Helper()
+	if !eng.inFresh {
+		return
+	}
+	listers := make(map[uint32][]uint32)
+	for v := uint32(0); int(v) < eng.g.NumNodes(); v++ {
+		for _, w := range eng.g.Neighbors(v) {
+			listers[w] = append(listers[w], v)
+		}
+	}
+	for w, want := range listers {
+		rows := eng.in.Rows(w)
+		for _, v := range want {
+			if _, ok := slices.BinarySearch(rows, v); !ok {
+				t.Fatalf("%s: row %d lists %d, whose in-list %v does not name it", when, v, w, rows)
+			}
 		}
 	}
 }
@@ -603,7 +633,7 @@ func TestDeltaInsertsStayExactAcrossAFailedPass(t *testing.T) {
 			if got, want := eng.g.Neighbors(u), exactLiveRow(t, eng, u); !slices.Equal(got, want) {
 				t.Fatalf("fault=%v pass %d: user %d's row %v, exact.Compute's %v", fault, pass, u, got, want)
 			}
-			requireIndexCurrent(t, eng)
+			requireIndexCurrent(t, eng, fmt.Sprintf("fault=%v pass %d", fault, pass), []profile.Vector{vec})
 			if pass == passes/2 {
 				// User 0 takes the profile the next add brings, so an
 				// index still holding its old one would miss a tie at
@@ -648,7 +678,9 @@ func TestDeltaValidation(t *testing.T) {
 // rows changed, so did the refines they trigger: more touched users
 // for fewer evaluations), and when rows began holding their scores
 // (refines compare stored scores instead of rescoring, so only SimEvals
-// fell; upserts pay to rescore the entries that name them); any change
+// fell; upserts pay to rescore the entries that name them), and when
+// an upsert stopped rescoring its own row, which its insert had just
+// scored (only SimEvals fell, by one per entry of those rows); any change
 // to the delta layer that is meant
 // to be output-identical is checked here by go test, not only by the
 // benchmark's digest.
@@ -657,7 +689,7 @@ func TestDeltaGolden(t *testing.T) {
 		base, poolSize, k = 300, 80, 6
 		digest            = "ff0edd96b141699e"
 	)
-	want := DeltaStats{Adds: 49, Upserts: 16, Deletes: 32, Held: 8, TouchedUsers: 492, SimEvals: 3800}
+	want := DeltaStats{Adds: 49, Upserts: 16, Deletes: 32, Held: 8, TouchedUsers: 492, SimEvals: 3704}
 	vecs, _, err := dataset.RatingsProfiles(base+poolSize, 1200, 20, 6, 77)
 	if err != nil {
 		t.Fatal(err)
@@ -753,5 +785,153 @@ func TestDeltaGolden(t *testing.T) {
 	got.SimEvals += ds.SimEvals
 	if d := graphDigest(eng.Graph()); d != digest || got != want {
 		t.Fatalf("delta golden: digest %s, stats %+v; want %s, %+v", d, got, digest, want)
+	}
+}
+
+// TestKeptDeltaIndexMatchesFresh runs a seeded script through every path
+// that changes P(t), the tombstones or G(t), on the in-process and the
+// network store, and after each checks what the engine keeps between
+// delta passes: the postings index scans every probe as an index built
+// fresh from the live committed profiles does, bit for bit, and each
+// in-list names every row of G(t) that lists its user. The script has
+// delta passes of adds, upserts, deletes, resurrections and adds held
+// ahead of their id; full iterations whose phase 5 applies SetItem,
+// RemoveItem and ReplaceProfile updates; a pass whose commit fails on
+// failOnceProfiles, and its retry; and SetGraph.
+func TestKeptDeltaIndexMatchesFresh(t *testing.T) {
+	const base, pool, k, items = 160, 80, 5, 700
+	vecs, _, err := dataset.RatingsProfiles(base+pool, items, 16, 4, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			eng, err := New(profile.NewStoreFromVectors(slices.Clone(vecs[:base])),
+				Options{K: k, NumPartitions: 4, TupleBatch: 64, Seed: 9, NetStoreShards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(13))
+			// check probes the index with the profiles a step brought
+			// and a few drawn from the pool.
+			check := func(when string, brought []profile.Vector) {
+				t.Helper()
+				probes := slices.Clone(brought)
+				for range 4 {
+					probes = append(probes, vecs[rng.Intn(len(vecs))])
+				}
+				requireIndexCurrent(t, eng, when, probes)
+				requireInListsCover(t, eng, when)
+			}
+			iterate := func(when string) {
+				t.Helper()
+				n := eng.g.NumNodes()
+				var brought []profile.Vector
+				for range 6 {
+					eng.EnqueueUpdate(profile.Update{
+						User: uint32(rng.Intn(n)), Kind: profile.SetItem,
+						Item: uint32(rng.Intn(items + 50)), Weight: float32(1 + rng.Intn(5)),
+					})
+				}
+				u := uint32(rng.Intn(n))
+				pu, err := eng.profiles.Profile(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e := pu.Entries(); len(e) > 0 {
+					eng.EnqueueUpdate(profile.Update{User: u, Kind: profile.RemoveItem, Item: e[0].Item})
+				}
+				replaced := vecs[rng.Intn(len(vecs))]
+				eng.EnqueueUpdate(profile.Update{User: uint32(rng.Intn(n)), Kind: profile.ReplaceProfile, Vector: replaced})
+				brought = append(brought, replaced)
+				if _, err := eng.Iterate(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if eng.inFresh {
+					t.Fatalf("%s: in-lists of the replaced G(t) count as current", when)
+				}
+				if eng.index != nil && !eng.indexFresh {
+					t.Fatalf("%s: phase 5 left the index to be rebuilt", when)
+				}
+				check(when, brought)
+			}
+			next := uint32(base)
+			// pass enqueues three sequential adds, the add after them
+			// ahead of its id (held until the next pass brings its
+			// predecessor), two deletes, an upsert of a live user and a
+			// resurrection of the lowest tombstoned one.
+			pass := func(when string) {
+				t.Helper()
+				n := eng.g.NumNodes()
+				var brought []profile.Vector
+				add := func(u uint32, vec profile.Vector) {
+					eng.EnqueueAddUser(u, vec)
+					brought = append(brought, vec)
+				}
+				for range 3 {
+					add(next, vecs[next])
+					next++
+				}
+				add(next+1, vecs[next+1])
+				for range 2 {
+					eng.EnqueueDelUser(uint32(rng.Intn(n)))
+				}
+				add(uint32(rng.Intn(n)), vecs[rng.Intn(len(vecs))])
+				for v := uint32(0); int(v) < n; v++ {
+					if eng.dead.Has(v) {
+						add(v, vecs[rng.Intn(len(vecs))])
+						break
+					}
+				}
+				ds, err := eng.ApplyDeltas()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ds.Held != 1 {
+					t.Fatalf("%s: %d adds held, want 1", when, ds.Held)
+				}
+				add(next, vecs[next]) // releases the held add next pass
+				next += 2
+				if !eng.indexFresh || !eng.inFresh {
+					t.Fatalf("%s: committed pass left index current %v, in-lists current %v", when, eng.indexFresh, eng.inFresh)
+				}
+				check(when, brought)
+			}
+
+			for i := range 2 {
+				iterate(fmt.Sprintf("iteration %d", i))
+			}
+			for i := range 4 {
+				pass(fmt.Sprintf("delta pass %d", i))
+			}
+			iterate("iteration after the delta passes")
+			for i := range 2 {
+				pass(fmt.Sprintf("delta pass %d after the iteration", i))
+			}
+
+			// A pass whose commit fails leaves both structures stale, and
+			// its retry rebuilds them.
+			eng.profiles = &failOnceProfiles{canonicalProfiles: eng.profiles}
+			eng.EnqueueAddUser(7, vecs[next])
+			if _, err := eng.ApplyDeltas(); err == nil {
+				t.Fatal("the injected Apply failure did not surface")
+			}
+			if eng.indexFresh || eng.inFresh {
+				t.Fatalf("failed pass left index current %v, in-lists current %v", eng.indexFresh, eng.inFresh)
+			}
+			pass("retried pass")
+
+			if err := eng.SetGraph(eng.Graph()); err != nil {
+				t.Fatal(err)
+			}
+			if eng.indexFresh || eng.inFresh {
+				t.Fatalf("SetGraph left index current %v, in-lists current %v", eng.indexFresh, eng.inFresh)
+			}
+			pass("pass after SetGraph")
+			iterate("last iteration")
+			pass("last pass")
+		})
 	}
 }

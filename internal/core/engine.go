@@ -79,13 +79,17 @@ type Engine struct {
 	// serve view the next delta commit must republish: it still holds a
 	// copy of a user the last full publish moved to a later partition
 	// (see publishMembers), or a publish that stayed down never PUT it.
-	// index is the postings index delta inserts score through, reset
-	// and refilled by every pass (see passIndex) and kept between passes
-	// only for its memory; cover lists the profiles of the last pass's
-	// adds, whose items it covers. index is nil before the first pass,
-	// and stays nil when the measure cannot be indexed. spare is the
-	// graph the last commit replaced, whose row table the next delta
-	// pass copies G(t) into; nothing else holds it.
+	// index is the postings index of every live committed profile that
+	// delta inserts score through (see passIndex); indexFresh says it is
+	// current, kept so by each delta commit and by phase 5, and is
+	// cleared by anything that may leave it behind P(t) or the
+	// tombstones, so the next pass rebuilds it. index is nil before the
+	// first pass, and stays nil when the measure cannot be indexed. in
+	// holds, for each user, a superset of the rows of G(t) that list it
+	// (see passInLists); inFresh says so, and is cleared by every full
+	// iteration's commit and by SetGraph. spare is the graph the last
+	// commit replaced, whose row table the next delta pass copies G(t)
+	// into; nothing else holds it.
 	deltas       inbox[delta.Mutation]
 	dead         graph.NodeSet
 	tracker      *delta.Tracker
@@ -96,7 +100,9 @@ type Engine struct {
 	deltaBacklog []delta.Mutation
 	republish    []bool
 	index        *profile.Index
-	cover        []profile.Vector
+	indexFresh   bool
+	in           delta.InLists
+	inFresh      bool
 	spare        *graph.KNN
 }
 
@@ -213,6 +219,7 @@ func (e *Engine) SetGraph(g *graph.KNN) error {
 		}
 	}
 	e.g = plain
+	e.indexFresh, e.inFresh = false, false
 	return nil
 }
 
@@ -615,11 +622,19 @@ func (e *Engine) phaseUpdate(ctx context.Context, it *iteration) error {
 		}
 	}
 	dropped := len(updates) - len(valid)
-	if err := e.rescoreUpdated(it.next, valid); err != nil {
+	changed, err := e.foldUpdates(valid)
+	if err != nil {
+		return err
+	}
+	if err := e.rescoreUpdated(it.next, changed); err != nil {
 		return err
 	}
 
-	return e.commit(it.next, e.dead, func() error {
+	// G(t+1) replaces every row the in-lists describe; the index
+	// follows the updates once they land, and is rebuilt if they do not.
+	indexed := e.indexFresh
+	e.indexFresh, e.inFresh = false, false
+	err = e.commit(it.next, e.dead, func() error {
 		applied, err := e.profiles.Apply(valid)
 		if err != nil {
 			return err
@@ -628,30 +643,63 @@ func (e *Engine) phaseUpdate(ctx context.Context, it *iteration) error {
 		it.stats.UpdatesDropped = dropped
 		return nil
 	})
+	if err != nil || !indexed {
+		return err
+	}
+	for _, c := range changed {
+		if !e.dead.Has(c.user) {
+			e.index.Cover(c.after)
+			e.index.Remove(c.user, c.before)
+			e.index.Add(c.user, c.after)
+		}
+	}
+	e.indexFresh = true
+	return nil
+}
+
+// changedProfile is one updated user's profile before and after phase
+// 5 applies its updates.
+type changedProfile struct {
+	user          uint32
+	before, after profile.Vector
+}
+
+// foldUpdates folds updates over the profiles of the users they name,
+// as the store's Apply will, and returns each such user's profile
+// before and after, in order of first update.
+func (e *Engine) foldUpdates(updates []profile.Update) ([]changedProfile, error) {
+	var changed []changedProfile
+	at := make(map[uint32]int)
+	for _, u := range updates {
+		i, ok := at[u.User]
+		if !ok {
+			v, err := e.profiles.Profile(u.User)
+			if err != nil {
+				return nil, fmt.Errorf("profile of updated user %d: %w", u.User, err)
+			}
+			i = len(changed)
+			at[u.User] = i
+			changed = append(changed, changedProfile{user: u.User, before: v, after: v})
+		}
+		changed[i].after = u.Apply(changed[i].after)
+	}
+	return changed, nil
 }
 
 // rescoreUpdated keeps the scores of G(t+1), which phase 4 took from
-// P(t), true of P(t+1): it folds updates over the profiles of the users
-// they name, as the store's Apply will, and rescores every entry of
-// next that involves one of those users.
-func (e *Engine) rescoreUpdated(next *graph.KNN, updates []profile.Update) error {
-	if len(updates) == 0 {
+// P(t), true of P(t+1): it rescores every entry of next that involves
+// a changed user, with the profiles phase 5 is about to commit.
+func (e *Engine) rescoreUpdated(next *graph.KNN, changed []changedProfile) error {
+	if len(changed) == 0 {
 		return nil
 	}
-	after := make(map[uint32]profile.Vector)
-	var changed graph.NodeSet
-	for _, u := range updates {
-		v, ok := after[u.User]
-		if !ok {
-			var err error
-			if v, err = e.profiles.Profile(u.User); err != nil {
-				return fmt.Errorf("profile of updated user %d: %w", u.User, err)
-			}
-			changed.Add(u.User)
-		}
-		after[u.User] = u.Apply(v)
+	after := make(map[uint32]profile.Vector, len(changed))
+	var users graph.NodeSet
+	for _, c := range changed {
+		after[c.user] = c.after
+		users.Add(c.user)
 	}
-	_, err := delta.Rescore(next, changed, func(v uint32) (profile.Vector, error) {
+	_, err := delta.Rescore(next, users, func(v uint32) (profile.Vector, error) {
 		if vec, ok := after[v]; ok {
 			return vec, nil
 		}

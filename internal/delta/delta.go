@@ -4,16 +4,17 @@
 // sharing an item with it are scored, the exact end of Debatty et al.'s
 // quality-against-evaluations curve — and each chosen neighbor then
 // reconsiders its own list with the new user, comparing the scores its
-// row stores; deleted users are
-// tombstoned and stripped from every neighbor list; and a per-partition
-// staleness counter decides — against a configurable threshold — when
-// the accumulated drift justifies scheduling a real iteration.
+// row stores; deleted users are tombstoned and stripped from every
+// neighbor list, visiting only the rows that may list them when the
+// caller keeps in-lists (InLists); and a per-partition staleness
+// counter decides — against a configurable threshold — when the
+// accumulated drift justifies scheduling a real iteration.
 //
 // The package is deliberately engine-agnostic: it operates on
-// graph.KNN plus a profile lookup function and an optional index, so
-// internal/core can apply deltas to a private copy inside its commit
-// window and tests can drive the insertion path against in-memory
-// fixtures.
+// graph.KNN plus a profile lookup function, an optional index and
+// optional in-lists, so internal/core can apply deltas to a private
+// copy inside its commit window and tests can drive the insertion path
+// against in-memory fixtures.
 package delta
 
 import "knnpc/internal/profile"

@@ -256,7 +256,9 @@ func TestInsertMatchesExact(t *testing.T) {
 				}
 				// The index covers every profile the script inserts.
 				ix, _ := profile.NewIndex(sim)
-				ix.Reset(append(slices.Clone(pool), fill, negative))
+				for _, v := range append(slices.Clone(pool), fill, negative) {
+					ix.Cover(v)
+				}
 				for u, v := range vecs {
 					if live(uint32(u)) {
 						ix.Add(uint32(u), v)
@@ -465,7 +467,7 @@ func TestRemoveRunMatchesSequentialRemove(t *testing.T) {
 			}
 			wantTouched = append(wantTouched, touched)
 		}
-		got, err := RemoveRun(g, run)
+		got, err := RemoveRun(g, run, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -521,5 +523,153 @@ func TestRemoveRunMatchesSequentialRemove(t *testing.T) {
 	}
 	if !slices.Equal(got, ref) || !sameGraph(g, want) {
 		t.Fatalf("Remove(%d) = %v, want %v", a, got, ref)
+	}
+}
+
+// sameScoredGraph reports whether a and b hold the same rows, ids and
+// score bits alike.
+func sameScoredGraph(a, b *graph.KNN) bool {
+	if !sameGraph(a, b) {
+		return false
+	}
+	for u := uint32(0); int(u) < a.NumNodes(); u++ {
+		sa, sb := a.Scores(u), b.Scores(u)
+		if len(sa) != len(sb) || !slices.EqualFunc(sa, sb, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			return false
+		}
+	}
+	return true
+}
+
+// requireInListsCover checks that in names, for every user, each row of
+// g that lists it.
+func requireInListsCover(t *testing.T, g *graph.KNN, in *InLists, when string) {
+	t.Helper()
+	for v := uint32(0); int(v) < g.NumNodes(); v++ {
+		for _, w := range g.Neighbors(v) {
+			if _, ok := slices.BinarySearch(in.Rows(w), v); !ok {
+				t.Fatalf("%s: row %d lists %d, whose in-list %v does not name it", when, v, w, in.Rows(w))
+			}
+		}
+	}
+}
+
+// TestRemoveRunThroughInListsMatchesFullScan holds the strip that visits
+// only the rows the in-lists name to the full scan. On random graphs
+// whose rows hold their scores, with in-lists built, grown by inserts
+// (Config.In) and padded with stale entries, a sequence of runs —
+// random ones with repeats and out-of-range ids, and runs whose members
+// list one another — must give the same touched lists and leave the
+// same rows and scores; the in-lists must still name every lister after
+// each. Then an upsert's RescoreListers must leave every row but the
+// upserted user's as Rescore does, at one evaluation less per entry of
+// that row.
+func TestRemoveRunThroughInListsMatchesFullScan(t *testing.T) {
+	sim := profile.Cosine{}
+	for seed := int64(1); seed <= 20; seed++ {
+		name := fmt.Sprintf("seed %d", seed)
+		rng := rand.New(rand.NewSource(seed))
+		n, k := 20+rng.Intn(150), 1+rng.Intn(8)
+		g, pool := randomCase(t, rng, n, k)
+		vecs := slices.Clone(pool[:n])
+		for u := uint32(0); int(u) < n; u++ {
+			nbrs := g.Neighbors(u)
+			scores := make([]float64, len(nbrs))
+			for i, v := range nbrs {
+				scores[i] = sim.Score(vecs[u], vecs[v])
+			}
+			if err := g.SetScored(u, nbrs, scores); err != nil {
+				t.Fatal(err)
+			}
+		}
+		profiles := func(u uint32) (profile.Vector, error) { return vecs[u], nil }
+		var in InLists
+		in.Build(g)
+		cfg := Config{K: k, Sim: sim, In: &in}
+		for range 5 {
+			u := uint32(g.NumNodes())
+			g.Grow(1)
+			vecs = append(vecs, pool[rng.Intn(len(pool))])
+			if _, err := Insert(g, profiles, cfg, u, vecs[u]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range n / 4 {
+			in.Add(uint32(rng.Intn(len(vecs))), uint32(rng.Intn(len(vecs))))
+		}
+		requireInListsCover(t, g, &in, name)
+
+		full := g.Clone()
+		for r := range 6 {
+			size := g.NumNodes()
+			var run []uint32
+			if r%2 == 0 {
+				run = make([]uint32, 1+rng.Intn(10))
+				for i := range run {
+					run[i] = uint32(rng.Intn(size + 2)) // size, size+1: idempotent misses
+				}
+				run = append(run, run[0]) // a repeated delete
+			} else {
+				// a, a user a lists, and a user that lists a, in both orders.
+				a := uint32(rng.Intn(size))
+				run = []uint32{a}
+				if nb := g.Neighbors(a); len(nb) > 0 {
+					run = append(run, nb[rng.Intn(len(nb))])
+				}
+				if rows := in.Rows(a); len(rows) > 0 {
+					if c := rows[rng.Intn(len(rows))]; slices.Contains(g.Neighbors(c), a) {
+						run = append([]uint32{c}, run...)
+					}
+				}
+			}
+			want, err := RemoveRun(full, run, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := RemoveRun(g, run, &in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range run {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("%s run %v member %d (%d): touched %v through in-lists, %v by the full scan", name, run, i, run[i], got[i], want[i])
+				}
+			}
+			if !sameScoredGraph(g, full) {
+				t.Fatalf("%s run %v: the graphs differ", name, run)
+			}
+			requireInListsCover(t, g, &in, fmt.Sprintf("%s after run %v", name, run))
+		}
+
+		// An upsert: u takes a new profile, and its own row has just
+		// been written with it, as Insert does.
+		for range 4 {
+			u := uint32(rng.Intn(g.NumNodes()))
+			vecs[u] = pool[rng.Intn(len(pool))]
+			nbrs := g.Neighbors(u)
+			scores := make([]float64, len(nbrs))
+			for i, v := range nbrs {
+				scores[i] = sim.Score(vecs[u], vecs[v])
+			}
+			if err := g.SetScored(u, nbrs, scores); err != nil {
+				t.Fatal(err)
+			}
+			want := g.Clone()
+			var changed graph.NodeSet
+			changed.Add(u)
+			wantEvals, err := Rescore(want, changed, profiles, sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotEvals, err := RescoreListers(g, &in, u, profiles, sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameScoredGraph(g, want) || gotEvals != wantEvals-len(nbrs) {
+				t.Fatalf("%s upsert of %d: RescoreListers spent %d evaluations, Rescore %d on a row of %d, or the graphs differ",
+					name, u, gotEvals, wantEvals, len(nbrs))
+			}
+			requireTrueScores(t, g, vecs, sim, fmt.Sprintf("%s upsert of %d", name, u))
+		}
 	}
 }

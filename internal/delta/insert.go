@@ -30,6 +30,12 @@ type Config struct {
 	// the users that share an item with the inserted one. nil scores
 	// every live user.
 	Index *profile.Index
+	// In, when set, records every edge Insert writes: the inserted user
+	// goes into the in-list of each user in its new row, and each
+	// refined user that now lists it into the inserted user's. So in-
+	// lists that name a superset of the rows listing each user before
+	// the insertion still do after it.
+	In *InLists
 }
 
 // Result reports what one insertion did.
@@ -137,6 +143,14 @@ func Insert(g *graph.KNN, profiles func(uint32) (profile.Vector, error), cfg Con
 			res.Touched = append(res.Touched, v)
 		}
 	}
+	if cfg.In != nil {
+		for _, v := range res.Neighbors {
+			cfg.In.Add(v, u)
+		}
+		for _, v := range res.Touched {
+			cfg.In.Add(u, v)
+		}
+	}
 	return res, nil
 }
 
@@ -222,21 +236,25 @@ func (sc *scratch) source(sim profile.Similarity) *profile.Source {
 // from every other user's list (lists shrink below K; the next full
 // iteration refills them). Returns the users whose lists changed,
 // which is the O(n·K) reverse scan's touched set. It is RemoveRun of
-// the one-user run.
+// the one-user run, scanning every row.
 func Remove(g *graph.KNN, u uint32) ([]uint32, error) {
-	touched, err := RemoveRun(g, []uint32{u})
+	touched, err := RemoveRun(g, []uint32{u}, nil)
 	return touched[0], err
 }
 
-// RemoveRun strips every user of run from g in one O(n·K) scan and
-// returns, for each run member in order, the users whose lists its
-// strip changed — exactly what Remove(g, run[0]), Remove(g, run[1]), …
-// would return one call at a time. So a later member that lists an
-// earlier one is in the earlier one's touched list (its list still held
-// the id when that strip ran), while an earlier member that lists a
-// later one is not in the later one's list (it was emptied first). A
-// repeated id's later occurrences touch nothing.
-func RemoveRun(g *graph.KNN, run []uint32) ([][]uint32, error) {
+// RemoveRun strips every user of run from g and returns, for each run
+// member in order, the users whose lists its strip changed — exactly
+// what Remove(g, run[0]), Remove(g, run[1]), … would return one call at
+// a time. So a later member that lists an earlier one is in the earlier
+// one's touched list (its list still held the id when that strip ran),
+// while an earlier member that lists a later one is not in the later
+// one's list (it was emptied first). A repeated id's later occurrences
+// touch nothing. With in-lists naming a superset of the rows that list
+// each member, only those rows are visited, in ascending order; with
+// nil, every row is, one O(n·K) scan. Either way the strip visits every
+// row that lists a member in the same order, so both give the same
+// touched lists and the same graph.
+func RemoveRun(g *graph.KNN, run []uint32, in *InLists) ([][]uint32, error) {
 	touched := make([][]uint32, len(run))
 	n := g.NumNodes()
 	// member marks the run's ids; order maps each id to the run index
@@ -264,28 +282,27 @@ func RemoveRun(g *graph.KNN, run []uint32) ([][]uint32, error) {
 	// probe ends there.
 	lo, span := order[0].id, order[len(order)-1].id-order[0].id
 	inRun := func(w uint32) bool { return w-lo <= span && member.Has(w) }
-	// A stripped row is assembled in these, which SetScored copies; the
-	// kept neighbors keep their scores when the row holds them.
-	var kept []uint32
-	var keptScores []float64
-	for v := 0; v < n; v++ {
-		nbrs := g.Neighbors(uint32(v))
-		hits := 0
-		for _, w := range nbrs {
+	lists := func(v uint32) bool {
+		for _, w := range g.Neighbors(v) {
 			if inRun(w) {
-				hits++
+				return true
 			}
 		}
-		if hits == 0 {
-			continue
-		}
+		return false
+	}
+	// strip removes the members from row v, which lists one. A stripped
+	// row is assembled in kept and keptScores, which SetScored copies;
+	// the kept neighbors keep their scores when the row holds them.
+	var kept []uint32
+	var keptScores []float64
+	strip := func(v uint32) error {
 		// A member's own list empties at its turn: it is touched only
 		// by the strips of members after it, and is cleared below.
 		at := len(run)
-		if member.Has(uint32(v)) {
-			at = indexOf(uint32(v))
+		if member.Has(v) {
+			at = indexOf(v)
 		}
-		scores := g.Scores(uint32(v))
+		nbrs, scores := g.Neighbors(v), g.Scores(v)
 		kept, keptScores = kept[:0], keptScores[:0]
 		for i, w := range nbrs {
 			if !inRun(w) {
@@ -296,16 +313,35 @@ func RemoveRun(g *graph.KNN, run []uint32) ([][]uint32, error) {
 				continue
 			}
 			if j := indexOf(w); j < at {
-				touched[j] = append(touched[j], uint32(v))
+				touched[j] = append(touched[j], v)
 			}
 		}
-		if at == len(run) {
-			var ks []float64
-			if scores != nil {
-				ks = keptScores
+		if at < len(run) {
+			return nil
+		}
+		var ks []float64
+		if scores != nil {
+			ks = keptScores
+		}
+		if err := g.SetScored(v, kept, ks); err != nil {
+			return fmt.Errorf("delta: strip run from %d: %w", v, err)
+		}
+		return nil
+	}
+	if in != nil {
+		for _, v := range in.Rows(run...) {
+			if int(v) < n && lists(v) {
+				if err := strip(v); err != nil {
+					return touched, err
+				}
 			}
-			if err := g.SetScored(uint32(v), kept, ks); err != nil {
-				return touched, fmt.Errorf("delta: strip run from %d: %w", v, err)
+		}
+	} else {
+		for v := uint32(0); int(v) < n; v++ {
+			if lists(v) {
+				if err := strip(v); err != nil {
+					return touched, err
+				}
 			}
 		}
 	}
@@ -362,6 +398,38 @@ func Rescore(g *graph.KNN, changed graph.NodeSet, profiles func(uint32) (profile
 				evals++
 			}
 		}
+		if err := g.SetScored(v, nbrs, scores); err != nil {
+			return evals, fmt.Errorf("delta: rescore user %d: %w", v, err)
+		}
+	}
+	return evals, nil
+}
+
+// RescoreListers is Rescore of the one changed user u for a caller that
+// has just written u's own row with u's new profile, as an upsert's
+// Insert does: it visits only the rows in names for u, rescores the
+// entry naming u in each of them that lists u and holds scores, and
+// leaves u's own row alone. It returns the number of evaluations.
+func RescoreListers(g *graph.KNN, in *InLists, u uint32, profiles func(uint32) (profile.Vector, error), sim profile.Similarity) (int, error) {
+	pu, err := profiles(u)
+	if err != nil {
+		return 0, fmt.Errorf("delta: rescore listers of %d: %w", u, err)
+	}
+	evals := 0
+	var scores []float64
+	for _, v := range in.Rows(u) {
+		nbrs, old := g.Neighbors(v), g.Scores(v)
+		i, lists := slices.BinarySearch(nbrs, u)
+		if !lists || old == nil {
+			continue // a stale entry, or a row holding no scores
+		}
+		pv, err := profiles(v)
+		if err != nil {
+			return evals, fmt.Errorf("delta: rescore user %d: %w", v, err)
+		}
+		scores = append(scores[:0], old...)
+		scores[i] = sim.Score(pv, pu)
+		evals++
 		if err := g.SetScored(v, nbrs, scores); err != nil {
 			return evals, fmt.Errorf("delta: rescore user %d: %w", v, err)
 		}

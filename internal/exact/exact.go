@@ -55,9 +55,9 @@ func Compute(store *profile.Store, opts Options) (*graph.KNN, error) {
 	rows := func(first, step int) error {
 		ix, indexed := profile.NewIndex(opts.Sim)
 		if indexed {
-			ix.Reset(vecs)
-			for v, vec := range vecs {
-				ix.Add(uint32(v), vec)
+			err := ix.Build(n, func(v uint32) (profile.Vector, bool, error) { return vecs[v], true, nil })
+			if err != nil {
+				return err
 			}
 		}
 		for u := first; u < n; u += step {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +54,17 @@ func TestTopKTieBreaksOnSmallerID(t *testing.T) {
 	}
 }
 
+// selectTopK is the sort-based reference selection: the k best of
+// candidates under the same ordering as TopK.
+func selectTopK(candidates []Scored, k int) []Scored {
+	out := append([]Scored(nil), candidates...)
+	slices.SortFunc(out, bestFirst)
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
 func TestTopKMatchesSortSelectionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -69,7 +81,7 @@ func TestTopKMatchesSortSelectionProperty(t *testing.T) {
 			candidates = append(candidates, s)
 			tk.Push(s.ID, s.Score)
 		}
-		return reflect.DeepEqual(tk.Result(), SelectTopK(candidates, k))
+		return reflect.DeepEqual(tk.Result(), selectTopK(candidates, k))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -285,15 +285,3 @@ func (t *TopK) Decode(buf []byte) ([]byte, error) {
 	}
 	return rest, nil
 }
-
-// SelectTopK is the sort-based reference selection used by tests and
-// the brute-force baseline: the K best of candidates under the same
-// ordering as TopK.
-func SelectTopK(candidates []Scored, k int) []Scored {
-	out := append([]Scored(nil), candidates...)
-	slices.SortFunc(out, bestFirst)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
